@@ -65,6 +65,7 @@ fn bench_shared_handle_threads(c: &mut Criterion) {
                         GraphCache::builder()
                             .capacity(50)
                             .window(10)
+                            .shards(threads) // one per client thread
                             .cost_model(CostModel::Work)
                             .build(MethodBuilder::ggsx().build(&d))
                     },

@@ -60,7 +60,6 @@ fn main() {
             let cache = GraphCache::builder()
                 .capacity(capacity)
                 .window(20)
-                .parallel_dispatch(true)
                 .build(kind.build(&dataset));
             let records = gc_records(&cache, &workload);
             let gc = summarize(&records);

@@ -72,7 +72,6 @@ fn main() {
                 let cache = GraphCache::builder()
                     .capacity(100)
                     .window(20)
-                    .parallel_dispatch(true)
                     .build(kind.build(dataset));
                 let records = gc_records(&cache, workload);
                 let gc = summarize(&records);

@@ -63,7 +63,6 @@ fn main() {
                 let cache = GraphCache::builder()
                     .capacity(capacity)
                     .window(20)
-                    .parallel_dispatch(true)
                     .build(MethodBuilder::si_vf2_plus().build(dataset));
                 let gc = summarize(&gc_records(&cache, &workload));
                 // Speedup of GC/VF2+ relative to CT-Index.

@@ -55,7 +55,6 @@ fn main() {
                     .capacity(100)
                     .window(20)
                     .policy(policy)
-                    .parallel_dispatch(true)
                     .build(method);
                 let gc = summarize(&gc_records(&cache, &workload));
                 measured[pi].values.push(gc.time_speedup_vs(&base));

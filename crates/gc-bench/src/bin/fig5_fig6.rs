@@ -91,7 +91,6 @@ fn main() {
             let cache = GraphCache::builder()
                 .capacity(100)
                 .window(20)
-                .parallel_dispatch(true)
                 .build(kind.build(&dataset));
             let gc = summarize(&gc_records(&cache, workload));
             t.values.push(gc.time_speedup_vs(&base));

@@ -74,7 +74,6 @@ fn main() {
             let cache = GraphCache::builder()
                 .capacity(100)
                 .window(20)
-                .parallel_dispatch(true)
                 .build(kind.build(&dataset));
             let gc = summarize(&gc_records(&cache, workload));
             series.values.push(gc.time_speedup_vs(&base));

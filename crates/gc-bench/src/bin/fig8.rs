@@ -95,7 +95,6 @@ fn main() {
                 let cache = GraphCache::builder()
                     .capacity(capacity)
                     .window(20)
-                    .parallel_dispatch(true)
                     .build(MethodBuilder::ggsx().build(dataset));
                 let gc = summarize(&gc_records(&cache, workload));
                 series.values.push(gc.time_speedup_vs(base));

@@ -103,7 +103,6 @@ fn main() {
                     .capacity(100)
                     .window(20)
                     .admission(admission)
-                    .parallel_dispatch(true)
                     .hit_match(budget)
                     .build(MethodBuilder::grapes(6).match_config(budget).build(dataset));
                 let records = gc_records(&cache, &workload);

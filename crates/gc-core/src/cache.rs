@@ -9,7 +9,7 @@
 use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionPolicy, CostModel};
 use crate::fragments::FragmentState;
 use crate::metrics::{MaintStats, QueryRecord};
-use crate::policy::{EvictionPolicy, KindPolicy, PolicyKind};
+use crate::policy::{EvictionPolicy, PolicyKind};
 use crate::processors;
 use crate::pruner::{self, HitAnswer, PruneOutcome};
 use crate::query_index::QueryIndexConfig;
@@ -18,7 +18,7 @@ use crate::stats::{columns, QuerySerial, StatsStore};
 use crate::window::{self, MaintMsg, MaintenanceConfig, Shared, WindowEntry};
 use gc_fragments::FragmentConfig;
 use gc_graph::{idset, GraphId, LabeledGraph};
-use gc_methods::{FilterOutput, Method, QueryKind};
+use gc_methods::{Method, QueryKind};
 use gc_subiso::{cost, MatchConfig};
 use parking_lot::Mutex;
 use std::sync::{mpsc, Arc};
@@ -65,35 +65,20 @@ pub struct GcConfig {
     /// hit could ever save (paper §5). `None` = unbounded. Individual
     /// requests may override this ([`QueryRequest::verify_budget`]).
     pub verify_budget: Option<u64>,
-    /// Worker threads for *hit-candidate verification* within one query:
-    /// when a query's ordered candidate queue is large, the sweep fans
-    /// across this many scoped threads. Deliberately separate from
-    /// [`threads`](Self::threads) (client concurrency) — tying them
-    /// together would oversubscribe `run_batch` (each of N client workers
-    /// spawning N more) and make budgeted hit sets depend on thread
-    /// timing. The default `1` keeps verification sequential and fully
-    /// deterministic; raise it for latency-sensitive single-stream
-    /// workloads with candidate-heavy queries.
-    pub verify_threads: usize,
     /// Run the Window Manager on a background thread (the paper's design);
     /// `false` runs maintenance inline for deterministic tests.
     pub background: bool,
-    /// Dispatch Method M's filter and GC's processors concurrently, as in
-    /// the paper's Fig. 2 (step 2 sends the query to both in parallel).
-    /// Answers are identical either way; only latency changes.
-    pub parallel_dispatch: bool,
     /// Client concurrency: worker threads used by
-    /// [`GraphCache::run_batch`], and (when `parallel_dispatch` is on) the
-    /// cap on the demand-grown filter pool. `0` auto-detects from
-    /// [`std::thread::available_parallelism`]. Filter workers are spawned
-    /// lazily, so sequential use only ever creates one regardless of the
-    /// cap.
+    /// [`GraphCache::run_batch`], and nothing else. The default `1` replays
+    /// a batch in input order, which makes every counter a pure function
+    /// of the inputs; `0` is treated as `1`.
     pub threads: usize,
     /// Number of cache shards (serial-hashed snapshot partitions; see
     /// [`crate::entry`]). A maintenance round patches only the shards its
     /// victim/admit delta touches, and concurrent readers pin shards
-    /// independently. `0` (the default) sizes the shard count from the
-    /// effective thread count, clamped to 64.
+    /// independently. `0` (the default) means one shard per client thread
+    /// ([`threads`](Self::threads)), clamped to 64 — so one shard unless
+    /// the caller asks for more of either.
     pub shards: usize,
     /// Enable the sub-query fragment cache: queries are decomposed into
     /// canonical path fragments whose *exact* occurrence sets, cached
@@ -120,10 +105,8 @@ impl Default for GcConfig {
             index: QueryIndexConfig::default(),
             hit_match: MatchConfig::UNBOUNDED,
             verify_budget: None,
-            verify_threads: 1,
             background: false,
-            parallel_dispatch: false,
-            threads: 0,
+            threads: 1,
             shards: 0,
             fragments: false,
             fragment: FragmentConfig::default(),
@@ -286,33 +269,20 @@ impl GraphCacheBuilder {
         self
     }
 
-    /// Worker threads for parallel hit-candidate verification within one
-    /// query (see [`GcConfig::verify_threads`]; default 1 = sequential).
-    pub fn verify_threads(mut self, n: usize) -> Self {
-        self.cfg.verify_threads = n.max(1);
-        self
-    }
-
     /// Background (true) vs inline (false) window maintenance.
     pub fn background(mut self, bg: bool) -> Self {
         self.cfg.background = bg;
         self
     }
 
-    /// Concurrent (true) vs sequential (false) dispatch of Method M's
-    /// filter and GC's processors.
-    pub fn parallel_dispatch(mut self, on: bool) -> Self {
-        self.cfg.parallel_dispatch = on;
-        self
-    }
-
-    /// Worker threads for [`GraphCache::run_batch`] (0 = auto-detect).
+    /// Worker threads for [`GraphCache::run_batch`] (default 1 = replay in
+    /// input order).
     pub fn threads(mut self, n: usize) -> Self {
         self.cfg.threads = n;
         self
     }
 
-    /// Number of cache shards (0 = size from the effective thread count).
+    /// Number of cache shards (0 = one per client thread).
     /// More shards mean smaller maintenance patches and less reader/writer
     /// interference; the shard count is fixed for the cache's lifetime.
     pub fn shards(mut self, n: usize) -> Self {
@@ -369,7 +339,7 @@ impl GraphCacheBuilder {
     pub fn try_build(self, method: Method) -> Result<GraphCache, PolicyError> {
         let eviction: Box<dyn EvictionPolicy> = match &self.eviction_spec {
             Some(spec) => registry::build_eviction(spec)?,
-            None => Box::new(KindPolicy::new(self.cfg.policy)),
+            None => Box::new(self.cfg.policy),
         };
         let admission: Box<dyn AdmissionPolicy> = match &self.admission_spec {
             Some(spec) => registry::build_admission(spec)?,
@@ -627,176 +597,6 @@ impl Drop for ManagerHandle {
     }
 }
 
-/// One filter request to the pool: the reply channel is owned by the
-/// requesting query; dropping the [`PendingFilter`] (exact hit) sets the
-/// cancel flag so a not-yet-started job is skipped entirely.
-struct FilterJob {
-    query: Arc<LabeledGraph>,
-    kind: QueryKind,
-    cancel: Arc<std::sync::atomic::AtomicBool>,
-    reply: mpsc::Sender<FilterOutput>,
-}
-
-/// The requester's handle on a submitted filter job. Dropping it without
-/// receiving marks the job cancelled: a worker that has not yet started it
-/// skips the (discarded) computation instead of delaying live queries
-/// queued behind it.
-struct PendingFilter {
-    rx: mpsc::Receiver<FilterOutput>,
-    cancel: Arc<std::sync::atomic::AtomicBool>,
-}
-
-impl PendingFilter {
-    /// Blocks for the filter result.
-    ///
-    /// # Panics
-    /// If the worker dropped the reply without sending — i.e. Method M's
-    /// filter panicked for this query. Failing fast surfaces the matcher
-    /// bug rather than hanging.
-    fn receive(&self) -> FilterOutput {
-        self.rx
-            .recv()
-            .expect("Method M filter panicked for this query")
-    }
-}
-
-impl Drop for PendingFilter {
-    fn drop(&mut self) {
-        self.cancel
-            .store(true, std::sync::atomic::Ordering::Release);
-    }
-}
-
-/// Persistent worker threads running Method M's filter concurrently with
-/// the GC processors (Fig. 2, step 2). Unlike the old single-worker design,
-/// requests carry their own reply channel, so any number of in-flight
-/// queries can use the pool at once.
-///
-/// Workers are spawned on demand: a sequential client only ever creates
-/// one, while concurrent clients grow the pool up to `cap` — submitting a
-/// request when no worker is idle spawns a new one (until the cap), so
-/// in-flight queries never serialise behind a fixed undersized pool.
-struct FilterPool {
-    method: Arc<Method>,
-    tx: Option<mpsc::Sender<FilterJob>>,
-    rx: Arc<Mutex<mpsc::Receiver<FilterJob>>>,
-    /// Jobs submitted but not yet completed. Spawning is driven by this
-    /// count (not by an "idle workers" count, which would race with a
-    /// worker that has dequeued a job but not yet marked itself busy).
-    inflight: Arc<std::sync::atomic::AtomicUsize>,
-    /// Workers spawned so far; never exceeds `cap`.
-    spawned: std::sync::atomic::AtomicUsize,
-    cap: usize,
-    handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl FilterPool {
-    fn new(method: Arc<Method>, cap: usize) -> Self {
-        let (tx, rx) = mpsc::channel::<FilterJob>();
-        FilterPool {
-            method,
-            tx: Some(tx),
-            rx: Arc::new(Mutex::new(rx)),
-            inflight: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
-            spawned: std::sync::atomic::AtomicUsize::new(0),
-            cap: cap.max(1),
-            handles: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Spawns another worker while in-flight jobs outnumber workers and
-    /// the cap allows. Over-spawning on a race is prevented by re-checking
-    /// the claimed slot.
-    fn ensure_workers(&self, inflight: usize) {
-        use std::sync::atomic::Ordering;
-        while inflight > self.spawned.load(Ordering::Acquire) {
-            let claimed = self.spawned.fetch_add(1, Ordering::AcqRel);
-            if claimed >= self.cap {
-                self.spawned.fetch_sub(1, Ordering::AcqRel);
-                return;
-            }
-            let method = self.method.clone();
-            let rx = self.rx.clone();
-            let inflight = self.inflight.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("gc-mfilter-{claimed}"))
-                .spawn(move || loop {
-                    // Workers take turns parking in recv() while holding
-                    // the receiver lock (delivery is serialised, which is
-                    // inherent to one queue); the filter computation runs
-                    // after the guard is dropped, so it is fully parallel.
-                    let job = rx.lock().recv();
-                    match job {
-                        Ok(job) => {
-                            // The requester may have resolved via an exact
-                            // hit and discarded its handle — skip the
-                            // (unwanted) computation so live queries queued
-                            // behind it are not delayed.
-                            if job.cancel.load(Ordering::Acquire) {
-                                inflight.fetch_sub(1, Ordering::AcqRel);
-                                continue;
-                            }
-                            // A panicking matcher must not wedge the pool:
-                            // catch it so this worker (still counted in
-                            // `spawned`) lives on, decrement `inflight` on
-                            // every path, and drop the reply sender so the
-                            // requester's recv() fails fast instead of
-                            // hanging forever.
-                            let out =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    method.filter_directed(&job.query, job.kind)
-                                }));
-                            inflight.fetch_sub(1, Ordering::AcqRel);
-                            match out {
-                                Ok(out) => {
-                                    let _ = job.reply.send(out);
-                                }
-                                Err(_) => drop(job.reply),
-                            }
-                        }
-                        Err(_) => break,
-                    }
-                })
-                .expect("spawn filter worker");
-            self.handles.lock().push(handle);
-        }
-    }
-
-    /// Submits a filter request; the returned handle yields the result (or
-    /// cancels the job when dropped unreceived).
-    fn request(&self, query: &Arc<LabeledGraph>, kind: QueryKind) -> PendingFilter {
-        use std::sync::atomic::Ordering;
-        let inflight = self.inflight.fetch_add(1, Ordering::AcqRel) + 1;
-        self.ensure_workers(inflight);
-        let cancel = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let (reply, rx) = mpsc::channel();
-        let sent = self
-            .tx
-            .as_ref()
-            .expect("pool alive until drop")
-            .send(FilterJob {
-                query: query.clone(),
-                kind,
-                cancel: cancel.clone(),
-                reply,
-            });
-        if sent.is_err() {
-            self.inflight.fetch_sub(1, Ordering::AcqRel);
-            panic!("filter pool alive");
-        }
-        PendingFilter { rx, cancel }
-    }
-}
-
-impl Drop for FilterPool {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        for h in self.handles.get_mut().drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 /// The GraphCache service: a semantic cache wrapped around a Method M,
 /// shared by any number of client threads.
 ///
@@ -814,7 +614,6 @@ pub struct GraphCache {
     cfg: GcConfig,
     shared: Arc<Shared>,
     worker: Option<Arc<ManagerHandle>>,
-    filter_pool: Option<Arc<FilterPool>>,
 }
 
 impl Clone for GraphCache {
@@ -826,7 +625,6 @@ impl Clone for GraphCache {
             cfg: self.cfg,
             shared: self.shared.clone(),
             worker: self.worker.clone(),
-            filter_pool: self.filter_pool.clone(),
         }
     }
 }
@@ -844,7 +642,7 @@ impl GraphCache {
         GraphCache::with_policies(
             method,
             cfg,
-            Box::new(KindPolicy::new(cfg.policy)),
+            Box::new(cfg.policy),
             Box::new(AdmissionControl::new(cfg.admission)),
         )
     }
@@ -880,7 +678,7 @@ impl GraphCache {
             FragmentState::new(
                 cfg.fragment,
                 method.clone(),
-                fragment_eviction.unwrap_or_else(|| Box::new(KindPolicy::new(PolicyKind::Lru))),
+                fragment_eviction.unwrap_or_else(|| Box::new(PolicyKind::Lru)),
             )
         });
         let shared = Arc::new(Shared::new(
@@ -903,22 +701,11 @@ impl GraphCache {
                 handle: Some(handle),
             })
         });
-        // One filter worker can serve one in-flight query; the pool grows
-        // on demand up to the client-concurrency cap, so sequential use
-        // spawns a single worker while auto-threaded batches can expand to
-        // the core count.
-        let filter_pool = cfg.parallel_dispatch.then(|| {
-            Arc::new(FilterPool::new(
-                method.clone(),
-                effective_threads(cfg.threads),
-            ))
-        });
         GraphCache {
             method,
             cfg,
             shared,
             worker,
-            filter_pool,
         }
     }
 
@@ -966,7 +753,7 @@ impl GraphCache {
 
     /// The worker-thread count [`run_batch`](Self::run_batch) fans out to.
     pub fn batch_threads(&self) -> usize {
-        effective_threads(self.cfg.threads)
+        self.cfg.threads.max(1)
     }
 
     /// The number of snapshot shards this cache maintains.
@@ -1276,8 +1063,8 @@ impl GraphCache {
     /// ```
     pub fn run(&self, query: &LabeledGraph) -> QueryResult {
         // The one unavoidable copy on this borrowed-graph entry point: the
-        // graph is shared from here on (filter pool, Window, cache entry
-        // all take Arc clones).
+        // graph is shared from here on (the Window and the cache entry
+        // take Arc clones).
         self.run_overridden(&Arc::new(query.clone()), RunOverrides::default())
     }
 
@@ -1401,25 +1188,17 @@ impl GraphCache {
     }
 
     /// The cached query path with optional per-query overrides. The graph
-    /// arrives behind an `Arc` so the filter pool, the Window and the
-    /// eventual cache entry all share it without deep copies.
+    /// arrives behind an `Arc` so the Window and the eventual cache entry
+    /// share it without deep copies.
     fn run_overridden(&self, query: &Arc<LabeledGraph>, ov: RunOverrides) -> QueryResult {
         let serial = self.shared.next_serial();
         let kind = ov.kind.unwrap_or(self.cfg.query_kind);
         let hit_match = ov.hit_match.unwrap_or(self.cfg.hit_match);
         let verify_budget = ov.verify_budget.or(self.cfg.verify_budget);
 
-        // (2)-(3): Method M filtering and GC processors, dispatched in
-        // parallel when configured (Fig. 2 step 2). In sequential mode the
-        // GC processors run FIRST so an exact hit can skip Mfilter
-        // entirely — the paper's first special case "completely avoid[s]
-        // any further processing".
-        let t_phase = Instant::now();
-        let pending_filter = self
-            .filter_pool
-            .as_ref()
-            .map(|pool| pool.request(query, kind));
-
+        // (2)-(3): the GC processors run before Method M's filter so an
+        // exact hit can skip Mfilter entirely — the paper's first special
+        // case "completely avoid[s] any further processing".
         let t_gc = Instant::now();
         let snapshot = self.shared.load_snapshot();
         // The query's feature profile and iso fingerprint are computed once
@@ -1439,10 +1218,8 @@ impl GraphCache {
                 // An exact hit answers the query outright, so candidate
                 // verification would be wasted work on that path.
                 exact_shortcut: true,
-                threads: self.cfg.verify_threads.max(1),
                 deadline: ov.deadline,
                 allowed: ov.allowed,
-                ..processors::VerifyOptions::default()
             },
         );
         let gc_filter = t_gc.elapsed();
@@ -1464,15 +1241,12 @@ impl GraphCache {
         // admission, no statistics credit) — an aborted query must leave
         // the cache exactly as it found it.
         if hits.deadline_exceeded {
-            drop(pending_filter);
             return deadline_abort(serial, record);
         }
 
         // First special case: an isomorphic cached query answers instantly,
-        // without waiting for (or even running) Method M's filter; a
-        // pending pool request is simply dropped and its result discarded.
+        // without running Method M's filter.
         if let Some(source) = hits.exact {
-            drop(pending_filter);
             let answer = snapshot
                 .entry(source)
                 .map(|e| e.answer.clone())
@@ -1490,21 +1264,8 @@ impl GraphCache {
             };
         }
 
-        let (m_out, m_charge) = match pending_filter {
-            None => {
-                let out = self.method.filter_directed(query, kind);
-                let d = out.duration;
-                (out, d)
-            }
-            Some(pending) => {
-                let out = pending.receive();
-                // With parallel dispatch the filtering phase's wall time is
-                // the slower of the two legs; charge M only the latency it
-                // added beyond the GC processors.
-                (out, t_phase.elapsed().saturating_sub(gc_filter))
-            }
-        };
-        record.m_filter = m_charge;
+        let m_out = self.method.filter_directed(query, kind);
+        record.m_filter = m_out.duration;
         record.cs_m_size = m_out.candidates.len();
 
         // Deadline checkpoint after Method M's filter (the last phase
@@ -1774,26 +1535,15 @@ impl GraphCache {
     }
 }
 
-/// Resolves a configured thread count (0 = auto-detect).
-fn effective_threads(configured: usize) -> usize {
-    if configured > 0 {
-        configured
-    } else {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-}
-
 /// Resolves the snapshot shard count: explicit when configured, otherwise
-/// sized from the effective thread count (one shard per expected client
-/// thread keeps reader interference and patch sizes down) and clamped so
-/// tiny caches are not shredded into dozens of near-empty partitions.
+/// one shard per client thread (keeps reader interference and patch sizes
+/// down), clamped so tiny caches are not shredded into dozens of
+/// near-empty partitions.
 fn effective_shards(cfg: &GcConfig) -> usize {
     if cfg.shards > 0 {
         cfg.shards
     } else {
-        effective_threads(cfg.threads).clamp(1, 64)
+        cfg.threads.clamp(1, 64)
     }
 }
 
@@ -2148,25 +1898,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_dispatch_pool_answers_match() {
-        let d = dataset();
-        let baseline = MethodBuilder::ggsx().build(&d);
-        let gc = GraphCache::builder()
-            .capacity(10)
-            .window(2)
-            .parallel_dispatch(true)
-            .threads(2)
-            .cost_model(CostModel::Work)
-            .build(MethodBuilder::ggsx().build(&d));
-        let queries = [
-            path_graph(&[0, 1]),
-            path_graph(&[0, 1, 0]),
-            path_graph(&[0, 1]), // exact hit: pending filter result dropped
-            path_graph(&[1, 2]),
-            path_graph(&[0, 1]),
-        ];
-        for q in &queries {
-            assert_eq!(gc.run(q).answer, baseline.run(q).answer);
-        }
+    fn defaults_do_not_read_the_machine() {
+        assert_eq!(GcConfig::default().threads, 1);
+        assert_eq!(GcConfig::default().shards, 0);
+        let gc = GraphCache::builder().build(MethodBuilder::ggsx().build(&dataset()));
+        assert_eq!(gc.batch_threads(), 1);
+        assert_eq!(gc.shard_count(), 1, "0 shards = one per client thread");
+    }
+
+    #[test]
+    fn exact_hit_never_runs_mfilter_and_a_miss_reports_its_candidates() {
+        let gc = cache();
+        let q = path_graph(&[0, 1, 0]);
+        let miss = gc.run(&q);
+        assert!(!miss.record.exact_hit);
+        let filtered = gc.method().filter_directed(&q, QueryKind::Subgraph);
+        assert_eq!(miss.record.cs_m_size, filtered.candidates.len());
+        gc.run(&path_graph(&[0, 1])); // flush the window at W=2
+        let hit = gc.run(&q);
+        assert!(hit.record.exact_hit);
+        assert_eq!(hit.record.m_filter, Duration::ZERO);
+        assert_eq!(hit.record.cs_m_size, 0);
     }
 }

@@ -191,7 +191,7 @@ fn enforce_budget(state: &FragmentState, now: QuerySerial) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{KindPolicy, PolicyKind};
+    use crate::policy::PolicyKind;
     use gc_graph::{GraphDataset, LabeledGraph};
     use gc_methods::MethodBuilder;
 
@@ -216,7 +216,7 @@ mod tests {
                 ..FragmentConfig::default()
             },
             method,
-            Box::new(KindPolicy::new(PolicyKind::Lru)),
+            Box::new(PolicyKind::Lru),
         )
     }
 

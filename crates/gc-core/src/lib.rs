@@ -101,7 +101,7 @@ pub use persist::{
     PersistFormat, PersistedCache, PersistedEntry, RecoveredSnapshot, StoredProfiles,
 };
 pub use policies::{GreedyDual, SegmentedLru};
-pub use policy::{EvictionPolicy, KindPolicy, PolicyKind, PolicyRow, PolicyView};
+pub use policy::{EvictionPolicy, PolicyKind, PolicyRow, PolicyView};
 pub use processors::{
     candidate_serials, find_hits, find_hits_naive, find_hits_opts, HitQuery, HitSet, VerifyOptions,
 };

@@ -119,38 +119,6 @@ pub trait EvictionPolicy: Send + std::fmt::Debug {
     fn reset(&mut self) {}
 }
 
-/// [`EvictionPolicy`] adapter for the paper's utility-based [`PolicyKind`]
-/// strategies. Stateless: every decision derives from the [`PolicyView`]
-/// alone, so victim selection is bit-identical to calling
-/// [`PolicyKind::select_victims`] directly (the parity test in
-/// `tests/policy_engine.rs` asserts this).
-#[derive(Debug, Clone, Copy)]
-pub struct KindPolicy {
-    kind: PolicyKind,
-}
-
-impl KindPolicy {
-    /// Wraps a [`PolicyKind`].
-    pub fn new(kind: PolicyKind) -> Self {
-        KindPolicy { kind }
-    }
-
-    /// The wrapped kind.
-    pub fn kind(&self) -> PolicyKind {
-        self.kind
-    }
-}
-
-impl EvictionPolicy for KindPolicy {
-    fn name(&self) -> &str {
-        self.kind.registry_name()
-    }
-
-    fn select_victims(&mut self, view: &PolicyView<'_>, evict: usize) -> Vec<QuerySerial> {
-        self.kind.select_victims(view.rows(), evict, view.now())
-    }
-}
-
 /// The per-entry statistics a policy consumes — a row of `GCstats`
 /// (cf. Table 1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -270,6 +238,18 @@ impl PolicyKind {
             PolicyKind::Pinc => r.c_total / age,
             PolicyKind::Hd => unreachable!("HD resolves to PIN or PINC"),
         }
+    }
+}
+
+/// The paper's strategies are stateless: every decision derives from the
+/// [`PolicyView`] alone, so a [`PolicyKind`] is its own policy object.
+impl EvictionPolicy for PolicyKind {
+    fn name(&self) -> &str {
+        self.registry_name()
+    }
+
+    fn select_victims(&mut self, view: &PolicyView<'_>, evict: usize) -> Vec<QuerySerial> {
+        PolicyKind::select_victims(*self, view.rows(), evict, view.now())
     }
 }
 
@@ -420,17 +400,6 @@ mod tests {
         assert_eq!(PolicyKind::Hd.name(), "HD");
         assert_eq!(PolicyKind::Lru.name(), "LRU");
         assert_eq!(PolicyKind::Hd.registry_name(), "hd");
-    }
-
-    #[test]
-    fn kind_policy_matches_enum_dispatch() {
-        let rows = table1();
-        for kind in PolicyKind::ALL {
-            let direct = kind.select_victims(&rows, 2, 100);
-            let via_trait = KindPolicy::new(kind).select_victims(&PolicyView::new(&rows, 100), 2);
-            assert_eq!(direct, via_trait, "{}", kind.name());
-            assert_eq!(KindPolicy::new(kind).name(), kind.registry_name());
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! # The hit-detection pipeline
 //!
 //! Hit detection only pays off while it costs far less than running the
-//! query uncached (§5), so candidate verification is organised as three
+//! query uncached (§5), so candidate verification is organised as two
 //! layers, cheapest first:
 //!
 //! 1. **Exact fingerprint probe** — every cached entry carries an
@@ -26,14 +26,9 @@
 //!    a fingerprint mismatch proves a non-hit without any search), and the
 //!    sweep stops early once the request's hit budget
 //!    ([`VerifyOptions::max_hits`]) is satisfied.
-//! 3. **Parallel verification** — when the ordered queue is large
-//!    ([`VerifyOptions::parallel_threshold`]) the sweep fans across scoped
-//!    worker threads ([`VerifyOptions::threads`]); results are assembled in
-//!    queue order, so with an unbounded budget the output is identical to
-//!    the sequential sweep.
 //!
 //! [`HitSet`] serial lists are always sorted, making the output canonical
-//! across shard counts and thread interleavings. [`find_hits_naive`] keeps
+//! across shard counts. [`find_hits_naive`] keeps
 //! the original flat per-shard sweep as the parity oracle
 //! (`tests/hit_path.rs`) and the baseline of `benches/hit_path.rs`.
 
@@ -45,13 +40,12 @@ use gc_index::fx::FxHashSet;
 use gc_index::paths::PathProfile;
 use gc_methods::QueryKind;
 use gc_subiso::{cost, MatchConfig, MatchOutcome, Matcher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Verified cache hits for one new query.
 #[derive(Debug, Clone, Default)]
 pub struct HitSet {
     /// Serials of cached queries `q` with `g ⊆ q` — `Result_sub(g)`.
-    /// Sorted ascending (canonical across shard counts and threads).
+    /// Sorted ascending (canonical across shard counts).
     pub sub: Vec<QuerySerial>,
     /// Serials of cached queries `q` with `q ⊆ g` — `Result_super(g)`.
     /// Sorted ascending.
@@ -109,8 +103,8 @@ impl<'a> HitQuery<'a> {
 }
 
 /// Knobs of the verification sweep. The default reproduces the full
-/// (unbounded, sequential) sweep with the fingerprint fast path active.
-#[derive(Debug, Clone)]
+/// (unbounded) sweep with the fingerprint fast path active.
+#[derive(Debug, Clone, Default)]
 pub struct VerifyOptions {
     /// Shared verification work pool for the whole query: every matcher
     /// test (confirmations included) deducts its `nodes_expanded`, and
@@ -126,11 +120,6 @@ pub struct VerifyOptions {
     /// skipping candidate verification entirely — the query path's mode,
     /// since an exact answer supersedes sub/super pruning.
     pub exact_shortcut: bool,
-    /// Worker threads for parallel verification (`<= 1` = sequential).
-    pub threads: usize,
-    /// Minimum ordered-queue length before verification fans across
-    /// threads; below it the sweep stays sequential (spawn cost dominates).
-    pub parallel_threshold: usize,
     /// Wall-clock deadline for the sweep, checked at the same arbitration
     /// points as the work pool (between matcher tests, never inside one).
     /// Expiry stops the sweep with
@@ -152,20 +141,6 @@ pub struct VerifyOptions {
     /// parity with a single process); a dead peer's slice is simply absent
     /// (degraded to miss-only).
     pub allowed: Option<Vec<QuerySerial>>,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            budget: None,
-            max_hits: None,
-            exact_shortcut: false,
-            threads: 1,
-            parallel_threshold: 32,
-            deadline: None,
-            allowed: None,
-        }
-    }
 }
 
 /// Runs both processors for `query` against the current cache snapshot.
@@ -250,8 +225,8 @@ fn run_capped(
     )
 }
 
-/// The full pipeline: fingerprint probe, cost-ordered budget-arbitrated
-/// sweep, optional parallel verification. See the module docs.
+/// The full pipeline: fingerprint probe, then the cost-ordered
+/// budget-arbitrated sweep. See the module docs.
 pub fn find_hits_opts(
     snapshot: &CacheSnapshot,
     hq: &HitQuery<'_>,
@@ -422,11 +397,7 @@ pub fn find_hits_opts(
     });
 
     // (4) Verify under the shared pool, early-exiting on the hit budget.
-    if opts.threads > 1 && queue.len() >= opts.parallel_threshold.max(2) {
-        verify_parallel(&queue, hq, matcher, cfg, pool, opts, &mut hits);
-    } else {
-        verify_sequential(&queue, hq, matcher, cfg, pool, opts, &mut hits);
-    }
+    verify_queue(&queue, hq, matcher, cfg, pool, opts, &mut hits);
     finalize(hits)
 }
 
@@ -502,7 +473,7 @@ fn deadline_expired(opts: &VerifyOptions) -> bool {
         .is_some_and(|d| std::time::Instant::now() >= d)
 }
 
-fn verify_sequential(
+fn verify_queue(
     queue: &[Cand<'_>],
     hq: &HitQuery<'_>,
     matcher: &dyn Matcher,
@@ -543,145 +514,8 @@ fn verify_sequential(
     }
 }
 
-/// Fans the ordered queue across scoped worker threads. Workers claim
-/// queue indexes from an atomic cursor and share the budget pool and hit
-/// counter; outcomes are re-assembled *in queue order*, so with an
-/// unbounded pool and no hit budget the result is identical to the
-/// sequential sweep. Under a budget, which candidates get verified may
-/// vary with thread interleaving (the pool is deducted concurrently) —
-/// the result is still a sound, truncation-flagged subset.
-fn verify_parallel(
-    queue: &[Cand<'_>],
-    hq: &HitQuery<'_>,
-    matcher: &dyn Matcher,
-    cfg: &MatchConfig,
-    pool: Option<u64>,
-    opts: &VerifyOptions,
-    hits: &mut HitSet,
-) {
-    let n = queue.len();
-    let next = AtomicUsize::new(0);
-    let hit_count = AtomicUsize::new(hits.sub.len() + hits.super_.len());
-    let stop = AtomicBool::new(false);
-    let expired = AtomicBool::new(false);
-    // u64::MAX stands in for "unbounded" so one atomic covers both cases.
-    let pool_left = AtomicU64::new(pool.unwrap_or(u64::MAX));
-    let bounded = pool.is_some();
-
-    let mut outcomes: Vec<(usize, MatchOutcome, bool)> = std::thread::scope(|s| {
-        let workers = opts.threads.min(n);
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let hit_count = &hit_count;
-                let stop = &stop;
-                let expired = &expired;
-                let pool_left = &pool_left;
-                s.spawn(move || {
-                    let mut local: Vec<(usize, MatchOutcome, bool)> = Vec::new();
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        if deadline_expired(opts) {
-                            expired.store(true, Ordering::Relaxed);
-                            stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        if opts
-                            .max_hits
-                            .is_some_and(|m| hit_count.load(Ordering::Relaxed) >= m)
-                        {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let remaining = bounded.then(|| pool_left.load(Ordering::Relaxed));
-                        if remaining == Some(0) {
-                            stop.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        let cand = &queue[i];
-                        let (pattern, target) = match cand.dir {
-                            Dir::Sub | Dir::Iso => (hq.query, cand.entry.graph.as_ref()),
-                            Dir::Super => (cand.entry.graph.as_ref(), hq.query),
-                        };
-                        let (out, pool_clipped) =
-                            run_capped(matcher, pattern, target, cfg, remaining);
-                        if bounded {
-                            // Saturating concurrent deduction; slight
-                            // overdraw on a race is acceptable (the pool is
-                            // an arbiter, not an exact meter).
-                            let mut cur = pool_left.load(Ordering::Relaxed);
-                            loop {
-                                let newv = cur.saturating_sub(out.nodes_expanded);
-                                match pool_left.compare_exchange_weak(
-                                    cur,
-                                    newv,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                ) {
-                                    Ok(_) => break,
-                                    Err(c) => cur = c,
-                                }
-                            }
-                        }
-                        if out.found {
-                            hit_count.fetch_add(
-                                match cand.dir {
-                                    Dir::Iso => 2,
-                                    _ => 1,
-                                },
-                                Ordering::Relaxed,
-                            );
-                        }
-                        if !out.complete && pool_clipped {
-                            stop.store(true, Ordering::Relaxed);
-                        }
-                        local.push((i, out, pool_clipped));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("verification worker panicked"))
-            .collect()
-    });
-
-    // Deterministic assembly in queue order. Tests and work are counted
-    // for every outcome (the matcher work really was spent), but hits stop
-    // being applied once the caller's hit budget is met — workers racing
-    // the counter may confirm a few extra candidates, and admitting them
-    // here would let a parallel run exceed the `max_hits` contract the
-    // sequential sweep honours.
-    outcomes.sort_unstable_by_key(|&(i, _, _)| i);
-    for &(i, out, pool_clipped) in &outcomes {
-        hits.tests += 1;
-        hits.work += out.nodes_expanded;
-        if !out.complete && pool_clipped {
-            hits.truncated = true;
-        }
-        if out.found && !hit_budget_met(hits, opts) {
-            apply_hit(hits, queue[i].dir, queue[i].entry.serial);
-        }
-    }
-    // Candidates left unverified for any reason other than the caller's
-    // own hit budget mean the pool cut the sweep short.
-    if outcomes.len() < n && !hit_budget_met(hits, opts) {
-        hits.truncated = true;
-    }
-    if expired.load(Ordering::Relaxed) {
-        hits.deadline_exceeded = true;
-        hits.truncated = true;
-    }
-}
-
 /// Sorts the serial lists so the output is canonical regardless of shard
-/// count, verification order or thread interleaving.
+/// count and verification order.
 fn finalize(mut hits: HitSet) -> HitSet {
     hits.sub.sort_unstable();
     hits.super_.sort_unstable();
@@ -1126,34 +960,5 @@ mod tests {
         assert!(!hits.truncated, "caller-requested early exit");
         let all = run_opts(&snap, &g, &VerifyOptions::default());
         assert!(all.sub.len() + all.super_.len() >= 3);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_unbounded() {
-        let graphs: Vec<LabeledGraph> = (0..12)
-            .map(|i| match i % 4 {
-                0 => path_graph(&[0, 1, 0, 1]),
-                1 => path_graph(&[0, 1]),
-                2 => path_graph(&[1, 0, 1, 0, 1]),
-                _ => path_graph(&[0, 1, 0]),
-            })
-            .collect();
-        let snap = snapshot(graphs);
-        let g = path_graph(&[0, 1, 0]);
-        let seq = run_opts(&snap, &g, &VerifyOptions::default());
-        let par = run_opts(
-            &snap,
-            &g,
-            &VerifyOptions {
-                threads: 4,
-                parallel_threshold: 2,
-                ..VerifyOptions::default()
-            },
-        );
-        assert_eq!(par.sub, seq.sub);
-        assert_eq!(par.super_, seq.super_);
-        assert_eq!(par.exact, seq.exact);
-        assert_eq!(par.tests, seq.tests);
-        assert_eq!(par.work, seq.work);
     }
 }

@@ -38,7 +38,7 @@ use crate::admission::{
     AdaptiveAdmission, AdmissionConfig, AdmissionControl, AdmissionPolicy, AdmitAll,
 };
 use crate::policies::{GreedyDual, SegmentedLru};
-use crate::policy::{EvictionPolicy, KindPolicy, PolicyKind};
+use crate::policy::{EvictionPolicy, PolicyKind};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -184,9 +184,7 @@ impl PolicyRegistry {
     pub fn with_builtins() -> Self {
         let mut reg = PolicyRegistry::empty();
         for kind in PolicyKind::ALL {
-            reg.register_eviction(kind.registry_name(), move |_p| {
-                Ok(Box::new(KindPolicy::new(kind)))
-            });
+            reg.register_eviction(kind.registry_name(), move |_p| Ok(Box::new(kind)));
         }
         // The paper's recommended GraphCache replacement policy under the
         // name related work refers to it by.
@@ -420,9 +418,7 @@ mod tests {
     fn custom_registration_and_replacement() {
         let mut reg = PolicyRegistry::empty();
         assert!(reg.build_eviction("lru").is_err(), "empty registry");
-        reg.register_eviction("fifo", |_p| {
-            Ok(Box::new(crate::policy::KindPolicy::new(PolicyKind::Lru)))
-        });
+        reg.register_eviction("fifo", |_p| Ok(Box::new(PolicyKind::Lru)));
         assert_eq!(reg.eviction_names(), vec!["fifo".to_string()]);
         assert!(reg.build_eviction("fifo").is_ok());
     }
@@ -434,9 +430,7 @@ mod tests {
         assert!(eviction_names().contains(&"greedy-dual".to_string()));
         assert!(admission_names().contains(&"none".to_string()));
         // Global custom registration is visible to later builds.
-        register_eviction("global-test-policy", |_p| {
-            Ok(Box::new(crate::policy::KindPolicy::new(PolicyKind::Pop)))
-        });
+        register_eviction("global-test-policy", |_p| Ok(Box::new(PolicyKind::Pop)));
         assert!(build_eviction("global-test-policy").is_ok());
     }
 }

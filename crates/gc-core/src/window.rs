@@ -581,7 +581,7 @@ pub(crate) fn spawn_manager(
 mod tests {
     use super::*;
     use crate::admission::{AdmissionConfig, AdmissionControl};
-    use crate::policy::{KindPolicy, PolicyKind};
+    use crate::policy::PolicyKind;
 
     fn entry(serial: QuerySerial, expensiveness: f64) -> WindowEntry {
         let graph = LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]);
@@ -604,7 +604,7 @@ mod tests {
         Shared::new(
             QueryIndexConfig::default(),
             shards,
-            Box::new(KindPolicy::new(PolicyKind::Lru)),
+            Box::new(PolicyKind::Lru),
             Box::new(AdmissionControl::new(AdmissionConfig::default())),
             None,
         )
@@ -674,7 +674,7 @@ mod tests {
         let s = Shared::new(
             QueryIndexConfig::default(),
             1,
-            Box::new(KindPolicy::new(PolicyKind::Lru)),
+            Box::new(PolicyKind::Lru),
             Box::new(AdmissionControl::new(AdmissionConfig {
                 enabled: true,
                 calibration_windows: 0,

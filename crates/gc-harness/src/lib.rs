@@ -6,7 +6,7 @@
 //! only in stdout. This crate turns one cell of that matrix into a
 //! declarative [`Scenario`], groups scenarios into named [`Suite`]s, runs
 //! them end-to-end through the concurrent service API
-//! ([`run_suite`] / [`run_scenario`]), and collects
+//! ([`run_suite_by`] / [`run_scenario`]), and collects
 //! [`ScenarioReport`]s whose counters are a *pure function of the seeds*:
 //!
 //! * deterministic counters — hit/miss composition, sub-iso tests,
@@ -33,5 +33,5 @@ pub mod scenario;
 
 pub use json::Json;
 pub use report::{Drift, MatrixReport, ScenarioReport, SCHEMA_VERSION};
-pub use runner::{build_cache, run_scenario, run_suite, run_suite_with};
+pub use runner::{build_cache, run_scenario, run_suite_by};
 pub use scenario::{Scenario, Suite, WorkloadSpec};

@@ -16,17 +16,7 @@ use std::time::Instant;
 /// scenario, generation included, and is advisory only.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
     let t0 = Instant::now();
-    let dataset = scenario
-        .dataset
-        .clone()
-        .scaled(scenario.dataset_scale)
-        .generate(scenario.dataset_seed);
-    let workload = scenario.workload.generate(
-        &dataset,
-        &scenario.query_sizes,
-        scenario.queries,
-        scenario.workload_seed,
-    );
+    let (dataset, workload) = scenario.generate();
     let cache = build_cache(scenario, &dataset)?;
 
     let records: Vec<QueryRecord> = cache
@@ -71,12 +61,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
         counters.push(("snapshot_bytes".to_string(), snapshot_bytes as u64));
     }
 
-    Ok(ScenarioReport {
-        name: scenario.name.clone(),
-        config: scenario.config_echo(),
-        counters,
-        wall_ms,
-    })
+    Ok(scenario.report(counters, wall_ms))
 }
 
 /// Builds the scenario's cache over a freshly built Method M. Factored
@@ -193,16 +178,23 @@ fn persist_cycle_in(
     Ok(original.len())
 }
 
-/// Runs every scenario of a suite, in order, with a progress callback
-/// (`|name, report|` after each scenario completes — the CLI prints its
-/// table rows through this without the harness knowing about stdout).
-pub fn run_suite_with<F>(suite: Suite, mut progress: F) -> Result<MatrixReport, String>
+/// Runs every scenario of a suite, in order, through `run_one` — the
+/// in-process [`run_scenario`] or one of `gc_server::bench`'s served and
+/// routed runners — calling `progress` after each scenario completes (the
+/// CLI prints its table rows through this without the harness knowing
+/// about stdout).
+pub fn run_suite_by<R, P>(
+    suite: Suite,
+    mut run_one: R,
+    mut progress: P,
+) -> Result<MatrixReport, String>
 where
-    F: FnMut(&ScenarioReport),
+    R: FnMut(&Scenario) -> Result<ScenarioReport, String>,
+    P: FnMut(&ScenarioReport),
 {
     let mut scenarios = Vec::new();
     for scenario in suite.scenarios() {
-        let report = run_scenario(&scenario)?;
+        let report = run_one(&scenario)?;
         progress(&report);
         scenarios.push(report);
     }
@@ -211,11 +203,6 @@ where
         suite: suite.name().to_string(),
         scenarios,
     })
-}
-
-/// Runs every scenario of a suite, in order.
-pub fn run_suite(suite: Suite) -> Result<MatrixReport, String> {
-    run_suite_with(suite, |_| {})
 }
 
 #[cfg(test)]

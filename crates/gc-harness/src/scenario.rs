@@ -2,6 +2,7 @@
 //! dataset profile × scale × workload kind × method × policies × cache
 //! configuration × seeds — plus the named suites `gc bench` runs.
 
+use crate::report::ScenarioReport;
 use gc_core::QueryKind;
 use gc_graph::GraphDataset;
 use gc_methods::MethodKind;
@@ -199,6 +200,34 @@ impl Scenario {
             fragment_budget: None,
             fragment_eviction: None,
             persist_cycle: false,
+        }
+    }
+
+    /// Generates the scenario's dataset and the workload drawn over it —
+    /// the one place the seeds turn into inputs, shared by the in-process,
+    /// served and routed runners.
+    pub fn generate(&self) -> (GraphDataset, Workload) {
+        let dataset = self
+            .dataset
+            .clone()
+            .scaled(self.dataset_scale)
+            .generate(self.dataset_seed);
+        let workload = self.workload.generate(
+            &dataset,
+            &self.query_sizes,
+            self.queries,
+            self.workload_seed,
+        );
+        (dataset, workload)
+    }
+
+    /// Wraps a finished run's counters into this scenario's report.
+    pub fn report(&self, counters: Vec<(String, u64)>, wall_ms: f64) -> ScenarioReport {
+        ScenarioReport {
+            name: self.name.clone(),
+            config: self.config_echo(),
+            counters,
+            wall_ms,
         }
     }
 

@@ -159,7 +159,7 @@ impl Method {
         let outcomes = if self.threads <= 1 || candidates.len() <= 1 {
             self.verify_serial(query, candidates, kind)
         } else {
-            self.verify_parallel(query, candidates, kind)
+            self.verify_threaded(query, candidates, kind)
         };
         let mut stats = MatchStats::default();
         let mut answer = Vec::new();
@@ -208,7 +208,7 @@ impl Method {
             .collect()
     }
 
-    fn verify_parallel(
+    fn verify_threaded(
         &self,
         query: &LabeledGraph,
         candidates: &[GraphId],

@@ -19,7 +19,7 @@ use crate::proto::{QueryFrame, StatsScope};
 use crate::router::{PeerIdentity, Router, RouterConfig};
 use crate::server::{ServeConfig, Server};
 use gc_core::{QueryRecord, RunCounters};
-use gc_harness::{build_cache, MatrixReport, Scenario, ScenarioReport, Suite, SCHEMA_VERSION};
+use gc_harness::{build_cache, Scenario, ScenarioReport};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -41,17 +41,7 @@ fn scratch_socket(tag: &str) -> PathBuf {
 /// keeps the counter stream a pure function of the seeds.
 pub fn run_scenario_served(scenario: &Scenario) -> Result<ScenarioReport, String> {
     let t0 = Instant::now();
-    let dataset = scenario
-        .dataset
-        .clone()
-        .scaled(scenario.dataset_scale)
-        .generate(scenario.dataset_seed);
-    let workload = scenario.workload.generate(
-        &dataset,
-        &scenario.query_sizes,
-        scenario.queries,
-        scenario.workload_seed,
-    );
+    let (dataset, workload) = scenario.generate();
     // Cache construction goes through the harness's own builder, so the
     // served cache is constructed by the exact code path the in-process
     // runner uses — any divergence shows up as counter drift against the
@@ -86,12 +76,7 @@ pub fn run_scenario_served(scenario: &Scenario) -> Result<ScenarioReport, String
     daemon_result.map_err(|e| format!("scenario {:?}: server failed: {e}", scenario.name))?;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    Ok(ScenarioReport {
-        name: scenario.name.clone(),
-        config: scenario.config_echo(),
-        counters: assemble_counters(scenario, &records, &stats)?,
-        wall_ms,
-    })
+    Ok(scenario.report(assemble_counters(scenario, &records, &stats)?, wall_ms))
 }
 
 /// Counter assembly in the runner's exact order: run counters
@@ -148,17 +133,7 @@ pub fn run_scenario_routed(scenario: &Scenario, peers: usize) -> Result<Scenario
         return Err("a routed fleet needs at least one peer".into());
     }
     let t0 = Instant::now();
-    let dataset = scenario
-        .dataset
-        .clone()
-        .scaled(scenario.dataset_scale)
-        .generate(scenario.dataset_seed);
-    let workload = scenario.workload.generate(
-        &dataset,
-        &scenario.query_sizes,
-        scenario.queries,
-        scenario.workload_seed,
-    );
+    let (dataset, workload) = scenario.generate();
 
     // Every peer is a full replica: same dataset, same deterministic
     // construction, so re-executing the routed stream keeps them in
@@ -224,12 +199,7 @@ pub fn run_scenario_routed(scenario: &Scenario, peers: usize) -> Result<Scenario
     router_result?.map_err(|e| format!("scenario {:?}: router failed: {e}", scenario.name))?;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    Ok(ScenarioReport {
-        name: scenario.name.clone(),
-        config: scenario.config_echo(),
-        counters: assemble_counters(scenario, &records, &stats)?,
-        wall_ms,
-    })
+    Ok(scenario.report(assemble_counters(scenario, &records, &stats)?, wall_ms))
 }
 
 /// Drains every peer daemon and unlinks its socket; failures are
@@ -249,34 +219,6 @@ fn drain_fleet(
     for socket in sockets {
         let _ = std::fs::remove_file(socket);
     }
-}
-
-/// Runs every scenario of a suite through a routed fleet, in order, with
-/// the same progress-callback shape as [`gc_harness::run_suite_with`].
-pub fn run_suite_routed_with<F>(
-    suite: Suite,
-    peers: usize,
-    mut progress: F,
-) -> Result<MatrixReport, String>
-where
-    F: FnMut(&ScenarioReport),
-{
-    let mut scenarios = Vec::new();
-    for scenario in suite.scenarios() {
-        let report = run_scenario_routed(&scenario, peers)?;
-        progress(&report);
-        scenarios.push(report);
-    }
-    Ok(MatrixReport {
-        schema_version: SCHEMA_VERSION,
-        suite: suite.name().to_string(),
-        scenarios,
-    })
-}
-
-/// Runs every scenario of a suite through a routed fleet, in order.
-pub fn run_suite_routed(suite: Suite, peers: usize) -> Result<MatrixReport, String> {
-    run_suite_routed_with(suite, peers, |_| {})
 }
 
 /// What one served replay produces: per-query records (for run-counter
@@ -342,30 +284,6 @@ fn connect_with_retry(socket: &Path) -> Result<Client, ClientError> {
         }
     }
     Err(last.unwrap_or(ClientError::SessionClosed { reason: None }))
-}
-
-/// Runs every scenario of a suite through the daemon, in order, with the
-/// same progress-callback shape as [`gc_harness::run_suite_with`].
-pub fn run_suite_served_with<F>(suite: Suite, mut progress: F) -> Result<MatrixReport, String>
-where
-    F: FnMut(&ScenarioReport),
-{
-    let mut scenarios = Vec::new();
-    for scenario in suite.scenarios() {
-        let report = run_scenario_served(&scenario)?;
-        progress(&report);
-        scenarios.push(report);
-    }
-    Ok(MatrixReport {
-        schema_version: SCHEMA_VERSION,
-        suite: suite.name().to_string(),
-        scenarios,
-    })
-}
-
-/// Runs every scenario of a suite through the daemon, in order.
-pub fn run_suite_served(suite: Suite) -> Result<MatrixReport, String> {
-    run_suite_served_with(suite, |_| {})
 }
 
 #[cfg(test)]

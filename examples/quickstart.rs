@@ -21,6 +21,7 @@ fn main() {
         .capacity(100)
         .window(20)
         .policy(PolicyKind::Hd)
+        .threads(4) // run_batch workers for the concurrent replay below
         .build(method);
 
     // A workload with locality: Zipf-skewed source-graph selection.

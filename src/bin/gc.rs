@@ -9,7 +9,7 @@
 //!   generates a query workload (queries are stored as a dataset file);
 //! * `gc query --dataset FILE --queries FILE [--method NAME]
 //!   [--eviction NAME] [--admission [NAME]] [--capacity N] [--window N]
-//!   [--threads N] [--shards N] [--verify-budget N] [--verify-threads N]
+//!   [--threads N] [--shards N] [--verify-budget N]
 //!   [--fragments on|off] [--fragment-budget BYTES] [--fragment-eviction NAME]
 //!   [--supergraph] [--background] [--no-cache] [--maint-stats]
 //!   [--save DIR] [--persist-format text|binary] [--restore DIR]` replays
@@ -61,7 +61,7 @@
 //!   space, and query traffic requires a proto-4 `VERSION` announcement;
 //! * the cache-construction flags of `gc query` (`--method`,
 //!   `--eviction`, `--admission`, `--capacity`, `--window`, `--threads`,
-//!   `--shards`, `--verify-budget`, `--verify-threads`, `--fragments`,
+//!   `--shards`, `--verify-budget`, `--fragments`,
 //!   `--fragment-budget`, `--fragment-eviction`, `--supergraph`,
 //!   `--background`, `--restore`) configure the shared cache.
 //!
@@ -95,8 +95,8 @@
 //! * `0` — success;
 //! * `1` — runtime failure (I/O errors, malformed datasets, missing
 //!   `--restore` state, protocol errors on a live connection);
-//! * `2` — usage error (unknown subcommand/flag value, missing required
-//!   option, unknown profile/workload/method/policy/suite name);
+//! * `2` — usage error (unknown subcommand, option or flag value, missing
+//!   required option, unknown profile/workload/method/policy/suite name);
 //! * `3` — benchmark regression: `gc bench --check` found deterministic
 //!   counters drifting beyond tolerance;
 //! * `4` — daemon unreachable: `gc ctl` / `gc query --connect` could not
@@ -112,16 +112,14 @@
 //!   a partial (still sound) hit set and the query is reported as
 //!   `truncated`. Exact repeats bypass the pool entirely through the
 //!   fingerprint fast path;
-//! * `--verify-threads N` — fan large candidate queues across `N`
-//!   verification threads per query (default 1 = sequential; separate
-//!   from `--threads`, the client concurrency);
 //! * `--threads N` — fan the workload across `N` client threads via
-//!   `GraphCache::run_batch` (`0` = auto-detect cores; default `1` =
-//!   sequential replay, the paper's single-client setup; ignored with
-//!   `--no-cache`, which always replays sequentially);
+//!   `GraphCache::run_batch` (default `1` = sequential replay, the
+//!   paper's single-client setup, where every printed counter is a pure
+//!   function of the inputs; ignored with `--no-cache`, which always
+//!   replays sequentially);
 //! * `--shards N` — partition the cache snapshot into `N` serial-hashed
 //!   shards so maintenance rounds patch only the shards their delta
-//!   touches (`0` = size from the thread count, the default);
+//!   touches (`0`, the default, = one shard per client thread);
 //! * `--background` — run the Window Manager on a background maintenance
 //!   thread (the paper's deployment design) instead of inline;
 //! * `--maint-stats` — print the per-phase maintenance breakdown (victim
@@ -165,8 +163,9 @@
 
 use graphcache::core::{registry, GraphCache, QueryKind, QueryRequest};
 use graphcache::graph::{io, GraphDataset};
-use graphcache::harness::{MatrixReport, Suite};
+use graphcache::harness::{run_scenario, run_suite_by, MatrixReport, Suite};
 use graphcache::methods::{Method, MethodKind};
+use graphcache::server::bench::{run_scenario_routed, run_scenario_served};
 use graphcache::server::{
     Client, ClientError, PeerIdentity, QueryFrame, QueryOutcome, RetryPolicy, Router, RouterConfig,
     ServeConfig, Server, StatsScope,
@@ -215,7 +214,7 @@ fn print_usage() {
     );
     eprintln!("  gc query --dataset FILE --queries FILE [--method NAME] [--eviction NAME]");
     eprintln!("           [--admission [NAME]] [--capacity N] [--window N] [--threads N]");
-    eprintln!("           [--shards N] [--verify-budget N] [--verify-threads N]");
+    eprintln!("           [--shards N] [--verify-budget N]");
     eprintln!("           [--fragments on|off] [--fragment-budget BYTES]");
     eprintln!("           [--fragment-eviction NAME] [--supergraph] [--background]");
     eprintln!("           [--no-cache] [--maint-stats] [--save DIR] [--restore DIR]");
@@ -274,9 +273,43 @@ fn main() -> ExitCode {
     }
 }
 
+/// The options each subcommand reads (value-taking and bare alike), as
+/// `[cache-construction options, its own]`. `gc query --connect` is its own
+/// row: the cache lives in the daemon, so cache flags would do nothing.
+fn known_opts(cmd: &str, connect: bool) -> [&'static str; 2] {
+    const CACHE: &str = "method eviction policy admission capacity window threads shards \
+        verify-budget fragments fragment-budget fragment-eviction supergraph background restore";
+    match (cmd, connect) {
+        ("generate", _) => ["", "profile scale seed out"],
+        ("workload", _) => ["", "dataset kind count seed out"],
+        ("query", true) => [
+            "",
+            "connect queries supergraph verify-budget retries retry-seed timeout-ms",
+        ],
+        ("query", false) => [
+            CACHE,
+            "dataset queries no-cache maint-stats save persist-format",
+        ],
+        ("serve", _) => [
+            CACHE,
+            "dataset listen unix max-sessions max-inflight drain-timeout persist-on-exit \
+             persist-format snapshot-every peer-id",
+        ],
+        ("route", _) => ["", "unix peers retries retry-seed"],
+        ("ctl", _) => ["", "unix tcp timeout retries retry-seed"],
+        ("bench", _) => ["", "suite json check tolerance timings list serve route"],
+        _ => ["", ""], // `gc stats` takes a path and nothing else
+    }
+}
+
 /// Parses `--key value` pairs and bare flags into a map. Malformed
-/// invocations are usage errors.
-fn parse_opts(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>), CliError> {
+/// invocations are usage errors, and so is any option `cmd` never reads:
+/// a typo (`--capcity 500`) or a flag from an older release must fail
+/// loudly, not run with the default.
+fn parse_opts(
+    cmd: &str,
+    args: &[String],
+) -> Result<(HashMap<String, String>, Vec<String>), CliError> {
     let mut opts = HashMap::new();
     let mut positional = Vec::new();
     let mut i = 0;
@@ -320,6 +353,26 @@ fn parse_opts(args: &[String]) -> Result<(HashMap<String, String>, Vec<String>),
             positional.push(a.clone());
             i += 1;
         }
+    }
+    let connect = cmd == "query" && opts.contains_key("connect");
+    let known = known_opts(cmd, connect);
+    let is_known = |k: &str| {
+        known
+            .iter()
+            .any(|set| set.split_whitespace().any(|o| o == k))
+    };
+    let mut unknown: Vec<String> = opts
+        .keys()
+        .filter(|k| !is_known(k))
+        .map(|k| format!("--{k}"))
+        .collect();
+    if !unknown.is_empty() {
+        unknown.sort_unstable();
+        return Err(CliError::usage(format!(
+            "unknown option {} for gc {cmd}{}",
+            unknown.join(", "),
+            if connect { " --connect" } else { "" }
+        )));
     }
     Ok((opts, positional))
 }
@@ -373,7 +426,7 @@ fn fragments_enabled(opts: &HashMap<String, String>) -> Result<bool, CliError> {
 }
 
 fn cmd_generate(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts("generate", args)?;
     let name = req(&opts, "profile")?;
     let profile = DatasetProfile::by_name(name).ok_or_else(|| {
         CliError::usage(format!(
@@ -391,7 +444,7 @@ fn cmd_generate(args: &[String]) -> CliResult {
 }
 
 fn cmd_stats(args: &[String]) -> CliResult {
-    let (_, positional) = parse_opts(args)?;
+    let (_, positional) = parse_opts("stats", args)?;
     let path = positional
         .first()
         .ok_or_else(|| CliError::usage("usage: gc stats FILE"))?;
@@ -407,7 +460,7 @@ fn load_dataset(path: &str) -> Result<GraphDataset, CliError> {
 }
 
 fn cmd_workload(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts("workload", args)?;
     let dataset = load_dataset(req(&opts, "dataset")?)?;
     let count: usize = num(&opts, "count", 500)?;
     let seed: u64 = num(&opts, "seed", 42)?;
@@ -494,9 +547,6 @@ fn cache_from_opts(
     if opts.contains_key("verify-budget") {
         builder = builder.verify_budget(num(opts, "verify-budget", 0u64)?);
     }
-    if opts.contains_key("verify-threads") {
-        builder = builder.verify_threads(num(opts, "verify-threads", 1usize)?);
-    }
     if let Some(spec) = opts.get("admission") {
         builder = builder.admission(spec.as_str());
     }
@@ -575,7 +625,7 @@ fn retry_policy(opts: &HashMap<String, String>) -> Result<RetryPolicy, CliError>
 }
 
 fn cmd_query(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts("query", args)?;
     if let Some(target) = opts.get("connect") {
         return query_connect(&opts, target);
     }
@@ -610,7 +660,7 @@ fn cmd_query(args: &[String]) -> CliResult {
     };
 
     // --threads: 1 (default) replays sequentially, the paper's
-    // single-client setup; N > 1 fans out via run_batch; 0 auto-detects.
+    // single-client setup; N > 1 fans out via run_batch.
     let threads: usize = num(&opts, "threads", 1usize)?;
 
     if opts.contains_key("no-cache") {
@@ -866,7 +916,7 @@ fn query_connect(opts: &HashMap<String, String>, target: &str) -> CliResult {
 /// `gc serve`: the long-running daemon. Blocks until graceful drain
 /// (SIGTERM, SIGINT, or a `SHUTDOWN` frame) completes, then exits 0.
 fn cmd_serve(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts("serve", args)?;
     // Validate policy specs before the dataset loads, as `gc query` does.
     let eviction = opts
         .get("eviction")
@@ -958,7 +1008,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
 /// router's socket; the router computes each query's iso-fingerprint,
 /// sends it to the owning peer, and keeps every replica in lockstep.
 fn cmd_route(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts("route", args)?;
     let unix = PathBuf::from(req(&opts, "unix")?);
     let peers: Vec<PathBuf> = req(&opts, "peers")?
         .split(',')
@@ -1002,7 +1052,7 @@ fn cmd_route(args: &[String]) -> CliResult {
 
 /// `gc ctl`: one control frame against a running daemon.
 fn cmd_ctl(args: &[String]) -> CliResult {
-    let (opts, positional) = parse_opts(args)?;
+    let (opts, positional) = parse_opts("ctl", args)?;
     let command = positional
         .first()
         .map(|s| s.as_str())
@@ -1066,7 +1116,7 @@ fn cmd_ctl(args: &[String]) -> CliResult {
 }
 
 fn cmd_bench(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts(args)?;
+    let (opts, _) = parse_opts("bench", args)?;
     let suite_name = opts.get("suite").map(|s| s.as_str()).unwrap_or("smoke");
     let suite = Suite::from_name(suite_name).ok_or_else(|| {
         let available: Vec<&str> = Suite::ALL.iter().map(|s| s.name()).collect();
@@ -1143,20 +1193,17 @@ fn cmd_bench(args: &[String]) -> CliResult {
             s.wall_ms,
         );
     };
+    // One suite loop, three executors. The served path replays every
+    // scenario through the daemon on a private unix socket, the routed
+    // path through a fleet of routed peers behind a gc route front-end;
+    // both must match the in-process counters byte-for-byte, so --check
+    // gates all three (and any fleet size) against one baseline.
     let report = if let Some(peers) = routed {
-        // The routed path replays every scenario through a fleet of
-        // routed peers behind a gc route front-end; the tentpole's
-        // determinism gate is that counters match the in-process path —
-        // and therefore any other fleet size — byte-for-byte, so the
-        // same committed baseline gates 1-peer and N-peer runs.
-        graphcache::server::bench::run_suite_routed_with(suite, peers, progress)
+        run_suite_by(suite, |s| run_scenario_routed(s, peers), progress)
     } else if served {
-        // The served path replays every scenario through the daemon on a
-        // private unix socket; counters must match the in-process path
-        // byte-for-byte, so --check gates both against one baseline.
-        graphcache::server::bench::run_suite_served_with(suite, progress)
+        run_suite_by(suite, run_scenario_served, progress)
     } else {
-        graphcache::harness::run_suite_with(suite, progress)
+        run_suite_by(suite, run_scenario, progress)
     }
     .map_err(CliError::Runtime)?;
 

@@ -453,6 +453,94 @@ fn exit_codes_are_distinct() {
     assert_exit(&["bench", "--suite", "smoke", "--check", &bad], 1);
 }
 
+/// Every subcommand rejects options it never reads (exit 2, naming the
+/// option) before doing any work: a typo must not run with the default,
+/// and a flag removed in an earlier release (`--verify-threads`) must not
+/// be swallowed by scripts that still pass it. None of the paths below
+/// exist — rejection comes first.
+#[test]
+fn unknown_options_are_rejected_by_every_subcommand() {
+    let cases: [(&[&str], &str); 9] = [
+        (
+            &[
+                "query",
+                "--dataset",
+                "d",
+                "--queries",
+                "q",
+                "--verify-threads",
+                "2",
+            ],
+            "--verify-threads",
+        ),
+        (
+            &[
+                "query",
+                "--connect",
+                "unix:s",
+                "--queries",
+                "q",
+                "--capacity",
+                "5",
+            ],
+            "--capacity",
+        ),
+        (
+            &[
+                "generate",
+                "--profile",
+                "aids",
+                "--out",
+                "x",
+                "--sclae",
+                "2",
+            ],
+            "--sclae",
+        ),
+        (&["stats", "--verbose", "yes", "d"], "--verbose"),
+        (
+            &[
+                "workload",
+                "--dataset",
+                "d",
+                "--kind",
+                "zz",
+                "--out",
+                "x",
+                "--cuont",
+                "5",
+            ],
+            "--cuont",
+        ),
+        (&["bench", "--suit", "smoke"], "--suit"),
+        (
+            &[
+                "serve",
+                "--dataset",
+                "d",
+                "--unix",
+                "s",
+                "--max-inflght",
+                "2",
+            ],
+            "--max-inflght",
+        ),
+        (
+            &["route", "--unix", "s", "--peers", "a,b", "--retrys", "1"],
+            "--retrys",
+        ),
+        (&["ctl", "--unix", "s", "--timeot", "5", "ping"], "--timeot"),
+    ];
+    for (args, flag) in cases {
+        let out = assert_exit(args, 2);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")),
+            "gc {args:?} must name {flag}: {stderr}"
+        );
+    }
+}
+
 /// Exit-code contract for the daemon-facing subcommands (`serve`, `ctl`,
 /// `query --connect`, `bench --serve`): bad invocations are usage errors
 /// (2), unreachable daemons are the dedicated unavailable code (4) —

@@ -30,6 +30,7 @@ fn shared_cache_matches_baseline_from_four_threads() {
     let cache = GraphCache::builder()
         .capacity(15)
         .window(4)
+        .shards(THREADS) // one per client thread, on any host
         .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
 
@@ -109,6 +110,7 @@ fn cloned_handles_with_background_maintenance_stay_consistent() {
     let cache = GraphCache::builder()
         .capacity(12)
         .window(5)
+        .shards(THREADS) // one per client thread, on any host
         .background(true)
         .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));

@@ -1,8 +1,8 @@
-//! Hit-path parity: the cost-ordered / fingerprint-first / parallel
-//! verification pipeline is hit-equivalent to the naive flat sweep.
+//! Hit-path parity: the cost-ordered / fingerprint-first verification
+//! pipeline is hit-equivalent to the naive flat sweep.
 //!
-//! * **Unbounded parity** — with no budget, the ordered pipeline (sequential
-//!   and parallel) returns exactly the same `HitSet` (sub, super, exact) as
+//! * **Unbounded parity** — with no budget, the ordered pipeline returns
+//!   exactly the same `HitSet` (sub, super, exact) as
 //!   [`find_hits_naive`] over random graph mixes, across 1/4/16 shards.
 //! * **Budget soundness** — any budgeted run yields a *subset* of the
 //!   unbounded hits, never a wrong one, and flags truncation whenever it
@@ -71,9 +71,9 @@ fn sorted_subset(a: &[QuerySerial], b: &[QuerySerial]) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// With an unbounded budget the ordered sequential pipeline, the
-    /// parallel pipeline and the naive flat sweep agree exactly — for any
-    /// cached mix, any probe, and any shard count.
+    /// With an unbounded budget the ordered pipeline and the naive flat
+    /// sweep agree exactly — for any cached mix, any probe, and any shard
+    /// count.
     #[test]
     fn unbounded_pipeline_matches_naive_sweep(
         seeds in pvec(0u64..4_000, 1..40usize),
@@ -97,18 +97,11 @@ proptest! {
                 let naive = find_hits_naive(
                     &snap, probe, QueryKind::Subgraph, &Vf2::new(), &MatchConfig::UNBOUNDED,
                 );
-                let seq = pipeline(&snap, probe, &VerifyOptions::default());
-                let par = pipeline(&snap, probe, &VerifyOptions {
-                    threads: 4,
-                    parallel_threshold: 2,
-                    ..VerifyOptions::default()
-                });
-                for (label, got) in [("sequential", &seq), ("parallel", &par)] {
-                    prop_assert_eq!(&got.sub, &naive.sub, "{} sub, {} shards", label, shards);
-                    prop_assert_eq!(&got.super_, &naive.super_, "{} super, {} shards", label, shards);
-                    prop_assert_eq!(got.exact, naive.exact, "{} exact, {} shards", label, shards);
-                    prop_assert!(!got.truncated, "{} must not truncate unbounded", label);
-                }
+                let got = pipeline(&snap, probe, &VerifyOptions::default());
+                prop_assert_eq!(&got.sub, &naive.sub, "sub, {} shards", shards);
+                prop_assert_eq!(&got.super_, &naive.super_, "super, {} shards", shards);
+                prop_assert_eq!(got.exact, naive.exact, "exact, {} shards", shards);
+                prop_assert!(!got.truncated, "must not truncate unbounded");
             }
         }
     }
@@ -121,7 +114,6 @@ proptest! {
         seeds in pvec(0u64..4_000, 1..30usize),
         probe_seed in 0u64..4_000,
         budget in 0u64..2_000,
-        threads in 1usize..5,
     ) {
         let cfg = QueryIndexConfig::default();
         let entries: Vec<Arc<CacheEntry>> = seeds
@@ -134,8 +126,6 @@ proptest! {
         let full = pipeline(&snap, &probe, &VerifyOptions::default());
         let budgeted = pipeline(&snap, &probe, &VerifyOptions {
             budget: Some(budget),
-            threads,
-            parallel_threshold: 2,
             ..VerifyOptions::default()
         });
         prop_assert!(sorted_subset(&budgeted.sub, &full.sub));
@@ -185,20 +175,6 @@ proptest! {
         prop_assert!(!capped.truncated);
         prop_assert!(sorted_subset(&capped.sub, &full.sub));
         prop_assert!(sorted_subset(&capped.super_, &full.super_));
-
-        // The parallel sweep must honour the same cap: racing workers may
-        // *test* extra candidates, but assembly stops admitting hits.
-        let par = pipeline(&snap, &probe, &VerifyOptions {
-            max_hits: Some(max_hits),
-            threads: 4,
-            parallel_threshold: 2,
-            ..VerifyOptions::default()
-        });
-        let par_got = par.sub.len() + par.super_.len();
-        prop_assert!(par_got >= available.min(max_hits));
-        prop_assert!(par_got <= max_hits + 1, "parallel hit budget overshot");
-        prop_assert!(sorted_subset(&par.sub, &full.sub));
-        prop_assert!(sorted_subset(&par.super_, &full.super_));
     }
 }
 
