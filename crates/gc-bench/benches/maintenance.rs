@@ -14,16 +14,28 @@
 //! * `incremental-cow` — the same patch when a concurrent reader pins
 //!   every shard, forcing copy-on-write of each touched shard (the
 //!   contended upper bound).
+//! * `query-path` — the same round reached the way a client reaches it:
+//!   the last `GraphCache::run` of a window, whose `push_window` runs
+//!   `window::maintain` inline. The sample is that one query plus its
+//!   whole round — victim selection over every cached row (O(|cache|),
+//!   0.4–0.7 µs per entry), the index delta, statistics upkeep — so it
+//!   sits above `incremental` by the selection cost. What it must not do
+//!   is pay `incremental-cow` on top: the cases above patch shards by hand
+//!   and cannot see a snapshot view the query path itself still holds when
+//!   the round starts (`MaintStats::index_delta` of the sampled round
+//!   equals the `incremental` time).
 //!
 //! Incremental round time should track the churn rate, not the cache
 //! size: at 10k entries / 1% churn the incremental round is expected to
 //! be well over 5x faster than the full rebuild.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use gc_core::{shard_for, CacheEntry, CacheSnapshot, QueryIndexConfig, Shard};
-use gc_graph::{GraphId, LabeledGraph};
+use gc_core::{
+    shard_for, CacheEntry, CacheSnapshot, CostModel, GraphCache, QueryIndexConfig, Shard,
+};
+use gc_graph::{GraphDataset, GraphId, LabeledGraph};
 use gc_index::paths::enumerate_paths;
-use gc_methods::QueryKind;
+use gc_methods::{MethodBuilder, QueryKind};
 use std::sync::Arc;
 
 const SHARDS: usize = 16;
@@ -66,6 +78,26 @@ fn apply_delta(shards: &mut [Arc<Shard>], victims: &[u64], admits: &[Arc<CacheEn
             Arc::make_mut(shard).compact();
         }
     }
+}
+
+/// A cache at steady state — `size` entries, full — one query short of the
+/// round whose window evicts and admits `delta` entries. Hit verification
+/// gets no work budget, so filling the cache costs index probes only and
+/// the timed query is dominated by its round.
+fn cache_before_round(size: u64, delta: u64) -> GraphCache {
+    let dataset = GraphDataset::new((0..8).map(seeded_graph).collect());
+    let cache = GraphCache::builder()
+        .capacity(size as usize)
+        .window(delta as usize)
+        .shards(SHARDS)
+        .verify_budget(0)
+        .cost_model(CostModel::Work)
+        .build(MethodBuilder::ggsx().build(&dataset));
+    for serial in 1..size + delta {
+        cache.run(&seeded_graph(serial.wrapping_mul(0x9E37_79B9)));
+    }
+    assert_eq!(cache.window_len() as u64, delta - 1);
+    cache
 }
 
 fn bench_maintenance(c: &mut Criterion) {
@@ -120,6 +152,19 @@ fn bench_maintenance(c: &mut Criterion) {
                     |mut shards| {
                         apply_delta(&mut shards, &victims, &admits);
                         shards
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+
+            // The same round, triggered by the query that fills the window.
+            let closing = seeded_graph((size + delta).wrapping_mul(0x9E37_79B9));
+            group.bench_with_input(BenchmarkId::new("query-path", &label), &(), |b, _| {
+                b.iter_batched(
+                    || cache_before_round(size, delta),
+                    |cache| {
+                        cache.run(&closing);
+                        cache
                     },
                     BatchSize::LargeInput,
                 )

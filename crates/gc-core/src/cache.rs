@@ -7,7 +7,9 @@
 //! stores, statistics and Window.
 
 use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionPolicy, CostModel};
+use crate::entry::CacheEntry;
 use crate::fragments::FragmentState;
+use crate::invariants::{ensure, InvariantClause, InvariantViolation};
 use crate::metrics::{MaintStats, QueryRecord};
 use crate::policy::{EvictionPolicy, PolicyKind};
 use crate::processors;
@@ -531,6 +533,20 @@ struct RunOverrides {
     allowed: Option<Vec<QuerySerial>>,
 }
 
+/// What the read phase of a cached query hands to its write phase: owned
+/// data only, so nothing of the snapshot view outlives the read phase.
+enum ReadOutcome {
+    /// An isomorphic cached query answered it outright.
+    Exact {
+        source: QuerySerial,
+        answer: Vec<GraphId>,
+        /// The §5.2 saving this hit is credited with (see `credit_exact`).
+        saved_cost: f64,
+    },
+    /// No exact hit: Method M's candidate set after GC pruning.
+    Miss(pruner::PruneResult),
+}
+
 /// True once a request's wall-clock deadline has passed.
 fn deadline_past(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
@@ -833,6 +849,45 @@ impl GraphCache {
     /// Runs all statistics rows through a visitor (diagnostics).
     pub fn with_stats<R>(&self, f: impl FnOnce(&StatsStore) -> R) -> R {
         f(&self.shared.stats.lock())
+    }
+
+    /// Checks the cache stores against their structural invariant and
+    /// returns the first violated clause: per shard, everything
+    /// [`Shard::check_invariants`](crate::Shard::check_invariants) covers
+    /// (serial and fingerprint maps against the packed columns, the
+    /// running tallies and `memory_bytes` against recounts); cache-wide,
+    /// that the statistics rows and the live entries are the same serial
+    /// set. Queued background maintenance is flushed first and the check
+    /// runs under the maintenance lock, so it sees the state between two
+    /// rounds, never the middle of one. O(|cache|) — a test and diagnostics
+    /// tool, not a query-path call.
+    pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
+        self.flush_pending();
+        let _round = self.shared.maint.lock();
+        let snapshot = self.shared.load_snapshot();
+        let shards = snapshot.shard_count();
+        for (home, shard) in snapshot.shards().iter().enumerate() {
+            shard.check_invariants(home, shards)?;
+        }
+        let stats = self.shared.stats.lock();
+        for e in snapshot.iter_entries() {
+            ensure(
+                stats.contains_row(e.serial),
+                InvariantClause::StatsRows,
+                || format!("live entry {} has no statistics row", e.serial),
+            )?;
+        }
+        ensure(
+            stats.len() == snapshot.len(),
+            InvariantClause::StatsRows,
+            || {
+                format!(
+                    "{} statistics rows for {} live entries",
+                    stats.len(),
+                    snapshot.len()
+                )
+            },
+        )
     }
 
     /// Persists the cache contents and statistics to a directory (paper
@@ -1196,108 +1251,129 @@ impl GraphCache {
         let hit_match = ov.hit_match.unwrap_or(self.cfg.hit_match);
         let verify_budget = ov.verify_budget.or(self.cfg.verify_budget);
 
-        // (2)-(3): the GC processors run before Method M's filter so an
-        // exact hit can skip Mfilter entirely — the paper's first special
-        // case "completely avoid[s] any further processing".
-        let t_gc = Instant::now();
-        let snapshot = self.shared.load_snapshot();
-        // The query's feature profile and iso fingerprint are computed once
-        // here and reused for candidate probing across every shard and for
-        // index patching if the query is later admitted to the cache.
-        let profile = snapshot.profile_of(query);
-        let hit_query = processors::HitQuery::new(query, kind, &profile);
-        let fingerprint = hit_query.fingerprint;
-        let hits = processors::find_hits_opts(
-            &snapshot,
-            &hit_query,
-            self.method.matcher().as_ref(),
-            &hit_match,
-            &processors::VerifyOptions {
-                budget: verify_budget,
-                max_hits: ov.max_hits,
-                // An exact hit answers the query outright, so candidate
-                // verification would be wasted work on that path.
-                exact_shortcut: true,
-                deadline: ov.deadline,
-                allowed: ov.allowed,
-            },
-        );
-        let gc_filter = t_gc.elapsed();
-
-        let mut record = QueryRecord {
-            serial,
-            gc_filter,
-            sub_hits: hits.sub.len(),
-            super_hits: hits.super_.len(),
-            gc_tests: hits.tests,
-            budget_spent: hits.work,
-            truncated: hits.truncated,
-            exact_via_fingerprint: hits.exact_via_fingerprint,
-            ..Default::default()
-        };
-
-        // Deadline checkpoint: the hit sweep itself timed out. Abort with
-        // an empty answer before any cache-state side effect (no Window
-        // admission, no statistics credit) — an aborted query must leave
-        // the cache exactly as it found it.
-        if hits.deadline_exceeded {
-            return deadline_abort(serial, record);
-        }
-
-        // First special case: an isomorphic cached query answers instantly,
-        // without running Method M's filter.
-        if let Some(source) = hits.exact {
-            let answer = snapshot
-                .entry(source)
-                .map(|e| e.answer.clone())
-                .unwrap_or_default();
-            record.exact_hit = true;
-            record.cs_gc_size = 0;
-            record.answer_size = answer.len();
-            self.credit_exact(source, serial, query, &answer);
-            let maintenance = self.push_window(query, kind, profile, fingerprint, &answer, &record);
-            record.maintenance = maintenance;
-            return QueryResult {
+        // Read phase: everything that looks at the cache contents runs
+        // inside this block, against one snapshot view. The view owns an
+        // `Arc` per shard, and a maintenance round patches a shard in place
+        // only while nobody else owns that `Arc` (`window::maintain`), so
+        // the view — and the `HitQuery` / `HitAnswer` borrows into it —
+        // must be gone before `push_window` below can run a round on this
+        // thread. Held across it, every round of a one-client workload
+        // deep-copied every shard it touched.
+        let (profile, fingerprint, mut record, read) = {
+            // (2)-(3): the GC processors run before Method M's filter so an
+            // exact hit can skip Mfilter entirely — the paper's first
+            // special case "completely avoid[s] any further processing".
+            let t_gc = Instant::now();
+            let snapshot = self.shared.load_snapshot();
+            // The query's feature profile and iso fingerprint are computed
+            // once here and reused for candidate probing across every shard
+            // and for index patching if the query is later admitted.
+            let profile = snapshot.profile_of(query);
+            let hit_query = processors::HitQuery::new(query, kind, &profile);
+            let fingerprint = hit_query.fingerprint;
+            let hits = processors::find_hits_opts(
+                &snapshot,
+                &hit_query,
+                self.method.matcher().as_ref(),
+                &hit_match,
+                &processors::VerifyOptions {
+                    budget: verify_budget,
+                    max_hits: ov.max_hits,
+                    // An exact hit answers the query outright, so candidate
+                    // verification would be wasted work on that path.
+                    exact_shortcut: true,
+                    deadline: ov.deadline,
+                    allowed: ov.allowed,
+                },
+            );
+            let mut record = QueryRecord {
                 serial,
-                answer,
-                record,
+                gc_filter: t_gc.elapsed(),
+                sub_hits: hits.sub.len(),
+                super_hits: hits.super_.len(),
+                gc_tests: hits.tests,
+                budget_spent: hits.work,
+                truncated: hits.truncated,
+                exact_via_fingerprint: hits.exact_via_fingerprint,
+                ..Default::default()
             };
-        }
 
-        let m_out = self.method.filter_directed(query, kind);
-        record.m_filter = m_out.duration;
-        record.cs_m_size = m_out.candidates.len();
+            // Deadline checkpoint: the hit sweep itself timed out. Abort
+            // with an empty answer before any cache-state side effect (no
+            // Window admission, no statistics credit) — an aborted query
+            // must leave the cache exactly as it found it.
+            if hits.deadline_exceeded {
+                return deadline_abort(serial, record);
+            }
 
-        // Deadline checkpoint after Method M's filter (the last phase
-        // before pruning touches statistics).
-        if deadline_past(ov.deadline) {
-            return deadline_abort(serial, record);
-        }
+            let read = if let Some(source) = hits.exact {
+                // First special case: an isomorphic cached query answers
+                // instantly, without running Method M's filter.
+                let (answer, saved_cost) = snapshot
+                    .entry(source)
+                    .map(|e| (e.answer.clone(), self.exact_saving(e)))
+                    .unwrap_or((Vec::new(), 1.0));
+                ReadOutcome::Exact {
+                    source,
+                    answer,
+                    saved_cost,
+                }
+            } else {
+                let m_out = self.method.filter_directed(query, kind);
+                record.m_filter = m_out.duration;
+                record.cs_m_size = m_out.candidates.len();
 
-        // (4): candidate set pruning via equations (1) and (2).
-        let (expanding, restricting) = match kind {
-            QueryKind::Subgraph => (&hits.sub, &hits.super_),
-            QueryKind::Supergraph => (&hits.super_, &hits.sub),
+                // Deadline checkpoint after Method M's filter (the last
+                // phase before pruning touches statistics).
+                if deadline_past(ov.deadline) {
+                    return deadline_abort(serial, record);
+                }
+
+                // (4): candidate set pruning via equations (1) and (2).
+                let (expanding, restricting) = match kind {
+                    QueryKind::Subgraph => (&hits.sub, &hits.super_),
+                    QueryKind::Supergraph => (&hits.super_, &hits.sub),
+                };
+                let answers_of = |serials: &[QuerySerial]| -> Vec<HitAnswer<'_>> {
+                    serials
+                        .iter()
+                        .filter_map(|s| {
+                            snapshot.entry(*s).map(|e| HitAnswer {
+                                serial: *s,
+                                answer: &e.answer,
+                            })
+                        })
+                        .collect()
+                };
+                ReadOutcome::Miss(pruner::prune(
+                    &m_out.candidates,
+                    &answers_of(expanding),
+                    &answers_of(restricting),
+                ))
+            };
+            (profile, fingerprint, record, read)
         };
-        let expanding_answers: Vec<HitAnswer<'_>> = expanding
-            .iter()
-            .filter_map(|s| {
-                snapshot.entry(*s).map(|e| HitAnswer {
-                    serial: *s,
-                    answer: &e.answer,
-                })
-            })
-            .collect();
-        let restricting_answers: Vec<HitAnswer<'_>> = restricting
-            .iter()
-            .filter_map(|s| {
-                snapshot.entry(*s).map(|e| HitAnswer {
-                    serial: *s,
-                    answer: &e.answer,
-                })
-            })
-            .collect();
-        let mut pruned = pruner::prune(&m_out.candidates, &expanding_answers, &restricting_answers);
+
+        let mut pruned = match read {
+            ReadOutcome::Exact {
+                source,
+                answer,
+                saved_cost,
+            } => {
+                record.exact_hit = true;
+                record.cs_gc_size = 0;
+                record.answer_size = answer.len();
+                self.credit_exact(source, serial, answer.len(), saved_cost);
+                record.maintenance =
+                    self.push_window(query, kind, profile, fingerprint, &answer, &record);
+                return QueryResult {
+                    serial,
+                    answer,
+                    record,
+                };
+            }
+            ReadOutcome::Miss(pruned) => pruned,
+        };
         record.cs_gc_size = pruned.remaining.len();
 
         // (4b): fragment-layer pruning. The query's canonical fragments
@@ -1372,8 +1448,7 @@ impl GraphCache {
         self.credit_contributions(serial, query, &pruned);
 
         // (6)-(7): window admission and batched cache maintenance.
-        let maintenance = self.push_window(query, kind, profile, fingerprint, &answer, &record);
-        record.maintenance = maintenance;
+        record.maintenance = self.push_window(query, kind, profile, fingerprint, &answer, &record);
 
         QueryResult {
             serial,
@@ -1382,22 +1457,34 @@ impl GraphCache {
         }
     }
 
-    /// Credits an exact hit. The entire candidate set is avoided, but it is
-    /// never computed on this path (that is the point of the special case),
-    /// so the contribution is estimated from the cached answer set — the
-    /// sub-iso tests that would certainly have run.
+    /// The saving one exact hit on `entry` is credited with. The entire
+    /// candidate set is avoided, but it is never computed on that path
+    /// (that is the point of the special case), so the contribution is
+    /// estimated from the cached answer set — the sub-iso tests that would
+    /// certainly have run. The estimate reads only the query's node count,
+    /// which an isomorphic query shares with the entry, so the sum is the
+    /// entry's own and is computed on its first exact hit.
+    fn exact_saving(&self, entry: &CacheEntry) -> f64 {
+        *entry.exact_saving.get_or_init(|| {
+            let dataset = self.method.dataset();
+            let saved: f64 = entry
+                .answer
+                .iter()
+                .map(|&id| cost::estimate(&entry.graph, dataset.graph(id)))
+                .sum();
+            saved.max(1.0)
+        })
+    }
+
+    /// Credits an exact hit on `source` with `saved_cost`
+    /// ([`exact_saving`](Self::exact_saving)) and its answer-set size.
     fn credit_exact(
         &self,
         source: QuerySerial,
         now: QuerySerial,
-        query: &LabeledGraph,
-        answer: &[GraphId],
+        answer_len: usize,
+        saved_cost: f64,
     ) {
-        let saved_cost: f64 = answer
-            .iter()
-            .map(|&id| cost::estimate(query, self.method.dataset().graph(id)))
-            .sum();
-        let saved_cost = saved_cost.max(1.0);
         {
             let mut stats = self.shared.stats.lock();
             if !stats.contains_row(source) {
@@ -1410,7 +1497,7 @@ impl GraphCache {
             stats.add_int(source, columns::HITS, 1);
             stats.add_int(source, columns::SPECIAL_HITS, 1);
             stats.set(source, columns::LAST_HIT, now as i64);
-            stats.add_int(source, columns::R_TOTAL, answer.len().max(1) as i64);
+            stats.add_int(source, columns::R_TOTAL, answer_len.max(1) as i64);
             stats.add_float(source, columns::C_TOTAL, saved_cost);
         }
         // The eviction policy observes the hit after the stats lock is
@@ -1895,6 +1982,181 @@ mod tests {
         assert_eq!(r.record.fragment_pruned, 0);
         assert_eq!(gc.fragment_store_len(), 0);
         assert_eq!(gc.fragment_eviction_name(), None);
+    }
+
+    fn sharded_cache(window: usize) -> GraphCache {
+        GraphCache::builder()
+            .capacity(64)
+            .window(window)
+            .shards(4)
+            .cost_model(CostModel::Work)
+            .build(MethodBuilder::ggsx().build(&dataset()))
+    }
+
+    fn shard_ptrs(gc: &GraphCache) -> Vec<*const crate::entry::Shard> {
+        gc.shared
+            .shards
+            .iter()
+            .map(|lock| Arc::as_ptr(&*lock.read()))
+            .collect()
+    }
+
+    /// With one client, a round that `run` triggers patches every shard in
+    /// place: the query's own snapshot view is gone before the round starts,
+    /// on the miss path and on the exact-hit path alike.
+    #[test]
+    fn single_client_round_patches_shards_in_place() {
+        let gc = sharded_cache(3);
+        let rounds = [
+            // Closed by a miss.
+            [
+                path_graph(&[0, 1]),
+                path_graph(&[0, 1, 0]),
+                path_graph(&[1, 2]),
+            ],
+            // Closed by an exact repeat of a query the first round cached.
+            [
+                path_graph(&[0, 1, 2]),
+                path_graph(&[3, 3]),
+                path_graph(&[0, 1]),
+            ],
+        ];
+        for (i, queries) in rounds.iter().enumerate() {
+            let before = shard_ptrs(&gc);
+            let patched_before = gc.maint_stats().shards_patched;
+            let results: Vec<QueryResult> = queries.iter().map(|q| gc.run(q)).collect();
+            let closing = &results.last().unwrap().record;
+            assert_eq!(closing.exact_hit, i == 1, "round {i} closing query");
+            assert_eq!(gc.maint_stats().rounds, i as u64 + 1);
+            assert_eq!(gc.cache_len(), 3 * (i + 1), "round {i} admitted its window");
+            assert!(gc.maint_stats().shards_patched > patched_before);
+            assert_eq!(before, shard_ptrs(&gc), "round {i} copied a shard");
+            for r in &results {
+                let snapshot = gc.shared.load_snapshot();
+                let entry = snapshot.entry(r.serial).expect("admitted");
+                assert_eq!(entry.answer, r.answer);
+            }
+            assert_eq!(gc.check_invariants(), Ok(()));
+        }
+    }
+
+    /// A view held across a round — what a concurrent session or a query
+    /// overlapping background maintenance holds — forces copy-on-write of
+    /// exactly the patched shards, keeps serving its own epoch, and the
+    /// live cache serves the new one (paper §6.2, per shard).
+    #[test]
+    fn held_view_forces_copy_on_write_and_keeps_its_epoch() {
+        let gc = sharded_cache(2);
+        gc.run(&path_graph(&[0, 1, 0, 1]));
+        gc.run(&path_graph(&[0, 1, 2])); // round 1
+
+        let probe = path_graph(&[0, 1]);
+        let view = gc.shared.load_snapshot();
+        let before = shard_ptrs(&gc);
+        let candidates_before = view.candidate_serials(&probe);
+        let answers_before: Vec<(QuerySerial, Vec<GraphId>)> = view
+            .iter_entries()
+            .map(|e| (e.serial, e.answer.clone()))
+            .collect();
+        assert_eq!(answers_before.len(), 2);
+
+        let a = gc.run(&path_graph(&[0, 1, 0]));
+        let b = gc.run(&path_graph(&[1, 0, 1, 0])); // round 2, view still held
+        assert_eq!(gc.maint_stats().rounds, 2);
+
+        let after = shard_ptrs(&gc);
+        let n = gc.shard_count();
+        let touched = [
+            crate::entry::shard_for(a.serial, n),
+            crate::entry::shard_for(b.serial, n),
+        ];
+        for i in 0..n {
+            assert_eq!(
+                before[i] != after[i],
+                touched.contains(&i),
+                "shard {i}: copied iff the round patched it"
+            );
+        }
+
+        // The held view is its own epoch: same candidates, same answers,
+        // and the round's admissions are invisible to it.
+        assert_eq!(view.candidate_serials(&probe), candidates_before);
+        let answers_now: Vec<(QuerySerial, Vec<GraphId>)> = view
+            .iter_entries()
+            .map(|e| (e.serial, e.answer.clone()))
+            .collect();
+        assert_eq!(answers_now, answers_before);
+        assert!(view.entry(a.serial).is_none() && view.entry(b.serial).is_none());
+
+        // The live cache serves the post-round state.
+        let live = gc.shared.load_snapshot();
+        assert_eq!(live.len(), 4);
+        assert_eq!(live.entry(a.serial).unwrap().answer, a.answer);
+        assert_eq!(live.entry(b.serial).unwrap().answer, b.answer);
+        let (sub_now, _) = live.candidate_serials(&probe);
+        assert!(
+            sub_now.contains(&a.serial) && sub_now.contains(&b.serial),
+            "both new entries contain the probe"
+        );
+        let (sub_then, _) = candidates_before;
+        assert!(!sub_then.contains(&a.serial));
+        drop(view);
+        assert_eq!(gc.check_invariants(), Ok(()));
+    }
+
+    /// The per-entry exact-hit saving is computed on the first exact hit,
+    /// read on the next, and is the sum `credit_exact` always credited:
+    /// one estimate per answer id, in answer order, floored at 1.
+    #[test]
+    fn exact_hit_saving_is_memoised_and_bit_identical() {
+        let gc = cache();
+        let q = path_graph(&[0, 1]);
+        let first = gc.run(&q);
+        gc.run(&path_graph(&[0, 1, 2])); // flush at W=2
+        let entry = gc
+            .shared
+            .load_snapshot()
+            .entry(first.serial)
+            .unwrap()
+            .clone();
+        assert_eq!(entry.exact_saving.get(), None, "not computed at admission");
+
+        let expected = first
+            .answer
+            .iter()
+            .map(|&id| cost::estimate(&q, gc.method().dataset().graph(id)))
+            .sum::<f64>()
+            .max(1.0);
+        assert!(gc.run(&q).record.exact_hit);
+        assert_eq!(entry.exact_saving.get(), Some(&expected));
+        assert!(gc.run(&q).record.exact_hit);
+        assert_eq!(
+            gc.stat(first.serial, columns::C_TOTAL),
+            Some(expected + expected)
+        );
+        assert_eq!(gc.stat(first.serial, columns::HITS), Some(2.0));
+    }
+
+    #[test]
+    fn check_invariants_reports_statistics_rows_out_of_step() {
+        let gc = cache();
+        let first = gc.run(&path_graph(&[0, 1]));
+        gc.run(&path_graph(&[0, 1, 0])); // flush at W=2
+        assert_eq!(gc.check_invariants(), Ok(()));
+        gc.shared.stats.lock().remove_row(first.serial);
+        let v = gc.check_invariants().unwrap_err();
+        assert_eq!(v.clause, InvariantClause::StatsRows);
+        assert_eq!(v.shard, None);
+        gc.shared
+            .stats
+            .lock()
+            .set(first.serial, columns::HITS, 0i64);
+        gc.shared.stats.lock().set(9_999, columns::HITS, 0i64);
+        assert_eq!(
+            gc.check_invariants().unwrap_err().clause,
+            InvariantClause::StatsRows,
+            "orphan row"
+        );
     }
 
     #[test]

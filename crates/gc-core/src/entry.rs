@@ -10,6 +10,7 @@
 //! `Arc`s; the paper's "old index keeps serving reads" invariant holds per
 //! shard (see [`crate::window`]).
 
+use crate::invariants::{ensure, tiled_end, InvariantClause, InvariantViolation};
 use crate::query_index::{HitCandidates, QueryIndex, QueryIndexConfig};
 use crate::stats::QuerySerial;
 use gc_graph::{sizing, GraphId, LabeledGraph};
@@ -17,7 +18,7 @@ use gc_index::fingerprint::iso_hash;
 use gc_index::fx::FxHashMap;
 use gc_index::paths::{enumerate_paths, PathProfile};
 use gc_methods::QueryKind;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One cached query: the query graph and its full answer set (paper §6.1,
 /// first Cache store component).
@@ -43,6 +44,12 @@ pub struct CacheEntry {
     /// ([`gc_index::fingerprint::iso_hash`]), computed once at execution
     /// time — the key of the shard's exact-match map.
     pub fingerprint: u64,
+    /// Memo of the §5.2 saving an exact hit on this entry is credited with:
+    /// the summed cost estimate of the sub-iso tests its answer set stands
+    /// for. It depends only on the entry and the dataset, costs one
+    /// estimate per answer id, and an entry that is hit once is usually hit
+    /// again — so the first exact hit computes it and the rest read it.
+    pub(crate) exact_saving: OnceLock<f64>,
 }
 
 impl CacheEntry {
@@ -64,6 +71,7 @@ impl CacheEntry {
             kind,
             profile,
             fingerprint,
+            exact_saving: OnceLock::new(),
         }
     }
 
@@ -92,8 +100,10 @@ pub fn shard_for(serial: QuerySerial, shards: usize) -> usize {
 /// a `None` tombstone so surviving slots never shift and the index postings
 /// stay valid. [`compact`](Self::compact) rebuilds both densely when the
 /// debt grows. Shards are patched through `Arc::make_mut` by the Window
-/// Manager: with no concurrent reader holding the `Arc` the patch is
-/// in-place, otherwise it copies-on-write and readers keep the old state.
+/// Manager: in place while the shard lock holds the only reference, and by
+/// deep copy (readers keep the old state) while any [`CacheSnapshot`] view
+/// still holds the `Arc` — which is why the query path releases its view
+/// before it can trigger a round (see [`crate::window`]).
 #[derive(Debug, Clone)]
 pub struct Shard {
     /// Entry per slot, aligned with the index; `None` marks a tombstone.
@@ -113,10 +123,9 @@ pub struct Shard {
     /// Per-slot query kinds, packed — the gather stage's direction filter
     /// reads this column instead of chasing the entry `Arc`.
     kinds: Vec<QueryKind>,
-    /// Per-slot distinct-label counts, packed. Computed once at admission:
-    /// `distinct_label_count` sorts the graph's label vector on every call,
-    /// so the §5.2 cost estimate used to pay that sort per candidate per
-    /// query.
+    /// Per-slot distinct-label counts, packed: the §5.2 cost estimate of
+    /// the gather stage reads this column instead of chasing the entry and
+    /// graph `Arc`s per candidate.
     distinct_labels: Vec<u32>,
     /// Per-slot `(offset, len)` range into the shared [`answers`] arena.
     /// Tombstoned slots keep their range; the ids behind it become
@@ -257,7 +266,7 @@ impl Shard {
     }
 
     /// Distinct-label count of the graph at a slot, from the packed column
-    /// (precomputed at admission; see [`LabeledGraph::distinct_label_count`]).
+    /// (see [`LabeledGraph::distinct_label_count`]).
     pub fn distinct_labels_at(&self, slot: u32) -> u32 {
         self.distinct_labels[slot as usize]
     }
@@ -337,6 +346,128 @@ impl Shard {
         let mut live: Vec<Arc<CacheEntry>> = self.live_entries().cloned().collect();
         live.sort_by_cached_key(|e| (rank(e.serial), e.serial));
         Shard::build(self.index.config(), live)
+    }
+
+    /// Checks this shard against the store invariant, as shard `home` of
+    /// `shards`: the index's own consistency, packed columns aligned with
+    /// the entries they mirror, every serial routed here, the exact-match
+    /// map listing exactly the live slots, the answer ranges tiling their
+    /// arena with `answers_live` equal to a recount, and `memory_bytes`
+    /// equal to a recount from the live entries and allocated slots.
+    /// Returns the first violated clause, tagged with `home`.
+    pub fn check_invariants(&self, home: usize, shards: usize) -> Result<(), InvariantViolation> {
+        self.check_clauses(home, shards).map_err(|mut v| {
+            v.shard = Some(home);
+            v
+        })
+    }
+
+    fn check_clauses(&self, home: usize, shards: usize) -> Result<(), InvariantViolation> {
+        self.index.check_invariants()?;
+
+        let slots = self.index.slots();
+        for (name, len) in [
+            ("entries", self.entries.len()),
+            ("fingerprints", self.fingerprints.len()),
+            ("kinds", self.kinds.len()),
+            ("distinct_labels", self.distinct_labels.len()),
+            ("answer_ranges", self.answer_ranges.len()),
+        ] {
+            ensure(len == slots, InvariantClause::Columns, || {
+                format!("shard column {name} has {len} rows for {slots} slots")
+            })?;
+        }
+        for slot in 0..slots as u32 {
+            let live = self.index.is_live(slot);
+            let Some(e) = self.entry_at(slot) else {
+                ensure(!live, InvariantClause::Columns, || {
+                    format!("live slot {slot} has no entry")
+                })?;
+                continue;
+            };
+            ensure(
+                live && self.index.serial(slot) == e.serial,
+                InvariantClause::SerialMap,
+                || format!("slot {slot} holds entry {}, the index disagrees", e.serial),
+            )?;
+            ensure(
+                shard_for(e.serial, shards) == home,
+                InvariantClause::SerialMap,
+                || format!("serial {} does not route to this shard", e.serial),
+            )?;
+            let size = (e.graph.node_count() as u32, e.graph.edge_count() as u32);
+            ensure(
+                self.fingerprint_at(slot) == e.fingerprint
+                    && self.kind_at(slot) == e.kind
+                    && self.distinct_labels_at(slot) as usize == e.graph.distinct_label_count()
+                    && self.index.size(slot) == size
+                    && self.answer_at(slot) == e.answer.as_slice(),
+                InvariantClause::Columns,
+                || {
+                    format!(
+                        "packed columns of slot {slot} differ from entry {}",
+                        e.serial
+                    )
+                },
+            )?;
+        }
+
+        let mut listed = 0usize;
+        for (&fp, bucket) in &self.exact {
+            listed += bucket.len();
+            let sound = !bucket.is_empty()
+                && bucket.windows(2).all(|w| w[0] < w[1])
+                && bucket.iter().all(|&slot| {
+                    (slot as usize) < slots
+                        && self.index.is_live(slot)
+                        && self.fingerprints[slot as usize] == fp
+                });
+            ensure(sound, InvariantClause::FingerprintMap, || {
+                format!("bucket {fp:#x} lists {bucket:?}")
+            })?;
+        }
+        ensure(
+            listed == self.len(),
+            InvariantClause::FingerprintMap,
+            || format!("{listed} slots listed for {} live entries", self.len()),
+        )?;
+
+        ensure(
+            tiled_end(self.answer_ranges.iter().copied()) == Some(self.answers.len()),
+            InvariantClause::Counters,
+            || format!("answer ranges do not tile {} arena ids", self.answers.len()),
+        )?;
+        let answers_live: usize = self.live_entries().map(|e| e.answer.len()).sum();
+        ensure(
+            self.answers_live == answers_live,
+            InvariantClause::Counters,
+            || {
+                format!(
+                    "answers_live: held {}, recounted {answers_live}",
+                    self.answers_live
+                )
+            },
+        )?;
+
+        // One bucket per distinct live fingerprint, one u32 per live slot.
+        let mut live_fps: Vec<u64> = self.live_entries().map(|e| e.fingerprint).collect();
+        live_fps.sort_unstable();
+        live_fps.dedup();
+        let per_slot = std::mem::size_of::<u64>()
+            + std::mem::size_of::<QueryKind>()
+            + std::mem::size_of::<u32>()
+            + std::mem::size_of::<(u32, u32)>();
+        let recount = self.live_entries().map(|e| e.memory_bytes()).sum::<usize>()
+            + self.index.memory_bytes()
+            + live_fps.len() * sizing::MAP_NODE_OVERHEAD
+            + sizing::slice_bytes::<u32>(self.len())
+            + slots * per_slot
+            + sizing::slice_bytes::<GraphId>(self.answers.len());
+        ensure(
+            self.memory_bytes() == recount,
+            InvariantClause::MemoryBytes,
+            || format!("reported {}, recounted {recount}", self.memory_bytes()),
+        )
     }
 
     /// Approximate memory footprint of entries + index + exact map + packed
@@ -657,6 +788,56 @@ mod tests {
             assert_eq!(ranked.answer_at(slot), e.answer.as_slice());
         }
         assert!(ranked.entry(2).is_none());
+    }
+
+    #[test]
+    fn invariant_check_follows_churn_and_names_the_broken_clause() {
+        let mut shard = Shard::build(
+            QueryIndexConfig::default(),
+            vec![entry(1), entry(2), entry(3)],
+        );
+        assert_eq!(shard.check_invariants(0, 1), Ok(()));
+        shard.remove(2);
+        shard.insert(entry(4));
+        assert_eq!(shard.check_invariants(0, 1), Ok(()), "tombstone + append");
+        shard.compact();
+        assert_eq!(shard.check_invariants(0, 1), Ok(()), "dense rebuild");
+
+        let broken = |mutate: fn(&mut Shard)| {
+            let mut s = shard.clone();
+            mutate(&mut s);
+            let v = s.check_invariants(0, 1).unwrap_err();
+            assert_eq!(v.shard, Some(0));
+            v.clause
+        };
+        assert_eq!(
+            broken(|s| s.answers_live += 1),
+            InvariantClause::Counters,
+            "drifted tally"
+        );
+        assert_eq!(
+            broken(|s| s.fingerprints[0] ^= 1),
+            InvariantClause::Columns,
+            "packed column out of step with its entry"
+        );
+        assert_eq!(
+            broken(|s| s.exact.values_mut().for_each(|b| b.truncate(1))),
+            InvariantClause::FingerprintMap,
+            "live slots missing from the exact-match map"
+        );
+        assert_eq!(
+            broken(|s| {
+                s.exact.insert(7, Vec::new());
+            }),
+            InvariantClause::FingerprintMap,
+            "empty bucket left behind"
+        );
+        // The same shard checked as a member of a 4-way partition: serials
+        // 1, 3 and 4 do not all route to shard 0.
+        assert_eq!(
+            shard.check_invariants(0, 4).unwrap_err().clause,
+            InvariantClause::SerialMap
+        );
     }
 
     #[test]

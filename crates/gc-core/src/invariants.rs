@@ -1,0 +1,85 @@
+//! The typed result of [`GraphCache::check_invariants`]: which structural
+//! invariant of the cache stores is broken, where, and what was observed.
+//!
+//! The checks themselves live beside the private fields they read
+//! ([`QueryIndex::check_invariants`], [`Shard::check_invariants`]); this
+//! module only names the clauses, in the order they are checked.
+//!
+//! [`GraphCache::check_invariants`]: crate::GraphCache::check_invariants
+//! [`QueryIndex::check_invariants`]: crate::QueryIndex::check_invariants
+//! [`Shard::check_invariants`]: crate::Shard::check_invariants
+
+use std::fmt;
+
+/// One clause of the cache-store invariant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvariantClause {
+    /// The per-slot columns of a shard and its index all have one length,
+    /// and every live slot's packed values (fingerprint, kind, label count,
+    /// size, answer range) equal its entry's.
+    Columns,
+    /// `serial → slot` is a bijection between the live serials and the live
+    /// slots, and every serial lives in the shard it routes to.
+    SerialMap,
+    /// `fingerprint → slots` lists exactly the live slots, each under its
+    /// own fingerprint, with no empty bucket left behind.
+    FingerprintMap,
+    /// A running tally (`answers_live`, tombstones, dead postings, spill
+    /// length) differs from a recount, or the arena ranges do not tile
+    /// their arena.
+    Counters,
+    /// A shard's `memory_bytes` differs from a recount over its live
+    /// entries and allocated slots.
+    MemoryBytes,
+    /// Statistics rows and live entries are not the same serial set.
+    StatsRows,
+}
+
+/// The first violated clause found by an invariant check.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InvariantViolation {
+    /// The clause that does not hold.
+    pub clause: InvariantClause,
+    /// The shard it was found in (`None` for cache-wide clauses).
+    pub shard: Option<usize>,
+    /// What was observed, for the log line.
+    pub detail: String,
+}
+
+/// `Ok` when `holds`, otherwise the violation of `clause` (not yet tagged
+/// with a shard) described by `detail`.
+pub(crate) fn ensure(
+    holds: bool,
+    clause: InvariantClause,
+    detail: impl FnOnce() -> String,
+) -> Result<(), InvariantViolation> {
+    if holds {
+        return Ok(());
+    }
+    Err(InvariantViolation {
+        clause,
+        shard: None,
+        detail: detail(),
+    })
+}
+
+/// The end of the arena that `(offset, len)` ranges, taken in order, tile
+/// from 0 without gap or overlap; `None` when they do not.
+pub(crate) fn tiled_end(ranges: impl IntoIterator<Item = (u32, u32)>) -> Option<usize> {
+    ranges
+        .into_iter()
+        .try_fold(0u32, |end, (off, len)| (off == end).then_some(off + len))
+        .map(|end| end as usize)
+}
+
+impl fmt::Display for InvariantViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "cache invariant {:?} violated", self.clause)?;
+        if let Some(shard) = self.shard {
+            write!(f, " in shard {shard}")?;
+        }
+        write!(f, ": {}", self.detail)
+    }
+}
+
+impl std::error::Error for InvariantViolation {}

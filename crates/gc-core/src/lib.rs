@@ -73,6 +73,7 @@ pub mod admission;
 mod cache;
 pub mod entry;
 mod fragments;
+pub mod invariants;
 pub mod metrics;
 pub mod persist;
 pub mod policies;
@@ -96,6 +97,7 @@ pub use cache::{
 pub use entry::{shard_for, CacheEntry, CacheSnapshot, Shard};
 pub use gc_fragments::FragmentConfig;
 pub use gc_methods::QueryKind;
+pub use invariants::{InvariantClause, InvariantViolation};
 pub use metrics::{MaintStats, QueryRecord, RouteCounters, RunCounters, RunSummary};
 pub use persist::{
     PersistFormat, PersistedCache, PersistedEntry, RecoveredSnapshot, StoredProfiles,

@@ -497,6 +497,7 @@ impl PersistedCache {
                         kind,
                         profile,
                         fingerprint,
+                        exact_saving: std::sync::OnceLock::new(),
                     })
                 },
             )

@@ -305,10 +305,6 @@ pub fn find_hits_opts(
     // survives every prefilter touches its entry — and then only to park
     // the graph handle in the verification queue.
     let mut queue: Vec<Cand<'_>> = Vec::new();
-    // The query is the *target* of every Super-direction estimate, so its
-    // distinct-label count is computed once here instead of per candidate
-    // (`distinct_label_count` sorts the label vector on every call).
-    let q_distinct = hq.query.distinct_label_count() as u64;
     // Candidate restriction (routed mode): serials outside the allow set
     // never enter the queue. A sorted list + binary search keeps the gather
     // a pure column scan.
@@ -381,7 +377,12 @@ pub fn find_hits_opts(
             queue.push(Cand {
                 entry,
                 dir: Dir::Super,
-                cost: cost::estimate_raw(cn as u64, qn as u64, q_distinct),
+                // The query is the *target* of a Super-direction test.
+                cost: cost::estimate_raw(
+                    cn as u64,
+                    qn as u64,
+                    hq.query.distinct_label_count() as u64,
+                ),
             });
         }
     }

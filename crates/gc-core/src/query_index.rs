@@ -19,6 +19,7 @@
 //! Both candidate lists are *sound overapproximations*; the GC processors
 //! verify each candidate with a sub-iso test before it becomes a hit.
 
+use crate::invariants::{ensure, tiled_end, InvariantClause, InvariantViolation};
 use crate::stats::QuerySerial;
 use gc_graph::{sizing, LabeledGraph};
 use gc_index::fx::FxHashMap as HashMap;
@@ -430,6 +431,72 @@ impl QueryIndex {
         out
     }
 
+    /// Checks the index's internal consistency: the per-slot columns share
+    /// one length, `serial → slot` is a bijection onto the live slots, the
+    /// tombstone / dead-postings / spill tallies equal a recount, and the
+    /// directory's ranges tile the postings arena. Returns the first
+    /// violated clause (see [`crate::GraphCache::check_invariants`]).
+    pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
+        let slots = self.serials.len();
+        for (name, len) in [
+            ("distinct", self.distinct.len()),
+            ("sizes", self.sizes.len()),
+            ("overflow", self.overflow.len()),
+            ("live", self.live.len()),
+            ("feature_counts", self.feature_counts.len()),
+        ] {
+            ensure(len == slots, InvariantClause::Columns, || {
+                format!("index column {name} has {len} rows for {slots} slots")
+            })?;
+        }
+
+        let live = self.live.iter().filter(|&&l| l).count();
+        ensure(
+            self.slot_of.len() == live,
+            InvariantClause::SerialMap,
+            || {
+                format!(
+                    "{} mapped serials for {live} live slots",
+                    self.slot_of.len()
+                )
+            },
+        )?;
+        for (&serial, &slot) in &self.slot_of {
+            let s = slot as usize;
+            ensure(
+                s < slots && self.live[s] && self.serials[s] == serial,
+                InvariantClause::SerialMap,
+                || format!("serial {serial} maps to slot {slot}, which does not hold it live"),
+            )?;
+        }
+
+        let dead_postings: usize = (0..slots)
+            .filter(|&s| !self.live[s])
+            .map(|s| self.feature_counts[s] as usize)
+            .sum();
+        let spilled: usize = self.tail.values().map(Vec::len).sum();
+        let contributed: usize = self.feature_counts.iter().map(|&c| c as usize).sum();
+        let mut ranges: Vec<(u32, u32)> = self.directory.values().copied().collect();
+        ranges.sort_unstable();
+        let tiled = tiled_end(ranges);
+        for (name, held, recount) in [
+            ("tombstones", self.tombstones, slots - live),
+            ("dead_postings", self.dead_postings, dead_postings),
+            ("tail_len", self.tail_len, spilled),
+            ("resident postings", self.postings_len(), contributed),
+            (
+                "directory coverage",
+                tiled.unwrap_or(usize::MAX),
+                self.arena.len(),
+            ),
+        ] {
+            ensure(held == recount, InvariantClause::Counters, || {
+                format!("{name}: held {held}, recounted {recount}")
+            })?;
+        }
+        Ok(())
+    }
+
     /// Approximate memory footprint in bytes (tombstoned slots still count
     /// until a compaction reclaims their postings).
     pub fn memory_bytes(&self) -> usize {
@@ -658,6 +725,29 @@ mod tests {
                 to_serials(&fresh, &want.super_)
             );
         }
+    }
+
+    #[test]
+    fn invariant_check_follows_churn_and_names_the_broken_clause() {
+        let mut idx = build(&[path_graph(&[0, 1, 0]), path_graph(&[5, 5])]);
+        assert_eq!(idx.check_invariants(), Ok(()));
+        idx.remove(0);
+        let g = path_graph(&[7, 8, 7]);
+        idx.insert_profile(99, (3, 2), &enumerate_paths(&g, 4, u64::MAX));
+        assert_eq!(idx.check_invariants(), Ok(()), "tombstone + spill tail");
+
+        let mut miscounted = idx.clone();
+        miscounted.dead_postings += 1;
+        let v = miscounted.check_invariants().unwrap_err();
+        assert_eq!(v.clause, InvariantClause::Counters);
+        assert!(v.detail.contains("dead_postings"), "{v}");
+
+        let mut stale = idx.clone();
+        stale.slot_of.insert(0, 0); // resurrects the tombstoned serial
+        assert_eq!(
+            stale.check_invariants().unwrap_err().clause,
+            InvariantClause::SerialMap
+        );
     }
 
     #[test]

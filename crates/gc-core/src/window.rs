@@ -13,10 +13,25 @@
 //! maintenance round groups its delta by shard and patches only the shards
 //! that victims or admissions actually hash into: evictions tombstone
 //! their slot in place, admissions append a slot, and the patch goes
-//! through `Arc::make_mut` — in place when no reader holds the shard,
-//! copy-on-write when one does. Shards the delta misses are never locked
-//! and their `Arc`s are untouched, so maintenance cost is
+//! through `Arc::make_mut`. Shards the delta misses are never locked and
+//! their `Arc`s are untouched, so the index delta is
 //! O(delta + touched shards), not O(|cache|).
+//!
+//! `Arc::make_mut` patches in place exactly when the shard lock holds the
+//! only reference, and otherwise deep-copies the shard — entry vector,
+//! packed columns, answer arena and a query index whose feature keys are
+//! heap vectors — before patching the copy. Who else can hold a
+//! reference: a query's snapshot view (`Shared::load_snapshot`, one
+//! `Arc` per shard). The round's own view is dropped before the patch
+//! loop, and the query path drops its view before it pushes to the Window
+//! (`GraphCache::run_overridden` scopes it to the read phase), so the
+//! inline round a query triggers on its own thread always patches in
+//! place. Copy-on-write is left for a view that really is concurrent with
+//! the round: another client's query in flight, or any query while the
+//! background manager runs. `cache.rs` pins both arms through the public
+//! path (`single_client_round_patches_shards_in_place`,
+//! `held_view_forces_copy_on_write_and_keeps_its_epoch`); the tests below
+//! call `maintain` directly and cannot see a view the caller holds.
 //!
 //! Tombstoned slots keep their index postings until the shard's
 //! *compaction threshold* is crossed (`MaintenanceConfig::compact_debt`,
@@ -367,25 +382,7 @@ pub(crate) fn maintain(
         let rows: Vec<PolicyRow> = if evict_needed > 0 {
             let stats = shared.stats.lock();
             old.iter_entries()
-                .map(|e| PolicyRow {
-                    serial: e.serial,
-                    last_hit: stats
-                        .get(e.serial, columns::LAST_HIT)
-                        .map(|v| v.as_i64() as u64)
-                        .unwrap_or(e.serial),
-                    hits: stats
-                        .get(e.serial, columns::HITS)
-                        .map(|v| v.as_i64() as u64)
-                        .unwrap_or(0),
-                    r_total: stats
-                        .get(e.serial, columns::R_TOTAL)
-                        .map(|v| v.as_i64() as u64)
-                        .unwrap_or(0),
-                    c_total: stats
-                        .get(e.serial, columns::C_TOTAL)
-                        .map(|v| v.as_f64())
-                        .unwrap_or(0.0),
-                })
+                .map(|e| policy_row(&stats, e.serial))
                 .collect()
         } else {
             Vec::new()
@@ -417,15 +414,30 @@ pub(crate) fn maintain(
     for &v in &victims {
         removes[shard_for(v, n)].push(v);
     }
+    // The admitted entries are consumed here: graph, answer and profile
+    // move into the cache entry (an admission allocates its feature keys
+    // once), and what step (4) seeds into the statistics store is captured
+    // first.
     let mut inserts: Vec<Vec<Arc<CacheEntry>>> = vec![Vec::new(); n];
-    for e in &admitted {
+    let mut seeds: Vec<SeedRow> = Vec::with_capacity(admitted.len());
+    for e in admitted {
+        seeds.push(SeedRow {
+            serial: e.serial,
+            nodes: e.graph.node_count() as i64,
+            edges: e.graph.edge_count() as i64,
+            labels: e.graph.distinct_label_count() as i64,
+            filter_us: e.filter_us,
+            verify_us: e.verify_us,
+            expensiveness: e.expensiveness,
+        });
         inserts[shard_for(e.serial, n)].push(Arc::new(CacheEntry {
             serial: e.serial,
-            graph: e.graph.clone(), // Arc clone — no graph copy
-            answer: e.answer.clone(),
+            graph: e.graph,
+            answer: e.answer,
             kind: e.kind,
-            profile: e.profile.clone(),
+            profile: e.profile,
             fingerprint: e.fingerprint,
+            exact_saving: std::sync::OnceLock::new(),
         }));
     }
     let mut shards_patched = 0u64;
@@ -474,16 +486,9 @@ pub(crate) fn maintain(
                 current
                     .live_entries()
                     .map(|e| {
-                        let hits = stats
-                            .get(e.serial, columns::HITS)
-                            .map(|v| v.as_i64() as u64)
-                            .unwrap_or(0);
-                        let last_hit = stats
-                            .get(e.serial, columns::LAST_HIT)
-                            .map(|v| v.as_i64() as u64)
-                            .unwrap_or(e.serial);
+                        let row = policy_row(&stats, e.serial);
                         // Hotter sorts first: more hits, then fresher.
-                        (e.serial, (u64::MAX - hits, u64::MAX - last_hit))
+                        (e.serial, (u64::MAX - row.hits, u64::MAX - row.last_hit))
                     })
                     .collect()
             };
@@ -505,18 +510,14 @@ pub(crate) fn maintain(
         for v in &victims {
             stats.remove_row(*v);
         }
-        for e in &admitted {
-            stats.set(e.serial, columns::NODES, e.graph.node_count() as i64);
-            stats.set(e.serial, columns::EDGES, e.graph.edge_count() as i64);
-            stats.set(
-                e.serial,
-                columns::LABELS,
-                e.graph.distinct_label_count() as i64,
-            );
-            stats.set(e.serial, columns::FILTER_US, e.filter_us);
-            stats.set(e.serial, columns::VERIFY_US, e.verify_us);
-            stats.set(e.serial, columns::EXPENSIVENESS, e.expensiveness);
-            stats.set(e.serial, columns::LAST_HIT, e.serial as i64);
+        for r in &seeds {
+            stats.set(r.serial, columns::NODES, r.nodes);
+            stats.set(r.serial, columns::EDGES, r.edges);
+            stats.set(r.serial, columns::LABELS, r.labels);
+            stats.set(r.serial, columns::FILTER_US, r.filter_us);
+            stats.set(r.serial, columns::VERIFY_US, r.verify_us);
+            stats.set(r.serial, columns::EXPENSIVENESS, r.expensiveness);
+            stats.set(r.serial, columns::LAST_HIT, r.serial as i64);
         }
     }
     let stats_upkeep = t_stats.elapsed();
@@ -525,12 +526,39 @@ pub(crate) fn maintain(
         victim_select,
         index_delta,
         stats_upkeep,
-        admitted.len(),
+        seeds.len(),
         victims.len(),
         shards_patched,
         compactions,
     );
     record_round(shared, t0)
+}
+
+/// The static and timing statistics seeded for an admitted query (paper
+/// §6.1), captured before its [`WindowEntry`] moves into the cache entry.
+struct SeedRow {
+    serial: QuerySerial,
+    nodes: i64,
+    edges: i64,
+    labels: i64,
+    filter_us: f64,
+    verify_us: f64,
+    expensiveness: f64,
+}
+
+/// An entry's dynamic statistics as the policies see them, from one row
+/// lookup. A missing cell reads as "never hit": zero counts, and its own
+/// serial as the last-hit time.
+fn policy_row(stats: &StatsStore, serial: QuerySerial) -> PolicyRow {
+    let row = stats.row(serial);
+    let cell = |column: &str| row.and_then(|r| r.get(column));
+    PolicyRow {
+        serial,
+        last_hit: cell(columns::LAST_HIT).map_or(serial, |v| v.as_i64() as u64),
+        hits: cell(columns::HITS).map_or(0, |v| v.as_i64() as u64),
+        r_total: cell(columns::R_TOTAL).map_or(0, |v| v.as_i64() as u64),
+        c_total: cell(columns::C_TOTAL).map_or(0.0, |v| v.as_f64()),
+    }
 }
 
 /// Books one finished maintenance round into the overhead counters and

@@ -16,7 +16,8 @@ pub type Label = u32;
 /// * adjacency lists are sorted ascending and contain no duplicates;
 /// * each undirected edge `{u, v}` appears exactly twice: `v` in the list of
 ///   `u` and `u` in the list of `v`;
-/// * there are no self-loops.
+/// * there are no self-loops;
+/// * `distinct_labels` equals the number of distinct values in `labels`.
 ///
 /// The structure is deliberately compact (`u32` everywhere) because datasets
 /// hold thousands of graphs and queries are created at a high rate by the
@@ -26,6 +27,18 @@ pub struct LabeledGraph {
     pub(crate) labels: Vec<Label>,
     pub(crate) offsets: Vec<u32>,
     pub(crate) neighbors: Vec<NodeId>,
+    /// Number of distinct values in `labels`, counted once at construction:
+    /// the §5.2 cost estimate reads it per dataset graph per credited hit.
+    pub(crate) distinct_labels: u32,
+}
+
+/// Counts the distinct values of a label vector (the construction-time
+/// source of [`LabeledGraph::distinct_label_count`]).
+pub(crate) fn count_distinct(labels: &[Label]) -> u32 {
+    let mut ls = labels.to_vec();
+    ls.sort_unstable();
+    ls.dedup();
+    ls.len() as u32
 }
 
 impl LabeledGraph {
@@ -49,6 +62,7 @@ impl LabeledGraph {
             labels: Vec::new(),
             offsets: vec![0],
             neighbors: Vec::new(),
+            distinct_labels: 0,
         }
     }
 
@@ -112,12 +126,11 @@ impl LabeledGraph {
         }
     }
 
-    /// Number of distinct labels appearing in the graph.
+    /// Number of distinct labels appearing in the graph (a field read: the
+    /// count is fixed when the graph is built).
+    #[inline]
     pub fn distinct_label_count(&self) -> usize {
-        let mut ls: Vec<Label> = self.labels.clone();
-        ls.sort_unstable();
-        ls.dedup();
-        ls.len()
+        self.distinct_labels as usize
     }
 
     /// Maximum degree over all nodes (0 for the empty graph).
@@ -195,6 +208,7 @@ impl LabeledGraph {
             .map(|v| f(v, self.label(v)))
             .collect::<Vec<_>>();
         LabeledGraph {
+            distinct_labels: count_distinct(&labels),
             labels,
             offsets: self.offsets.clone(),
             neighbors: self.neighbors.clone(),
@@ -336,6 +350,55 @@ mod tests {
         assert_eq!(r.labels(), &[100, 101, 102]);
         assert_eq!(r.edge_count(), 3);
         assert!(r.has_edge(0, 1));
+    }
+
+    /// The cached distinct-label count equals a recount of the label vector
+    /// on every construction path — built, parsed, randomly generated,
+    /// derived — and travels with `Clone` and `PartialEq`.
+    #[test]
+    fn cached_distinct_label_count_matches_recount() {
+        use crate::random::{
+            bfs_edge_subgraph, random_connected_graph, random_walk_subgraph, LabelModel,
+        };
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let recount = |g: &LabeledGraph| {
+            let mut ls = g.labels().to_vec();
+            ls.sort_unstable();
+            ls.dedup();
+            ls.len()
+        };
+        let mut graphs = vec![
+            LabeledGraph::empty(),
+            LabeledGraph::from_parts(vec![7], &[]),
+            LabeledGraph::from_parts(vec![4, 4, 4, 4], &[(0, 1), (2, 3)]),
+            triangle(),
+            triangle().relabeled(|_, _| 9),
+            triangle().edge_subgraph(&[(0, 1)]).0,
+        ];
+        let mut rng = StdRng::seed_from_u64(17);
+        let labels = LabelModel::zipf(12, 1.2).sampler();
+        for n in [1usize, 2, 9, 40, 120] {
+            let g = random_connected_graph(&mut rng, n, 2.5, &labels);
+            graphs.extend(bfs_edge_subgraph(&g, 0, 6));
+            graphs.extend(random_walk_subgraph(&g, 0, 6, &mut rng));
+            graphs.push(g);
+        }
+        let mut text = Vec::new();
+        crate::io::write_dataset(&mut text, &crate::GraphDataset::new(graphs.clone())).unwrap();
+        let parsed = crate::io::read_dataset(&text[..]).unwrap();
+        graphs.extend(parsed.iter().map(|(_, g)| g.clone()));
+
+        for g in &graphs {
+            assert_eq!(g.distinct_label_count(), recount(g), "{g:?}");
+            let copy = g.clone();
+            assert_eq!(copy.distinct_label_count(), g.distinct_label_count());
+            assert_eq!(&copy, g);
+        }
+        // Same structure, different label multiset: the counts differ and
+        // so do the graphs.
+        assert_ne!(triangle(), triangle().relabeled(|_, _| 9));
     }
 
     #[test]

@@ -56,6 +56,7 @@ fn shared_cache_matches_baseline_from_four_threads() {
         cache.cache_len() <= 15,
         "capacity respected under contention"
     );
+    assert_eq!(cache.check_invariants(), Ok(()));
 }
 
 /// The same invariant through `run_batch`: typed requests fanned over the
@@ -94,6 +95,7 @@ fn run_batch_matches_baseline_on_zipf_workload() {
     serials.sort_unstable();
     serials.dedup();
     assert_eq!(serials.len(), workload.len());
+    assert_eq!(cache.check_invariants(), Ok(()));
 }
 
 /// Cloned handles and background maintenance: clones observe each other's
@@ -140,6 +142,8 @@ fn cloned_handles_with_background_maintenance_stay_consistent() {
     // The warmed cache answers exact repeats without verification.
     let repeat = cache.run(queries[0]);
     assert_eq!(repeat.answer, expected[0]);
+    // Flushes the background manager, then checks the stores it left.
+    assert_eq!(cache.check_invariants(), Ok(()));
 }
 
 /// Mixed batches: per-request kind overrides and cache bypasses running
@@ -179,4 +183,5 @@ fn mixed_requests_run_concurrently() {
         assert_eq!(resp.result.answer, expected, "request {i}");
         assert_eq!(resp.bypassed_cache, i % 3 == 2);
     }
+    assert_eq!(cache.check_invariants(), Ok(()));
 }

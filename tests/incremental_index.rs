@@ -6,6 +6,9 @@
 //!   `CacheSnapshot::build_sharded` over the surviving entries — and a
 //!   compacted shard returns *byte-identical* `HitCandidates` (same slots,
 //!   same order) to a freshly built shard over the same entries.
+//! * **Invariants** — random query streams through `GraphCache::run`
+//!   (admissions, evictions and compactions at 1/4/16 shards) leave the
+//!   stores passing `check_invariants` after every round.
 //! * **Replay** — a sharded cache answers a Zipf workload exactly like a
 //!   single-shard one (and like the bare method), and both converge on the
 //!   same cached set under the same deterministic policy.
@@ -116,6 +119,9 @@ proptest! {
         let incremental = CacheSnapshot::from_shards(cfg, shards.clone());
         let fresh = CacheSnapshot::build_sharded(cfg, n_shards, live.clone());
         prop_assert_eq!(incremental.len(), live.len());
+        for (i, shard) in shards.iter().enumerate() {
+            prop_assert_eq!(shard.check_invariants(i, n_shards), Ok(()));
+        }
 
         for probe in probes() {
             // Candidate serials agree exactly (same order: shards preserve
@@ -264,6 +270,66 @@ proptest! {
             })
             .collect();
         check(&CacheSnapshot::from_shards(cfg, ranked));
+    }
+}
+
+/// The dataset and query pool of the invariant proptest, built once: 40
+/// AIDS-shaped graphs and 60 Zipf-drawn queries, so a random stream over
+/// the pool mixes exact repeats, sub/super hits and misses.
+fn invariant_fixture() -> &'static (GraphDataset, Vec<LabeledGraph>) {
+    static FIXTURE: std::sync::OnceLock<(GraphDataset, Vec<LabeledGraph>)> =
+        std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let d = datasets::aids_like(0.04, 77);
+        let pool = generate_type_a(&d, &TypeAConfig::zz(1.4).count(60).seed(9))
+            .graphs()
+            .cloned()
+            .collect();
+        (d, pool)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random admit/evict/compact streams through the public query path:
+    /// a small cache under a stream several times its capacity admits
+    /// every query, evicts on most rounds and compacts whenever a shard's
+    /// debt crosses the threshold. After every round the stores must pass
+    /// `check_invariants`, and every answer must equal the bare method's.
+    #[test]
+    fn invariants_hold_after_every_round(
+        stream in pvec(0usize..60, 30..90usize),
+        capacity in 2usize..9,
+        window in 1usize..6,
+        shard_sel in 0usize..3,
+    ) {
+        let (d, pool) = invariant_fixture();
+        let baseline = MethodBuilder::ggsx().build(d);
+        let gc = GraphCache::builder()
+            .capacity(capacity)
+            .window(window)
+            .shards([1usize, 4, 16][shard_sel])
+            .cost_model(CostModel::Work)
+            .build(MethodBuilder::ggsx().build(d));
+        let mut rounds = 0;
+        for &i in &stream {
+            let q = &pool[i];
+            prop_assert_eq!(gc.run(q).answer, baseline.run(q).answer);
+            let m = gc.maint_stats();
+            if m.rounds > rounds {
+                rounds = m.rounds;
+                if let Err(violation) = gc.check_invariants() {
+                    prop_assert!(false, "after round {}: {}", rounds, violation);
+                }
+                prop_assert!(gc.cache_len() <= capacity);
+            }
+        }
+        // The stream really drove all three kinds of delta.
+        let m = gc.maint_stats();
+        prop_assert_eq!(m.rounds as usize, stream.len() / window);
+        prop_assert!(m.entries_evicted > 0, "{:?}", m);
+        prop_assert!(m.compactions > 0, "{:?}", m);
     }
 }
 
