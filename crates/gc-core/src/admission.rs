@@ -17,9 +17,9 @@
 
 /// A pluggable cache admission strategy.
 ///
-/// The query path calls [`observe`](Self::observe) once per executed query;
-/// the Window Manager calls [`admits`](Self::admits) for every window entry
-/// and [`end_window`](Self::end_window) once per maintenance round. State
+/// The query path calls [`observe`](Self::observe) once per executed query,
+/// exact hits included; the Window Manager calls [`admits`](Self::admits)
+/// for every window entry (every miss — a repeat is already cached) and [`end_window`](Self::end_window) once per maintenance round. State
 /// lives inside the implementor, behind the cache's shared admission lock —
 /// implementations need `Send` but no internal synchronisation.
 pub trait AdmissionPolicy: Send + std::fmt::Debug {
@@ -43,7 +43,7 @@ pub trait AdmissionPolicy: Send + std::fmt::Debug {
     }
 }
 
-/// The no-op admission policy (`"none"`): every executed query enters the
+/// The no-op admission policy (`"none"`): every missed query enters the
 /// cache, as in the paper's "C" configuration of Fig. 9.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AdmitAll;

@@ -20,6 +20,8 @@ use crate::stats::{columns, QuerySerial, StatsStore};
 use crate::window::{self, MaintMsg, MaintenanceConfig, Shared, WindowEntry};
 use gc_fragments::FragmentConfig;
 use gc_graph::{idset, GraphId, LabeledGraph};
+use gc_index::fingerprint::iso_hash;
+use gc_index::paths::PathProfile;
 use gc_methods::{Method, QueryKind};
 use gc_subiso::{cost, MatchConfig};
 use parking_lot::Mutex;
@@ -37,7 +39,10 @@ pub struct GcConfig {
     /// [`GraphCacheBuilder::capacity`]); constructing a [`GcConfig`] by
     /// hand with `capacity == 0` is not meaningful and unsupported.
     pub capacity: usize,
-    /// Window size W in queries (paper default: 20).
+    /// Window size W (paper default: 20): a maintenance round runs once W
+    /// *missed* queries — the admission candidates — have accumulated. An
+    /// exact hit is already cached; it credits its entry and never enters
+    /// the Window, so it does not count toward W.
     ///
     /// The builder clamps this to at least 1 (see
     /// [`GraphCacheBuilder::window`]); `window == 0` is unsupported.
@@ -196,11 +201,12 @@ impl GraphCacheBuilder {
         self
     }
 
-    /// Window size W (queries per maintenance round).
+    /// Window size W: cache misses per maintenance round (exact hits do
+    /// not count; see [`GcConfig::window`]).
     ///
     /// A window of `0` would never trigger a maintenance round (no query
     /// could ever be admitted), so the value is silently clamped to at
-    /// least 1 — `window(0)` flushes after every query. This clamp is part
+    /// least 1 — `window(0)` flushes after every miss. This clamp is part
     /// of the API contract and mirrored on [`GcConfig::window`].
     pub fn window(mut self, w: usize) -> Self {
         self.cfg.window = w.max(1);
@@ -543,8 +549,29 @@ enum ReadOutcome {
         /// The §5.2 saving this hit is credited with (see `credit_exact`).
         saved_cost: f64,
     },
-    /// No exact hit: Method M's candidate set after GC pruning.
-    Miss(pruner::PruneResult),
+    /// No exact hit: Method M's candidate set after GC pruning, plus the
+    /// query's profile and fingerprint for Window admission.
+    Miss {
+        pruned: pruner::PruneResult,
+        profile: PathProfile,
+        fingerprint: u64,
+    },
+}
+
+/// A query's record as far as hit detection, which started at `t_gc`,
+/// fills it in.
+fn hit_record(serial: QuerySerial, t_gc: Instant, hits: &processors::HitSet) -> QueryRecord {
+    QueryRecord {
+        serial,
+        gc_filter: t_gc.elapsed(),
+        sub_hits: hits.sub.len(),
+        super_hits: hits.super_.len(),
+        gc_tests: hits.tests,
+        budget_spent: hits.work,
+        truncated: hits.truncated,
+        exact_via_fingerprint: hits.exact_via_fingerprint,
+        ..Default::default()
+    }
 }
 
 /// True once a request's wall-clock deadline has passed.
@@ -703,6 +730,7 @@ impl GraphCache {
             eviction,
             admission,
             fragments,
+            method.matcher().clone(),
         ));
         let worker = cfg.background.then(|| {
             let (tx, handle) = window::spawn_manager(
@@ -782,7 +810,7 @@ impl GraphCache {
         self.shared.load_snapshot().len()
     }
 
-    /// Number of queries waiting in the Window.
+    /// Number of missed queries waiting in the Window.
     pub fn window_len(&self) -> usize {
         self.shared.window.lock().len()
     }
@@ -856,11 +884,13 @@ impl GraphCache {
     /// [`Shard::check_invariants`](crate::Shard::check_invariants) covers
     /// (serial and fingerprint maps against the packed columns, the
     /// running tallies and `memory_bytes` against recounts); cache-wide,
-    /// that the statistics rows and the live entries are the same serial
-    /// set. Queued background maintenance is flushed first and the check
-    /// runs under the maintenance lock, so it sees the state between two
-    /// rounds, never the middle of one. O(|cache|) — a test and diagnostics
-    /// tool, not a query-path call.
+    /// that no two live entries of one kind are isomorphic (fingerprint
+    /// buckets, a size prefilter, one matcher confirmation per collision)
+    /// and that the statistics rows and the live entries are the same
+    /// serial set. Queued background maintenance is flushed first and the
+    /// check runs under the maintenance lock, so it sees the state between
+    /// two rounds, never the middle of one. O(|cache|) — a test and
+    /// diagnostics tool, not a query-path call.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         self.flush_pending();
         let _round = self.shared.maint.lock();
@@ -869,6 +899,19 @@ impl GraphCache {
         for (home, shard) in snapshot.shards().iter().enumerate() {
             shard.check_invariants(home, shards)?;
         }
+        let live: Vec<&Arc<CacheEntry>> = snapshot.iter_entries().collect();
+        let repeats = processors::isomorphic_repeats(
+            live.iter()
+                .map(|e| (e.kind, e.fingerprint, e.graph.as_ref())),
+            self.method.matcher().as_ref(),
+        );
+        ensure(repeats.is_empty(), InvariantClause::Duplicates, || {
+            let (i, j) = repeats[0];
+            format!(
+                "entries {} and {} are isomorphic",
+                live[j].serial, live[i].serial
+            )
+        })?;
         let stats = self.shared.stats.lock();
         for e in snapshot.iter_entries() {
             ensure(
@@ -973,7 +1016,10 @@ impl GraphCache {
 
     /// Restores a previously saved cache state into this instance (paper
     /// §6.1: stores are "loaded from disk on startup"); the query index is
-    /// rebuilt from the loaded entries.
+    /// rebuilt from the loaded entries. Of isomorphic entries of one kind
+    /// only the smallest serial is kept; the others are dropped with their
+    /// statistics rows (snapshots written while exact repeats were still
+    /// re-admitted hold such copies).
     ///
     /// Takes `&self` — restoring into a live service is safe: queued
     /// background maintenance is flushed first, the restore serialises
@@ -1008,6 +1054,7 @@ impl GraphCache {
         let recovered = crate::persist::PersistedCache::load_resilient(dir, self.cfg.query_kind)?;
         let generation = recovered.generation;
         let mut loaded = recovered.state;
+        loaded.drop_isomorphic_duplicates(self.method.matcher().as_ref());
         let saved_policy = loaded.policy.clone();
         let saved_fragments = std::mem::take(&mut loaded.fragments);
         // The persisted format carries no shard layout: entries are
@@ -1249,7 +1296,14 @@ impl GraphCache {
         let serial = self.shared.next_serial();
         let kind = ov.kind.unwrap_or(self.cfg.query_kind);
         let hit_match = ov.hit_match.unwrap_or(self.cfg.hit_match);
-        let verify_budget = ov.verify_budget.or(self.cfg.verify_budget);
+        let opts = processors::VerifyOptions {
+            budget: ov.verify_budget.or(self.cfg.verify_budget),
+            max_hits: ov.max_hits,
+            deadline: ov.deadline,
+            allowed: ov.allowed,
+            ..Default::default()
+        };
+        let matcher = self.method.matcher().as_ref();
 
         // Read phase: everything that looks at the cache contents runs
         // inside this block, against one snapshot view. The view owns an
@@ -1259,66 +1313,60 @@ impl GraphCache {
         // must be gone before `push_window` below can run a round on this
         // thread. Held across it, every round of a one-client workload
         // deep-copied every shard it touched.
-        let (profile, fingerprint, mut record, read) = {
-            // (2)-(3): the GC processors run before Method M's filter so an
-            // exact hit can skip Mfilter entirely — the paper's first
-            // special case "completely avoid[s] any further processing".
+        let (mut record, read) = {
+            // (2)-(3): the GC processors run before Method M's filter, and
+            // the fingerprint probe runs before anything else, so an exact
+            // hit costs one hash, one map lookup per shard and one
+            // confirmation — the paper's first special case "completely
+            // avoid[s] any further processing": no path enumeration, no
+            // candidate sweep, no Mfilter.
             let t_gc = Instant::now();
             let snapshot = self.shared.load_snapshot();
-            // The query's feature profile and iso fingerprint are computed
-            // once here and reused for candidate probing across every shard
-            // and for index patching if the query is later admitted.
-            let profile = snapshot.profile_of(query);
-            let hit_query = processors::HitQuery::new(query, kind, &profile);
-            let fingerprint = hit_query.fingerprint;
-            let hits = processors::find_hits_opts(
+            let fingerprint = iso_hash(query);
+            let probe = processors::exact_probe(
                 &snapshot,
-                &hit_query,
-                self.method.matcher().as_ref(),
+                query,
+                kind,
+                fingerprint,
+                matcher,
                 &hit_match,
-                &processors::VerifyOptions {
-                    budget: verify_budget,
-                    max_hits: ov.max_hits,
-                    // An exact hit answers the query outright, so candidate
-                    // verification would be wasted work on that path.
-                    exact_shortcut: true,
-                    deadline: ov.deadline,
-                    allowed: ov.allowed,
-                },
+                &opts,
             );
-            let mut record = QueryRecord {
-                serial,
-                gc_filter: t_gc.elapsed(),
-                sub_hits: hits.sub.len(),
-                super_hits: hits.super_.len(),
-                gc_tests: hits.tests,
-                budget_spent: hits.work,
-                truncated: hits.truncated,
-                exact_via_fingerprint: hits.exact_via_fingerprint,
-                ..Default::default()
-            };
-
-            // Deadline checkpoint: the hit sweep itself timed out. Abort
-            // with an empty answer before any cache-state side effect (no
-            // Window admission, no statistics credit) — an aborted query
-            // must leave the cache exactly as it found it.
-            if hits.deadline_exceeded {
-                return deadline_abort(serial, record);
-            }
-
-            let read = if let Some(source) = hits.exact {
+            if let Some(entry) = probe.hits.exact.and_then(|s| snapshot.entry(s)) {
                 // First special case: an isomorphic cached query answers
-                // instantly, without running Method M's filter.
-                let (answer, saved_cost) = snapshot
-                    .entry(source)
-                    .map(|e| (e.answer.clone(), self.exact_saving(e)))
-                    .unwrap_or((Vec::new(), 1.0));
-                ReadOutcome::Exact {
-                    source,
-                    answer,
-                    saved_cost,
-                }
+                // instantly.
+                let read = ReadOutcome::Exact {
+                    source: entry.serial,
+                    answer: entry.answer.clone(),
+                    saved_cost: self.exact_saving(entry),
+                };
+                (hit_record(serial, t_gc, &probe.hits), read)
             } else {
+                // Deadline checkpoint, here and after the sweep: hit
+                // detection itself timed out. Abort with an empty answer
+                // before any cache-state side effect (no Window admission,
+                // no statistics credit) — an aborted query must leave the
+                // cache exactly as it found it.
+                if probe.hits.deadline_exceeded {
+                    return deadline_abort(serial, hit_record(serial, t_gc, &probe.hits));
+                }
+                // The miss path: the query's feature profile is enumerated
+                // here, once, for the candidate sweep across every shard
+                // and for index patching if the query is later admitted.
+                let profile = snapshot.profile_of(query);
+                let hit_query = processors::HitQuery {
+                    query,
+                    kind,
+                    profile: &profile,
+                    fingerprint,
+                };
+                let hits =
+                    processors::sweep(&snapshot, &hit_query, probe, matcher, &hit_match, &opts);
+                let mut record = hit_record(serial, t_gc, &hits);
+                if hits.deadline_exceeded {
+                    return deadline_abort(serial, record);
+                }
+
                 let m_out = self.method.filter_directed(query, kind);
                 record.m_filter = m_out.duration;
                 record.cs_m_size = m_out.candidates.len();
@@ -1345,16 +1393,21 @@ impl GraphCache {
                         })
                         .collect()
                 };
-                ReadOutcome::Miss(pruner::prune(
+                let pruned = pruner::prune(
                     &m_out.candidates,
                     &answers_of(expanding),
                     &answers_of(restricting),
-                ))
-            };
-            (profile, fingerprint, record, read)
+                );
+                let read = ReadOutcome::Miss {
+                    pruned,
+                    profile,
+                    fingerprint,
+                };
+                (record, read)
+            }
         };
 
-        let mut pruned = match read {
+        let (mut pruned, profile, fingerprint) = match read {
             ReadOutcome::Exact {
                 source,
                 answer,
@@ -1363,16 +1416,24 @@ impl GraphCache {
                 record.exact_hit = true;
                 record.cs_gc_size = 0;
                 record.answer_size = answer.len();
+                // A repeat credits the resident entry and stops: it is
+                // already cached, so it never enters the Window (W counts
+                // misses) and never triggers a maintenance round. The
+                // admission policy still sees it — it observes every
+                // executed query.
                 self.credit_exact(source, serial, answer.len(), saved_cost);
-                record.maintenance =
-                    self.push_window(query, kind, profile, fingerprint, &answer, &record);
+                self.observe_admission(&record);
                 return QueryResult {
                     serial,
                     answer,
                     record,
                 };
             }
-            ReadOutcome::Miss(pruned) => pruned,
+            ReadOutcome::Miss {
+                pruned,
+                profile,
+                fingerprint,
+            } => (pruned, profile, fingerprint),
         };
         record.cs_gc_size = pruned.remaining.len();
 
@@ -1448,6 +1509,7 @@ impl GraphCache {
         self.credit_contributions(serial, query, &pruned);
 
         // (6)-(7): window admission and batched cache maintenance.
+        self.observe_admission(&record);
         record.maintenance = self.push_window(query, kind, profile, fingerprint, &answer, &record);
 
         QueryResult {
@@ -1554,23 +1616,22 @@ impl GraphCache {
         }
     }
 
-    /// Adds the executed query to the Window; flushes when full. Returns
-    /// inline maintenance time (zero in background mode).
-    fn push_window(
-        &self,
-        query: &Arc<LabeledGraph>,
-        kind: QueryKind,
-        profile: gc_index::paths::PathProfile,
-        fingerprint: u64,
-        answer: &[GraphId],
-        record: &QueryRecord,
-    ) -> Duration {
+    /// An executed query's filtering time, verification time (both µs) and
+    /// expensiveness score under the configured cost model (§6.2).
+    fn cost_of(&self, record: &QueryRecord) -> (f64, f64, f64) {
         let filter_us = (record.m_filter + record.gc_filter).as_secs_f64() * 1e6;
         let verify_us = record.verify.as_secs_f64() * 1e6;
         let expensiveness =
             self.cfg
                 .cost_model
                 .expensiveness(filter_us, verify_us, record.verify_work);
+        (filter_us, verify_us, expensiveness)
+    }
+
+    /// Feeds one executed query — exact hit or miss — to the admission
+    /// policy, as [`AdmissionPolicy::observe`] promises.
+    fn observe_admission(&self, record: &QueryRecord) {
+        let (_, _, expensiveness) = self.cost_of(record);
         // Benefit signal for adaptive admission policies: how much work the
         // cache saved this query. Exact hits avoid the entire verification
         // (proxied by the answer size); otherwise it is the candidate-set
@@ -1581,6 +1642,20 @@ impl GraphCache {
             record.cs_m_size.saturating_sub(record.cs_gc_size) as f64
         };
         self.shared.admission.lock().observe(expensiveness, benefit);
+    }
+
+    /// Adds a missed query to the Window; flushes when full. Returns inline
+    /// maintenance time (zero in background mode).
+    fn push_window(
+        &self,
+        query: &Arc<LabeledGraph>,
+        kind: QueryKind,
+        profile: PathProfile,
+        fingerprint: u64,
+        answer: &[GraphId],
+        record: &QueryRecord,
+    ) -> Duration {
+        let (filter_us, verify_us, expensiveness) = self.cost_of(record);
         // The entry is assembled before taking the window lock so the
         // critical section is a bare Vec push — concurrent queries must
         // not convoy on copy work that needs no synchronisation.
@@ -2002,39 +2077,47 @@ mod tests {
     }
 
     /// With one client, a round that `run` triggers patches every shard in
-    /// place: the query's own snapshot view is gone before the round starts,
-    /// on the miss path and on the exact-hit path alike.
+    /// place: the query's own snapshot view is gone before the round starts.
+    /// Only misses fill the Window, so an exact repeat inside a round
+    /// neither counts toward it nor closes it.
     #[test]
     fn single_client_round_patches_shards_in_place() {
         let gc = sharded_cache(3);
         let rounds = [
-            // Closed by a miss.
-            [
+            vec![
                 path_graph(&[0, 1]),
                 path_graph(&[0, 1, 0]),
                 path_graph(&[1, 2]),
             ],
-            // Closed by an exact repeat of a query the first round cached.
-            [
+            // The second query repeats one the first round cached.
+            vec![
                 path_graph(&[0, 1, 2]),
+                path_graph(&[1, 0]),
                 path_graph(&[3, 3]),
-                path_graph(&[0, 1]),
+                path_graph(&[2, 1, 0, 1]),
             ],
         ];
         for (i, queries) in rounds.iter().enumerate() {
             let before = shard_ptrs(&gc);
             let patched_before = gc.maint_stats().shards_patched;
             let results: Vec<QueryResult> = queries.iter().map(|q| gc.run(q)).collect();
-            let closing = &results.last().unwrap().record;
-            assert_eq!(closing.exact_hit, i == 1, "round {i} closing query");
+            let exact: Vec<bool> = results.iter().map(|r| r.record.exact_hit).collect();
+            assert_eq!(
+                exact,
+                (0..queries.len())
+                    .map(|k| i == 1 && k == 1)
+                    .collect::<Vec<_>>()
+            );
             assert_eq!(gc.maint_stats().rounds, i as u64 + 1);
             assert_eq!(gc.cache_len(), 3 * (i + 1), "round {i} admitted its window");
             assert!(gc.maint_stats().shards_patched > patched_before);
             assert_eq!(before, shard_ptrs(&gc), "round {i} copied a shard");
             for r in &results {
                 let snapshot = gc.shared.load_snapshot();
-                let entry = snapshot.entry(r.serial).expect("admitted");
-                assert_eq!(entry.answer, r.answer);
+                match snapshot.entry(r.serial) {
+                    Some(entry) => assert_eq!(entry.answer, r.answer),
+                    None => assert!(r.record.exact_hit, "a miss is admitted"),
+                }
             }
             assert_eq!(gc.check_invariants(), Ok(()));
         }
@@ -2061,7 +2144,7 @@ mod tests {
         assert_eq!(answers_before.len(), 2);
 
         let a = gc.run(&path_graph(&[0, 1, 0]));
-        let b = gc.run(&path_graph(&[1, 0, 1, 0])); // round 2, view still held
+        let b = gc.run(&path_graph(&[0, 1, 0, 1, 0])); // round 2, view still held
         assert_eq!(gc.maint_stats().rounds, 2);
 
         let after = shard_ptrs(&gc);
@@ -2181,5 +2264,122 @@ mod tests {
         assert!(hit.record.exact_hit);
         assert_eq!(hit.record.m_filter, Duration::ZERO);
         assert_eq!(hit.record.cs_m_size, 0);
+    }
+
+    /// A repeat credits the resident entry and stops: it never enters the
+    /// Window, never runs a round, never adds an entry or a byte — only the
+    /// entry's statistics move.
+    #[test]
+    fn exact_hit_never_enters_the_window() {
+        let gc = cache();
+        let q = path_graph(&[0, 1, 0]);
+        let first = gc.run(&q);
+        gc.run(&path_graph(&[0, 1])); // flush at W=2
+                                      // The first hit adds the row's hit cells; from then on nothing grows.
+        assert!(gc.run(&q).record.exact_hit);
+        let (window, rounds) = (gc.window_len(), gc.maint_stats().rounds);
+        let (len, bytes) = (gc.cache_len(), gc.memory_bytes());
+        let admitted = gc.maint_stats().entries_admitted;
+        for _ in 0..100 {
+            let r = gc.run(&q);
+            assert!(r.record.exact_hit);
+            assert_eq!(r.record.maintenance, Duration::ZERO);
+            assert_eq!(r.answer, first.answer);
+        }
+        assert_eq!(gc.window_len(), window);
+        assert_eq!(gc.maint_stats().rounds, rounds);
+        assert_eq!(gc.maint_stats().entries_admitted, admitted);
+        assert_eq!(gc.cache_len(), len);
+        assert_eq!(gc.memory_bytes(), bytes);
+        assert_eq!(gc.stat(first.serial, columns::HITS), Some(101.0));
+        assert_eq!(gc.stat(first.serial, columns::SPECIAL_HITS), Some(101.0));
+        assert_eq!(gc.check_invariants(), Ok(()));
+    }
+
+    /// Two node-permuted copies of a new query miss inside one window (the
+    /// first is not cached yet when the second runs); the round admits the
+    /// first and drops the second, so the query occupies one entry.
+    #[test]
+    fn first_sight_duplicates_in_one_window_admit_once() {
+        let method = MethodBuilder::ggsx().build(&dataset());
+        let gc = GraphCache::builder()
+            .capacity(10)
+            .window(3)
+            .cost_model(CostModel::Work)
+            .build(method);
+        let triangle =
+            |labels: [u32; 3]| LabeledGraph::from_parts(labels.to_vec(), &[(0, 1), (1, 2), (2, 0)]);
+        let a = gc.run(&triangle([0, 1, 2]));
+        let b = gc.run(&triangle([2, 0, 1]));
+        assert!(!a.record.exact_hit && !b.record.exact_hit, "both miss");
+        assert_eq!(a.answer, b.answer);
+        gc.run(&path_graph(&[3, 3])); // closes the window
+        assert_eq!(gc.maint_stats().rounds, 1);
+        assert_eq!(gc.maint_stats().entries_admitted, 2);
+        assert_eq!(gc.cache_len(), 2);
+        let snapshot = gc.shared.load_snapshot();
+        assert!(snapshot.entry(a.serial).is_some() && snapshot.entry(b.serial).is_none());
+        drop(snapshot);
+        assert_eq!(
+            gc.stat(b.serial, columns::NODES),
+            None,
+            "no row for the copy"
+        );
+        let r = gc.run(&triangle([1, 2, 0]));
+        assert!(r.record.exact_hit);
+        assert_eq!(gc.stat(a.serial, columns::HITS), Some(1.0));
+        assert_eq!(gc.check_invariants(), Ok(()));
+    }
+
+    /// The exact probe runs under the request's budget pool and deadline:
+    /// a zero pool cannot pay for the confirmation (the repeat is answered
+    /// by Method M, truncated, and the round's dedup keeps it out of the
+    /// cache), and a deadline already past aborts before any side effect.
+    #[test]
+    fn exact_path_honours_zero_budget_and_past_deadline() {
+        let gc = cache();
+        let q = path_graph(&[0, 1, 0]);
+        let first = gc.run(&q);
+        gc.run(&path_graph(&[0, 1])); // flush at W=2
+
+        let late = gc.execute(QueryRequest::new(q.clone()).timeout_ms(0));
+        assert!(late.result.record.deadline_exceeded);
+        assert!(!late.result.record.exact_hit);
+        assert!(late.result.answer.is_empty());
+        assert_eq!(gc.stat(first.serial, columns::HITS), None, "no credit");
+        assert_eq!(gc.window_len(), 0);
+
+        let broke = gc.execute(QueryRequest::new(q.clone()).verify_budget(0));
+        let record = &broke.result.record;
+        assert!(record.truncated && !record.exact_hit && !record.exact_via_fingerprint);
+        assert_eq!(record.budget_spent, 0);
+        assert_eq!(broke.result.answer, first.answer);
+        gc.run(&path_graph(&[1, 2])); // closes the window the miss entered
+        assert_eq!(gc.maint_stats().rounds, 2);
+        assert_eq!(gc.cache_len(), 3, "the resident copy is not admitted twice");
+        assert!(gc
+            .shared
+            .load_snapshot()
+            .entry(broke.result.serial)
+            .is_none());
+        assert_eq!(gc.check_invariants(), Ok(()));
+    }
+
+    /// The duplicates clause: an isomorphic copy of a live entry, inserted
+    /// straight into a shard (bypassing the Window's dedup), is reported.
+    #[test]
+    fn check_invariants_reports_isomorphic_duplicates() {
+        let gc = cache();
+        let first = gc.run(&path_graph(&[0, 1, 2]));
+        gc.run(&path_graph(&[0, 1])); // flush at W=2
+        assert_eq!(gc.check_invariants(), Ok(()));
+        let copy = Arc::new(path_graph(&[2, 1, 0]));
+        let profile = gc.shared.load_snapshot().profile_of(&copy);
+        let entry = CacheEntry::new(99, copy, first.answer, QueryKind::Subgraph, profile);
+        Arc::make_mut(&mut *gc.shared.shards[0].write()).insert(Arc::new(entry));
+        let v = gc.check_invariants().unwrap_err();
+        assert_eq!(v.clause, InvariantClause::Duplicates);
+        assert_eq!(v.shard, None);
+        assert!(v.detail.contains(&first.serial.to_string()) && v.detail.contains("99"));
     }
 }

@@ -2,8 +2,9 @@
 //! invariant of the cache stores is broken, where, and what was observed.
 //!
 //! The checks themselves live beside the private fields they read
-//! ([`QueryIndex::check_invariants`], [`Shard::check_invariants`]); this
-//! module only names the clauses, in the order they are checked.
+//! ([`QueryIndex::check_invariants`], [`Shard::check_invariants`]; the
+//! cache-wide clauses in [`GraphCache::check_invariants`]); this module
+//! only names the clauses, in the order they are checked.
 //!
 //! [`GraphCache::check_invariants`]: crate::GraphCache::check_invariants
 //! [`QueryIndex::check_invariants`]: crate::QueryIndex::check_invariants
@@ -31,6 +32,9 @@ pub enum InvariantClause {
     /// A shard's `memory_bytes` differs from a recount over its live
     /// entries and allocated slots.
     MemoryBytes,
+    /// Two live entries of the same kind are isomorphic: every cached query
+    /// must occupy exactly one entry.
+    Duplicates,
     /// Statistics rows and live entries are not the same serial set.
     StatsRows,
 }

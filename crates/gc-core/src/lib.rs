@@ -105,7 +105,8 @@ pub use persist::{
 pub use policies::{GreedyDual, SegmentedLru};
 pub use policy::{EvictionPolicy, PolicyKind, PolicyRow, PolicyView};
 pub use processors::{
-    candidate_serials, find_hits, find_hits_naive, find_hits_opts, HitQuery, HitSet, VerifyOptions,
+    candidate_serials, exact_probe, find_hits, find_hits_naive, find_hits_opts, sweep, ExactProbe,
+    HitQuery, HitSet, VerifyOptions,
 };
 pub use query_index::{QueryIndex, QueryIndexConfig};
 pub use registry::{PolicyError, PolicyParams, PolicyRegistry};

@@ -43,6 +43,7 @@ use gc_graph::{io, GraphError, GraphId};
 use gc_index::fingerprint::iso_hash;
 use gc_index::paths::{enumerate_paths, PathProfile};
 use gc_methods::QueryKind;
+use gc_subiso::Matcher;
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -449,6 +450,48 @@ impl PersistedCache {
             out.fragments = load_fragments(&fragments_path)?;
         }
         Ok(out)
+    }
+
+    /// Keeps one entry per isomorphism class and kind — the smallest
+    /// serial — and drops the others with their statistics rows (and
+    /// stored profiles). Snapshots written while exact repeats were still
+    /// re-admitted hold such copies, and a restored cache must satisfy the
+    /// same duplicates invariant as a live one.
+    pub(crate) fn drop_isomorphic_duplicates(&mut self, matcher: &dyn Matcher) {
+        let mut order: Vec<usize> = (0..self.entries.len()).collect();
+        order.sort_unstable_by_key(|&i| self.entries[i].0);
+        let repeats = crate::processors::isomorphic_repeats(
+            order.iter().map(|&i| {
+                let (_, graph, _, kind, fingerprint) = &self.entries[i];
+                (*kind, *fingerprint, graph)
+            }),
+            matcher,
+        );
+        if repeats.is_empty() {
+            return;
+        }
+        let mut keep = vec![true; self.entries.len()];
+        for &(repeat, _) in &repeats {
+            let i = order[repeat];
+            keep[i] = false;
+            self.stats.remove_row(self.entries[i].0);
+        }
+        fn kept<T>(items: Vec<T>, keep: &[bool]) -> Vec<T> {
+            items
+                .into_iter()
+                .zip(keep)
+                .filter_map(|(item, &k)| k.then_some(item))
+                .collect()
+        }
+        self.entries = kept(std::mem::take(&mut self.entries), &keep);
+        // Profiles are parallel to the entries; a section that was not
+        // (and would be ignored on load) is dropped rather than realigned.
+        self.profiles = self.profiles.take().and_then(|mut stored| {
+            (stored.profiles.len() == keep.len()).then(|| {
+                stored.profiles = kept(std::mem::take(&mut stored.profiles), &keep);
+                stored
+            })
+        });
     }
 
     /// Materialises a single-shard [`CacheSnapshot`] from the loaded

@@ -8,14 +8,17 @@
 //! query uncached (§5), so candidate verification is organised as two
 //! layers, cheapest first:
 //!
-//! 1. **Exact fingerprint probe** — every cached entry carries an
-//!    isomorphism-invariant fingerprint ([`gc_index::fingerprint::iso_hash`])
-//!    keyed in a per-shard `fingerprint → slots` map. An incoming query
-//!    resolves exact (isomorphic) repeats with one hash lookup plus an iso
-//!    *confirmation* on the rare collision — and when the caller only needs
-//!    the exact answer ([`VerifyOptions::exact_shortcut`]), candidate
-//!    verification is skipped entirely.
-//! 2. **Cost-ordered, budget-arbitrated sweep** — sub/super candidates from
+//! 1. **Exact fingerprint probe** ([`exact_probe`]) — every cached entry
+//!    carries an isomorphism-invariant fingerprint
+//!    ([`gc_index::fingerprint::iso_hash`]) keyed in a per-shard
+//!    `fingerprint → slots` map. An incoming query resolves exact
+//!    (isomorphic) repeats with one hash lookup plus one iso
+//!    *confirmation* — and needs nothing else: the probe reads the graph
+//!    and its fingerprint only, so the query path calls it before it has
+//!    enumerated the query's path profile and, on a hit, never does.
+//! 2. **Cost-ordered, budget-arbitrated sweep** ([`sweep`]) — the miss
+//!    path. It continues the probe's budget pool and skips the serials
+//!    the probe already refuted. Sub/super candidates from
 //!    all shards merge into a single queue scored by
 //!    [`gc_subiso::cost::estimate`] and are verified cheapest-first. A
 //!    shared verification work pool ([`VerifyOptions::budget`]) deducts
@@ -27,6 +30,8 @@
 //!    sweep stops early once the request's hit budget
 //!    ([`VerifyOptions::max_hits`]) is satisfied.
 //!
+//! [`find_hits_opts`] runs both; with [`VerifyOptions::exact_shortcut`] it
+//! stops after a confirmed probe, as the query path does.
 //! [`HitSet`] serial lists are always sorted, making the output canonical
 //! across shard counts. [`find_hits_naive`] keeps
 //! the original flat per-shard sweep as the parity oracle
@@ -36,7 +41,7 @@ use crate::entry::CacheSnapshot;
 use crate::stats::QuerySerial;
 use gc_graph::LabeledGraph;
 use gc_index::fingerprint::iso_hash;
-use gc_index::fx::FxHashSet;
+use gc_index::fx::{FxHashMap, FxHashSet};
 use gc_index::paths::PathProfile;
 use gc_methods::QueryKind;
 use gc_subiso::{cost, MatchConfig, MatchOutcome, Matcher};
@@ -77,7 +82,9 @@ pub struct HitSet {
 
 /// The query-side inputs of hit detection, bundled so the profile and
 /// fingerprint are computed once per query and reused across shards (and
-/// later for Window admission).
+/// later for Window admission). The query path builds it field by field
+/// with the fingerprint its [`exact_probe`] already computed, so a query
+/// is hashed once.
 #[derive(Debug, Clone, Copy)]
 pub struct HitQuery<'a> {
     /// The incoming query graph.
@@ -117,8 +124,10 @@ pub struct VerifyOptions {
     /// Early exit is not truncation — the caller asked for at most this.
     pub max_hits: Option<usize>,
     /// Return immediately once the fingerprint probe confirms an exact hit,
-    /// skipping candidate verification entirely — the query path's mode,
-    /// since an exact answer supersedes sub/super pruning.
+    /// skipping candidate verification entirely, since an exact answer
+    /// supersedes sub/super pruning. [`find_hits_opts`] only: the query
+    /// path calls [`exact_probe`] and [`sweep`] itself and never sweeps
+    /// after an exact hit.
     pub exact_shortcut: bool,
     /// Wall-clock deadline for the sweep, checked at the same arbitration
     /// points as the work pool (between matcher tests, never inside one).
@@ -225,8 +234,44 @@ fn run_capped(
     )
 }
 
-/// The full pipeline: fingerprint probe, then the cost-ordered
-/// budget-arbitrated sweep. See the module docs.
+/// The repeats in a sequence of `(kind, fingerprint, graph)` items: pairs
+/// `(i, j)` with `j < i` where item `i` is isomorphic to the earlier item
+/// `j` of the same kind (the first such `j`). Items are bucketed by kind,
+/// fingerprint and node/edge count — isomorphic graphs share all four —
+/// and an item is confirmed only against its bucket's earlier
+/// non-repeats, one unbounded matcher test each, so a sequence without
+/// fingerprint collisions runs no test at all. Backs the Window's in-batch
+/// dedup, the restore dedup and the duplicates invariant.
+pub(crate) fn isomorphic_repeats<'a>(
+    items: impl IntoIterator<Item = (QueryKind, u64, &'a LabeledGraph)>,
+    matcher: &dyn Matcher,
+) -> Vec<(usize, usize)> {
+    type Key = (bool, u64, usize, usize);
+    let mut firsts: FxHashMap<Key, Vec<(usize, &LabeledGraph)>> = FxHashMap::default();
+    let mut repeats = Vec::new();
+    for (i, (kind, fingerprint, graph)) in items.into_iter().enumerate() {
+        let key = (
+            kind == QueryKind::Subgraph,
+            fingerprint,
+            graph.node_count(),
+            graph.edge_count(),
+        );
+        let bucket = firsts.entry(key).or_default();
+        match bucket
+            .iter()
+            .find(|(_, first)| matcher.contains(graph, first))
+        {
+            Some(&(j, _)) => repeats.push((i, j)),
+            None => bucket.push((i, graph)),
+        }
+    }
+    repeats
+}
+
+/// The full pipeline: [`exact_probe`], then — unless
+/// [`exact_shortcut`](VerifyOptions::exact_shortcut) stops at a confirmed
+/// exact hit — the cost-ordered budget-arbitrated [`sweep`]. See the
+/// module docs.
 pub fn find_hits_opts(
     snapshot: &CacheSnapshot,
     hq: &HitQuery<'_>,
@@ -234,28 +279,64 @@ pub fn find_hits_opts(
     cfg: &MatchConfig,
     opts: &VerifyOptions,
 ) -> HitSet {
-    let mut hits = HitSet::default();
-    let qn = hq.query.node_count();
-    let qm = hq.query.edge_count();
-    let mut pool: Option<u64> = opts.budget;
+    let probe = exact_probe(
+        snapshot,
+        hq.query,
+        hq.kind,
+        hq.fingerprint,
+        matcher,
+        cfg,
+        opts,
+    );
+    if opts.exact_shortcut && probe.hits.exact.is_some() {
+        return probe.hits;
+    }
+    sweep(snapshot, hq, probe, matcher, cfg, opts)
+}
 
-    // (1) Exact fast path: probe each shard's fingerprint map, confirm
-    // candidates in ascending serial order until the first isomorphism.
-    // Confirmed = exact; tested-but-refuted serials are remembered so the
-    // sweep never re-tests them.
+/// What [`exact_probe`] found, handed on to [`sweep`] on a miss.
+#[derive(Debug, Clone, Default)]
+pub struct ExactProbe {
+    /// The hit set so far: [`exact`](HitSet::exact) and
+    /// [`exact_via_fingerprint`](HitSet::exact_via_fingerprint), the
+    /// confirmation [`work`](HitSet::work), and whether the budget pool or
+    /// the deadline cut the probe short. `tests` is 0 and the serial lists
+    /// are empty.
+    pub hits: HitSet,
+    /// Same-size, same-kind, same-fingerprint serials a confirmation test
+    /// refuted, ascending: collisions the sweep must not test again.
+    refuted: Vec<QuerySerial>,
+}
+
+/// Stage (1): probe each shard's fingerprint map for `fingerprint` (the
+/// query's [`iso_hash`]), keep the slots of the same kind and size — on the
+/// packed columns, before any entry is dereferenced — and confirm them in
+/// ascending serial order until the first isomorphism, which is the exact
+/// hit. Equal node and edge counts make containment isomorphism (§5.1), so
+/// one directed test confirms. Confirmations draw on the budget pool and
+/// stop at the deadline like sweep tests, but are not counted in
+/// [`tests`](HitSet::tests). Needs no path profile.
+pub fn exact_probe(
+    snapshot: &CacheSnapshot,
+    query: &LabeledGraph,
+    kind: QueryKind,
+    fingerprint: u64,
+    matcher: &dyn Matcher,
+    cfg: &MatchConfig,
+    opts: &VerifyOptions,
+) -> ExactProbe {
+    let mut hits = HitSet::default();
+    let size = (query.node_count() as u32, query.edge_count() as u32);
+    let mut pool: Option<u64> = opts.budget;
     let mut bucket: Vec<&std::sync::Arc<crate::entry::CacheEntry>> = Vec::new();
     for shard in snapshot.shards() {
-        for &slot in shard.exact_slots(hq.fingerprint) {
-            // Kind and size prefilters run on the packed columns; the entry
-            // is only dereferenced once the slot survives them.
-            if shard.kind_at(slot) != hq.kind || shard.index().size(slot) != (qn as u32, qm as u32)
-            {
+        for &slot in shard.exact_slots(fingerprint) {
+            if shard.kind_at(slot) != kind || shard.index().size(slot) != size {
                 continue;
             }
-            let Some(entry) = shard.entry_at(slot) else {
-                continue;
-            };
-            bucket.push(entry);
+            if let Some(entry) = shard.entry_at(slot) {
+                bucket.push(entry);
+            }
         }
     }
     bucket.sort_unstable_by_key(|e| e.serial);
@@ -270,9 +351,7 @@ pub fn find_hits_opts(
             hits.deadline_exceeded = true;
             break;
         }
-        // Equal node and edge counts make containment isomorphism (§5.1),
-        // so one directed test confirms the exact hit.
-        let (out, pool_clipped) = run_capped(matcher, hq.query, &entry.graph, cfg, pool);
+        let (out, pool_clipped) = run_capped(matcher, query, &entry.graph, cfg, pool);
         hits.work += out.nodes_expanded;
         if let Some(p) = &mut pool {
             *p = p.saturating_sub(out.nodes_expanded);
@@ -288,9 +367,27 @@ pub fn find_hits_opts(
         }
         refuted.push(entry.serial); // stays sorted: bucket is serial-ordered
     }
-    if opts.exact_shortcut && hits.exact.is_some() {
-        return finalize(hits);
-    }
+    ExactProbe { hits, refuted }
+}
+
+/// Stages (2)–(4), the miss path: gather sub/super candidates from every
+/// shard, order them by estimated cost and verify them under what is left
+/// of the budget pool after `probe`. Serials the probe refuted are not
+/// tested again; the one it confirmed counts as a hit in both directions
+/// without a test.
+pub fn sweep(
+    snapshot: &CacheSnapshot,
+    hq: &HitQuery<'_>,
+    probe: ExactProbe,
+    matcher: &dyn Matcher,
+    cfg: &MatchConfig,
+    opts: &VerifyOptions,
+) -> HitSet {
+    let ExactProbe { mut hits, refuted } = probe;
+    let qn = hq.query.node_count();
+    let qm = hq.query.edge_count();
+    // Saturating deductions in sequence leave max(0, budget − Σ work).
+    let pool = opts.budget.map(|b| b.saturating_sub(hits.work));
 
     // (2) Gather candidates from every shard into one queue, scored by the
     // paper's §5.2 cost estimate. Same-size candidates reduce to potential
@@ -790,6 +887,73 @@ mod tests {
         assert_eq!(hits.sub, vec![100]);
         assert_eq!(hits.super_, vec![100]);
         assert_eq!(hits.tests, 0, "fingerprint confirmations are not tests");
+    }
+
+    /// The probe confirms under the pool and the deadline like any test: a
+    /// zero pool or a deadline already past stops it before the one
+    /// confirmation an exact repeat needs.
+    #[test]
+    fn exact_probe_honours_zero_budget_and_past_deadline() {
+        let snap = snapshot(vec![path_graph(&[0, 1, 0])]);
+        let g = path_graph(&[0, 1, 0]);
+        let run = |opts: VerifyOptions| {
+            exact_probe(
+                &snap,
+                &g,
+                QueryKind::Subgraph,
+                iso_hash(&g),
+                &Vf2::new(),
+                &MatchConfig::UNBOUNDED,
+                &opts,
+            )
+            .hits
+        };
+        let broke = run(VerifyOptions {
+            budget: Some(0),
+            ..VerifyOptions::default()
+        });
+        assert_eq!(broke.exact, None);
+        assert!(broke.truncated && !broke.deadline_exceeded);
+        assert_eq!(broke.work, 0);
+        let late = run(VerifyOptions {
+            deadline: Some(std::time::Instant::now()),
+            ..VerifyOptions::default()
+        });
+        assert_eq!(late.exact, None);
+        assert!(late.truncated && late.deadline_exceeded);
+        assert_eq!(late.work, 0);
+        let free = run(VerifyOptions::default());
+        assert_eq!(free.exact, Some(100));
+        assert!(free.work > 0 && free.tests == 0);
+    }
+
+    /// A fingerprint collision the probe refuted is not confirmed again by
+    /// the sweep: a same-size entry forged to carry the query's fingerprint
+    /// and profile costs one confirmation and no sweep test.
+    #[test]
+    fn sweep_skips_collisions_the_probe_refuted() {
+        let g = path_graph(&[0, 1, 2]);
+        let profile = gc_index::paths::enumerate_paths(&g, 4, u64::MAX);
+        let forged = CacheEntry {
+            serial: 100,
+            graph: Arc::new(path_graph(&[0, 2, 1])),
+            answer: Vec::new(),
+            kind: QueryKind::Subgraph,
+            profile: profile.clone(),
+            fingerprint: iso_hash(&g),
+            exact_saving: std::sync::OnceLock::new(),
+        };
+        let snap = CacheSnapshot::build(QueryIndexConfig::default(), vec![Arc::new(forged)]);
+        let hq = HitQuery::new(&g, QueryKind::Subgraph, &profile);
+        let (vf2, cfg, opts) = (Vf2::new(), MatchConfig::UNBOUNDED, VerifyOptions::default());
+        let probe = exact_probe(&snap, &g, hq.kind, hq.fingerprint, &vf2, &cfg, &opts);
+        assert_eq!(probe.hits.exact, None);
+        assert!(probe.hits.work > 0, "one confirmation ran");
+        let probe_work = probe.hits.work;
+        let hits = sweep(&snap, &hq, probe, &vf2, &cfg, &opts);
+        assert_eq!(hits.tests, 0, "the refuted collision is not tested again");
+        assert_eq!(hits.work, probe_work);
+        assert!(hits.sub.is_empty() && hits.super_.is_empty());
     }
 
     #[test]

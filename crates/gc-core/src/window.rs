@@ -1,10 +1,14 @@
 //! The Window Manager (paper §6.2): batched cache admission, replacement
 //! and re-indexing, with incremental, sharded snapshot maintenance.
 //!
-//! New queries accumulate in the Window (default W = 20). When it fills,
-//! the manager (1) runs admission control over the batch, (2) asks the
+//! Missed queries accumulate in the Window (default W = 20); an exact hit
+//! is already cached, credits its resident entry and never enters it, so W
+//! counts admission candidates. When the Window fills, the manager (1) runs
+//! admission control over the batch and drops every entry isomorphic to a
+//! live entry or to an earlier one of the same batch, (2) asks the
 //! replacement policy for victims if the cache lacks room, and (3) applies
-//! the victim/admit *delta* to the cache shards.
+//! the victim/admit *delta* to the cache shards — so every cached query
+//! occupies exactly one entry.
 //!
 //! # The sharded delta path
 //!
@@ -54,12 +58,14 @@ use crate::entry::{shard_for, CacheEntry, CacheSnapshot, Shard};
 use crate::fragments::{self, FragmentSource, FragmentState};
 use crate::metrics::MaintStats;
 use crate::policy::{EvictionPolicy, PolicyRow, PolicyView};
+use crate::processors::{self, VerifyOptions};
 use crate::query_index::QueryIndexConfig;
 use crate::stats::{columns, QuerySerial, StatsStore};
 use gc_graph::{sizing, GraphId, LabeledGraph};
 use gc_index::fx::FxHashMap;
 use gc_index::paths::PathProfile;
 use gc_methods::QueryKind;
+use gc_subiso::{MatchConfig, Matcher};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -69,8 +75,9 @@ use std::time::{Duration, Instant};
 /// its slots are tombstones.
 pub(crate) const DEFAULT_COMPACT_DEBT: f64 = 0.5;
 
-/// One query waiting in the Window: the graph, its freshly computed answer,
-/// and the static/timing statistics the Window stores keep (paper §6.1).
+/// One missed query waiting in the Window: the graph, its freshly computed
+/// answer, and the static/timing statistics the Window stores keep (paper
+/// §6.1).
 #[derive(Debug, Clone)]
 pub struct WindowEntry {
     /// Query serial.
@@ -182,8 +189,9 @@ pub(crate) struct Shared {
     /// trait object, behind this lock, so the query path's event hooks
     /// and the maintenance path's victim selection never race.
     pub eviction: Mutex<Box<dyn EvictionPolicy>>,
-    /// The Window buffer: executed queries waiting for the next
-    /// maintenance round (paper §6.2).
+    /// The Window buffer: missed queries waiting for the next maintenance
+    /// round (paper §6.2). Exact hits never enter it — they are already
+    /// cached.
     pub window: Mutex<Vec<WindowEntry>>,
     /// Serialises snapshot read-modify-write cycles ([`maintain`] rounds
     /// and [`GraphCache::restore`](crate::GraphCache::restore)). Without
@@ -208,6 +216,10 @@ pub(crate) struct Shared {
     /// and budget eviction during maintenance). Carries its own `Method`
     /// handle so the background manager can build exact occurrence sets.
     pub fragments: Option<FragmentState>,
+    /// Method M's matcher, for the isomorphism confirmations of the
+    /// round's dedup (see [`maintain`]) — inline and background rounds
+    /// alike reach it here.
+    pub matcher: Arc<dyn Matcher>,
 }
 
 impl Shared {
@@ -217,6 +229,7 @@ impl Shared {
         eviction: Box<dyn EvictionPolicy>,
         admission: Box<dyn AdmissionPolicy>,
         fragments: Option<FragmentState>,
+        matcher: Arc<dyn Matcher>,
     ) -> Self {
         Shared {
             shards: (0..shard_count.max(1))
@@ -234,6 +247,7 @@ impl Shared {
             maintenance_rounds: AtomicU64::new(0),
             maint_counters: MaintCounters::default(),
             fragments,
+            matcher,
         }
     }
 
@@ -356,15 +370,52 @@ pub(crate) fn maintain(
         admitted
     };
 
-    // Serial uniqueness is a store invariant: a batch admitted on top of
-    // a restored snapshot can carry a serial the restore already holds
-    // (the batch predates the restore) — such duplicates are dropped in
-    // the snapshot's favour, and they must be dropped *before* sizing the
-    // eviction so they cannot push live entries out for nothing.
+    // Serial uniqueness and isomorphism uniqueness are store invariants.
+    // Entries that would break either are dropped here, *before* sizing
+    // the eviction, so they cannot push live entries out for nothing:
+    // * a batch admitted on top of a restored snapshot can carry a serial
+    //   the restore already holds (the batch predates the restore) — it is
+    //   dropped in the snapshot's favour;
+    // * a missed query can be isomorphic to an earlier entry of its own
+    //   batch (two copies of a new query missed inside one window), or to
+    //   a resident one (admitted while it waited: a background or another
+    //   client's round, or its probe ran out of budget) — it is dropped in
+    //   favour of the entry already there.
+    //
+    // Both isomorphism checks prefilter on kind, fingerprint and node/edge
+    // counts — the resident one is the query path's own fingerprint probe
+    // — and confirm with one matcher test. Like the probe's, these
+    // confirmations are not sub-iso tests and are not counted as such.
     let old = shared.load_snapshot();
+    let matcher = shared.matcher.as_ref();
+    let repeats: Vec<usize> = processors::isomorphic_repeats(
+        admitted
+            .iter()
+            .map(|e| (e.kind, e.fingerprint, e.graph.as_ref())),
+        matcher,
+    )
+    .into_iter()
+    .map(|(repeat, _)| repeat)
+    .collect();
+    let resident = |e: &WindowEntry| {
+        let probe = processors::exact_probe(
+            &old,
+            &e.graph,
+            e.kind,
+            e.fingerprint,
+            matcher,
+            &MatchConfig::UNBOUNDED,
+            &VerifyOptions::default(),
+        );
+        probe.hits.exact.is_some()
+    };
     let admitted: Vec<WindowEntry> = admitted
         .into_iter()
-        .filter(|e| old.entry(e.serial).is_none())
+        .enumerate()
+        .filter(|(i, e)| {
+            old.entry(e.serial).is_none() && repeats.binary_search(i).is_err() && !resident(e)
+        })
+        .map(|(_, e)| e)
         .collect();
     if admitted.is_empty() {
         // Nothing to add; every shard stays as-is (no patch, no swap).
@@ -610,9 +661,20 @@ mod tests {
     use super::*;
     use crate::admission::{AdmissionConfig, AdmissionControl};
     use crate::policy::PolicyKind;
+    use gc_subiso::Vf2;
 
+    /// A window entry whose graph is unique to its serial (an edge to a
+    /// serial-derived label), so no two test entries are isomorphic and
+    /// the round's dedup keeps them all.
     fn entry(serial: QuerySerial, expensiveness: f64) -> WindowEntry {
-        let graph = LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]);
+        entry_with(
+            serial,
+            LabeledGraph::from_parts(vec![0, serial as u32 + 1], &[(0, 1)]),
+            expensiveness,
+        )
+    }
+
+    fn entry_with(serial: QuerySerial, graph: LabeledGraph, expensiveness: f64) -> WindowEntry {
         let profile = gc_index::paths::enumerate_paths(&graph, 4, u64::MAX);
         let fingerprint = gc_index::fingerprint::iso_hash(&graph);
         WindowEntry {
@@ -635,6 +697,7 @@ mod tests {
             Box::new(PolicyKind::Lru),
             Box::new(AdmissionControl::new(AdmissionConfig::default())),
             None,
+            Arc::new(Vf2::new()),
         )
     }
 
@@ -709,6 +772,7 @@ mod tests {
                 target_expensive_fraction: 0.5,
             })),
             None,
+            Arc::new(Vf2::new()),
         );
         // Calibrate instantly with one cheap observation.
         {
@@ -894,6 +958,43 @@ mod tests {
             assert!(snap.entry(t * 10 + 2).is_some());
         }
         assert_eq!(s.maintenance_rounds.load(Ordering::Relaxed), 4);
+    }
+
+    /// A batch entry isomorphic to a live entry or to an earlier entry of
+    /// its batch is dropped before victim sizing: it admits nothing, evicts
+    /// nothing, and the entry already there keeps its place.
+    #[test]
+    fn duplicates_are_dropped_before_victim_sizing() {
+        let s = shared();
+        let path = |labels: [u32; 3]| LabeledGraph::from_parts(labels.to_vec(), &[(0, 1), (1, 2)]);
+        maintain(&s, &cfg(2), vec![entry_with(1, path([0, 1, 2]), 1.0)], 1);
+        maintain(&s, &cfg(2), vec![entry(2, 1.0)], 2);
+        assert_eq!(s.load_snapshot().len(), 2, "the cache is full");
+        // 3 repeats resident 1 (reversed node order), 4 and 5 are two
+        // copies of a new query: only 4 is admitted, so one victim.
+        maintain(
+            &s,
+            &cfg(2),
+            vec![
+                entry_with(3, path([2, 1, 0]), 1.0),
+                entry_with(4, path([5, 6, 7]), 1.0),
+                entry_with(5, path([7, 6, 5]), 1.0),
+            ],
+            5,
+        );
+        let snap = s.load_snapshot();
+        assert_eq!(snap.len(), 2);
+        assert!(snap.entry(4).is_some());
+        assert!(snap.entry(3).is_none() && snap.entry(5).is_none());
+        let m = s.maint_stats();
+        assert_eq!(m.entries_admitted, 3, "1, 2 and 4");
+        assert_eq!(m.entries_evicted, 1, "one slot for one distinct admission");
+        assert!(s.stats.lock().get(5, columns::NODES).is_none());
+        // A batch of nothing but duplicates patches no shard.
+        let before = Arc::as_ptr(&s.load_snapshot().shards()[0]);
+        maintain(&s, &cfg(2), vec![entry_with(6, path([5, 6, 7]), 1.0)], 6);
+        assert_eq!(before, Arc::as_ptr(&s.load_snapshot().shards()[0]));
+        assert_eq!(s.maint_stats().entries_admitted, 3);
     }
 
     #[test]

@@ -63,7 +63,8 @@
 //!   `--eviction`, `--admission`, `--capacity`, `--window`, `--threads`,
 //!   `--shards`, `--verify-budget`, `--fragments`,
 //!   `--fragment-budget`, `--fragment-eviction`, `--supergraph`,
-//!   `--background`, `--restore`) configure the shared cache.
+//!   `--background`, `--restore`) configure the shared cache; `--window N`
+//!   counts cache misses, as for `gc query`.
 //!
 //! `gc bench` flags:
 //!
@@ -112,6 +113,10 @@
 //!   a partial (still sound) hit set and the query is reported as
 //!   `truncated`. Exact repeats bypass the pool entirely through the
 //!   fingerprint fast path;
+//! * `--window N` — the Window size W (default 20): a maintenance round
+//!   runs once `N` cache misses have accumulated. An exact hit is already
+//!   cached — it credits its entry and never enters the Window, so it does
+//!   not count toward `N`;
 //! * `--threads N` — fan the workload across `N` client threads via
 //!   `GraphCache::run_batch` (default `1` = sequential replay, the
 //!   paper's single-client setup, where every printed counter is a pure
@@ -219,6 +224,7 @@ fn print_usage() {
     eprintln!("           [--fragment-eviction NAME] [--supergraph] [--background]");
     eprintln!("           [--no-cache] [--maint-stats] [--save DIR] [--restore DIR]");
     eprintln!("           [--persist-format text|binary]");
+    eprintln!("           (--window N: one maintenance round per N cache misses)");
     eprintln!("  gc query --connect unix:PATH|ADDR --queries FILE [--supergraph]");
     eprintln!("           [--verify-budget N] [--retries N] [--retry-seed S] [--timeout-ms MS]");
     eprintln!(

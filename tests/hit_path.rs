@@ -1,19 +1,21 @@
 //! Hit-path parity: the cost-ordered / fingerprint-first verification
 //! pipeline is hit-equivalent to the naive flat sweep.
 //!
-//! * **Unbounded parity** — with no budget, the ordered pipeline returns
-//!   exactly the same `HitSet` (sub, super, exact) as
+//! * **Unbounded parity** — with no budget, the ordered pipeline (the
+//!   query path's [`exact_probe`] handing its refutations to [`sweep`])
+//!   returns exactly the same `HitSet` (sub, super, exact) as
 //!   [`find_hits_naive`] over random graph mixes, across 1/4/16 shards.
 //! * **Budget soundness** — any budgeted run yields a *subset* of the
 //!   unbounded hits, never a wrong one, and flags truncation whenever it
 //!   stopped short.
 //! * **Fingerprint fast path** — a query isomorphic to a cached entry
-//!   resolves with zero candidate sub-iso tests on the shortcut path.
+//!   resolves in the probe alone, with zero candidate sub-iso tests and no
+//!   path profile.
 //!
 //! CI runs this file in release mode too (`cargo test --release --test
 //! hit_path`) so the ordering/budget logic is exercised with optimizations.
 
-use graphcache::core::processors::{find_hits_naive, find_hits_opts, HitQuery, VerifyOptions};
+use graphcache::core::processors::{exact_probe, find_hits_naive, sweep, HitQuery, VerifyOptions};
 use graphcache::core::{CacheEntry, CacheSnapshot, HitSet, QueryIndexConfig, QuerySerial};
 use graphcache::index::paths::enumerate_paths;
 use graphcache::prelude::*;
@@ -51,15 +53,13 @@ fn entry_for(serial: QuerySerial, seed: u64) -> Arc<CacheEntry> {
     ))
 }
 
+/// The fingerprint probe, then the sweep it hands its refutations to.
 fn pipeline(snap: &CacheSnapshot, query: &LabeledGraph, opts: &VerifyOptions) -> HitSet {
     let profile = snap.profile_of(query);
-    find_hits_opts(
-        snap,
-        &HitQuery::new(query, QueryKind::Subgraph, &profile),
-        &Vf2::new(),
-        &MatchConfig::UNBOUNDED,
-        opts,
-    )
+    let hq = HitQuery::new(query, QueryKind::Subgraph, &profile);
+    let (vf2, cfg) = (Vf2::new(), MatchConfig::UNBOUNDED);
+    let probe = exact_probe(snap, query, hq.kind, hq.fingerprint, &vf2, &cfg, opts);
+    sweep(snap, &hq, probe, &vf2, &cfg, opts)
 }
 
 /// `a` is a sub-multiset of `b` (both sorted).
@@ -178,9 +178,8 @@ proptest! {
     }
 }
 
-/// An exact repeat of a cached query resolves through the fingerprint map
-/// with zero candidate sub-iso tests, across shard counts — including a
-/// node-permuted (isomorphic but not identical) resubmission.
+/// An exact repeat of a cached query resolves in the fingerprint probe
+/// alone — no profile, zero candidate sub-iso tests — across shard counts.
 #[test]
 fn exact_repeat_zero_tests_via_fingerprint() {
     let cfg = QueryIndexConfig::default();
@@ -188,15 +187,17 @@ fn exact_repeat_zero_tests_via_fingerprint() {
     for shards in [1usize, 4, 16] {
         let snap = CacheSnapshot::build_sharded(cfg, shards, entries.clone());
         for probe_entry in entries.iter().step_by(5) {
-            let probe = probe_entry.graph.as_ref().clone();
-            let hits = pipeline(
+            let probe = probe_entry.graph.as_ref();
+            let hits = exact_probe(
                 &snap,
-                &probe,
-                &VerifyOptions {
-                    exact_shortcut: true,
-                    ..VerifyOptions::default()
-                },
-            );
+                probe,
+                QueryKind::Subgraph,
+                probe_entry.fingerprint,
+                &Vf2::new(),
+                &MatchConfig::UNBOUNDED,
+                &VerifyOptions::default(),
+            )
+            .hits;
             assert!(hits.exact.is_some(), "repeat must hit ({shards} shards)");
             assert!(hits.exact_via_fingerprint);
             assert_eq!(hits.tests, 0, "zero candidate tests on an exact repeat");

@@ -298,3 +298,51 @@ fn corrupted_binary_snapshot_fails_typed() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Snapshots written while exact repeats were still re-admitted hold
+/// isomorphic copies of one query. Restore keeps the smallest serial of
+/// each isomorphism class and drops the others with their statistics rows,
+/// so the restored cache passes the duplicates invariant and the kept
+/// entry answers the repeat.
+#[test]
+fn restore_drops_isomorphic_copies_of_old_snapshots() {
+    let d = GraphDataset::new(vec![LabeledGraph::from_parts(
+        vec![0, 1, 2, 3],
+        &[(0, 1), (1, 2), (2, 3)],
+    )]);
+    let dir = tmpdir("dedup");
+    // Entries 7 and 3 are the path 0-1-2 with its nodes numbered in
+    // opposite orders; entry 5 is the edge 2-3.
+    std::fs::write(
+        dir.join("entries.txt"),
+        "next_serial 9\npolicy hd\n\
+         @entry 7 sub\n# q7\n3\n2\n1\n0\n2\n0 1\n1 2\nanswers: 0\n\
+         @entry 3 sub\n# q3\n3\n0\n1\n2\n2\n0 1\n1 2\nanswers: 0\n\
+         @entry 5 sub\n# q5\n2\n2\n3\n1\n0 1\nanswers: 0\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("stats.txt"),
+        "row 3\n  hits int 4\nrow 5\n  hits int 1\nrow 7\n  hits int 2\n",
+    )
+    .unwrap();
+    let cache = GraphCache::builder()
+        .capacity(10)
+        .window(4)
+        .cost_model(CostModel::Work)
+        .build(MethodBuilder::ggsx().build(&d));
+    let report = cache.restore(&dir).unwrap();
+    assert_eq!(report.entries, 2);
+    assert_eq!(cache.check_invariants(), Ok(()));
+    let rows = cache.with_stats(|s| {
+        let mut keys: Vec<u64> = s.keys().collect();
+        keys.sort_unstable();
+        keys
+    });
+    assert_eq!(rows, vec![3, 5], "the copy's row is dropped with it");
+    let r = cache.run(&LabeledGraph::from_parts(vec![1, 2, 0], &[(2, 0), (0, 1)]));
+    assert!(r.record.exact_hit);
+    assert_eq!(r.answer, vec![GraphId(0)]);
+    assert_eq!(cache.stat(3, "hits"), Some(5.0));
+    std::fs::remove_dir_all(&dir).ok();
+}
