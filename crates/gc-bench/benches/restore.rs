@@ -1,17 +1,17 @@
-//! Snapshot restore latency on a 10k-entry cache: binary arena snapshot
-//! vs text parse.
+//! Snapshot restore latency on a 10k-entry cache: what the PROFILES
+//! section of `snapshot.bin` buys.
 //!
-//! A restore is decode + materialisation (`into_snapshot_sharded`). The
-//! text path parses every entry line token-by-token and re-enumerates
-//! every entry graph's simple paths — the dominant cost of standing a
-//! cache back up. The binary path bulk-reads the arena sections after a
-//! single checksum pass and reuses the stored profiles verbatim, so its
-//! materialisation is a copy, not a re-computation.
+//! A restore is `load_resilient` (checksum pass + bulk decode of the arena
+//! sections) + materialisation (`into_snapshot_sharded`). Both measured
+//! restores read the same snapshot. One reuses the stored path-feature
+//! profiles verbatim, so its materialisation is a copy. The other drops
+//! them (`profiles = None`) and re-enumerates every entry graph's simple
+//! paths, the dominant cost of standing a cache back up without them.
 //!
-//! Both paths pay the same index-rebuild cost (`build_sharded` from
-//! profiles), so the comparison isolates exactly what the format change
-//! buys. The bench asserts the binary restore is ≥ 5x faster than the
-//! text restore before handing both to criterion.
+//! Both pay the same decode and index-rebuild cost (`build_sharded` from
+//! profiles), so the comparison isolates exactly what storing profiles
+//! buys. The bench asserts the profile-reusing restore is ≥ 5x faster
+//! before handing both to criterion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gc_core::{PersistedCache, QueryIndexConfig, StatsStore, StoredProfiles};
@@ -24,15 +24,15 @@ use std::time::{Duration, Instant};
 
 const ENTRIES: u64 = 10_000;
 const SHARDS: usize = 8;
-/// The format-change contract this bench gates on.
+/// The stored-profiles contract this bench gates on.
 const MIN_SPEEDUP: f64 = 5.0;
 
 /// A 10–12 node labelled path with chords at distance 2 and 3 over a
 /// 2-letter alphabet. The density makes the simple-path walk expensive
-/// (thousands of walks per graph — the cost the text restore pays per
-/// entry), while the tiny alphabet collapses those walks into few
-/// distinct features, so the stored profile the binary restore reuses
-/// stays small and cheap to decode.
+/// (thousands of walks per graph — the cost a restore without profiles
+/// pays per entry), while the tiny alphabet collapses those walks into few
+/// distinct features, so the stored profile a restore reuses stays small
+/// and cheap to decode.
 fn seeded_graph(seed: u64) -> LabeledGraph {
     let h = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let len = 10 + (h % 3) as usize;
@@ -50,8 +50,7 @@ fn seeded_graph(seed: u64) -> LabeledGraph {
     LabeledGraph::from_parts(labels, &edges)
 }
 
-/// Builds the 10k-entry persisted state, profiles included (the text
-/// save drops them — only `snapshot.bin` carries a PROFILES section).
+/// Builds the 10k-entry persisted state, profiles included.
 fn corpus(cfg: &QueryIndexConfig) -> PersistedCache {
     let mut entries = Vec::with_capacity(ENTRIES as usize);
     let mut profiles = Vec::with_capacity(ENTRIES as usize);
@@ -76,11 +75,14 @@ fn corpus(cfg: &QueryIndexConfig) -> PersistedCache {
     }
 }
 
-/// One full restore: auto-detected load from `dir` + sharded
-/// materialisation. Returns the entry count so the work can't be
-/// optimised away.
-fn restore(dir: &Path, cfg: QueryIndexConfig) -> usize {
-    let loaded = PersistedCache::load_auto(dir, QueryKind::Subgraph).expect("load");
+/// One full restore: load from `dir` + sharded materialisation, reusing
+/// the stored profiles or (`reuse_profiles == false`) re-enumerating
+/// paths. Returns the entry count so the work can't be optimised away.
+fn restore(dir: &Path, cfg: QueryIndexConfig, reuse_profiles: bool) -> usize {
+    let mut loaded = PersistedCache::load_resilient(dir).expect("load").state;
+    if !reuse_profiles {
+        loaded.profiles = None;
+    }
     let (snap, _stats, _serial) = loaded.into_snapshot_sharded(cfg, SHARDS);
     snap.len()
 }
@@ -102,40 +104,37 @@ fn bench_restore(c: &mut Criterion) {
     let cfg = QueryIndexConfig::default();
     let root: PathBuf =
         std::env::temp_dir().join(format!("gc-bench-restore-{}", std::process::id()));
-    let text_dir = root.join("text");
-    let bin_dir = root.join("binary");
     let state = corpus(&cfg);
-    state.save(&text_dir).expect("text save");
-    state.save_binary(&bin_dir).expect("binary save");
-    let bin_bytes = std::fs::metadata(bin_dir.join("snapshot.bin"))
+    state.save(&root).expect("save");
+    let bytes = std::fs::metadata(root.join("snapshot.bin"))
         .expect("snapshot.bin")
         .len();
 
     // ---- The ≥5x restore contract (asserted, printed once). ----
-    let (text_t, text_n) = best_of_3(|| restore(&text_dir, cfg));
-    let (bin_t, bin_n) = best_of_3(|| restore(&bin_dir, cfg));
-    assert_eq!(text_n, ENTRIES as usize);
-    assert_eq!(bin_n, ENTRIES as usize);
-    let speedup = text_t.as_secs_f64() / bin_t.as_secs_f64().max(1e-9);
-    println!("restore of {ENTRIES} entries into {SHARDS} shards ({bin_bytes} snapshot bytes):");
+    let (slow_t, slow_n) = best_of_3(|| restore(&root, cfg, false));
+    let (fast_t, fast_n) = best_of_3(|| restore(&root, cfg, true));
+    assert_eq!(slow_n, ENTRIES as usize);
+    assert_eq!(fast_n, ENTRIES as usize);
+    let speedup = slow_t.as_secs_f64() / fast_t.as_secs_f64().max(1e-9);
+    println!("restore of {ENTRIES} entries into {SHARDS} shards ({bytes} snapshot bytes):");
     println!(
-        "  text parse + re-enumerate : {:>9.1} ms",
-        text_t.as_secs_f64() * 1e3
+        "  re-enumerating paths   : {:>9.1} ms",
+        slow_t.as_secs_f64() * 1e3
     );
     println!(
-        "  binary arena snapshot     : {:>9.1} ms  ({speedup:.1}x faster)",
-        bin_t.as_secs_f64() * 1e3
+        "  reusing stored profiles: {:>9.1} ms  ({speedup:.1}x faster)",
+        fast_t.as_secs_f64() * 1e3
     );
     assert!(
         speedup >= MIN_SPEEDUP,
-        "binary restore must be ≥{MIN_SPEEDUP}x faster than text: {speedup:.2}x"
+        "reusing stored profiles must restore ≥{MIN_SPEEDUP}x faster: {speedup:.2}x"
     );
 
     // ---- Wall-clock distributions of the same two paths. ----
     let mut group = c.benchmark_group("restore");
     group.sample_size(10);
-    group.bench_function("text", |b| b.iter(|| restore(&text_dir, cfg)));
-    group.bench_function("binary", |b| b.iter(|| restore(&bin_dir, cfg)));
+    group.bench_function("re-enumerate", |b| b.iter(|| restore(&root, cfg, false)));
+    group.bench_function("stored-profiles", |b| b.iter(|| restore(&root, cfg, true)));
     group.finish();
 
     let _ = std::fs::remove_dir_all(&root);

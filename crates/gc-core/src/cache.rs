@@ -611,7 +611,7 @@ pub struct QueryResponse {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreReport {
     /// Sequence number of the generation the state was loaded from, or
-    /// `None` for a legacy flat-file (pre-MANIFEST) restore.
+    /// `None` for a manifest-less directory (its flat `snapshot.bin`).
     pub generation: Option<u64>,
     /// Number of entries in the cache after the restore.
     pub entries: usize,
@@ -943,33 +943,16 @@ impl GraphCache {
     /// under the maintenance lock, so a maintenance round racing the save
     /// cannot produce a file whose entries and statistics disagree (an
     /// entry without its rows, or orphan rows for an unsaved entry).
+    ///
+    /// The save is one `snapshot.bin` generation committed through the
+    /// crash-safe staged writer (see [`crate::persist`]). It also captures
+    /// every entry's path-feature profile, so a restore under the same
+    /// index configuration skips path re-enumeration entirely.
     pub fn save(&self, dir: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.save_with_format(dir, crate::persist::PersistFormat::Text)
-    }
-
-    /// Like [`save`](Self::save), but picks the on-disk representation.
-    /// The binary format additionally captures every entry's path-feature
-    /// profile, so a restore under the same index configuration skips
-    /// path re-enumeration entirely (the dominant cost of a text
-    /// restore). Either format restores through [`restore`](Self::restore),
-    /// which auto-detects what the directory holds.
-    pub fn save_with_format(
-        &self,
-        dir: impl AsRef<std::path::Path>,
-        format: crate::persist::PersistFormat,
-    ) -> std::io::Result<()> {
         self.flush_pending();
         let persisted = {
             let _round = self.shared.maint.lock();
             let snapshot = self.shared.load_snapshot();
-            let profiles = match format {
-                crate::persist::PersistFormat::Text => None,
-                crate::persist::PersistFormat::Binary => Some(crate::persist::StoredProfiles {
-                    max_path_len: self.cfg.index.max_path_len,
-                    work_cap: self.cfg.index.work_cap,
-                    profiles: snapshot.iter_entries().map(|e| e.profile.clone()).collect(),
-                }),
-            };
             crate::persist::PersistedCache {
                 entries: snapshot
                     .iter_entries()
@@ -1007,11 +990,27 @@ impl GraphCache {
                             .collect()
                     })
                     .unwrap_or_default(),
-                profiles,
+                profiles: Some(crate::persist::StoredProfiles {
+                    max_path_len: self.cfg.index.max_path_len,
+                    work_cap: self.cfg.index.work_cap,
+                    profiles: snapshot.iter_entries().map(|e| e.profile.clone()).collect(),
+                }),
             }
         };
         // File IO happens after the lock is released.
-        persisted.save_as(dir, format)
+        persisted.save(dir)
+    }
+
+    /// [`save`](Self::save) under its earlier name. Its only caller is the
+    /// `perf/src/replay.rs` benchmark, which a later change moves to
+    /// `save`, deleting this and [`PersistFormat`](crate::persist::PersistFormat).
+    #[doc(hidden)]
+    pub fn save_with_format(
+        &self,
+        dir: impl AsRef<std::path::Path>,
+        _format: crate::persist::PersistFormat,
+    ) -> std::io::Result<()> {
+        self.save(dir)
     }
 
     /// Restores a previously saved cache state into this instance (paper
@@ -1046,12 +1045,8 @@ impl GraphCache {
         // Generation-aware recovery: when a checksum-valid MANIFEST is
         // present the newest intact generation wins (falling back to the
         // previous one if the newest is damaged); manifest-less
-        // directories keep the legacy flat-file auto-detection — a
-        // `snapshot.bin` restores as a binary snapshot, text files
-        // otherwise. Legacy text saves (no per-entry kind token) default
-        // to this cache's configured kind — they predate mixed-direction
-        // caches, so the whole save was answered under one direction.
-        let recovered = crate::persist::PersistedCache::load_resilient(dir, self.cfg.query_kind)?;
+        // directories restore their flat `snapshot.bin`.
+        let recovered = crate::persist::PersistedCache::load_resilient(dir)?;
         let generation = recovered.generation;
         let mut loaded = recovered.state;
         loaded.drop_isomorphic_duplicates(self.method.matcher().as_ref());
@@ -1082,8 +1077,8 @@ impl GraphCache {
         // whether to warn: it records the eviction policy that accumulated
         // the persisted statistics, and restoring those rows under a
         // different policy is worth flagging even though the rows
-        // themselves are policy-agnostic. Legacy saves carry no header and
-        // reset quietly.
+        // themselves are policy-agnostic. A snapshot that records no
+        // policy resets quietly.
         {
             let mut eviction = self.shared.eviction.lock();
             if let Some(saved) = saved_policy.as_deref() {
@@ -1098,9 +1093,8 @@ impl GraphCache {
             eviction.reset();
         }
         // The fragment layer swaps to the persisted fragment set the same
-        // way (legacy saves carry no fragment file and load as empty, so
-        // the store simply rebuilds from scratch). When this instance runs
-        // without the fragment layer, persisted fragments are dropped.
+        // way. When this instance runs without the fragment layer,
+        // persisted fragments are dropped.
         if let Some(frags) = &self.shared.fragments {
             frags.install(saved_fragments);
         }
@@ -1116,7 +1110,7 @@ impl GraphCache {
 
     /// The generation the cache was last [`restore`](Self::restore)d from,
     /// or `None` when it never restored from a generational snapshot
-    /// (fresh cache, or a legacy flat-file restore).
+    /// (fresh cache, or a restore from a manifest-less directory).
     pub fn recovered_generation(&self) -> Option<u64> {
         match self
             .shared
@@ -1616,22 +1610,20 @@ impl GraphCache {
         }
     }
 
-    /// An executed query's filtering time, verification time (both µs) and
-    /// expensiveness score under the configured cost model (§6.2).
-    fn cost_of(&self, record: &QueryRecord) -> (f64, f64, f64) {
+    /// An executed query's expensiveness score under the configured cost
+    /// model (§6.2).
+    fn cost_of(&self, record: &QueryRecord) -> f64 {
         let filter_us = (record.m_filter + record.gc_filter).as_secs_f64() * 1e6;
         let verify_us = record.verify.as_secs_f64() * 1e6;
-        let expensiveness =
-            self.cfg
-                .cost_model
-                .expensiveness(filter_us, verify_us, record.verify_work);
-        (filter_us, verify_us, expensiveness)
+        self.cfg
+            .cost_model
+            .expensiveness(filter_us, verify_us, record.verify_work)
     }
 
     /// Feeds one executed query — exact hit or miss — to the admission
     /// policy, as [`AdmissionPolicy::observe`] promises.
     fn observe_admission(&self, record: &QueryRecord) {
-        let (_, _, expensiveness) = self.cost_of(record);
+        let expensiveness = self.cost_of(record);
         // Benefit signal for adaptive admission policies: how much work the
         // cache saved this query. Exact hits avoid the entire verification
         // (proxied by the answer size); otherwise it is the candidate-set
@@ -1655,7 +1647,7 @@ impl GraphCache {
         answer: &[GraphId],
         record: &QueryRecord,
     ) -> Duration {
-        let (filter_us, verify_us, expensiveness) = self.cost_of(record);
+        let expensiveness = self.cost_of(record);
         // The entry is assembled before taking the window lock so the
         // critical section is a bare Vec push — concurrent queries must
         // not convoy on copy work that needs no synchronisation.
@@ -1666,8 +1658,6 @@ impl GraphCache {
             kind,
             profile,
             fingerprint,
-            filter_us,
-            verify_us,
             expensiveness,
         };
         let batch = {

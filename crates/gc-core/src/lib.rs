@@ -99,9 +99,9 @@ pub use gc_fragments::FragmentConfig;
 pub use gc_methods::QueryKind;
 pub use invariants::{InvariantClause, InvariantViolation};
 pub use metrics::{MaintStats, QueryRecord, RouteCounters, RunCounters, RunSummary};
-pub use persist::{
-    PersistFormat, PersistedCache, PersistedEntry, RecoveredSnapshot, StoredProfiles,
-};
+#[doc(hidden)]
+pub use persist::PersistFormat;
+pub use persist::{PersistedCache, PersistedEntry, RecoveredSnapshot, StoredProfiles};
 pub use policies::{GreedyDual, SegmentedLru};
 pub use policy::{EvictionPolicy, PolicyKind, PolicyRow, PolicyView};
 pub use processors::{

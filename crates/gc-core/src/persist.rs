@@ -2,71 +2,56 @@
 //! statistics store are "loaded from disk on startup and written back to
 //! disk on shutdown"; the query index is rebuilt from the loaded entries.
 //!
-//! Format: a directory with two line-oriented text files —
+//! A save is one checksummed binary image, `snapshot.bin`, that mirrors
+//! the in-memory arena layout (byte-level specification in
+//! [`crate::snapshot_bin`]). It is written only through the crash-safe
+//! staged writer of [`crate::staged`] ([`PersistedCache::save`] /
+//! [`PersistedCache::save_staged`]) and read only through
+//! [`PersistedCache::load_resilient`], which tries the `MANIFEST`
+//! generations newest-first and falls back to the flat `snapshot.bin`
+//! current view when the directory has no usable manifest.
 //!
-//! * `entries.txt` — a `next_serial <n>` header, an optional
-//!   `policy <name>` header recording the eviction policy the statistics
-//!   were accumulated under (absent in saves predating the pluggable
-//!   policy engine), then for each cached query: an
-//!   `@entry <serial> [sub|super] [fp:<hex>]` header (the query direction
-//!   the answer was computed under — `sub` when omitted, for saves
-//!   predating direction-tagged entries — and the entry's iso fingerprint;
-//!   when the token is absent the fingerprint is recomputed on load), the
-//!   query graph in the `gc_graph::io` record format, then an
-//!   `answers: <id> <id> …` line;
-//! * `stats.txt` — one `row <serial>` line per statistics row followed by
-//!   `  <column> <int|float> <value>` lines;
-//! * `fragments.txt` — the sub-query fragment store: a `fragments_v1`
-//!   version header, then per fragment an
-//!   `@fragment key:<hex> hits:<n> last:<n> r:<n> c:<float>` header, the
-//!   fragment graph in the `gc_graph::io` record format, and an
-//!   `occs: <id> <id> …` line with the fragment's exact occurrence set.
-//!   The file is absent in saves predating the fragment cache; such
-//!   legacy directories load with an empty fragment list and the store
-//!   simply rebuilds from scratch.
+//! Two sections of `snapshot.bin` embed line-oriented text codecs, defined
+//! here: STATS (one `row <serial>` line per statistics row followed by
+//! `  <column> <int|float> <value>` lines) and FRAGMENTS (a `fragments_v1`
+//! version header, then per fragment an
+//! `@fragment key:<hex> hits:<n> last:<n> r:<n> c:<float>` header, the
+//! fragment graph in the `gc_graph::io` record format, and an
+//! `occs: <id> <id> …` line with the fragment's exact occurrence set).
 //!
 //! Loading is strict: malformed input yields an error rather than a
-//! silently truncated cache.
-//!
-//! A second on-disk representation, persist format v2, stores the same
-//! state as a single checksummed binary image (`snapshot.bin`) that
-//! mirrors the in-memory arena layout — see [`crate::snapshot_bin`] for
-//! the byte-level specification. [`PersistedCache::load_auto`] detects
-//! which format a directory holds, so either format restores through the
-//! same call; [`PersistedCache::save_as`] picks the format at save time
-//! and removes the other format's files so a directory never holds both.
+//! silently truncated cache. The `entries.txt` text saves of earlier
+//! releases are not read; restoring one fails with a typed error that
+//! says so.
 
 use crate::entry::{CacheEntry, CacheSnapshot};
 use crate::query_index::QueryIndexConfig;
+use crate::staged::{Generation, Manifest, SNAPSHOT_FILE};
 use crate::stats::{QuerySerial, StatsStore, Value};
 use gc_graph::{io, GraphError, GraphId};
-use gc_index::fingerprint::iso_hash;
+use gc_index::fingerprint::fnv1a;
 use gc_index::paths::{enumerate_paths, PathProfile};
 use gc_methods::QueryKind;
 use gc_subiso::Matcher;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// On-disk representation selector for [`PersistedCache::save_as`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The on-disk representation: `snapshot.bin` is the only one. Exists
+/// for [`GraphCache::save_with_format`](crate::GraphCache::save_with_format),
+/// whose only caller is the `perf/src/replay.rs` benchmark.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub enum PersistFormat {
-    /// The line-oriented text format (`entries.txt` + `stats.txt` +
-    /// `fragments.txt`) — human-readable, diff-friendly, and what every
-    /// save before format v2 produced.
-    #[default]
-    Text,
-    /// Persist format v2: one checksummed little-endian binary image
-    /// (`snapshot.bin`) holding the arena layout directly, restored by a
-    /// bulk read + validate with no per-entry text parsing.
+    /// `snapshot.bin`.
     Binary,
 }
 
-/// Path-feature profiles captured at save time, so a binary restore can
-/// skip re-enumerating every entry graph's simple paths — the dominant
-/// cost of materialising a restored cache. The index configuration they
-/// were enumerated under is recorded alongside; profiles are only reused
-/// when the restoring configuration matches (see
+/// Path-feature profiles captured at save time, so a restore can skip
+/// re-enumerating every entry graph's simple paths — the dominant cost of
+/// materialising a restored cache. The index configuration they were
+/// enumerated under is recorded alongside; profiles are only reused when
+/// the restoring configuration matches (see
 /// [`PersistedCache::into_snapshot_sharded`]).
 #[derive(Debug, Clone)]
 pub struct StoredProfiles {
@@ -80,7 +65,7 @@ pub struct StoredProfiles {
 
 /// One persisted cache entry: serial, query graph, answer set, the query
 /// direction the answer was computed under, and the graph's iso
-/// fingerprint (recomputed on load when the save predates fingerprints).
+/// fingerprint.
 pub type PersistedEntry = (
     QuerySerial,
     gc_graph::LabeledGraph,
@@ -100,22 +85,21 @@ pub struct PersistedCache {
     /// numbering without collisions).
     pub next_serial: QuerySerial,
     /// Registry name of the eviction policy the statistics were
-    /// accumulated under; `None` for saves predating the policy engine.
-    /// Restoring under a different policy logs a warning (see
+    /// accumulated under, when recorded. Restoring under a different
+    /// policy logs a warning (see
     /// [`GraphCache::restore`](crate::GraphCache::restore)).
     pub policy: Option<String>,
     /// The sub-query fragment store (empty for caches without the
-    /// fragment layer, and for legacy saves without `fragments.txt`).
+    /// fragment layer).
     pub fragments: Vec<PersistedFragment>,
     /// Path-feature profiles captured at save time, parallel to
-    /// `entries`; `None` for text saves and binary saves taken without
-    /// profiles. Only the binary format persists them.
+    /// `entries`; `None` when the state was saved without them.
     pub profiles: Option<StoredProfiles>,
 }
 
 /// What [`PersistedCache::load_resilient`] recovered: the state plus the
-/// generation it came from (`None` for legacy flat-file directories with
-/// no `MANIFEST`).
+/// generation it came from (`None` for a directory without a usable
+/// `MANIFEST`, read through its flat `snapshot.bin`).
 #[derive(Debug)]
 pub struct RecoveredSnapshot {
     /// The recovered cache state.
@@ -148,29 +132,16 @@ pub struct PersistedFragment {
 }
 
 impl PersistedCache {
-    /// Writes the state into `dir` (created if missing) in the text
-    /// format, through the crash-safe staged path (see
+    /// Writes the state into `dir` (created if missing) as a new
+    /// `snapshot.bin` generation, through the crash-safe staged path (see
     /// [`save_staged`](Self::save_staged)).
     pub fn save(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
-        self.save_as(dir, PersistFormat::Text)
+        self.save_staged(dir, &crate::staged::RealIo).map(|_| ())
     }
 
-    /// Writes the state into `dir` as a persist-format-v2 binary snapshot
-    /// (see [`crate::snapshot_bin`]), removing any text-format files so
-    /// the flat view of the directory holds exactly one representation.
-    pub fn save_binary(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
-        self.save_as(dir, PersistFormat::Binary)
-    }
-
-    /// Writes the state into `dir` in the chosen [`PersistFormat`].
-    pub fn save_as(&self, dir: impl AsRef<Path>, format: PersistFormat) -> std::io::Result<()> {
-        self.save_staged(dir, format, &crate::staged::RealIo)
-            .map(|_| ())
-    }
-
-    /// The crash-safe save path every other save entry point funnels
-    /// through: encodes the chosen format's files, stages them (write to
-    /// `*.tmp`, fsync, rename) into a new generation slot, and commits by
+    /// The crash-safe save path every save funnels through: encodes
+    /// `snapshot.bin` in memory, stages it (write to a `*.tmp` slot,
+    /// fsync, rename) into a new generation slot, and commits by
     /// atomically replacing the checksum-validated `MANIFEST` — see
     /// [`crate::staged`]. All filesystem mutations run through `io`, so a
     /// fault-injecting [`SnapshotIo`](crate::staged::SnapshotIo) can
@@ -179,101 +150,32 @@ impl PersistedCache {
     pub fn save_staged(
         &self,
         dir: impl AsRef<Path>,
-        format: PersistFormat,
         io: &dyn crate::staged::SnapshotIo,
     ) -> std::io::Result<u64> {
-        let files = self.encoded_files(format)?;
-        crate::staged::commit_generation(dir.as_ref(), &files, format, io)
+        let snapshot = crate::snapshot_bin::encode(self);
+        crate::staged::commit_generation(dir.as_ref(), &snapshot, io)
     }
 
-    /// Encodes the on-disk file set of one save, fully in memory — the
-    /// staged writer publishes whole files atomically, so contents are
-    /// assembled before any filesystem mutation happens.
-    fn encoded_files(
-        &self,
-        format: PersistFormat,
-    ) -> std::io::Result<Vec<(&'static str, Vec<u8>)>> {
-        match format {
-            PersistFormat::Text => {
-                let mut ef: Vec<u8> = Vec::new();
-                writeln!(ef, "next_serial {}", self.next_serial)?;
-                if let Some(policy) = &self.policy {
-                    writeln!(ef, "policy {policy}")?;
-                }
-                for (serial, graph, answer, kind, fingerprint) in &self.entries {
-                    let kind_tok = match kind {
-                        QueryKind::Subgraph => "sub",
-                        QueryKind::Supergraph => "super",
-                    };
-                    writeln!(ef, "@entry {serial} {kind_tok} fp:{fingerprint:016x}")?;
-                    io::write_graph(&mut ef, &format!("q{serial}"), graph)?;
-                    write!(ef, "answers:")?;
-                    for id in answer {
-                        write!(ef, " {}", id.0)?;
-                    }
-                    writeln!(ef)?;
-                }
-                let mut sf: Vec<u8> = Vec::new();
-                write_stats_text(&mut sf, &self.stats)?;
-                // Always (re)written, even when empty: a save into a
-                // directory that previously held fragments must not leave
-                // the stale file behind for the next load to pick up.
-                let mut ff: Vec<u8> = Vec::new();
-                write_fragments_text(&mut ff, &self.fragments)?;
-                Ok(vec![
-                    ("entries.txt", ef),
-                    ("stats.txt", sf),
-                    ("fragments.txt", ff),
-                ])
-            }
-            PersistFormat::Binary => Ok(vec![("snapshot.bin", crate::snapshot_bin::encode(self))]),
-        }
-    }
-
-    /// Reads a persist-format-v2 binary snapshot back from `dir`. All
-    /// validation failures (truncation, checksum mismatch, malformed
-    /// sections) surface as [`GraphError::Snapshot`] — never a panic.
-    pub fn load_binary(dir: impl AsRef<Path>) -> Result<Self, GraphError> {
-        let bytes = std::fs::read(dir.as_ref().join("snapshot.bin"))?;
-        crate::snapshot_bin::decode(&bytes)
-    }
-
-    /// Reads the state back from `dir`, auto-detecting the format: a
-    /// `snapshot.bin` loads as binary, otherwise the text files load with
-    /// `default_kind` applied to legacy untagged entries (as in
-    /// [`load_with_default_kind`](Self::load_with_default_kind); binary
-    /// snapshots always carry explicit kinds, so the default is unused
-    /// there).
-    pub fn load_auto(dir: impl AsRef<Path>, default_kind: QueryKind) -> Result<Self, GraphError> {
+    /// The one way a save is read back. When the directory carries a
+    /// valid `MANIFEST` (see [`crate::staged`]), generations are tried
+    /// newest first — each validated against its recorded length and
+    /// checksum before parsing — and the first valid one wins, so a save
+    /// that crashed mid-write falls back to the previous good generation.
+    /// A directory without a manifest (or with a corrupt one) loads its
+    /// flat `snapshot.bin`. Every failure — truncation, checksum mismatch,
+    /// malformed sections, a text save, no snapshot at all — is a
+    /// [`GraphError`], never a panic.
+    pub fn load_resilient(dir: impl AsRef<Path>) -> Result<RecoveredSnapshot, GraphError> {
         let dir = dir.as_ref();
-        if dir.join("snapshot.bin").exists() {
-            Self::load_binary(dir)
-        } else {
-            Self::load_with_default_kind(dir, default_kind)
-        }
-    }
-
-    /// The crash-recovering load: when the directory carries a valid
-    /// `MANIFEST` (see [`crate::staged`]), generations are tried newest
-    /// first — each validated against its recorded checksums before
-    /// parsing — and the first valid one wins, so a save that crashed
-    /// mid-write falls back to the previous good generation. Directories
-    /// without a manifest (or with a corrupt one) load through the legacy
-    /// flat-file [`load_auto`](Self::load_auto) path.
-    pub fn load_resilient(
-        dir: impl AsRef<Path>,
-        default_kind: QueryKind,
-    ) -> Result<RecoveredSnapshot, GraphError> {
-        let dir = dir.as_ref();
-        let Some(manifest) = crate::staged::Manifest::read(dir) else {
+        let Some(manifest) = Manifest::read(dir) else {
             return Ok(RecoveredSnapshot {
-                state: Self::load_auto(dir, default_kind)?,
+                state: Self::load_flat(dir)?,
                 generation: None,
             });
         };
         let mut last_err: Option<GraphError> = None;
         for gen in &manifest.generations {
-            match Self::load_generation(dir, gen, default_kind) {
+            match Self::load_generation(dir, gen) {
                 Ok(state) => {
                     return Ok(RecoveredSnapshot {
                         state,
@@ -294,162 +196,37 @@ impl PersistedCache {
             .unwrap_or_else(|| GraphError::snapshot(0, "manifest lists no usable generation")))
     }
 
-    /// Loads one manifest-listed generation, validating every file's
+    /// Loads one manifest-listed generation, validating the snapshot's
     /// length and checksum against the manifest before parsing — a torn
     /// or bit-flipped file is rejected without trusting its contents.
-    fn load_generation(
-        dir: &Path,
-        gen: &crate::staged::Generation,
-        default_kind: QueryKind,
-    ) -> Result<Self, GraphError> {
+    fn load_generation(dir: &Path, gen: &Generation) -> Result<Self, GraphError> {
         let slot = dir.join(crate::staged::generation_dir_name(gen.seq));
-        for file in &gen.files {
-            let bytes = std::fs::read(slot.join(&file.name))?;
-            if bytes.len() as u64 != file.len || crate::staged::fnv1a(&bytes) != file.checksum {
-                return Err(GraphError::snapshot(
-                    0,
-                    format!(
-                        "generation {} file {} fails manifest validation",
-                        gen.seq, file.name
-                    ),
-                ));
-            }
+        let bytes = std::fs::read(slot.join(SNAPSHOT_FILE))?;
+        if bytes.len() as u64 != gen.len || fnv1a(&bytes) != gen.checksum {
+            return Err(GraphError::snapshot(
+                0,
+                format!("generation {} fails manifest validation", gen.seq),
+            ));
         }
-        match gen.format {
-            PersistFormat::Binary => Self::load_binary(&slot),
-            PersistFormat::Text => Self::load_with_default_kind(&slot, default_kind),
-        }
+        crate::snapshot_bin::decode(&bytes)
     }
 
-    /// Reads the state back from `dir`. Entries whose header omits the
-    /// kind token load as subgraph-mode; use
-    /// [`load_with_default_kind`](Self::load_with_default_kind) to supply
-    /// the right default for a supergraph cache.
-    pub fn load(dir: impl AsRef<Path>) -> Result<Self, GraphError> {
-        Self::load_with_default_kind(dir, QueryKind::Subgraph)
-    }
-
-    /// Reads the state back from `dir`, tagging entries whose `@entry`
-    /// header predates direction tagging (no `sub`/`super` token) with
-    /// `default_kind`. A cache restoring its own legacy save passes its
-    /// configured query kind, so old supergraph saves keep hitting
-    /// supergraph queries instead of silently mis-tagging as subgraph.
-    pub fn load_with_default_kind(
-        dir: impl AsRef<Path>,
-        default_kind: QueryKind,
-    ) -> Result<Self, GraphError> {
-        let dir = dir.as_ref();
-        let mut out = PersistedCache::default();
-
-        let ef = BufReader::new(std::fs::File::open(dir.join("entries.txt"))?);
-        let mut lines = ef.lines();
-        let first = lines
-            .next()
-            .transpose()?
-            .ok_or_else(|| GraphError::parse(1, "missing next_serial header"))?;
-        out.next_serial = first
-            .strip_prefix("next_serial ")
-            .and_then(|v| v.trim().parse().ok())
-            .ok_or_else(|| GraphError::parse(1, "malformed next_serial header"))?;
-        // Re-assemble records: delegate graph parsing to gc_graph::io by
-        // buffering each record's lines.
-        let mut pending: Vec<String> = Vec::new();
-        let mut serial: Option<(QuerySerial, QueryKind, Option<u64>)> = None;
-        let mut lineno = 1usize;
-        let finish = |(serial, kind, fp): (QuerySerial, QueryKind, Option<u64>),
-                      pending: &mut Vec<String>,
-                      out: &mut PersistedCache,
-                      lineno: usize|
-         -> Result<(), GraphError> {
-            let answers_line = pending
-                .pop()
-                .ok_or_else(|| GraphError::parse(lineno, "entry missing answers line"))?;
-            let rest = answers_line
-                .strip_prefix("answers:")
-                .ok_or_else(|| GraphError::parse(lineno, "expected 'answers:' line"))?;
-            let mut answer = Vec::new();
-            for tok in rest.split_whitespace() {
-                let id: u32 = tok
-                    .parse()
-                    .map_err(|_| GraphError::parse(lineno, format!("bad answer id {tok:?}")))?;
-                answer.push(GraphId(id));
+    /// Loads the flat `snapshot.bin` current view of a directory without
+    /// a usable manifest.
+    fn load_flat(dir: &Path) -> Result<Self, GraphError> {
+        match std::fs::read(dir.join(SNAPSHOT_FILE)) {
+            Ok(bytes) => crate::snapshot_bin::decode(&bytes),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                let why = if dir.join("entries.txt").is_file() {
+                    "the directory holds a text save (entries.txt); text saves are no longer \
+                     read — rebuild the cache and save it again"
+                } else {
+                    "no MANIFEST or snapshot.bin — not a saved cache directory"
+                };
+                Err(GraphError::snapshot(0, why))
             }
-            let text = pending.join("\n");
-            let ds = io::read_dataset(text.as_bytes())?;
-            if ds.len() != 1 {
-                return Err(GraphError::parse(
-                    lineno,
-                    "expected exactly one graph record",
-                ));
-            }
-            let graph = ds.graph(GraphId(0)).clone();
-            // Saves predating fingerprints carry no token; re-hash on load.
-            let fingerprint = fp.unwrap_or_else(|| iso_hash(&graph));
-            out.entries.push((serial, graph, answer, kind, fingerprint));
-            pending.clear();
-            Ok(())
-        };
-        for line in lines {
-            let line = line?;
-            lineno += 1;
-            if let Some(s) = line.strip_prefix("@entry ") {
-                if let Some(prev) = serial.take() {
-                    finish(prev, &mut pending, &mut out, lineno)?;
-                }
-                let mut toks = s.split_whitespace();
-                let parsed: QuerySerial = toks
-                    .next()
-                    .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| GraphError::parse(lineno, "bad entry serial"))?;
-                // The kind and fingerprint tokens are optional: saves
-                // predating direction-tagged entries carry neither (the
-                // kind defaults to the caller's, the fingerprint is
-                // recomputed from the graph).
-                let mut kind = default_kind;
-                let mut fp: Option<u64> = None;
-                for tok in toks {
-                    match tok {
-                        "sub" => kind = QueryKind::Subgraph,
-                        "super" => kind = QueryKind::Supergraph,
-                        _ => {
-                            let hex = tok.strip_prefix("fp:").ok_or_else(|| {
-                                GraphError::parse(lineno, format!("unknown entry kind {tok:?}"))
-                            })?;
-                            fp = Some(u64::from_str_radix(hex, 16).map_err(|_| {
-                                GraphError::parse(lineno, "malformed fingerprint token")
-                            })?);
-                        }
-                    }
-                }
-                serial = Some((parsed, kind, fp));
-            } else if serial.is_some() {
-                pending.push(line);
-            } else if let Some(p) = line.strip_prefix("policy ") {
-                // Optional header (saves predating the policy engine carry
-                // none); only valid once, before the first @entry.
-                if out.policy.is_some() || p.trim().is_empty() {
-                    return Err(GraphError::parse(lineno, "malformed policy header"));
-                }
-                out.policy = Some(p.trim().to_string());
-            } else if !line.trim().is_empty() {
-                return Err(GraphError::parse(lineno, "content before first @entry"));
-            }
+            Err(e) => Err(e.into()),
         }
-        if let Some(prev) = serial.take() {
-            finish(prev, &mut pending, &mut out, lineno)?;
-        }
-
-        let sf = BufReader::new(std::fs::File::open(dir.join("stats.txt"))?);
-        read_stats_text(sf, &mut out.stats)?;
-
-        // Fragment store: optional file (absent in saves predating the
-        // fragment cache — legacy directories load an empty list), strict
-        // once present.
-        let fragments_path = dir.join("fragments.txt");
-        if fragments_path.exists() {
-            out.fragments = load_fragments(&fragments_path)?;
-        }
-        Ok(out)
     }
 
     /// Keeps one entry per isomorphism class and kind — the smallest
@@ -494,19 +271,12 @@ impl PersistedCache {
         });
     }
 
-    /// Materialises a single-shard [`CacheSnapshot`] from the loaded
-    /// entries (the query index is rebuilt, exactly as the paper's startup
-    /// path does). See [`into_snapshot_sharded`](Self::into_snapshot_sharded)
-    /// for restoring into a sharded cache.
-    pub fn into_snapshot(self, cfg: QueryIndexConfig) -> (CacheSnapshot, StatsStore, QuerySerial) {
-        self.into_snapshot_sharded(cfg, 1)
-    }
-
     /// Materialises a [`CacheSnapshot`] with `shards` partitions from the
-    /// loaded entries. The on-disk format carries no shard layout — shard
-    /// counts are runtime configuration, so a save taken under one count
-    /// restores cleanly under any other; entries are re-routed by serial
-    /// hash on load.
+    /// loaded entries (the query index is rebuilt, exactly as the paper's
+    /// startup path does). The on-disk format carries no shard layout —
+    /// shard counts are runtime configuration, so a save taken under one
+    /// count restores cleanly under any other; entries are re-routed by
+    /// serial hash on load.
     pub fn into_snapshot_sharded(
         self,
         cfg: QueryIndexConfig,
@@ -553,10 +323,9 @@ impl PersistedCache {
     }
 }
 
-/// Writes the `stats.txt` text codec: rows in sorted-serial order, each
-/// row's columns in the store's (sorted) iteration order — so identical
-/// stats always serialise to identical bytes. Shared between the text
-/// save and the binary snapshot's embedded STATS section.
+/// Writes the STATS codec: rows in sorted-serial order, each row's
+/// columns in the store's (sorted) iteration order — so identical stats
+/// always serialise to identical bytes.
 pub(crate) fn write_stats_text(mut w: impl Write, stats: &StatsStore) -> std::io::Result<()> {
     let mut keys: Vec<QuerySerial> = stats.keys().collect();
     keys.sort_unstable();
@@ -574,8 +343,9 @@ pub(crate) fn write_stats_text(mut w: impl Write, stats: &StatsStore) -> std::io
     Ok(())
 }
 
-/// Parses the `stats.txt` text codec into `stats`. Strict: malformed rows
-/// or cells are errors, not skips.
+/// Parses the STATS codec into `stats`. Strict: malformed rows or cells
+/// are errors, not skips. The `filter_us`/`verify_us` wall-clock columns
+/// that snapshots of earlier releases carry are retired and dropped.
 pub(crate) fn read_stats_text(r: impl BufRead, stats: &mut StatsStore) -> Result<(), GraphError> {
     let mut current: Option<QuerySerial> = None;
     for (i, line) in r.lines().enumerate() {
@@ -600,18 +370,13 @@ pub(crate) fn read_stats_text(r: impl BufRead, stats: &mut StatsStore) -> Result
             let raw = parts
                 .next()
                 .ok_or_else(|| GraphError::parse(lineno, "missing value"))?;
-            let col = leak_column(col);
-            match kind {
-                "int" => stats.set(
-                    key,
-                    col,
-                    raw.parse::<i64>()
+            let value = match kind {
+                "int" => Value::Int(
+                    raw.parse()
                         .map_err(|_| GraphError::parse(lineno, "bad int"))?,
                 ),
-                "float" => stats.set(
-                    key,
-                    col,
-                    raw.parse::<f64>()
+                "float" => Value::Float(
+                    raw.parse()
                         .map_err(|_| GraphError::parse(lineno, "bad float"))?,
                 ),
                 other => {
@@ -620,15 +385,16 @@ pub(crate) fn read_stats_text(r: impl BufRead, stats: &mut StatsStore) -> Result
                         format!("unknown value kind {other:?}"),
                     ))
                 }
+            };
+            if !matches!(col, "filter_us" | "verify_us") {
+                stats.set(key, leak_column(col), value);
             }
         }
     }
     Ok(())
 }
 
-/// Writes the `fragments.txt` text codec (version header + one record per
-/// fragment). Shared between the text save and the binary snapshot's
-/// embedded FRAGMENTS section.
+/// Writes the FRAGMENTS codec (version header + one record per fragment).
 pub(crate) fn write_fragments_text(
     mut w: impl Write,
     fragments: &[PersistedFragment],
@@ -650,13 +416,7 @@ pub(crate) fn write_fragments_text(
     Ok(())
 }
 
-/// Parses the strict `fragments.txt` format (see the module docs).
-fn load_fragments(path: &Path) -> Result<Vec<PersistedFragment>, GraphError> {
-    read_fragments_text(BufReader::new(std::fs::File::open(path)?))
-}
-
-/// Parses the `fragments.txt` text codec from any reader. Shared between
-/// the text load and the binary snapshot's embedded FRAGMENTS section.
+/// Parses the strict FRAGMENTS codec (see the module docs).
 pub(crate) fn read_fragments_text(r: impl BufRead) -> Result<Vec<PersistedFragment>, GraphError> {
     let mut lines = r.lines();
     let header = lines
@@ -768,8 +528,6 @@ fn leak_column(name: &str) -> &'static str {
         c::NODES,
         c::EDGES,
         c::LABELS,
-        c::FILTER_US,
-        c::VERIFY_US,
         c::HITS,
         c::SPECIAL_HITS,
         c::LAST_HIT,
@@ -789,9 +547,11 @@ mod tests {
     use super::*;
     use crate::stats::columns;
     use gc_graph::LabeledGraph;
+    use gc_index::fingerprint::iso_hash;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("gc-persist-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
@@ -832,12 +592,19 @@ mod tests {
         }
     }
 
+    /// Saves `state` into a fresh directory and reads it back.
+    fn roundtripped(tag: &str, state: &PersistedCache) -> PersistedCache {
+        let dir = tmpdir(tag);
+        state.save(&dir).unwrap();
+        let back = PersistedCache::load_resilient(&dir).unwrap();
+        assert_eq!(back.generation, Some(1), "a first save is generation 1");
+        std::fs::remove_dir_all(&dir).ok();
+        back.state
+    }
+
     #[test]
     fn roundtrip() {
-        let dir = tmpdir("roundtrip");
-        let orig = sample();
-        orig.save(&dir).unwrap();
-        let back = PersistedCache::load(&dir).unwrap();
+        let back = roundtripped("roundtrip", &sample());
         assert_eq!(back.next_serial, 42);
         assert_eq!(back.policy.as_deref(), Some("hd"));
         assert_eq!(back.entries.len(), 2);
@@ -854,65 +621,36 @@ mod tests {
             Some(Value::Float(12.5))
         );
         assert_eq!(back.fragments, sample().fragments);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_dirs_without_fragments_load_empty() {
-        let dir = tmpdir("no-fragments");
-        sample().save(&dir).unwrap();
-        std::fs::remove_file(dir.join("fragments.txt")).unwrap();
-        let back = PersistedCache::load(&dir).unwrap();
-        assert!(back.fragments.is_empty(), "legacy save loads empty store");
-        assert_eq!(back.entries.len(), 2, "entries unaffected");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn malformed_fragments_rejected() {
-        let dir = tmpdir("bad-fragments");
-        sample().save(&dir).unwrap();
-        let text = std::fs::read_to_string(dir.join("fragments.txt")).unwrap();
+        let mut buf = Vec::new();
+        write_fragments_text(&mut buf, &sample().fragments).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let parse = |t: &str| read_fragments_text(t.as_bytes());
 
         // Wrong version header.
-        std::fs::write(
-            dir.join("fragments.txt"),
-            text.replace("fragments_v1", "fragments_v9"),
-        )
-        .unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
-
+        assert!(parse(&text.replace("fragments_v1", "fragments_v9")).is_err());
         // Malformed key.
-        std::fs::write(dir.join("fragments.txt"), text.replace("key:", "key:zz")).unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
-
+        assert!(parse(&text.replace("key:", "key:zz")).is_err());
         // Unknown header token.
-        std::fs::write(dir.join("fragments.txt"), text.replace("hits:", "hats:")).unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
-
+        assert!(parse(&text.replace("hits:", "hats:")).is_err());
         // Missing occs line.
-        std::fs::write(
-            dir.join("fragments.txt"),
-            text.lines()
-                .filter(|l| !l.starts_with("occs:"))
-                .map(|l| format!("{l}\n"))
-                .collect::<String>(),
-        )
-        .unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
-
-        // The intact file still loads (sanity-check the baseline).
-        std::fs::write(dir.join("fragments.txt"), &text).unwrap();
-        assert!(PersistedCache::load(&dir).is_ok());
-        std::fs::remove_dir_all(&dir).ok();
+        let no_occs: String = text
+            .lines()
+            .filter(|l| !l.starts_with("occs:"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(parse(&no_occs).is_err());
+        // The intact codec still parses (sanity-check the baseline).
+        assert_eq!(parse(&text).unwrap(), sample().fragments);
     }
 
     #[test]
     fn snapshot_materialisation() {
-        let dir = tmpdir("snapshot");
-        sample().save(&dir).unwrap();
-        let loaded = PersistedCache::load(&dir).unwrap();
-        let (snap, stats, next) = loaded.into_snapshot(QueryIndexConfig::default());
+        let loaded = roundtripped("snapshot", &sample());
+        let (snap, stats, next) = loaded.into_snapshot_sharded(QueryIndexConfig::default(), 1);
         assert_eq!(snap.len(), 2);
         assert_eq!(next, 42);
         assert_eq!(stats.len(), 2);
@@ -921,14 +659,11 @@ mod tests {
         let probe = LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]);
         let (sub, _) = snap.candidate_serials(&probe);
         assert!(!sub.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn sharded_materialisation_routes_entries() {
-        let dir = tmpdir("sharded");
-        sample().save(&dir).unwrap();
-        let loaded = PersistedCache::load(&dir).unwrap();
+        let loaded = roundtripped("sharded", &sample());
         let (snap, _, _) = loaded.into_snapshot_sharded(QueryIndexConfig::default(), 4);
         assert_eq!(snap.shard_count(), 4);
         assert_eq!(snap.len(), 2);
@@ -937,139 +672,78 @@ mod tests {
         // Candidates match the single-shard materialisation (as sets).
         let probe = LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]);
         let (mut sub, _) = snap.candidate_serials(&probe);
-        let loaded = PersistedCache::load(&dir).unwrap();
-        let (flat, _, _) = loaded.into_snapshot(QueryIndexConfig::default());
+        let (flat, _, _) = sample().into_snapshot_sharded(QueryIndexConfig::default(), 1);
         let (mut flat_sub, _) = flat.candidate_serials(&probe);
         sub.sort_unstable();
         flat_sub.sort_unstable();
         assert_eq!(sub, flat_sub);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A directory with no snapshot fails with a typed error, and a
+    /// malformed STATS section is rejected, not skipped. (Text saves of
+    /// earlier releases are refused through `GraphCache::restore` in
+    /// `tests/persistence.rs`.)
     #[test]
     fn malformed_inputs_rejected() {
         let dir = tmpdir("malformed");
-        std::fs::write(dir.join("entries.txt"), "garbage\n").unwrap();
-        std::fs::write(dir.join("stats.txt"), "").unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
+        let missing = PersistedCache::load_resilient(dir.join("absent"));
+        assert!(matches!(missing, Err(GraphError::Snapshot { .. })));
 
-        std::fs::write(dir.join("entries.txt"), "next_serial 1\nstray\n").unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
-
-        std::fs::write(dir.join("entries.txt"), "next_serial 1\n").unwrap();
-        std::fs::write(dir.join("stats.txt"), "  orphan int 3\n").unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn legacy_headers_default_to_subgraph() {
-        // Saves that predate direction tagging have bare `@entry <serial>`
-        // headers; they must load as subgraph-mode entries.
-        let dir = tmpdir("legacy");
-        sample().save(&dir).unwrap();
-        let text = std::fs::read_to_string(dir.join("entries.txt")).unwrap();
-        let stripped: String = text
-            .lines()
-            .map(|l| {
-                if let Some(rest) = l.strip_prefix("@entry ") {
-                    format!("@entry {}\n", rest.split_whitespace().next().unwrap())
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        std::fs::write(dir.join("entries.txt"), stripped).unwrap();
-        let back = PersistedCache::load(&dir).unwrap();
-        assert!(back.entries.iter().all(|e| e.3 == QueryKind::Subgraph));
-        // A supergraph cache restoring its own legacy save tags them with
-        // its configured kind instead.
-        let back = PersistedCache::load_with_default_kind(&dir, QueryKind::Supergraph).unwrap();
-        assert!(back.entries.iter().all(|e| e.3 == QueryKind::Supergraph));
-
-        // Unknown kind tokens are rejected, not silently defaulted.
-        let bad = text.replace("@entry 3 sub", "@entry 3 sideways");
-        std::fs::write(dir.join("entries.txt"), bad).unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Saves without a fingerprint token load by re-hashing the graph, so
-    /// the exact-match fast path works on restored legacy caches too.
-    #[test]
-    fn legacy_saves_recompute_fingerprints() {
-        let dir = tmpdir("legacy-fp");
-        sample().save(&dir).unwrap();
-        let text = std::fs::read_to_string(dir.join("entries.txt")).unwrap();
-        assert!(text.contains(" fp:"), "fingerprints are persisted");
-        let stripped: String = text
-            .lines()
-            .map(|l| {
-                if let Some(rest) = l.strip_prefix("@entry ") {
-                    let mut toks = rest.split_whitespace();
-                    format!(
-                        "@entry {} {}\n",
-                        toks.next().unwrap(),
-                        toks.next().unwrap() // keep the kind, drop fp
-                    )
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        std::fs::write(dir.join("entries.txt"), stripped).unwrap();
-        let back = PersistedCache::load(&dir).unwrap();
-        for (_, graph, _, _, fp) in &back.entries {
-            assert_eq!(*fp, iso_hash(graph), "recomputed on load");
-        }
-
-        // A malformed fingerprint token is rejected, not guessed around.
-        let bad = text.replacen(" fp:", " fp:zz", 1);
-        std::fs::write(dir.join("entries.txt"), bad).unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
+        let mut stats = StatsStore::new();
+        assert!(read_stats_text("  orphan int 3\n".as_bytes(), &mut stats).is_err());
+        assert!(read_stats_text("row 1\n  hits int x\n".as_bytes(), &mut stats).is_err());
+        assert!(read_stats_text("row 1\n  hits text 2\n".as_bytes(), &mut stats).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn empty_cache_roundtrip() {
-        let dir = tmpdir("empty");
         let empty = PersistedCache {
             next_serial: 1,
             ..Default::default()
         };
-        empty.save(&dir).unwrap();
-        let back = PersistedCache::load(&dir).unwrap();
+        let back = roundtripped("empty", &empty);
         assert!(back.entries.is_empty());
         assert!(back.stats.is_empty());
-        assert!(back.policy.is_none(), "no header written when unset");
-        std::fs::remove_dir_all(&dir).ok();
+        assert!(back.policy.is_none(), "no policy recorded when unset");
     }
 
+    /// The policy name in the META section is optional (a state without
+    /// one round-trips as `None`) and strict (a name that is not UTF-8 is
+    /// rejected, even under a valid checksum).
     #[test]
     fn policy_header_optional_and_strict() {
-        // Legacy saves (no `policy` line) load with `policy: None`.
-        let dir = tmpdir("policy-header");
-        sample().save(&dir).unwrap();
-        let text = std::fs::read_to_string(dir.join("entries.txt")).unwrap();
-        let without: String = text
-            .lines()
-            .filter(|l| !l.starts_with("policy "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        std::fs::write(dir.join("entries.txt"), &without).unwrap();
-        let back = PersistedCache::load(&dir).unwrap();
-        assert!(back.policy.is_none(), "legacy save still loads");
+        let mut state = sample();
+        state.policy = None;
+        let back = roundtripped("policy-header", &state);
+        assert!(back.policy.is_none());
         assert_eq!(back.entries.len(), 2);
 
-        // A duplicated policy header is rejected.
-        let doubled = text.replace("policy hd", "policy hd\npolicy lru");
-        std::fs::write(dir.join("entries.txt"), doubled).unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
+        let mut bytes = crate::snapshot_bin::encode(&sample());
+        let body_len = bytes.len() - 8;
+        let sections = u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize;
+        // META is the first section: a length word, then the name.
+        let name_at = 48 + sections * 24 + 8;
+        assert_eq!(&bytes[name_at..name_at + 2], b"hd");
+        bytes[name_at..name_at + 2].copy_from_slice(&[0xff, 0xfe]);
+        let sum = fnv1a(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let err = crate::snapshot_bin::decode(&bytes).unwrap_err();
+        assert!(err.to_string().contains("UTF-8"), "{err}");
+    }
 
-        // An empty policy name is rejected.
-        let empty_name = text.replace("policy hd", "policy  ");
-        std::fs::write(dir.join("entries.txt"), empty_name).unwrap();
-        assert!(PersistedCache::load(&dir).is_err());
-        std::fs::remove_dir_all(&dir).ok();
+    /// The `filter_us`/`verify_us` wall-clock cells that snapshots of
+    /// earlier releases carry are dropped on load; every other cell
+    /// survives.
+    #[test]
+    fn retired_timing_columns_are_dropped() {
+        let mut stats = StatsStore::new();
+        read_stats_text(
+            "row 3\n  filter_us float 1.5\n  hits int 2\n  verify_us float 9\n".as_bytes(),
+            &mut stats,
+        )
+        .unwrap();
+        assert_eq!(stats.get(3, columns::HITS), Some(Value::Int(2)));
+        assert_eq!(stats.row(3).unwrap().len(), 1);
     }
 }

@@ -1,6 +1,7 @@
-//! Persist format v2: a length-prefixed little-endian binary snapshot that
+//! The snapshot format: a length-prefixed little-endian binary image that
 //! mirrors the in-memory arena layout, so restore is a bulk read +
-//! validate with no per-entry text parsing.
+//! validate with no per-entry parsing. It is the only on-disk
+//! representation of a cache (see [`crate::persist`]).
 //!
 //! # On-disk layout (`snapshot.bin`)
 //!
@@ -34,17 +35,17 @@
 //! | 9  | EDGES          | `u32` arena: all edges as `(u, v)` pairs        |
 //! | 10 | ANSWERS        | `u32` arena: all answer ids, entry-major        |
 //! | 11 | PROFILES       | `u32` stream of path-feature profiles (optional) |
-//! | 12 | STATS          | the `stats.txt` text codec, embedded            |
-//! | 13 | FRAGMENTS      | the `fragments.txt` text codec, embedded        |
+//! | 12 | STATS          | the STATS text codec of [`crate::persist`]      |
+//! | 13 | FRAGMENTS      | the FRAGMENTS text codec of [`crate::persist`]  |
 //!
 //! The PROFILES stream holds, per entry, either the single word
 //! `u32::MAX` (enumeration overflowed) or a feature count followed by
 //! `len, label…, count` words per feature, features in sorted label-order
 //! — so an identical cache always encodes to identical bytes. Storing
-//! profiles is what makes binary restore fast: materialisation reuses them
+//! profiles is what makes restore fast: materialisation reuses them
 //! instead of re-enumerating every graph's simple paths (the dominant cost
-//! of a text restore), provided the restoring index configuration matches
-//! the one recorded in the header.
+//! of standing a cache back up), provided the restoring index
+//! configuration matches the one recorded in the header.
 //!
 //! Decoding is strict and never panics: truncation, a bad magic, a
 //! checksum mismatch or any malformed section yields
@@ -52,6 +53,7 @@
 
 use crate::persist::{PersistedCache, StoredProfiles};
 use gc_graph::{GraphError, GraphId, LabeledGraph};
+use gc_index::fingerprint::fnv1a;
 use gc_index::fx::FxHashMap;
 use gc_index::paths::{PathFeature, PathProfile};
 use gc_methods::QueryKind;
@@ -72,17 +74,6 @@ const SEC_ANSWERS: u64 = 10;
 const SEC_PROFILES: u64 = 11;
 const SEC_STATS: u64 = 12;
 const SEC_FRAGMENTS: u64 = 13;
-
-/// FNV-1a 64-bit over a byte slice — implemented locally so the format has
-/// no dependency beyond the standard library.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());

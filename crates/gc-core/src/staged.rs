@@ -17,10 +17,10 @@
 //! ```text
 //! dir/
 //!   MANIFEST            generation index, self-checksummed (see below)
-//!   gen-000001/         one complete save (text or binary files)
+//!   gen-000001/         one complete save: snapshot.bin
 //!   gen-000002/
-//!   entries.txt …       flat "current view" of the newest generation,
-//!                       refreshed after commit for legacy readers
+//!   snapshot.bin        flat "current view" of the newest generation,
+//!                       refreshed after commit
 //! ```
 //!
 //! The `MANIFEST` is line-oriented text:
@@ -28,14 +28,16 @@
 //! ```text
 //! gc-manifest v1
 //! gen 000002 binary snapshot.bin:<fnv1a-hex>:<len>
-//! gen 000001 text entries.txt:<fnv>:<len> stats.txt:<fnv>:<len> fragments.txt:<fnv>:<len>
+//! gen 000001 binary snapshot.bin:<fnv1a-hex>:<len>
 //! sum <fnv1a-hex of every preceding byte>
 //! ```
 //!
 //! Generations are listed newest-first; at most
 //! [`RETAINED_GENERATIONS`] are kept (the newest plus its fallback).
-//! A manifest whose trailing `sum` line does not match is treated as
-//! absent, which routes restore to the legacy flat-file layout.
+//! A manifest whose trailing `sum` line does not match, or that lists
+//! anything but `binary` generations (the `text` generations of earlier
+//! releases), is treated as absent, which routes restore to the flat
+//! `snapshot.bin`.
 //!
 //! # Fault injection
 //!
@@ -48,28 +50,20 @@
 //! of a save and asserts restore always recovers a valid generation.
 
 use gc_graph::GraphError;
+use gc_index::fingerprint::fnv1a;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use crate::persist::PersistFormat;
-
 /// Name of the generation index file at the save root.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
+/// Name of the snapshot file, in each generation slot and as the flat
+/// current view at the save root.
+pub const SNAPSHOT_FILE: &str = "snapshot.bin";
+
 /// How many generations a save keeps: the newest plus one fallback.
 pub const RETAINED_GENERATIONS: usize = 2;
-
-/// FNV-1a 64-bit — the same checksum the binary snapshot trailer uses,
-/// shared so the manifest needs nothing beyond the standard library.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Directory name of a generation slot.
 pub fn generation_dir_name(seq: u64) -> String {
@@ -89,8 +83,6 @@ pub trait SnapshotIo {
     fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Atomically renames `from` to `to` (same filesystem).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-    /// Removes a file; `NotFound` is surfaced for the caller to tolerate.
-    fn remove_file(&self, path: &Path) -> io::Result<()>;
 }
 
 /// The production [`SnapshotIo`]: real filesystem calls, with
@@ -112,10 +104,6 @@ impl SnapshotIo for RealIo {
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         std::fs::rename(from, to)
-    }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        std::fs::remove_file(path)
     }
 }
 
@@ -230,37 +218,19 @@ impl SnapshotIo for FaultIo {
             None => RealIo.rename(from, to),
         }
     }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        match self.arm()? {
-            Some(mode) => Err(self.injected(mode)),
-            None => RealIo.remove_file(path),
-        }
-    }
 }
 
-/// One file of a generation as the manifest records it: name, FNV-1a
-/// checksum and byte length — enough to validate the file on restore
-/// without parsing it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestFile {
-    /// File name inside the generation directory.
-    pub name: String,
-    /// FNV-1a 64-bit checksum of the file contents.
-    pub checksum: u64,
-    /// File length in bytes.
-    pub len: u64,
-}
-
-/// One committed generation.
+/// One committed generation: its number plus the FNV-1a checksum and
+/// byte length of its `snapshot.bin` — enough to validate the file on
+/// restore without parsing it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Generation {
     /// Monotonic generation number (directory `gen-NNNNNN`).
     pub seq: u64,
-    /// On-disk representation of this generation.
-    pub format: PersistFormat,
-    /// The generation's files with validation checksums.
-    pub files: Vec<ManifestFile>,
+    /// FNV-1a 64-bit checksum of the generation's `snapshot.bin`.
+    pub checksum: u64,
+    /// Length of the generation's `snapshot.bin` in bytes.
+    pub len: u64,
 }
 
 /// The checksum-validated generation index (`MANIFEST`), newest first.
@@ -275,15 +245,10 @@ impl Manifest {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = String::from("gc-manifest v1\n");
         for g in &self.generations {
-            let format = match g.format {
-                PersistFormat::Text => "text",
-                PersistFormat::Binary => "binary",
-            };
-            out.push_str(&format!("gen {:06} {format}", g.seq));
-            for f in &g.files {
-                out.push_str(&format!(" {}:{:016x}:{}", f.name, f.checksum, f.len));
-            }
-            out.push('\n');
+            out.push_str(&format!(
+                "gen {:06} binary {SNAPSHOT_FILE}:{:016x}:{}\n",
+                g.seq, g.checksum, g.len
+            ));
         }
         let sum = fnv1a(out.as_bytes());
         out.push_str(&format!("sum {sum:016x}\n"));
@@ -333,44 +298,32 @@ impl Manifest {
                 .next()
                 .and_then(|t| t.parse().ok())
                 .ok_or_else(|| GraphError::parse(lineno, "bad generation number"))?;
-            let format = match toks.next() {
-                Some("text") => PersistFormat::Text,
-                Some("binary") => PersistFormat::Binary,
-                other => {
-                    return Err(GraphError::parse(
-                        lineno,
-                        format!("unknown generation format {other:?}"),
-                    ))
-                }
+            let (Some("binary"), Some(file), None) = (toks.next(), toks.next(), toks.next()) else {
+                return Err(GraphError::parse(
+                    lineno,
+                    "expected 'binary snapshot.bin:<sum>:<len>' (text saves are no longer read)",
+                ));
             };
-            let mut files = Vec::new();
-            for tok in toks {
-                let mut parts = tok.split(':');
-                let (name, sum, len) = (parts.next(), parts.next(), parts.next());
-                if parts.next().is_some() {
-                    return Err(GraphError::parse(lineno, "malformed file token"));
-                }
-                let bad = || GraphError::parse(lineno, format!("malformed file token {tok:?}"));
-                files.push(ManifestFile {
-                    name: name.filter(|n| !n.is_empty()).ok_or_else(bad)?.to_string(),
-                    checksum: sum
-                        .and_then(|s| u64::from_str_radix(s, 16).ok())
-                        .ok_or_else(bad)?,
-                    len: len.and_then(|l| l.parse().ok()).ok_or_else(bad)?,
-                });
-            }
-            if files.is_empty() {
-                return Err(GraphError::parse(lineno, "generation lists no files"));
-            }
-            generations.push(Generation { seq, format, files });
+            let bad = || GraphError::parse(lineno, format!("malformed file token {file:?}"));
+            let mut parts = file.split(':');
+            let (Some(SNAPSHOT_FILE), Some(sum), Some(len), None) =
+                (parts.next(), parts.next(), parts.next(), parts.next())
+            else {
+                return Err(bad());
+            };
+            generations.push(Generation {
+                seq,
+                checksum: u64::from_str_radix(sum, 16).map_err(|_| bad())?,
+                len: len.parse().map_err(|_| bad())?,
+            });
         }
         Ok(Manifest { generations })
     }
 
     /// Reads the manifest from a save directory. Returns `None` when the
     /// file is absent **or** fails validation — a corrupt manifest routes
-    /// restore to the legacy flat-file layout rather than refusing a
-    /// directory whose flat files may be perfectly good.
+    /// restore to the flat `snapshot.bin` rather than refusing a directory
+    /// whose current view may be perfectly good.
     pub fn read(dir: &Path) -> Option<Self> {
         let bytes = std::fs::read(dir.join(MANIFEST_FILE)).ok()?;
         Self::decode(&bytes).ok()
@@ -400,23 +353,17 @@ impl Manifest {
     }
 }
 
-/// Writes one complete save as a new generation: stage the files into a
-/// `gen-NNNNNN.tmp` directory (each file fsynced), rename the directory
+/// Writes one complete save as a new generation: stage `snapshot.bin` into
+/// a `gen-NNNNNN.tmp` directory (fsynced), rename the directory
 /// into its slot, then commit by atomically replacing the `MANIFEST`.
 /// Returns the committed generation number.
 ///
-/// After the commit the flat "current view" files at the save root are
-/// refreshed (staged rename per file) for legacy readers, the other
-/// format's flat files are removed, and generations that fell out of the
+/// After the commit the flat `snapshot.bin` current view at the save root
+/// is refreshed (staged rename), and generations that fell out of the
 /// retention window are pruned best-effort. A crash anywhere in the
 /// post-commit phase leaves a fully recoverable directory: restore reads
 /// the manifest, never the flat view, when a manifest is present.
-pub fn commit_generation(
-    dir: &Path,
-    files: &[(&'static str, Vec<u8>)],
-    format: PersistFormat,
-    io: &dyn SnapshotIo,
-) -> io::Result<u64> {
+pub fn commit_generation(dir: &Path, snapshot: &[u8], io: &dyn SnapshotIo) -> io::Result<u64> {
     io.create_dir_all(dir)?;
     let previous = Manifest::read(dir);
     let seq = Manifest::next_seq(dir, previous.as_ref());
@@ -427,22 +374,13 @@ pub fn commit_generation(
     // (pre-fault bookkeeping, not part of the injectable sequence).
     let _ = std::fs::remove_dir_all(&stage);
     io.create_dir_all(&stage)?;
-    for (name, bytes) in files {
-        io.write_file(&stage.join(name), bytes)?;
-    }
+    io.write_file(&stage.join(SNAPSHOT_FILE), snapshot)?;
     io.rename(&stage, &slot)?;
 
     let mut generations = vec![Generation {
         seq,
-        format,
-        files: files
-            .iter()
-            .map(|(name, bytes)| ManifestFile {
-                name: (*name).to_string(),
-                checksum: fnv1a(bytes),
-                len: bytes.len() as u64,
-            })
-            .collect(),
+        checksum: fnv1a(snapshot),
+        len: snapshot.len() as u64,
     }];
     if let Some(prev) = &previous {
         generations.extend(
@@ -460,23 +398,11 @@ pub fn commit_generation(
     // restore; everything after is cleanup of state restore ignores.
     io.rename(&manifest_tmp, &dir.join(MANIFEST_FILE))?;
 
-    // Refresh the flat current view (legacy readers and the smoke
-    // scripts look at `dir/entries.txt` / `dir/snapshot.bin` directly).
-    for (name, bytes) in files {
-        let tmp = dir.join(format!("{name}.tmp"));
-        io.write_file(&tmp, bytes)?;
-        io.rename(&tmp, &dir.join(name))?;
-    }
-    let stale: &[&str] = match format {
-        PersistFormat::Text => &["snapshot.bin"],
-        PersistFormat::Binary => &["entries.txt", "stats.txt", "fragments.txt"],
-    };
-    for name in stale {
-        match io.remove_file(&dir.join(name)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
-            _ => {}
-        }
-    }
+    // Refresh the flat current view (a manifest-less restore and the
+    // smoke scripts read `dir/snapshot.bin` directly).
+    let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
+    io.write_file(&tmp, snapshot)?;
+    io.rename(&tmp, &dir.join(SNAPSHOT_FILE))?;
     prune_unreferenced(dir, &manifest);
     Ok(seq)
 }
@@ -517,28 +443,13 @@ mod tests {
             generations: vec![
                 Generation {
                     seq: 2,
-                    format: PersistFormat::Binary,
-                    files: vec![ManifestFile {
-                        name: "snapshot.bin".into(),
-                        checksum: 0xdead_beef,
-                        len: 412,
-                    }],
+                    checksum: 0xdead_beef,
+                    len: 412,
                 },
                 Generation {
                     seq: 1,
-                    format: PersistFormat::Text,
-                    files: vec![
-                        ManifestFile {
-                            name: "entries.txt".into(),
-                            checksum: 1,
-                            len: 2,
-                        },
-                        ManifestFile {
-                            name: "stats.txt".into(),
-                            checksum: 3,
-                            len: 4,
-                        },
-                    ],
+                    checksum: 1,
+                    len: 2,
                 },
             ],
         }
@@ -580,12 +491,8 @@ mod tests {
         let m = Manifest {
             generations: vec![Generation {
                 seq: 12,
-                format: PersistFormat::Text,
-                files: vec![ManifestFile {
-                    name: "entries.txt".into(),
-                    checksum: 0,
-                    len: 0,
-                }],
+                checksum: 0,
+                len: 0,
             }],
         };
         assert_eq!(Manifest::next_seq(&dir, Some(&m)), 13);
@@ -606,7 +513,7 @@ mod tests {
         assert!(io.fired());
         // Every later operation fails: the process is "dead".
         assert!(io.create_dir_all(&dir.join("c")).is_err());
-        assert!(io.remove_file(&dir.join("a")).is_err());
+        assert!(io.rename(&dir.join("a"), &dir.join("d")).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -30,10 +30,6 @@ pub mod columns {
     pub const EDGES: &str = "edges";
     /// Number of distinct labels in the query.
     pub const LABELS: &str = "labels";
-    /// Total filtering time (µs) when the query was first executed.
-    pub const FILTER_US: &str = "filter_us";
-    /// Total verification time (µs) when the query was first executed.
-    pub const VERIFY_US: &str = "verify_us";
     /// Times the query was matched by either GC processor (`H`).
     pub const HITS: &str = "hits";
     /// Number of special-case (exact / empty-shortcut) matches.
@@ -214,7 +210,7 @@ mod tests {
     #[test]
     fn row_access_sorted_by_column() {
         let mut s = StatsStore::new();
-        s.set(1, columns::VERIFY_US, 10i64);
+        s.set(1, columns::NODES, 10i64);
         s.set(1, columns::EDGES, 4i64);
         let row = s.row(1).unwrap();
         let cols: Vec<&str> = row.keys().copied().collect();

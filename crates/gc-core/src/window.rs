@@ -96,10 +96,6 @@ pub struct WindowEntry {
     /// The query's iso fingerprint (computed during execution; carried into
     /// the cache entry so admission never re-hashes the graph).
     pub fingerprint: u64,
-    /// Total filtering time (µs) on first execution.
-    pub filter_us: f64,
-    /// Total verification time (µs) on first execution.
-    pub verify_us: f64,
     /// Expensiveness score (see [`crate::admission`]).
     pub expensiveness: f64,
 }
@@ -477,8 +473,6 @@ pub(crate) fn maintain(
             nodes: e.graph.node_count() as i64,
             edges: e.graph.edge_count() as i64,
             labels: e.graph.distinct_label_count() as i64,
-            filter_us: e.filter_us,
-            verify_us: e.verify_us,
             expensiveness: e.expensiveness,
         });
         inserts[shard_for(e.serial, n)].push(Arc::new(CacheEntry {
@@ -565,8 +559,6 @@ pub(crate) fn maintain(
             stats.set(r.serial, columns::NODES, r.nodes);
             stats.set(r.serial, columns::EDGES, r.edges);
             stats.set(r.serial, columns::LABELS, r.labels);
-            stats.set(r.serial, columns::FILTER_US, r.filter_us);
-            stats.set(r.serial, columns::VERIFY_US, r.verify_us);
             stats.set(r.serial, columns::EXPENSIVENESS, r.expensiveness);
             stats.set(r.serial, columns::LAST_HIT, r.serial as i64);
         }
@@ -585,15 +577,14 @@ pub(crate) fn maintain(
     record_round(shared, t0)
 }
 
-/// The static and timing statistics seeded for an admitted query (paper
-/// §6.1), captured before its [`WindowEntry`] moves into the cache entry.
+/// The static statistics and expensiveness score seeded for an admitted
+/// query (paper §6.1), captured before its [`WindowEntry`] moves into the
+/// cache entry.
 struct SeedRow {
     serial: QuerySerial,
     nodes: i64,
     edges: i64,
     labels: i64,
-    filter_us: f64,
-    verify_us: f64,
     expensiveness: f64,
 }
 
@@ -684,8 +675,6 @@ mod tests {
             kind: QueryKind::Subgraph,
             profile,
             fingerprint,
-            filter_us: 10.0,
-            verify_us: 100.0,
             expensiveness,
         }
     }

@@ -4,7 +4,7 @@
 
 use crate::report::{MatrixReport, ScenarioReport, SCHEMA_VERSION};
 use crate::scenario::{Scenario, Suite};
-use gc_core::{CostModel, GraphCache, PersistFormat, QueryRecord, QueryRequest, RunCounters};
+use gc_core::{CostModel, GraphCache, QueryRecord, QueryRequest, RunCounters};
 use std::time::Instant;
 
 /// Runs one scenario and collects its report.
@@ -106,7 +106,7 @@ pub fn build_cache(
 }
 
 /// Runs the scenario's persistence cycle: save the replayed cache as a
-/// binary snapshot, restore it into a freshly built (empty) cache, and
+/// `snapshot.bin`, restore it into a freshly built (empty) cache, and
 /// re-save that restored cache. The cycle passes only if the re-save is
 /// byte-identical to the first snapshot — one comparison that covers
 /// entries, answer sets, stored profiles, policy stats and fragments at
@@ -140,9 +140,7 @@ fn persist_cycle_in(
     };
     let saved = root.join("saved");
     let resaved = root.join("resaved");
-    cache
-        .save_with_format(&saved, PersistFormat::Binary)
-        .map_err(|e| ctx("save", e.to_string()))?;
+    cache.save(&saved).map_err(|e| ctx("save", e.to_string()))?;
     let original = std::fs::read(saved.join("snapshot.bin"))
         .map_err(|e| ctx("read snapshot", e.to_string()))?;
 
@@ -161,7 +159,7 @@ fn persist_cycle_in(
         ));
     }
     restored
-        .save_with_format(&resaved, PersistFormat::Binary)
+        .save(&resaved)
         .map_err(|e| ctx("re-save", e.to_string()))?;
     let roundtripped = std::fs::read(resaved.join("snapshot.bin"))
         .map_err(|e| ctx("read re-saved snapshot", e.to_string()))?;

@@ -154,10 +154,6 @@ pub struct ServeConfig {
     /// generational writer; queries keep flowing while one is in
     /// progress. `None` = exit-time snapshot only.
     pub snapshot_every: Option<Duration>,
-    /// On-disk representation for `persist_on_exit` saves (text or the
-    /// binary arena snapshot); restores auto-detect, so either works with
-    /// `--restore`.
-    pub persist_format: gc_core::PersistFormat,
     /// Install SIGTERM/SIGINT handlers that trigger graceful drain (the
     /// CLI daemon sets this; in-process test servers leave it off).
     pub handle_signals: bool,
@@ -179,7 +175,6 @@ impl Default for ServeConfig {
             drain_timeout: Duration::from_secs(10),
             persist_on_exit: None,
             snapshot_every: None,
-            persist_format: gc_core::PersistFormat::default(),
             handle_signals: false,
             peer: None,
         }
@@ -247,7 +242,6 @@ struct Shared {
     /// Global query counters, accumulated record-by-record.
     global: Mutex<RunCounters>,
     persist_on_exit: Option<PathBuf>,
-    persist_format: gc_core::PersistFormat,
     /// Snapshot generations committed while serving (periodic saves).
     snapshots_written: AtomicU64,
     /// Routed-peer identity, when serving as part of a fleet.
@@ -466,7 +460,6 @@ impl Server {
                 draining: AtomicBool::new(false),
                 global: Mutex::new(RunCounters::default()),
                 persist_on_exit: cfg.persist_on_exit.clone(),
-                persist_format: cfg.persist_format,
                 snapshots_written: AtomicU64::new(0),
                 peer: cfg.peer,
                 ring: cfg.peer.map(|p| Ring::new(p.total)),
@@ -520,11 +513,7 @@ impl Server {
             // committed until the new MANIFEST renames into place.
             if let (Some(every), Some(dir)) = (self.snapshot_every, &self.shared.persist_on_exit) {
                 if last_snapshot.elapsed() >= every {
-                    match self
-                        .shared
-                        .cache
-                        .save_with_format(dir, self.shared.persist_format)
-                    {
+                    match self.shared.cache.save(dir) {
                         Ok(()) => {
                             self.shared.snapshots_written.fetch_add(1, Ordering::SeqCst);
                         }
@@ -557,7 +546,7 @@ impl Server {
         let exit_snapshot = self.shared.persist_on_exit.as_ref().map(|dir| {
             self.shared
                 .cache
-                .save_with_format(dir, self.shared.persist_format)
+                .save(dir)
                 .map_err(|source| ServeError::ExitSnapshot {
                     dir: dir.clone(),
                     source,

@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end persistence smoke using only the release CLI: replay a
-# workload, save the warmed cache in both on-disk formats, restore each
-# into a fresh process replaying the same workload, and require
-# counter-identical behaviour — the text parse and the binary arena
-# snapshot must be indistinguishable above the persistence layer. Also
-# checks the format hygiene contract (each save directory holds exactly
-# one representation, auto-detected on restore). CI runs this under a
-# hard `timeout`; locally it is self-contained and cleans up after
-# itself:
+# workload, save the warmed cache (`snapshot.bin`, the one on-disk
+# representation), restore it into a fresh process replaying the same
+# workload, and require that saving never changes replay behaviour and
+# that the restored replay is far warmer than the cold one. CI runs this
+# under a hard `timeout`; locally it is self-contained and cleans up
+# after itself:
 #
 #   cargo build --release --bin gc
 #   scripts/persist-smoke.sh
@@ -42,33 +40,28 @@ run() { # run <extra flags...> — one deterministic replay
         --capacity 50 --window 5 --maint-stats "$@"
 }
 
-echo "== warm replays, saving text and binary"
-run --save "$WORK/text" > "$WORK/warm-text.out"
-run --save "$WORK/bin" --persist-format binary > "$WORK/warm-bin.out"
+echo "== warm replays, with and without --save"
+run > "$WORK/warm.out"
+run --save "$WORK/saved" > "$WORK/warm-saved.out"
 
-[ -f "$WORK/text/entries.txt" ] || die "text save missing entries.txt"
-[ ! -e "$WORK/text/snapshot.bin" ] || die "text save left a snapshot.bin behind"
-[ -f "$WORK/bin/snapshot.bin" ] || die "binary save missing snapshot.bin"
-[ ! -e "$WORK/bin/entries.txt" ] || die "binary save left an entries.txt behind"
+[ -f "$WORK/saved/snapshot.bin" ] || die "save missing snapshot.bin"
+[ -f "$WORK/saved/MANIFEST" ] || die "save missing MANIFEST"
+[ ! -e "$WORK/saved/entries.txt" ] || die "save wrote a text entries.txt"
 
-# The two warm replays are the same deterministic run; anything else
-# means the save format leaked into replay behaviour.
-diff <(counters "$WORK/warm-text.out") <(counters "$WORK/warm-bin.out") \
-    || die "warm replay counters differ between save formats"
+# Both warm replays are the same deterministic run; anything else means
+# saving leaked into replay behaviour.
+diff <(counters "$WORK/warm.out") <(counters "$WORK/warm-saved.out") \
+    || die "warm replay counters differ with --save"
 
-echo "== restored replays (auto-detected format)"
-run --restore "$WORK/text" > "$WORK/replay-text.out"
-run --restore "$WORK/bin" > "$WORK/replay-bin.out"
-
-grep -q "^restored " "$WORK/replay-bin.out" || die "binary restore did not report restored entries"
-diff <(counters "$WORK/replay-text.out") <(counters "$WORK/replay-bin.out") \
-    || die "restored replay counters differ between text and binary snapshots"
+echo "== restored replay in a fresh process"
+run --restore "$WORK/saved" > "$WORK/replay.out"
+grep -q "^restored " "$WORK/replay.out" || die "restore did not report restored entries"
 
 # A restored cache replaying its own workload must be far warmer than
 # the cold run that produced the snapshot — the round-trip preserved the
 # entries and their answer sets, not just the entry count.
-warm=$(grep -o "[0-9]* cache-assisted" "$WORK/warm-bin.out" | awk '{ print $1 }')
-assisted=$(grep -o "[0-9]* cache-assisted" "$WORK/replay-bin.out" | awk '{ print $1 }')
+warm=$(grep -o "[0-9]* cache-assisted" "$WORK/warm-saved.out" | awk '{ print $1 }')
+assisted=$(grep -o "[0-9]* cache-assisted" "$WORK/replay.out" | awk '{ print $1 }')
 [ "$assisted" -gt "$warm" ] || die "restored replay assisted $assisted queries, cold run $warm — snapshot did not warm the cache"
 [ "$assisted" -ge 25 ] || die "restored cache served only $assisted/30 queries cache-assisted"
 

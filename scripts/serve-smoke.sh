@@ -70,6 +70,6 @@ else
     die "daemon exited non-zero on SIGTERM"
 fi
 [ ! -e "$SOCK" ] || die "daemon left its socket behind: $SOCK"
-[ -f "$WORK/snapshot/entries.txt" ] || die "daemon did not persist a snapshot on exit"
+[ -f "$WORK/snapshot/snapshot.bin" ] || die "daemon did not persist a snapshot on exit"
 
 echo "serve-smoke: OK"

@@ -12,7 +12,7 @@
 //!   [--threads N] [--shards N] [--verify-budget N]
 //!   [--fragments on|off] [--fragment-budget BYTES] [--fragment-eviction NAME]
 //!   [--supergraph] [--background] [--no-cache] [--maint-stats]
-//!   [--save DIR] [--persist-format text|binary] [--restore DIR]` replays
+//!   [--save DIR] [--restore DIR]` replays
 //!   the queries and prints per-run statistics;
 //! * `gc bench [--suite smoke|paper|policies|fragments] [--json FILE]
 //!   [--check BASELINE] [--tolerance PCT] [--timings] [--list] [--serve]`
@@ -46,8 +46,7 @@
 //!   or a `SHUTDOWN` frame) waits for sessions to finish in-flight work
 //!   (default 10);
 //! * `--persist-on-exit DIR` — save the cache snapshot to DIR after a
-//!   graceful drain (the `gc query --restore` format; `--persist-format
-//!   text|binary` picks the representation, as for `gc query --save`).
+//!   graceful drain (the `gc query --save` / `--restore` format).
 //!   Snapshots commit atomically through generation slots plus a
 //!   checksummed `MANIFEST`, so a crash mid-write never clobbers the
 //!   previous good snapshot. A drain-time save failure is a typed error
@@ -150,12 +149,11 @@
 //!   of available policies;
 //! * `--supergraph` — supergraph (`G ⊆ g`) instead of subgraph semantics;
 //! * `--no-cache` — replay through the bare Method M (baseline timing);
-//! * `--save DIR` / `--restore DIR` — persist / preload the cache stores;
-//! * `--persist-format text|binary` — on-disk representation for `--save`
-//!   (and `gc serve --persist-on-exit`): `text` (default) writes the
-//!   line-oriented files, `binary` writes the checksummed arena snapshot
-//!   (`snapshot.bin`) that restores with no per-entry parsing.
-//!   `--restore` auto-detects the format, so either loads transparently.
+//! * `--save DIR` / `--restore DIR` — persist / preload the cache stores
+//!   as one checksummed arena snapshot (`snapshot.bin`, committed through
+//!   a generation `MANIFEST`; see `docs/architecture.md`, "Persistence").
+//!   Text saves of earlier releases (`entries.txt`) are not read:
+//!   `--restore` fails on them with exit code 1.
 //!
 //! Example session:
 //! ```text
@@ -223,7 +221,6 @@ fn print_usage() {
     eprintln!("           [--fragments on|off] [--fragment-budget BYTES]");
     eprintln!("           [--fragment-eviction NAME] [--supergraph] [--background]");
     eprintln!("           [--no-cache] [--maint-stats] [--save DIR] [--restore DIR]");
-    eprintln!("           [--persist-format text|binary]");
     eprintln!("           (--window N: one maintenance round per N cache misses)");
     eprintln!("  gc query --connect unix:PATH|ADDR --queries FILE [--supergraph]");
     eprintln!("           [--verify-budget N] [--retries N] [--retry-seed S] [--timeout-ms MS]");
@@ -292,14 +289,11 @@ fn known_opts(cmd: &str, connect: bool) -> [&'static str; 2] {
             "",
             "connect queries supergraph verify-budget retries retry-seed timeout-ms",
         ],
-        ("query", false) => [
-            CACHE,
-            "dataset queries no-cache maint-stats save persist-format",
-        ],
+        ("query", false) => [CACHE, "dataset queries no-cache maint-stats save"],
         ("serve", _) => [
             CACHE,
             "dataset listen unix max-sessions max-inflight drain-timeout persist-on-exit \
-             persist-format snapshot-every peer-id",
+             snapshot-every peer-id",
         ],
         ("route", _) => ["", "unix peers retries retry-seed"],
         ("ctl", _) => ["", "unix tcp timeout retries retry-seed"],
@@ -399,21 +393,6 @@ fn num<T: std::str::FromStr>(
         Some(v) => v
             .parse()
             .map_err(|_| CliError::usage(format!("invalid --{key}: {v:?}"))),
-    }
-}
-
-/// `--persist-format text|binary` (default text) — the on-disk
-/// representation `--save` / `--persist-on-exit` writes. Restores
-/// auto-detect, so the flag never affects `--restore`.
-fn persist_format(
-    opts: &HashMap<String, String>,
-) -> Result<graphcache::core::PersistFormat, CliError> {
-    match opts.get("persist-format").map(|s| s.as_str()) {
-        None | Some("text") => Ok(graphcache::core::PersistFormat::Text),
-        Some("binary") => Ok(graphcache::core::PersistFormat::Binary),
-        Some(other) => Err(CliError::usage(format!(
-            "invalid --persist-format {other:?} (text|binary)"
-        ))),
     }
 }
 
@@ -567,20 +546,6 @@ fn cache_from_opts(
         .try_build(method)
         .map_err(|e| CliError::usage(e.to_string()))?;
     if let Some(dir) = opts.get("restore") {
-        // A missing save directory used to surface as a bare
-        // "No such file or directory" with no hint which path was wrong.
-        // Any representation qualifies: a generational MANIFEST, a binary
-        // snapshot.bin, or the text entries.txt.
-        let root = std::path::Path::new(dir);
-        if !root.join("MANIFEST").is_file()
-            && !root.join("snapshot.bin").is_file()
-            && !root.join("entries.txt").is_file()
-        {
-            return Err(CliError::Runtime(format!(
-                "cannot restore from {dir:?}: not a saved cache directory \
-                 (no MANIFEST, snapshot.bin, or entries.txt — was it written by `gc query --save`?)"
-            )));
-        }
         let report = cache
             .restore(dir)
             .map_err(|e| CliError::Runtime(format!("cannot restore from {dir:?}: {e}")))?;
@@ -650,13 +615,11 @@ fn cmd_query(args: &[String]) -> CliResult {
     if let Some(spec) = admission {
         registry::build_admission(spec).map_err(|e| CliError::usage(e.to_string()))?;
     }
-    // Same early validation for the fragment-store knobs and the
-    // persist-format selector.
+    // Same early validation for the fragment-store knobs.
     fragments_enabled(&opts)?;
     if let Some(spec) = opts.get("fragment-eviction") {
         registry::build_eviction(spec).map_err(|e| CliError::usage(e.to_string()))?;
     }
-    let save_format = persist_format(&opts)?;
     let dataset = load_dataset(req(&opts, "dataset")?)?;
     let queries = load_dataset(req(&opts, "queries")?)?;
     let kind = if opts.contains_key("supergraph") {
@@ -828,7 +791,7 @@ fn cmd_query(args: &[String]) -> CliResult {
     }
     if let Some(dir) = opts.get("save") {
         cache
-            .save_with_format(dir, save_format)
+            .save(dir)
             .map_err(|e| CliError::Runtime(format!("cannot save to {dir:?}: {e}")))?;
         println!("saved cache state to {dir}");
     }
@@ -970,7 +933,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         max_inflight: num(&opts, "max-inflight", 0usize)?,
         drain_timeout: Duration::from_secs(num(&opts, "drain-timeout", 10u64)?),
         persist_on_exit: opts.get("persist-on-exit").map(PathBuf::from),
-        persist_format: persist_format(&opts)?,
         handle_signals: true,
         snapshot_every: if opts.contains_key("snapshot-every") {
             Some(Duration::from_secs(num(&opts, "snapshot-every", 0u64)?))

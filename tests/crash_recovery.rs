@@ -8,7 +8,7 @@
 
 #![cfg(unix)]
 
-use graphcache::core::{PersistedCache, QueryKind};
+use graphcache::core::PersistedCache;
 use graphcache::graph::io as graph_io;
 use graphcache::server::{Client, QueryFrame, QueryOutcome, RetryPolicy, StatsScope};
 use graphcache::workload::{generate_type_a, DatasetProfile, TypeAConfig};
@@ -141,8 +141,7 @@ fn kill_nine_mid_snapshot_cadence_recovers_committed_generation() {
 
     // The kill must not have cost us the committed baseline: the save
     // directory recovers to a valid generation with entries.
-    let recovered =
-        PersistedCache::load_resilient(&save, QueryKind::Subgraph).expect("post-kill recovery");
+    let recovered = PersistedCache::load_resilient(&save).expect("post-kill recovery");
     let generation = recovered
         .generation
         .expect("background snapshots commit through the manifest");

@@ -1,14 +1,11 @@
 //! Deterministic fault-injection sweep over the crash-safe snapshot
 //! path: every filesystem operation of a staged save is crashed in turn
-//! (hard failure, torn write, ENOSPC), for both persist formats, and
-//! recovery must always yield a valid generation — either the previous
+//! (hard failure, torn write, ENOSPC), and recovery must always yield a valid generation — either the previous
 //! good snapshot (fault before the `MANIFEST` commit point) or the new
 //! one (fault after) — and must never panic. This is the executable form
 //! of the durability contract in `crates/gc-core/src/staged.rs`.
 
-use graphcache::core::{
-    FaultIo, FaultMode, Manifest, PersistFormat, PersistedCache, QueryKind, RealIo,
-};
+use graphcache::core::{FaultIo, FaultMode, Manifest, PersistedCache, QueryKind, RealIo};
 use graphcache::graph::{GraphId, LabeledGraph};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -72,14 +69,10 @@ fn serials(s: &PersistedCache) -> (u64, Vec<u64>) {
 
 /// Builds the baseline: generation 1 holds `state(100)`, generation 2
 /// holds `state(200)` — both committed through the real staged writer.
-fn baseline(tag: &str, format: PersistFormat) -> PathBuf {
+fn baseline(tag: &str) -> PathBuf {
     let dir = scratch(tag);
-    state(100)
-        .save_staged(&dir, format, &RealIo)
-        .expect("gen 1");
-    state(200)
-        .save_staged(&dir, format, &RealIo)
-        .expect("gen 2");
+    state(100).save_staged(&dir, &RealIo).expect("gen 1");
+    state(200).save_staged(&dir, &RealIo).expect("gen 2");
     dir
 }
 
@@ -87,7 +80,7 @@ fn baseline(tag: &str, format: PersistFormat) -> PathBuf {
 /// the recovery invariant: `load_resilient` yields either the surviving
 /// generation-2 state or the fully committed generation-3 state — never
 /// an error, never a panic, never a hybrid.
-fn crash_point_recovers(base: &Path, format: PersistFormat, fail_at: usize, mode: FaultMode) {
+fn crash_point_recovers(base: &Path, fail_at: usize, mode: FaultMode) {
     let dir = base.with_file_name(format!(
         "{}-p{fail_at}",
         base.file_name().unwrap().to_string_lossy()
@@ -96,7 +89,7 @@ fn crash_point_recovers(base: &Path, format: PersistFormat, fail_at: usize, mode
     copy_dir(base, &dir);
 
     let io = FaultIo::new(fail_at, mode);
-    let result = state(300).save_staged(&dir, format, &io);
+    let result = state(300).save_staged(&dir, &io);
     assert!(io.fired(), "fault at op {fail_at} never fired");
     assert!(result.is_err(), "a save whose IO failed must report it");
     if matches!(mode, FaultMode::NoSpace) {
@@ -113,7 +106,7 @@ fn crash_point_recovers(base: &Path, format: PersistFormat, fail_at: usize, mode
         }
     }
 
-    let recovered = PersistedCache::load_resilient(&dir, QueryKind::Subgraph)
+    let recovered = PersistedCache::load_resilient(&dir)
         .unwrap_or_else(|e| panic!("crash at op {fail_at} ({mode:?}) lost the cache: {e}"));
     let generation = recovered
         .generation
@@ -137,7 +130,7 @@ fn crash_point_recovers(base: &Path, format: PersistFormat, fail_at: usize, mode
 
 /// Counts the filesystem ops of one staged save on a replica, so the
 /// exhaustive sweep knows every crash point.
-fn count_ops(base: &Path, format: PersistFormat) -> usize {
+fn count_ops(base: &Path) -> usize {
     let probe = base.with_file_name(format!(
         "{}-probe",
         base.file_name().unwrap().to_string_lossy()
@@ -146,7 +139,7 @@ fn count_ops(base: &Path, format: PersistFormat) -> usize {
     copy_dir(base, &probe);
     let counter = FaultIo::counting();
     state(300)
-        .save_staged(&probe, format, &counter)
+        .save_staged(&probe, &counter)
         .expect("counting save succeeds");
     let ops = counter.ops();
     let _ = std::fs::remove_dir_all(&probe);
@@ -157,51 +150,36 @@ fn count_ops(base: &Path, format: PersistFormat) -> usize {
     ops
 }
 
-fn sweep(tag: &str, format: PersistFormat, mode: FaultMode) {
-    let base = baseline(tag, format);
-    let ops = count_ops(&base, format);
+fn sweep(tag: &str, mode: FaultMode) {
+    let base = baseline(tag);
+    let ops = count_ops(&base);
     for fail_at in 0..ops {
-        crash_point_recovers(&base, format, fail_at, mode);
+        crash_point_recovers(&base, fail_at, mode);
     }
     let _ = std::fs::remove_dir_all(&base);
 }
 
 #[test]
-fn every_crash_point_recovers_text_fail() {
-    sweep("text-fail", PersistFormat::Text, FaultMode::Fail);
-}
-
-#[test]
-fn every_crash_point_recovers_text_tear() {
-    sweep("text-tear", PersistFormat::Text, FaultMode::Tear(9));
-}
-
-#[test]
-fn every_crash_point_recovers_text_enospc() {
-    sweep("text-enospc", PersistFormat::Text, FaultMode::NoSpace);
-}
-
-#[test]
 fn every_crash_point_recovers_binary_fail() {
-    sweep("binary-fail", PersistFormat::Binary, FaultMode::Fail);
+    sweep("binary-fail", FaultMode::Fail);
 }
 
 #[test]
 fn every_crash_point_recovers_binary_tear() {
-    sweep("binary-tear", PersistFormat::Binary, FaultMode::Tear(3));
+    sweep("binary-tear", FaultMode::Tear(3));
 }
 
 #[test]
 fn every_crash_point_recovers_binary_enospc() {
-    sweep("binary-enospc", PersistFormat::Binary, FaultMode::NoSpace);
+    sweep("binary-enospc", FaultMode::NoSpace);
 }
 
 /// A directory whose `MANIFEST` is corrupted (bit flip) must not brick
 /// recovery: the manifest is rejected by its checksum and the flat
-/// current-view files — refreshed at every commit — still load.
+/// `snapshot.bin` current view — refreshed at every commit — still loads.
 #[test]
 fn corrupt_manifest_falls_back_to_flat_view() {
-    let dir = baseline("corrupt-manifest", PersistFormat::Text);
+    let dir = baseline("corrupt-manifest");
     let manifest = dir.join("MANIFEST");
     let mut bytes = std::fs::read(&manifest).expect("read manifest");
     let mid = bytes.len() / 2;
@@ -212,9 +190,8 @@ fn corrupt_manifest_falls_back_to_flat_view() {
         "a bit-flipped manifest must fail checksum validation"
     );
 
-    let recovered =
-        PersistedCache::load_resilient(&dir, QueryKind::Subgraph).expect("flat-view fallback");
-    assert_eq!(recovered.generation, None, "fallback is the legacy path");
+    let recovered = PersistedCache::load_resilient(&dir).expect("flat-view fallback");
+    assert_eq!(recovered.generation, None, "fallback is the flat view");
     assert_eq!(serials(&recovered.state), serials(&state(200)));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -224,21 +201,17 @@ fn corrupt_manifest_falls_back_to_flat_view() {
 /// crash left behind, and subsequent recovery returns the new state.
 #[test]
 fn next_save_after_crash_heals_the_directory() {
-    let format = PersistFormat::Binary;
-    let base = baseline("heal", format);
-    let ops = count_ops(&base, format);
+    let base = baseline("heal");
+    let ops = count_ops(&base);
     for fail_at in [0, ops / 2, ops - 1] {
         let dir = base.with_file_name(format!("gc-fault-inj-heal-h{fail_at}"));
         let _ = std::fs::remove_dir_all(&dir);
         copy_dir(&base, &dir);
         let io = FaultIo::new(fail_at, FaultMode::Fail);
-        let _ = state(300).save_staged(&dir, format, &io);
+        let _ = state(300).save_staged(&dir, &io);
         // The healing save must succeed and win recovery outright.
-        state(400)
-            .save_staged(&dir, format, &RealIo)
-            .expect("healing save");
-        let recovered =
-            PersistedCache::load_resilient(&dir, QueryKind::Subgraph).expect("recover after heal");
+        state(400).save_staged(&dir, &RealIo).expect("healing save");
+        let recovered = PersistedCache::load_resilient(&dir).expect("recover after heal");
         assert_eq!(serials(&recovered.state), serials(&state(400)));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -249,30 +222,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Randomised cross-product on top of the exhaustive sweeps: any
-    /// (crash point, fault mode, tear offset, format) combination must
-    /// recover a valid generation. The exhaustive tests pin every op
-    /// index for fixed modes; this covers the tear-offset dimension the
-    /// sweep holds constant.
+    /// (crash point, fault mode, tear offset) combination must recover a
+    /// valid generation. The exhaustive tests pin every op index for
+    /// fixed modes; this covers the tear-offset dimension the sweep holds
+    /// constant.
     #[test]
     fn random_crash_points_recover(
         fail_at in 0usize..32,
         tear in 0usize..64,
         mode_sel in 0u8..3,
-        format_sel in 0u8..2,
     ) {
-        let binary = format_sel == 1;
-        let format = if binary { PersistFormat::Binary } else { PersistFormat::Text };
         let mode = match mode_sel {
             0 => FaultMode::Fail,
             1 => FaultMode::Tear(tear),
             _ => FaultMode::NoSpace,
         };
-        let base = baseline(
-            &format!("prop-{fail_at}-{tear}-{mode_sel}-{binary}"),
-            format,
-        );
-        let ops = count_ops(&base, format);
-        crash_point_recovers(&base, format, fail_at % ops, mode);
+        let base = baseline(&format!("prop-{fail_at}-{tear}-{mode_sel}"));
+        let ops = count_ops(&base);
+        crash_point_recovers(&base, fail_at % ops, mode);
         let _ = std::fs::remove_dir_all(&base);
     }
 }

@@ -1,12 +1,12 @@
 //! Cache persistence across process lifetimes (paper §6.1: stores are
-//! loaded on startup and written back on shutdown), in both on-disk
-//! representations: the text format and the persist-format-v2 binary
-//! arena snapshot. The property tests pin the compat contract — the two
-//! formats load into identical caches, re-saves are byte-identical,
-//! legacy text saves keep loading, and corrupted binary snapshots fail
-//! with typed errors, never a panic.
+//! loaded on startup and written back on shutdown) through the one
+//! on-disk representation, the checksummed `snapshot.bin`. The property
+//! test pins the round trip — save → restore → save is byte-identical and
+//! the restored cache answers like the one that was saved — and the unit
+//! tests pin the failure modes: corrupted snapshots and text saves of
+//! earlier releases fail with typed errors, never a panic.
 
-use graphcache::core::{CostModel, GraphCache, PersistFormat, PersistedCache};
+use graphcache::core::{CostModel, GraphCache, PersistedCache, StatsStore};
 use graphcache::graph::GraphError;
 use graphcache::prelude::*;
 use graphcache::workload::generate_type_a;
@@ -109,7 +109,7 @@ fn save_flushes_background_maintenance() {
         gc.run(q);
     }
     gc.save(&dir).unwrap();
-    let persisted = graphcache::core::PersistedCache::load(&dir).unwrap();
+    let persisted = PersistedCache::load_resilient(&dir).unwrap().state;
     assert_eq!(persisted.entries.len(), gc.cache_len());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -136,151 +136,65 @@ fn read_file(dir: &std::path::Path, name: &str) -> Vec<u8> {
     std::fs::read(dir.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
 }
 
+/// A cache built like [`warmed_cache`]'s, without a replay.
+fn fresh_cache(d: &GraphDataset, capacity: usize) -> GraphCache {
+    GraphCache::builder()
+        .capacity(capacity)
+        .window(4)
+        .cost_model(CostModel::Work)
+        .build(MethodBuilder::ggsx().build(d))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Both formats written from the same cache load into caches the
-    /// canonical text encoding cannot tell apart, and each format
-    /// re-saves byte-identically — save ∘ load is the identity on disk.
+    /// save → restore → save is the identity on disk (entries, answer
+    /// sets, stored profiles, statistics and fragments in one byte
+    /// comparison), and the restored cache answers the workload exactly
+    /// like the cache that was saved.
     #[test]
-    fn formats_agree_and_resave_identically(
+    fn save_restore_save_is_byte_identical(
         seed in 0u64..200,
         count in 8usize..30,
         capacity in 5usize..25,
     ) {
-        let (gc, _d) = warmed_cache(seed, count, capacity);
-        let root = tmpdir(&format!("formats-{seed}-{count}-{capacity}"));
-        let text = root.join("text");
-        let bin = root.join("bin");
-        gc.save_with_format(&text, PersistFormat::Text).unwrap();
-        gc.save_with_format(&bin, PersistFormat::Binary).unwrap();
-
-        // Loaded states must agree once both are re-encoded canonically
-        // as text (entries, stats and fragments in one comparison).
-        let from_text = PersistedCache::load_auto(&text, QueryKind::Subgraph).unwrap();
-        let from_bin = PersistedCache::load_auto(&bin, QueryKind::Subgraph).unwrap();
-        prop_assert_eq!(from_text.entries.len(), from_bin.entries.len());
-        let text2 = root.join("text2");
-        let bin_as_text = root.join("bin-as-text");
-        from_text.save(&text2).unwrap();
-        from_bin.save(&bin_as_text).unwrap();
-        for name in ["entries.txt", "stats.txt", "fragments.txt"] {
-            prop_assert_eq!(
-                read_file(&text2, name),
-                read_file(&bin_as_text, name),
-                "{} differs between text and binary loads",
-                name
-            );
-        }
-        // Text re-save is byte-identical to the original text save.
-        for name in ["entries.txt", "stats.txt", "fragments.txt"] {
-            prop_assert_eq!(read_file(&text, name), read_file(&text2, name));
-        }
-        // Binary re-save (profiles included) is byte-identical too.
-        let bin2 = root.join("bin2");
-        PersistedCache::load_binary(&bin)
-            .unwrap()
-            .save_binary(&bin2)
-            .unwrap();
-        prop_assert_eq!(
-            read_file(&bin, "snapshot.bin"),
-            read_file(&bin2, "snapshot.bin")
-        );
-        std::fs::remove_dir_all(&root).ok();
-    }
-
-    /// A binary snapshot restores into a fresh cache that answers the
-    /// original workload identically to a text restore of the same state.
-    #[test]
-    fn binary_restore_replays_like_text_restore(
-        seed in 0u64..200,
-        count in 8usize..25,
-    ) {
-        let (gc, d) = warmed_cache(seed, count, 15);
+        let (gc, d) = warmed_cache(seed, count, capacity);
         let workload = generate_type_a(&d, &TypeAConfig::zz(1.4).count(count).seed(seed + 1));
-        let root = tmpdir(&format!("replay-{seed}-{count}"));
-        gc.save_with_format(root.join("text"), PersistFormat::Text).unwrap();
-        gc.save_with_format(root.join("bin"), PersistFormat::Binary).unwrap();
-        drop(gc);
-
-        let fresh = |dir: std::path::PathBuf| {
-            let c = GraphCache::builder()
-                .capacity(15)
-                .window(4)
-                .cost_model(CostModel::Work)
-                .build(MethodBuilder::ggsx().build(&d));
-            c.restore(dir).unwrap();
-            c
-        };
-        let via_text = fresh(root.join("text"));
-        let via_bin = fresh(root.join("bin"));
-        prop_assert_eq!(via_text.cache_len(), via_bin.cache_len());
+        let root = tmpdir(&format!("resave-{seed}-{count}-{capacity}"));
+        gc.save(root.join("saved")).unwrap();
+        let restored = fresh_cache(&d, capacity);
+        restored.restore(root.join("saved")).unwrap();
+        prop_assert_eq!(restored.cache_len(), gc.cache_len());
+        restored.save(root.join("resaved")).unwrap();
+        prop_assert_eq!(
+            read_file(&root.join("saved"), "snapshot.bin"),
+            read_file(&root.join("resaved"), "snapshot.bin")
+        );
         for q in workload.graphs() {
-            let a = via_text.run(q);
-            let b = via_bin.run(q);
-            prop_assert_eq!(a.answer, b.answer);
-            prop_assert_eq!(a.record.exact_hit, b.record.exact_hit);
+            prop_assert_eq!(restored.run(q).answer, gc.run(q).answer);
         }
         std::fs::remove_dir_all(&root).ok();
     }
 }
 
-/// Pre-fingerprint, pre-kind-token text saves (the legacy on-disk shape)
-/// still load — into the same arena-backed layout as everything else —
-/// and restore into a working cache.
-#[test]
-fn legacy_text_save_loads_into_arena_layout() {
-    let (gc, d) = warmed_cache(7, 20, 12);
-    let dir = tmpdir("legacy");
-    gc.save(&dir).unwrap();
-    let cached = gc.cache_len();
-    drop(gc);
-
-    // Strip the modern header tokens: "@entry N sub fp:abcd…" → "@entry N",
-    // and drop the policy line — the shape written before direction
-    // tagging, fingerprints and the policy engine existed.
-    let entries = std::fs::read_to_string(dir.join("entries.txt")).unwrap();
-    let legacy: String = entries
-        .lines()
-        .filter(|l| !l.starts_with("policy "))
-        .map(|l| {
-            if let Some(rest) = l.strip_prefix("@entry ") {
-                let serial = rest.split_whitespace().next().unwrap();
-                format!("@entry {serial}\n")
-            } else {
-                format!("{l}\n")
-            }
-        })
-        .collect();
-    std::fs::write(dir.join("entries.txt"), legacy).unwrap();
-
-    let loaded = PersistedCache::load_auto(&dir, QueryKind::Subgraph).unwrap();
-    assert_eq!(loaded.entries.len(), cached);
-    let second = GraphCache::builder()
-        .capacity(12)
-        .window(4)
-        .cost_model(CostModel::Work)
-        .build(MethodBuilder::ggsx().build(&d));
-    second.restore(&dir).unwrap();
-    assert_eq!(second.cache_len(), cached);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Truncating or flipping bytes anywhere in a binary snapshot must
-/// surface as a typed [`GraphError::Snapshot`] from the load — never a
-/// panic, and never a silently wrong cache.
+/// Truncating or flipping bytes anywhere in a manifest-less directory's
+/// `snapshot.bin` must surface as a typed [`GraphError::Snapshot`] from
+/// `load_resilient` — never a panic, and never a silently wrong cache.
 #[test]
 fn corrupted_binary_snapshot_fails_typed() {
     let (gc, _d) = warmed_cache(9, 20, 12);
     let dir = tmpdir("corrupt");
-    gc.save_with_format(&dir, PersistFormat::Binary).unwrap();
+    gc.save(&dir).unwrap();
     drop(gc);
+    // Leave only the flat current view, so the load reads it directly.
+    std::fs::remove_file(dir.join("MANIFEST")).unwrap();
     let good = read_file(&dir, "snapshot.bin");
-    assert!(PersistedCache::load_binary(&dir).is_ok());
+    let recovered = PersistedCache::load_resilient(&dir).unwrap();
+    assert_eq!(recovered.generation, None, "no manifest: the flat view");
 
     let expect_snapshot_err = |bytes: &[u8], what: String| {
         std::fs::write(dir.join("snapshot.bin"), bytes).unwrap();
-        match PersistedCache::load_binary(&dir) {
+        match PersistedCache::load_resilient(&dir) {
             Err(GraphError::Snapshot { .. }) => {}
             other => panic!("{what}: expected GraphError::Snapshot, got {other:?}"),
         }
@@ -299,6 +213,45 @@ fn corrupted_binary_snapshot_fails_typed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Text saves of earlier releases are not read: a text-only directory
+/// (flat `entries.txt`, no `MANIFEST`) and a directory whose `MANIFEST`
+/// lists a `text` generation both fail `restore` with a typed error and
+/// leave the cache empty.
+#[test]
+fn text_saves_fail_restore_typed() {
+    let d = datasets::aids_like(0.04, 407);
+    let dir = tmpdir("text-save");
+    let entries = "next_serial 2\n@entry 1 sub fp:0000000000000001\n# q1\n1\n0\n0\nanswers: 0\n";
+    std::fs::write(dir.join("entries.txt"), entries).unwrap();
+    std::fs::write(dir.join("stats.txt"), "").unwrap();
+    let cache = fresh_cache(&d, 12);
+    match cache.restore(&dir) {
+        Err(GraphError::Snapshot { message, .. }) => {
+            assert!(
+                message.contains("text saves are no longer read"),
+                "{message}"
+            );
+        }
+        other => panic!("text-only directory: expected GraphError::Snapshot, got {other:?}"),
+    }
+
+    std::fs::create_dir_all(dir.join("gen-000001")).unwrap();
+    std::fs::write(dir.join("gen-000001/entries.txt"), entries).unwrap();
+    let body = format!(
+        "gc-manifest v1\ngen 000001 text entries.txt:{:016x}:{}\n",
+        graphcache::index::fingerprint::fnv1a(entries.as_bytes()),
+        entries.len()
+    );
+    let sum = graphcache::index::fingerprint::fnv1a(body.as_bytes());
+    std::fs::write(dir.join("MANIFEST"), format!("{body}sum {sum:016x}\n")).unwrap();
+    assert!(
+        matches!(cache.restore(&dir), Err(GraphError::Snapshot { .. })),
+        "a MANIFEST listing a text generation must not restore"
+    );
+    assert_eq!(cache.cache_len(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Snapshots written while exact repeats were still re-admitted hold
 /// isomorphic copies of one query. Restore keeps the smallest serial of
 /// each isomorphism class and drops the others with their statistics rows,
@@ -313,18 +266,31 @@ fn restore_drops_isomorphic_copies_of_old_snapshots() {
     let dir = tmpdir("dedup");
     // Entries 7 and 3 are the path 0-1-2 with its nodes numbered in
     // opposite orders; entry 5 is the edge 2-3.
-    std::fs::write(
-        dir.join("entries.txt"),
-        "next_serial 9\npolicy hd\n\
-         @entry 7 sub\n# q7\n3\n2\n1\n0\n2\n0 1\n1 2\nanswers: 0\n\
-         @entry 3 sub\n# q3\n3\n0\n1\n2\n2\n0 1\n1 2\nanswers: 0\n\
-         @entry 5 sub\n# q5\n2\n2\n3\n1\n0 1\nanswers: 0\n",
-    )
-    .unwrap();
-    std::fs::write(
-        dir.join("stats.txt"),
-        "row 3\n  hits int 4\nrow 5\n  hits int 1\nrow 7\n  hits int 2\n",
-    )
+    let path_7 = LabeledGraph::from_parts(vec![2, 1, 0], &[(0, 1), (1, 2)]);
+    let path_3 = LabeledGraph::from_parts(vec![0, 1, 2], &[(0, 1), (1, 2)]);
+    let edge_5 = LabeledGraph::from_parts(vec![2, 3], &[(0, 1)]);
+    let mut stats = StatsStore::new();
+    for (serial, hits) in [(3, 4i64), (5, 1), (7, 2)] {
+        stats.set(serial, "hits", hits);
+    }
+    let entry = |serial: u64, graph: LabeledGraph| {
+        let fingerprint = graphcache::index::fingerprint::iso_hash(&graph);
+        (
+            serial,
+            graph,
+            vec![GraphId(0)],
+            QueryKind::Subgraph,
+            fingerprint,
+        )
+    };
+    PersistedCache {
+        entries: vec![entry(7, path_7), entry(3, path_3), entry(5, edge_5)],
+        stats,
+        next_serial: 9,
+        policy: Some("hd".to_string()),
+        ..PersistedCache::default()
+    }
+    .save(&dir)
     .unwrap();
     let cache = GraphCache::builder()
         .capacity(10)

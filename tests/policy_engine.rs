@@ -7,7 +7,7 @@
 //!   names fail with the available-policy listing, and the two post-paper
 //!   policies are selectable end-to-end.
 //! * **Persistence** — snapshots record the eviction policy; restoring
-//!   under a different policy (or from a legacy save) still loads.
+//!   under a different policy still loads.
 
 use graphcache::core::registry;
 use graphcache::core::{
@@ -191,9 +191,8 @@ fn new_policies_selectable_end_to_end() {
     }
 }
 
-/// Snapshots record the eviction policy. Restoring under a different
-/// policy still loads (policy-private state is reset), and legacy saves
-/// without the header keep loading.
+/// Snapshots record the eviction policy by registry name, and restoring
+/// under a different policy still loads (policy-private state is reset).
 #[test]
 fn restore_under_different_policy_loads() {
     let dir = std::env::temp_dir().join(format!("gc-policy-engine-{}", std::process::id()));
@@ -212,6 +211,8 @@ fn restore_under_different_policy_loads() {
     writer.save(&dir).unwrap();
     let saved_len = writer.cache_len();
     assert!(saved_len > 0);
+    let recorded = graphcache::core::PersistedCache::load_resilient(&dir).unwrap();
+    assert_eq!(recorded.state.policy.as_deref(), Some("greedy-dual"));
 
     // Same policy: restores cleanly.
     let same = GraphCache::builder()
@@ -233,22 +234,6 @@ fn restore_under_different_policy_loads() {
     for q in workload.graphs().take(20) {
         assert_eq!(other.run(q).answer, baseline.run(q).answer);
     }
-
-    // Legacy save: strip the policy header; the restore still succeeds.
-    let entries = dir.join("entries.txt");
-    let text = std::fs::read_to_string(&entries).unwrap();
-    assert!(text.lines().any(|l| l == "policy greedy-dual"));
-    let legacy: String = text
-        .lines()
-        .filter(|l| !l.starts_with("policy "))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    std::fs::write(&entries, legacy).unwrap();
-    let from_legacy = GraphCache::builder()
-        .eviction("hd")
-        .build(MethodBuilder::ggsx().build(&d));
-    from_legacy.restore(&dir).unwrap();
-    assert_eq!(from_legacy.cache_len(), saved_len);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -400,7 +400,7 @@ fn shutdown_drains_sessions_and_persists() {
 
     daemon.join().expect("join").expect("clean exit");
     assert!(
-        persist.join("entries.txt").is_file(),
+        persist.join("snapshot.bin").is_file(),
         "persist-on-exit wrote a restorable snapshot"
     );
     // The snapshot restores into a fresh cache with entries intact.
