@@ -193,19 +193,38 @@ impl Method {
         (out.found, out.nodes_expanded)
     }
 
+    /// A subgraph query is the pattern of every test, so the matcher sweeps
+    /// the candidates in one `contains_each` call (and prepares the query
+    /// once); a supergraph query's patterns are the candidates themselves.
     fn verify_serial(
         &self,
         query: &LabeledGraph,
         candidates: &[GraphId],
         kind: QueryKind,
     ) -> Vec<(GraphId, bool, u64)> {
-        candidates
-            .iter()
-            .map(|&id| {
-                let (found, work) = self.test_one(query, id, kind);
-                (id, found, work)
-            })
-            .collect()
+        match kind {
+            QueryKind::Subgraph => {
+                let targets: Vec<&LabeledGraph> = candidates
+                    .iter()
+                    .map(|&id| self.dataset.graph(id))
+                    .collect();
+                let mut outcomes = Vec::with_capacity(candidates.len());
+                self.matcher
+                    .contains_each(query, &targets, &self.match_config, &mut outcomes);
+                candidates
+                    .iter()
+                    .zip(outcomes)
+                    .map(|(&id, out)| (id, out.found, out.nodes_expanded))
+                    .collect()
+            }
+            QueryKind::Supergraph => candidates
+                .iter()
+                .map(|&id| {
+                    let (found, work) = self.test_one(query, id, kind);
+                    (id, found, work)
+                })
+                .collect(),
+        }
     }
 
     fn verify_threaded(

@@ -2,40 +2,67 @@
 //! label statistics, and the search driver protocol.
 
 use gc_graph::{Label, LabeledGraph, NodeId};
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 /// Cheap necessary conditions for `pattern ⊆ target`; returning `false`
 /// proves non-containment without any search.
 pub(crate) fn quick_reject(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
-    if pattern.node_count() > target.node_count() || pattern.edge_count() > target.edge_count() {
-        return true;
-    }
-    // Label multiset containment.
-    let pc = label_counts(pattern);
-    let tc = label_counts(target);
-    for (l, n) in &pc {
-        if tc.get(l).copied().unwrap_or(0) < *n {
-            return true;
-        }
-    }
-    // Sorted-descending degree dominance: the i-th largest pattern degree
-    // must not exceed the i-th largest target degree (each pattern node
-    // needs a distinct image of at least its own degree).
-    let mut pd: Vec<usize> = pattern.nodes().map(|v| pattern.degree(v)).collect();
-    let mut td: Vec<usize> = target.nodes().map(|v| target.degree(v)).collect();
-    pd.sort_unstable_by(|a, b| b.cmp(a));
-    td.sort_unstable_by(|a, b| b.cmp(a));
-    pd.iter().zip(td.iter()).any(|(p, t)| p > t)
+    Shape::of(pattern).rejects(target, &mut Shape::default())
 }
 
-/// Label → occurrence count.
-pub(crate) fn label_counts(g: &LabeledGraph) -> HashMap<Label, u32> {
-    let mut m = HashMap::with_capacity(g.node_count().min(64));
-    for &l in g.labels() {
-        *m.entry(l).or_insert(0) += 1;
+/// The sorted label multiset and sorted-descending degree sequence of a
+/// graph: everything [`quick_reject`] reads. A sweep computes the pattern's
+/// shape once and refills one scratch shape per target.
+#[derive(Debug, Default)]
+pub(crate) struct Shape {
+    edges: usize,
+    /// The labels sorted ascending, then the degrees sorted descending:
+    /// `2·|V|` entries in one buffer.
+    sorted: Vec<u32>,
+}
+
+impl Shape {
+    /// The shape of `g`.
+    pub(crate) fn of(g: &LabeledGraph) -> Shape {
+        let mut s = Shape::default();
+        s.fill(g);
+        s
     }
-    m
+
+    /// Overwrites `self` with the shape of `g`, reusing its buffer.
+    fn fill(&mut self, g: &LabeledGraph) {
+        self.edges = g.edge_count();
+        self.sorted.clear();
+        self.sorted.extend_from_slice(g.labels());
+        self.sorted.extend(g.nodes().map(|v| g.degree(v) as u32));
+        let (labels, degrees) = self.sorted.split_at_mut(g.node_count());
+        labels.sort_unstable();
+        degrees.sort_unstable_by(|a, b| b.cmp(a));
+    }
+
+    /// `(labels, degrees)`, both sorted.
+    fn split(&self) -> (&[Label], &[u32]) {
+        self.sorted.split_at(self.sorted.len() / 2)
+    }
+
+    /// `quick_reject(pattern, target)` for the pattern whose shape is
+    /// `self`; `scratch` is overwritten with the target's shape.
+    pub(crate) fn rejects(&self, target: &LabeledGraph, scratch: &mut Shape) -> bool {
+        let (labels, degrees) = self.split();
+        if labels.len() > target.node_count() || self.edges > target.edge_count() {
+            return true;
+        }
+        scratch.fill(target);
+        let (t_labels, t_degrees) = scratch.split();
+        // Label multiset containment.
+        if !sorted_multiset_contained(labels, t_labels) {
+            return true;
+        }
+        // Sorted-descending degree dominance: the i-th largest pattern
+        // degree must not exceed the i-th largest target degree (each
+        // pattern node needs a distinct image of at least its own degree).
+        degrees.iter().zip(t_degrees).any(|(p, t)| p > t)
+    }
 }
 
 /// Sorted multiset of the labels of `v`'s neighbours.

@@ -20,6 +20,8 @@
 mod common;
 pub mod cost;
 mod graphql;
+#[cfg(test)]
+mod reference;
 mod ullmann;
 mod vf2;
 mod vf2_plus;
@@ -111,6 +113,21 @@ pub trait Matcher: Send + Sync {
         target: &LabeledGraph,
         cfg: &MatchConfig,
     ) -> MatchOutcome;
+
+    /// One decision test of `pattern` against each of `targets`, appending
+    /// the outcomes to `out` in target order. Equal to calling
+    /// [`Matcher::contains_with`] per target (the default does exactly
+    /// that); a matcher overrides it to prepare the pattern once for the
+    /// whole sweep.
+    fn contains_each(
+        &self,
+        pattern: &LabeledGraph,
+        targets: &[&LabeledGraph],
+        cfg: &MatchConfig,
+        out: &mut Vec<MatchOutcome>,
+    ) {
+        out.extend(targets.iter().map(|t| self.contains_with(pattern, t, cfg)));
+    }
 
     /// Unbounded decision test: is `pattern ⊆ target`?
     fn contains(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> bool {

@@ -1,0 +1,694 @@
+//! Test-only references: the matcher code as it was before VF2 was compiled
+//! into a static plan, kept verbatim so the equivalence proptests below can
+//! prove the faster code takes exactly the same steps.
+//!
+//! * [`quick_reject`] — the `HashMap` label-count predicate;
+//! * [`vf2::Vf2`] — VF2 with the dynamic `next_pattern_node` order;
+//! * [`vf2_plus::Vf2Plus`] — VF2+ with a lookahead that allocates per call.
+
+use gc_graph::{Label, LabeledGraph};
+use std::collections::HashMap;
+
+/// Cheap necessary conditions for `pattern ⊆ target`; returning `false`
+/// proves non-containment without any search.
+pub(crate) fn quick_reject(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
+    if pattern.node_count() > target.node_count() || pattern.edge_count() > target.edge_count() {
+        return true;
+    }
+    // Label multiset containment.
+    let pc = label_counts(pattern);
+    let tc = label_counts(target);
+    for (l, n) in &pc {
+        if tc.get(l).copied().unwrap_or(0) < *n {
+            return true;
+        }
+    }
+    // Sorted-descending degree dominance: the i-th largest pattern degree
+    // must not exceed the i-th largest target degree (each pattern node
+    // needs a distinct image of at least its own degree).
+    let mut pd: Vec<usize> = pattern.nodes().map(|v| pattern.degree(v)).collect();
+    let mut td: Vec<usize> = target.nodes().map(|v| target.degree(v)).collect();
+    pd.sort_unstable_by(|a, b| b.cmp(a));
+    td.sort_unstable_by(|a, b| b.cmp(a));
+    pd.iter().zip(td.iter()).any(|(p, t)| p > t)
+}
+
+/// Label → occurrence count.
+pub(crate) fn label_counts(g: &LabeledGraph) -> HashMap<Label, u32> {
+    let mut m = HashMap::with_capacity(g.node_count().min(64));
+    for &l in g.labels() {
+        *m.entry(l).or_insert(0) += 1;
+    }
+    m
+}
+
+/// VF2 choosing its next pattern node on every recursion call.
+pub(crate) mod vf2 {
+    use super::quick_reject;
+    use crate::common::{Found, Work};
+    use crate::vf2::Driver;
+    use crate::{MatchConfig, MatchOutcome, Matcher};
+    use gc_graph::{LabeledGraph, NodeId};
+    use std::ops::ControlFlow;
+
+    /// The dynamic-order VF2.
+    pub(crate) struct Vf2;
+
+    impl Matcher for Vf2 {
+        fn name(&self) -> &'static str {
+            "VF2 (dynamic order)"
+        }
+
+        fn contains_with(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+            cfg: &MatchConfig,
+        ) -> MatchOutcome {
+            let mut driver = Driver::decide();
+            run(pattern, target, cfg, &mut driver)
+        }
+
+        fn find_embedding(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+        ) -> Option<Vec<NodeId>> {
+            let mut driver = Driver::find();
+            run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+            driver.embedding
+        }
+
+        fn count_embeddings(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+            limit: u64,
+        ) -> u64 {
+            let mut driver = Driver::count(limit);
+            run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+            driver.count
+        }
+    }
+
+    fn run(
+        pattern: &LabeledGraph,
+        target: &LabeledGraph,
+        cfg: &MatchConfig,
+        driver: &mut Driver,
+    ) -> MatchOutcome {
+        if pattern.node_count() == 0 {
+            // The empty pattern embeds vacuously (one empty embedding).
+            driver.on_embedding(&[]);
+            return MatchOutcome {
+                found: true,
+                complete: true,
+                nodes_expanded: 0,
+            };
+        }
+        let mut work = Work::new(cfg.budget);
+        if !quick_reject(pattern, target) {
+            let mut st = State {
+                p: pattern,
+                t: target,
+                core_p: vec![None; pattern.node_count()],
+                used_t: vec![false; target.node_count()],
+                mapped: 0,
+            };
+            let _ = search(&mut st, &mut work, driver);
+        }
+        MatchOutcome {
+            found: driver.found,
+            complete: !work.exhausted,
+            nodes_expanded: work.nodes,
+        }
+    }
+
+    struct State<'a> {
+        p: &'a LabeledGraph,
+        t: &'a LabeledGraph,
+        core_p: Vec<Option<NodeId>>,
+        used_t: Vec<bool>,
+        mapped: usize,
+    }
+
+    impl State<'_> {
+        /// Picks the next pattern node: the lowest-id unmapped node adjacent to
+        /// the mapped core, or the lowest-id unmapped node if none (handles
+        /// disconnected patterns).
+        fn next_pattern_node(&self) -> (NodeId, Option<NodeId>) {
+            let mut fallback = None;
+            for u in self.p.nodes() {
+                if self.core_p[u as usize].is_some() {
+                    continue;
+                }
+                if fallback.is_none() {
+                    fallback = Some(u);
+                }
+                if let Some(&w) = self
+                    .p
+                    .neighbors(u)
+                    .iter()
+                    .find(|&&w| self.core_p[w as usize].is_some())
+                {
+                    return (u, Some(w));
+                }
+            }
+            (fallback.expect("at least one unmapped node"), None)
+        }
+
+        /// VF2 feasibility of the candidate pair `(u, v)`.
+        fn feasible(&self, u: NodeId, v: NodeId) -> bool {
+            if self.p.label(u) != self.t.label(v) || self.used_t[v as usize] {
+                return false;
+            }
+            if self.p.degree(u) > self.t.degree(v) {
+                return false;
+            }
+            // Consistency: every mapped neighbour of u must map to a neighbour
+            // of v (non-induced: no converse requirement).
+            let mut unmapped_p_nbrs = 0usize;
+            for &w in self.p.neighbors(u) {
+                match self.core_p[w as usize] {
+                    Some(img) => {
+                        if !self.t.has_edge(img, v) {
+                            return false;
+                        }
+                    }
+                    None => unmapped_p_nbrs += 1,
+                }
+            }
+            // One-step lookahead: the unmapped pattern neighbours of u need
+            // distinct unmapped target neighbours of v.
+            let unmapped_t_nbrs = self
+                .t
+                .neighbors(v)
+                .iter()
+                .filter(|&&x| !self.used_t[x as usize])
+                .count();
+            unmapped_p_nbrs <= unmapped_t_nbrs
+        }
+    }
+
+    fn search(st: &mut State<'_>, work: &mut Work, driver: &mut Driver) -> ControlFlow<()> {
+        if st.mapped == st.p.node_count() {
+            return match driver.on_embedding(&st.core_p) {
+                Found::Stop => ControlFlow::Break(()),
+                Found::Continue => ControlFlow::Continue(()),
+            };
+        }
+        let (u, anchor) = st.next_pattern_node();
+        match anchor {
+            Some(w) => {
+                // Candidates: unmapped target neighbours of the image of w.
+                let img = st.core_p[w as usize].expect("anchor is mapped");
+                let nbrs: &[NodeId] = st.t.neighbors(img);
+                // Index loop (not iterator): the body re-borrows `st` mutably.
+                #[allow(clippy::needless_range_loop)]
+                for i in 0..nbrs.len() {
+                    let v = nbrs[i];
+                    work.step()?;
+                    if st.feasible(u, v) {
+                        st.core_p[u as usize] = Some(v);
+                        st.used_t[v as usize] = true;
+                        st.mapped += 1;
+                        let flow = search(st, work, driver);
+                        st.core_p[u as usize] = None;
+                        st.used_t[v as usize] = false;
+                        st.mapped -= 1;
+                        flow?;
+                    }
+                }
+            }
+            None => {
+                for v in st.t.nodes() {
+                    work.step()?;
+                    if st.feasible(u, v) {
+                        st.core_p[u as usize] = Some(v);
+                        st.used_t[v as usize] = true;
+                        st.mapped += 1;
+                        let flow = search(st, work, driver);
+                        st.core_p[u as usize] = None;
+                        st.used_t[v as usize] = false;
+                        st.mapped -= 1;
+                        flow?;
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// VF2+ whose lookahead collects and sorts two fresh vectors per call.
+pub(crate) mod vf2_plus {
+    use super::quick_reject;
+    use crate::common::{sorted_multiset_contained, Found, Work};
+    use crate::vf2::Driver;
+    use crate::{MatchConfig, MatchOutcome, Matcher};
+    use gc_graph::{Label, LabeledGraph, NodeId};
+    use std::collections::HashMap;
+    use std::ops::ControlFlow;
+
+    /// The allocating VF2+.
+    pub(crate) struct Vf2Plus;
+
+    impl Matcher for Vf2Plus {
+        fn name(&self) -> &'static str {
+            "VF2+ (allocating lookahead)"
+        }
+
+        fn contains_with(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+            cfg: &MatchConfig,
+        ) -> MatchOutcome {
+            let mut driver = Driver::decide();
+            run(pattern, target, cfg, &mut driver)
+        }
+
+        fn find_embedding(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+        ) -> Option<Vec<NodeId>> {
+            let mut driver = Driver::find();
+            run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+            driver.embedding
+        }
+
+        fn count_embeddings(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+            limit: u64,
+        ) -> u64 {
+            let mut driver = Driver::count(limit);
+            run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+            driver.count
+        }
+    }
+
+    fn run(
+        pattern: &LabeledGraph,
+        target: &LabeledGraph,
+        cfg: &MatchConfig,
+        driver: &mut Driver,
+    ) -> MatchOutcome {
+        if pattern.node_count() == 0 {
+            driver.on_embedding(&[]);
+            return MatchOutcome {
+                found: true,
+                complete: true,
+                nodes_expanded: 0,
+            };
+        }
+        let mut work = Work::new(cfg.budget);
+        if !quick_reject(pattern, target) {
+            let plan = Plan::build(pattern, target);
+            let mut st = State {
+                p: pattern,
+                t: target,
+                plan: &plan,
+                core_p: vec![None; pattern.node_count()],
+                used_t: vec![false; target.node_count()],
+            };
+            let _ = search(&mut st, 0, &mut work, driver);
+        }
+        MatchOutcome {
+            found: driver.found,
+            complete: !work.exhausted,
+            nodes_expanded: work.nodes,
+        }
+    }
+
+    /// Static search plan: pattern-node visit order plus, for each position, an
+    /// anchor (an earlier-ordered pattern neighbour) when one exists.
+    struct Plan {
+        order: Vec<NodeId>,
+        anchor: Vec<Option<NodeId>>,
+        label_index: HashMap<Label, Vec<NodeId>>,
+    }
+
+    impl Plan {
+        fn build(p: &LabeledGraph, t: &LabeledGraph) -> Plan {
+            // Target label frequencies: rare labels first.
+            let mut freq: HashMap<Label, u32> = HashMap::new();
+            for &l in t.labels() {
+                *freq.entry(l).or_insert(0) += 1;
+            }
+            let rarity = |u: NodeId| freq.get(&p.label(u)).copied().unwrap_or(0);
+
+            let n = p.node_count();
+            let mut order: Vec<NodeId> = Vec::with_capacity(n);
+            let mut anchor: Vec<Option<NodeId>> = Vec::with_capacity(n);
+            let mut placed = vec![false; n];
+            let mut connectivity = vec![0u32; n]; // # already-ordered neighbours
+            for _ in 0..n {
+                // Greatest constraint first: maximise connectivity to the
+                // ordered prefix, then minimise label frequency in the target,
+                // then maximise degree; node id breaks remaining ties.
+                let best = p
+                    .nodes()
+                    .filter(|&u| !placed[u as usize])
+                    .min_by(|&a, &b| {
+                        connectivity[b as usize]
+                            .cmp(&connectivity[a as usize])
+                            .then(rarity(a).cmp(&rarity(b)))
+                            .then(p.degree(b).cmp(&p.degree(a)))
+                            .then(a.cmp(&b))
+                    })
+                    .expect("unplaced node exists");
+                placed[best as usize] = true;
+                // Anchor: the earliest-ordered neighbour, if any.
+                let a = order.iter().copied().find(|&w| p.has_edge(w, best));
+                order.push(best);
+                anchor.push(a);
+                for &w in p.neighbors(best) {
+                    connectivity[w as usize] += 1;
+                }
+            }
+
+            let mut label_index: HashMap<Label, Vec<NodeId>> = HashMap::new();
+            for v in t.nodes() {
+                label_index.entry(t.label(v)).or_default().push(v);
+            }
+            Plan {
+                order,
+                anchor,
+                label_index,
+            }
+        }
+    }
+
+    struct State<'a> {
+        p: &'a LabeledGraph,
+        t: &'a LabeledGraph,
+        plan: &'a Plan,
+        core_p: Vec<Option<NodeId>>,
+        used_t: Vec<bool>,
+    }
+
+    impl State<'_> {
+        fn feasible(&self, u: NodeId, v: NodeId) -> bool {
+            if self.p.label(u) != self.t.label(v) || self.used_t[v as usize] {
+                return false;
+            }
+            if self.p.degree(u) > self.t.degree(v) {
+                return false;
+            }
+            let mut unmapped_p_labels: Vec<Label> = Vec::new();
+            for &w in self.p.neighbors(u) {
+                match self.core_p[w as usize] {
+                    Some(img) => {
+                        if !self.t.has_edge(img, v) {
+                            return false;
+                        }
+                    }
+                    None => unmapped_p_labels.push(self.p.label(w)),
+                }
+            }
+            if unmapped_p_labels.is_empty() {
+                return true;
+            }
+            // Label-aware lookahead: each unmapped pattern neighbour needs a
+            // distinct unmapped target neighbour carrying the same label.
+            let mut unmapped_t_labels: Vec<Label> = self
+                .t
+                .neighbors(v)
+                .iter()
+                .filter(|&&x| !self.used_t[x as usize])
+                .map(|&x| self.t.label(x))
+                .collect();
+            unmapped_p_labels.sort_unstable();
+            unmapped_t_labels.sort_unstable();
+            sorted_multiset_contained(&unmapped_p_labels, &unmapped_t_labels)
+        }
+    }
+
+    fn search(
+        st: &mut State<'_>,
+        depth: usize,
+        work: &mut Work,
+        driver: &mut Driver,
+    ) -> ControlFlow<()> {
+        if depth == st.plan.order.len() {
+            return match driver.on_embedding(&st.core_p) {
+                Found::Stop => ControlFlow::Break(()),
+                Found::Continue => ControlFlow::Continue(()),
+            };
+        }
+        let u = st.plan.order[depth];
+        match st.plan.anchor[depth] {
+            Some(w) => {
+                let img = st.core_p[w as usize].expect("anchor ordered earlier");
+                let nbrs = st.t.neighbors(img);
+                // Index loop (not iterator): the body re-borrows `st` mutably.
+                #[allow(clippy::needless_range_loop)]
+                for i in 0..nbrs.len() {
+                    let v = nbrs[i];
+                    work.step()?;
+                    if st.feasible(u, v) {
+                        descend(st, depth, u, v, work, driver)?;
+                    }
+                }
+            }
+            None => {
+                if let Some(cands) = st.plan.label_index.get(&st.p.label(u)) {
+                    #[allow(clippy::needless_range_loop)]
+                    for i in 0..cands.len() {
+                        let v = cands[i];
+                        work.step()?;
+                        if st.feasible(u, v) {
+                            descend(st, depth, u, v, work, driver)?;
+                        }
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    #[inline]
+    fn descend(
+        st: &mut State<'_>,
+        depth: usize,
+        u: NodeId,
+        v: NodeId,
+        work: &mut Work,
+        driver: &mut Driver,
+    ) -> ControlFlow<()> {
+        st.core_p[u as usize] = Some(v);
+        st.used_t[v as usize] = true;
+        let flow = search(st, depth + 1, work, driver);
+        st.core_p[u as usize] = None;
+        st.used_t[v as usize] = false;
+        flow
+    }
+}
+
+/// The faster code against the references, on random labelled graphs:
+/// small alphabets (so labels rarely reject), empty and disconnected
+/// patterns, node-prefix patterns (so many tests succeed deep in the
+/// search) and random budgets, many of which trip mid-search.
+#[cfg(test)]
+mod tests {
+    use crate::{common, MatchConfig, MatchOutcome, Matcher, Vf2, Vf2Plus};
+    use gc_graph::LabeledGraph;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// A graph with up to `max_nodes` nodes over `labels` labels and up to
+    /// twice as many edges as nodes (possibly disconnected, possibly empty).
+    fn arb_graph(max_nodes: usize, labels: u32) -> impl Strategy<Value = LabeledGraph> {
+        (0..=max_nodes)
+            .prop_flat_map(move |n| (vec(0..labels, n), vec((0..64u32, 0..64u32), 0..2 * n + 1)))
+            .prop_map(|(ls, es)| {
+                let n = ls.len() as u32;
+                let edges: Vec<(u32, u32)> = if n == 0 {
+                    Vec::new()
+                } else {
+                    es.iter().map(|&(a, b)| (a % n, b % n)).collect()
+                };
+                LabeledGraph::from_parts(ls, &edges)
+            })
+    }
+
+    /// The subgraph of `t` on its first `k` nodes, minus the edges whose
+    /// index has its bit set in `drop_mask` — a pattern that often embeds.
+    fn prefix_pattern(t: &LabeledGraph, k: usize, drop_mask: u64) -> LabeledGraph {
+        let k = k.min(t.node_count());
+        let edges: Vec<(u32, u32)> = t
+            .edges()
+            .filter(|&(u, v)| (u as usize) < k && (v as usize) < k)
+            .enumerate()
+            .filter(|(i, _)| (drop_mask >> (i % 64)) & 1 == 0)
+            .map(|(_, e)| e)
+            .collect();
+        LabeledGraph::from_parts(t.labels()[..k].to_vec(), &edges)
+    }
+
+    /// `None` (unbounded) one time in four; otherwise a budget small
+    /// enough to trip on a fair share of the searches.
+    fn budget(raw: u64) -> MatchConfig {
+        match raw % 80 {
+            b if b >= 60 => MatchConfig::UNBOUNDED,
+            b => MatchConfig::bounded(b),
+        }
+    }
+
+    fn limit(raw: u64) -> u64 {
+        match raw % 12 {
+            0 => u64::MAX,
+            l => l,
+        }
+    }
+
+    /// Both patterns a case exercises: a random one and a prefix of the
+    /// target.
+    fn patterns(p: LabeledGraph, t: &LabeledGraph, k: usize, drop_mask: u64) -> [LabeledGraph; 2] {
+        [p, prefix_pattern(t, k, drop_mask)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn compiled_vf2_equals_dynamic_reference(
+            p in arb_graph(7, 3),
+            t in arb_graph(10, 3),
+            (k, drop_mask) in (0..9usize, any::<u64>()),
+            raw in any::<u64>(),
+        ) {
+            let cfg = budget(raw);
+            for p in &patterns(p, &t, k, drop_mask) {
+                prop_assert_eq!(
+                    Vf2.contains_with(p, &t, &cfg),
+                    super::vf2::Vf2.contains_with(p, &t, &cfg),
+                    "contains_with {:?} in {:?} under {:?}", p, t, cfg
+                );
+            }
+        }
+
+        #[test]
+        fn compiled_vf2_counts_and_finds_like_the_reference(
+            p in arb_graph(6, 2),
+            t in arb_graph(9, 2),
+            (k, drop_mask) in (0..7usize, any::<u64>()),
+            raw in any::<u64>(),
+        ) {
+            let limit = limit(raw);
+            for p in &patterns(p, &t, k, drop_mask) {
+                prop_assert_eq!(
+                    Vf2.count_embeddings(p, &t, limit),
+                    super::vf2::Vf2.count_embeddings(p, &t, limit)
+                );
+                prop_assert_eq!(
+                    Vf2.find_embedding(p, &t),
+                    super::vf2::Vf2.find_embedding(p, &t)
+                );
+            }
+        }
+
+        #[test]
+        fn contains_each_equals_the_per_target_loop(
+            p in arb_graph(6, 3),
+            targets in vec(arb_graph(10, 3), 0..6),
+            (k, drop_mask) in (0..7usize, any::<u64>()),
+            raw in any::<u64>(),
+        ) {
+            let cfg = budget(raw);
+            let refs: Vec<&LabeledGraph> = targets.iter().collect();
+            let pats = match targets.first() {
+                Some(t) => patterns(p, t, k, drop_mask).to_vec(),
+                None => vec![p],
+            };
+            for p in &pats {
+                let per_pair: Vec<MatchOutcome> = refs
+                    .iter()
+                    .map(|t| super::vf2::Vf2.contains_with(p, t, &cfg))
+                    .collect();
+                let mut each = Vec::new();
+                Vf2.contains_each(p, &refs, &cfg, &mut each);
+                prop_assert_eq!(&each, &per_pair);
+                // The trait default is the loop itself.
+                let mut default = Vec::new();
+                super::vf2::Vf2.contains_each(p, &refs, &cfg, &mut default);
+                prop_assert_eq!(&default, &per_pair);
+            }
+        }
+
+        #[test]
+        fn sorted_quick_reject_equals_the_hashmap_predicate(
+            p in arb_graph(8, 3),
+            t in arb_graph(8, 3),
+            (k, drop_mask) in (0..9usize, any::<u64>()),
+            edges in vec((0..64u32, 0..64u32), 0..12),
+        ) {
+            // Also a pattern on the target's first k labels with edges of
+            // its own: label containment holds, so the size and degree
+            // clauses decide.
+            let k = k.min(t.node_count());
+            let own: Vec<(u32, u32)> = match k as u32 {
+                0 => Vec::new(),
+                n => edges.iter().map(|&(a, b)| (a % n, b % n)).collect(),
+            };
+            let relabelled = LabeledGraph::from_parts(t.labels()[..k].to_vec(), &own);
+            let [p, prefix] = patterns(p, &t, k, drop_mask);
+            for p in &[p, prefix, relabelled] {
+                prop_assert_eq!(
+                    common::quick_reject(p, &t),
+                    super::quick_reject(p, &t),
+                    "{:?} vs {:?}", p, t
+                );
+            }
+        }
+
+        #[test]
+        fn vf2_plus_scratch_lookahead_equals_the_allocating_one(
+            p in arb_graph(7, 3),
+            t in arb_graph(10, 3),
+            (k, drop_mask) in (0..9usize, any::<u64>()),
+            raw in any::<u64>(),
+        ) {
+            let cfg = budget(raw);
+            for p in &patterns(p, &t, k, drop_mask) {
+                prop_assert_eq!(
+                    Vf2Plus.contains_with(p, &t, &cfg),
+                    super::vf2_plus::Vf2Plus.contains_with(p, &t, &cfg)
+                );
+                if p.node_count() <= 6 {
+                    prop_assert_eq!(
+                        Vf2Plus.count_embeddings(p, &t, limit(raw)),
+                        super::vf2_plus::Vf2Plus.count_embeddings(p, &t, limit(raw))
+                    );
+                }
+                prop_assert_eq!(
+                    Vf2Plus.find_embedding(p, &t),
+                    super::vf2_plus::Vf2Plus.find_embedding(p, &t)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_cases_reach_budget_trips_and_deep_positives() {
+        // Guards the generators: the properties above are only as strong as
+        // the share of cases that trip a budget mid-search or find an
+        // embedding several levels down.
+        let mut rng = proptest::test_runner::new_rng();
+        let (mut tripped, mut deep_found) = (0, 0);
+        for _ in 0..512 {
+            let t = arb_graph(10, 3).generate(&mut rng);
+            let k = (0..9usize).generate(&mut rng);
+            let p = prefix_pattern(&t, k, any::<u64>().generate(&mut rng));
+            let cfg = budget(any::<u64>().generate(&mut rng));
+            let out = Vf2.contains_with(&p, &t, &cfg);
+            tripped += !out.complete as u32;
+            deep_found += (out.found && p.node_count() >= 4) as u32;
+        }
+        assert!(tripped >= 20, "only {tripped} budget trips");
+        assert!(deep_found >= 50, "only {deep_found} deep positives");
+    }
+}

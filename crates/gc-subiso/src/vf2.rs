@@ -3,14 +3,36 @@
 //!
 //! The implementation follows the classic recipe: depth-first extension of a
 //! partial mapping, connectivity-driven candidate generation (the next
-//! pattern node adjacent to the mapped core is tried against the unmapped
-//! target neighbours of its mapped neighbour's image), plus the standard
+//! pattern node adjacent to the mapped core is tried against the target
+//! neighbours of its mapped neighbour's image), plus the standard
 //! feasibility rules — label equality, mapped-neighbour consistency, degree
 //! dominance and a one-step lookahead on unmapped neighbour counts.
+//!
+//! **The pattern is compiled once.** VF2 picks the next pattern node as the
+//! lowest-id unmapped node with a mapped neighbour (its *anchor*: the
+//! lowest-id such neighbour), or the lowest-id unmapped node when none has
+//! one. That choice reads only *which* pattern nodes are mapped, never
+//! their images, and the mapped set at depth `d` is always the first `d`
+//! nodes chosen — so the visiting order is a function of the pattern alone.
+//! [`Plan`] fixes it before the search, together with what each depth's
+//! feasibility test needs: the depths of its earlier-mapped neighbours
+//! other than the anchor (the anchor edge is implied, since candidates are
+//! drawn from the anchor image's neighbours) and its lookahead *need*, the
+//! number of its pattern neighbours mapped later. The search then runs by
+//! depth index, stops counting free target neighbours once the need is
+//! met, and visits exactly the same search tree as the dynamic formulation:
+//! `found`, `complete` and `nodes_expanded` are bit-identical (the crate's
+//! equivalence proptest pins this against the dynamic version).
+//!
+//! [`Matcher::contains_each`] compiles the pattern and its quick-reject
+//! shape once and reuses the search buffers across every target, which is
+//! how Method M's verifier sweeps a subgraph query's candidate set.
 
-use crate::common::{quick_reject, Found, Work};
+use crate::common::{Found, Shape, Work};
 use crate::{MatchConfig, MatchOutcome, Matcher};
-use gc_graph::{LabeledGraph, NodeId};
+use gc_graph::{Label, LabeledGraph, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 
 /// The VF2 matcher. Stateless; construct once and reuse freely.
@@ -35,19 +57,33 @@ impl Matcher for Vf2 {
         target: &LabeledGraph,
         cfg: &MatchConfig,
     ) -> MatchOutcome {
-        let mut driver = Driver::decide();
-        run(pattern, target, cfg, &mut driver)
+        Compiled::new(pattern).run(target, cfg, &mut Driver::decide())
+    }
+
+    fn contains_each(
+        &self,
+        pattern: &LabeledGraph,
+        targets: &[&LabeledGraph],
+        cfg: &MatchConfig,
+        out: &mut Vec<MatchOutcome>,
+    ) {
+        let mut compiled = Compiled::new(pattern);
+        out.extend(
+            targets
+                .iter()
+                .map(|t| compiled.run(t, cfg, &mut Driver::decide())),
+        );
     }
 
     fn find_embedding(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> Option<Vec<NodeId>> {
         let mut driver = Driver::find();
-        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        Compiled::new(pattern).run(target, &MatchConfig::UNBOUNDED, &mut driver);
         driver.embedding
     }
 
     fn count_embeddings(&self, pattern: &LabeledGraph, target: &LabeledGraph, limit: u64) -> u64 {
         let mut driver = Driver::count(limit);
-        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        Compiled::new(pattern).run(target, &MatchConfig::UNBOUNDED, &mut driver);
         driver.count
     }
 }
@@ -97,12 +133,19 @@ impl Driver {
 
     /// Records a complete embedding; returns whether to keep searching.
     pub(crate) fn on_embedding(&mut self, mapping: &[Option<NodeId>]) -> Found {
+        self.on_embedding_with(|| mapping.iter().map(|m| m.expect("complete")).collect())
+    }
+
+    /// [`Driver::on_embedding`] for a search that keeps its mapping in
+    /// another form: `mapping` (pattern node → target node) is built only
+    /// when the embedding itself is wanted.
+    pub(crate) fn on_embedding_with(&mut self, mapping: impl FnOnce() -> Vec<NodeId>) -> Found {
         self.found = true;
         self.count += 1;
         match self.mode {
             Mode::Decide => Found::Stop,
             Mode::Find => {
-                self.embedding = Some(mapping.iter().map(|m| m.expect("complete")).collect());
+                self.embedding = Some(mapping());
                 Found::Stop
             }
             Mode::Count { limit } => {
@@ -116,152 +159,271 @@ impl Driver {
     }
 }
 
-fn run(
-    pattern: &LabeledGraph,
-    target: &LabeledGraph,
-    cfg: &MatchConfig,
-    driver: &mut Driver,
-) -> MatchOutcome {
-    if pattern.node_count() == 0 {
-        // The empty pattern embeds vacuously (one empty embedding).
-        driver.on_embedding(&[]);
-        return MatchOutcome {
-            found: true,
-            complete: true,
-            nodes_expanded: 0,
-        };
-    }
-    let mut work = Work::new(cfg.budget);
-    if !quick_reject(pattern, target) {
-        let mut st = State {
-            p: pattern,
-            t: target,
-            core_p: vec![None; pattern.node_count()],
-            used_t: vec![false; target.node_count()],
-            mapped: 0,
-        };
-        let _ = search(&mut st, &mut work, driver);
-    }
-    MatchOutcome {
-        found: driver.found,
-        complete: !work.exhausted,
-        nodes_expanded: work.nodes,
-    }
+/// One depth of a [`Plan`].
+#[derive(Debug, Clone)]
+struct Step {
+    /// The pattern node mapped at this depth.
+    node: NodeId,
+    label: Label,
+    degree: u32,
+    /// Depth of the anchor: candidates are the target neighbours of its
+    /// image. `None` for the first node of each connected component, whose
+    /// candidates are all target nodes.
+    anchor: Option<u32>,
+    /// `back[back_lo..back_hi]`: depths of the earlier-mapped pattern
+    /// neighbours other than the anchor, in ascending node-id order.
+    back_lo: u32,
+    back_hi: u32,
+    /// Pattern neighbours mapped at later depths: the lookahead needs this
+    /// many unused target neighbours of the candidate.
+    need: u32,
 }
 
-struct State<'a> {
-    p: &'a LabeledGraph,
-    t: &'a LabeledGraph,
-    core_p: Vec<Option<NodeId>>,
-    used_t: Vec<bool>,
-    mapped: usize,
+/// VF2's visiting order for one pattern, with each depth's feasibility
+/// inputs precomputed.
+#[derive(Debug, Clone)]
+struct Plan {
+    steps: Vec<Step>,
+    back: Vec<u32>,
 }
 
-impl State<'_> {
-    /// Picks the next pattern node: the lowest-id unmapped node adjacent to
-    /// the mapped core, or the lowest-id unmapped node if none (handles
-    /// disconnected patterns).
-    fn next_pattern_node(&self) -> (NodeId, Option<NodeId>) {
-        let mut fallback = None;
-        for u in self.p.nodes() {
-            if self.core_p[u as usize].is_some() {
-                continue;
+impl Plan {
+    /// Replays VF2's choice of the next pattern node — the lowest-id
+    /// unmapped node with a mapped neighbour, anchored at its lowest-id
+    /// mapped neighbour, else the lowest-id unmapped node (disconnected
+    /// patterns) — in O((|V| + |E|) log |V|). `frontier` holds every
+    /// unplaced node with a placed neighbour, plus stale entries for nodes
+    /// placed since they were pushed, so its smallest live entry is the
+    /// node the dynamic rule picks.
+    fn build(p: &LabeledGraph) -> Plan {
+        const UNPLACED: u32 = u32::MAX;
+        let n = p.node_count();
+        let mut depth_of = vec![UNPLACED; n];
+        // Each edge pushes at most one endpoint, once.
+        let mut frontier = BinaryHeap::with_capacity(p.edge_count());
+        // Every node below `lowest` is placed.
+        let mut lowest = 0;
+        let mut steps = Vec::with_capacity(n);
+        for d in 0..n as u32 {
+            while let Some(&Reverse(u)) = frontier.peek() {
+                if depth_of[u as usize] == UNPLACED {
+                    break;
+                }
+                frontier.pop();
             }
-            if fallback.is_none() {
-                fallback = Some(u);
-            }
-            if let Some(&w) = self
-                .p
-                .neighbors(u)
-                .iter()
-                .find(|&&w| self.core_p[w as usize].is_some())
-            {
-                return (u, Some(w));
-            }
+            let (u, anchor) = match frontier.pop() {
+                Some(Reverse(u)) => {
+                    let a = p
+                        .neighbors(u)
+                        .iter()
+                        .find(|&&w| depth_of[w as usize] != UNPLACED)
+                        .expect("a frontier node has a placed neighbour");
+                    (u, Some(depth_of[*a as usize]))
+                }
+                None => {
+                    while depth_of[lowest] != UNPLACED {
+                        lowest += 1;
+                    }
+                    (lowest as NodeId, None)
+                }
+            };
+            depth_of[u as usize] = d;
+            frontier.extend(
+                p.neighbors(u)
+                    .iter()
+                    .filter(|&&w| depth_of[w as usize] == UNPLACED)
+                    .map(|&w| Reverse(w)),
+            );
+            steps.push(Step {
+                node: u,
+                label: p.label(u),
+                degree: p.degree(u) as u32,
+                anchor,
+                back_lo: 0,
+                back_hi: 0,
+                need: 0,
+            });
         }
-        (fallback.expect("at least one unmapped node"), None)
+        // Each edge adds at most one back entry, at its later endpoint.
+        let mut back = Vec::with_capacity(p.edge_count());
+        for (d, step) in (0..).zip(steps.iter_mut()) {
+            step.back_lo = back.len() as u32;
+            for &w in p.neighbors(step.node) {
+                let dw = depth_of[w as usize];
+                if dw > d {
+                    step.need += 1;
+                } else if Some(dw) != step.anchor {
+                    back.push(dw);
+                }
+            }
+            step.back_hi = back.len() as u32;
+        }
+        Plan { steps, back }
+    }
+}
+
+/// A pattern prepared for tests against any number of targets: its
+/// quick-reject shape, its plan (built on the first target that survives
+/// quick reject) and search buffers reused from one target to the next.
+struct Compiled<'p> {
+    pattern: &'p LabeledGraph,
+    shape: Shape,
+    plan: Option<Plan>,
+    /// Target-shape scratch for quick reject.
+    target_shape: Shape,
+    /// `img[d]`: the target node mapped at depth `d`.
+    img: Vec<NodeId>,
+    /// Target nodes in the current partial mapping; all `false` between
+    /// searches (every descent unmarks before it returns).
+    used: Vec<bool>,
+}
+
+impl<'p> Compiled<'p> {
+    fn new(pattern: &'p LabeledGraph) -> Self {
+        Compiled {
+            pattern,
+            shape: Shape::of(pattern),
+            plan: None,
+            target_shape: Shape::default(),
+            img: vec![0; pattern.node_count()],
+            used: Vec::new(),
+        }
     }
 
-    /// VF2 feasibility of the candidate pair `(u, v)`.
-    fn feasible(&self, u: NodeId, v: NodeId) -> bool {
-        if self.p.label(u) != self.t.label(v) || self.used_t[v as usize] {
+    fn run(
+        &mut self,
+        target: &LabeledGraph,
+        cfg: &MatchConfig,
+        driver: &mut Driver,
+    ) -> MatchOutcome {
+        if self.pattern.node_count() == 0 {
+            // The empty pattern embeds vacuously (one empty embedding).
+            driver.on_embedding(&[]);
+            return MatchOutcome {
+                found: true,
+                complete: true,
+                nodes_expanded: 0,
+            };
+        }
+        let mut work = Work::new(cfg.budget);
+        if !self.shape.rejects(target, &mut self.target_shape) {
+            let pattern = self.pattern;
+            let plan = self.plan.get_or_insert_with(|| Plan::build(pattern));
+            if self.used.len() < target.node_count() {
+                self.used.resize(target.node_count(), false);
+            }
+            let mut st = Search {
+                plan,
+                t: target,
+                img: &mut self.img,
+                used: &mut self.used,
+            };
+            let _ = st.search(0, &mut work, driver);
+        }
+        MatchOutcome {
+            found: driver.found,
+            complete: !work.exhausted,
+            nodes_expanded: work.nodes,
+        }
+    }
+}
+
+/// One search of a compiled pattern against one target.
+struct Search<'a> {
+    plan: &'a Plan,
+    t: &'a LabeledGraph,
+    img: &'a mut [NodeId],
+    used: &'a mut [bool],
+}
+
+impl Search<'_> {
+    /// VF2 feasibility of mapping `step`'s pattern node `u` to `v`.
+    #[inline]
+    fn feasible(&self, step: &Step, v: NodeId) -> bool {
+        let t = self.t;
+        if step.label != t.label(v) || self.used[v as usize] {
             return false;
         }
-        if self.p.degree(u) > self.t.degree(v) {
+        if step.degree as usize > t.degree(v) {
             return false;
         }
         // Consistency: every mapped neighbour of u must map to a neighbour
-        // of v (non-induced: no converse requirement).
-        let mut unmapped_p_nbrs = 0usize;
-        for &w in self.p.neighbors(u) {
-            match self.core_p[w as usize] {
-                Some(img) => {
-                    if !self.t.has_edge(img, v) {
-                        return false;
-                    }
-                }
-                None => unmapped_p_nbrs += 1,
+        // of v (non-induced: no converse requirement). The anchor's edge
+        // holds by construction of the candidates.
+        for &b in &self.plan.back[step.back_lo as usize..step.back_hi as usize] {
+            if !t.has_edge(self.img[b as usize], v) {
+                return false;
             }
         }
         // One-step lookahead: the unmapped pattern neighbours of u need
         // distinct unmapped target neighbours of v.
-        let unmapped_t_nbrs = self
-            .t
-            .neighbors(v)
-            .iter()
-            .filter(|&&x| !self.used_t[x as usize])
-            .count();
-        unmapped_p_nbrs <= unmapped_t_nbrs
+        if step.need == 0 {
+            return true;
+        }
+        let mut free = 0;
+        for &x in t.neighbors(v) {
+            if !self.used[x as usize] {
+                free += 1;
+                if free == step.need {
+                    return true;
+                }
+            }
+        }
+        false
     }
-}
 
-fn search(st: &mut State<'_>, work: &mut Work, driver: &mut Driver) -> ControlFlow<()> {
-    if st.mapped == st.p.node_count() {
-        return match driver.on_embedding(&st.core_p) {
-            Found::Stop => ControlFlow::Break(()),
-            Found::Continue => ControlFlow::Continue(()),
+    fn search(&mut self, depth: usize, work: &mut Work, driver: &mut Driver) -> ControlFlow<()> {
+        let plan = self.plan;
+        let Some(step) = plan.steps.get(depth) else {
+            let img = &*self.img;
+            return match driver.on_embedding_with(|| {
+                let mut mapping = vec![0; img.len()];
+                for (s, &v) in plan.steps.iter().zip(img) {
+                    mapping[s.node as usize] = v;
+                }
+                mapping
+            }) {
+                Found::Stop => ControlFlow::Break(()),
+                Found::Continue => ControlFlow::Continue(()),
+            };
         };
-    }
-    let (u, anchor) = st.next_pattern_node();
-    match anchor {
-        Some(w) => {
-            // Candidates: unmapped target neighbours of the image of w.
-            let img = st.core_p[w as usize].expect("anchor is mapped");
-            let nbrs: &[NodeId] = st.t.neighbors(img);
-            // Index loop (not iterator): the body re-borrows `st` mutably.
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..nbrs.len() {
-                let v = nbrs[i];
-                work.step()?;
-                if st.feasible(u, v) {
-                    st.core_p[u as usize] = Some(v);
-                    st.used_t[v as usize] = true;
-                    st.mapped += 1;
-                    let flow = search(st, work, driver);
-                    st.core_p[u as usize] = None;
-                    st.used_t[v as usize] = false;
-                    st.mapped -= 1;
-                    flow?;
+        let t = self.t;
+        match step.anchor {
+            // Candidates: target neighbours of the anchor's image.
+            Some(a) => {
+                for &v in t.neighbors(self.img[a as usize]) {
+                    work.step()?;
+                    if self.feasible(step, v) {
+                        self.descend(depth, v, work, driver)?;
+                    }
+                }
+            }
+            None => {
+                for v in t.nodes() {
+                    work.step()?;
+                    if self.feasible(step, v) {
+                        self.descend(depth, v, work, driver)?;
+                    }
                 }
             }
         }
-        None => {
-            for v in st.t.nodes() {
-                work.step()?;
-                if st.feasible(u, v) {
-                    st.core_p[u as usize] = Some(v);
-                    st.used_t[v as usize] = true;
-                    st.mapped += 1;
-                    let flow = search(st, work, driver);
-                    st.core_p[u as usize] = None;
-                    st.used_t[v as usize] = false;
-                    st.mapped -= 1;
-                    flow?;
-                }
-            }
-        }
+        ControlFlow::Continue(())
     }
-    ControlFlow::Continue(())
+
+    #[inline]
+    fn descend(
+        &mut self,
+        depth: usize,
+        v: NodeId,
+        work: &mut Work,
+        driver: &mut Driver,
+    ) -> ControlFlow<()> {
+        self.img[depth] = v;
+        self.used[v as usize] = true;
+        let flow = self.search(depth + 1, work, driver);
+        self.used[v as usize] = false;
+        flow
+    }
 }
 
 #[cfg(test)]
@@ -382,5 +544,28 @@ mod tests {
         let out = Vf2::new().contains_with(&p, &t, &MatchConfig::UNBOUNDED);
         assert!(!out.found);
         assert_eq!(out.nodes_expanded, 0);
+    }
+
+    #[test]
+    fn plan_is_the_dynamic_choice() {
+        // Triangle 0-1-3 plus the edge 2-4. VF2 visits 0; then 1, the
+        // lowest unmapped node with a mapped neighbour (anchor 0); then 3
+        // (anchor 0, its lowest mapped neighbour, and a back edge to 1);
+        // then 2, the lowest unmapped node, with no anchor; then 4
+        // (anchor 2).
+        let p = LabeledGraph::from_parts(vec![0; 5], &[(0, 1), (1, 3), (3, 0), (2, 4)]);
+        let plan = Plan::build(&p);
+        let order: Vec<NodeId> = plan.steps.iter().map(|s| s.node).collect();
+        assert_eq!(order, vec![0, 1, 3, 2, 4]);
+        let anchors: Vec<Option<u32>> = plan.steps.iter().map(|s| s.anchor).collect();
+        assert_eq!(anchors, vec![None, Some(0), Some(0), None, Some(3)]);
+        let needs: Vec<u32> = plan.steps.iter().map(|s| s.need).collect();
+        assert_eq!(needs, vec![2, 1, 0, 1, 0]);
+        let backs: Vec<&[u32]> = plan
+            .steps
+            .iter()
+            .map(|s| &plan.back[s.back_lo as usize..s.back_hi as usize])
+            .collect();
+        assert_eq!(backs, vec![&[][..], &[], &[1], &[], &[]]);
     }
 }

@@ -78,6 +78,8 @@ fn run(
             plan: &plan,
             core_p: vec![None; pattern.node_count()],
             used_t: vec![false; target.node_count()],
+            p_labels: Vec::new(),
+            t_labels: Vec::new(),
         };
         let _ = search(&mut st, 0, &mut work, driver);
     }
@@ -153,17 +155,21 @@ struct State<'a> {
     plan: &'a Plan,
     core_p: Vec<Option<NodeId>>,
     used_t: Vec<bool>,
+    /// Lookahead scratch: labels of the unmapped pattern neighbours of `u`
+    /// and of the unused target neighbours of `v`, refilled per test.
+    p_labels: Vec<Label>,
+    t_labels: Vec<Label>,
 }
 
 impl State<'_> {
-    fn feasible(&self, u: NodeId, v: NodeId) -> bool {
+    fn feasible(&mut self, u: NodeId, v: NodeId) -> bool {
         if self.p.label(u) != self.t.label(v) || self.used_t[v as usize] {
             return false;
         }
         if self.p.degree(u) > self.t.degree(v) {
             return false;
         }
-        let mut unmapped_p_labels: Vec<Label> = Vec::new();
+        self.p_labels.clear();
         for &w in self.p.neighbors(u) {
             match self.core_p[w as usize] {
                 Some(img) => {
@@ -171,24 +177,25 @@ impl State<'_> {
                         return false;
                     }
                 }
-                None => unmapped_p_labels.push(self.p.label(w)),
+                None => self.p_labels.push(self.p.label(w)),
             }
         }
-        if unmapped_p_labels.is_empty() {
+        if self.p_labels.is_empty() {
             return true;
         }
         // Label-aware lookahead: each unmapped pattern neighbour needs a
         // distinct unmapped target neighbour carrying the same label.
-        let mut unmapped_t_labels: Vec<Label> = self
-            .t
-            .neighbors(v)
-            .iter()
-            .filter(|&&x| !self.used_t[x as usize])
-            .map(|&x| self.t.label(x))
-            .collect();
-        unmapped_p_labels.sort_unstable();
-        unmapped_t_labels.sort_unstable();
-        sorted_multiset_contained(&unmapped_p_labels, &unmapped_t_labels)
+        let (t, used_t) = (self.t, &self.used_t);
+        self.t_labels.clear();
+        self.t_labels.extend(
+            t.neighbors(v)
+                .iter()
+                .filter(|&&x| !used_t[x as usize])
+                .map(|&x| t.label(x)),
+        );
+        self.p_labels.sort_unstable();
+        self.t_labels.sort_unstable();
+        sorted_multiset_contained(&self.p_labels, &self.t_labels)
     }
 }
 
