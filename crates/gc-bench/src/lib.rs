@@ -1,19 +1,7 @@
-//! Experiment harness reproducing every table and figure of the GraphCache
-//! paper's evaluation (§7).
+//! Criterion microbenchmarks of GraphCache's layers (`benches/`): index
+//! build and filtering, sub-iso matchers, the hit path, maintenance
+//! rounds, policies, fragments, snapshot restore and `run_batch` scaling.
+//! Run them with `cargo bench -p gc-bench [--bench NAME]`.
 //!
-//! Each `src/bin/figN.rs` binary regenerates one figure: it builds the
-//! scaled dataset stand-ins, generates the paper's workloads, runs the
-//! uncached Method M baseline and GraphCache over the same query stream,
-//! and prints the speedup series next to the paper's published numbers.
-//!
-//! Absolute numbers differ (synthetic stand-in datasets, laptop-scale
-//! sizes); the *shape* — who wins, rough factors, orderings — is the
-//! reproduction target. See EXPERIMENTS.md for recorded results.
-//!
-//! Scale knobs (all binaries): `--scale <f>` / env `GC_SCALE` multiplies
-//! dataset sizes; `--queries <n>` / env `GC_QUERIES` sets workload length;
-//! `--seed <n>` / env `GC_SEED` reseeds everything.
-
-pub mod runner;
-
-pub use runner::{baseline_records, gc_records, print_series, Experiment, Series, WorkloadSpec};
+//! The paper's figures are not here: they are `gc bench --suite figN`
+//! scenario suites (`docs/paper-figures.md`).

@@ -98,7 +98,7 @@ pub use entry::{shard_for, CacheEntry, CacheSnapshot, Shard};
 pub use gc_fragments::FragmentConfig;
 pub use gc_methods::QueryKind;
 pub use invariants::{InvariantClause, InvariantViolation};
-pub use metrics::{MaintStats, QueryRecord, RouteCounters, RunCounters, RunSummary};
+pub use metrics::{MaintStats, QueryRecord, RouteCounters, RunCounters};
 #[doc(hidden)]
 pub use persist::PersistFormat;
 pub use persist::{PersistedCache, PersistedEntry, RecoveredSnapshot, StoredProfiles};

@@ -220,8 +220,9 @@ impl MaintStats {
     }
 }
 
-/// Integer-exact totals over a run of queries — the deterministic
-/// complement to [`RunSummary`], whose averages are floating-point.
+/// Integer-exact totals over a run of queries — the one run-level
+/// aggregate over [`QueryRecord`]s (the paper's speed-ups, §7.2, are
+/// ratios of these totals).
 ///
 /// Every field is a pure function of the query sequence and the cache
 /// configuration (no wall-clock, no thread scheduling with a single
@@ -273,7 +274,7 @@ pub struct RunCounters {
 
 impl RunCounters {
     /// Accumulates the totals from per-query records, skipping the first
-    /// `warmup` queries (mirroring [`RunSummary::from_records`]).
+    /// `warmup` queries (the paper allows one window before measuring).
     pub fn from_records(records: &[QueryRecord], warmup: usize) -> Self {
         let mut c = RunCounters::default();
         for r in &records[warmup.min(records.len())..] {
@@ -375,106 +376,6 @@ impl RouteCounters {
     }
 }
 
-/// Aggregates over a run of queries; the paper's reported metrics are
-/// "query time and number of sub-iso tests per query, along with the
-/// speedups introduced by GC" (§7.2).
-#[derive(Debug, Clone, Default)]
-pub struct RunSummary {
-    /// Number of queries.
-    pub queries: usize,
-    /// Mean query time (µs), excluding maintenance.
-    pub avg_query_time_us: f64,
-    /// Mean sub-iso tests per query.
-    pub avg_subiso_tests: f64,
-    /// Mean |CS_M|.
-    pub avg_cs_m: f64,
-    /// Mean |CS_GC|.
-    pub avg_cs_gc: f64,
-    /// Mean maintenance time per query (µs) — the Fig. 10 overhead bars.
-    pub avg_maintenance_us: f64,
-    /// Fraction of queries with any cache hit.
-    pub hit_rate: f64,
-    /// Number of exact-match special cases.
-    pub exact_hits: usize,
-    /// Exact hits resolved through the O(1) fingerprint map.
-    pub exact_fp_hits: usize,
-    /// Number of empty-shortcut special cases.
-    pub empty_shortcuts: usize,
-    /// Queries whose hit-verification sweep was budget-truncated.
-    pub truncated_queries: usize,
-    /// Total matcher work spent on hit verification (budget pool usage).
-    pub total_budget_spent: u64,
-    /// Total wall time of the run (µs), queries only.
-    pub total_query_time_us: f64,
-    /// Total sub-iso tests.
-    pub total_subiso_tests: u64,
-}
-
-impl RunSummary {
-    /// Builds the aggregate from per-query records, skipping the first
-    /// `warmup` queries (the paper allows one window before measuring).
-    pub fn from_records(records: &[QueryRecord], warmup: usize) -> Self {
-        let measured = &records[warmup.min(records.len())..];
-        let n = measured.len();
-        if n == 0 {
-            return RunSummary::default();
-        }
-        let mut s = RunSummary {
-            queries: n,
-            ..Default::default()
-        };
-        for r in measured {
-            s.avg_query_time_us += r.query_time().as_secs_f64() * 1e6;
-            s.avg_subiso_tests += r.subiso_tests as f64;
-            s.avg_cs_m += r.cs_m_size as f64;
-            s.avg_cs_gc += r.cs_gc_size as f64;
-            s.avg_maintenance_us += r.maintenance.as_secs_f64() * 1e6;
-            s.hit_rate += r.any_hit() as u64 as f64;
-            s.exact_hits += r.exact_hit as usize;
-            s.exact_fp_hits += r.exact_via_fingerprint as usize;
-            s.empty_shortcuts += r.empty_shortcut as usize;
-            s.truncated_queries += r.truncated as usize;
-            s.total_budget_spent += r.budget_spent;
-            s.total_subiso_tests += r.subiso_tests;
-        }
-        s.total_query_time_us = s.avg_query_time_us;
-        s.avg_query_time_us /= n as f64;
-        s.avg_subiso_tests /= n as f64;
-        s.avg_cs_m /= n as f64;
-        s.avg_cs_gc /= n as f64;
-        s.avg_maintenance_us /= n as f64;
-        s.hit_rate /= n as f64;
-        s
-    }
-
-    /// Query-time speedup of `self` (GraphCache) relative to `baseline`
-    /// (Method M alone): `baseline.avg / self.avg` — values > 1 are
-    /// improvements, exactly as the paper defines speedup (§7.2).
-    pub fn time_speedup_vs(&self, baseline: &RunSummary) -> f64 {
-        if self.avg_query_time_us <= 0.0 {
-            return f64::INFINITY;
-        }
-        baseline.avg_query_time_us / self.avg_query_time_us
-    }
-
-    /// Sub-iso-test speedup relative to `baseline`.
-    pub fn subiso_speedup_vs(&self, baseline: &RunSummary) -> f64 {
-        if self.avg_subiso_tests <= 0.0 {
-            return f64::INFINITY;
-        }
-        baseline.avg_subiso_tests / self.avg_subiso_tests
-    }
-
-    /// Observed service throughput in queries per second, given the wall
-    /// clock of the whole run. With the concurrent service API the summed
-    /// per-query times overstate elapsed time (queries overlap), so batch
-    /// throughput must be computed from wall clock, not from
-    /// [`RunSummary::total_query_time_us`].
-    pub fn throughput_qps(&self, wall: Duration) -> f64 {
-        self.queries as f64 / wall.as_secs_f64().max(1e-9)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,49 +389,6 @@ mod tests {
             cs_gc_size: 10usize.saturating_sub(tests as usize),
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn totals_and_averages() {
-        let recs = vec![record(100, 4, true), record(300, 8, false)];
-        let s = RunSummary::from_records(&recs, 0);
-        assert_eq!(s.queries, 2);
-        assert!((s.avg_query_time_us - 200.0).abs() < 1.0);
-        assert!((s.avg_subiso_tests - 6.0).abs() < 1e-9);
-        assert!((s.hit_rate - 0.5).abs() < 1e-9);
-        assert_eq!(s.total_subiso_tests, 12);
-    }
-
-    #[test]
-    fn warmup_skipped() {
-        let recs = vec![record(1_000_000, 100, false), record(100, 2, false)];
-        let s = RunSummary::from_records(&recs, 1);
-        assert_eq!(s.queries, 1);
-        assert!((s.avg_subiso_tests - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn speedup_definition() {
-        let base = RunSummary {
-            avg_query_time_us: 400.0,
-            avg_subiso_tests: 20.0,
-            ..Default::default()
-        };
-        let gc = RunSummary {
-            avg_query_time_us: 100.0,
-            avg_subiso_tests: 5.0,
-            ..Default::default()
-        };
-        assert!((gc.time_speedup_vs(&base) - 4.0).abs() < 1e-9);
-        assert!((gc.subiso_speedup_vs(&base) - 4.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_records() {
-        let s = RunSummary::from_records(&[], 0);
-        assert_eq!(s.queries, 0);
-        let s2 = RunSummary::from_records(&[record(1, 1, false)], 5);
-        assert_eq!(s2.queries, 0);
     }
 
     #[test]
@@ -548,17 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_from_wall_clock() {
-        let s = RunSummary {
-            queries: 100,
-            ..Default::default()
-        };
-        assert!((s.throughput_qps(Duration::from_secs(2)) - 50.0).abs() < 1e-9);
-        // Zero wall clock must not divide by zero.
-        assert!(s.throughput_qps(Duration::ZERO).is_finite());
-    }
-
-    #[test]
     fn run_counters_totals_and_warmup() {
         let recs = vec![record(100, 4, true), record(300, 8, false)];
         let c = RunCounters::from_records(&recs, 0);
@@ -570,8 +417,14 @@ mod tests {
         let warm = RunCounters::from_records(&recs, 1);
         assert_eq!(warm.queries, 1);
         assert_eq!(warm.subiso_tests, 8);
+    }
+
+    #[test]
+    fn empty_records() {
+        assert_eq!(RunCounters::from_records(&[], 0), RunCounters::default());
         // Warm-up larger than the record count must not panic.
-        assert_eq!(RunCounters::from_records(&recs, 10), RunCounters::default());
+        let recs = [record(1, 1, false)];
+        assert_eq!(RunCounters::from_records(&recs, 5), RunCounters::default());
     }
 
     #[test]
@@ -696,17 +549,5 @@ mod tests {
             incremental.add_record(r);
         }
         assert_eq!(incremental, RunCounters::from_records(&recs, 0));
-    }
-
-    #[test]
-    fn zero_time_speedup_is_infinite() {
-        let base = RunSummary {
-            avg_query_time_us: 10.0,
-            avg_subiso_tests: 1.0,
-            ..Default::default()
-        };
-        let zero = RunSummary::default();
-        assert!(zero.time_speedup_vs(&base).is_infinite());
-        assert!(zero.subiso_speedup_vs(&base).is_infinite());
     }
 }

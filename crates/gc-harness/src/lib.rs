@@ -16,6 +16,11 @@
 //! * wall-clock as **advisory only** — serialized on request, never
 //!   compared.
 //!
+//! A scenario with a [`reference`](Scenario::reference) method also
+//! replays its workload through that method uncached, which is how the
+//! figure suites (`fig4` … `fig12`, `space`; all of them as `paper`)
+//! report the paper's speed-ups.
+//!
 //! Reports serialize to a versioned JSON schema ([`report::SCHEMA_VERSION`])
 //! through a small offline writer/parser ([`json`], no serde), and
 //! [`MatrixReport::compare`] implements the CI regression gate behind
@@ -26,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod figures;
 pub mod json;
 pub mod report;
 pub mod runner;
@@ -33,5 +39,7 @@ pub mod scenario;
 
 pub use json::Json;
 pub use report::{Drift, MatrixReport, ScenarioReport, SCHEMA_VERSION};
-pub use runner::{build_cache, run_scenario, run_suite_by};
+pub use runner::{
+    assemble_counters, build_cache, finish_report, run_scenario, run_suite_by, SETTLED_COUNTERS,
+};
 pub use scenario::{Scenario, Suite, WorkloadSpec};

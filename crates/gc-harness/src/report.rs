@@ -20,7 +20,8 @@
 //! ```
 //!
 //! `counters` holds only values that are a pure function of the scenario's
-//! seeds (see [`gc_core::RunCounters`]); `advisory` holds wall-clock and is
+//! seeds (see [`gc_core::RunCounters`]); `advisory` holds wall-clock (plus
+//! `reference_ms` when the scenario has a reference arm) and is
 //! both optional and **never** gated — [`MatrixReport::compare`] ignores
 //! it entirely. `gc bench --json` omits `advisory` unless `--timings` is
 //! passed, which keeps the default output bit-identical across runs.
@@ -43,6 +44,9 @@ pub struct ScenarioReport {
     /// Advisory wall-clock for the whole scenario (generate + replay),
     /// milliseconds. Never compared by the gate.
     pub wall_ms: f64,
+    /// Advisory wall-clock of the reference arm's replay, milliseconds,
+    /// when the scenario has one. Never compared by the gate.
+    pub reference_ms: Option<f64>,
 }
 
 impl ScenarioReport {
@@ -52,6 +56,32 @@ impl ScenarioReport {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| *v)
+    }
+
+    /// The paper's speed-ups (§7.2) when the scenario ran a reference arm:
+    /// reference ÷ cached sub-iso tests, and reference verification work
+    /// ÷ (cached verification work + the cache's own hit-verification
+    /// work, `budget_spent`).
+    pub fn speedups(&self) -> Option<(f64, f64)> {
+        let tests = speedup(
+            self.counter("reference_subiso_tests")?,
+            self.counter("subiso_tests")?,
+        );
+        let work = speedup(
+            self.counter("reference_verify_work")?,
+            self.counter("verify_work")? + self.counter("budget_spent")?,
+        );
+        Some((tests, work))
+    }
+}
+
+/// `reference / cached`; a cached side that did no work is infinitely
+/// faster, unless the reference did none either.
+fn speedup(reference: u64, cached: u64) -> f64 {
+    match (reference, cached) {
+        (0, 0) => 1.0,
+        (_, 0) => f64::INFINITY,
+        _ => reference as f64 / cached as f64,
     }
 }
 
@@ -144,15 +174,14 @@ impl MatrixReport {
                     ),
                 ];
                 if include_timings {
-                    fields.push((
-                        "advisory".to_string(),
-                        Json::Obj(vec![(
-                            "wall_ms".to_string(),
-                            // Round to centi-milliseconds: enough for a
-                            // human, stable to print.
-                            Json::Float((s.wall_ms * 100.0).round() / 100.0),
-                        )]),
-                    ));
+                    // Round to centi-milliseconds: enough for a human,
+                    // stable to print.
+                    let ms = |v: f64| Json::Float((v * 100.0).round() / 100.0);
+                    let mut advisory = vec![("wall_ms".to_string(), ms(s.wall_ms))];
+                    if let Some(v) = s.reference_ms {
+                        advisory.push(("reference_ms".to_string(), ms(v)));
+                    }
+                    fields.push(("advisory".to_string(), Json::Obj(advisory)));
                 }
                 Json::Obj(fields)
             })
@@ -218,16 +247,17 @@ impl MatrixReport {
                         .ok_or_else(|| format!("scenario {name:?} counter {k:?} is not a u64"))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            let wall_ms = s
-                .get("advisory")
-                .and_then(|a| a.get("wall_ms"))
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
+            let advisory = |key: &str| {
+                s.get("advisory")
+                    .and_then(|a| a.get(key))
+                    .and_then(Json::as_f64)
+            };
             scenarios.push(ScenarioReport {
                 name,
                 config,
                 counters,
-                wall_ms,
+                wall_ms: advisory("wall_ms").unwrap_or(0.0),
+                reference_ms: advisory("reference_ms"),
             });
         }
         Ok(MatrixReport {
@@ -320,12 +350,14 @@ mod tests {
                     config: vec![("dataset".into(), "AIDS".into())],
                     counters: vec![("queries".into(), 60), ("gc_tests".into(), 100)],
                     wall_ms: 12.345,
+                    reference_ms: Some(40.004),
                 },
                 ScenarioReport {
                     name: "b".into(),
                     config: vec![],
                     counters: vec![("queries".into(), 0)],
                     wall_ms: 0.0,
+                    reference_ms: None,
                 },
             ],
         }
@@ -351,6 +383,34 @@ mod tests {
         let r = sample();
         let back = MatrixReport::from_json(&r.to_json(true)).unwrap();
         assert!((back.scenarios[0].wall_ms - 12.35).abs() < 1e-9);
+        assert_eq!(back.scenarios[0].reference_ms, Some(40.0));
+        assert_eq!(back.scenarios[1].reference_ms, None);
+    }
+
+    #[test]
+    fn speedup_definition() {
+        let mut r = sample().scenarios.remove(0);
+        assert_eq!(r.speedups(), None, "no reference arm, no speed-up");
+        r.counters.extend(
+            [
+                ("subiso_tests", 5),
+                ("verify_work", 300),
+                ("budget_spent", 100),
+                ("reference_subiso_tests", 20),
+                ("reference_verify_work", 1_600),
+            ]
+            .map(|(k, v)| (k.to_string(), v)),
+        );
+        // Tests: 20 / 5. Work: the cache's hit verification counts on the
+        // cached side, 1600 / (300 + 100).
+        assert_eq!(r.speedups(), Some((4.0, 4.0)));
+    }
+
+    #[test]
+    fn zero_cached_work_speedup_is_infinite() {
+        assert!(speedup(10, 0).is_infinite());
+        assert_eq!(speedup(0, 0), 1.0);
+        assert_eq!(speedup(0, 4), 0.0);
     }
 
     #[test]
@@ -428,6 +488,7 @@ mod tests {
             config: vec![],
             counters: vec![],
             wall_ms: 0.0,
+            reference_ms: None,
         });
         assert!(MatrixReport::compare(&base, &extra, 0.0).is_empty());
     }

@@ -5,7 +5,31 @@
 use crate::report::{MatrixReport, ScenarioReport, SCHEMA_VERSION};
 use crate::scenario::{Scenario, Suite};
 use gc_core::{CostModel, GraphCache, QueryRecord, QueryRequest, RunCounters};
+use gc_graph::GraphDataset;
+use gc_methods::Method;
+use gc_workload::Workload;
 use std::time::Instant;
+
+/// The cache-side counters every runner appends after the run counters,
+/// in schema order: maintenance
+/// ([`MaintStats::deterministic_counters`](gc_core::MaintStats::deterministic_counters)),
+/// final cache shape, durability gauges. The in-process runner reads them
+/// from the cache, the served and routed runners from the daemon's
+/// settled `STATS` reply; both look them up through this one list.
+pub const SETTLED_COUNTERS: [&str; 12] = [
+    "maint_rounds",
+    "entries_admitted",
+    "entries_evicted",
+    "shards_patched",
+    "compactions",
+    "fragments_built",
+    "fragments_evicted",
+    "postings_debt",
+    "cache_entries",
+    "memory_bytes",
+    "snapshots_written",
+    "recovered_generation",
+];
 
 /// Runs one scenario and collects its report.
 ///
@@ -30,38 +54,129 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
     cache.flush_pending();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let run = RunCounters::from_records(&records, scenario.warmup);
-    let maint = cache.maint_stats();
-    let mut counters: Vec<(String, u64)> = run
-        .deterministic_counters()
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    counters.extend(
-        maint
-            .deterministic_counters()
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v)),
-    );
-    counters.push(("cache_entries".to_string(), cache.cache_len() as u64));
-    counters.push(("memory_bytes".to_string(), cache.memory_bytes() as u64));
-    // Durability gauges, mirrored from the daemon's STATS payload so the
-    // served and in-process counter vectors stay byte-identical. An
-    // in-process run never writes periodic snapshots and never restores,
-    // so both are structurally zero here.
-    counters.push(("snapshots_written".to_string(), 0));
-    counters.push((
-        "recovered_generation".to_string(),
-        cache.recovered_generation().unwrap_or(0),
-    ));
-
+    let mut counters = assemble_counters(scenario, &records, &settled_stats(&cache))?;
     if scenario.persist_cycle {
         let snapshot_bytes = persist_cycle(scenario, &cache, &dataset)?;
         counters.push(("persisted_entries".to_string(), cache.cache_len() as u64));
         counters.push(("snapshot_bytes".to_string(), snapshot_bytes as u64));
     }
+    Ok(finish_report(
+        scenario,
+        &dataset,
+        &workload,
+        Some(cache.method()),
+        counters,
+        wall_ms,
+    ))
+}
 
-    Ok(scenario.report(counters, wall_ms))
+/// An in-process cache's values for [`SETTLED_COUNTERS`], named as the
+/// daemon's `STATS` payload names them. An in-process run never writes
+/// periodic snapshots, so `snapshots_written` is structurally zero.
+fn settled_stats(cache: &GraphCache) -> Vec<(String, u64)> {
+    let mut stats: Vec<(String, u64)> = cache
+        .maint_stats()
+        .deterministic_counters()
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    stats.push(("cache_entries".to_string(), cache.cache_len() as u64));
+    stats.push(("memory_bytes".to_string(), cache.memory_bytes() as u64));
+    stats.push(("snapshots_written".to_string(), 0));
+    stats.push((
+        "recovered_generation".to_string(),
+        cache.recovered_generation().unwrap_or(0),
+    ));
+    stats
+}
+
+/// A replay's counters in schema order: the run counters of `records`
+/// after the scenario's warm-up, then each of [`SETTLED_COUNTERS`] looked
+/// up by name in `settled`. Extra `settled` keys (a daemon's session
+/// gauges, a router's placement counters) are ignored; a missing one is
+/// an error.
+pub fn assemble_counters(
+    scenario: &Scenario,
+    records: &[QueryRecord],
+    settled: &[(String, u64)],
+) -> Result<Vec<(String, u64)>, String> {
+    let run = RunCounters::from_records(records, scenario.warmup);
+    let mut counters: Vec<(String, u64)> = run
+        .deterministic_counters()
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect();
+    for key in SETTLED_COUNTERS {
+        let value = settled
+            .iter()
+            .find(|(name, _)| name == key)
+            .map(|&(_, v)| v)
+            .ok_or_else(|| format!("scenario {:?}: settled stats lack {key}", scenario.name))?;
+        counters.push((key.to_string(), value));
+    }
+    Ok(counters)
+}
+
+/// Wraps a finished replay's counters into the scenario's report. When
+/// the scenario names a [`reference`](Scenario::reference) method, its
+/// uncached replay runs here, so every runner reports it the same way.
+/// `cached` is the replayed cache's Method M when the runner still holds
+/// it: a reference of the same kind reuses it instead of building its
+/// index again (Method M keeps no state between queries).
+pub fn finish_report(
+    scenario: &Scenario,
+    dataset: &GraphDataset,
+    workload: &Workload,
+    cached: Option<&Method>,
+    mut counters: Vec<(String, u64)>,
+    wall_ms: f64,
+) -> ScenarioReport {
+    let reference_ms = scenario.reference.map(|kind| {
+        let built;
+        let method = match cached {
+            Some(method) if kind == scenario.method => method,
+            _ => {
+                built = kind.build(dataset);
+                &built
+            }
+        };
+        let (arm, ms) = reference_arm(scenario, method, workload);
+        counters.extend(arm);
+        ms
+    });
+    ScenarioReport {
+        name: scenario.name.clone(),
+        config: scenario.config_echo(),
+        counters,
+        wall_ms,
+        reference_ms,
+    }
+}
+
+/// Replays the measured queries (warm-up skipped, as for the cached run)
+/// through `method` with no cache: the paper's baseline. Returns its
+/// counters and its replay time in milliseconds (advisory; the index
+/// build is excluded).
+fn reference_arm(
+    scenario: &Scenario,
+    method: &Method,
+    workload: &Workload,
+) -> (Vec<(String, u64)>, f64) {
+    let t0 = Instant::now();
+    let (mut tests, mut work) = (0, 0);
+    for query in workload.graphs().skip(scenario.warmup) {
+        let stats = method.run_directed(query, scenario.kind).verify.stats;
+        tests += stats.tests;
+        work += stats.nodes_expanded;
+    }
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let index_bytes = method.index_memory_bytes().unwrap_or(0) as u64;
+    let counters = [
+        ("reference_subiso_tests", tests),
+        ("reference_verify_work", work),
+        ("reference_index_bytes", index_bytes),
+    ];
+    (counters.map(|(k, v)| (k.to_string(), v)).to_vec(), ms)
 }
 
 /// Builds the scenario's cache over a freshly built Method M. Factored
@@ -207,6 +322,7 @@ where
 mod tests {
     use super::*;
     use crate::scenario::WorkloadSpec;
+    use gc_methods::MethodKind;
 
     fn tiny() -> Scenario {
         let mut s = Scenario::named("tiny");
@@ -263,7 +379,6 @@ mod tests {
 
     #[test]
     fn fragment_scenarios_report_fragment_counters() {
-        use gc_methods::MethodKind;
         let mut s = tiny();
         s.fragments = true;
         s.method = MethodKind::SiVf2;
@@ -296,6 +411,118 @@ mod tests {
         s.eviction = "no-such-policy".into();
         let err = run_scenario(&s).unwrap_err();
         assert!(err.contains("tiny"), "{err}");
+    }
+
+    #[test]
+    fn reference_arm_matches_direct_method_sum() {
+        // Same kind as the cache (its Method M is reused) and another kind
+        // (built for the arm), with and without an index.
+        for kind in [MethodKind::Ggsx, MethodKind::SiVf2] {
+            let mut s = tiny();
+            s.reference = Some(kind);
+            let report = run_scenario(&s).unwrap();
+            let (dataset, workload) = s.generate();
+            let method = kind.build(&dataset);
+            let (mut tests, mut work) = (0, 0);
+            for q in workload.graphs().skip(s.warmup) {
+                let r = method.run_directed(q, s.kind);
+                tests += r.verify.stats.tests;
+                work += r.verify.stats.nodes_expanded;
+            }
+            assert!(tests > 0, "{kind:?}: the arm must do work");
+            assert_eq!(report.counter("reference_subiso_tests"), Some(tests));
+            assert_eq!(report.counter("reference_verify_work"), Some(work));
+            assert_eq!(
+                report.counter("reference_index_bytes"),
+                Some(method.index_memory_bytes().unwrap_or(0) as u64)
+            );
+            assert!(report.reference_ms.is_some());
+        }
+    }
+
+    #[test]
+    fn reference_free_scenario_is_unchanged() {
+        let plain = run_scenario(&tiny()).unwrap();
+        assert_eq!(plain.reference_ms, None);
+        assert!(plain.speedups().is_none());
+        assert!(!plain
+            .counters
+            .iter()
+            .any(|(k, _)| k.starts_with("reference")));
+        assert!(!plain.config.iter().any(|(k, _)| k == "reference"));
+
+        // The arm only appends: the cached replay's echo and counters are
+        // the reference-free ones, in the same order.
+        let mut s = tiny();
+        s.reference = Some(MethodKind::SiVf2);
+        let with = run_scenario(&s).unwrap();
+        let n = plain.counters.len();
+        assert_eq!(with.counters[..n], plain.counters[..]);
+        let appended: Vec<&str> = with.counters[n..].iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            appended,
+            [
+                "reference_subiso_tests",
+                "reference_verify_work",
+                "reference_index_bytes"
+            ]
+        );
+        assert_eq!(with.config[..plain.config.len()], plain.config[..]);
+        assert_eq!(
+            with.config[plain.config.len()..],
+            [("reference".to_string(), "vf2".to_string())]
+        );
+    }
+
+    #[test]
+    fn settled_counters_cover_the_maintenance_schema() {
+        // A new maintenance counter must be added to SETTLED_COUNTERS, or
+        // neither runner would report it.
+        let maint: Vec<&str> = gc_core::MaintStats::default()
+            .deterministic_counters()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(SETTLED_COUNTERS[..maint.len()], maint[..]);
+        let s = tiny();
+        let (dataset, _) = s.generate();
+        let cache = build_cache(&s, &dataset).unwrap();
+        let names: Vec<String> = settled_stats(&cache).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(names, SETTLED_COUNTERS);
+    }
+
+    #[test]
+    fn figure_suites_replay_within_their_reference() {
+        for suite in Suite::FIGURES {
+            let mut s = suite.scenarios().remove(0);
+            s.queries = 20;
+            s.warmup = 0;
+            let r = run_scenario(&s).unwrap();
+            let reference = r.counter("reference_subiso_tests").unwrap();
+            assert!(reference > 0, "{}: the reference arm ran no test", s.name);
+            // CS_GC ⊆ CS_M and an exact hit runs no test, so a cache over
+            // Method M never tests more than Method M alone.
+            if s.reference == Some(s.method) {
+                let cached = r.counter("subiso_tests").unwrap();
+                assert!(cached <= reference, "{}: {cached} > {reference}", s.name);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_runner_matches_workload_order() {
+        // run_scenario skips the warm-up by position, so run_batch must
+        // return records in workload order even with several clients.
+        let mut s = tiny();
+        s.threads = 4;
+        let (dataset, workload) = s.generate();
+        let cache = build_cache(&s, &dataset).unwrap();
+        let responses = cache.run_batch(workload.graphs().map(QueryRequest::from));
+        assert_eq!(responses.len(), workload.len());
+        let method = s.method.build(&dataset);
+        for (resp, q) in responses.iter().zip(workload.graphs()) {
+            assert_eq!(resp.result.record.answer_size, method.run(q).answer.len());
+        }
     }
 
     #[test]

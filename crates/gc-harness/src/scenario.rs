@@ -2,7 +2,7 @@
 //! dataset profile × scale × workload kind × method × policies × cache
 //! configuration × seeds — plus the named suites `gc bench` runs.
 
-use crate::report::ScenarioReport;
+use crate::figures;
 use gc_core::QueryKind;
 use gc_graph::GraphDataset;
 use gc_methods::MethodKind;
@@ -11,8 +11,7 @@ use gc_workload::{
 };
 
 /// The paper's six workload categories (§7.2), parameterised. Owned by the
-/// harness (scenarios name their workload through it); `gc-bench`
-/// re-exports it for the figure binaries.
+/// harness: scenarios name their workload through it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WorkloadSpec {
     /// Type A with Zipf graph + Zipf node selection.
@@ -170,6 +169,11 @@ pub struct Scenario {
     /// snapshot bytes (entry/stat/profile/fragment parity in one check).
     /// Adds the `persisted_entries` and `snapshot_bytes` counters.
     pub persist_cycle: bool,
+    /// Also replay the measured queries through this method *uncached* —
+    /// the paper's baseline (§7.2). Adds the `reference_subiso_tests`,
+    /// `reference_verify_work` and `reference_index_bytes` counters, from
+    /// which `gc bench` prints the speed-ups.
+    pub reference: Option<MethodKind>,
 }
 
 impl Scenario {
@@ -200,6 +204,7 @@ impl Scenario {
             fragment_budget: None,
             fragment_eviction: None,
             persist_cycle: false,
+            reference: None,
         }
     }
 
@@ -219,16 +224,6 @@ impl Scenario {
             self.workload_seed,
         );
         (dataset, workload)
-    }
-
-    /// Wraps a finished run's counters into this scenario's report.
-    pub fn report(&self, counters: Vec<(String, u64)>, wall_ms: f64) -> ScenarioReport {
-        ScenarioReport {
-            name: self.name.clone(),
-            config: self.config_echo(),
-            counters,
-            wall_ms,
-        }
     }
 
     /// Configuration echo serialized into the report, so a baseline file
@@ -298,6 +293,9 @@ impl Scenario {
         if self.persist_cycle {
             echo.push(("persist_cycle".to_string(), "on".to_string()));
         }
+        if let Some(kind) = self.reference {
+            echo.push(("reference".to_string(), kind.registry_name().to_string()));
+        }
         echo
     }
 }
@@ -309,8 +307,7 @@ pub enum Suite {
     /// families, both special cases, budgeted verification, sharding and
     /// an admission policy in a few seconds even in debug builds.
     Smoke,
-    /// The paper's matrix: all four dataset shapes × the six workload
-    /// categories (bench scale).
+    /// Every figure suite, in figure order.
     Paper,
     /// One dataset/workload replayed across the policy registry's
     /// eviction and admission strategies.
@@ -323,16 +320,57 @@ pub enum Suite {
     /// restore it into a fresh cache, and require the restored cache to
     /// re-save byte-identically (the save→restore→parity gate CI runs).
     Restore,
+    /// Paper Fig. 4: replacement policies over CT-Index.
+    Fig4,
+    /// Paper Figs. 5 and 6: the four FTV methods on PDBS.
+    Fig5,
+    /// Paper Fig. 7: Type B on AIDS across Zipf skews.
+    Fig7,
+    /// Paper Fig. 8: cache sizes over GGSX.
+    Fig8,
+    /// Paper Fig. 9: admission control on the dense datasets.
+    Fig9,
+    /// Paper Fig. 10: cache sizes on the 20 % Type B workload.
+    Fig10,
+    /// Paper Fig. 11: the SI methods VF2+ and GraphQL.
+    Fig11,
+    /// Paper Fig. 12: GraphCache over VF2+ against CT-Index.
+    Fig12,
+    /// Paper §7.3: cache space against the FTV indexes.
+    Space,
 }
 
 impl Suite {
-    /// All suites, for listings.
-    pub const ALL: [Suite; 5] = [
+    /// All suites — the one table behind names, parsing and listings.
+    pub const ALL: [Suite; 14] = [
         Suite::Smoke,
         Suite::Paper,
         Suite::Policies,
         Suite::Fragments,
         Suite::Restore,
+        Suite::Fig4,
+        Suite::Fig5,
+        Suite::Fig7,
+        Suite::Fig8,
+        Suite::Fig9,
+        Suite::Fig10,
+        Suite::Fig11,
+        Suite::Fig12,
+        Suite::Space,
+    ];
+
+    /// The figure suites (`docs/paper-figures.md`), which `paper` runs in
+    /// this order.
+    pub const FIGURES: [Suite; 9] = [
+        Suite::Fig4,
+        Suite::Fig5,
+        Suite::Fig7,
+        Suite::Fig8,
+        Suite::Fig9,
+        Suite::Fig10,
+        Suite::Fig11,
+        Suite::Fig12,
+        Suite::Space,
     ];
 
     /// The CLI name.
@@ -343,19 +381,21 @@ impl Suite {
             Suite::Policies => "policies",
             Suite::Fragments => "fragments",
             Suite::Restore => "restore",
+            Suite::Fig4 => "fig4",
+            Suite::Fig5 => "fig5",
+            Suite::Fig7 => "fig7",
+            Suite::Fig8 => "fig8",
+            Suite::Fig9 => "fig9",
+            Suite::Fig10 => "fig10",
+            Suite::Fig11 => "fig11",
+            Suite::Fig12 => "fig12",
+            Suite::Space => "space",
         }
     }
 
     /// Parses a CLI name.
     pub fn from_name(name: &str) -> Option<Suite> {
-        match name {
-            "smoke" => Some(Suite::Smoke),
-            "paper" => Some(Suite::Paper),
-            "policies" => Some(Suite::Policies),
-            "fragments" => Some(Suite::Fragments),
-            "restore" => Some(Suite::Restore),
-            _ => None,
-        }
+        Suite::ALL.into_iter().find(|s| s.name() == name)
     }
 
     /// The suite's scenario list. Deterministic: same list, same order,
@@ -363,10 +403,19 @@ impl Suite {
     pub fn scenarios(&self) -> Vec<Scenario> {
         match self {
             Suite::Smoke => smoke_scenarios(),
-            Suite::Paper => paper_scenarios(),
+            Suite::Paper => Suite::FIGURES.iter().flat_map(Suite::scenarios).collect(),
             Suite::Policies => policy_scenarios(),
             Suite::Fragments => fragment_scenarios(),
             Suite::Restore => restore_scenarios(),
+            Suite::Fig4 => figures::fig4(),
+            Suite::Fig5 => figures::fig5(),
+            Suite::Fig7 => figures::fig7(),
+            Suite::Fig8 => figures::fig8(),
+            Suite::Fig9 => figures::fig9(),
+            Suite::Fig10 => figures::fig10(),
+            Suite::Fig11 => figures::fig11(),
+            Suite::Fig12 => figures::fig12(),
+            Suite::Space => figures::space(),
         }
     }
 }
@@ -414,32 +463,6 @@ fn smoke_scenarios() -> Vec<Scenario> {
     pcm.kind = QueryKind::Supergraph;
 
     vec![zz, b20, pcm]
-}
-
-fn paper_scenarios() -> Vec<Scenario> {
-    let datasets = [
-        (DatasetProfile::aids(), 0.05, vec![4, 8, 12, 16, 20]),
-        (DatasetProfile::pdbs(), 0.1, vec![4, 8, 12, 16, 20]),
-        (DatasetProfile::pcm(), 0.5, vec![4, 8, 12, 16, 20]),
-        (DatasetProfile::synthetic(), 0.15, vec![4, 8, 12, 16, 20]),
-    ];
-    let mut out = Vec::new();
-    for (profile, scale, sizes) in datasets {
-        for spec in WorkloadSpec::paper_six() {
-            let mut s = Scenario::named(format!(
-                "paper-{}-{}",
-                profile.name.to_lowercase(),
-                spec.name().replace('%', "pct"),
-            ));
-            s.dataset = profile.clone();
-            s.dataset_scale = scale;
-            s.workload = spec;
-            s.query_sizes = sizes.clone();
-            s.queries = 150;
-            out.push(s);
-        }
-    }
-    out
 }
 
 fn policy_scenarios() -> Vec<Scenario> {

@@ -18,8 +18,8 @@ use crate::client::{Client, ClientError, QueryOutcome, RetryPolicy};
 use crate::proto::{QueryFrame, StatsScope};
 use crate::router::{PeerIdentity, Router, RouterConfig};
 use crate::server::{ServeConfig, Server};
-use gc_core::{QueryRecord, RunCounters};
-use gc_harness::{build_cache, Scenario, ScenarioReport};
+use gc_core::QueryRecord;
+use gc_harness::{assemble_counters, build_cache, finish_report, Scenario, ScenarioReport};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -76,48 +76,10 @@ pub fn run_scenario_served(scenario: &Scenario) -> Result<ScenarioReport, String
     daemon_result.map_err(|e| format!("scenario {:?}: server failed: {e}", scenario.name))?;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    Ok(scenario.report(assemble_counters(scenario, &records, &stats)?, wall_ms))
-}
-
-/// Counter assembly in the runner's exact order: run counters
-/// reconstructed from the replayed records, then maintenance, then final
-/// cache shape from STATS. Extra STATS keys (a routed fleet appends
-/// `routed_exact`/`fanout_probes`/`peer_misses`/`peers_live`/
-/// `peers_total`) are deliberately ignored — the deterministic baseline
-/// schema is frozen, and routing counters sit outside it.
-fn assemble_counters(
-    scenario: &Scenario,
-    records: &[QueryRecord],
-    stats: &[(String, u64)],
-) -> Result<Vec<(String, u64)>, String> {
-    let run = RunCounters::from_records(records, scenario.warmup);
-    let mut counters: Vec<(String, u64)> = run
-        .deterministic_counters()
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    for key in [
-        "maint_rounds",
-        "entries_admitted",
-        "entries_evicted",
-        "shards_patched",
-        "compactions",
-        "fragments_built",
-        "fragments_evicted",
-        "postings_debt",
-        "cache_entries",
-        "memory_bytes",
-        "snapshots_written",
-        "recovered_generation",
-    ] {
-        let value = stats
-            .iter()
-            .find(|(name, _)| name == key)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("scenario {:?}: STATS reply is missing {key}", scenario.name))?;
-        counters.push((key.to_string(), value));
-    }
-    Ok(counters)
+    let counters = assemble_counters(scenario, &records, &stats)?;
+    Ok(finish_report(
+        scenario, &dataset, &workload, None, counters, wall_ms,
+    ))
 }
 
 /// Runs one scenario through a routed fleet: `peers` daemons, each a full
@@ -199,7 +161,10 @@ pub fn run_scenario_routed(scenario: &Scenario, peers: usize) -> Result<Scenario
     router_result?.map_err(|e| format!("scenario {:?}: router failed: {e}", scenario.name))?;
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    Ok(scenario.report(assemble_counters(scenario, &records, &stats)?, wall_ms))
+    let counters = assemble_counters(scenario, &records, &stats)?;
+    Ok(finish_report(
+        scenario, &dataset, &workload, None, counters, wall_ms,
+    ))
 }
 
 /// Drains every peer daemon and unlinks its socket; failures are

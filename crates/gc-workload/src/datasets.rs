@@ -173,7 +173,7 @@ impl DatasetProfile {
     }
 
     /// Scales graph count by `scale` (≥ 0.05), leaving per-graph shape
-    /// untouched. Used by the harness's `--scale` / `GC_SCALE` knob.
+    /// untouched. A scenario's `dataset_scale` applies it.
     pub fn scaled(mut self, scale: f64) -> Self {
         let s = scale.max(0.05);
         self.graph_count = ((self.graph_count as f64 * s).round() as usize).max(4);

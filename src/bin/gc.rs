@@ -14,8 +14,8 @@
 //!   [--supergraph] [--background] [--no-cache] [--maint-stats]
 //!   [--save DIR] [--restore DIR]` replays
 //!   the queries and prints per-run statistics;
-//! * `gc bench [--suite smoke|paper|policies|fragments] [--json FILE]
-//!   [--check BASELINE] [--tolerance PCT] [--timings] [--list] [--serve]`
+//! * `gc bench [--suite NAME] [--json FILE] [--check BASELINE]
+//!   [--tolerance PCT] [--timings] [--list] [--serve] [--route N]`
 //!   runs a scenario suite end-to-end (dataset generation → workload →
 //!   cached replay) and reports machine-readable metrics;
 //! * `gc serve --dataset FILE (--listen ADDR | --unix PATH) [cache flags]
@@ -67,11 +67,13 @@
 //!
 //! `gc bench` flags:
 //!
-//! * `--suite NAME` — which scenario matrix to run (default `smoke`, the
-//!   CI suite; `paper` is the full dataset × workload matrix; `policies`
-//!   sweeps the policy registry; `fragments` measures the fragment cache
-//!   on a low-repetition, structurally-overlapping workload). `--list`
-//!   prints the scenarios of the selected suite without running them;
+//! * `--suite NAME` — which scenario matrix to run: any name in
+//!   `gc_harness::Suite::ALL`, which the usage line lists (default
+//!   `smoke`, the CI suite). The figure suites (`fig4` … `fig12`, `space`;
+//!   `paper` runs them all) add two speed-up columns over uncached
+//!   Method M — sub-iso tests and verification work — see
+//!   `docs/paper-figures.md`. `--list` prints the scenarios of the
+//!   selected suite without running them;
 //! * `--json FILE` — write the versioned report (deterministic counters
 //!   only, so the bytes are identical across runs with the same build;
 //!   add `--timings` to include the advisory wall-clock section);
@@ -164,7 +166,7 @@
 //! gc query --dataset aids.txt --queries queries.txt --threads 8 --background
 //! ```
 
-use graphcache::core::{registry, GraphCache, QueryKind, QueryRequest};
+use graphcache::core::{registry, GraphCache, QueryKind, QueryRequest, RunCounters};
 use graphcache::graph::{io, GraphDataset};
 use graphcache::harness::{run_scenario, run_suite_by, MatrixReport, Suite};
 use graphcache::methods::{Method, MethodKind};
@@ -224,10 +226,9 @@ fn print_usage() {
     eprintln!("           (--window N: one maintenance round per N cache misses)");
     eprintln!("  gc query --connect unix:PATH|ADDR --queries FILE [--supergraph]");
     eprintln!("           [--verify-budget N] [--retries N] [--retry-seed S] [--timeout-ms MS]");
-    eprintln!(
-        "  gc bench [--suite smoke|paper|policies|fragments|restore] [--json FILE] [--timings]"
-    );
-    eprintln!("           [--list]");
+    let suites: Vec<&str> = Suite::ALL.iter().map(|s| s.name()).collect();
+    eprintln!("  gc bench [--suite {}]", suites.join("|"));
+    eprintln!("           [--json FILE] [--timings] [--list]");
     eprintln!("           [--check BASELINE] [--tolerance PCT] [--serve] [--route N]");
     eprintln!("  gc serve --dataset FILE (--listen ADDR | --unix PATH) [--max-sessions N]");
     eprintln!("           [--max-inflight N] [--drain-timeout SECS] [--persist-on-exit DIR]");
@@ -684,12 +685,8 @@ fn cmd_query(args: &[String]) -> CliResult {
     let wall = t0.elapsed();
 
     let mut total_us = 0.0;
-    let mut tests = 0u64;
-    let mut hits = 0usize;
     for (i, r) in records.iter().enumerate() {
         total_us += r.query_time().as_secs_f64() * 1e6;
-        tests += r.subiso_tests;
-        hits += r.any_hit() as usize;
         let exact = if r.exact_via_fingerprint {
             " (exact hit via fingerprint)"
         } else if r.exact_hit {
@@ -707,20 +704,20 @@ fn cmd_query(args: &[String]) -> CliResult {
             if r.truncated { " [truncated]" } else { "" },
         );
     }
+    let counters = RunCounters::from_records(&records, 0);
     println!(
         "\n{} queries | avg {:.0} µs | {} sub-iso tests | {} cache-assisted | {} cached entries | eviction {} | admission {}",
         queries.len(),
         total_us / queries.len().max(1) as f64,
-        tests,
-        hits,
+        counters.subiso_tests,
+        counters.cache_assisted,
         cache.cache_len(),
         cache.eviction_name(),
         cache.admission_name()
     );
-    let summary = graphcache::core::RunSummary::from_records(&records, 0);
     println!(
         "hit verification: {} work spent | {} exact via fingerprint | {} truncated queries",
-        summary.total_budget_spent, summary.exact_fp_hits, summary.truncated_queries,
+        counters.budget_spent, counters.exact_fp_hits, counters.truncated,
     );
     if cache.fragment_eviction_name().is_some() {
         let probes: u64 = records.iter().map(|r| r.fragment_probes).sum();
@@ -741,7 +738,7 @@ fn cmd_query(args: &[String]) -> CliResult {
             // run_batch never uses more workers than there are requests.
             cache.batch_threads().min(records.len().max(1))
         },
-        summary.throughput_qps(wall)
+        records.len() as f64 / wall.as_secs_f64().max(1e-9)
     );
     if opts.contains_key("maint-stats") {
         cache.flush_pending();
@@ -1146,12 +1143,25 @@ fn cmd_bench(args: &[String]) -> CliResult {
         }
     );
     println!(
-        "{:<30} {:>7} {:>9} {:>9} {:>9} {:>7} {:>9}",
-        "scenario", "queries", "assisted", "iso-tests", "gc-tests", "trunc", "wall-ms"
+        "{:<30} {:>7} {:>9} {:>9} {:>9} {:>7} {:>9} {:>8} {:>8}",
+        "scenario",
+        "queries",
+        "assisted",
+        "iso-tests",
+        "gc-tests",
+        "trunc",
+        "wall-ms",
+        "tests-x",
+        "work-x"
     );
     let progress = |s: &graphcache::harness::ScenarioReport| {
+        // Speed-ups over the uncached reference arm, when the scenario has one.
+        let (tests_x, work_x) = match s.speedups() {
+            Some((tests, work)) => (format!("{tests:.2}"), format!("{work:.2}")),
+            None => ("-".to_string(), "-".to_string()),
+        };
         println!(
-            "{:<30} {:>7} {:>9} {:>9} {:>9} {:>7} {:>9.1}",
+            "{:<30} {:>7} {:>9} {:>9} {:>9} {:>7} {:>9.1} {:>8} {:>8}",
             s.name,
             s.counter("queries").unwrap_or(0),
             s.counter("cache_assisted").unwrap_or(0),
@@ -1159,6 +1169,8 @@ fn cmd_bench(args: &[String]) -> CliResult {
             s.counter("gc_tests").unwrap_or(0),
             s.counter("truncated").unwrap_or(0),
             s.wall_ms,
+            tests_x,
+            work_x,
         );
     };
     // One suite loop, three executors. The served path replays every
