@@ -1,12 +1,14 @@
 //! Microbenchmarks of the four sub-iso matchers on AIDS-shaped instances:
-//! positive (extracted subgraph) and negative (relabelled) decision tests,
-//! plus the Method-M verification sweep — one subgraph query against its
-//! GGSX candidate set — run per pair (`contains_with`) and as one
-//! `contains_each` call.
+//! positive (extracted subgraph) and negative (relabelled) decision tests;
+//! the Method-M verification sweep — one subgraph query against its GGSX
+//! candidate set — run per pair (`contains_with`) and as one
+//! `contains_each` call; and two per-pair tests that build a plan for every
+//! target, as a cold cache runs them: the exact-hit iso confirmation and
+//! the supergraph direction.
 //!
-//! The sweep group asserts its invariant before timing anything: both
-//! forms return the same outcomes, so their summed `nodes_expanded` is
-//! equal and the difference is the cost per search node.
+//! The sweep group asserts its invariants before timing anything: both
+//! forms return the same outcomes, and their summed `nodes_expanded` is at
+//! most half of what id-order VF2 expanded on the same sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gc_graph::random::bfs_edge_subgraph;
@@ -98,6 +100,10 @@ fn work(outcomes: &[MatchOutcome]) -> u64 {
     outcomes.iter().map(|o| o.nodes_expanded).sum()
 }
 
+/// Summed `nodes_expanded` of the sweep below under VF2 visiting pattern
+/// nodes in id order (the order before most-constrained-first).
+const ID_ORDER_SWEEP_WORK: u64 = 329_668;
+
 fn bench_sweep(c: &mut Criterion) {
     let d = datasets::aids_like(0.2, 5);
     let sweeps = Sweeps::new(&d);
@@ -107,13 +113,17 @@ fn bench_sweep(c: &mut Criterion) {
     let per_pair = sweeps.per_pair(vf2.as_ref());
     let each = sweeps.each(vf2.as_ref());
     assert_eq!(each, per_pair, "contains_each must equal the per-pair loop");
-    assert_eq!(work(&each), work(&per_pair));
     println!(
-        "sweep: {} queries, {} GGSX candidates, {} found, {} nodes expanded either way",
+        "sweep: {} queries, {} GGSX candidates, {} found, {} nodes expanded either way \
+         ({ID_ORDER_SWEEP_WORK} in id order)",
         sweeps.queries.len(),
         per_pair.len(),
         per_pair.iter().filter(|o| o.found).count(),
         work(&per_pair),
+    );
+    assert!(
+        2 * work(&per_pair) <= ID_ORDER_SWEEP_WORK,
+        "most-constrained-first VF2 must expand at most half the id-order nodes"
     );
 
     // ---- Wall-clock comparison of the same sweep. ----
@@ -128,9 +138,71 @@ fn bench_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// `g` with its node ids reversed: isomorphic, but not the identity map.
+fn reversed(g: &LabeledGraph) -> LabeledGraph {
+    let last = g.node_count() as u32 - 1;
+    let labels = g.labels().iter().rev().copied().collect();
+    let edges: Vec<(u32, u32)> = g.edges().map(|(u, v)| (last - u, last - v)).collect();
+    LabeledGraph::from_parts(labels, &edges)
+}
+
+fn bench_per_pair(c: &mut Criterion) {
+    let d = datasets::aids_like(0.2, 5);
+    // The exact-hit confirmation: a cached query against an isomorphic
+    // copy of itself.
+    let iso: Cases = generate_type_a(&d, &TypeAConfig::uu().count(48).seed(11))
+        .queries
+        .into_iter()
+        .map(|q| {
+            let copy = reversed(&q.graph);
+            (q.graph, copy)
+        })
+        .collect();
+    // The supergraph direction: dataset graphs as supergraph queries, each
+    // candidate of GGSX's supergraph filter the pattern of one test.
+    let ggsx = PathTrie::build(&d, GgsxConfig::default());
+    let d = &d;
+    let supergraph: Vec<(&LabeledGraph, &LabeledGraph)> = d
+        .graphs()
+        .iter()
+        .take(48)
+        .flat_map(|g| {
+            let cands = ggsx
+                .filter_supergraph(g)
+                .expect("GGSX filters supergraph queries");
+            cands.into_iter().map(move |id| (d.graph(id), g))
+        })
+        .collect();
+    let vf2 = MatcherKind::Vf2.build();
+    assert!(iso.iter().all(|(q, copy)| vf2.contains(q, copy)));
+    println!(
+        "per pair: {} iso confirmations, {} supergraph tests ({} found)",
+        iso.len(),
+        supergraph.len(),
+        supergraph
+            .iter()
+            .filter(|(p, t)| vf2.contains(p, t))
+            .count(),
+    );
+
+    let mut group = c.benchmark_group("pair");
+    group.bench_function("VF2/iso", |b| {
+        b.iter(|| iso.iter().filter(|(q, g)| vf2.contains(q, g)).count())
+    });
+    group.bench_function("VF2/supergraph", |b| {
+        b.iter(|| {
+            supergraph
+                .iter()
+                .filter(|(p, g)| vf2.contains(p, g))
+                .count()
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_matchers, bench_sweep
+    targets = bench_matchers, bench_sweep, bench_per_pair
 }
 criterion_main!(benches);

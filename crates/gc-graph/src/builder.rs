@@ -1,6 +1,6 @@
 //! Incremental construction of [`LabeledGraph`]s.
 
-use crate::graph::{count_distinct, Label, LabeledGraph, NodeId};
+use crate::graph::{Label, LabeledGraph, NodeId};
 
 /// Builds a [`LabeledGraph`] incrementally.
 ///
@@ -104,12 +104,7 @@ impl GraphBuilder {
             let hi = offsets[w + 1] as usize;
             neighbors[lo..hi].windows(2).all(|p| p[0] < p[1])
         }));
-        LabeledGraph {
-            distinct_labels: count_distinct(&self.labels),
-            labels: self.labels,
-            offsets,
-            neighbors,
-        }
+        LabeledGraph::from_csr(self.labels, offsets, neighbors)
     }
 }
 

@@ -17,7 +17,9 @@ pub type Label = u32;
 /// * each undirected edge `{u, v}` appears exactly twice: `v` in the list of
 ///   `u` and `u` in the list of `v`;
 /// * there are no self-loops;
-/// * `distinct_labels` equals the number of distinct values in `labels`.
+/// * `distinct_labels` equals the number of distinct values in `labels`;
+/// * `shape` is the label/degree shape of `labels` and the adjacency (see
+///   [`LabeledGraph::nodes_by_label`] and [`LabeledGraph::degrees_desc`]).
 ///
 /// The structure is deliberately compact (`u32` everywhere) because datasets
 /// hold thousands of graphs and queries are created at a high rate by the
@@ -29,16 +31,11 @@ pub struct LabeledGraph {
     pub(crate) neighbors: Vec<NodeId>,
     /// Number of distinct values in `labels`, counted once at construction:
     /// the §5.2 cost estimate reads it per dataset graph per credited hit.
-    pub(crate) distinct_labels: u32,
-}
-
-/// Counts the distinct values of a label vector (the construction-time
-/// source of [`LabeledGraph::distinct_label_count`]).
-pub(crate) fn count_distinct(labels: &[Label]) -> u32 {
-    let mut ls = labels.to_vec();
-    ls.sort_unstable();
-    ls.dedup();
-    ls.len() as u32
+    distinct_labels: u32,
+    /// Laid out once at construction so a sub-iso test only reads it:
+    /// `[..n]` are the node ids ordered by (label, id), `[n..]` the degrees
+    /// sorted descending.
+    shape: Box<[u32]>,
 }
 
 impl LabeledGraph {
@@ -56,14 +53,30 @@ impl LabeledGraph {
         b.build()
     }
 
+    /// Completes a graph from its CSR arrays (which must already satisfy
+    /// the adjacency invariants) by laying out its shape.
+    pub(crate) fn from_csr(labels: Vec<Label>, offsets: Vec<u32>, neighbors: Vec<NodeId>) -> Self {
+        let n = labels.len();
+        let mut shape = Vec::with_capacity(2 * n);
+        shape.extend(0..n as NodeId);
+        shape.sort_unstable_by_key(|&v| (labels[v as usize], v));
+        let distinct_labels = shape
+            .chunk_by(|&a, &b| labels[a as usize] == labels[b as usize])
+            .count() as u32;
+        shape.extend(offsets.windows(2).map(|w| w[1] - w[0]));
+        shape[n..].sort_unstable_by(|a, b| b.cmp(a));
+        LabeledGraph {
+            labels,
+            offsets,
+            neighbors,
+            distinct_labels,
+            shape: shape.into_boxed_slice(),
+        }
+    }
+
     /// The empty graph.
     pub fn empty() -> Self {
-        LabeledGraph {
-            labels: Vec::new(),
-            offsets: vec![0],
-            neighbors: Vec::new(),
-            distinct_labels: 0,
-        }
+        Self::from_csr(Vec::new(), vec![0], Vec::new())
     }
 
     /// Number of vertices `|V|`.
@@ -133,9 +146,29 @@ impl LabeledGraph {
         self.distinct_labels as usize
     }
 
+    /// Node ids ordered by label, ascending ids within a label.
+    #[inline]
+    pub fn nodes_by_label(&self) -> &[NodeId] {
+        &self.shape[..self.node_count()]
+    }
+
+    /// The nodes labelled `l`, in ascending id order (empty if none).
+    pub fn nodes_with_label(&self, l: Label) -> &[NodeId] {
+        let by_label = self.nodes_by_label();
+        let lo = by_label.partition_point(|&v| self.label(v) < l);
+        let len = by_label[lo..].partition_point(|&v| self.label(v) == l);
+        &by_label[lo..lo + len]
+    }
+
+    /// Node degrees sorted descending.
+    #[inline]
+    pub fn degrees_desc(&self) -> &[u32] {
+        &self.shape[self.node_count()..]
+    }
+
     /// Maximum degree over all nodes (0 for the empty graph).
     pub fn max_degree(&self) -> usize {
-        self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
+        self.degrees_desc().first().map_or(0, |&d| d as usize)
     }
 
     /// Average degree `2|E| / |V|` (0.0 for the empty graph).
@@ -207,12 +240,7 @@ impl LabeledGraph {
             .nodes()
             .map(|v| f(v, self.label(v)))
             .collect::<Vec<_>>();
-        LabeledGraph {
-            distinct_labels: count_distinct(&labels),
-            labels,
-            offsets: self.offsets.clone(),
-            neighbors: self.neighbors.clone(),
-        }
+        Self::from_csr(labels, self.offsets.clone(), self.neighbors.clone())
     }
 
     /// Rough in-memory footprint in bytes (used for space-overhead
@@ -221,6 +249,7 @@ impl LabeledGraph {
         self.labels.len() * std::mem::size_of::<Label>()
             + self.offsets.len() * std::mem::size_of::<u32>()
             + self.neighbors.len() * std::mem::size_of::<NodeId>()
+            + self.shape.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -352,29 +381,24 @@ mod tests {
         assert!(r.has_edge(0, 1));
     }
 
-    /// The cached distinct-label count equals a recount of the label vector
-    /// on every construction path — built, parsed, randomly generated,
-    /// derived — and travels with `Clone` and `PartialEq`.
-    #[test]
-    fn cached_distinct_label_count_matches_recount() {
+    /// One graph or more from every construction path: built, parsed,
+    /// randomly generated, BFS and random-walk subgraphs, `edge_subgraph`,
+    /// `relabeled` and `empty`.
+    fn every_construction_path() -> Vec<LabeledGraph> {
         use crate::random::{
             bfs_edge_subgraph, random_connected_graph, random_walk_subgraph, LabelModel,
         };
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
-        let recount = |g: &LabeledGraph| {
-            let mut ls = g.labels().to_vec();
-            ls.sort_unstable();
-            ls.dedup();
-            ls.len()
-        };
         let mut graphs = vec![
             LabeledGraph::empty(),
             LabeledGraph::from_parts(vec![7], &[]),
             LabeledGraph::from_parts(vec![4, 4, 4, 4], &[(0, 1), (2, 3)]),
+            LabeledGraph::from_parts(vec![3, 1, 3, 0, 1], &[(0, 1), (0, 2), (0, 4), (3, 4)]),
             triangle(),
             triangle().relabeled(|_, _| 9),
+            triangle().relabeled(|v, _| 5 - v),
             triangle().edge_subgraph(&[(0, 1)]).0,
         ];
         let mut rng = StdRng::seed_from_u64(17);
@@ -383,14 +407,27 @@ mod tests {
             let g = random_connected_graph(&mut rng, n, 2.5, &labels);
             graphs.extend(bfs_edge_subgraph(&g, 0, 6));
             graphs.extend(random_walk_subgraph(&g, 0, 6, &mut rng));
+            graphs.push(g.relabeled(|v, l| l + v % 3));
             graphs.push(g);
         }
         let mut text = Vec::new();
         crate::io::write_dataset(&mut text, &crate::GraphDataset::new(graphs.clone())).unwrap();
         let parsed = crate::io::read_dataset(&text[..]).unwrap();
         graphs.extend(parsed.iter().map(|(_, g)| g.clone()));
+        graphs
+    }
 
-        for g in &graphs {
+    /// The cached distinct-label count equals a recount of the label vector
+    /// on every construction path and travels with `Clone` and `PartialEq`.
+    #[test]
+    fn cached_distinct_label_count_matches_recount() {
+        let recount = |g: &LabeledGraph| {
+            let mut ls = g.labels().to_vec();
+            ls.sort_unstable();
+            ls.dedup();
+            ls.len()
+        };
+        for g in &every_construction_path() {
             assert_eq!(g.distinct_label_count(), recount(g), "{g:?}");
             let copy = g.clone();
             assert_eq!(copy.distinct_label_count(), g.distinct_label_count());
@@ -399,6 +436,40 @@ mod tests {
         // Same structure, different label multiset: the counts differ and
         // so do the graphs.
         assert_ne!(triangle(), triangle().relabeled(|_, _| 9));
+    }
+
+    /// The label/degree shape equals a recount on every construction path,
+    /// and `Clone`, `PartialEq` and `Hash` agree on it.
+    #[test]
+    fn shape_matches_recount() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        let hash = |g: &LabeledGraph| {
+            let mut h = DefaultHasher::new();
+            g.hash(&mut h);
+            h.finish()
+        };
+        for g in &every_construction_path() {
+            let mut by_label: Vec<NodeId> = g.nodes().collect();
+            by_label.sort_by_key(|&v| g.label(v));
+            assert_eq!(g.nodes_by_label(), &by_label[..], "{g:?}");
+            let mut degrees: Vec<u32> = g.nodes().map(|v| g.degree(v) as u32).collect();
+            degrees.sort_by(|a, b| b.cmp(a));
+            assert_eq!(g.degrees_desc(), &degrees[..], "{g:?}");
+            assert_eq!(g.max_degree(), degrees.first().map_or(0, |&d| d as usize));
+            for l in g.labels().iter().copied().chain([0, 99]) {
+                let with: Vec<NodeId> = g.nodes().filter(|&v| g.label(v) == l).collect();
+                assert_eq!(g.nodes_with_label(l), &with[..], "label {l} in {g:?}");
+            }
+            // Derived graphs that equal `g` carry an equal shape.
+            for copy in [g.clone(), g.relabeled(|_, l| l)] {
+                assert_eq!(&copy, g);
+                assert_eq!(copy.nodes_by_label(), g.nodes_by_label());
+                assert_eq!(copy.degrees_desc(), g.degrees_desc());
+                assert_eq!(hash(&copy), hash(g));
+            }
+        }
     }
 
     #[test]

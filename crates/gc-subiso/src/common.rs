@@ -4,65 +4,28 @@
 use gc_graph::{Label, LabeledGraph, NodeId};
 use std::ops::ControlFlow;
 
-/// Cheap necessary conditions for `pattern ⊆ target`; returning `false`
-/// proves non-containment without any search.
+/// Cheap necessary conditions for `pattern ⊆ target`; returning `true`
+/// proves non-containment without any search. It reads only the shapes
+/// both graphs laid out when they were built, so it allocates nothing.
 pub(crate) fn quick_reject(pattern: &LabeledGraph, target: &LabeledGraph) -> bool {
-    Shape::of(pattern).rejects(target, &mut Shape::default())
-}
-
-/// The sorted label multiset and sorted-descending degree sequence of a
-/// graph: everything [`quick_reject`] reads. A sweep computes the pattern's
-/// shape once and refills one scratch shape per target.
-#[derive(Debug, Default)]
-pub(crate) struct Shape {
-    edges: usize,
-    /// The labels sorted ascending, then the degrees sorted descending:
-    /// `2·|V|` entries in one buffer.
-    sorted: Vec<u32>,
-}
-
-impl Shape {
-    /// The shape of `g`.
-    pub(crate) fn of(g: &LabeledGraph) -> Shape {
-        let mut s = Shape::default();
-        s.fill(g);
-        s
+    if pattern.node_count() > target.node_count() || pattern.edge_count() > target.edge_count() {
+        return true;
     }
-
-    /// Overwrites `self` with the shape of `g`, reusing its buffer.
-    fn fill(&mut self, g: &LabeledGraph) {
-        self.edges = g.edge_count();
-        self.sorted.clear();
-        self.sorted.extend_from_slice(g.labels());
-        self.sorted.extend(g.nodes().map(|v| g.degree(v) as u32));
-        let (labels, degrees) = self.sorted.split_at_mut(g.node_count());
-        labels.sort_unstable();
-        degrees.sort_unstable_by(|a, b| b.cmp(a));
-    }
-
-    /// `(labels, degrees)`, both sorted.
-    fn split(&self) -> (&[Label], &[u32]) {
-        self.sorted.split_at(self.sorted.len() / 2)
-    }
-
-    /// `quick_reject(pattern, target)` for the pattern whose shape is
-    /// `self`; `scratch` is overwritten with the target's shape.
-    pub(crate) fn rejects(&self, target: &LabeledGraph, scratch: &mut Shape) -> bool {
-        let (labels, degrees) = self.split();
-        if labels.len() > target.node_count() || self.edges > target.edge_count() {
-            return true;
-        }
-        scratch.fill(target);
-        let (t_labels, t_degrees) = scratch.split();
-        // Label multiset containment.
-        if !sorted_multiset_contained(labels, t_labels) {
-            return true;
-        }
+    // Label multiset containment: a merge of the two sorted label lists.
+    !sorted_multiset_contained(sorted_labels(pattern), sorted_labels(target))
         // Sorted-descending degree dominance: the i-th largest pattern
         // degree must not exceed the i-th largest target degree (each
         // pattern node needs a distinct image of at least its own degree).
-        degrees.iter().zip(t_degrees).any(|(p, t)| p > t)
-    }
+        || pattern
+            .degrees_desc()
+            .iter()
+            .zip(target.degrees_desc())
+            .any(|(p, t)| p > t)
+}
+
+/// The labels of `g`, sorted ascending.
+fn sorted_labels(g: &LabeledGraph) -> impl Iterator<Item = Label> + '_ {
+    g.nodes_by_label().iter().map(|&v| g.label(v))
 }
 
 /// Sorted multiset of the labels of `v`'s neighbours.
@@ -72,21 +35,17 @@ pub(crate) fn neighbor_labels_sorted(g: &LabeledGraph, v: NodeId) -> Vec<Label> 
     ls
 }
 
-/// Multiset containment over two sorted slices: every element of `a` (with
-/// multiplicity) appears in `b`.
-pub(crate) fn sorted_multiset_contained(a: &[Label], b: &[Label]) -> bool {
-    let mut j = 0usize;
-    for &x in a {
-        // advance j to the first b element >= x
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != x {
-            return false;
-        }
-        j += 1;
-    }
-    true
+/// Multiset containment over two sorted sequences: every element of `a`
+/// (with multiplicity) appears in `b`.
+pub(crate) fn sorted_multiset_contained(
+    a: impl IntoIterator<Item = Label>,
+    b: impl IntoIterator<Item = Label>,
+) -> bool {
+    let mut b = b.into_iter();
+    // Each element of `a` consumes the first unconsumed element of `b` that
+    // is not smaller; anything but an equal one is a miss.
+    a.into_iter()
+        .all(|x| b.by_ref().find(|&y| y >= x) == Some(x))
 }
 
 /// What a search driver should do after an embedding is reported.
@@ -151,10 +110,11 @@ mod tests {
 
     #[test]
     fn multiset_containment() {
-        assert!(sorted_multiset_contained(&[1, 2, 2], &[1, 2, 2, 3]));
-        assert!(!sorted_multiset_contained(&[2, 2, 2], &[1, 2, 2, 3]));
-        assert!(sorted_multiset_contained(&[], &[1]));
-        assert!(!sorted_multiset_contained(&[1], &[]));
+        assert!(sorted_multiset_contained([1, 2, 2], [1, 2, 2, 3]));
+        assert!(!sorted_multiset_contained([2, 2, 2], [1, 2, 2, 3]));
+        assert!(!sorted_multiset_contained([0, 2], [1, 2, 2, 3]));
+        assert!(sorted_multiset_contained([], [1]));
+        assert!(!sorted_multiset_contained([1], []));
     }
 
     #[test]

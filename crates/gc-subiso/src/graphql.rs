@@ -133,7 +133,10 @@ fn build_candidates(
             }
             if p.label(u) == t.label(v)
                 && p.degree(u) <= t.degree(v)
-                && sorted_multiset_contained(&profile_u, &profiles_t[v as usize])
+                && sorted_multiset_contained(
+                    profile_u.iter().copied(),
+                    profiles_t[v as usize].iter().copied(),
+                )
             {
                 list.push(v);
             }

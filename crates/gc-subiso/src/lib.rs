@@ -150,10 +150,11 @@ pub trait Matcher: Send + Sync {
 /// configuration plumbing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatcherKind {
-    /// Vanilla VF2 (used by several FTV implementations; paper §7.1).
+    /// VF2 (used by several FTV implementations; paper §7.1), matching the
+    /// most constrained pattern node first.
     Vf2,
-    /// VF2 with rarity-driven static ordering and label-aware lookahead,
-    /// standing in for the paper's "VF2+".
+    /// VF2 ordered by label rarity in the target, with a label-aware
+    /// lookahead, standing in for the paper's "VF2+".
     Vf2Plus,
     /// GraphQL-style matching (candidate refinement + backtracking).
     GraphQl,

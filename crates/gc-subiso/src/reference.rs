@@ -1,10 +1,15 @@
-//! Test-only references: the matcher code as it was before VF2 was compiled
-//! into a static plan, kept verbatim so the equivalence proptests below can
-//! prove the faster code takes exactly the same steps.
+//! Test-only references, kept so the proptests below can prove the
+//! matchers right:
 //!
-//! * [`quick_reject`] — the `HashMap` label-count predicate;
-//! * [`vf2::Vf2`] — VF2 with the dynamic `next_pattern_node` order;
-//! * [`vf2_plus::Vf2Plus`] — VF2+ with a lookahead that allocates per call.
+//! * [`quick_reject`] — the `HashMap` label-count predicate, which the
+//!   shape-reading quick reject must equal;
+//! * [`vf2::Vf2`] — VF2 visiting pattern nodes in id order, re-deriving the
+//!   next node at every recursion call. The most-constrained-first VF2
+//!   expands different search nodes, so it is held to the reference's
+//!   *answers*: decisions, counts and embeddings;
+//! * [`vf2_plus::Vf2Plus`] — VF2+ with a lookahead that allocates per call
+//!   and a `HashMap` label index, which the shipped VF2+ must equal step for
+//!   step.
 
 use gc_graph::{Label, LabeledGraph};
 use std::collections::HashMap;
@@ -42,7 +47,7 @@ pub(crate) fn label_counts(g: &LabeledGraph) -> HashMap<Label, u32> {
     m
 }
 
-/// VF2 choosing its next pattern node on every recursion call.
+/// VF2 choosing its next pattern node, in id order, on every recursion call.
 pub(crate) mod vf2 {
     use super::quick_reject;
     use crate::common::{Found, Work};
@@ -51,12 +56,12 @@ pub(crate) mod vf2 {
     use gc_graph::{LabeledGraph, NodeId};
     use std::ops::ControlFlow;
 
-    /// The dynamic-order VF2.
+    /// The id-order VF2.
     pub(crate) struct Vf2;
 
     impl Matcher for Vf2 {
         fn name(&self) -> &'static str {
-            "VF2 (dynamic order)"
+            "VF2 (id order)"
         }
 
         fn contains_with(
@@ -423,7 +428,10 @@ pub(crate) mod vf2_plus {
                 .collect();
             unmapped_p_labels.sort_unstable();
             unmapped_t_labels.sort_unstable();
-            sorted_multiset_contained(&unmapped_p_labels, &unmapped_t_labels)
+            sorted_multiset_contained(
+                unmapped_p_labels.iter().copied(),
+                unmapped_t_labels.iter().copied(),
+            )
         }
     }
 
@@ -488,13 +496,14 @@ pub(crate) mod vf2_plus {
     }
 }
 
-/// The faster code against the references, on random labelled graphs:
-/// small alphabets (so labels rarely reject), empty and disconnected
-/// patterns, node-prefix patterns (so many tests succeed deep in the
-/// search) and random budgets, many of which trip mid-search.
+/// The matchers against the references on random labelled graphs: small
+/// alphabets (so labels rarely reject), empty and disconnected patterns,
+/// node-prefix patterns (so many tests succeed deep in the search) and
+/// random budgets, many of which trip mid-search. Then every test Method M
+/// runs on an AIDS-shaped corpus.
 #[cfg(test)]
 mod tests {
-    use crate::{common, MatchConfig, MatchOutcome, Matcher, Vf2, Vf2Plus};
+    use crate::{common, is_valid_embedding, MatchConfig, MatchOutcome, Matcher, Vf2, Vf2Plus};
     use gc_graph::LabeledGraph;
     use proptest::collection::vec;
     use proptest::prelude::*;
@@ -555,7 +564,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
         #[test]
-        fn compiled_vf2_equals_dynamic_reference(
+        fn compiled_vf2_decides_like_the_id_order_reference(
             p in arb_graph(7, 3),
             t in arb_graph(10, 3),
             (k, drop_mask) in (0..9usize, any::<u64>()),
@@ -563,11 +572,22 @@ mod tests {
         ) {
             let cfg = budget(raw);
             for p in &patterns(p, &t, k, drop_mask) {
+                let free = Vf2.contains_with(p, &t, &MatchConfig::UNBOUNDED);
+                prop_assert!(free.complete);
                 prop_assert_eq!(
-                    Vf2.contains_with(p, &t, &cfg),
-                    super::vf2::Vf2.contains_with(p, &t, &cfg),
-                    "contains_with {:?} in {:?} under {:?}", p, t, cfg
+                    free.found,
+                    super::vf2::Vf2.contains(p, &t),
+                    "{:?} in {:?}", p, t
                 );
+                // A search the budget did not stop is the unbounded one; a
+                // stopped one ran one step past its budget and found nothing.
+                let bounded = Vf2.contains_with(p, &t, &cfg);
+                if bounded.complete {
+                    prop_assert_eq!(bounded, free, "{:?} in {:?} under {:?}", p, t, cfg);
+                } else {
+                    prop_assert!(!bounded.found);
+                    prop_assert_eq!(Some(bounded.nodes_expanded), cfg.budget.map(|b| b + 1));
+                }
             }
         }
 
@@ -578,16 +598,19 @@ mod tests {
             (k, drop_mask) in (0..7usize, any::<u64>()),
             raw in any::<u64>(),
         ) {
-            let limit = limit(raw);
             for p in &patterns(p, &t, k, drop_mask) {
-                prop_assert_eq!(
-                    Vf2.count_embeddings(p, &t, limit),
-                    super::vf2::Vf2.count_embeddings(p, &t, limit)
-                );
-                prop_assert_eq!(
-                    Vf2.find_embedding(p, &t),
-                    super::vf2::Vf2.find_embedding(p, &t)
-                );
+                for limit in [1, 2, 3, 4, limit(raw), u64::MAX] {
+                    prop_assert_eq!(
+                        Vf2.count_embeddings(p, &t, limit),
+                        super::vf2::Vf2.count_embeddings(p, &t, limit),
+                        "limit {}: {:?} in {:?}", limit, p, t
+                    );
+                }
+                let found = Vf2.find_embedding(p, &t);
+                prop_assert_eq!(found.is_some(), super::vf2::Vf2.find_embedding(p, &t).is_some());
+                if let Some(embedding) = found {
+                    prop_assert!(is_valid_embedding(p, &t, &embedding), "{:?}", embedding);
+                }
             }
         }
 
@@ -605,16 +628,16 @@ mod tests {
                 None => vec![p],
             };
             for p in &pats {
-                let per_pair: Vec<MatchOutcome> = refs
-                    .iter()
-                    .map(|t| super::vf2::Vf2.contains_with(p, t, &cfg))
-                    .collect();
+                let per_pair: Vec<MatchOutcome> =
+                    refs.iter().map(|t| Vf2.contains_with(p, t, &cfg)).collect();
                 let mut each = Vec::new();
                 Vf2.contains_each(p, &refs, &cfg, &mut each);
                 prop_assert_eq!(&each, &per_pair);
                 // The trait default is the loop itself.
+                let per_pair: Vec<MatchOutcome> =
+                    refs.iter().map(|t| Vf2Plus.contains_with(p, t, &cfg)).collect();
                 let mut default = Vec::new();
-                super::vf2::Vf2.contains_each(p, &refs, &cfg, &mut default);
+                Vf2Plus.contains_each(p, &refs, &cfg, &mut default);
                 prop_assert_eq!(&default, &per_pair);
             }
         }
@@ -690,5 +713,52 @@ mod tests {
         }
         assert!(tripped >= 20, "only {tripped} budget trips");
         assert!(deep_found >= 50, "only {deep_found} deep positives");
+    }
+
+    /// Every test Method M's verifier runs for AIDS-shaped UU and ZZ
+    /// queries — the GGSX candidate sets, in the subgraph and in the
+    /// supergraph direction — decided alike by VF2, the id-order reference
+    /// and VF2+; and each subgraph sweep through `contains_each` equal to
+    /// its per-pair loop.
+    #[test]
+    fn aids_candidate_sets_decide_alike() {
+        use gc_index::{FilterIndex, GgsxConfig, PathTrie};
+        use gc_workload::{datasets, generate_type_a, TypeAConfig};
+
+        let d = datasets::aids_like(0.2, 3);
+        let ggsx = PathTrie::build(&d, GgsxConfig::default());
+        let (mut tests, mut positives) = (0u32, 0u32);
+        for cfg in [TypeAConfig::uu(), TypeAConfig::zz(1.4)] {
+            for q in generate_type_a(&d, &cfg.count(200).seed(9)).queries {
+                let q = &q.graph;
+                let sub: Vec<&LabeledGraph> =
+                    ggsx.filter(q).iter().map(|&id| d.graph(id)).collect();
+                let sup = ggsx
+                    .filter_supergraph(q)
+                    .expect("GGSX filters supergraph queries");
+                let pairs = sub
+                    .iter()
+                    .map(|&t| (q, t))
+                    .chain(sup.iter().map(|&id| (d.graph(id), q)));
+                for (p, t) in pairs {
+                    let found = Vf2.contains(p, t);
+                    assert_eq!(found, super::vf2::Vf2.contains(p, t), "{p:?} in {t:?}");
+                    assert_eq!(found, Vf2Plus.contains(p, t), "VF2+: {p:?} in {t:?}");
+                    tests += 1;
+                    positives += found as u32;
+                }
+                let per_pair: Vec<MatchOutcome> = sub
+                    .iter()
+                    .map(|t| Vf2.contains_with(q, t, &MatchConfig::UNBOUNDED))
+                    .collect();
+                let mut each = Vec::new();
+                Vf2.contains_each(q, &sub, &MatchConfig::UNBOUNDED, &mut each);
+                assert_eq!(each, per_pair, "sweep of {q:?}");
+            }
+        }
+        assert!(
+            tests >= 10_000 && positives >= 5_000,
+            "{tests} tests, {positives} positive"
+        );
     }
 }

@@ -1,37 +1,39 @@
-//! Vanilla VF2 \[Cordella, Foggia, Sansone, Vento — TPAMI 2004\], adapted to
+//! VF2 \[Cordella, Foggia, Sansone, Vento — TPAMI 2004\], adapted to
 //! non-induced, vertex-labelled, undirected subgraph isomorphism.
 //!
-//! The implementation follows the classic recipe: depth-first extension of a
-//! partial mapping, connectivity-driven candidate generation (the next
-//! pattern node adjacent to the mapped core is tried against the target
-//! neighbours of its mapped neighbour's image), plus the standard
-//! feasibility rules — label equality, mapped-neighbour consistency, degree
-//! dominance and a one-step lookahead on unmapped neighbour counts.
+//! The search is the classic recipe: depth-first extension of a partial
+//! mapping, connectivity-driven candidate generation (a pattern node with a
+//! mapped neighbour, its *anchor*, is tried only against the target
+//! neighbours of the anchor's image), plus the standard feasibility rules —
+//! label equality, injectivity, degree dominance, mapped-neighbour
+//! consistency and a one-step lookahead on unmapped neighbour counts.
 //!
-//! **The pattern is compiled once.** VF2 picks the next pattern node as the
-//! lowest-id unmapped node with a mapped neighbour (its *anchor*: the
-//! lowest-id such neighbour), or the lowest-id unmapped node when none has
-//! one. That choice reads only *which* pattern nodes are mapped, never
-//! their images, and the mapped set at depth `d` is always the first `d`
-//! nodes chosen — so the visiting order is a function of the pattern alone.
-//! [`Plan`] fixes it before the search, together with what each depth's
-//! feasibility test needs: the depths of its earlier-mapped neighbours
-//! other than the anchor (the anchor edge is implied, since candidates are
-//! drawn from the anchor image's neighbours) and its lookahead *need*, the
-//! number of its pattern neighbours mapped later. The search then runs by
-//! depth index, stops counting free target neighbours once the need is
-//! met, and visits exactly the same search tree as the dynamic formulation:
-//! `found`, `complete` and `nodes_expanded` are bit-identical (the crate's
-//! equivalence proptest pins this against the dynamic version).
+//! **Most constrained node first.** VF2 leaves the order in which pattern
+//! nodes are matched open; this one follows RI and VF2++. The next node is
+//! the unplaced one with the most already-placed neighbours, then the
+//! fewest same-label nodes *in the pattern*, then the highest degree, then
+//! the lowest id; its anchor is its earliest-placed neighbour. A node with
+//! no placed neighbour starts a connected component and is tried only
+//! against the target nodes carrying its label. Any order enumerates the
+//! same embeddings, so `found` and embedding counts do not depend on it;
+//! `nodes_expanded` does. The order reads the pattern alone, never the
+//! target, so [`Plan`] fixes it once before any search, together with what
+//! each depth's feasibility test needs: the depths of its earlier-mapped
+//! neighbours other than the anchor (the anchor edge is implied, since
+//! candidates are drawn from the anchor image's neighbours) and its
+//! lookahead *need*, the number of its pattern neighbours mapped later.
+//! The search runs by depth index and stops counting free target
+//! neighbours once the need is met.
 //!
-//! [`Matcher::contains_each`] compiles the pattern and its quick-reject
-//! shape once and reuses the search buffers across every target, which is
-//! how Method M's verifier sweeps a subgraph query's candidate set.
+//! Quick reject and the component roots read the label/degree shape each
+//! graph lays out when it is built. [`Matcher::contains_each`] builds the
+//! plan once and reuses the search buffers across every target, which is
+//! how Method M's verifier sweeps a subgraph query's candidate set; it
+//! equals the per-target loop because the plan ignores the target.
 
-use crate::common::{Found, Shape, Work};
+use crate::common::{quick_reject, Found, Work};
 use crate::{MatchConfig, MatchOutcome, Matcher};
 use gc_graph::{Label, LabeledGraph, NodeId};
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 
@@ -168,7 +170,7 @@ struct Step {
     degree: u32,
     /// Depth of the anchor: candidates are the target neighbours of its
     /// image. `None` for the first node of each connected component, whose
-    /// candidates are all target nodes.
+    /// candidates are the target nodes with its label.
     anchor: Option<u32>,
     /// `back[back_lo..back_hi]`: depths of the earlier-mapped pattern
     /// neighbours other than the anchor, in ascending node-id order.
@@ -179,8 +181,8 @@ struct Step {
     need: u32,
 }
 
-/// VF2's visiting order for one pattern, with each depth's feasibility
-/// inputs precomputed.
+/// The visiting order for one pattern, with each depth's feasibility inputs
+/// precomputed.
 #[derive(Debug, Clone)]
 struct Plan {
     steps: Vec<Step>,
@@ -188,52 +190,67 @@ struct Plan {
 }
 
 impl Plan {
-    /// Replays VF2's choice of the next pattern node — the lowest-id
-    /// unmapped node with a mapped neighbour, anchored at its lowest-id
-    /// mapped neighbour, else the lowest-id unmapped node (disconnected
-    /// patterns) — in O((|V| + |E|) log |V|). `frontier` holds every
-    /// unplaced node with a placed neighbour, plus stale entries for nodes
-    /// placed since they were pushed, so its smallest live entry is the
-    /// node the dynamic rule picks.
+    /// Orders the pattern most constrained node first (module doc) in
+    /// O((|V| + |E|) log |V|). Each node's priority is one packed integer,
+    /// larger is better: placed neighbours, then `!rarity`, then degree,
+    /// then `!id`. Placing a node pushes a fresh entry for each unplaced
+    /// neighbour onto a lazy heap; an entry is never updated, but a node's
+    /// newer entries outrank its older ones, so the first of its entries to
+    /// surface is its current one and later ones are skipped as placed.
     fn build(p: &LabeledGraph) -> Plan {
         const UNPLACED: u32 = u32::MAX;
         let n = p.node_count();
+        // `rank[u]`: the priority bits that never change, `!rarity` above
+        // the degree, where rarity counts the pattern nodes sharing u's label.
+        let mut rank = vec![0u64; n];
+        for same in p
+            .nodes_by_label()
+            .chunk_by(|&a, &b| p.label(a) == p.label(b))
+        {
+            for &u in same {
+                rank[u as usize] = u64::from(!(same.len() as u32)) << 32 | p.degree(u) as u64;
+            }
+        }
+        let key = |u: NodeId, placed: u32| {
+            u128::from(placed) << 96 | u128::from(rank[u as usize]) << 32 | u128::from(!u)
+        };
         let mut depth_of = vec![UNPLACED; n];
+        let mut placed_nbrs = vec![0u32; n];
         // Each edge pushes at most one endpoint, once.
         let mut frontier = BinaryHeap::with_capacity(p.edge_count());
-        // Every node below `lowest` is placed.
-        let mut lowest = 0;
         let mut steps = Vec::with_capacity(n);
-        for d in 0..n as u32 {
-            while let Some(&Reverse(u)) = frontier.peek() {
-                if depth_of[u as usize] == UNPLACED {
-                    break;
-                }
-                frontier.pop();
-            }
-            let (u, anchor) = match frontier.pop() {
-                Some(Reverse(u)) => {
-                    let a = p
-                        .neighbors(u)
-                        .iter()
-                        .find(|&&w| depth_of[w as usize] != UNPLACED)
-                        .expect("a frontier node has a placed neighbour");
-                    (u, Some(depth_of[*a as usize]))
-                }
+        while steps.len() < n {
+            let u = match frontier.pop() {
+                Some(k) => !(k as u32),
+                // No unplaced node has a placed neighbour: a connected
+                // component starts. The first starts at the best node, by
+                // one scan. At the second, every unplaced node is queued
+                // with no placed neighbour, once, so later starts come from
+                // the heap and the build stays O((|V| + |E|) log |V|).
+                None if steps.is_empty() => p.nodes().max_by_key(|&u| key(u, 0)).expect("n > 0"),
                 None => {
-                    while depth_of[lowest] != UNPLACED {
-                        lowest += 1;
-                    }
-                    (lowest as NodeId, None)
+                    frontier.extend(
+                        p.nodes()
+                            .filter(|&u| depth_of[u as usize] == UNPLACED)
+                            .map(|u| key(u, 0)),
+                    );
+                    continue;
                 }
             };
-            depth_of[u as usize] = d;
-            frontier.extend(
-                p.neighbors(u)
-                    .iter()
-                    .filter(|&&w| depth_of[w as usize] == UNPLACED)
-                    .map(|&w| Reverse(w)),
-            );
+            if depth_of[u as usize] != UNPLACED {
+                continue;
+            }
+            depth_of[u as usize] = steps.len() as u32;
+            let mut anchor: Option<u32> = None;
+            for &w in p.neighbors(u) {
+                match depth_of[w as usize] {
+                    UNPLACED => {
+                        placed_nbrs[w as usize] += 1;
+                        frontier.push(key(w, placed_nbrs[w as usize]));
+                    }
+                    dw => anchor = Some(anchor.map_or(dw, |a| a.min(dw))),
+                }
+            }
             steps.push(Step {
                 node: u,
                 label: p.label(u),
@@ -244,7 +261,8 @@ impl Plan {
                 need: 0,
             });
         }
-        // Each edge adds at most one back entry, at its later endpoint.
+        // Each edge adds one entry at its later endpoint, unless it is the
+        // anchor's.
         let mut back = Vec::with_capacity(p.edge_count());
         for (d, step) in (0..).zip(steps.iter_mut()) {
             step.back_lo = back.len() as u32;
@@ -262,15 +280,12 @@ impl Plan {
     }
 }
 
-/// A pattern prepared for tests against any number of targets: its
-/// quick-reject shape, its plan (built on the first target that survives
-/// quick reject) and search buffers reused from one target to the next.
+/// A pattern prepared for tests against any number of targets: its plan
+/// (built on the first target that survives quick reject) and search
+/// buffers reused from one target to the next.
 struct Compiled<'p> {
     pattern: &'p LabeledGraph,
-    shape: Shape,
     plan: Option<Plan>,
-    /// Target-shape scratch for quick reject.
-    target_shape: Shape,
     /// `img[d]`: the target node mapped at depth `d`.
     img: Vec<NodeId>,
     /// Target nodes in the current partial mapping; all `false` between
@@ -282,9 +297,7 @@ impl<'p> Compiled<'p> {
     fn new(pattern: &'p LabeledGraph) -> Self {
         Compiled {
             pattern,
-            shape: Shape::of(pattern),
             plan: None,
-            target_shape: Shape::default(),
             img: vec![0; pattern.node_count()],
             used: Vec::new(),
         }
@@ -306,7 +319,7 @@ impl<'p> Compiled<'p> {
             };
         }
         let mut work = Work::new(cfg.budget);
-        if !self.shape.rejects(target, &mut self.target_shape) {
+        if !quick_reject(self.pattern, target) {
             let pattern = self.pattern;
             let plan = self.plan.get_or_insert_with(|| Plan::build(pattern));
             if self.used.len() < target.node_count() {
@@ -399,7 +412,7 @@ impl Search<'_> {
                 }
             }
             None => {
-                for v in t.nodes() {
+                for &v in t.nodes_with_label(step.label) {
                     work.step()?;
                     if self.feasible(step, v) {
                         self.descend(depth, v, work, driver)?;
@@ -547,25 +560,76 @@ mod tests {
     }
 
     #[test]
-    fn plan_is_the_dynamic_choice() {
-        // Triangle 0-1-3 plus the edge 2-4. VF2 visits 0; then 1, the
-        // lowest unmapped node with a mapped neighbour (anchor 0); then 3
-        // (anchor 0, its lowest mapped neighbour, and a back edge to 1);
-        // then 2, the lowest unmapped node, with no anchor; then 4
-        // (anchor 2).
-        let p = LabeledGraph::from_parts(vec![0; 5], &[(0, 1), (1, 3), (3, 0), (2, 4)]);
+    fn plan_visits_the_most_constrained_node_first() {
+        // A 3-1-2-0 chain hung off a triangle 0-1-5, a leaf 8 on 0, a
+        // separate edge 6-7 and an isolated node 9. Labels: 3 is 1, 4 is 2,
+        // 8 and 9 are 3, the rest 0.
+        //
+        // 3 first: no node has a placed neighbour, 3 and 4 have the rarest
+        // labels, and 3 the higher degree. 4 beats 2 (one placed neighbour
+        // each) on rarity; 0 beats 5 after 1 on degree; 5 (two placed
+        // neighbours) beats the rarer 8 (one). Then two more components
+        // start: 9 (rarer label) before 6, and 6 before 7 on id.
+        let p = LabeledGraph::from_parts(
+            vec![0, 0, 0, 1, 2, 0, 0, 0, 3, 3],
+            &[
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (1, 5),
+                (0, 5),
+                (0, 8),
+                (6, 7),
+            ],
+        );
         let plan = Plan::build(&p);
         let order: Vec<NodeId> = plan.steps.iter().map(|s| s.node).collect();
-        assert_eq!(order, vec![0, 1, 3, 2, 4]);
+        assert_eq!(order, vec![3, 4, 2, 1, 0, 5, 8, 9, 6, 7]);
+        // The anchor is the earliest-placed neighbour: 5's are 1 (depth 3)
+        // and 0 (depth 4), so 0's edge is its one back edge.
         let anchors: Vec<Option<u32>> = plan.steps.iter().map(|s| s.anchor).collect();
-        assert_eq!(anchors, vec![None, Some(0), Some(0), None, Some(3)]);
+        assert_eq!(
+            anchors,
+            vec![
+                None,
+                Some(0),
+                Some(0),
+                Some(2),
+                Some(3),
+                Some(3),
+                Some(4),
+                None,
+                None,
+                Some(8)
+            ]
+        );
         let needs: Vec<u32> = plan.steps.iter().map(|s| s.need).collect();
-        assert_eq!(needs, vec![2, 1, 0, 1, 0]);
+        assert_eq!(needs, vec![2, 0, 1, 2, 2, 0, 0, 0, 1, 0]);
         let backs: Vec<&[u32]> = plan
             .steps
             .iter()
             .map(|s| &plan.back[s.back_lo as usize..s.back_hi as usize])
             .collect();
-        assert_eq!(backs, vec![&[][..], &[], &[1], &[], &[]]);
+        assert_eq!(
+            backs,
+            vec![&[][..], &[], &[], &[], &[], &[4], &[], &[], &[], &[]]
+        );
+    }
+
+    #[test]
+    fn a_root_tries_only_the_nodes_with_its_label() {
+        // One label-9 node (10) among twenty label-0 nodes on a path. The
+        // pattern 0-9-0 starts at its rarer label, 9: one root candidate,
+        // then two neighbours of 10 for each of its leaves (the second leaf
+        // finds 9 used and takes 11).
+        let mut labels = vec![0u32; 20];
+        labels[10] = 9;
+        let edges: Vec<(u32, u32)> = (0..19u32).map(|i| (i, i + 1)).collect();
+        let t = LabeledGraph::from_parts(labels, &edges);
+        let p = LabeledGraph::from_parts(vec![0, 9, 0], &[(0, 1), (1, 2)]);
+        let out = Vf2::new().contains_with(&p, &t, &MatchConfig::UNBOUNDED);
+        assert!(out.found);
+        assert_eq!(out.nodes_expanded, 4);
     }
 }

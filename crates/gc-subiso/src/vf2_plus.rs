@@ -5,15 +5,16 @@
 //! VF2+ in §7.1). The exact modifications are not published; the consensus
 //! improvements for labelled databases — ordering pattern vertices by label
 //! rarity in the target and strongest-connectivity-first (as in RI/VF3), and
-//! pruning with per-label neighbour counts — are implemented here. VF2+ is
-//! typically several times faster than vanilla VF2 on labelled graphs, which
-//! is the behaviour the paper's figures rely on.
+//! pruning with per-label neighbour counts — are implemented here. The
+//! paper's VF2+ is several times faster than its vanilla VF2 on labelled
+//! graphs. This crate's VF2 already orders by connectivity and by label
+//! rarity *in the pattern*; VF2+ differs in reading rarity in the target
+//! (a new order per target) and in its label-aware lookahead.
 
 use crate::common::{quick_reject, sorted_multiset_contained, Found, Work};
 use crate::vf2::Driver;
 use crate::{MatchConfig, MatchOutcome, Matcher};
 use gc_graph::{Label, LabeledGraph, NodeId};
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 /// The VF2+ matcher. Stateless; construct once and reuse freely.
@@ -91,21 +92,21 @@ fn run(
 }
 
 /// Static search plan: pattern-node visit order plus, for each position, an
-/// anchor (an earlier-ordered pattern neighbour) when one exists.
+/// anchor (an earlier-ordered pattern neighbour) when one exists. A node
+/// without one is tried against the target nodes carrying its label.
 struct Plan {
     order: Vec<NodeId>,
     anchor: Vec<Option<NodeId>>,
-    label_index: HashMap<Label, Vec<NodeId>>,
 }
 
 impl Plan {
     fn build(p: &LabeledGraph, t: &LabeledGraph) -> Plan {
-        // Target label frequencies: rare labels first.
-        let mut freq: HashMap<Label, u32> = HashMap::new();
-        for &l in t.labels() {
-            *freq.entry(l).or_insert(0) += 1;
-        }
-        let rarity = |u: NodeId| freq.get(&p.label(u)).copied().unwrap_or(0);
+        // Label frequencies in the target: rare labels first.
+        let freq: Vec<usize> = p
+            .nodes()
+            .map(|u| t.nodes_with_label(p.label(u)).len())
+            .collect();
+        let rarity = |u: NodeId| freq[u as usize];
 
         let n = p.node_count();
         let mut order: Vec<NodeId> = Vec::with_capacity(n);
@@ -136,16 +137,7 @@ impl Plan {
                 connectivity[w as usize] += 1;
             }
         }
-
-        let mut label_index: HashMap<Label, Vec<NodeId>> = HashMap::new();
-        for v in t.nodes() {
-            label_index.entry(t.label(v)).or_default().push(v);
-        }
-        Plan {
-            order,
-            anchor,
-            label_index,
-        }
+        Plan { order, anchor }
     }
 }
 
@@ -195,7 +187,7 @@ impl State<'_> {
         );
         self.p_labels.sort_unstable();
         self.t_labels.sort_unstable();
-        sorted_multiset_contained(&self.p_labels, &self.t_labels)
+        sorted_multiset_contained(self.p_labels.iter().copied(), self.t_labels.iter().copied())
     }
 }
 
@@ -227,14 +219,13 @@ fn search(
             }
         }
         None => {
-            if let Some(cands) = st.plan.label_index.get(&st.p.label(u)) {
-                #[allow(clippy::needless_range_loop)]
-                for i in 0..cands.len() {
-                    let v = cands[i];
-                    work.step()?;
-                    if st.feasible(u, v) {
-                        descend(st, depth, u, v, work, driver)?;
-                    }
+            let cands = st.t.nodes_with_label(st.p.label(u));
+            #[allow(clippy::needless_range_loop)]
+            for i in 0..cands.len() {
+                let v = cands[i];
+                work.step()?;
+                if st.feasible(u, v) {
+                    descend(st, depth, u, v, work, driver)?;
                 }
             }
         }
