@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gc_core::pruner::{prune, HitAnswer};
-use gc_core::{CostModel, GraphCache};
+use gc_core::GraphCache;
 use gc_graph::GraphId;
 use gc_methods::MethodBuilder;
 use gc_workload::{datasets, generate_type_a, TypeAConfig};
@@ -20,7 +20,6 @@ fn bench_query_path(c: &mut Criterion) {
             let cache = GraphCache::builder()
                 .capacity(50)
                 .window(10)
-                .cost_model(CostModel::Work)
                 .build(MethodBuilder::ggsx().build(&d));
             let mut answers = 0usize;
             for _ in 0..3 {
@@ -36,7 +35,6 @@ fn bench_query_path(c: &mut Criterion) {
             let cache = GraphCache::builder()
                 .capacity(50)
                 .window(10)
-                .cost_model(CostModel::Work)
                 .build(MethodBuilder::ggsx().build(&d));
             let mut answers = 0usize;
             for q in misses.graphs() {

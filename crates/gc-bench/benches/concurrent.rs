@@ -7,7 +7,7 @@
 //! only the query replay itself is measured.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use gc_core::{CostModel, GraphCache, QueryRequest};
+use gc_core::{GraphCache, QueryRequest};
 use gc_methods::MethodBuilder;
 use gc_workload::{datasets, generate_type_a, TypeAConfig};
 
@@ -28,7 +28,6 @@ fn bench_run_batch(c: &mut Criterion) {
                             .capacity(50)
                             .window(10)
                             .threads(threads)
-                            .cost_model(CostModel::Work)
                             .build(MethodBuilder::ggsx().build(&d));
                         let requests: Vec<QueryRequest> =
                             workload.graphs().map(QueryRequest::from).collect();
@@ -66,7 +65,6 @@ fn bench_shared_handle_threads(c: &mut Criterion) {
                             .capacity(50)
                             .window(10)
                             .shards(threads) // one per client thread
-                            .cost_model(CostModel::Work)
                             .build(MethodBuilder::ggsx().build(&d))
                     },
                     |cache| {

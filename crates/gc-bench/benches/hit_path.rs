@@ -26,7 +26,7 @@ use gc_graph::zipf::ZipfSampler;
 use gc_graph::{GraphId, LabeledGraph};
 use gc_index::paths::enumerate_paths;
 use gc_methods::QueryKind;
-use gc_subiso::{MatchConfig, Vf2};
+use gc_subiso::Vf2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -108,13 +108,7 @@ fn sweep(
 }
 
 fn run_naive(snap: &CacheSnapshot, q: &LabeledGraph) -> (u64, u64, usize) {
-    let h = find_hits_naive(
-        snap,
-        q,
-        QueryKind::Subgraph,
-        &Vf2::new(),
-        &MatchConfig::UNBOUNDED,
-    );
+    let h = find_hits_naive(snap, q, QueryKind::Subgraph, &Vf2::new());
     (h.tests, h.work, h.sub.len() + h.super_.len())
 }
 
@@ -124,7 +118,6 @@ fn run_opts(snap: &CacheSnapshot, q: &LabeledGraph, opts: &VerifyOptions) -> (u6
         snap,
         &HitQuery::new(q, QueryKind::Subgraph, &profile),
         &Vf2::new(),
-        &MatchConfig::UNBOUNDED,
         opts,
     );
     (h.tests, h.work, h.sub.len() + h.super_.len())

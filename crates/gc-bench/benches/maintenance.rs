@@ -30,9 +30,7 @@
 //! be well over 5x faster than the full rebuild.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use gc_core::{
-    shard_for, CacheEntry, CacheSnapshot, CostModel, GraphCache, QueryIndexConfig, Shard,
-};
+use gc_core::{shard_for, CacheEntry, CacheSnapshot, GraphCache, QueryIndexConfig, Shard};
 use gc_graph::{GraphDataset, GraphId, LabeledGraph};
 use gc_index::paths::enumerate_paths;
 use gc_methods::{MethodBuilder, QueryKind};
@@ -91,7 +89,6 @@ fn cache_before_round(size: u64, delta: u64) -> GraphCache {
         .window(delta as usize)
         .shards(SHARDS)
         .verify_budget(0)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&dataset));
     for serial in 1..size + delta {
         cache.run(&seeded_graph(serial.wrapping_mul(0x9E37_79B9)));

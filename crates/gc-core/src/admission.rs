@@ -4,11 +4,17 @@
 //! GraphCache's cache can get *polluted* by inexpensive queries: the cache
 //! then mostly accelerates queries that were cheap anyway and overall
 //! speedup collapses toward 1. The paper's countermeasure scores each
-//! executed query with an **expensiveness** value — the ratio of its
-//! verification time over its filtering time — and only admits queries
+//! executed query with an **expensiveness** value and only admits queries
 //! scoring above a threshold. The threshold is calibrated from the first
 //! few windows so that a predefined percentage of queries classify as
 //! expensive; a threshold of 0 disables the mechanism.
+//!
+//! The paper's expensiveness is verification time over filtering time.
+//! The cache scores a query by the matcher work its verification spent
+//! ([`QueryRecord::verify_work`](crate::QueryRecord::verify_work)): the
+//! paper notes filtering time is "relatively constant across queries", so
+//! dropping the denominator keeps the ranking, and a work count makes every
+//! admission decision a pure function of the queries, on any machine.
 //!
 //! Three strategies ship built in, all registered in [`crate::registry`]:
 //! [`AdmitAll`] (`"none"`), the paper's calibrated-threshold
@@ -62,11 +68,9 @@ impl AdmissionPolicy for AdmitAll {
     }
 }
 
-/// Configuration of the admission control mechanism.
+/// Configuration of the calibrated admission threshold.
 #[derive(Debug, Clone, Copy)]
 pub struct AdmissionConfig {
-    /// Master switch ("C" vs "C + AC" in Fig. 9).
-    pub enabled: bool,
     /// How many windows of queries to observe before fixing the threshold.
     pub calibration_windows: usize,
     /// Fraction of observed queries that should classify as expensive
@@ -77,19 +81,8 @@ pub struct AdmissionConfig {
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
-            enabled: false,
             calibration_windows: 3,
             target_expensive_fraction: 0.25,
-        }
-    }
-}
-
-impl AdmissionConfig {
-    /// Admission control enabled with the default calibration.
-    pub fn enabled() -> Self {
-        AdmissionConfig {
-            enabled: true,
-            ..Default::default()
         }
     }
 }
@@ -118,7 +111,7 @@ impl AdmissionControl {
     /// Feeds one query's expensiveness score (called for every executed
     /// query while calibrating).
     pub fn observe(&mut self, expensiveness: f64) {
-        if self.cfg.enabled && self.threshold.is_none() && expensiveness.is_finite() {
+        if self.threshold.is_none() && expensiveness.is_finite() {
             self.observed.push(expensiveness);
         }
     }
@@ -126,7 +119,7 @@ impl AdmissionControl {
     /// Marks the end of a window; fixes the threshold once enough windows
     /// have been observed.
     pub fn end_window(&mut self) {
-        if !self.cfg.enabled || self.threshold.is_some() {
+        if self.threshold.is_some() {
             return;
         }
         self.windows_seen += 1;
@@ -146,13 +139,10 @@ impl AdmissionControl {
     }
 
     /// Whether a query with this expensiveness may enter the cache.
-    /// Disabled or still-calibrating controllers admit everything; a
-    /// calibrated threshold of 0 also admits everything (paper: "a
-    /// threshold value of 0 disables this component").
+    /// A still-calibrating controller admits everything; a calibrated
+    /// threshold of 0 also admits everything (paper: "a threshold value of
+    /// 0 disables this component").
     pub fn admits(&self, expensiveness: f64) -> bool {
-        if !self.cfg.enabled {
-            return true;
-        }
         match self.threshold {
             None => true,
             Some(t) => t == 0.0 || expensiveness >= t,
@@ -311,45 +301,13 @@ impl AdmissionPolicy for AdaptiveAdmission {
     }
 }
 
-/// How GraphCache quantifies a query's cost when computing expensiveness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CostModel {
-    /// Wall-clock verification time over wall-clock filtering time — the
-    /// paper's definition. Nondeterministic across machines/runs.
-    #[default]
-    WallTime,
-    /// Deterministic proxy: matcher work (recursion steps) spent verifying.
-    /// The paper notes filtering time is "relatively constant across
-    /// queries", so dropping the denominator preserves the ranking; tests
-    /// use this to be reproducible.
-    Work,
-}
-
-impl CostModel {
-    /// Computes the expensiveness score from a query's raw measurements.
-    pub fn expensiveness(self, filter_time_us: f64, verify_time_us: f64, verify_work: u64) -> f64 {
-        match self {
-            CostModel::WallTime => verify_time_us / filter_time_us.max(1e-3),
-            CostModel::Work => verify_work as f64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn disabled_admits_everything() {
-        let ac = AdmissionControl::new(AdmissionConfig::default());
-        assert!(ac.admits(0.0));
-        assert!(ac.admits(1e9));
-        assert!(ac.threshold().is_none());
-    }
-
-    #[test]
     fn admits_all_during_calibration() {
-        let mut ac = AdmissionControl::new(AdmissionConfig::enabled());
+        let mut ac = AdmissionControl::new(AdmissionConfig::default());
         ac.observe(1.0);
         ac.end_window();
         assert!(ac.admits(0.0), "still calibrating");
@@ -358,7 +316,6 @@ mod tests {
     #[test]
     fn threshold_fixed_after_calibration() {
         let cfg = AdmissionConfig {
-            enabled: true,
             calibration_windows: 2,
             target_expensive_fraction: 0.25,
         };
@@ -382,7 +339,6 @@ mod tests {
     #[test]
     fn zero_threshold_disables() {
         let cfg = AdmissionConfig {
-            enabled: true,
             calibration_windows: 1,
             target_expensive_fraction: 0.5,
         };
@@ -398,7 +354,6 @@ mod tests {
     #[test]
     fn observations_stop_after_calibration() {
         let cfg = AdmissionConfig {
-            enabled: true,
             calibration_windows: 1,
             target_expensive_fraction: 0.5,
         };
@@ -414,7 +369,6 @@ mod tests {
     #[test]
     fn non_finite_observations_ignored() {
         let cfg = AdmissionConfig {
-            enabled: true,
             calibration_windows: 1,
             target_expensive_fraction: 0.5,
         };
@@ -429,7 +383,6 @@ mod tests {
     #[test]
     fn adaptive_calibrates_then_adapts() {
         let cfg = AdmissionConfig {
-            enabled: true,
             calibration_windows: 1,
             target_expensive_fraction: 0.5,
         };
@@ -457,18 +410,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_disabled_is_permissive() {
-        let mut ad = AdaptiveAdmission::new(AdmissionConfig::default());
-        ad.observe(1.0, 1.0);
-        ad.end_window();
-        assert!(ad.admits(0.0));
-        assert!(ad.threshold().is_none());
-    }
-
-    #[test]
     fn adaptive_step_converges() {
         let cfg = AdmissionConfig {
-            enabled: true,
             calibration_windows: 1,
             target_expensive_fraction: 0.5,
         };
@@ -508,7 +451,6 @@ mod tests {
     #[test]
     fn trait_dispatch_matches_inherent_api() {
         let cfg = AdmissionConfig {
-            enabled: true,
             calibration_windows: 1,
             target_expensive_fraction: 0.5,
         };
@@ -527,15 +469,5 @@ mod tests {
         assert_eq!(boxed.name(), "threshold");
         let adaptive: &dyn AdmissionPolicy = &AdaptiveAdmission::new(cfg);
         assert_eq!(adaptive.name(), "adaptive", "adaptive registry name");
-    }
-
-    #[test]
-    fn cost_models() {
-        let wall = CostModel::WallTime.expensiveness(10.0, 100.0, 7);
-        assert!((wall - 10.0).abs() < 1e-9);
-        let work = CostModel::Work.expensiveness(10.0, 100.0, 7);
-        assert_eq!(work, 7.0);
-        // Zero filter time is guarded.
-        assert!(CostModel::WallTime.expensiveness(0.0, 5.0, 0).is_finite());
     }
 }

@@ -6,12 +6,12 @@
 //! Handles are cheaply cloneable — every clone shares the same cache
 //! stores, statistics and Window.
 
-use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionPolicy, CostModel};
+use crate::admission::AdmissionPolicy;
 use crate::entry::CacheEntry;
 use crate::fragments::FragmentState;
 use crate::invariants::{ensure, InvariantClause, InvariantViolation};
 use crate::metrics::{MaintStats, QueryRecord};
-use crate::policy::{EvictionPolicy, PolicyKind};
+use crate::policy::EvictionPolicy;
 use crate::processors;
 use crate::pruner::{self, HitAnswer, PruneOutcome};
 use crate::query_index::QueryIndexConfig;
@@ -23,14 +23,16 @@ use gc_graph::{idset, GraphId, LabeledGraph};
 use gc_index::fingerprint::iso_hash;
 use gc_index::paths::PathProfile;
 use gc_methods::{Method, QueryKind};
-use gc_subiso::{cost, MatchConfig};
+use gc_subiso::cost;
 use parking_lot::Mutex;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Tunable parameters of a [`GraphCache`] instance. Defaults mirror the
-/// paper's evaluation setup (§7.1): C = 100, W = 20, HD replacement,
-/// admission control off.
+/// paper's evaluation setup (§7.1): C = 100, W = 20. The replacement and
+/// admission policies are picked by registry name on the builder
+/// ([`GraphCacheBuilder::eviction`], default `"hd"`;
+/// [`GraphCacheBuilder::admission`], default `"none"`).
 #[derive(Debug, Clone, Copy)]
 pub struct GcConfig {
     /// Cache capacity C in entries (paper default: 100).
@@ -47,30 +49,19 @@ pub struct GcConfig {
     /// The builder clamps this to at least 1 (see
     /// [`GraphCacheBuilder::window`]); `window == 0` is unsupported.
     pub window: usize,
-    /// Replacement policy (paper recommendation: HD).
-    pub policy: PolicyKind,
-    /// Admission control configuration (paper default: disabled).
-    pub admission: AdmissionConfig,
     /// Subgraph or supergraph query semantics. Individual requests may
     /// override this per query ([`QueryRequest::kind`]).
     pub query_kind: QueryKind,
-    /// How expensiveness is computed (wall time vs deterministic work).
-    pub cost_model: CostModel,
-    /// Query index configuration.
-    pub index: QueryIndexConfig,
-    /// Search limits for cache-hit verification tests. Individual requests
-    /// may override this per query ([`QueryRequest::hit_match`]).
-    pub hit_match: MatchConfig,
-    /// Shared verification work pool per query: hit-candidate tests are
-    /// verified cheapest-first and each deducts its matcher work
-    /// (`nodes_expanded`) from this pool; when it runs dry the sweep stops
-    /// with a partial (still sound) hit set and the query is marked
-    /// [`truncated`](crate::QueryRecord::truncated). Unlike
-    /// [`hit_match`](Self::hit_match), which bounds each *individual*
-    /// test, this caps the query's total hit-detection spend so one
-    /// candidate-heavy query cannot burn more matcher work than a cache
-    /// hit could ever save (paper §5). `None` = unbounded. Individual
-    /// requests may override this ([`QueryRequest::verify_budget`]).
+    /// Shared verification work pool per query — the one bound on hit
+    /// verification: hit-candidate tests are verified cheapest-first, each
+    /// is clipped to what is left of the pool and deducts its matcher work
+    /// (`nodes_expanded`); when it runs dry the sweep stops with a partial
+    /// (still sound) hit set and the query is marked
+    /// [`truncated`](crate::QueryRecord::truncated). It caps the query's
+    /// total hit-detection spend so one candidate-heavy query cannot burn
+    /// more matcher work than a cache hit could ever save (paper §5).
+    /// `None` = unbounded. Individual requests may override this
+    /// ([`QueryRequest::verify_budget`]).
     pub verify_budget: Option<u64>,
     /// Run the Window Manager on a background thread (the paper's design);
     /// `false` runs maintenance inline for deterministic tests.
@@ -105,12 +96,7 @@ impl Default for GcConfig {
         GcConfig {
             capacity: 100,
             window: 20,
-            policy: PolicyKind::Hd,
-            admission: AdmissionConfig::default(),
             query_kind: QueryKind::Subgraph,
-            cost_model: CostModel::WallTime,
-            index: QueryIndexConfig::default(),
-            hit_match: MatchConfig::UNBOUNDED,
             verify_budget: None,
             background: false,
             threads: 1,
@@ -121,48 +107,18 @@ impl Default for GcConfig {
     }
 }
 
-/// How the builder selects the admission strategy: an explicit
-/// [`AdmissionConfig`] (the original API) or a registry spec string such as
-/// `"adaptive"` or `"threshold:windows=2"`. Both convert via [`From`], so
-/// [`GraphCacheBuilder::admission`] accepts either directly.
-#[derive(Debug, Clone)]
-pub enum AdmissionSpec {
-    /// Configure the paper's calibrated-threshold controller directly.
-    Config(AdmissionConfig),
-    /// Resolve a policy by name through [`crate::registry`].
-    Named(String),
-}
-
-impl From<AdmissionConfig> for AdmissionSpec {
-    fn from(cfg: AdmissionConfig) -> Self {
-        AdmissionSpec::Config(cfg)
-    }
-}
-
-impl From<&str> for AdmissionSpec {
-    fn from(spec: &str) -> Self {
-        AdmissionSpec::Named(spec.to_string())
-    }
-}
-
-impl From<String> for AdmissionSpec {
-    fn from(spec: String) -> Self {
-        AdmissionSpec::Named(spec)
-    }
-}
-
 /// Builder for [`GraphCache`].
 ///
-/// Policies are picked either through the typed setters
-/// ([`policy`](Self::policy) / [`admission`](Self::admission) with an
-/// [`AdmissionConfig`]) or by registry name
-/// ([`eviction`](Self::eviction) / [`admission`](Self::admission) with a
-/// spec string). Name resolution happens at build time:
-/// [`try_build`](Self::try_build) surfaces unknown names as a
+/// Policies are picked by registry spec string
+/// ([`eviction`](Self::eviction), [`admission`](Self::admission),
+/// [`fragment_eviction`](Self::fragment_eviction)); a custom policy is
+/// registered first with [`registry::register_eviction`] or
+/// [`registry::register_admission`]. Name resolution happens at build
+/// time: [`try_build`](Self::try_build) surfaces unknown names as a
 /// [`PolicyError`], while [`build`](Self::build) panics on them.
 ///
 /// ```
-/// use gc_core::{CostModel, GraphCache};
+/// use gc_core::GraphCache;
 /// use gc_graph::{GraphDataset, LabeledGraph};
 /// use gc_methods::MethodBuilder;
 ///
@@ -176,7 +132,6 @@ impl From<String> for AdmissionSpec {
 ///     .window(10)
 ///     .eviction("gcr")
 ///     .admission("adaptive")
-///     .cost_model(CostModel::Work) // deterministic counters
 ///     .try_build(method)
 ///     .expect("policy names resolve");
 /// assert_eq!(cache.eviction_name(), "hd"); // "gcr" is the paper's alias for HD
@@ -213,16 +168,8 @@ impl GraphCacheBuilder {
         self
     }
 
-    /// Replacement policy by [`PolicyKind`] (the paper's §6.3 strategies).
-    /// Overrides any earlier [`eviction`](Self::eviction) spec: the last
-    /// policy selection wins.
-    pub fn policy(mut self, p: PolicyKind) -> Self {
-        self.cfg.policy = p;
-        self.eviction_spec = None;
-        self
-    }
-
-    /// Replacement policy by registry name, e.g. `.eviction("gcr")`,
+    /// Replacement policy by registry name (default `"hd"`, the paper's
+    /// recommendation), e.g. `.eviction("gcr")`,
     /// `.eviction("slru:protected=0.5")`. Any name in [`crate::registry`]
     /// — built-in or registered by the application — is accepted; the name
     /// is resolved at build time ([`try_build`](Self::try_build) reports
@@ -232,41 +179,18 @@ impl GraphCacheBuilder {
         self
     }
 
-    /// Admission strategy: either an [`AdmissionConfig`] (the paper's
-    /// calibrated threshold, as before) or a registry name such as
-    /// `.admission("adaptive")`. See [`AdmissionSpec`].
-    pub fn admission(mut self, a: impl Into<AdmissionSpec>) -> Self {
-        match a.into() {
-            AdmissionSpec::Config(cfg) => {
-                self.cfg.admission = cfg;
-                self.admission_spec = None;
-            }
-            AdmissionSpec::Named(spec) => self.admission_spec = Some(spec),
-        }
+    /// Admission policy by registry name (default `"none"`: admit every
+    /// miss), e.g. `.admission("adaptive")` or the paper's calibrated
+    /// threshold, `.admission("threshold:windows=3,fraction=0.25")`.
+    /// Resolved at build time like [`eviction`](Self::eviction).
+    pub fn admission(mut self, spec: impl Into<String>) -> Self {
+        self.admission_spec = Some(spec.into());
         self
     }
 
     /// Query semantics (subgraph vs supergraph).
     pub fn query_kind(mut self, k: QueryKind) -> Self {
         self.cfg.query_kind = k;
-        self
-    }
-
-    /// Expensiveness cost model.
-    pub fn cost_model(mut self, m: CostModel) -> Self {
-        self.cfg.cost_model = m;
-        self
-    }
-
-    /// Query-index configuration.
-    pub fn index(mut self, cfg: QueryIndexConfig) -> Self {
-        self.cfg.index = cfg;
-        self
-    }
-
-    /// Budget for cache-hit verification tests.
-    pub fn hit_match(mut self, cfg: MatchConfig) -> Self {
-        self.cfg.hit_match = cfg;
         self
     }
 
@@ -343,21 +267,15 @@ impl GraphCacheBuilder {
     }
 
     /// Builds the cache, reporting unresolvable policy specs as a
-    /// [`PolicyError`] (whose message lists the available names).
+    /// [`PolicyError`] (whose message lists the available names). Unset
+    /// specs resolve to their defaults through the registry: `"hd"`,
+    /// `"none"`, and `"lru"` for the fragment store.
     pub fn try_build(self, method: Method) -> Result<GraphCache, PolicyError> {
-        let eviction: Box<dyn EvictionPolicy> = match &self.eviction_spec {
-            Some(spec) => registry::build_eviction(spec)?,
-            None => Box::new(self.cfg.policy),
-        };
-        let admission: Box<dyn AdmissionPolicy> = match &self.admission_spec {
-            Some(spec) => registry::build_admission(spec)?,
-            None => Box::new(AdmissionControl::new(self.cfg.admission)),
-        };
-        let fragment_eviction: Option<Box<dyn EvictionPolicy>> = match &self.fragment_eviction_spec
-        {
-            Some(spec) => Some(registry::build_eviction(spec)?),
-            None => None,
-        };
+        let eviction = registry::build_eviction(self.eviction_spec.as_deref().unwrap_or("hd"))?;
+        let admission =
+            registry::build_admission(self.admission_spec.as_deref().unwrap_or("none"))?;
+        let fragment_eviction =
+            registry::build_eviction(self.fragment_eviction_spec.as_deref().unwrap_or("lru"))?;
         Ok(GraphCache::assemble(
             method,
             self.cfg,
@@ -401,9 +319,6 @@ pub struct QueryRequest {
     pub graph: Arc<LabeledGraph>,
     /// Per-query override of [`GcConfig::query_kind`].
     pub kind: Option<QueryKind>,
-    /// Per-query override of the hit-verification budget
-    /// ([`GcConfig::hit_match`]).
-    pub hit_match: Option<MatchConfig>,
     /// Per-query override of the shared verification work pool
     /// ([`GcConfig::verify_budget`]).
     pub verify_budget: Option<u64>,
@@ -444,7 +359,6 @@ impl QueryRequest {
         QueryRequest {
             graph: graph.into(),
             kind: None,
-            hit_match: None,
             verify_budget: None,
             max_hits: None,
             bypass_cache: false,
@@ -457,12 +371,6 @@ impl QueryRequest {
     /// Overrides the query direction for this request only.
     pub fn kind(mut self, kind: QueryKind) -> Self {
         self.kind = Some(kind);
-        self
-    }
-
-    /// Overrides the hit-verification search budget for this request only.
-    pub fn hit_match(mut self, cfg: MatchConfig) -> Self {
-        self.hit_match = Some(cfg);
         self
     }
 
@@ -532,7 +440,6 @@ impl From<&LabeledGraph> for QueryRequest {
 #[derive(Debug, Clone, Default)]
 struct RunOverrides {
     kind: Option<QueryKind>,
-    hit_match: Option<MatchConfig>,
     verify_budget: Option<u64>,
     max_hits: Option<usize>,
     deadline: Option<Instant>,
@@ -678,54 +585,22 @@ impl GraphCache {
         GraphCacheBuilder::default()
     }
 
-    /// Creates a cache with an explicit configuration; the replacement and
-    /// admission policies come from the config's [`PolicyKind`] and
-    /// [`AdmissionConfig`] fields.
-    pub fn with_config(method: Method, cfg: GcConfig) -> Self {
-        GraphCache::with_policies(
-            method,
-            cfg,
-            Box::new(cfg.policy),
-            Box::new(AdmissionControl::new(cfg.admission)),
-        )
-    }
-
-    /// Creates a cache with explicitly constructed policy objects —
-    /// the escape hatch for strategies not in [`crate::registry`].
-    /// ([`GraphCacheBuilder`] covers the common paths: `policy`/`eviction`
-    /// and `admission`.)
-    pub fn with_policies(
-        method: Method,
-        cfg: GcConfig,
-        eviction: Box<dyn EvictionPolicy>,
-        admission: Box<dyn AdmissionPolicy>,
-    ) -> Self {
-        // The fragment store defaults to LRU here; pick a different
-        // fragment policy through the builder's `fragment_eviction`.
-        GraphCache::assemble(method, cfg, eviction, admission, None)
-    }
-
-    /// The one true constructor: every public construction path funnels
-    /// here. A `None` fragment policy means "LRU if the fragment layer is
-    /// on"; the layer itself is only instantiated when `cfg.fragments`
-    /// asks for it.
+    /// The one constructor, behind [`GraphCacheBuilder::try_build`]. The
+    /// fragment layer is only instantiated when `cfg.fragments` asks for
+    /// it.
     fn assemble(
         method: Method,
         cfg: GcConfig,
         eviction: Box<dyn EvictionPolicy>,
         admission: Box<dyn AdmissionPolicy>,
-        fragment_eviction: Option<Box<dyn EvictionPolicy>>,
+        fragment_eviction: Box<dyn EvictionPolicy>,
     ) -> Self {
         let method = Arc::new(method);
-        let fragments = cfg.fragments.then(|| {
-            FragmentState::new(
-                cfg.fragment,
-                method.clone(),
-                fragment_eviction.unwrap_or_else(|| Box::new(PolicyKind::Lru)),
-            )
-        });
+        let fragments = cfg
+            .fragments
+            .then(|| FragmentState::new(cfg.fragment, method.clone(), fragment_eviction));
         let shared = Arc::new(Shared::new(
-            cfg.index,
+            QueryIndexConfig::default(),
             effective_shards(&cfg),
             eviction,
             admission,
@@ -768,7 +643,7 @@ impl GraphCache {
         self.shared.eviction.lock().name().to_string()
     }
 
-    /// The active admission policy's registry name (e.g. `"threshold"`).
+    /// The active admission policy's registry name (e.g. `"none"`).
     pub fn admission_name(&self) -> String {
         self.shared.admission.lock().name().to_string()
     }
@@ -991,8 +866,8 @@ impl GraphCache {
                     })
                     .unwrap_or_default(),
                 profiles: Some(crate::persist::StoredProfiles {
-                    max_path_len: self.cfg.index.max_path_len,
-                    work_cap: self.cfg.index.work_cap,
+                    max_path_len: self.shared.index_cfg.max_path_len,
+                    work_cap: self.shared.index_cfg.work_cap,
                     profiles: snapshot.iter_entries().map(|e| e.profile.clone()).collect(),
                 }),
             }
@@ -1055,7 +930,7 @@ impl GraphCache {
         // The persisted format carries no shard layout: entries are
         // re-routed into this instance's shard count on load.
         let (snapshot, stats, next_serial) =
-            loaded.into_snapshot_sharded(self.cfg.index, self.shared.shards.len());
+            loaded.into_snapshot_sharded(self.shared.index_cfg, self.shared.shards.len());
         // Drain queued background batches so none of them (built from the
         // pre-restore snapshot) lands after our swap.
         self.flush_pending();
@@ -1221,7 +1096,6 @@ impl GraphCache {
                 &request.graph,
                 RunOverrides {
                     kind: request.kind,
-                    hit_match: request.hit_match,
                     verify_budget: request.verify_budget,
                     max_hits: request.max_hits,
                     deadline: request
@@ -1289,7 +1163,6 @@ impl GraphCache {
     fn run_overridden(&self, query: &Arc<LabeledGraph>, ov: RunOverrides) -> QueryResult {
         let serial = self.shared.next_serial();
         let kind = ov.kind.unwrap_or(self.cfg.query_kind);
-        let hit_match = ov.hit_match.unwrap_or(self.cfg.hit_match);
         let opts = processors::VerifyOptions {
             budget: ov.verify_budget.or(self.cfg.verify_budget),
             max_hits: ov.max_hits,
@@ -1317,15 +1190,8 @@ impl GraphCache {
             let t_gc = Instant::now();
             let snapshot = self.shared.load_snapshot();
             let fingerprint = iso_hash(query);
-            let probe = processors::exact_probe(
-                &snapshot,
-                query,
-                kind,
-                fingerprint,
-                matcher,
-                &hit_match,
-                &opts,
-            );
+            let probe =
+                processors::exact_probe(&snapshot, query, kind, fingerprint, matcher, &opts);
             if let Some(entry) = probe.hits.exact.and_then(|s| snapshot.entry(s)) {
                 // First special case: an isomorphic cached query answers
                 // instantly.
@@ -1354,8 +1220,7 @@ impl GraphCache {
                     profile: &profile,
                     fingerprint,
                 };
-                let hits =
-                    processors::sweep(&snapshot, &hit_query, probe, matcher, &hit_match, &opts);
+                let hits = processors::sweep(&snapshot, &hit_query, probe, matcher, &opts);
                 let mut record = hit_record(serial, t_gc, &hits);
                 if hits.deadline_exceeded {
                     return deadline_abort(serial, record);
@@ -1610,20 +1475,12 @@ impl GraphCache {
         }
     }
 
-    /// An executed query's expensiveness score under the configured cost
-    /// model (§6.2).
-    fn cost_of(&self, record: &QueryRecord) -> f64 {
-        let filter_us = (record.m_filter + record.gc_filter).as_secs_f64() * 1e6;
-        let verify_us = record.verify.as_secs_f64() * 1e6;
-        self.cfg
-            .cost_model
-            .expensiveness(filter_us, verify_us, record.verify_work)
-    }
-
     /// Feeds one executed query — exact hit or miss — to the admission
-    /// policy, as [`AdmissionPolicy::observe`] promises.
+    /// policy, as [`AdmissionPolicy::observe`] promises. Its expensiveness
+    /// (§6.2) is the matcher work Method M's verification spent on it
+    /// (see [`crate::admission`]).
     fn observe_admission(&self, record: &QueryRecord) {
-        let expensiveness = self.cost_of(record);
+        let expensiveness = record.verify_work as f64;
         // Benefit signal for adaptive admission policies: how much work the
         // cache saved this query. Exact hits avoid the entire verification
         // (proxied by the answer size); otherwise it is the candidate-set
@@ -1647,7 +1504,7 @@ impl GraphCache {
         answer: &[GraphId],
         record: &QueryRecord,
     ) -> Duration {
-        let expensiveness = self.cost_of(record);
+        let expensiveness = record.verify_work as f64;
         // The entry is assembled before taking the window lock so the
         // critical section is a bare Vec push — concurrent queries must
         // not convoy on copy work that needs no synchronisation.
@@ -1721,11 +1578,7 @@ mod tests {
 
     fn cache() -> GraphCache {
         let method = MethodBuilder::ggsx().build(&dataset());
-        GraphCache::builder()
-            .capacity(10)
-            .window(2)
-            .cost_model(CostModel::Work)
-            .build(method)
+        GraphCache::builder().capacity(10).window(2).build(method)
     }
 
     #[test]
@@ -1800,11 +1653,7 @@ mod tests {
     #[test]
     fn cache_capacity_bounded() {
         let method = MethodBuilder::ggsx().build(&dataset());
-        let gc = GraphCache::builder()
-            .capacity(3)
-            .window(1)
-            .cost_model(CostModel::Work)
-            .build(method);
+        let gc = GraphCache::builder().capacity(3).window(1).build(method);
         for i in 0..10u32 {
             // Distinct queries (varying labels) to avoid exact hits.
             let q = path_graph(&[i % 4, (i + 1) % 4]);
@@ -1841,12 +1690,10 @@ mod tests {
         let inline = GraphCache::builder()
             .capacity(5)
             .window(2)
-            .cost_model(CostModel::Work)
             .build(MethodBuilder::ggsx().build(&d));
         let bg = GraphCache::builder()
             .capacity(5)
             .window(2)
-            .cost_model(CostModel::Work)
             .background(true)
             .build(MethodBuilder::ggsx().build(&d));
         for q in &queries {
@@ -1868,7 +1715,6 @@ mod tests {
             .capacity(10)
             .window(2)
             .query_kind(QueryKind::Supergraph)
-            .cost_model(CostModel::Work)
             .build(method);
         // Big query containing the 3-3 edge graph (graph id 3).
         let queries = [
@@ -1899,11 +1745,7 @@ mod tests {
     #[test]
     fn memory_accounting_includes_pending_window() {
         let method = MethodBuilder::ggsx().build(&dataset());
-        let gc = GraphCache::builder()
-            .capacity(10)
-            .window(10)
-            .cost_model(CostModel::Work)
-            .build(method);
+        let gc = GraphCache::builder().capacity(10).window(10).build(method);
         let before = gc.memory_bytes();
         gc.run(&path_graph(&[0, 1]));
         assert_eq!(gc.window_len(), 1, "query still pending in the window");
@@ -1921,7 +1763,6 @@ mod tests {
         let gc = GraphCache::builder()
             .capacity(10)
             .window(2)
-            .cost_model(CostModel::Work)
             .build(MethodBuilder::si_vf2().build(&d));
         // Cache-wide default is Subgraph; this request flips direction.
         let q = path_graph(&[3, 3, 3]);
@@ -1964,7 +1805,6 @@ mod tests {
             .capacity(10)
             .window(2)
             .threads(4)
-            .cost_model(CostModel::Work)
             .build(MethodBuilder::ggsx().build(&d));
         let queries: Vec<LabeledGraph> = (0..24)
             .map(|i| match i % 4 {
@@ -2013,7 +1853,6 @@ mod tests {
             .capacity(10)
             .window(1)
             .fragments(true)
-            .cost_model(CostModel::Work)
             .build(MethodBuilder::si_vf2().build(&d));
         // q1 populates the fragment store on its maintenance round.
         let q1 = path_graph(&[0, 1, 0, 1]);
@@ -2054,7 +1893,6 @@ mod tests {
             .capacity(64)
             .window(window)
             .shards(4)
-            .cost_model(CostModel::Work)
             .build(MethodBuilder::ggsx().build(&dataset()))
     }
 
@@ -2232,6 +2070,16 @@ mod tests {
         );
     }
 
+    /// The defaults resolve through the registry like any spec: HD
+    /// replacement, every miss admitted.
+    #[test]
+    fn default_policies_are_hd_and_admit_all() {
+        let gc = GraphCache::builder().build(MethodBuilder::ggsx().build(&dataset()));
+        assert_eq!(gc.eviction_name(), "hd");
+        assert_eq!(gc.admission_name(), "none");
+        assert_eq!(gc.admission_threshold(), None);
+    }
+
     #[test]
     fn defaults_do_not_read_the_machine() {
         assert_eq!(GcConfig::default().threads, 1);
@@ -2292,11 +2140,7 @@ mod tests {
     #[test]
     fn first_sight_duplicates_in_one_window_admit_once() {
         let method = MethodBuilder::ggsx().build(&dataset());
-        let gc = GraphCache::builder()
-            .capacity(10)
-            .window(3)
-            .cost_model(CostModel::Work)
-            .build(method);
+        let gc = GraphCache::builder().capacity(10).window(3).build(method);
         let triangle =
             |labels: [u32; 3]| LabeledGraph::from_parts(labels.to_vec(), &[(0, 1), (1, 2), (2, 0)]);
         let a = gc.run(&triangle([0, 1, 2]));

@@ -26,19 +26,19 @@
 //!   ([`EvictionPolicy`] / [`AdmissionPolicy`]) constructed by name through
 //!   the string-keyed [`registry`]; the paper's strategies, the extra
 //!   built-ins in [`policies`], and user-registered implementations are
-//!   all selected the same way
+//!   all selected the same way and only that way
 //!   (`GraphCache::builder().eviction("gcr").admission("adaptive")`).
 //!
 //! [`GraphCache`] is a shared service: `run`, [`GraphCache::execute`] and
 //! [`GraphCache::run_batch`] take `&self`, so one cache instance serves
 //! any number of client threads. Typed [`QueryRequest`]s carry per-query
-//! overrides (direction, hit-verification budget, cache bypass) and come
+//! overrides (direction, hit-verification work pool, cache bypass) and come
 //! back as [`QueryResponse`]s wrapping the per-query [`QueryResult`].
 //!
 //! # Example
 //!
 //! ```
-//! use gc_core::{GraphCache, PolicyKind, QueryRequest};
+//! use gc_core::{GraphCache, QueryRequest};
 //! use gc_graph::{GraphDataset, LabeledGraph};
 //! use gc_methods::MethodBuilder;
 //!
@@ -50,7 +50,7 @@
 //! let cache = GraphCache::builder()
 //!     .capacity(100)
 //!     .window(20)
-//!     .policy(PolicyKind::Hd) // or by registry name: .eviction("gcr")
+//!     .eviction("hd") // any registry name; "gcr" is the paper's alias for HD
 //!     .build(method);
 //!
 //! let query = LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]);
@@ -88,11 +88,11 @@ pub mod stats;
 pub mod window;
 
 pub use admission::{
-    AdaptiveAdmission, AdmissionConfig, AdmissionControl, AdmissionPolicy, AdmitAll, CostModel,
+    AdaptiveAdmission, AdmissionConfig, AdmissionControl, AdmissionPolicy, AdmitAll,
 };
 pub use cache::{
-    AdmissionSpec, GcConfig, GraphCache, GraphCacheBuilder, QueryRequest, QueryResponse,
-    QueryResult, RestoreReport,
+    GcConfig, GraphCache, GraphCacheBuilder, QueryRequest, QueryResponse, QueryResult,
+    RestoreReport,
 };
 pub use entry::{shard_for, CacheEntry, CacheSnapshot, Shard};
 pub use gc_fragments::FragmentConfig;
@@ -105,8 +105,8 @@ pub use persist::{PersistedCache, PersistedEntry, RecoveredSnapshot, StoredProfi
 pub use policies::{GreedyDual, SegmentedLru};
 pub use policy::{EvictionPolicy, PolicyKind, PolicyRow, PolicyView};
 pub use processors::{
-    candidate_serials, exact_probe, find_hits, find_hits_naive, find_hits_opts, sweep, ExactProbe,
-    HitQuery, HitSet, VerifyOptions,
+    candidate_serials, exact_probe, find_hits_naive, find_hits_opts, sweep, ExactProbe, HitQuery,
+    HitSet, VerifyOptions,
 };
 pub use query_index::{QueryIndex, QueryIndexConfig};
 pub use registry::{PolicyError, PolicyParams, PolicyRegistry};

@@ -99,7 +99,7 @@ pub trait EvictionPolicy: Send + std::fmt::Debug {
     fn select_victims(&mut self, view: &PolicyView<'_>, evict: usize) -> Vec<QuerySerial>;
 
     /// A query was admitted to the cache stores. `cost` is the admission's
-    /// expensiveness score (see [`crate::admission::CostModel`]).
+    /// expensiveness score (see [`crate::admission`]).
     fn on_admit(&mut self, serial: QuerySerial, cost: f64) {
         let _ = (serial, cost);
     }

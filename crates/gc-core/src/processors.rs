@@ -44,7 +44,7 @@ use gc_index::fingerprint::iso_hash;
 use gc_index::fx::{FxHashMap, FxHashSet};
 use gc_index::paths::PathProfile;
 use gc_methods::QueryKind;
-use gc_subiso::{cost, MatchConfig, MatchOutcome, Matcher};
+use gc_subiso::{cost, MatchConfig, Matcher};
 
 /// Verified cache hits for one new query.
 #[derive(Debug, Clone, Default)]
@@ -152,41 +152,6 @@ pub struct VerifyOptions {
     pub allowed: Option<Vec<QuerySerial>>,
 }
 
-/// Runs both processors for `query` against the current cache snapshot.
-///
-/// Only entries answered under the same query `kind` participate: a
-/// subgraph-mode answer set means "dataset graphs containing the query"
-/// while a supergraph-mode one means "dataset graphs contained in it", so
-/// cross-kind hits would prune with the wrong set semantics.
-pub fn find_hits(
-    snapshot: &CacheSnapshot,
-    query: &LabeledGraph,
-    kind: QueryKind,
-    matcher: &dyn Matcher,
-    cfg: &MatchConfig,
-) -> HitSet {
-    let profile = snapshot.profile_of(query);
-    find_hits_with_profile(snapshot, query, kind, &profile, matcher, cfg)
-}
-
-/// Like [`find_hits`] but reuses the query's precomputed feature profile.
-pub fn find_hits_with_profile(
-    snapshot: &CacheSnapshot,
-    query: &LabeledGraph,
-    kind: QueryKind,
-    profile: &PathProfile,
-    matcher: &dyn Matcher,
-    cfg: &MatchConfig,
-) -> HitSet {
-    find_hits_opts(
-        snapshot,
-        &HitQuery::new(query, kind, profile),
-        matcher,
-        cfg,
-        &VerifyOptions::default(),
-    )
-}
-
 /// Which direction a queued candidate is verified in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Dir {
@@ -204,34 +169,6 @@ struct Cand<'a> {
     entry: &'a std::sync::Arc<crate::entry::CacheEntry>,
     dir: Dir,
     cost: f64,
-}
-
-/// Runs one matcher test clipped to the remaining budget pool. Returns the
-/// outcome plus whether the *pool* (not the per-test config) was the
-/// binding limit — only then does an incomplete search mean truncation.
-fn run_capped(
-    matcher: &dyn Matcher,
-    pattern: &LabeledGraph,
-    target: &LabeledGraph,
-    cfg: &MatchConfig,
-    remaining: Option<u64>,
-) -> (MatchOutcome, bool) {
-    let (budget, pool_clipped) = match (cfg.budget, remaining) {
-        (None, None) => (None, false),
-        (Some(b), None) => (Some(b), false),
-        (None, Some(p)) => (Some(p), true),
-        (Some(b), Some(p)) => {
-            if p < b {
-                (Some(p), true)
-            } else {
-                (Some(b), false)
-            }
-        }
-    };
-    (
-        matcher.contains_with(pattern, target, &MatchConfig { budget }),
-        pool_clipped,
-    )
 }
 
 /// The repeats in a sequence of `(kind, fingerprint, graph)` items: pairs
@@ -276,22 +213,13 @@ pub fn find_hits_opts(
     snapshot: &CacheSnapshot,
     hq: &HitQuery<'_>,
     matcher: &dyn Matcher,
-    cfg: &MatchConfig,
     opts: &VerifyOptions,
 ) -> HitSet {
-    let probe = exact_probe(
-        snapshot,
-        hq.query,
-        hq.kind,
-        hq.fingerprint,
-        matcher,
-        cfg,
-        opts,
-    );
+    let probe = exact_probe(snapshot, hq.query, hq.kind, hq.fingerprint, matcher, opts);
     if opts.exact_shortcut && probe.hits.exact.is_some() {
         return probe.hits;
     }
-    sweep(snapshot, hq, probe, matcher, cfg, opts)
+    sweep(snapshot, hq, probe, matcher, opts)
 }
 
 /// What [`exact_probe`] found, handed on to [`sweep`] on a miss.
@@ -322,7 +250,6 @@ pub fn exact_probe(
     kind: QueryKind,
     fingerprint: u64,
     matcher: &dyn Matcher,
-    cfg: &MatchConfig,
     opts: &VerifyOptions,
 ) -> ExactProbe {
     let mut hits = HitSet::default();
@@ -351,7 +278,7 @@ pub fn exact_probe(
             hits.deadline_exceeded = true;
             break;
         }
-        let (out, pool_clipped) = run_capped(matcher, query, &entry.graph, cfg, pool);
+        let out = matcher.contains_with(query, &entry.graph, &MatchConfig { budget: pool });
         hits.work += out.nodes_expanded;
         if let Some(p) = &mut pool {
             *p = p.saturating_sub(out.nodes_expanded);
@@ -361,7 +288,9 @@ pub fn exact_probe(
             hits.exact_via_fingerprint = true;
             break;
         }
-        if !out.complete && pool_clipped {
+        // The pool is a hit test's only bound: an incomplete search ran it
+        // dry.
+        if !out.complete {
             hits.truncated = true;
             break;
         }
@@ -380,7 +309,6 @@ pub fn sweep(
     hq: &HitQuery<'_>,
     probe: ExactProbe,
     matcher: &dyn Matcher,
-    cfg: &MatchConfig,
     opts: &VerifyOptions,
 ) -> HitSet {
     let ExactProbe { mut hits, refuted } = probe;
@@ -495,7 +423,7 @@ pub fn sweep(
     });
 
     // (4) Verify under the shared pool, early-exiting on the hit budget.
-    verify_queue(&queue, hq, matcher, cfg, pool, opts, &mut hits);
+    verify_queue(&queue, hq, matcher, pool, opts, &mut hits);
     finalize(hits)
 }
 
@@ -575,7 +503,6 @@ fn verify_queue(
     queue: &[Cand<'_>],
     hq: &HitQuery<'_>,
     matcher: &dyn Matcher,
-    cfg: &MatchConfig,
     mut pool: Option<u64>,
     opts: &VerifyOptions,
     hits: &mut HitSet,
@@ -597,13 +524,13 @@ fn verify_queue(
             Dir::Sub | Dir::Iso => (hq.query, cand.entry.graph.as_ref()),
             Dir::Super => (cand.entry.graph.as_ref(), hq.query),
         };
-        let (out, pool_clipped) = run_capped(matcher, pattern, target, cfg, pool);
+        let out = matcher.contains_with(pattern, target, &MatchConfig { budget: pool });
         hits.tests += 1;
         hits.work += out.nodes_expanded;
         if let Some(p) = &mut pool {
             *p = p.saturating_sub(out.nodes_expanded);
         }
-        if !out.complete && pool_clipped {
+        if !out.complete {
             hits.truncated = true;
         }
         if out.found {
@@ -630,7 +557,6 @@ pub fn find_hits_naive(
     query: &LabeledGraph,
     kind: QueryKind,
     matcher: &dyn Matcher,
-    cfg: &MatchConfig,
 ) -> HitSet {
     let profile = snapshot.profile_of(query);
     let mut hits = HitSet::default();
@@ -649,7 +575,7 @@ pub fn find_hits_naive(
             if entry.kind != kind {
                 continue;
             }
-            let out = matcher.contains_with(query, &entry.graph, cfg);
+            let out = matcher.contains_with(query, &entry.graph, &MatchConfig::UNBOUNDED);
             hits.tests += 1;
             hits.work += out.nodes_expanded;
             if out.found {
@@ -677,7 +603,7 @@ pub fn find_hits_naive(
                 }
                 continue;
             }
-            let out = matcher.contains_with(&entry.graph, query, cfg);
+            let out = matcher.contains_with(&entry.graph, query, &MatchConfig::UNBOUNDED);
             hits.tests += 1;
             hits.work += out.nodes_expanded;
             if out.found {
@@ -730,8 +656,18 @@ mod tests {
             snap,
             &HitQuery::new(g, QueryKind::Subgraph, &profile),
             &Vf2::new(),
-            &MatchConfig::UNBOUNDED,
             opts,
+        )
+    }
+
+    /// The unbounded pipeline for a query of `kind`.
+    fn hits_of(snap: &CacheSnapshot, g: &LabeledGraph, kind: QueryKind) -> HitSet {
+        let profile = snap.profile_of(g);
+        find_hits_opts(
+            snap,
+            &HitQuery::new(g, kind, &profile),
+            &Vf2::new(),
+            &VerifyOptions::default(),
         )
     }
 
@@ -743,13 +679,7 @@ mod tests {
             path_graph(&[7, 7, 7]),    // 300: unrelated
         ]);
         let g = path_graph(&[0, 1, 0]);
-        let hits = find_hits(
-            &snap,
-            &g,
-            QueryKind::Subgraph,
-            &Vf2::new(),
-            &MatchConfig::UNBOUNDED,
-        );
+        let hits = hits_of(&snap, &g, QueryKind::Subgraph);
         assert_eq!(hits.sub, vec![100]);
         assert_eq!(hits.super_, vec![200]);
         assert!(hits.exact.is_none());
@@ -875,13 +805,7 @@ mod tests {
     fn exact_hit_detected_via_fingerprint() {
         let snap = snapshot(vec![path_graph(&[0, 1, 0])]);
         let g = path_graph(&[0, 1, 0]);
-        let hits = find_hits(
-            &snap,
-            &g,
-            QueryKind::Subgraph,
-            &Vf2::new(),
-            &MatchConfig::UNBOUNDED,
-        );
+        let hits = hits_of(&snap, &g, QueryKind::Subgraph);
         assert_eq!(hits.exact, Some(100));
         assert!(hits.exact_via_fingerprint);
         assert_eq!(hits.sub, vec![100]);
@@ -903,7 +827,6 @@ mod tests {
                 QueryKind::Subgraph,
                 iso_hash(&g),
                 &Vf2::new(),
-                &MatchConfig::UNBOUNDED,
                 &opts,
             )
             .hits
@@ -945,12 +868,12 @@ mod tests {
         };
         let snap = CacheSnapshot::build(QueryIndexConfig::default(), vec![Arc::new(forged)]);
         let hq = HitQuery::new(&g, QueryKind::Subgraph, &profile);
-        let (vf2, cfg, opts) = (Vf2::new(), MatchConfig::UNBOUNDED, VerifyOptions::default());
-        let probe = exact_probe(&snap, &g, hq.kind, hq.fingerprint, &vf2, &cfg, &opts);
+        let (vf2, opts) = (Vf2::new(), VerifyOptions::default());
+        let probe = exact_probe(&snap, &g, hq.kind, hq.fingerprint, &vf2, &opts);
         assert_eq!(probe.hits.exact, None);
         assert!(probe.hits.work > 0, "one confirmation ran");
         let probe_work = probe.hits.work;
-        let hits = sweep(&snap, &hq, probe, &vf2, &cfg, &opts);
+        let hits = sweep(&snap, &hq, probe, &vf2, &opts);
         assert_eq!(hits.tests, 0, "the refuted collision is not tested again");
         assert_eq!(hits.work, probe_work);
         assert!(hits.sub.is_empty() && hits.super_.is_empty());
@@ -984,13 +907,7 @@ mod tests {
         // fingerprint prefilter proves the non-hit with zero tests.
         let snap = snapshot(vec![path_graph(&[0, 1, 2])]);
         let g = path_graph(&[0, 2, 1]);
-        let hits = find_hits(
-            &snap,
-            &g,
-            QueryKind::Subgraph,
-            &Vf2::new(),
-            &MatchConfig::UNBOUNDED,
-        );
+        let hits = hits_of(&snap, &g, QueryKind::Subgraph);
         assert!(hits.exact.is_none());
         assert!(hits.sub.is_empty());
         assert!(hits.super_.is_empty());
@@ -1008,26 +925,14 @@ mod tests {
         );
         let snap = snapshot(vec![hexagon]);
         let triangle = LabeledGraph::from_parts(vec![0; 3], &[(0, 1), (1, 2), (2, 0)]);
-        let hits = find_hits(
-            &snap,
-            &triangle,
-            QueryKind::Subgraph,
-            &Vf2::new(),
-            &MatchConfig::UNBOUNDED,
-        );
+        let hits = hits_of(&snap, &triangle, QueryKind::Subgraph);
         assert!(hits.sub.is_empty(), "hexagon does not contain a triangle");
     }
 
     #[test]
     fn empty_cache_no_hits() {
         let snap = snapshot(vec![]);
-        let hits = find_hits(
-            &snap,
-            &path_graph(&[0, 1]),
-            QueryKind::Subgraph,
-            &Vf2::new(),
-            &MatchConfig::UNBOUNDED,
-        );
+        let hits = hits_of(&snap, &path_graph(&[0, 1]), QueryKind::Subgraph);
         assert!(hits.sub.is_empty() && hits.super_.is_empty() && hits.exact.is_none());
         assert_eq!(hits.tests, 0);
         assert!(!hits.truncated, "nothing to verify, nothing truncated");
@@ -1042,26 +947,14 @@ mod tests {
             QueryKind::Supergraph,
         );
         let g = path_graph(&[0, 1, 0]);
-        let sub = find_hits(
-            &snap,
-            &g,
-            QueryKind::Subgraph,
-            &Vf2::new(),
-            &MatchConfig::UNBOUNDED,
-        );
+        let sub = hits_of(&snap, &g, QueryKind::Subgraph);
         assert!(sub.sub.is_empty() && sub.super_.is_empty() && sub.exact.is_none());
         assert_eq!(
             sub.tests, 0,
             "cross-kind entries are skipped before testing"
         );
         assert_eq!(sub.work, 0, "not even a fingerprint confirmation runs");
-        let sup = find_hits(
-            &snap,
-            &g,
-            QueryKind::Supergraph,
-            &Vf2::new(),
-            &MatchConfig::UNBOUNDED,
-        );
+        let sup = hits_of(&snap, &g, QueryKind::Supergraph);
         assert_eq!(sup.exact, Some(100), "same-kind entries still hit");
     }
 

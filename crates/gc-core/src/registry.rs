@@ -296,9 +296,8 @@ impl Default for PolicyRegistry {
 /// Shared `windows=` / `fraction=` parameters of the threshold-based
 /// admission policies.
 fn admission_cfg(p: &PolicyParams) -> Result<AdmissionConfig, PolicyError> {
-    let defaults = AdmissionConfig::enabled();
+    let defaults = AdmissionConfig::default();
     Ok(AdmissionConfig {
-        enabled: true,
         calibration_windows: p.get_usize("windows", defaults.calibration_windows)?,
         target_expensive_fraction: p.get_f64("fraction", defaults.target_expensive_fraction)?,
     })

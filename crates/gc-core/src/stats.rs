@@ -40,7 +40,7 @@ pub mod columns {
     pub const R_TOTAL: &str = "r_total";
     /// Total estimated time saving contributed (`C`).
     pub const C_TOTAL: &str = "c_total";
-    /// The query's "expensiveness" score (verification/filtering ratio).
+    /// The query's "expensiveness" score (its verification work).
     pub const EXPENSIVENESS: &str = "expensiveness";
 }
 

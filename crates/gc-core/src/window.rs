@@ -65,7 +65,7 @@ use gc_graph::{sizing, GraphId, LabeledGraph};
 use gc_index::fx::FxHashMap;
 use gc_index::paths::PathProfile;
 use gc_methods::QueryKind;
-use gc_subiso::{MatchConfig, Matcher};
+use gc_subiso::Matcher;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -400,7 +400,6 @@ pub(crate) fn maintain(
             e.kind,
             e.fingerprint,
             matcher,
-            &MatchConfig::UNBOUNDED,
             &VerifyOptions::default(),
         );
         probe.hits.exact.is_some()
@@ -650,7 +649,7 @@ pub(crate) fn spawn_manager(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::{AdmissionConfig, AdmissionControl};
+    use crate::admission::{AdmissionConfig, AdmissionControl, AdmitAll};
     use crate::policy::PolicyKind;
     use gc_subiso::Vf2;
 
@@ -684,7 +683,7 @@ mod tests {
             QueryIndexConfig::default(),
             shards,
             Box::new(PolicyKind::Lru),
-            Box::new(AdmissionControl::new(AdmissionConfig::default())),
+            Box::new(AdmitAll),
             None,
             Arc::new(Vf2::new()),
         )
@@ -756,7 +755,6 @@ mod tests {
             1,
             Box::new(PolicyKind::Lru),
             Box::new(AdmissionControl::new(AdmissionConfig {
-                enabled: true,
                 calibration_windows: 0,
                 target_expensive_fraction: 0.5,
             })),

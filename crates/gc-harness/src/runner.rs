@@ -4,7 +4,7 @@
 
 use crate::report::{MatrixReport, ScenarioReport, SCHEMA_VERSION};
 use crate::scenario::{Scenario, Suite};
-use gc_core::{CostModel, GraphCache, QueryRecord, QueryRequest, RunCounters};
+use gc_core::{GraphCache, QueryRecord, QueryRequest, RunCounters};
 use gc_graph::GraphDataset;
 use gc_methods::Method;
 use gc_workload::Workload;
@@ -184,7 +184,10 @@ fn reference_arm(
 /// configured cache to restore into, and public so the served/routed
 /// bench runners construct their daemons' caches (one per fleet peer)
 /// through the exact same path — any construction drift would show up
-/// as counter drift against the shared baseline.
+/// as counter drift against the shared baseline. Expensiveness is a
+/// query's verification work, never a clock reading, so admission
+/// decisions, greedy-dual credits and policy statistics are a pure
+/// function of the seeds even on a busy CI box.
 pub fn build_cache(
     scenario: &Scenario,
     dataset: &gc_graph::GraphDataset,
@@ -197,11 +200,6 @@ pub fn build_cache(
         .query_kind(scenario.kind)
         .threads(scenario.threads)
         .shards(scenario.shards)
-        // Wall-time expensiveness (the cache default) leaks machine load
-        // into admission decisions, greedy-dual credits and policy stats —
-        // the harness always uses the deterministic work proxy so counters
-        // are a pure function of the seeds even on a busy CI box.
-        .cost_model(CostModel::Work)
         .fragments(scenario.fragments);
     if let Some(budget) = scenario.verify_budget {
         builder = builder.verify_budget(budget);

@@ -273,8 +273,8 @@ impl Scenario {
                 },
             ),
             ("warmup".to_string(), format!("{}", self.warmup)),
-            // Pinned by the runner: the deterministic work-based cost
-            // proxy, never wall time (see `runner::run_scenario`).
+            // The cache's only cost model: expensiveness is verification
+            // work, never wall time. Echoed so reports keep their shape.
             ("cost_model".to_string(), "work".to_string()),
             (
                 "fragments".to_string(),

@@ -2,9 +2,9 @@
 //! through the daemon over a socket instead of in-process calls.
 //!
 //! `gc bench --serve` runs each [`Scenario`] exactly as the in-process
-//! runner does — same dataset, workload, and cache construction, same
-//! deterministic [`CostModel::Work`](gc_core::CostModel::Work) — but replays the workload as a
-//! protocol client against an in-process [`Server`] on a private unix
+//! runner does — same dataset, workload, and cache construction
+//! ([`build_cache`]), whose admission and eviction read only work
+//! counters — but replays the workload as a protocol client against an in-process [`Server`] on a private unix
 //! socket. Records come back inside `RESULT` frames, maintenance and
 //! cache-shape counters via `STATS scope=settle`, and the report is
 //! assembled in the *identical* counter order. The point is the

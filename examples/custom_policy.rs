@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example custom_policy`
 
 use graphcache::core::registry::{self, PolicyError};
-use graphcache::core::{CostModel, EvictionPolicy, PolicyView, QuerySerial};
+use graphcache::core::{EvictionPolicy, PolicyView, QuerySerial};
 use graphcache::prelude::*;
 
 /// Retains entries with the highest hit density `H/A`, plus a recency
@@ -63,7 +63,6 @@ fn main() -> Result<(), PolicyError> {
     let cache = GraphCache::builder()
         .capacity(50)
         .window(10)
-        .cost_model(CostModel::Work)
         .eviction("hit-density:boost=25")
         .admission("adaptive")
         .try_build(method)?;

@@ -43,7 +43,7 @@ fn main() {
     let cache = GraphCache::builder()
         .capacity(100)
         .window(20)
-        .policy(PolicyKind::Hd)
+        .eviction("hd")
         .build(cached_method);
     let (mut gc_us, mut gc_tests, mut hits) = (0.0, 0, 0);
     for (i, q) in workload.graphs().enumerate() {

@@ -20,7 +20,7 @@ fn main() {
     let cache = GraphCache::builder()
         .capacity(100)
         .window(20)
-        .policy(PolicyKind::Hd)
+        .eviction("hd")
         .threads(4) // run_batch workers for the concurrent replay below
         .build(method);
 

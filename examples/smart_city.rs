@@ -23,7 +23,7 @@ fn main() {
     let cache = GraphCache::builder()
         .capacity(50)
         .window(1) // cache immediately so the session benefits right away
-        .policy(PolicyKind::Hd)
+        .eviction("hd")
         .build(method);
 
     // The analyst extracts a "metro area" pattern from district 0, then

@@ -32,7 +32,7 @@ fn main() {
     let cache = GraphCache::builder()
         .capacity(60)
         .window(10)
-        .policy(PolicyKind::Hd)
+        .eviction("hd")
         .query_kind(QueryKind::Supergraph)
         .build(method);
 

@@ -8,7 +8,7 @@
 //! * `gc workload --dataset FILE --kind zz|zu|uu|b0|b20|b50 [--count N] [--seed N] --out FILE`
 //!   generates a query workload (queries are stored as a dataset file);
 //! * `gc query --dataset FILE --queries FILE [--method NAME]
-//!   [--eviction NAME] [--admission [NAME]] [--capacity N] [--window N]
+//!   [--eviction NAME] [--admission NAME] [--capacity N] [--window N]
 //!   [--threads N] [--shards N] [--verify-budget N]
 //!   [--fragments on|off] [--fragment-budget BYTES] [--fragment-eviction NAME]
 //!   [--supergraph] [--background] [--no-cache] [--maint-stats]
@@ -133,13 +133,14 @@
 //!   patched, compactions) after the replay, plus per-shard arena
 //!   utilization (bytes live / bytes reserved in the packed postings and
 //!   answer arenas) and the postings-debt gauge;
-//! * `--eviction NAME` — replacement policy by registry name
-//!   (`lru|pop|pin|pinc|hd|gcr|slru|greedy-dual|…`, with optional
-//!   parameters like `slru:protected=0.5`); `--policy NAME` is accepted as
-//!   an alias. Unknown names fail with the list of available policies.
-//! * `--admission [NAME]` — admission policy by registry name
-//!   (`none|threshold|adaptive|…`); a bare `--admission` enables the
-//!   paper's calibrated threshold (as before the registry existed);
+//! * `--eviction NAME` — replacement policy by registry name (default
+//!   `hd`; `lru|pop|pin|pinc|hd|gcr|slru|greedy-dual|…`, with optional
+//!   parameters like `slru:protected=0.5`). Unknown names fail with the
+//!   list of available policies;
+//! * `--admission NAME` — admission policy by registry name (default
+//!   `none`; `none|threshold|adaptive|…`, e.g. the paper's calibrated
+//!   threshold `threshold:windows=3,fraction=0.25`). It ranks queries by
+//!   their verification work;
 //! * `--fragments on|off` — the sub-query fragment cache (default off):
 //!   answered subgraph queries are decomposed into canonical path
 //!   fragments whose exact occurrence sets pre-prune the candidate space
@@ -166,7 +167,9 @@
 //! gc query --dataset aids.txt --queries queries.txt --threads 8 --background
 //! ```
 
-use graphcache::core::{registry, GraphCache, QueryKind, QueryRequest, RunCounters};
+use graphcache::core::{
+    registry, GraphCache, GraphCacheBuilder, PolicyError, QueryKind, QueryRequest, RunCounters,
+};
 use graphcache::graph::{io, GraphDataset};
 use graphcache::harness::{run_scenario, run_suite_by, MatrixReport, Suite};
 use graphcache::methods::{Method, MethodKind};
@@ -218,7 +221,7 @@ fn print_usage() {
         "  gc workload --dataset FILE --kind zz|zu|uu|b0|b20|b50 [--count N] [--seed N] --out FILE"
     );
     eprintln!("  gc query --dataset FILE --queries FILE [--method NAME] [--eviction NAME]");
-    eprintln!("           [--admission [NAME]] [--capacity N] [--window N] [--threads N]");
+    eprintln!("           [--admission NAME] [--capacity N] [--window N] [--threads N]");
     eprintln!("           [--shards N] [--verify-budget N]");
     eprintln!("           [--fragments on|off] [--fragment-budget BYTES]");
     eprintln!("           [--fragment-eviction NAME] [--supergraph] [--background]");
@@ -281,7 +284,7 @@ fn main() -> ExitCode {
 /// `[cache-construction options, its own]`. `gc query --connect` is its own
 /// row: the cache lives in the daemon, so cache flags would do nothing.
 fn known_opts(cmd: &str, connect: bool) -> [&'static str; 2] {
-    const CACHE: &str = "method eviction policy admission capacity window threads shards \
+    const CACHE: &str = "method eviction admission capacity window threads shards \
         verify-budget fragments fragment-budget fragment-eviction supergraph background restore";
     match (cmd, connect) {
         ("generate", _) => ["", "profile scale seed out"],
@@ -330,19 +333,6 @@ fn parse_opts(
             if FLAGS.contains(&key) {
                 opts.insert(key.to_string(), "true".to_string());
                 i += 1;
-            } else if key == "admission" {
-                // Optional value: a bare `--admission` keeps its historical
-                // meaning (the paper's calibrated threshold).
-                match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                    Some(v) => {
-                        opts.insert(key.to_string(), v.clone());
-                        i += 2;
-                    }
-                    None => {
-                        opts.insert(key.to_string(), "threshold".to_string());
-                        i += 1;
-                    }
-                }
             } else {
                 let v = args
                     .get(i + 1)
@@ -488,7 +478,12 @@ fn cmd_workload(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn build_method(name: &str, dataset: &GraphDataset) -> Result<Method, CliError> {
+/// Method M over `dataset`, named by `--method` (default `ggsx`).
+fn build_method(
+    opts: &HashMap<String, String>,
+    dataset: &GraphDataset,
+) -> Result<Method, CliError> {
+    let name = opts.get("method").map(|s| s.as_str()).unwrap_or("ggsx");
     match MethodKind::from_registry_name(name) {
         Some(kind) => Ok(kind.build(dataset)),
         None => {
@@ -501,50 +496,57 @@ fn build_method(name: &str, dataset: &GraphDataset) -> Result<Method, CliError> 
     }
 }
 
-/// Builds the shared cache from the common cache-construction flags —
-/// the one code path behind both `gc query` and `gc serve`, so the two
-/// subcommands can never drift apart on flag semantics. Handles
-/// `--restore` too (printing the same confirmation line `gc query`
-/// always has).
-fn cache_from_opts(
-    opts: &HashMap<String, String>,
-    dataset: &GraphDataset,
-) -> Result<GraphCache, CliError> {
-    let method_name = opts.get("method").map(|s| s.as_str()).unwrap_or("ggsx");
-    let eviction = opts
-        .get("eviction")
-        .or_else(|| opts.get("policy"))
-        .map(|s| s.as_str())
-        .unwrap_or("hd");
+/// The common cache-construction flags as a builder — the one code path
+/// behind both `gc query` and `gc serve`, so the two subcommands can never
+/// drift apart on flag semantics. It reads no file: callers run it before
+/// the dataset loads, so a policy typo fails (exit 2, listing the
+/// available policies) before any expensive parsing.
+fn builder_from_opts(opts: &HashMap<String, String>) -> Result<GraphCacheBuilder, CliError> {
+    let usage = |e: PolicyError| CliError::usage(e.to_string());
     let kind = if opts.contains_key("supergraph") {
         QueryKind::Supergraph
     } else {
         QueryKind::Subgraph
     };
-    let method = build_method(method_name, dataset)?;
     let mut builder = GraphCache::builder()
         .capacity(num(opts, "capacity", 100usize)?)
         .window(num(opts, "window", 20usize)?)
-        .eviction(eviction)
         .query_kind(kind)
         .background(opts.contains_key("background"))
         .threads(num(opts, "threads", 1usize)?)
-        .shards(num(opts, "shards", 0usize)?);
+        .shards(num(opts, "shards", 0usize)?)
+        .fragments(fragments_enabled(opts)?);
+    if let Some(spec) = opts.get("eviction") {
+        registry::build_eviction(spec).map_err(usage)?;
+        builder = builder.eviction(spec.as_str());
+    }
+    if let Some(spec) = opts.get("admission") {
+        registry::build_admission(spec).map_err(usage)?;
+        builder = builder.admission(spec.as_str());
+    }
+    if let Some(spec) = opts.get("fragment-eviction") {
+        registry::build_eviction(spec).map_err(usage)?;
+        builder = builder.fragment_eviction(spec.as_str());
+    }
     if opts.contains_key("verify-budget") {
         builder = builder.verify_budget(num(opts, "verify-budget", 0u64)?);
     }
-    if let Some(spec) = opts.get("admission") {
-        builder = builder.admission(spec.as_str());
-    }
-    builder = builder.fragments(fragments_enabled(opts)?);
     if opts.contains_key("fragment-budget") {
         builder = builder.fragment_budget(num(opts, "fragment-budget", 0usize)?);
     }
-    if let Some(spec) = opts.get("fragment-eviction") {
-        builder = builder.fragment_eviction(spec.as_str());
-    }
+    Ok(builder)
+}
+
+/// Builds `builder`'s cache in front of `--method` over `dataset`, then
+/// applies `--restore` (printing the same confirmation line `gc query`
+/// always has).
+fn build_cache(
+    builder: GraphCacheBuilder,
+    opts: &HashMap<String, String>,
+    dataset: &GraphDataset,
+) -> Result<GraphCache, CliError> {
     let cache = builder
-        .try_build(method)
+        .try_build(build_method(opts, dataset)?)
         .map_err(|e| CliError::usage(e.to_string()))?;
     if let Some(dir) = opts.get("restore") {
         let report = cache
@@ -601,26 +603,7 @@ fn cmd_query(args: &[String]) -> CliResult {
     if let Some(target) = opts.get("connect") {
         return query_connect(&opts, target);
     }
-    let method_name = opts.get("method").map(|s| s.as_str()).unwrap_or("ggsx");
-    // Replacement policy via the registry; --policy stays as an alias of
-    // --eviction for existing scripts. Validate before the dataset loads
-    // so a typo fails with the available-policy listing instantly instead
-    // of after the expensive file parsing.
-    let eviction = opts
-        .get("eviction")
-        .or_else(|| opts.get("policy"))
-        .map(|s| s.as_str())
-        .unwrap_or("hd");
-    registry::build_eviction(eviction).map_err(|e| CliError::usage(e.to_string()))?;
-    let admission = opts.get("admission").map(|s| s.as_str());
-    if let Some(spec) = admission {
-        registry::build_admission(spec).map_err(|e| CliError::usage(e.to_string()))?;
-    }
-    // Same early validation for the fragment-store knobs.
-    fragments_enabled(&opts)?;
-    if let Some(spec) = opts.get("fragment-eviction") {
-        registry::build_eviction(spec).map_err(|e| CliError::usage(e.to_string()))?;
-    }
+    let builder = builder_from_opts(&opts)?;
     let dataset = load_dataset(req(&opts, "dataset")?)?;
     let queries = load_dataset(req(&opts, "queries")?)?;
     let kind = if opts.contains_key("supergraph") {
@@ -637,7 +620,7 @@ fn cmd_query(args: &[String]) -> CliResult {
         if threads != 1 {
             eprintln!("gc: note: --threads is ignored with --no-cache (the baseline replays sequentially)");
         }
-        let method = build_method(method_name, &dataset)?;
+        let method = build_method(&opts, &dataset)?;
         let t0 = std::time::Instant::now();
         let mut total_us = 0.0;
         let mut tests = 0u64;
@@ -666,7 +649,7 @@ fn cmd_query(args: &[String]) -> CliResult {
         return Ok(());
     }
 
-    let cache = cache_from_opts(&opts, &dataset)?;
+    let cache = build_cache(builder, &opts, &dataset)?;
 
     let t0 = std::time::Instant::now();
     let records: Vec<graphcache::core::QueryRecord> = if threads == 1 {
@@ -883,20 +866,7 @@ fn query_connect(opts: &HashMap<String, String>, target: &str) -> CliResult {
 /// (SIGTERM, SIGINT, or a `SHUTDOWN` frame) completes, then exits 0.
 fn cmd_serve(args: &[String]) -> CliResult {
     let (opts, _) = parse_opts("serve", args)?;
-    // Validate policy specs before the dataset loads, as `gc query` does.
-    let eviction = opts
-        .get("eviction")
-        .or_else(|| opts.get("policy"))
-        .map(|s| s.as_str())
-        .unwrap_or("hd");
-    registry::build_eviction(eviction).map_err(|e| CliError::usage(e.to_string()))?;
-    if let Some(spec) = opts.get("admission") {
-        registry::build_admission(spec).map_err(|e| CliError::usage(e.to_string()))?;
-    }
-    fragments_enabled(&opts)?;
-    if let Some(spec) = opts.get("fragment-eviction") {
-        registry::build_eviction(spec).map_err(|e| CliError::usage(e.to_string()))?;
-    }
+    let builder = builder_from_opts(&opts)?;
     let listen = opts.get("listen").cloned();
     let unix = opts.get("unix").map(PathBuf::from);
     if listen.is_none() && unix.is_none() {
@@ -944,7 +914,8 @@ fn cmd_serve(args: &[String]) -> CliResult {
     }
     let dataset = load_dataset(req(&opts, "dataset")?)?;
     let graphs = dataset.len();
-    let cache = cache_from_opts(&opts, &dataset)?;
+    let cache = build_cache(builder, &opts, &dataset)?;
+    let eviction = cache.eviction_name();
     let peer = cfg.peer;
     let server =
         Server::bind(cache, cfg).map_err(|e| CliError::Runtime(format!("cannot serve: {e}")))?;

@@ -24,7 +24,7 @@
 //! let cache = GraphCache::builder()
 //!     .capacity(100)
 //!     .window(20)
-//!     .policy(PolicyKind::Hd)
+//!     .eviction("hd") // the paper's recommended policy, by registry name
 //!     .build(method);
 //!
 //! let query = LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]);
@@ -59,8 +59,8 @@ pub use gc_workload as workload;
 /// Convenience prelude bringing the most common types into scope.
 pub mod prelude {
     pub use gc_core::{
-        AdmissionPolicy, EvictionPolicy, GraphCache, GraphCacheBuilder, PolicyKind, QueryKind,
-        QueryRequest, QueryResponse,
+        AdmissionPolicy, EvictionPolicy, GraphCache, GraphCacheBuilder, QueryKind, QueryRequest,
+        QueryResponse,
     };
     pub use gc_graph::{GraphBuilder, GraphDataset, GraphId, LabeledGraph};
     pub use gc_methods::{Method, MethodBuilder};

@@ -3,7 +3,7 @@
 //! workload, GraphCache returns exactly the same answer sets as the
 //! uncached Method M.
 
-use graphcache::core::{CostModel, GraphCache, PolicyKind};
+use graphcache::core::{GraphCache, PolicyKind};
 use graphcache::methods::{Method, MethodBuilder, MethodKind};
 use graphcache::prelude::*;
 use graphcache::workload::{generate_type_a, generate_type_b};
@@ -15,9 +15,9 @@ fn check_equivalence(cache: GraphCache, baseline: &Method, workload: &Workload) 
         assert_eq!(
             got,
             expected,
-            "answer mismatch at query {i} (method {}, policy {:?})",
+            "answer mismatch at query {i} (method {}, policy {})",
             baseline.name(),
-            cache.config().policy
+            cache.eviction_name()
         );
     }
 }
@@ -33,11 +33,7 @@ fn gc_matches_baseline_for_every_ftv_method() {
     for kind in MethodKind::FTV {
         let method = kind.build(&d);
         let baseline = kind.build(&d);
-        let cache = GraphCache::builder()
-            .capacity(15)
-            .window(4)
-            .cost_model(CostModel::Work)
-            .build(method);
+        let cache = GraphCache::builder().capacity(15).window(4).build(method);
         check_equivalence(cache, &baseline, &workload);
     }
 }
@@ -49,11 +45,7 @@ fn gc_matches_baseline_for_every_si_method() {
     for kind in MethodKind::SI {
         let method = kind.build(&d);
         let baseline = kind.build(&d);
-        let cache = GraphCache::builder()
-            .capacity(15)
-            .window(4)
-            .cost_model(CostModel::Work)
-            .build(method);
+        let cache = GraphCache::builder().capacity(15).window(4).build(method);
         check_equivalence(cache, &baseline, &workload);
     }
 }
@@ -68,8 +60,7 @@ fn gc_matches_baseline_for_every_policy() {
         let cache = GraphCache::builder()
             .capacity(10)
             .window(3)
-            .policy(policy)
-            .cost_model(CostModel::Work)
+            .eviction(policy.registry_name())
             .build(method);
         check_equivalence(cache, &baseline, &workload);
     }
@@ -87,11 +78,7 @@ fn gc_matches_baseline_on_no_answer_workloads() {
     assert!(workload.no_answer_fraction() > 0.2);
     let method = MethodBuilder::ggsx().build(&d);
     let baseline = MethodBuilder::ggsx().build(&d);
-    let cache = GraphCache::builder()
-        .capacity(12)
-        .window(4)
-        .cost_model(CostModel::Work)
-        .build(method);
+    let cache = GraphCache::builder().capacity(12).window(4).build(method);
     check_equivalence(cache, &baseline, &workload);
 }
 
@@ -104,8 +91,7 @@ fn gc_matches_baseline_with_admission_control() {
     let cache = GraphCache::builder()
         .capacity(10)
         .window(5)
-        .admission(graphcache::core::AdmissionConfig::enabled())
-        .cost_model(CostModel::Work)
+        .admission("threshold")
         .build(method);
     check_equivalence(cache, &baseline, &workload);
 }
@@ -120,7 +106,6 @@ fn gc_matches_baseline_in_background_mode() {
         .capacity(12)
         .window(4)
         .background(true)
-        .cost_model(CostModel::Work)
         .build(method);
     for q in workload.graphs() {
         let expected = baseline.run(q).answer;
@@ -136,11 +121,7 @@ fn exact_repeats_answered_identically_from_cache() {
     let workload = generate_type_a(&d, &TypeAConfig::uu().count(10).seed(8));
     let method = MethodBuilder::ct_index().build(&d);
     let baseline = MethodBuilder::ct_index().build(&d);
-    let cache = GraphCache::builder()
-        .capacity(20)
-        .window(2)
-        .cost_model(CostModel::Work)
-        .build(method);
+    let cache = GraphCache::builder().capacity(20).window(2).build(method);
     // First pass populates, second pass must be all exact hits with
     // unchanged answers.
     let mut first: Vec<Vec<GraphId>> = Vec::new();

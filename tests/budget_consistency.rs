@@ -1,9 +1,10 @@
 //! Failure injection: search budgets (the hang guard on NP-complete tests)
-//! must degrade gracefully — a budget-limited *hit verification* can only
-//! lose cache hits, never change answers; and a budget-limited Method
-//! verifier stays consistent between cached and uncached execution.
+//! must degrade gracefully — a starved hit-verification work pool
+//! (`verify_budget`) can only lose cache hits, never change answers; and a
+//! budget-limited Method verifier stays consistent between cached and
+//! uncached execution.
 
-use graphcache::core::{CostModel, GraphCache};
+use graphcache::core::GraphCache;
 use graphcache::prelude::*;
 use graphcache::subiso::MatchConfig;
 use graphcache::workload::generate_type_a;
@@ -17,14 +18,13 @@ fn tiny_hit_budget_never_changes_answers() {
     let d = dataset();
     let workload = generate_type_a(&d, &TypeAConfig::zz(1.4).count(50).seed(1));
     let baseline = MethodBuilder::ggsx().build(&d);
-    // Hit verification budget of 1 recursion step: almost every cache-hit
-    // candidate aborts incomplete and is treated as a non-hit. Answers must
-    // be identical to the uncached baseline regardless.
+    // A hit-verification pool of 1 recursion step per query: almost every
+    // cache-hit candidate aborts incomplete and is treated as a non-hit.
+    // Answers must be identical to the uncached baseline regardless.
     let cache = GraphCache::builder()
         .capacity(20)
         .window(4)
-        .hit_match(MatchConfig::bounded(1))
-        .cost_model(CostModel::Work)
+        .verify_budget(1)
         .build(MethodBuilder::ggsx().build(&d));
     for (i, q) in workload.graphs().enumerate() {
         let expected = baseline.run(q).answer;
@@ -36,21 +36,20 @@ fn tiny_hit_budget_never_changes_answers() {
 fn tiny_hit_budget_reduces_hits_not_correctness() {
     let d = dataset();
     let workload = generate_type_a(&d, &TypeAConfig::zz(1.4).count(60).seed(2));
-    let run_with = |budget: MatchConfig| {
-        let cache = GraphCache::builder()
-            .capacity(20)
-            .window(4)
-            .hit_match(budget)
-            .cost_model(CostModel::Work)
-            .build(MethodBuilder::ggsx().build(&d));
+    let run_with = |budget: Option<u64>| {
+        let mut builder = GraphCache::builder().capacity(20).window(4);
+        if let Some(b) = budget {
+            builder = builder.verify_budget(b);
+        }
+        let cache = builder.build(MethodBuilder::ggsx().build(&d));
         let mut hits = 0usize;
         for q in workload.graphs() {
             hits += cache.run(q).record.any_hit() as usize;
         }
         hits
     };
-    let unbounded = run_with(MatchConfig::UNBOUNDED);
-    let strangled = run_with(MatchConfig::bounded(1));
+    let unbounded = run_with(None);
+    let strangled = run_with(Some(1));
     assert!(
         strangled <= unbounded,
         "budget cannot create hits ({strangled} > {unbounded})"
@@ -73,8 +72,7 @@ fn budgeted_method_verifier_stays_sound() {
     let cache = GraphCache::builder()
         .capacity(15)
         .window(4)
-        .hit_match(budget)
-        .cost_model(CostModel::Work)
+        .verify_budget(200)
         .build(MethodBuilder::ggsx().match_config(budget).build(&d));
     for (i, q) in workload.graphs().enumerate() {
         let expected = baseline.run(q).answer;

@@ -2,7 +2,7 @@
 //! statistics, admission control and maintenance accounting.
 
 use graphcache::core::stats::columns;
-use graphcache::core::{AdmissionConfig, CostModel, GraphCache, PolicyKind};
+use graphcache::core::{GraphCache, PolicyKind};
 use graphcache::prelude::*;
 use graphcache::workload::generate_type_a;
 
@@ -14,7 +14,6 @@ fn build_cache(d: &GraphDataset, capacity: usize, window: usize) -> GraphCache {
     GraphCache::builder()
         .capacity(capacity)
         .window(window)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(d))
 }
 
@@ -40,8 +39,7 @@ fn capacity_is_hard_bound_under_all_policies() {
         let gc = GraphCache::builder()
             .capacity(7)
             .window(3)
-            .policy(policy)
-            .cost_model(CostModel::Work)
+            .eviction(policy.registry_name())
             .build(MethodBuilder::ggsx().build(&d));
         for q in w.graphs() {
             gc.run(q);
@@ -68,17 +66,12 @@ fn evicted_entries_lose_their_stats_rows() {
 #[test]
 fn admission_control_blocks_cheap_queries() {
     let d = dataset();
-    // Work-based cost model: expensiveness = verification work. With an
-    // aggressive target fraction, only the heaviest queries enter.
+    // Expensiveness = verification work. With an aggressive target
+    // fraction, only the heaviest queries enter.
     let gc = GraphCache::builder()
         .capacity(50)
         .window(5)
-        .admission(AdmissionConfig {
-            enabled: true,
-            calibration_windows: 1,
-            target_expensive_fraction: 0.2,
-        })
-        .cost_model(CostModel::Work)
+        .admission("threshold:windows=1,fraction=0.2")
         .build(MethodBuilder::ggsx().build(&d));
     let w = generate_type_a(&d, &TypeAConfig::uu().count(40).seed(4));
     for q in w.graphs() {
@@ -154,7 +147,6 @@ fn gc_memory_stays_modest_relative_to_ftv_index() {
     let gc = GraphCache::builder()
         .capacity(100)
         .window(10)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::grapes(1).build(&d));
     let w = generate_type_a(&d, &TypeAConfig::zz(1.4).count(150).seed(8));
     for q in w.graphs() {

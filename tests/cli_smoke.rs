@@ -114,6 +114,12 @@ fn pipeline_generate_workload_query_bench() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("20 queries"), "query summary: {stdout}");
+    // Without --eviction / --admission the summary names the defaults:
+    // nothing gates admission.
+    assert!(
+        stdout.contains("eviction hd | admission none"),
+        "default policies: {stdout}"
+    );
 
     assert_exit(&["bench", "--suite", "smoke", "--json", &json], 0);
     let text = std::fs::read_to_string(&json).expect("bench json exists");
@@ -456,14 +462,15 @@ fn exit_codes_are_distinct() {
 /// Every subcommand rejects options it never reads (exit 2, naming the
 /// option) before doing any work: a typo must not run with the default,
 /// and a flag removed in an earlier release (`--verify-threads`, the
-/// save-format selector) must not be swallowed by scripts that still pass
-/// it. None of the paths below exist — rejection comes first.
+/// save-format selector, `--policy`) must not be swallowed by scripts that
+/// still pass it. A bare `--admission` is a missing value, not a policy.
+/// None of the paths below exist — rejection comes first.
 #[test]
 fn unknown_options_are_rejected_by_every_subcommand() {
     // The retired save-format flag, spelled in parts so a search for it
     // finds no live use.
     let format_flag = ["--persist", "-format"].concat();
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 13] = [
         (
             &[
                 "query",
@@ -557,6 +564,22 @@ fn unknown_options_are_rejected_by_every_subcommand() {
             "--retrys",
         ),
         (&["ctl", "--unix", "s", "--timeot", "5", "ping"], "--timeot"),
+        (
+            &[
+                "query",
+                "--dataset",
+                "d",
+                "--queries",
+                "q",
+                "--policy",
+                "hd",
+            ],
+            "--policy",
+        ),
+        (
+            &["serve", "--dataset", "d", "--unix", "s", "--policy", "lru"],
+            "--policy",
+        ),
     ];
     for (args, flag) in cases {
         let out = assert_exit(args, 2);
@@ -566,6 +589,15 @@ fn unknown_options_are_rejected_by_every_subcommand() {
             "gc {args:?} must name {flag}: {stderr}"
         );
     }
+    let out = assert_exit(
+        &["query", "--dataset", "d", "--queries", "q", "--admission"],
+        2,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--admission needs a value"),
+        "a bare --admission names no policy: {stderr}"
+    );
 }
 
 /// Exit-code contract for the daemon-facing subcommands (`serve`, `ctl`,

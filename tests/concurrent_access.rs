@@ -4,7 +4,7 @@
 //! API's `&self` query path (acceptance criterion of the concurrent
 //! service redesign).
 
-use graphcache::core::{CostModel, GraphCache, QueryRequest};
+use graphcache::core::{GraphCache, QueryRequest};
 use graphcache::prelude::*;
 use graphcache::workload::generate_type_a;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,7 +31,6 @@ fn shared_cache_matches_baseline_from_four_threads() {
         .capacity(15)
         .window(4)
         .shards(THREADS) // one per client thread, on any host
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
 
     let queries: Vec<&LabeledGraph> = workload.graphs().collect();
@@ -71,7 +70,6 @@ fn run_batch_matches_baseline_on_zipf_workload() {
         .capacity(15)
         .window(4)
         .threads(6)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
 
     let responses = cache.run_batch(
@@ -114,7 +112,6 @@ fn cloned_handles_with_background_maintenance_stay_consistent() {
         .window(5)
         .shards(THREADS) // one per client thread, on any host
         .background(true)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
 
     let queries: Vec<&LabeledGraph> = workload.graphs().collect();
@@ -159,7 +156,6 @@ fn mixed_requests_run_concurrently() {
         .capacity(10)
         .window(3)
         .threads(4)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
 
     let requests: Vec<QueryRequest> = workload

@@ -19,7 +19,7 @@ use graphcache::core::processors::{exact_probe, find_hits_naive, sweep, HitQuery
 use graphcache::core::{CacheEntry, CacheSnapshot, HitSet, QueryIndexConfig, QuerySerial};
 use graphcache::index::paths::enumerate_paths;
 use graphcache::prelude::*;
-use graphcache::subiso::{MatchConfig, Vf2};
+use graphcache::subiso::Vf2;
 use graphcache::workload::generate_type_a;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -57,9 +57,9 @@ fn entry_for(serial: QuerySerial, seed: u64) -> Arc<CacheEntry> {
 fn pipeline(snap: &CacheSnapshot, query: &LabeledGraph, opts: &VerifyOptions) -> HitSet {
     let profile = snap.profile_of(query);
     let hq = HitQuery::new(query, QueryKind::Subgraph, &profile);
-    let (vf2, cfg) = (Vf2::new(), MatchConfig::UNBOUNDED);
-    let probe = exact_probe(snap, query, hq.kind, hq.fingerprint, &vf2, &cfg, opts);
-    sweep(snap, &hq, probe, &vf2, &cfg, opts)
+    let vf2 = Vf2::new();
+    let probe = exact_probe(snap, query, hq.kind, hq.fingerprint, &vf2, opts);
+    sweep(snap, &hq, probe, &vf2, opts)
 }
 
 /// `a` is a sub-multiset of `b` (both sorted).
@@ -95,7 +95,7 @@ proptest! {
             let snap = CacheSnapshot::build_sharded(cfg, shards, entries.clone());
             for probe in &probes {
                 let naive = find_hits_naive(
-                    &snap, probe, QueryKind::Subgraph, &Vf2::new(), &MatchConfig::UNBOUNDED,
+                    &snap, probe, QueryKind::Subgraph, &Vf2::new(),
                 );
                 let got = pipeline(&snap, probe, &VerifyOptions::default());
                 prop_assert_eq!(&got.sub, &naive.sub, "sub, {} shards", shards);
@@ -194,7 +194,6 @@ fn exact_repeat_zero_tests_via_fingerprint() {
                 QueryKind::Subgraph,
                 probe_entry.fingerprint,
                 &Vf2::new(),
-                &MatchConfig::UNBOUNDED,
                 &VerifyOptions::default(),
             )
             .hits;

@@ -15,12 +15,12 @@
 //!   same cached set under the same deterministic policy.
 
 use graphcache::core::{
-    find_hits_naive, find_hits_opts, shard_for, CacheEntry, CacheSnapshot, CostModel, GraphCache,
-    HitQuery, QueryIndexConfig, QuerySerial, Shard, VerifyOptions,
+    find_hits_naive, find_hits_opts, shard_for, CacheEntry, CacheSnapshot, GraphCache, HitQuery,
+    QueryIndexConfig, QuerySerial, Shard, VerifyOptions,
 };
 use graphcache::index::paths::enumerate_paths;
 use graphcache::prelude::*;
-use graphcache::subiso::{MatchConfig, Vf2};
+use graphcache::subiso::Vf2;
 use graphcache::workload::generate_type_a;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -242,14 +242,12 @@ proptest! {
                     &probe,
                     QueryKind::Subgraph,
                     &Vf2::new(),
-                    &MatchConfig::UNBOUNDED,
                 );
                 let profile = snap.profile_of(&probe);
                 let swept = find_hits_opts(
                     snap,
                     &HitQuery::new(&probe, QueryKind::Subgraph, &profile),
                     &Vf2::new(),
-                    &MatchConfig::UNBOUNDED,
                     &VerifyOptions::default(),
                 );
                 prop_assert_eq!(&swept.sub, &naive.sub, "sub hits, probe {:?}", &probe);
@@ -311,7 +309,6 @@ proptest! {
             .capacity(capacity)
             .window(window)
             .shards([1usize, 4, 16][shard_sel])
-            .cost_model(CostModel::Work)
             .build(MethodBuilder::ggsx().build(d));
         let mut rounds = 0;
         let mut misses = 0usize;
@@ -351,7 +348,6 @@ fn sharded_cache_replay_matches_single_shard() {
         GraphCache::builder()
             .capacity(8)
             .window(5)
-            .cost_model(CostModel::Work)
             .shards(shards)
             .build(MethodBuilder::ggsx().build(&d))
     };

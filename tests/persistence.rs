@@ -6,7 +6,7 @@
 //! tests pin the failure modes: corrupted snapshots and text saves of
 //! earlier releases fail with typed errors, never a panic.
 
-use graphcache::core::{CostModel, GraphCache, PersistedCache, StatsStore};
+use graphcache::core::{GraphCache, PersistedCache, StatsStore};
 use graphcache::graph::GraphError;
 use graphcache::prelude::*;
 use graphcache::workload::generate_type_a;
@@ -28,7 +28,6 @@ fn save_and_restore_preserves_hits_and_answers() {
     let first = GraphCache::builder()
         .capacity(20)
         .window(4)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
     let mut first_answers = Vec::new();
     for q in workload.graphs() {
@@ -44,7 +43,6 @@ fn save_and_restore_preserves_hits_and_answers() {
     let second = GraphCache::builder()
         .capacity(20)
         .window(4)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
     second.restore(&dir).unwrap();
     assert_eq!(second.cache_len(), cached_before);
@@ -71,7 +69,6 @@ fn restored_serials_do_not_collide() {
     let first = GraphCache::builder()
         .capacity(10)
         .window(2)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
     let mut max_serial = 0;
     for q in workload.graphs() {
@@ -82,7 +79,6 @@ fn restored_serials_do_not_collide() {
     let second = GraphCache::builder()
         .capacity(10)
         .window(2)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
     second.restore(&dir).unwrap();
     let r = second.run(&workload.queries[0].graph);
@@ -103,7 +99,6 @@ fn save_flushes_background_maintenance() {
         .capacity(15)
         .window(4)
         .background(true)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
     for q in workload.graphs() {
         gc.run(q);
@@ -123,7 +118,6 @@ fn warmed_cache(seed: u64, count: usize, capacity: usize) -> (GraphCache, GraphD
     let gc = GraphCache::builder()
         .capacity(capacity)
         .window(4)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
     for q in workload.graphs() {
         gc.run(q);
@@ -141,7 +135,6 @@ fn fresh_cache(d: &GraphDataset, capacity: usize) -> GraphCache {
     GraphCache::builder()
         .capacity(capacity)
         .window(4)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(d))
 }
 
@@ -295,7 +288,6 @@ fn restore_drops_isomorphic_copies_of_old_snapshots() {
     let cache = GraphCache::builder()
         .capacity(10)
         .window(4)
-        .cost_model(CostModel::Work)
         .build(MethodBuilder::ggsx().build(&d));
     let report = cache.restore(&dir).unwrap();
     assert_eq!(report.entries, 2);

@@ -1,8 +1,8 @@
 //! Pluggable policy engine acceptance tests.
 //!
-//! * **Parity** — every trait-based built-in must select exactly the
-//!   victims the pre-refactor `PolicyKind` enum dispatch selects, both on
-//!   a recorded Zipf statistics trace and through a full cache replay.
+//! * **Parity** — every built-in built by registry name must select
+//!   exactly the victims the `PolicyKind` utility functions select on a
+//!   recorded Zipf statistics trace.
 //! * **Registry** — names round-trip (`name → build → name()`), unknown
 //!   names fail with the available-policy listing, and the two post-paper
 //!   policies are selectable end-to-end.
@@ -11,7 +11,7 @@
 
 use graphcache::core::registry;
 use graphcache::core::{
-    CostModel, EvictionPolicy, GraphCache, PolicyKind, PolicyRow, PolicyView, QuerySerial,
+    EvictionPolicy, GraphCache, PolicyKind, PolicyRow, PolicyView, QuerySerial,
 };
 use graphcache::graph::zipf::ZipfSampler;
 use graphcache::prelude::*;
@@ -83,44 +83,6 @@ fn trace_replay_parity_with_enum_dispatch() {
     }
 }
 
-/// Full-cache parity: a cache built by registry name caches exactly the
-/// same queries as one built with the pre-refactor enum setter.
-#[test]
-fn cache_replay_parity_enum_vs_registry() {
-    let d = dataset();
-    let workload = zipf_workload(&d, 150, 33);
-    for kind in PolicyKind::ALL {
-        let by_enum = GraphCache::builder()
-            .capacity(8)
-            .window(5)
-            .cost_model(CostModel::Work)
-            .policy(kind)
-            .build(MethodBuilder::ggsx().build(&d));
-        let by_name = GraphCache::builder()
-            .capacity(8)
-            .window(5)
-            .cost_model(CostModel::Work)
-            .eviction(kind.registry_name())
-            .build(MethodBuilder::ggsx().build(&d));
-        for q in workload.graphs() {
-            assert_eq!(by_enum.run(q).answer, by_name.run(q).answer);
-        }
-        let cached = |c: &GraphCache| {
-            c.with_stats(|s| {
-                let mut keys: Vec<QuerySerial> = s.keys().collect();
-                keys.sort_unstable();
-                keys
-            })
-        };
-        assert_eq!(
-            cached(&by_enum),
-            cached(&by_name),
-            "cached sets diverged under {}",
-            kind.name()
-        );
-    }
-}
-
 /// `name → build → name()` for every canonical registry entry, plus alias
 /// and error behaviour.
 #[test]
@@ -176,7 +138,6 @@ fn new_policies_selectable_end_to_end() {
         let cache = GraphCache::builder()
             .capacity(10)
             .window(4)
-            .cost_model(CostModel::Work)
             .eviction(spec)
             .admission("adaptive")
             .build(MethodBuilder::ggsx().build(&d));
@@ -202,7 +163,6 @@ fn restore_under_different_policy_loads() {
     let writer = GraphCache::builder()
         .capacity(10)
         .window(4)
-        .cost_model(CostModel::Work)
         .eviction("greedy-dual")
         .build(MethodBuilder::ggsx().build(&d));
     for q in workload.graphs() {
@@ -225,7 +185,6 @@ fn restore_under_different_policy_loads() {
     let other = GraphCache::builder()
         .capacity(10)
         .window(4)
-        .cost_model(CostModel::Work)
         .eviction("slru")
         .build(MethodBuilder::ggsx().build(&d));
     other.restore(&dir).unwrap();
@@ -270,7 +229,6 @@ fn custom_policy_registers_and_runs() {
     let cache = GraphCache::builder()
         .capacity(6)
         .window(3)
-        .cost_model(CostModel::Work)
         .eviction("fifo-test")
         .build(MethodBuilder::ggsx().build(&d));
     for q in workload.graphs() {

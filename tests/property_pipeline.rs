@@ -1,7 +1,7 @@
 //! Property-based tests over the whole pipeline: random graphs and
 //! workloads, with Ullmann as an algorithmically independent referee.
 
-use graphcache::core::{CostModel, GraphCache};
+use graphcache::core::GraphCache;
 use graphcache::index::{CtConfig, CtIndex, FilterIndex, GgsxConfig, PathTrie};
 use graphcache::methods::MethodBuilder;
 use graphcache::prelude::*;
@@ -101,7 +101,6 @@ proptest! {
         let cache = GraphCache::builder()
             .capacity(4)
             .window(2)
-            .cost_model(CostModel::Work)
             .build(method);
         for q in &queries {
             let expected = baseline.run(q).answer;

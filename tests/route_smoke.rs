@@ -6,7 +6,7 @@
 //! announced `VERSION proto=4` gets a typed version error from a routed
 //! peer — plus the exact-repeat fast path and fleet `STATS`.
 
-use graphcache::core::{CostModel, GraphCache};
+use graphcache::core::GraphCache;
 use graphcache::graph::GraphDataset;
 use graphcache::index::fingerprint::iso_hash;
 use graphcache::methods::MethodBuilder;
@@ -43,7 +43,6 @@ fn make_cache(dataset: &GraphDataset) -> GraphCache {
         .capacity(25)
         .window(8)
         .eviction("hd")
-        .cost_model(CostModel::Work)
         .try_build(method)
         .expect("cache builds")
 }

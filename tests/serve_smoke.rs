@@ -5,7 +5,7 @@
 //! drain with persistence — plus raw-socket protocol abuse (malformed
 //! and oversized frames).
 
-use graphcache::core::{CostModel, GraphCache, QueryRecord, QueryRequest, RunCounters};
+use graphcache::core::{GraphCache, QueryRecord, QueryRequest, RunCounters};
 use graphcache::graph::GraphDataset;
 use graphcache::methods::MethodBuilder;
 use graphcache::server::{
@@ -44,7 +44,6 @@ fn make_cache(dataset: &GraphDataset) -> GraphCache {
         .capacity(25)
         .window(8)
         .eviction("hd")
-        .cost_model(CostModel::Work)
         .try_build(method)
         .expect("cache builds")
 }

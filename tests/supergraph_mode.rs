@@ -1,7 +1,7 @@
 //! Supergraph-query mode: GraphCache's inverse pruning rules (paper §5.1,
 //! "Supergraph Query Processing") must preserve answers exactly.
 
-use graphcache::core::{CostModel, GraphCache, QueryKind};
+use graphcache::core::{GraphCache, QueryKind};
 use graphcache::graph::random::bfs_edge_subgraph;
 use graphcache::prelude::*;
 use rand::rngs::StdRng;
@@ -42,7 +42,6 @@ fn supergraph_answers_match_baseline() {
         .capacity(15)
         .window(4)
         .query_kind(QueryKind::Supergraph)
-        .cost_model(CostModel::Work)
         .build(method);
     for (i, q) in queries.iter().enumerate() {
         let expected = baseline.run_directed(q, QueryKind::Supergraph).answer;
@@ -59,7 +58,6 @@ fn supergraph_exact_hits_fire() {
         .capacity(30)
         .window(1)
         .query_kind(QueryKind::Supergraph)
-        .cost_model(CostModel::Work)
         .build(method);
     let q = &queries[0];
     let first = cache.run(q);
@@ -78,7 +76,6 @@ fn supergraph_expanding_hits_prune() {
         .capacity(30)
         .window(1)
         .query_kind(QueryKind::Supergraph)
-        .cost_model(CostModel::Work)
         .build(method);
     // Build a nested pair: small ⊆ big. Cache the small query first; its
     // answers then transfer to the big one (inverse eq. (1)).
@@ -112,7 +109,6 @@ fn supergraph_empty_shortcut() {
         .capacity(30)
         .window(1)
         .query_kind(QueryKind::Supergraph)
-        .cost_model(CostModel::Work)
         .build(method);
     // A query with labels foreign to the fragment DB has an empty answer.
     let big_foreign = LabeledGraph::from_parts(
