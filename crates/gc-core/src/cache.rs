@@ -11,12 +11,12 @@ use crate::entry::CacheEntry;
 use crate::fragments::FragmentState;
 use crate::invariants::{ensure, InvariantClause, InvariantViolation};
 use crate::metrics::{MaintStats, QueryRecord};
-use crate::policy::EvictionPolicy;
+use crate::policy::{EvictionPolicy, PolicyRow};
 use crate::processors;
 use crate::pruner::{self, HitAnswer, PruneOutcome};
 use crate::query_index::QueryIndexConfig;
 use crate::registry::{self, PolicyError};
-use crate::stats::{columns, QuerySerial, StatsStore};
+use crate::stats::QuerySerial;
 use crate::window::{self, MaintMsg, MaintenanceConfig, Shared, WindowEntry};
 use gc_fragments::FragmentConfig;
 use gc_graph::{idset, GraphId, LabeledGraph};
@@ -740,18 +740,10 @@ impl GraphCache {
             + fragments
     }
 
-    /// Reads a statistics cell of a cached query (testing/diagnostics).
-    pub fn stat(&self, serial: QuerySerial, column: &str) -> Option<f64> {
-        self.shared
-            .stats
-            .lock()
-            .get(serial, column)
-            .map(|v| v.as_f64())
-    }
-
-    /// Runs all statistics rows through a visitor (diagnostics).
-    pub fn with_stats<R>(&self, f: impl FnOnce(&StatsStore) -> R) -> R {
-        f(&self.shared.stats.lock())
+    /// Every cached entry's statistics row — the hits, last hit, `R` and
+    /// `C` the replacement policies read — sorted by serial (diagnostics).
+    pub fn stats_rows(&self) -> Vec<PolicyRow> {
+        self.shared.stats.lock().rows()
     }
 
     /// Checks the cache stores against their structural invariant and
@@ -1398,7 +1390,8 @@ impl GraphCache {
     }
 
     /// Credits an exact hit on `source` with `saved_cost`
-    /// ([`exact_saving`](Self::exact_saving)) and its answer-set size.
+    /// ([`exact_saving`](Self::exact_saving)) as `C` and its answer-set
+    /// size, floored at 1, as `R`.
     fn credit_exact(
         &self,
         source: QuerySerial,
@@ -1406,24 +1399,16 @@ impl GraphCache {
         answer_len: usize,
         saved_cost: f64,
     ) {
-        {
-            let mut stats = self.shared.stats.lock();
-            if !stats.contains_row(source) {
-                // The source entry was evicted (and its row removed) by a
-                // maintenance round that ran after our snapshot read;
-                // crediting now would recreate an orphan row nothing ever
-                // cleans up.
-                return;
-            }
-            stats.add_int(source, columns::HITS, 1);
-            stats.add_int(source, columns::SPECIAL_HITS, 1);
-            stats.set(source, columns::LAST_HIT, now as i64);
-            stats.add_int(source, columns::R_TOTAL, answer_len.max(1) as i64);
-            stats.add_float(source, columns::C_TOTAL, saved_cost);
-        }
+        let credited =
+            self.shared
+                .stats
+                .lock()
+                .credit(source, now, answer_len.max(1) as u64, saved_cost);
         // The eviction policy observes the hit after the stats lock is
         // released (the two locks are never held together).
-        self.shared.eviction.lock().on_hit(source, now, saved_cost);
+        if credited {
+            self.shared.eviction.lock().on_hit(source, now, saved_cost);
+        }
     }
 
     /// Credits every pruning contribution (paper §5.2: hit count, last-hit
@@ -1442,27 +1427,19 @@ impl GraphCache {
         {
             let mut stats = self.shared.stats.lock();
             for c in &pruned.contributions {
-                if !stats.contains_row(c.serial) {
-                    // Evicted by a concurrent maintenance round; see
-                    // `credit_exact`.
-                    continue;
-                }
-                stats.add_int(c.serial, columns::HITS, 1);
-                stats.set(c.serial, columns::LAST_HIT, now as i64);
-                if matches!(pruned.outcome, PruneOutcome::EmptyShortcut(_)) {
-                    stats.add_int(c.serial, columns::SPECIAL_HITS, 1);
-                }
-                let mut saved = 0.0;
-                if !c.removed.is_empty() {
-                    saved = c
-                        .removed
+                // A hit that removed no candidate earns a hit and a last-hit
+                // serial, but no `R` and no `C`.
+                let saved = if c.removed.is_empty() {
+                    0.0
+                } else {
+                    c.removed
                         .iter()
                         .map(|&id| cost::estimate(query, dataset.graph(id)))
-                        .sum();
-                    stats.add_int(c.serial, columns::R_TOTAL, c.removed.len() as i64);
-                    stats.add_float(c.serial, columns::C_TOTAL, saved);
+                        .sum()
+                };
+                if stats.credit(c.serial, now, c.removed.len() as u64, saved) {
+                    hit_events.push((c.serial, saved));
                 }
-                hit_events.push((c.serial, saved));
             }
         }
         // Eviction-policy hit events fire after the stats lock is released
@@ -1581,6 +1558,11 @@ mod tests {
         GraphCache::builder().capacity(10).window(2).build(method)
     }
 
+    /// The statistics row of `serial`, if it has one.
+    fn stats_row(gc: &GraphCache, serial: QuerySerial) -> Option<PolicyRow> {
+        gc.stats_rows().into_iter().find(|r| r.serial == serial)
+    }
+
     #[test]
     fn answers_match_baseline() {
         let d = dataset();
@@ -1670,10 +1652,73 @@ mod tests {
         gc.run(&path_graph(&[2, 1]));
         let small = path_graph(&[0, 1, 0]);
         gc.run(&small);
-        let hits = gc.stat(r_big.serial, columns::HITS).unwrap_or(0.0);
-        assert!(hits >= 1.0, "cached query must be credited");
-        assert!(gc.stat(r_big.serial, columns::R_TOTAL).unwrap_or(0.0) >= 1.0);
-        assert!(gc.stat(r_big.serial, columns::C_TOTAL).unwrap_or(0.0) > 0.0);
+        let row = stats_row(&gc, r_big.serial).expect("cached");
+        assert!(row.hits >= 1, "cached query must be credited");
+        assert!(row.r_total >= 1);
+        assert!(row.c_total > 0.0);
+    }
+
+    /// The credit rule PIN (`R`), PINC and HD (`C`) and LRU/POP (hits,
+    /// last hit) read, on concrete serials: a contribution that removed
+    /// no candidate earns a hit and a last-hit serial but no `R` and no
+    /// `C`; an exact hit adds its answer size floored at 1 to `R` and its
+    /// memoised saving, floored at 1.0, to `C`.
+    #[test]
+    fn credit_rule_is_what_the_policies_see() {
+        let gc = cache();
+        // Serial 1: a path longer than every dataset graph — empty answer.
+        let long = path_graph(&[0, 1, 0, 1, 0, 1]);
+        let edge = path_graph(&[3, 3]);
+        assert!(gc.run(&long).answer.is_empty());
+        assert_eq!(gc.run(&edge).answer, vec![GraphId(3)]); // serial 2; round
+        let admitted = |serial| PolicyRow {
+            serial,
+            last_hit: serial,
+            hits: 0,
+            r_total: 0,
+            c_total: 0.0,
+        };
+        assert_eq!(gc.stats_rows(), vec![admitted(1), admitted(2)]);
+
+        // Serial 3 is contained in entry 1, whose empty answer removes
+        // nothing from Method M's candidates.
+        let r3 = gc.run(&path_graph(&[0, 1, 0]));
+        assert_eq!((r3.serial, r3.record.sub_hits), (3, 1));
+        let after_zero_removal = PolicyRow {
+            last_hit: 3,
+            hits: 1,
+            ..admitted(1)
+        };
+        assert_eq!(stats_row(&gc, 1), Some(after_zero_removal));
+
+        // Serial 4 repeats entry 2: R += 1 answer, C += its saving.
+        assert!(gc.run(&edge).record.exact_hit);
+        let saving = cost::estimate(&edge, gc.method().dataset().graph(GraphId(3))).max(1.0);
+        assert_eq!(
+            stats_row(&gc, 2),
+            Some(PolicyRow {
+                last_hit: 4,
+                hits: 1,
+                r_total: 1,
+                c_total: saving,
+                ..admitted(2)
+            })
+        );
+
+        // Serial 5 repeats entry 1: an empty answer still counts 1 in R
+        // and the 1.0 floor in C.
+        assert!(gc.run(&long).record.exact_hit);
+        assert_eq!(
+            stats_row(&gc, 1),
+            Some(PolicyRow {
+                last_hit: 5,
+                hits: 2,
+                r_total: 1,
+                c_total: 1.0,
+                ..admitted(1)
+            })
+        );
+        assert_eq!(gc.check_invariants(), Ok(()));
     }
 
     #[test]
@@ -2041,11 +2086,9 @@ mod tests {
         assert!(gc.run(&q).record.exact_hit);
         assert_eq!(entry.exact_saving.get(), Some(&expected));
         assert!(gc.run(&q).record.exact_hit);
-        assert_eq!(
-            gc.stat(first.serial, columns::C_TOTAL),
-            Some(expected + expected)
-        );
-        assert_eq!(gc.stat(first.serial, columns::HITS), Some(2.0));
+        let row = stats_row(&gc, first.serial).expect("cached");
+        assert_eq!(row.c_total, expected + expected);
+        assert_eq!(row.hits, 2);
     }
 
     #[test]
@@ -2058,11 +2101,8 @@ mod tests {
         let v = gc.check_invariants().unwrap_err();
         assert_eq!(v.clause, InvariantClause::StatsRows);
         assert_eq!(v.shard, None);
-        gc.shared
-            .stats
-            .lock()
-            .set(first.serial, columns::HITS, 0i64);
-        gc.shared.stats.lock().set(9_999, columns::HITS, 0i64);
+        gc.shared.stats.lock().admit(first.serial);
+        gc.shared.stats.lock().admit(9_999);
         assert_eq!(
             gc.check_invariants().unwrap_err().clause,
             InvariantClause::StatsRows,
@@ -2113,7 +2153,6 @@ mod tests {
         let q = path_graph(&[0, 1, 0]);
         let first = gc.run(&q);
         gc.run(&path_graph(&[0, 1])); // flush at W=2
-                                      // The first hit adds the row's hit cells; from then on nothing grows.
         assert!(gc.run(&q).record.exact_hit);
         let (window, rounds) = (gc.window_len(), gc.maint_stats().rounds);
         let (len, bytes) = (gc.cache_len(), gc.memory_bytes());
@@ -2129,8 +2168,7 @@ mod tests {
         assert_eq!(gc.maint_stats().entries_admitted, admitted);
         assert_eq!(gc.cache_len(), len);
         assert_eq!(gc.memory_bytes(), bytes);
-        assert_eq!(gc.stat(first.serial, columns::HITS), Some(101.0));
-        assert_eq!(gc.stat(first.serial, columns::SPECIAL_HITS), Some(101.0));
+        assert_eq!(stats_row(&gc, first.serial).map(|r| r.hits), Some(101));
         assert_eq!(gc.check_invariants(), Ok(()));
     }
 
@@ -2154,14 +2192,10 @@ mod tests {
         let snapshot = gc.shared.load_snapshot();
         assert!(snapshot.entry(a.serial).is_some() && snapshot.entry(b.serial).is_none());
         drop(snapshot);
-        assert_eq!(
-            gc.stat(b.serial, columns::NODES),
-            None,
-            "no row for the copy"
-        );
+        assert_eq!(stats_row(&gc, b.serial), None, "no row for the copy");
         let r = gc.run(&triangle([1, 2, 0]));
         assert!(r.record.exact_hit);
-        assert_eq!(gc.stat(a.serial, columns::HITS), Some(1.0));
+        assert_eq!(stats_row(&gc, a.serial).map(|r| r.hits), Some(1));
         assert_eq!(gc.check_invariants(), Ok(()));
     }
 
@@ -2180,7 +2214,11 @@ mod tests {
         assert!(late.result.record.deadline_exceeded);
         assert!(!late.result.record.exact_hit);
         assert!(late.result.answer.is_empty());
-        assert_eq!(gc.stat(first.serial, columns::HITS), None, "no credit");
+        assert_eq!(
+            stats_row(&gc, first.serial).map(|r| (r.hits, r.last_hit)),
+            Some((0, first.serial)),
+            "no credit"
+        );
         assert_eq!(gc.window_len(), 0);
 
         let broke = gc.execute(QueryRequest::new(q.clone()).verify_budget(0));

@@ -12,22 +12,26 @@
 //! current view when the directory has no usable manifest.
 //!
 //! Two sections of `snapshot.bin` embed line-oriented text codecs, defined
-//! here: STATS (one `row <serial>` line per statistics row followed by
-//! `  <column> <int|float> <value>` lines) and FRAGMENTS (a `fragments_v1`
+//! here: STATS (one `row <serial>` line per statistics row followed by its
+//! four `  <column> <int|float> <value>` cells, `c_total float`,
+//! `hits int`, `last_hit int` and `r_total int`) and FRAGMENTS (a `fragments_v1`
 //! version header, then per fragment an
 //! `@fragment key:<hex> hits:<n> last:<n> r:<n> c:<float>` header, the
 //! fragment graph in the `gc_graph::io` record format, and an
 //! `occs: <id> <id> …` line with the fragment's exact occurrence set).
 //!
 //! Loading is strict: malformed input yields an error rather than a
-//! silently truncated cache. The `entries.txt` text saves of earlier
-//! releases are not read; restoring one fails with a typed error that
-//! says so.
+//! silently truncated cache. STATS sections of earlier releases carry
+//! seven more columns no decision read (node, edge and label counts,
+//! expensiveness, special-case hits and two timings); they still load,
+//! and those columns are dropped, while any other unknown column is an
+//! error. The `entries.txt` text saves of earlier releases are not read;
+//! restoring one fails with a typed error that says so.
 
 use crate::entry::{CacheEntry, CacheSnapshot};
 use crate::query_index::QueryIndexConfig;
 use crate::staged::{Generation, Manifest, SNAPSHOT_FILE};
-use crate::stats::{QuerySerial, StatsStore, Value};
+use crate::stats::{QuerySerial, StatsStore};
 use gc_graph::{io, GraphError, GraphId};
 use gc_index::fingerprint::fnv1a;
 use gc_index::paths::{enumerate_paths, PathProfile};
@@ -323,40 +327,51 @@ impl PersistedCache {
     }
 }
 
-/// Writes the STATS codec: rows in sorted-serial order, each row's
-/// columns in the store's (sorted) iteration order — so identical stats
-/// always serialise to identical bytes.
+/// Columns that snapshots of earlier releases carry and no decision read:
+/// the query's node, edge and label counts, its expensiveness, its
+/// special-case hit count and two wall-clock timings. They load, and are
+/// dropped.
+const RETIRED_STATS_COLUMNS: [&str; 7] = [
+    "nodes",
+    "edges",
+    "labels",
+    "expensiveness",
+    "special_hits",
+    "filter_us",
+    "verify_us",
+];
+
+/// Writes the STATS codec: rows in serial order, each as its four cells
+/// in column-name order — so identical statistics always serialise to
+/// identical bytes.
 pub(crate) fn write_stats_text(mut w: impl Write, stats: &StatsStore) -> std::io::Result<()> {
-    let mut keys: Vec<QuerySerial> = stats.keys().collect();
-    keys.sort_unstable();
-    for key in keys {
-        writeln!(w, "row {key}")?;
-        if let Some(row) = stats.row(key) {
-            for (col, val) in row {
-                match val {
-                    Value::Int(i) => writeln!(w, "  {col} int {i}")?,
-                    Value::Float(f) => writeln!(w, "  {col} float {f}")?,
-                }
-            }
-        }
+    for row in stats.rows() {
+        writeln!(w, "row {}", row.serial)?;
+        writeln!(w, "  c_total float {}", row.c_total)?;
+        writeln!(w, "  hits int {}", row.hits)?;
+        writeln!(w, "  last_hit int {}", row.last_hit)?;
+        writeln!(w, "  r_total int {}", row.r_total)?;
     }
     Ok(())
 }
 
 /// Parses the STATS codec into `stats`. Strict: malformed rows or cells
-/// are errors, not skips. The `filter_us`/`verify_us` wall-clock columns
-/// that snapshots of earlier releases carry are retired and dropped.
+/// are errors, not skips. A cell a row lacks keeps the admitted row's
+/// value (never hit, its own serial as the last hit), the retired columns
+/// of earlier releases are dropped, and any other column name is an
+/// error.
 pub(crate) fn read_stats_text(r: impl BufRead, stats: &mut StatsStore) -> Result<(), GraphError> {
     let mut current: Option<QuerySerial> = None;
     for (i, line) in r.lines().enumerate() {
         let line = line?;
         let lineno = i + 1;
         if let Some(k) = line.strip_prefix("row ") {
-            current = Some(
-                k.trim()
-                    .parse()
-                    .map_err(|_| GraphError::parse(lineno, "bad stats key"))?,
-            );
+            let serial = k
+                .trim()
+                .parse()
+                .map_err(|_| GraphError::parse(lineno, "bad stats key"))?;
+            stats.admit(serial);
+            current = Some(serial);
         } else if !line.trim().is_empty() {
             let key =
                 current.ok_or_else(|| GraphError::parse(lineno, "stats cell before any row"))?;
@@ -370,25 +385,39 @@ pub(crate) fn read_stats_text(r: impl BufRead, stats: &mut StatsStore) -> Result
             let raw = parts
                 .next()
                 .ok_or_else(|| GraphError::parse(lineno, "missing value"))?;
-            let value = match kind {
-                "int" => Value::Int(
-                    raw.parse()
-                        .map_err(|_| GraphError::parse(lineno, "bad int"))?,
-                ),
-                "float" => Value::Float(
-                    raw.parse()
-                        .map_err(|_| GraphError::parse(lineno, "bad float"))?,
-                ),
-                other => {
+            let bad = || GraphError::parse(lineno, format!("bad {kind} {raw:?}"));
+            let mut row = stats.row(key);
+            match (col, kind) {
+                ("hits", "int") => row.hits = raw.parse().map_err(|_| bad())?,
+                ("last_hit", "int") => row.last_hit = raw.parse().map_err(|_| bad())?,
+                ("r_total", "int") => row.r_total = raw.parse().map_err(|_| bad())?,
+                ("c_total", "float") => row.c_total = raw.parse().map_err(|_| bad())?,
+                ("hits" | "last_hit" | "r_total" | "c_total", "int" | "float") => {
+                    return Err(GraphError::parse(
+                        lineno,
+                        format!("column {col:?} cannot hold a {kind} value"),
+                    ))
+                }
+                (_, "int") if RETIRED_STATS_COLUMNS.contains(&col) => {
+                    raw.parse::<i64>().map_err(|_| bad())?;
+                }
+                (_, "float") if RETIRED_STATS_COLUMNS.contains(&col) => {
+                    raw.parse::<f64>().map_err(|_| bad())?;
+                }
+                (_, "int" | "float") => {
+                    return Err(GraphError::parse(
+                        lineno,
+                        format!("unknown statistics column {col:?}"),
+                    ))
+                }
+                (_, other) => {
                     return Err(GraphError::parse(
                         lineno,
                         format!("unknown value kind {other:?}"),
                     ))
                 }
-            };
-            if !matches!(col, "filter_us" | "verify_us") {
-                stats.set(key, leak_column(col), value);
             }
+            stats.insert(row);
         }
     }
     Ok(())
@@ -520,32 +549,10 @@ fn parse_fragment_header(s: &str, lineno: usize) -> Result<PersistedFragment, Gr
     })
 }
 
-/// Statistics columns are `&'static str`; persisted columns outside the
-/// known set are interned by leaking (bounded by the column vocabulary).
-fn leak_column(name: &str) -> &'static str {
-    use crate::stats::columns as c;
-    for known in [
-        c::NODES,
-        c::EDGES,
-        c::LABELS,
-        c::HITS,
-        c::SPECIAL_HITS,
-        c::LAST_HIT,
-        c::R_TOTAL,
-        c::C_TOTAL,
-        c::EXPENSIVENESS,
-    ] {
-        if known == name {
-            return known;
-        }
-    }
-    Box::leak(name.to_owned().into_boxed_str())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::columns;
+    use crate::policy::PolicyRow;
     use gc_graph::LabeledGraph;
     use gc_index::fingerprint::iso_hash;
 
@@ -558,9 +565,14 @@ mod tests {
 
     fn sample() -> PersistedCache {
         let mut stats = StatsStore::new();
-        stats.set(3, columns::HITS, 7i64);
-        stats.set(3, columns::C_TOTAL, 12.5);
-        stats.set(9, columns::NODES, 4i64);
+        stats.insert(PolicyRow {
+            serial: 3,
+            last_hit: 40,
+            hits: 7,
+            r_total: 11,
+            c_total: 12.5,
+        });
+        stats.admit(9);
         let g3 = LabeledGraph::from_parts(vec![0, 1, 0], &[(0, 1), (1, 2)]);
         let g9 = LabeledGraph::from_parts(vec![5], &[]);
         let fp3 = iso_hash(&g3);
@@ -615,11 +627,7 @@ mod tests {
         assert_eq!(back.entries[0].4, iso_hash(&back.entries[0].1));
         assert_eq!(back.entries[1].2, Vec::<GraphId>::new());
         assert_eq!(back.entries[1].3, QueryKind::Supergraph);
-        assert_eq!(back.stats.get(3, columns::HITS), Some(Value::Int(7)));
-        assert_eq!(
-            back.stats.get(3, columns::C_TOTAL),
-            Some(Value::Float(12.5))
-        );
+        assert_eq!(back.stats.rows(), sample().stats.rows());
         assert_eq!(back.fragments, sample().fragments);
     }
 
@@ -732,18 +740,52 @@ mod tests {
         assert!(err.to_string().contains("UTF-8"), "{err}");
     }
 
-    /// The `filter_us`/`verify_us` wall-clock cells that snapshots of
-    /// earlier releases carry are dropped on load; every other cell
-    /// survives.
+    /// Rows of earlier releases load into the four-field row: a
+    /// nine-column row keeps its hits, last hit, `R` and `C`, the
+    /// `filter_us`/`verify_us` timings of still older saves are dropped
+    /// too, and a cell a row lacks keeps the admitted value. A column name
+    /// no release wrote is a typed error.
     #[test]
     fn retired_timing_columns_are_dropped() {
+        let old = "row 3\n  c_total float 12.5\n  edges int 2\n  expensiveness float 840\n  \
+                   hits int 7\n  labels int 2\n  last_hit int 40\n  nodes int 3\n  \
+                   r_total int 11\n  special_hits int 2\n\
+                   row 5\n  filter_us float 1.5\n  hits int 2\n  verify_us float 9\n";
         let mut stats = StatsStore::new();
-        read_stats_text(
-            "row 3\n  filter_us float 1.5\n  hits int 2\n  verify_us float 9\n".as_bytes(),
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(stats.get(3, columns::HITS), Some(Value::Int(2)));
-        assert_eq!(stats.row(3).unwrap().len(), 1);
+        read_stats_text(old.as_bytes(), &mut stats).unwrap();
+        assert_eq!(
+            stats.rows(),
+            vec![
+                PolicyRow {
+                    serial: 3,
+                    last_hit: 40,
+                    hits: 7,
+                    r_total: 11,
+                    c_total: 12.5,
+                },
+                PolicyRow {
+                    serial: 5,
+                    last_hit: 5,
+                    hits: 2,
+                    r_total: 0,
+                    c_total: 0.0,
+                },
+            ]
+        );
+        let mut written = Vec::new();
+        write_stats_text(&mut written, &stats).unwrap();
+        assert_eq!(
+            String::from_utf8(written).unwrap(),
+            "row 3\n  c_total float 12.5\n  hits int 7\n  last_hit int 40\n  r_total int 11\n\
+             row 5\n  c_total float 0\n  hits int 2\n  last_hit int 5\n  r_total int 0\n"
+        );
+
+        let unknown = read_stats_text("row 1\n  hats int 2\n".as_bytes(), &mut stats);
+        assert!(
+            matches!(&unknown, Err(GraphError::Parse { message, .. }) if message.contains("hats")),
+            "{unknown:?}"
+        );
+        let wrong_kind = read_stats_text("row 1\n  hits float 2.5\n".as_bytes(), &mut stats);
+        assert!(matches!(wrong_kind, Err(GraphError::Parse { .. })));
     }
 }

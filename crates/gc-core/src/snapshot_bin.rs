@@ -468,15 +468,21 @@ pub(crate) fn decode(buf: &[u8]) -> Result<PersistedCache, GraphError> {
 mod tests {
     use super::*;
     use crate::persist::PersistedFragment;
-    use crate::stats::{columns, StatsStore, Value};
+    use crate::policy::PolicyRow;
+    use crate::stats::StatsStore;
     use gc_index::fingerprint::iso_hash;
     use gc_index::paths::enumerate_paths;
 
     fn sample(with_profiles: bool) -> PersistedCache {
         let mut stats = StatsStore::new();
-        stats.set(3, columns::HITS, 7i64);
-        stats.set(3, columns::C_TOTAL, 12.5);
-        stats.set(9, columns::NODES, 4i64);
+        stats.insert(PolicyRow {
+            serial: 3,
+            last_hit: 40,
+            hits: 7,
+            r_total: 11,
+            c_total: 12.5,
+        });
+        stats.admit(9);
         let g3 = LabeledGraph::from_parts(vec![0, 1, 0], &[(0, 1), (1, 2)]);
         let g9 = LabeledGraph::from_parts(vec![5], &[]);
         let fp3 = iso_hash(&g3);
@@ -532,11 +538,7 @@ mod tests {
             assert_eq!(back.entries[0].3, QueryKind::Subgraph);
             assert_eq!(back.entries[0].4, orig.entries[0].4);
             assert_eq!(back.entries[1].3, QueryKind::Supergraph);
-            assert_eq!(back.stats.get(3, columns::HITS), Some(Value::Int(7)));
-            assert_eq!(
-                back.stats.get(3, columns::C_TOTAL),
-                Some(Value::Float(12.5))
-            );
+            assert_eq!(back.stats.rows(), orig.stats.rows());
             assert_eq!(back.fragments, orig.fragments);
             match (&back.profiles, with_profiles) {
                 (Some(p), true) => {

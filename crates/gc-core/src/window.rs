@@ -60,7 +60,7 @@ use crate::metrics::MaintStats;
 use crate::policy::{EvictionPolicy, PolicyRow, PolicyView};
 use crate::processors::{self, VerifyOptions};
 use crate::query_index::QueryIndexConfig;
-use crate::stats::{columns, QuerySerial, StatsStore};
+use crate::stats::{QuerySerial, StatsStore};
 use gc_graph::{sizing, GraphId, LabeledGraph};
 use gc_index::fx::FxHashMap;
 use gc_index::paths::PathProfile;
@@ -427,9 +427,7 @@ pub(crate) fn maintain(
     let victims: Vec<QuerySerial> = {
         let rows: Vec<PolicyRow> = if evict_needed > 0 {
             let stats = shared.stats.lock();
-            old.iter_entries()
-                .map(|e| policy_row(&stats, e.serial))
-                .collect()
+            old.iter_entries().map(|e| stats.row(e.serial)).collect()
         } else {
             Vec::new()
         };
@@ -462,18 +460,11 @@ pub(crate) fn maintain(
     }
     // The admitted entries are consumed here: graph, answer and profile
     // move into the cache entry (an admission allocates its feature keys
-    // once), and what step (4) seeds into the statistics store is captured
-    // first.
+    // once); their serials are kept for step (4) to seed statistics rows.
     let mut inserts: Vec<Vec<Arc<CacheEntry>>> = vec![Vec::new(); n];
-    let mut seeds: Vec<SeedRow> = Vec::with_capacity(admitted.len());
+    let mut seeds: Vec<QuerySerial> = Vec::with_capacity(admitted.len());
     for e in admitted {
-        seeds.push(SeedRow {
-            serial: e.serial,
-            nodes: e.graph.node_count() as i64,
-            edges: e.graph.edge_count() as i64,
-            labels: e.graph.distinct_label_count() as i64,
-            expensiveness: e.expensiveness,
-        });
+        seeds.push(e.serial);
         inserts[shard_for(e.serial, n)].push(Arc::new(CacheEntry {
             serial: e.serial,
             graph: e.graph,
@@ -530,7 +521,7 @@ pub(crate) fn maintain(
                 current
                     .live_entries()
                     .map(|e| {
-                        let row = policy_row(&stats, e.serial);
+                        let row = stats.row(e.serial);
                         // Hotter sorts first: more hits, then fresher.
                         (e.serial, (u64::MAX - row.hits, u64::MAX - row.last_hit))
                     })
@@ -554,12 +545,8 @@ pub(crate) fn maintain(
         for v in &victims {
             stats.remove_row(*v);
         }
-        for r in &seeds {
-            stats.set(r.serial, columns::NODES, r.nodes);
-            stats.set(r.serial, columns::EDGES, r.edges);
-            stats.set(r.serial, columns::LABELS, r.labels);
-            stats.set(r.serial, columns::EXPENSIVENESS, r.expensiveness);
-            stats.set(r.serial, columns::LAST_HIT, r.serial as i64);
+        for &serial in &seeds {
+            stats.admit(serial);
         }
     }
     let stats_upkeep = t_stats.elapsed();
@@ -574,32 +561,6 @@ pub(crate) fn maintain(
         compactions,
     );
     record_round(shared, t0)
-}
-
-/// The static statistics and expensiveness score seeded for an admitted
-/// query (paper §6.1), captured before its [`WindowEntry`] moves into the
-/// cache entry.
-struct SeedRow {
-    serial: QuerySerial,
-    nodes: i64,
-    edges: i64,
-    labels: i64,
-    expensiveness: f64,
-}
-
-/// An entry's dynamic statistics as the policies see them, from one row
-/// lookup. A missing cell reads as "never hit": zero counts, and its own
-/// serial as the last-hit time.
-fn policy_row(stats: &StatsStore, serial: QuerySerial) -> PolicyRow {
-    let row = stats.row(serial);
-    let cell = |column: &str| row.and_then(|r| r.get(column));
-    PolicyRow {
-        serial,
-        last_hit: cell(columns::LAST_HIT).map_or(serial, |v| v.as_i64() as u64),
-        hits: cell(columns::HITS).map_or(0, |v| v.as_i64() as u64),
-        r_total: cell(columns::R_TOTAL).map_or(0, |v| v.as_i64() as u64),
-        c_total: cell(columns::C_TOTAL).map_or(0.0, |v| v.as_f64()),
-    }
 }
 
 /// Books one finished maintenance round into the overhead counters and
@@ -707,8 +668,7 @@ mod tests {
         let snap = s.load_snapshot();
         assert_eq!(snap.len(), 2);
         assert!(snap.entry(1).is_some());
-        let stats = s.stats.lock();
-        assert!(stats.get(1, columns::NODES).is_some());
+        assert!(s.stats.lock().contains_row(1));
         assert_eq!(s.maintenance_rounds.load(Ordering::Relaxed), 1);
         let m = s.maint_stats();
         assert_eq!(m.rounds, 1);
@@ -722,7 +682,7 @@ mod tests {
         let s = shared();
         maintain(&s, &cfg(2), vec![entry(1, 1.0), entry(2, 1.0)], 2);
         // Mark entry 2 as recently hit so LRU evicts entry 1.
-        s.stats.lock().set(2, columns::LAST_HIT, 9i64);
+        s.stats.lock().credit(2, 9, 0, 0.0);
         maintain(&s, &cfg(2), vec![entry(3, 1.0)], 3);
         let snap = s.load_snapshot();
         assert_eq!(snap.len(), 2);
@@ -730,7 +690,7 @@ mod tests {
         assert!(snap.entry(2).is_some());
         assert!(snap.entry(3).is_some());
         // Victim's stats row dropped.
-        assert!(s.stats.lock().get(1, columns::NODES).is_none());
+        assert!(!s.stats.lock().contains_row(1));
         assert_eq!(s.maint_stats().entries_evicted, 1);
     }
 
@@ -854,7 +814,7 @@ mod tests {
         assert_eq!(s.maint_stats().dead_postings, 0, "dense cache, no debt");
         // Mark entry 2 as recently hit so LRU evicts entry 1; the shard
         // ends with 1 tombstone of 3 slots (debt 1/3 < 1/2, no compaction).
-        s.stats.lock().set(2, columns::LAST_HIT, 9i64);
+        s.stats.lock().credit(2, 9, 0, 0.0);
         maintain(&s, &cfg(2), vec![entry(3, 1.0)], 3);
         let m = s.maint_stats();
         assert_eq!(m.compactions, 0);
@@ -885,7 +845,10 @@ mod tests {
             maintain(&s, &cfg(capacity), batch, serial);
             let snap = s.load_snapshot();
             let oldest = snap.iter_entries().map(|e| e.serial).min().unwrap();
-            s.stats.lock().set(oldest, columns::HITS, 1_000i64);
+            let mut stats = s.stats.lock();
+            let row = stats.row(oldest);
+            stats.insert(PolicyRow { hits: 1_000, ..row });
+            drop(stats);
             if snap.shards()[0].tombstone_debt() == 0.0 && snap.len() == capacity {
                 compacted_snapshots += 1;
             }
@@ -902,17 +865,8 @@ mod tests {
             let hottest = shard
                 .live_entries()
                 .max_by_key(|e| {
-                    (
-                        stats
-                            .get(e.serial, columns::HITS)
-                            .map(|v| v.as_i64())
-                            .unwrap_or(0),
-                        stats
-                            .get(e.serial, columns::LAST_HIT)
-                            .map(|v| v.as_i64())
-                            .unwrap_or(e.serial as i64),
-                        std::cmp::Reverse(e.serial),
-                    )
+                    let row = stats.row(e.serial);
+                    (row.hits, row.last_hit, std::cmp::Reverse(e.serial))
                 })
                 .map(|e| e.serial);
             assert_eq!(first, hottest, "hot entry packed into slot 0");
@@ -976,7 +930,7 @@ mod tests {
         let m = s.maint_stats();
         assert_eq!(m.entries_admitted, 3, "1, 2 and 4");
         assert_eq!(m.entries_evicted, 1, "one slot for one distinct admission");
-        assert!(s.stats.lock().get(5, columns::NODES).is_none());
+        assert!(!s.stats.lock().contains_row(5));
         // A batch of nothing but duplicates patches no shard.
         let before = Arc::as_ptr(&s.load_snapshot().shards()[0]);
         maintain(&s, &cfg(2), vec![entry_with(6, path([5, 6, 7]), 1.0)], 6);

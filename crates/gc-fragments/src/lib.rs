@@ -188,8 +188,6 @@ pub struct FragmentRow {
     pub r_total: u64,
     /// Estimated cost saved in total.
     pub c_total: f64,
-    /// Resident bytes of this fragment.
-    pub bytes: usize,
 }
 
 /// Outcome of probing the store with a query's fragment keys.
@@ -341,7 +339,6 @@ impl FragmentStore {
                 last_hit: f.last_hit,
                 r_total: f.r_total,
                 c_total: f.c_total,
-                bytes: f.memory_bytes(),
             })
             .collect();
         rows.sort_unstable_by_key(|r| r.id);

@@ -196,7 +196,7 @@ fn serve_workload<'a>(
     socket: &Path,
     graphs: impl Iterator<Item = &'a gc_graph::LabeledGraph>,
 ) -> Result<ReplayOutput, ClientError> {
-    let mut client = connect_with_retry(socket)?;
+    let mut client = Client::connect_unix_with_retry(socket, &RetryPolicy::with_attempts(10))?;
     let mut records = Vec::new();
     // The ISSUE's parity bar: counters must stay byte-identical *with the
     // failure-handling paths enabled*. Every query carries a generous
@@ -233,22 +233,6 @@ fn serve_workload<'a>(
     let stats = client.stats(StatsScope::Settle)?;
     client.shutdown()?;
     Ok((records, stats))
-}
-
-/// Connects to the daemon's socket, tolerating the small window between
-/// `Server::bind` (socket exists) and the accept loop starting.
-fn connect_with_retry(socket: &Path) -> Result<Client, ClientError> {
-    let mut last = None;
-    for _ in 0..200 {
-        match Client::connect_unix(socket) {
-            Ok(client) => return Ok(client),
-            Err(e) => {
-                last = Some(e);
-                std::thread::sleep(std::time::Duration::from_millis(10));
-            }
-        }
-    }
-    Err(last.unwrap_or(ClientError::SessionClosed { reason: None }))
 }
 
 #[cfg(test)]

@@ -359,13 +359,8 @@ fn sharded_cache_replay_matches_single_shard() {
         assert_eq!(flat.run(q).answer, want);
         assert_eq!(sharded.run(q).answer, want);
     }
-    let cached = |c: &GraphCache| {
-        c.with_stats(|s| {
-            let mut keys: Vec<QuerySerial> = s.keys().collect();
-            keys.sort_unstable();
-            keys
-        })
-    };
+    let cached =
+        |c: &GraphCache| -> Vec<QuerySerial> { c.stats_rows().iter().map(|r| r.serial).collect() };
     assert_eq!(cached(&flat), cached(&sharded), "same cached set");
     assert!(sharded.cache_len() <= 8);
     // Maintenance actually exercised the delta path.

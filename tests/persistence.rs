@@ -6,7 +6,7 @@
 //! tests pin the failure modes: corrupted snapshots and text saves of
 //! earlier releases fail with typed errors, never a panic.
 
-use graphcache::core::{GraphCache, PersistedCache, StatsStore};
+use graphcache::core::{GraphCache, PersistedCache, PolicyRow, StatsStore};
 use graphcache::graph::GraphError;
 use graphcache::prelude::*;
 use graphcache::workload::generate_type_a;
@@ -158,6 +158,7 @@ proptest! {
         let restored = fresh_cache(&d, capacity);
         restored.restore(root.join("saved")).unwrap();
         prop_assert_eq!(restored.cache_len(), gc.cache_len());
+        prop_assert_eq!(restored.stats_rows(), gc.stats_rows());
         restored.save(root.join("resaved")).unwrap();
         prop_assert_eq!(
             read_file(&root.join("saved"), "snapshot.bin"),
@@ -263,8 +264,14 @@ fn restore_drops_isomorphic_copies_of_old_snapshots() {
     let path_3 = LabeledGraph::from_parts(vec![0, 1, 2], &[(0, 1), (1, 2)]);
     let edge_5 = LabeledGraph::from_parts(vec![2, 3], &[(0, 1)]);
     let mut stats = StatsStore::new();
-    for (serial, hits) in [(3, 4i64), (5, 1), (7, 2)] {
-        stats.set(serial, "hits", hits);
+    for (serial, hits) in [(3, 4), (5, 1), (7, 2)] {
+        stats.insert(PolicyRow {
+            serial,
+            last_hit: serial,
+            hits,
+            r_total: 0,
+            c_total: 0.0,
+        });
     }
     let entry = |serial: u64, graph: LabeledGraph| {
         let fingerprint = graphcache::index::fingerprint::iso_hash(&graph);
@@ -292,15 +299,11 @@ fn restore_drops_isomorphic_copies_of_old_snapshots() {
     let report = cache.restore(&dir).unwrap();
     assert_eq!(report.entries, 2);
     assert_eq!(cache.check_invariants(), Ok(()));
-    let rows = cache.with_stats(|s| {
-        let mut keys: Vec<u64> = s.keys().collect();
-        keys.sort_unstable();
-        keys
-    });
-    assert_eq!(rows, vec![3, 5], "the copy's row is dropped with it");
+    let serials: Vec<u64> = cache.stats_rows().iter().map(|r| r.serial).collect();
+    assert_eq!(serials, vec![3, 5], "the copy's row is dropped with it");
     let r = cache.run(&LabeledGraph::from_parts(vec![1, 2, 0], &[(2, 0), (0, 1)]));
     assert!(r.record.exact_hit);
     assert_eq!(r.answer, vec![GraphId(0)]);
-    assert_eq!(cache.stat(3, "hits"), Some(5.0));
+    assert_eq!(cache.stats_rows()[0].hits, 5);
     std::fs::remove_dir_all(&dir).ok();
 }
