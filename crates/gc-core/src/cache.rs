@@ -21,7 +21,7 @@ use crate::window::{self, MaintMsg, MaintenanceConfig, Shared, WindowEntry};
 use gc_fragments::FragmentConfig;
 use gc_graph::{idset, GraphId, LabeledGraph};
 use gc_index::fingerprint::iso_hash;
-use gc_index::paths::PathProfile;
+use gc_index::paths::{PathEnumeration, PathProfile};
 use gc_methods::{Method, QueryKind};
 use gc_subiso::cost;
 use parking_lot::Mutex;
@@ -279,6 +279,7 @@ impl GraphCacheBuilder {
         Ok(GraphCache::assemble(
             method,
             self.cfg,
+            QueryIndexConfig::default(),
             eviction,
             admission,
             fragment_eviction,
@@ -465,6 +466,12 @@ enum ReadOutcome {
     },
 }
 
+/// Enumerates a query's path features under the query index's path length
+/// and `work_cap` — the query path's one enumeration.
+fn enumerate_query(query: &LabeledGraph, cfg: QueryIndexConfig, work_cap: u64) -> PathEnumeration {
+    PathEnumeration::new(query, cfg.max_path_len, work_cap)
+}
+
 /// A query's record as far as hit detection, which started at `t_gc`,
 /// fills it in.
 fn hit_record(serial: QuerySerial, t_gc: Instant, hits: &processors::HitSet) -> QueryRecord {
@@ -591,6 +598,7 @@ impl GraphCache {
     fn assemble(
         method: Method,
         cfg: GcConfig,
+        index_cfg: QueryIndexConfig,
         eviction: Box<dyn EvictionPolicy>,
         admission: Box<dyn AdmissionPolicy>,
         fragment_eviction: Box<dyn EvictionPolicy>,
@@ -600,7 +608,7 @@ impl GraphCache {
             .fragments
             .then(|| FragmentState::new(cfg.fragment, method.clone(), fragment_eviction));
         let shared = Arc::new(Shared::new(
-            QueryIndexConfig::default(),
+            index_cfg,
             effective_shards(&cfg),
             eviction,
             admission,
@@ -1144,9 +1152,21 @@ impl GraphCache {
     ) -> Vec<(QuerySerial, u64)> {
         let kind = kind.unwrap_or(self.cfg.query_kind);
         let snapshot = self.shared.load_snapshot();
-        let profile = snapshot.profile_of(query);
+        let cfg = snapshot.index_cfg();
+        let profile = enumerate_query(query, cfg, cfg.work_cap).profile;
         let hit_query = processors::HitQuery::new(query, kind, &profile);
         processors::candidate_serials(&snapshot, &hit_query)
+    }
+
+    /// The work cap a miss enumerates its query under: the query index's,
+    /// raised to Method M's when its filter reads paths of the same length,
+    /// so the one enumeration serves both. With a different length (the
+    /// §7.3 ablation) Method M enumerates its own.
+    fn miss_work_cap(&self, cfg: QueryIndexConfig) -> u64 {
+        match self.method.path_shape() {
+            Some(m) if m.max_len == cfg.max_path_len => cfg.work_cap.max(m.work_cap),
+            _ => cfg.work_cap,
+        }
     }
 
     /// The cached query path with optional per-query overrides. The graph
@@ -1202,14 +1222,17 @@ impl GraphCache {
                 if probe.hits.deadline_exceeded {
                     return deadline_abort(serial, hit_record(serial, t_gc, &probe.hits));
                 }
-                // The miss path: the query's feature profile is enumerated
-                // here, once, for the candidate sweep across every shard
-                // and for index patching if the query is later admitted.
-                let profile = snapshot.profile_of(query);
+                // The miss path: the query's path features are enumerated
+                // here, once, for the candidate sweep across every shard,
+                // for Method M's filter and for index patching if the
+                // query is later admitted. Each reads the enumeration
+                // within its own work cap.
+                let cfg = snapshot.index_cfg();
+                let features = enumerate_query(query, cfg, self.miss_work_cap(cfg));
                 let hit_query = processors::HitQuery {
                     query,
                     kind,
-                    profile: &profile,
+                    profile: features.within(cfg.work_cap),
                     fingerprint,
                 };
                 let hits = processors::sweep(&snapshot, &hit_query, probe, matcher, &opts);
@@ -1218,7 +1241,7 @@ impl GraphCache {
                     return deadline_abort(serial, record);
                 }
 
-                let m_out = self.method.filter_directed(query, kind);
+                let m_out = self.method.filter_with(query, kind, Some(&features));
                 record.m_filter = m_out.duration;
                 record.cs_m_size = m_out.candidates.len();
 
@@ -1251,7 +1274,7 @@ impl GraphCache {
                 );
                 let read = ReadOutcome::Miss {
                     pruned,
-                    profile,
+                    profile: features.into_profile(cfg.work_cap),
                     fingerprint,
                 };
                 (record, read)
@@ -2237,6 +2260,95 @@ mod tests {
         assert_eq!(gc.check_invariants(), Ok(()));
     }
 
+    /// The shared-profile overflow rule: one enumeration per miss, under the
+    /// larger of the query index's and GGSX's work caps, gives the GC sweep,
+    /// Method M's filter and the Window entry exactly what enumerating
+    /// under each one's own cap gives — for a query within both caps, one
+    /// between them and one past both, in both directions. A Method M over
+    /// a different path length enumerates its own.
+    #[test]
+    fn one_enumeration_per_miss_matches_separate_enumerations() {
+        use gc_index::GgsxConfig;
+        let queries = [
+            path_graph(&[0, 1]),
+            path_graph(&[0, 1, 0, 1]),
+            path_graph(&[0, 1, 2, 1, 0]),
+        ];
+        let work: Vec<u64> = queries
+            .iter()
+            .map(|q| PathEnumeration::new(q, 4, u64::MAX).work)
+            .collect();
+        assert!(work[0] < work[1] && work[1] < work[2], "{work:?}");
+        let index_cfg = QueryIndexConfig {
+            max_path_len: 4,
+            work_cap: work[0],
+        };
+        for ggsx in [
+            GgsxConfig {
+                max_path_len: 4,
+                work_cap: work[1],
+            },
+            GgsxConfig {
+                max_path_len: 5,
+                work_cap: work[1],
+            },
+        ] {
+            let d = dataset();
+            let method = MethodBuilder::ggsx_with(ggsx).build(&d);
+            let reference = MethodBuilder::ggsx_with(ggsx).build(&d);
+            let b = GraphCache::builder().capacity(10).window(1);
+            let gc = GraphCache::assemble(
+                method,
+                b.cfg,
+                index_cfg,
+                registry::build_eviction("hd").unwrap(),
+                registry::build_admission("none").unwrap(),
+                registry::build_eviction("lru").unwrap(),
+            );
+            let shared_cap = gc.miss_work_cap(index_cfg);
+            let expected_cap = if ggsx.max_path_len == 4 {
+                work[1]
+            } else {
+                work[0]
+            };
+            assert_eq!(shared_cap, expected_cap);
+            // Admit every query (W = 1), so the index holds one entry per
+            // overflow class, then probe with each.
+            for q in &queries {
+                assert_eq!(gc.run(q).answer, reference.run(q).answer);
+            }
+            assert_eq!(gc.cache_len(), queries.len());
+            let snapshot = gc.shared.load_snapshot();
+            for q in &queries {
+                let shared = enumerate_query(q, index_cfg, shared_cap);
+                let own = snapshot.profile_of(q);
+                let (qn, qm) = (q.node_count() as u32, q.edge_count() as u32);
+                for shard in snapshot.shards() {
+                    let a = shard.index().candidates_from_profile(
+                        shared.within(index_cfg.work_cap),
+                        qn,
+                        qm,
+                    );
+                    let b = shard.index().candidates_from_profile(&own, qn, qm);
+                    assert_eq!(
+                        (a.sub, a.super_),
+                        (b.sub, b.super_),
+                        "GC candidates of {q:?}"
+                    );
+                }
+                for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
+                    assert_eq!(
+                        gc.method().filter_with(q, kind, Some(&shared)).candidates,
+                        reference.filter_directed(q, kind).candidates,
+                        "CS_M of {q:?} ({kind:?}, {ggsx:?})"
+                    );
+                }
+                assert_eq!(shared.into_profile(index_cfg.work_cap), own);
+            }
+            assert_eq!(gc.check_invariants(), Ok(()));
+        }
+    }
+
     /// The duplicates clause: an isomorphic copy of a live entry, inserted
     /// straight into a shard (bypassing the Window's dedup), is reported.
     #[test]
@@ -2246,7 +2358,8 @@ mod tests {
         gc.run(&path_graph(&[0, 1])); // flush at W=2
         assert_eq!(gc.check_invariants(), Ok(()));
         let copy = Arc::new(path_graph(&[2, 1, 0]));
-        let profile = gc.shared.load_snapshot().profile_of(&copy);
+        let cfg = gc.shared.load_snapshot().index_cfg();
+        let profile = enumerate_query(&copy, cfg, cfg.work_cap).profile;
         let entry = CacheEntry::new(99, copy, first.answer, QueryKind::Subgraph, profile);
         Arc::make_mut(&mut *gc.shared.shards[0].write()).insert(Arc::new(entry));
         let v = gc.check_invariants().unwrap_err();

@@ -86,6 +86,14 @@ impl CacheEntry {
     }
 }
 
+/// An entry's `(nodes, edges)` size, as the query index stores it.
+fn entry_size(entry: &CacheEntry) -> (u32, u32) {
+    (
+        entry.graph.node_count() as u32,
+        entry.graph.edge_count() as u32,
+    )
+}
+
 /// Routes a serial to its shard: a fixed multiplicative hash, so every
 /// layer (snapshot build, lookup, maintenance delta, persistence restore)
 /// agrees on placement without coordination.
@@ -158,12 +166,19 @@ impl Shard {
         }
     }
 
-    /// Builds a dense shard (and its index) from entries, reusing each
-    /// entry's stored feature profile.
+    /// Builds a dense shard from entries, reusing each entry's stored
+    /// feature profile: the index is bulk-built (fully packed), then the
+    /// columns follow in slot order.
     pub fn build(cfg: QueryIndexConfig, entries: Vec<Arc<CacheEntry>>) -> Self {
         let mut shard = Shard::empty(cfg);
+        shard.index = QueryIndex::build_from_profiles(
+            cfg,
+            entries
+                .iter()
+                .map(|e| (e.serial, entry_size(e), &e.profile)),
+        );
         for e in entries {
-            shard.insert(e);
+            shard.push_columns(e);
         }
         shard
     }
@@ -204,15 +219,17 @@ impl Shard {
     /// fingerprint into the exact-match map. The serial must not already be
     /// live in this shard.
     pub fn insert(&mut self, entry: Arc<CacheEntry>) {
-        let slot = self.index.insert_profile(
-            entry.serial,
-            (
-                entry.graph.node_count() as u32,
-                entry.graph.edge_count() as u32,
-            ),
-            &entry.profile,
-        );
+        let slot = self
+            .index
+            .insert_profile(entry.serial, entry_size(&entry), &entry.profile);
         debug_assert_eq!(slot as usize, self.entries.len());
+        self.push_columns(entry);
+    }
+
+    /// Appends the packed columns of the entry the index just gave the
+    /// next slot.
+    fn push_columns(&mut self, entry: Arc<CacheEntry>) {
+        let slot = self.entries.len() as u32;
         self.exact.entry(entry.fingerprint).or_default().push(slot);
         self.fingerprints.push(entry.fingerprint);
         self.kinds.push(entry.kind);

@@ -23,7 +23,8 @@ use crate::invariants::{ensure, tiled_end, InvariantClause, InvariantViolation};
 use crate::stats::QuerySerial;
 use gc_graph::{sizing, LabeledGraph};
 use gc_index::fx::FxHashMap as HashMap;
-use gc_index::paths::{enumerate_paths, PathFeature, PathProfile};
+use gc_index::paths::{enumerate_paths, FeatureKey, PathProfile};
+use gc_index::postings::KeyedPostings;
 
 /// Configuration of the query index.
 #[derive(Debug, Clone, Copy)]
@@ -71,25 +72,25 @@ pub struct HitCandidates {
 /// # Layout
 ///
 /// Postings live in one flat **arena** of `(slot, count)` pairs, packed
-/// feature-by-feature, with a compact feature → `(offset, len)` directory:
-/// the candidate sweep resolves each query feature to an arena range and
-/// then scans packed slots linearly instead of hopping through per-feature
-/// heap vectors. A bulk build ([`build`](Self::build) /
-/// [`build_from_profiles`](Self::build_from_profiles)) always ends fully
-/// packed — so a compacted shard's index is 100% arena — while incremental
+/// feature-by-feature, with a compact [`FeatureKey`] → `(offset, len)`
+/// directory ([`KeyedPostings`]): the candidate sweep resolves each query
+/// feature to an arena range and then scans packed slots linearly instead
+/// of hopping through per-feature heap vectors. A bulk build
+/// ([`build`](Self::build) /
+/// [`build_from_profiles`](Self::build_from_profiles)) sorts one vector of
+/// `(key, slot, count)` triples and always ends fully packed — so a
+/// compacted shard's index is 100% arena — while incremental
 /// [`insert_profile`](Self::insert_profile) calls accumulate in a small
 /// spill `tail` that the sweep visits after the arena range and the next
 /// bulk rebuild folds back in.
 #[derive(Debug, Clone)]
 pub struct QueryIndex {
     cfg: QueryIndexConfig,
-    /// Flat postings arena: `(slot, count)` pairs packed per feature.
-    arena: Vec<(u32, u32)>,
-    /// Feature → `(offset, len)` range into [`QueryIndex::arena`].
-    directory: HashMap<PathFeature, (u32, u32)>,
-    /// Postings appended since the last pack (incremental inserts); folded
-    /// into the arena on the next bulk build.
-    tail: HashMap<PathFeature, Vec<(u32, u32)>>,
+    /// `(slot, count)` postings packed per feature key.
+    postings: KeyedPostings<(u32, u32)>,
+    /// Postings appended since the last bulk build (incremental inserts);
+    /// folded into the arena on the next one.
+    tail: HashMap<FeatureKey, Vec<(u32, u32)>>,
     /// Number of postings resident in `tail` (totals without a map scan).
     tail_len: usize,
     /// Per slot: number of distinct features (for super-candidate checks).
@@ -134,15 +135,17 @@ impl QueryIndex {
     /// Builds the index from *precomputed* feature profiles — the Window
     /// Manager stores each query's profile at execution time so re-indexing
     /// never re-enumerates cached graphs (paper §6.2 keeps rebuild latency
-    /// low; this is the mechanism).
+    /// low; this is the mechanism). Every posting becomes one
+    /// `(key, slot, count)` triple; one sort groups them by key (slots
+    /// ascending within a key), so identical logical content always packs
+    /// to an identical arena.
     pub fn build_from_profiles<'a>(
         cfg: QueryIndexConfig,
         entries: impl Iterator<Item = (QuerySerial, (u32, u32), &'a PathProfile)>,
     ) -> Self {
         let mut index = QueryIndex {
             cfg,
-            arena: Vec::new(),
-            directory: HashMap::default(),
+            postings: KeyedPostings::default(),
             tail: HashMap::default(),
             tail_len: 0,
             distinct: Vec::new(),
@@ -155,47 +158,20 @@ impl QueryIndex {
             feature_counts: Vec::new(),
             dead_postings: 0,
         };
+        let mut triples: Vec<(FeatureKey, u32, u32)> = Vec::new();
         for (serial, size, profile) in entries {
-            index.insert_profile(serial, size, profile);
+            let slot = index.push_slot(serial, size, profile);
+            if let PathProfile::Counts(counts) = profile {
+                triples.extend(counts.iter().map(|&(key, count)| (key, slot, count)));
+            }
         }
-        // A bulk build ends fully packed: compaction rebuilds route through
-        // here, so a fresh index never carries a spill tail.
-        index.pack();
+        triples.sort_unstable_by_key(|&(key, slot, _)| (key, slot));
+        index.postings = KeyedPostings::from_grouped(
+            triples
+                .into_iter()
+                .map(|(key, slot, count)| (key, (slot, count))),
+        );
         index
-    }
-
-    /// Folds the spill tail into the packed arena: every feature's postings
-    /// become one contiguous, directory-addressed range. Features are laid
-    /// out in sorted order so identical logical content always packs to an
-    /// identical arena — the property the binary snapshot format and the
-    /// byte-identical-rebuild tests rely on.
-    fn pack(&mut self) {
-        if self.tail.is_empty() {
-            return;
-        }
-        let tail = std::mem::take(&mut self.tail);
-        self.tail_len = 0;
-        let old_arena = std::mem::take(&mut self.arena);
-        let old_dir = std::mem::take(&mut self.directory);
-        let mut features: Vec<PathFeature> = old_dir.keys().cloned().collect();
-        features.extend(tail.keys().filter(|f| !old_dir.contains_key(*f)).cloned());
-        features.sort_unstable();
-        let extra: usize = tail.values().map(Vec::len).sum();
-        let mut arena = Vec::with_capacity(old_arena.len() + extra);
-        let mut directory = HashMap::default();
-        for feature in features {
-            let start = arena.len() as u32;
-            if let Some(&(off, len)) = old_dir.get(&feature) {
-                arena.extend_from_slice(&old_arena[off as usize..(off + len) as usize]);
-            }
-            if let Some(spill) = tail.get(&feature) {
-                arena.extend_from_slice(spill);
-            }
-            let len = arena.len() as u32 - start;
-            directory.insert(feature, (start, len));
-        }
-        self.arena = arena;
-        self.directory = directory;
     }
 
     /// Appends a new slot for `serial` and threads its features into the
@@ -208,6 +184,18 @@ impl QueryIndex {
         size: (u32, u32),
         profile: &PathProfile,
     ) -> u32 {
+        let slot = self.push_slot(serial, size, profile);
+        if let PathProfile::Counts(counts) = profile {
+            for &(key, count) in counts {
+                self.tail.entry(key).or_default().push((slot, count));
+            }
+            self.tail_len += counts.len();
+        }
+        slot
+    }
+
+    /// Appends the per-slot columns of a new slot (postings excluded).
+    fn push_slot(&mut self, serial: QuerySerial, size: (u32, u32), profile: &PathProfile) -> u32 {
         debug_assert!(
             !self.slot_of.contains_key(&serial),
             "serial {serial} inserted twice"
@@ -217,25 +205,10 @@ impl QueryIndex {
         self.sizes.push(size);
         self.live.push(true);
         self.slot_of.insert(serial, slot);
-        match profile {
-            PathProfile::Counts(counts) => {
-                self.distinct.push(counts.len() as u32);
-                self.overflow.push(false);
-                self.feature_counts.push(counts.len() as u32);
-                for (feature, &count) in counts {
-                    self.tail
-                        .entry(feature.clone())
-                        .or_default()
-                        .push((slot, count));
-                }
-                self.tail_len += counts.len();
-            }
-            PathProfile::Overflow => {
-                self.distinct.push(0);
-                self.overflow.push(true);
-                self.feature_counts.push(0);
-            }
-        }
+        let distinct = profile.counts().map_or(0, |c| c.len() as u32);
+        self.distinct.push(distinct);
+        self.overflow.push(profile.counts().is_none());
+        self.feature_counts.push(distinct);
         slot
     }
 
@@ -266,7 +239,7 @@ impl QueryIndex {
 
     /// Total resident postings, live and dead, arena and spill tail.
     pub fn postings_len(&self) -> usize {
-        self.arena.len() + self.tail_len
+        self.postings.len() + self.tail_len
     }
 
     /// Fraction of resident postings owned by tombstoned slots — the
@@ -394,18 +367,18 @@ impl QueryIndex {
         let mut sat_sub: Vec<u32> = vec![0; n];
         let mut sat_super: Vec<u32> = vec![0; n];
         let g_features = features.len() as u32;
-        for (feature, &g_count) in features {
+        for &(key, g_count) in features {
             // The packed arena range first (a linear scan over contiguous
             // postings), then any spill-tail postings appended since the
-            // last pack. The counters are order-independent, so visiting
-            // the two segments in sequence is build-equivalent.
-            if let Some(&(off, len)) = self.directory.get(feature) {
-                for &(slot, q_count) in &self.arena[off as usize..(off + len) as usize] {
+            // last bulk build. The counters are order-independent, so
+            // visiting the two segments in sequence is build-equivalent.
+            if let Some(packed) = self.postings.get(key) {
+                for &(slot, q_count) in packed {
                     sat_super[slot as usize] += (q_count <= g_count) as u32;
                     sat_sub[slot as usize] += (q_count >= g_count) as u32;
                 }
             }
-            if let Some(spill) = self.tail.get(feature) {
+            if let Some(spill) = self.tail.get(&key) {
                 for &(slot, q_count) in spill {
                     sat_super[slot as usize] += (q_count <= g_count) as u32;
                     sat_sub[slot as usize] += (q_count >= g_count) as u32;
@@ -476,7 +449,7 @@ impl QueryIndex {
             .sum();
         let spilled: usize = self.tail.values().map(Vec::len).sum();
         let contributed: usize = self.feature_counts.iter().map(|&c| c as usize).sum();
-        let mut ranges: Vec<(u32, u32)> = self.directory.values().copied().collect();
+        let mut ranges: Vec<(u32, u32)> = self.postings.ranges().collect();
         ranges.sort_unstable();
         let tiled = tiled_end(ranges);
         for (name, held, recount) in [
@@ -487,7 +460,7 @@ impl QueryIndex {
             (
                 "directory coverage",
                 tiled.unwrap_or(usize::MAX),
-                self.arena.len(),
+                self.postings.len(),
             ),
         ] {
             ensure(held == recount, InvariantClause::Counters, || {
@@ -500,22 +473,12 @@ impl QueryIndex {
     /// Approximate memory footprint in bytes (tombstoned slots still count
     /// until a compaction reclaims their postings).
     pub fn memory_bytes(&self) -> usize {
-        let directory: usize = self
-            .directory
-            .keys()
-            .map(|k| sizing::slice_bytes::<u32>(k.len()) + sizing::MAP_NODE_OVERHEAD)
-            .sum();
         let tail: usize = self
             .tail
-            .iter()
-            .map(|(k, v)| {
-                sizing::slice_bytes::<u32>(k.len())
-                    + sizing::slice_bytes::<(u32, u32)>(v.len())
-                    + sizing::MAP_NODE_OVERHEAD
-            })
+            .values()
+            .map(|v| sizing::slice_bytes::<(u32, u32)>(v.len()) + sizing::MAP_NODE_OVERHEAD)
             .sum();
-        sizing::slice_bytes::<(u32, u32)>(self.arena.len())
-            + directory
+        self.postings.memory_bytes()
             + tail
             + self.serials.len() * sizing::INDEX_SLOT_BYTES
             + self.slot_of.len() * sizing::MAP_SLOT_BYTES
@@ -756,14 +719,14 @@ mod tests {
         assert!(idx.tail.is_empty(), "bulk build must end arena-resident");
         assert_eq!(idx.tail_len, 0);
         assert!(idx.postings_len() > 0);
-        assert_eq!(idx.postings_len(), idx.arena.len());
+        assert_eq!(idx.postings_len(), idx.postings.len());
         // Incremental inserts spill into the tail…
         let mut idx = idx;
         let g = path_graph(&[7, 8]);
         let profile = enumerate_paths(&g, 4, u64::MAX);
         idx.insert_profile(99, (2, 1), &profile);
         assert!(idx.tail_len > 0);
-        assert_eq!(idx.postings_len(), idx.arena.len() + idx.tail_len);
+        assert_eq!(idx.postings_len(), idx.postings.len() + idx.tail_len);
         // …and probing still sees them.
         let c = idx.candidates(&path_graph(&[7, 8]));
         assert_eq!(c.sub, vec![2]);
@@ -801,7 +764,7 @@ mod tests {
         // insertion history that produced it (bulk builds sort features).
         let a = build(&[path_graph(&[0, 1, 0]), path_graph(&[1, 0, 1, 0])]);
         let b = build(&[path_graph(&[0, 1, 0]), path_graph(&[1, 0, 1, 0])]);
-        assert_eq!(a.arena, b.arena);
-        assert_eq!(a.arena.len(), b.postings_len());
+        assert_eq!(a.postings, b.postings);
+        assert_eq!(a.postings.len(), b.postings_len());
     }
 }

@@ -34,18 +34,27 @@
 //! | 8  | LABELS         | `u32` arena: all node labels, entry-major       |
 //! | 9  | EDGES          | `u32` arena: all edges as `(u, v)` pairs        |
 //! | 10 | ANSWERS        | `u32` arena: all answer ids, entry-major        |
-//! | 11 | PROFILES       | `u32` stream of path-feature profiles (optional) |
+//! | 11 | PROFILES       | retired label-sequence profiles (read, ignored) |
 //! | 12 | STATS          | the STATS text codec of [`crate::persist`]      |
 //! | 13 | FRAGMENTS      | the FRAGMENTS text codec of [`crate::persist`]  |
+//! | 14 | PROFILE_KEYS   | `u32` stream of keyed path profiles (optional)  |
 //!
-//! The PROFILES stream holds, per entry, either the single word
+//! The PROFILE_KEYS stream holds, per entry, either the single word
 //! `u32::MAX` (enumeration overflowed) or a feature count followed by
-//! `len, label…, count` words per feature, features in sorted label-order
-//! — so an identical cache always encodes to identical bytes. Storing
-//! profiles is what makes restore fast: materialisation reuses them
-//! instead of re-enumerating every graph's simple paths (the dominant cost
-//! of standing a cache back up), provided the restoring index
-//! configuration matches the one recorded in the header.
+//! `key lo, key hi, count` words per feature, in ascending key order — so
+//! an identical cache always encodes to identical bytes. A key is the
+//! 64-bit label fold of [`gc_index::paths::feature_key`]; the section id
+//! names that fold, so a future fold takes a new id and an old reader
+//! never misreads it. Storing profiles is what makes restore fast:
+//! materialisation reuses them instead of re-enumerating every graph's
+//! simple paths (the dominant cost of standing a cache back up), provided
+//! the restoring index configuration matches the one recorded in the
+//! header.
+//!
+//! Snapshots written before the keyed profiles carry the label-sequence
+//! PROFILES section instead (per entry `u32::MAX` or a feature count, then
+//! `len, label…, count` words per feature). Its framing is still checked,
+//! its contents are ignored, and the restore re-enumerates every entry.
 //!
 //! Decoding is strict and never panics: truncation, a bad magic, a
 //! checksum mismatch or any malformed section yields
@@ -54,8 +63,7 @@
 use crate::persist::{PersistedCache, StoredProfiles};
 use gc_graph::{GraphError, GraphId, LabeledGraph};
 use gc_index::fingerprint::fnv1a;
-use gc_index::fx::FxHashMap;
-use gc_index::paths::{PathFeature, PathProfile};
+use gc_index::paths::PathProfile;
 use gc_methods::QueryKind;
 
 /// Format magic: "GC snapshot", format revision 01.
@@ -74,6 +82,7 @@ const SEC_ANSWERS: u64 = 10;
 const SEC_PROFILES: u64 = 11;
 const SEC_STATS: u64 = 12;
 const SEC_FRAGMENTS: u64 = 13;
+const SEC_PROFILE_KEYS: u64 = 14;
 
 fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -125,14 +134,9 @@ pub(crate) fn encode(cache: &PersistedCache) -> Vec<u8> {
             match profile.counts() {
                 None => push_u32s(&mut out, [u32::MAX]),
                 Some(counts) => {
-                    let mut features: Vec<(&PathFeature, u32)> =
-                        counts.iter().map(|(k, &v)| (k, v)).collect();
-                    features.sort_unstable_by(|a, b| a.0.cmp(b.0));
-                    push_u32s(&mut out, [features.len() as u32]);
-                    for (feature, count) in features {
-                        push_u32s(&mut out, [feature.len() as u32]);
-                        push_u32s(&mut out, feature.iter().copied());
-                        push_u32s(&mut out, [count]);
+                    push_u32s(&mut out, [counts.len() as u32]);
+                    for &(key, count) in counts {
+                        push_u32s(&mut out, [key as u32, (key >> 32) as u32, count]);
                     }
                 }
             }
@@ -157,11 +161,11 @@ pub(crate) fn encode(cache: &PersistedCache) -> Vec<u8> {
         (SEC_EDGES, edges),
         (SEC_ANSWERS, answers),
     ];
-    if let Some(p) = profiles {
-        sections.push((SEC_PROFILES, p));
-    }
     sections.push((SEC_STATS, stats));
     sections.push((SEC_FRAGMENTS, fragments));
+    if let Some(p) = profiles {
+        sections.push((SEC_PROFILE_KEYS, p));
+    }
 
     // Assemble: header, section table, payload, checksum.
     let mut out = Vec::new();
@@ -255,6 +259,98 @@ fn expect_len<T>(col: &[T], n: usize, at: usize, what: &str) -> Result<(), Graph
         ));
     }
     Ok(())
+}
+
+/// A bounds-checked reader over a `u32` profile stream.
+struct Words<'a> {
+    words: &'a [u32],
+    pos: usize,
+    at: usize,
+}
+
+impl Words<'_> {
+    fn next(&mut self, what: &str) -> Result<u32, GraphError> {
+        let v = self.words.get(self.pos).copied().ok_or_else(|| {
+            GraphError::snapshot(self.at + 4 * self.pos, format!("truncated {what}"))
+        })?;
+        self.pos += 1;
+        Ok(v)
+    }
+
+    fn finish(&self, what: &str) -> Result<(), GraphError> {
+        if self.pos != self.words.len() {
+            return Err(GraphError::snapshot(
+                self.at + 4 * self.pos,
+                format!("trailing bytes after last {what}"),
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// Decodes the PROFILE_KEYS stream: per entry, overflow or strictly
+/// ascending `(key, count)` pairs.
+fn read_profile_keys(
+    bytes: &[u8],
+    at: usize,
+    entries: usize,
+) -> Result<Vec<PathProfile>, GraphError> {
+    let words = u32s(bytes, at, "profile keys")?;
+    let mut w = Words {
+        words: &words,
+        pos: 0,
+        at,
+    };
+    let mut profiles = Vec::with_capacity(entries);
+    for i in 0..entries {
+        let head = w.next("profile header")?;
+        if head == u32::MAX {
+            profiles.push(PathProfile::Overflow);
+            continue;
+        }
+        let mut counts: Vec<(u64, u32)> = Vec::with_capacity((head as usize).min(words.len()));
+        for _ in 0..head {
+            let lo = w.next("feature key")?;
+            let hi = w.next("feature key")?;
+            let count = w.next("feature count")?;
+            let key = u64::from(lo) | u64::from(hi) << 32;
+            if counts.last().is_some_and(|&(prev, _)| prev >= key) {
+                return Err(GraphError::snapshot(
+                    at + 4 * w.pos,
+                    format!("entry {i}: profile keys not strictly ascending"),
+                ));
+            }
+            counts.push((key, count));
+        }
+        profiles.push(PathProfile::Counts(counts));
+    }
+    w.finish("profile")?;
+    Ok(profiles)
+}
+
+/// Checks the framing of a retired label-sequence PROFILES stream without
+/// keeping its contents.
+fn check_label_profiles(bytes: &[u8], at: usize, entries: usize) -> Result<(), GraphError> {
+    let words = u32s(bytes, at, "profiles")?;
+    let mut w = Words {
+        words: &words,
+        pos: 0,
+        at,
+    };
+    for _ in 0..entries {
+        let head = w.next("profile header")?;
+        if head == u32::MAX {
+            continue;
+        }
+        for _ in 0..head {
+            let len = w.next("feature length")?;
+            for _ in 0..len {
+                w.next("feature label")?;
+            }
+            w.next("feature count")?;
+        }
+    }
+    w.finish("profile")
 }
 
 /// Decodes a full `snapshot.bin` image back into a [`PersistedCache`].
@@ -403,55 +499,22 @@ pub(crate) fn decode(buf: &[u8]) -> Result<PersistedCache, GraphError> {
         ao += na;
     }
 
-    // PROFILES (optional): one profile per entry, stream must terminate
-    // exactly at the section end.
+    // Profiles (optional): one per entry, the stream must terminate exactly
+    // at the section end. Keyed profiles are reused; a snapshot with only
+    // the retired label-sequence section restores by re-enumerating.
     if profile_max_len != u64::MAX {
-        let (b, at) = section(SEC_PROFILES, "profiles")?;
-        let words = u32s(b, at, "profiles")?;
-        let mut w = 0usize;
-        let mut next = |what: &str| -> Result<u32, GraphError> {
-            let v = words
-                .get(w)
-                .copied()
-                .ok_or_else(|| GraphError::snapshot(at + 4 * w, format!("truncated {what}")))?;
-            w += 1;
-            Ok(v)
-        };
-        let mut profiles = Vec::with_capacity(entry_count);
-        for i in 0..entry_count {
-            let head = next("profile header")?;
-            if head == u32::MAX {
-                profiles.push(PathProfile::Overflow);
-                continue;
-            }
-            let mut counts: FxHashMap<PathFeature, u32> = FxHashMap::default();
-            for _ in 0..head {
-                let flen = next("feature length")? as usize;
-                let mut feature = Vec::with_capacity(flen);
-                for _ in 0..flen {
-                    feature.push(next("feature label")?);
-                }
-                let count = next("feature count")?;
-                if counts.insert(feature, count).is_some() {
-                    return Err(GraphError::snapshot(
-                        at + 4 * w,
-                        format!("entry {i}: duplicate profile feature"),
-                    ));
-                }
-            }
-            profiles.push(PathProfile::Counts(counts));
+        let has = |id: u64| table.iter().any(|&(i, _, _)| i == id);
+        if has(SEC_PROFILE_KEYS) || !has(SEC_PROFILES) {
+            let (b, at) = section(SEC_PROFILE_KEYS, "profile keys")?;
+            out.profiles = Some(StoredProfiles {
+                max_path_len: profile_max_len as usize,
+                work_cap: profile_work_cap,
+                profiles: read_profile_keys(b, at, entry_count)?,
+            });
+        } else {
+            let (b, at) = section(SEC_PROFILES, "profiles")?;
+            check_label_profiles(b, at, entry_count)?;
         }
-        if w != words.len() {
-            return Err(GraphError::snapshot(
-                at + 4 * w,
-                "trailing bytes after last profile",
-            ));
-        }
-        out.profiles = Some(StoredProfiles {
-            max_path_len: profile_max_len as usize,
-            work_cap: profile_work_cap,
-            profiles,
-        });
     }
 
     // STATS and FRAGMENTS: the embedded text codecs.
@@ -649,6 +712,87 @@ mod tests {
         bad[edges_at..edges_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode(&reseal(bad)).unwrap_err();
         assert!(format!("{err}").contains("endpoint"), "got: {err}");
+    }
+
+    /// Rewrites the image's last section (PROFILE_KEYS in a profiled
+    /// image) to `id` with `payload`, resealing the checksum.
+    fn swap_last_section(image: &[u8], id: u64, payload: &[u8]) -> Vec<u8> {
+        let body = &image[..image.len() - 8];
+        let section_count = u64::from_le_bytes(body[40..48].try_into().unwrap()) as usize;
+        let row = 48 + (section_count - 1) * 24;
+        assert_eq!(
+            u64::from_le_bytes(body[row..row + 8].try_into().unwrap()),
+            SEC_PROFILE_KEYS
+        );
+        let len = u64::from_le_bytes(body[row + 16..row + 24].try_into().unwrap()) as usize;
+        let mut out = body[..body.len() - len].to_vec();
+        out[row..row + 8].copy_from_slice(&id.to_le_bytes());
+        out[row + 16..row + 24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// A snapshot that carries only the retired label-sequence PROFILES
+    /// section restores everything else, and its profiles fall back to
+    /// re-enumeration; a mis-framed stream is still rejected.
+    #[test]
+    fn legacy_label_profiles_are_checked_then_reenumerated() {
+        use gc_index::paths::{enumerate_paths_located, LocatedProfile};
+        let orig = sample(true);
+        let LocatedProfile::Counts(seqs) =
+            enumerate_paths_located(&orig.entries[0].1, 4, 5_000_000)
+        else {
+            panic!("unexpected overflow");
+        };
+        let mut features: Vec<(&Vec<u32>, u32)> = seqs.iter().map(|(k, v)| (k, v.0)).collect();
+        features.sort_unstable();
+        let mut legacy = vec![features.len() as u32];
+        for (seq, count) in &features {
+            legacy.push(seq.len() as u32);
+            legacy.extend(seq.iter().copied());
+            legacy.push(*count);
+        }
+        legacy.push(u32::MAX);
+        let bytes: Vec<u8> = legacy.iter().flat_map(|w| w.to_le_bytes()).collect();
+
+        let image = swap_last_section(&encode(&orig), SEC_PROFILES, &bytes);
+        let back = decode(&image).unwrap();
+        assert!(back.profiles.is_none(), "label profiles are not reused");
+        assert_eq!(back.entries.len(), 2);
+        assert_eq!(back.entries[0].1.labels(), orig.entries[0].1.labels());
+        assert_eq!(back.stats.rows(), orig.stats.rows());
+        let (snapshot, _, _) =
+            back.into_snapshot_sharded(crate::query_index::QueryIndexConfig::default(), 1);
+        let entry = snapshot.entry(3).expect("entry 3 restored");
+        assert_eq!(
+            entry.profile,
+            enumerate_paths(&orig.entries[0].1, 4, 5_000_000),
+            "re-enumerated"
+        );
+
+        let truncated = swap_last_section(&encode(&orig), SEC_PROFILES, &bytes[..bytes.len() - 4]);
+        let err = decode(&truncated).unwrap_err();
+        assert!(format!("{err}").contains("truncated"), "got: {err}");
+    }
+
+    #[test]
+    fn profile_keys_must_ascend() {
+        let orig = sample(true);
+        let counts = orig.profiles.as_ref().unwrap().profiles[0]
+            .counts()
+            .unwrap();
+        assert!(counts.len() >= 2);
+        let mut words = vec![counts.len() as u32];
+        for &(key, count) in counts.iter().rev() {
+            words.extend([key as u32, (key >> 32) as u32, count]);
+        }
+        words.push(u32::MAX);
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        let image = swap_last_section(&encode(&orig), SEC_PROFILE_KEYS, &bytes);
+        let err = decode(&image).unwrap_err();
+        assert!(format!("{err}").contains("ascending"), "got: {err}");
     }
 
     /// Test helper: absolute offset of a section's first payload byte.

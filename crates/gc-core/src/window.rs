@@ -23,8 +23,8 @@
 //!
 //! `Arc::make_mut` patches in place exactly when the shard lock holds the
 //! only reference, and otherwise deep-copies the shard — entry vector,
-//! packed columns, answer arena and a query index whose feature keys are
-//! heap vectors — before patching the copy. Who else can hold a
+//! packed columns, answer arena and the query index's postings — before
+//! patching the copy. Who else can hold a
 //! reference: a query's snapshot view (`Shared::load_snapshot`, one
 //! `Arc` per shard). The round's own view is dropped before the patch
 //! loop, and the query path drops its view before it pushes to the Window

@@ -11,6 +11,7 @@
 
 use crate::features::{enumerate_features, FeatureConfig, FeatureSet};
 use crate::fingerprint::{fnv1a, Fingerprint};
+use crate::paths::PathEnumeration;
 use crate::{CandidateSet, FilterIndex};
 use gc_graph::{GraphDataset, GraphId, LabeledGraph};
 
@@ -112,7 +113,7 @@ impl FilterIndex for CtIndex {
         "CT-Index"
     }
 
-    fn filter(&self, query: &LabeledGraph) -> CandidateSet {
+    fn filter_with(&self, query: &LabeledGraph, _: Option<&PathEnumeration>) -> CandidateSet {
         let qfp = self.query_fingerprint(query);
         self.fingerprints
             .iter()

@@ -1,15 +1,17 @@
-//! GraphGrepSX (GGSX) — path-trie filtering \[Bonnici et al., PRIB 2010\].
+//! GraphGrepSX (GGSX) — path-feature filtering \[Bonnici et al., PRIB 2010\].
 //!
 //! Dataset graphs are decomposed into all labelled simple paths of up to
 //! `max_path_len` edges (default 4, the configuration used in the paper's
-//! evaluation); each trie node stores `(graph, occurrence count)` postings.
-//! A query is decomposed the same way; a dataset graph remains a candidate
+//! evaluation). GGSX stores them in a suffix trie; here each feature is a
+//! 64-bit [`FeatureKey`] and its `(graph, occurrence count)` postings are
+//! packed into one arena behind a key directory ([`KeyedPostings`]). A
+//! query is decomposed the same way; a dataset graph remains a candidate
 //! only if, for every query feature, it holds at least as many occurrences.
 
-use crate::paths::{enumerate_paths, PathFeature, PathProfile};
-use crate::trie::LabelTrie;
+use crate::paths::{FeatureKey, PathEnumeration, PathProfile, PathShape};
+use crate::postings::KeyedPostings;
 use crate::{CandidateSet, FilterIndex};
-use gc_graph::{idset, GraphDataset, GraphId, LabeledGraph};
+use gc_graph::{idset, sizing, GraphDataset, GraphId, LabeledGraph};
 
 /// Configuration for [`PathTrie`].
 #[derive(Debug, Clone, Copy)]
@@ -38,125 +40,82 @@ impl GgsxConfig {
             ..Default::default()
         }
     }
+
+    fn shape(&self) -> PathShape {
+        PathShape {
+            max_len: self.max_path_len,
+            work_cap: self.work_cap,
+        }
+    }
 }
 
-/// The GGSX filtering index: a trie of path features with count postings.
-///
-/// Besides the classic subgraph direction, the index also supports
-/// **supergraph filtering** ([`PathTrie::filter_supergraph`]): a dataset
-/// graph `G` can only be contained in a query `g` if every feature of `G`
-/// occurs in `g` at least as often. This is the same augmentation
-/// GraphCache's own query index uses (paper §6.1) — per-graph distinct
-/// feature counts make it a single posting sweep.
+/// Per-feature `(graph, count)` postings over a dataset — the filtering
+/// core GGSX and Grapes share.
 #[derive(Debug, Clone)]
-pub struct PathTrie {
-    trie: LabelTrie<Vec<(GraphId, u32)>>,
+pub(crate) struct CountPostings {
+    postings: KeyedPostings<(GraphId, u32)>,
     /// Graphs whose enumeration overflowed; always included in candidates.
     overflow: Vec<GraphId>,
     /// Per graph: number of distinct features (supergraph filtering).
     distinct: Vec<u32>,
-    graph_count: usize,
-    cfg: GgsxConfig,
 }
 
-impl PathTrie {
-    /// Builds the index over a dataset.
-    pub fn build(dataset: &GraphDataset, cfg: GgsxConfig) -> Self {
-        let mut trie: LabelTrie<Vec<(GraphId, u32)>> = LabelTrie::new();
+impl CountPostings {
+    /// Packs one profile per dataset graph, in id order: every posting
+    /// becomes a `(key, graph, count)` triple and one sort groups them.
+    pub(crate) fn build(profiles: impl Iterator<Item = (GraphId, PathProfile)>) -> Self {
+        let mut triples: Vec<(FeatureKey, GraphId, u32)> = Vec::new();
         let mut overflow = Vec::new();
-        let mut distinct = vec![0u32; dataset.len()];
-        for (id, g) in dataset.iter() {
-            match enumerate_paths(g, cfg.max_path_len, cfg.work_cap) {
+        let mut distinct = Vec::new();
+        for (id, profile) in profiles {
+            debug_assert_eq!(id.index(), distinct.len());
+            match profile {
                 PathProfile::Counts(counts) => {
-                    distinct[id.index()] = counts.len() as u32;
-                    for (feature, count) in counts {
-                        trie.posting_mut(&feature).push((id, count));
-                    }
+                    distinct.push(counts.len() as u32);
+                    triples.extend(counts.into_iter().map(|(key, c)| (key, id, c)));
                 }
-                PathProfile::Overflow => overflow.push(id),
+                PathProfile::Overflow => {
+                    distinct.push(0);
+                    overflow.push(id);
+                }
             }
         }
-        // Postings were appended in ascending id order per feature already
-        // (dataset iteration order), so they are sorted by construction.
-        PathTrie {
-            trie,
+        // Sorting by (key, graph) also keeps each posting list in id order,
+        // which the galloping intersection binary-searches.
+        triples.sort_unstable_by_key(|&(key, id, _)| (key, id));
+        CountPostings {
+            postings: KeyedPostings::from_grouped(
+                triples.into_iter().map(|(key, id, c)| (key, (id, c))),
+            ),
             overflow,
             distinct,
-            graph_count: dataset.len(),
-            cfg,
         }
     }
 
-    /// Supergraph-direction filtering: candidates that may be *contained
-    /// in* `query` (`G ⊆ g`). Sound: a graph survives iff all its features
-    /// occur in the query with at least the graph's multiplicity; overflow
-    /// graphs are conservatively kept.
-    pub fn supergraph_candidates(&self, query: &LabeledGraph) -> CandidateSet {
-        let profile = enumerate_paths(query, self.cfg.max_path_len, self.cfg.work_cap);
+    pub(crate) fn graph_count(&self) -> usize {
+        self.distinct.len()
+    }
+
+    /// Subgraph direction: intersect, over all query features, the graphs
+    /// holding enough occurrences. Starts from the rarest feature's
+    /// posting, then gallops: each further feature only probes the (small)
+    /// accumulator via binary search instead of materialising its full
+    /// survivor list. The result does not depend on feature order.
+    pub(crate) fn subgraph(&self, profile: &PathProfile) -> CandidateSet {
         let Some(features) = profile.counts() else {
-            return idset::full(self.graph_count);
+            return idset::full(self.graph_count());
         };
-        let mut satisfied = vec![0u32; self.graph_count];
-        for (feature, &g_count) in features {
-            if let Some(posting) = self.trie.posting(feature) {
-                for &(id, count) in posting {
-                    satisfied[id.index()] += (count <= g_count) as u32;
-                }
-            }
-        }
-        // Overflow graphs have distinct == 0 and trivially pass (they are
-        // also in `overflow`, making the union a no-op safety net). An
-        // empty dataset graph likewise passes — it is vacuously contained.
-        let out: Vec<GraphId> = (0..self.graph_count as u32)
-            .map(GraphId)
-            .filter(|id| satisfied[id.index()] == self.distinct[id.index()])
-            .collect();
-        idset::union(&out, &self.overflow)
-    }
-
-    /// The effective configuration.
-    pub fn config(&self) -> GgsxConfig {
-        self.cfg
-    }
-
-    /// Ids of graphs indexed conservatively due to enumeration overflow.
-    pub fn overflowed(&self) -> &[GraphId] {
-        &self.overflow
-    }
-
-    /// Decomposes a query into its feature multiset using this index's
-    /// configuration. `None` signals enumeration overflow (treat every
-    /// graph as a candidate).
-    pub fn query_features(&self, query: &LabeledGraph) -> Option<Vec<(PathFeature, u32)>> {
-        match enumerate_paths(query, self.cfg.max_path_len, self.cfg.work_cap) {
-            PathProfile::Counts(c) => {
-                let mut v: Vec<(PathFeature, u32)> = c.into_iter().collect();
-                // Deterministic processing order; longer features first as
-                // they are usually the most selective.
-                v.sort_unstable_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
-                Some(v)
-            }
-            PathProfile::Overflow => None,
-        }
-    }
-
-    /// Core filtering routine shared with Grapes: intersect, over all query
-    /// features, the graphs holding enough occurrences. Starts from the
-    /// rarest feature's posting, then gallops: each further feature only
-    /// probes the (small) accumulator via binary search instead of
-    /// materialising its full survivor list.
-    fn filter_by_counts(&self, features: &[(PathFeature, u32)]) -> CandidateSet {
-        let mut postings: Vec<(&Vec<(GraphId, u32)>, u32)> = Vec::with_capacity(features.len());
-        for (feature, qcount) in features {
-            match self.trie.posting(feature) {
-                Some(p) => postings.push((p, *qcount)),
+        let mut postings: Vec<(&[(GraphId, u32)], u32)> = Vec::with_capacity(features.len());
+        for &(key, qcount) in features {
+            match self.postings.get(key) {
+                Some(p) => postings.push((p, qcount)),
                 // A feature absent from every graph: only overflow graphs
                 // can still be candidates.
                 None => return self.overflow.clone(),
             }
         }
         if postings.is_empty() {
-            return idset::union(&idset::full(self.graph_count), &self.overflow);
+            return idset::full(self.graph_count());
         }
         postings.sort_unstable_by_key(|(p, _)| p.len());
         let (base, need) = postings[0];
@@ -177,6 +136,90 @@ impl PathTrie {
         }
         idset::union(&acc, &self.overflow)
     }
+
+    /// Supergraph direction: a graph `G` can only be contained in the
+    /// query if every feature of `G` occurs in the query at least as often
+    /// — one sweep counting, per graph, its satisfied distinct features.
+    /// Overflow graphs are conservatively kept.
+    pub(crate) fn supergraph(&self, profile: &PathProfile) -> CandidateSet {
+        let Some(features) = profile.counts() else {
+            return idset::full(self.graph_count());
+        };
+        let mut satisfied = vec![0u32; self.graph_count()];
+        for &(key, g_count) in features {
+            if let Some(posting) = self.postings.get(key) {
+                for &(id, count) in posting {
+                    satisfied[id.index()] += (count <= g_count) as u32;
+                }
+            }
+        }
+        // Overflow graphs have distinct == 0 and trivially pass (they are
+        // also in `overflow`, making the union a no-op safety net). An
+        // empty dataset graph likewise passes — it is vacuously contained.
+        let out: Vec<GraphId> = (0..self.graph_count() as u32)
+            .map(GraphId)
+            .filter(|id| satisfied[id.index()] == self.distinct[id.index()])
+            .collect();
+        idset::union(&out, &self.overflow)
+    }
+
+    pub(crate) fn overflowed(&self) -> &[GraphId] {
+        &self.overflow
+    }
+
+    pub(crate) fn memory_bytes(&self) -> usize {
+        self.postings.memory_bytes()
+            + sizing::slice_bytes::<GraphId>(self.overflow.len())
+            + sizing::slice_bytes::<u32>(self.distinct.len())
+    }
+}
+
+/// The GGSX filtering index: path-feature count postings packed behind a
+/// key directory.
+///
+/// Besides the classic subgraph direction, the index also supports
+/// **supergraph filtering** ([`PathTrie::supergraph_candidates`]): a
+/// dataset graph `G` can only be contained in a query `g` if every feature
+/// of `G` occurs in `g` at least as often. This is the same augmentation
+/// GraphCache's own query index uses (paper §6.1) — per-graph distinct
+/// feature counts make it a single posting sweep.
+#[derive(Debug, Clone)]
+pub struct PathTrie {
+    core: CountPostings,
+    cfg: GgsxConfig,
+}
+
+impl PathTrie {
+    /// Builds the index over a dataset.
+    pub fn build(dataset: &GraphDataset, cfg: GgsxConfig) -> Self {
+        let profiles = dataset.iter().map(|(id, g)| {
+            let profile = PathEnumeration::new(g, cfg.max_path_len, cfg.work_cap).profile;
+            (id, profile)
+        });
+        PathTrie {
+            core: CountPostings::build(profiles),
+            cfg,
+        }
+    }
+
+    /// Supergraph-direction filtering: candidates that may be *contained
+    /// in* `query` (`G ⊆ g`). Sound: a graph survives iff all its features
+    /// occur in the query with at least the graph's multiplicity; overflow
+    /// graphs are conservatively kept.
+    pub fn supergraph_candidates(&self, query: &LabeledGraph) -> CandidateSet {
+        self.filter_supergraph(query)
+            .expect("GGSX filters both directions")
+    }
+
+    /// The effective configuration.
+    pub fn config(&self) -> GgsxConfig {
+        self.cfg
+    }
+
+    /// Ids of graphs indexed conservatively due to enumeration overflow.
+    pub fn overflowed(&self) -> &[GraphId] {
+        self.core.overflowed()
+    }
 }
 
 impl FilterIndex for PathTrie {
@@ -184,28 +227,36 @@ impl FilterIndex for PathTrie {
         "GGSX"
     }
 
-    fn filter(&self, query: &LabeledGraph) -> CandidateSet {
-        match self.query_features(query) {
-            Some(features) => self.filter_by_counts(&features),
-            None => idset::full(self.graph_count),
-        }
+    fn path_shape(&self) -> Option<PathShape> {
+        Some(self.cfg.shape())
+    }
+
+    fn filter_with(
+        &self,
+        query: &LabeledGraph,
+        features: Option<&PathEnumeration>,
+    ) -> CandidateSet {
+        let shape = self.cfg.shape();
+        let features = shape.features(query, features);
+        self.core.subgraph(features.within(shape.work_cap))
     }
 
     fn graph_count(&self) -> usize {
-        self.graph_count
+        self.core.graph_count()
     }
 
     fn memory_bytes(&self) -> usize {
-        let mut postings = 0usize;
-        self.trie.for_each_posting(|p| {
-            postings += p.len() * std::mem::size_of::<(GraphId, u32)>()
-                + std::mem::size_of::<Vec<(GraphId, u32)>>();
-        });
-        self.trie.skeleton_bytes() + postings + self.overflow.len() * 4 + self.distinct.len() * 4
+        self.core.memory_bytes()
     }
 
-    fn filter_supergraph(&self, query: &LabeledGraph) -> Option<CandidateSet> {
-        Some(self.supergraph_candidates(query))
+    fn filter_supergraph_with(
+        &self,
+        query: &LabeledGraph,
+        features: Option<&PathEnumeration>,
+    ) -> Option<CandidateSet> {
+        let shape = self.cfg.shape();
+        let features = shape.features(query, features);
+        Some(self.core.supergraph(features.within(shape.work_cap)))
     }
 }
 

@@ -12,10 +12,14 @@
 //! markedly larger than GGSX's, which the paper's space discussion relies
 //! on).
 
-use crate::paths::{enumerate_paths_located, LocatedProfile, PathFeature};
-use crate::trie::LabelTrie;
+use crate::ggsx::CountPostings;
+use crate::paths::{
+    enumerate_paths_located, feature_key, FeatureKey, LocatedProfile, PathEnumeration, PathProfile,
+    PathShape,
+};
+use crate::postings::KeyedPostings;
 use crate::{CandidateSet, FilterIndex};
-use gc_graph::{idset, GraphDataset, GraphId, LabeledGraph, NodeId};
+use gc_graph::{sizing, GraphDataset, GraphId, Label, LabeledGraph, NodeId};
 
 /// Configuration for [`GrapesIndex`].
 #[derive(Debug, Clone, Copy)]
@@ -35,46 +39,58 @@ impl Default for GrapesConfig {
     }
 }
 
-/// One posting: a graph, its occurrence count, and the sorted start nodes.
-#[derive(Debug, Clone, Default)]
-pub struct LocatedPosting {
-    /// Graph id, occurrence count, start-node list.
-    pub entries: Vec<(GraphId, u32, Vec<NodeId>)>,
+impl GrapesConfig {
+    fn shape(&self) -> PathShape {
+        PathShape {
+            max_len: self.max_path_len,
+            work_cap: self.work_cap,
+        }
+    }
 }
 
-/// The Grapes filtering index.
+/// The Grapes filtering index: GGSX's count postings plus, per feature and
+/// graph, a range of the packed start-node arena.
 #[derive(Debug, Clone)]
 pub struct GrapesIndex {
-    trie: LabelTrie<LocatedPosting>,
-    overflow: Vec<GraphId>,
-    /// Per graph: number of distinct features (supergraph filtering).
-    distinct: Vec<u32>,
-    graph_count: usize,
+    core: CountPostings,
+    /// Per feature: `(graph, offset, len)` into [`GrapesIndex::starts`].
+    locations: KeyedPostings<(GraphId, u32, u32)>,
+    /// Sorted start-node lists, packed back to back.
+    starts: Vec<NodeId>,
     cfg: GrapesConfig,
 }
 
 impl GrapesIndex {
     /// Builds the index over a dataset.
     pub fn build(dataset: &GraphDataset, cfg: GrapesConfig) -> Self {
-        let mut trie: LabelTrie<LocatedPosting> = LabelTrie::new();
-        let mut overflow = Vec::new();
-        let mut distinct = vec![0u32; dataset.len()];
+        let mut profiles = Vec::with_capacity(dataset.len());
+        let mut located: Vec<(FeatureKey, GraphId, u32, u32)> = Vec::new();
+        let mut starts = Vec::new();
         for (id, g) in dataset.iter() {
             match enumerate_paths_located(g, cfg.max_path_len, cfg.work_cap) {
-                LocatedProfile::Counts(counts) => {
-                    distinct[id.index()] = counts.len() as u32;
-                    for (feature, (count, starts)) in counts {
-                        trie.posting_mut(&feature).entries.push((id, count, starts));
+                LocatedProfile::Counts(features) => {
+                    let mut counts = Vec::with_capacity(features.len());
+                    for (seq, (count, locs)) in features {
+                        let key = feature_key(&seq);
+                        counts.push((key, count));
+                        located.push((key, id, starts.len() as u32, locs.len() as u32));
+                        starts.extend_from_slice(&locs);
                     }
+                    counts.sort_unstable_by_key(|&(k, _)| k);
+                    profiles.push((id, PathProfile::Counts(counts)));
                 }
-                LocatedProfile::Overflow => overflow.push(id),
+                LocatedProfile::Overflow => profiles.push((id, PathProfile::Overflow)),
             }
         }
+        located.sort_unstable_by_key(|&(key, id, _, _)| (key, id));
         GrapesIndex {
-            trie,
-            overflow,
-            distinct,
-            graph_count: dataset.len(),
+            core: CountPostings::build(profiles.into_iter()),
+            locations: KeyedPostings::from_grouped(
+                located
+                    .into_iter()
+                    .map(|(key, id, off, len)| (key, (id, off, len))),
+            ),
+            starts,
             cfg,
         }
     }
@@ -85,24 +101,11 @@ impl GrapesIndex {
     }
 
     /// The start-node locations of `feature` within graph `id`, if indexed.
-    pub fn locations(&self, feature: &[u32], id: GraphId) -> Option<&[NodeId]> {
-        self.trie.posting(feature).and_then(|p| {
-            p.entries
-                .iter()
-                .find(|(g, _, _)| *g == id)
-                .map(|(_, _, locs)| locs.as_slice())
-        })
-    }
-
-    fn query_features(&self, query: &LabeledGraph) -> Option<Vec<(PathFeature, u32)>> {
-        match crate::paths::enumerate_paths(query, self.cfg.max_path_len, self.cfg.work_cap) {
-            crate::paths::PathProfile::Counts(c) => {
-                let mut v: Vec<(PathFeature, u32)> = c.into_iter().collect();
-                v.sort_unstable_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
-                Some(v)
-            }
-            crate::paths::PathProfile::Overflow => None,
-        }
+    pub fn locations(&self, feature: &[Label], id: GraphId) -> Option<&[NodeId]> {
+        let posting = self.locations.get(feature_key(feature))?;
+        let i = posting.binary_search_by_key(&id, |&(g, _, _)| g).ok()?;
+        let (_, off, len) = posting[i];
+        Some(&self.starts[off as usize..(off + len) as usize])
     }
 }
 
@@ -111,78 +114,38 @@ impl FilterIndex for GrapesIndex {
         "Grapes"
     }
 
-    fn filter(&self, query: &LabeledGraph) -> CandidateSet {
-        let Some(features) = self.query_features(query) else {
-            return idset::full(self.graph_count);
-        };
-        // Rarest-posting-first galloping intersection (see PathTrie).
-        let mut postings: Vec<(&LocatedPosting, u32)> = Vec::with_capacity(features.len());
-        for (feature, qcount) in &features {
-            match self.trie.posting(feature) {
-                Some(p) => postings.push((p, *qcount)),
-                None => return self.overflow.clone(),
-            }
-        }
-        if postings.is_empty() {
-            return idset::union(&idset::full(self.graph_count), &self.overflow);
-        }
-        postings.sort_unstable_by_key(|(p, _)| p.entries.len());
-        let (base, need) = postings[0];
-        let mut acc: Vec<GraphId> = base
-            .entries
-            .iter()
-            .filter(|(_, c, _)| *c >= need)
-            .map(|(id, _, _)| *id)
-            .collect();
-        for &(posting, need) in &postings[1..] {
-            if acc.is_empty() {
-                break;
-            }
-            acc.retain(|id| {
-                posting
-                    .entries
-                    .binary_search_by_key(id, |&(g, _, _)| g)
-                    .is_ok_and(|i| posting.entries[i].1 >= need)
-            });
-        }
-        idset::union(&acc, &self.overflow)
+    fn path_shape(&self) -> Option<PathShape> {
+        Some(self.cfg.shape())
+    }
+
+    fn filter_with(
+        &self,
+        query: &LabeledGraph,
+        features: Option<&PathEnumeration>,
+    ) -> CandidateSet {
+        let shape = self.cfg.shape();
+        let features = shape.features(query, features);
+        self.core.subgraph(features.within(shape.work_cap))
     }
 
     fn graph_count(&self) -> usize {
-        self.graph_count
+        self.core.graph_count()
     }
 
     fn memory_bytes(&self) -> usize {
-        let mut postings = 0usize;
-        self.trie.for_each_posting(|p| {
-            postings += std::mem::size_of::<LocatedPosting>();
-            for (_, _, locs) in &p.entries {
-                postings += std::mem::size_of::<(GraphId, u32, Vec<NodeId>)>()
-                    + locs.len() * std::mem::size_of::<NodeId>();
-            }
-        });
-        self.trie.skeleton_bytes() + postings + self.overflow.len() * 4 + self.distinct.len() * 4
+        self.core.memory_bytes()
+            + self.locations.memory_bytes()
+            + sizing::slice_bytes::<NodeId>(self.starts.len())
     }
 
-    fn filter_supergraph(&self, query: &LabeledGraph) -> Option<CandidateSet> {
-        let profile =
-            crate::paths::enumerate_paths(query, self.cfg.max_path_len, self.cfg.work_cap);
-        let Some(features) = profile.counts() else {
-            return Some(idset::full(self.graph_count));
-        };
-        let mut satisfied = vec![0u32; self.graph_count];
-        for (feature, &g_count) in features {
-            if let Some(posting) = self.trie.posting(feature) {
-                for &(id, count, _) in posting.entries.iter() {
-                    satisfied[id.index()] += (count <= g_count) as u32;
-                }
-            }
-        }
-        let out: Vec<GraphId> = (0..self.graph_count as u32)
-            .map(GraphId)
-            .filter(|id| satisfied[id.index()] == self.distinct[id.index()])
-            .collect();
-        Some(idset::union(&out, &self.overflow))
+    fn filter_supergraph_with(
+        &self,
+        query: &LabeledGraph,
+        features: Option<&PathEnumeration>,
+    ) -> Option<CandidateSet> {
+        let shape = self.cfg.shape();
+        let features = shape.features(query, features);
+        Some(self.core.supergraph(features.within(shape.work_cap)))
     }
 }
 

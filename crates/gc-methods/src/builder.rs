@@ -137,7 +137,7 @@ pub struct MethodBuilder {
 }
 
 impl MethodBuilder {
-    /// GraphGrepSX: path-trie filter (len ≤ 4) + VF2 (paper §7.1).
+    /// GraphGrepSX: path-feature count filter (len ≤ 4) + VF2 (paper §7.1).
     pub fn ggsx() -> Self {
         MethodBuilder {
             name: "GGSX".into(),
@@ -158,7 +158,7 @@ impl MethodBuilder {
         }
     }
 
-    /// Grapes: located path trie + VF2 on `threads` verification threads
+    /// Grapes: located path postings + VF2 on `threads` verification threads
     /// (the paper evaluates Grapes1 and Grapes6).
     pub fn grapes(threads: usize) -> Self {
         MethodBuilder {

@@ -11,9 +11,9 @@
 //!
 //! | name     | filter                     | verifier | threads |
 //! |----------|----------------------------|----------|---------|
-//! | GGSX     | path trie (len ≤ 4)        | VF2      | 1       |
-//! | Grapes1  | located path trie (len ≤ 4)| VF2      | 1       |
-//! | Grapes6  | located path trie (len ≤ 4)| VF2      | 6       |
+//! | GGSX     | path counts (len ≤ 4)      | VF2      | 1       |
+//! | Grapes1  | located paths (len ≤ 4)    | VF2      | 1       |
+//! | Grapes6  | located paths (len ≤ 4)    | VF2      | 6       |
 //! | CT-Index | tree/cycle fingerprints    | VF2+     | 1       |
 //! | VF2      | none (all graphs)          | VF2      | 1       |
 //! | VF2+     | none (all graphs)          | VF2+     | 1       |

@@ -2,6 +2,7 @@
 //! and per-query metrics.
 
 use gc_graph::{idset, GraphDataset, GraphId, LabeledGraph};
+use gc_index::paths::{PathEnumeration, PathShape};
 use gc_index::{CandidateSet, FilterIndex};
 use gc_subiso::{MatchConfig, MatchStats, Matcher};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -123,15 +124,38 @@ impl Method {
         self.filter_directed(query, QueryKind::Subgraph)
     }
 
-    /// Direction-aware filtering. Indexes that support the supergraph
-    /// direction (the path-based ones) prune it too; otherwise supergraph
-    /// queries fall back to the full dataset, which stays sound.
+    /// Direction-aware filtering: enumerates the query's features (path
+    /// indexes) and runs [`filter_with`](Self::filter_with).
     pub fn filter_directed(&self, query: &LabeledGraph, kind: QueryKind) -> FilterOutput {
+        self.filter_with(query, kind, None)
+    }
+
+    /// The path shape the method's filter reads, for path-feature indexes
+    /// (GGSX, Grapes): a caller that enumerates the query anyway can share
+    /// that enumeration through [`filter_with`](Self::filter_with).
+    pub fn path_shape(&self) -> Option<PathShape> {
+        self.filter.as_ref().and_then(|f| f.path_shape())
+    }
+
+    /// The one filtering entry point, both directions. `features` is the
+    /// query's path enumeration when the caller already holds one; the
+    /// index reads it when it covers [`path_shape`](Self::path_shape) and
+    /// enumerates the query itself otherwise (a different path length, as
+    /// in the §7.3 ablation, or too small a work cap). Indexes that support
+    /// the supergraph direction (the path-based ones) prune it too;
+    /// otherwise supergraph queries fall back to the full dataset, which
+    /// stays sound.
+    pub fn filter_with(
+        &self,
+        query: &LabeledGraph,
+        kind: QueryKind,
+        features: Option<&PathEnumeration>,
+    ) -> FilterOutput {
         let t0 = Instant::now();
         let candidates = match (&self.filter, kind) {
-            (Some(f), QueryKind::Subgraph) => f.filter(query),
+            (Some(f), QueryKind::Subgraph) => f.filter_with(query, features),
             (Some(f), QueryKind::Supergraph) => f
-                .filter_supergraph(query)
+                .filter_supergraph_with(query, features)
                 .unwrap_or_else(|| idset::full(self.dataset.len())),
             (None, _) => idset::full(self.dataset.len()),
         };
