@@ -14,7 +14,7 @@
 //! before handing both to criterion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gc_core::{PersistedCache, QueryIndexConfig, StatsStore, StoredProfiles};
+use gc_core::{DatasetIdentity, PersistedCache, QueryIndexConfig, StatsStore, StoredProfiles};
 use gc_graph::{GraphId, LabeledGraph};
 use gc_index::fingerprint::iso_hash;
 use gc_index::paths::enumerate_paths;
@@ -66,6 +66,7 @@ fn corpus(cfg: &QueryIndexConfig) -> PersistedCache {
         stats: StatsStore::default(),
         next_serial: ENTRIES + 1,
         policy: Some("lru".to_string()),
+        dataset: DatasetIdentity::default(),
         fragments: Vec::new(),
         profiles: Some(StoredProfiles {
             max_path_len: cfg.max_path_len,

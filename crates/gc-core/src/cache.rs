@@ -822,9 +822,11 @@ impl GraphCache {
     /// The save is one `snapshot.bin` generation committed through the
     /// crash-safe staged writer (see [`crate::persist`]). It also captures
     /// every entry's path-feature profile, so a restore under the same
-    /// index configuration skips path re-enumeration entirely.
+    /// index configuration skips path re-enumeration entirely, and the
+    /// dataset's identity, so a restore over another dataset is refused.
     pub fn save(&self, dir: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         self.flush_pending();
+        let dataset = crate::persist::DatasetIdentity::of(self.method.dataset());
         let persisted = {
             let _round = self.shared.maint.lock();
             let snapshot = self.shared.load_snapshot();
@@ -844,6 +846,7 @@ impl GraphCache {
                 stats: self.shared.stats.lock().clone(),
                 next_serial: self.shared.current_serial() + 1,
                 policy: Some(self.eviction_name()),
+                dataset,
                 fragments: self
                     .shared
                     .fragments
@@ -890,7 +893,10 @@ impl GraphCache {
 
     /// Restores a previously saved cache state into this instance (paper
     /// §6.1: stores are "loaded from disk on startup"); the query index is
-    /// rebuilt from the loaded entries. Of isomorphic entries of one kind
+    /// rebuilt from the loaded entries. A snapshot saved over another
+    /// dataset than this cache's method serves, or by an earlier release,
+    /// is refused with [`GraphError::Snapshot`](gc_graph::GraphError) and
+    /// leaves the cache as it was. Of isomorphic entries of one kind
     /// only the smallest serial is kept; the others are dropped with their
     /// statistics rows (snapshots written while exact repeats were still
     /// re-admitted hold such copies).
@@ -924,6 +930,7 @@ impl GraphCache {
         let recovered = crate::persist::PersistedCache::load_resilient(dir)?;
         let generation = recovered.generation;
         let mut loaded = recovered.state;
+        loaded.check_dataset(self.method.dataset())?;
         loaded.drop_isomorphic_duplicates(self.method.matcher().as_ref());
         let saved_policy = loaded.policy.clone();
         let saved_fragments = std::mem::take(&mut loaded.fragments);

@@ -101,7 +101,9 @@ pub use invariants::{InvariantClause, InvariantViolation};
 pub use metrics::{MaintStats, QueryRecord, RouteCounters, RunCounters};
 #[doc(hidden)]
 pub use persist::PersistFormat;
-pub use persist::{PersistedCache, PersistedEntry, RecoveredSnapshot, StoredProfiles};
+pub use persist::{
+    DatasetIdentity, PersistedCache, PersistedEntry, RecoveredSnapshot, StoredProfiles,
+};
 pub use policies::{GreedyDual, SegmentedLru};
 pub use policy::{EvictionPolicy, PolicyKind, PolicyRow, PolicyView};
 pub use processors::{

@@ -4,40 +4,33 @@
 //!
 //! A save is one checksummed binary image, `snapshot.bin`, that mirrors
 //! the in-memory arena layout (byte-level specification in
-//! [`crate::snapshot_bin`]). It is written only through the crash-safe
-//! staged writer of [`crate::staged`] ([`PersistedCache::save`] /
+//! [`crate::snapshot_bin`]): entries, statistics rows, fragments and path
+//! profiles are all fixed-width columns and arenas, read by one decoder.
+//! It is written only through the crash-safe staged writer of
+//! [`crate::staged`] ([`PersistedCache::save`] /
 //! [`PersistedCache::save_staged`]) and read only through
 //! [`PersistedCache::load_resilient`], which tries the `MANIFEST`
 //! generations newest-first and falls back to the flat `snapshot.bin`
 //! current view when the directory has no usable manifest.
 //!
-//! Two sections of `snapshot.bin` embed line-oriented text codecs, defined
-//! here: STATS (one `row <serial>` line per statistics row followed by its
-//! four `  <column> <int|float> <value>` cells, `c_total float`,
-//! `hits int`, `last_hit int` and `r_total int`) and FRAGMENTS (a `fragments_v1`
-//! version header, then per fragment an
-//! `@fragment key:<hex> hits:<n> last:<n> r:<n> c:<float>` header, the
-//! fragment graph in the `gc_graph::io` record format, and an
-//! `occs: <id> <id> …` line with the fragment's exact occurrence set).
+//! A snapshot records the [`DatasetIdentity`] of the dataset its answer
+//! sets index into, and [`GraphCache::restore`](crate::GraphCache::restore)
+//! refuses one saved over any other dataset.
 //!
 //! Loading is strict: malformed input yields an error rather than a
-//! silently truncated cache. STATS sections of earlier releases carry
-//! seven more columns no decision read (node, edge and label counts,
-//! expensiveness, special-case hits and two timings); they still load,
-//! and those columns are dropped, while any other unknown column is an
-//! error. The `entries.txt` text saves of earlier releases are not read;
-//! restoring one fails with a typed error that says so.
+//! silently truncated cache. Saves of earlier releases are not read: a
+//! `GCSNAP01` image and an `entries.txt` text save both fail with a typed
+//! error that says to rebuild the cache.
 
 use crate::entry::{CacheEntry, CacheSnapshot};
 use crate::query_index::QueryIndexConfig;
 use crate::staged::{Generation, Manifest, SNAPSHOT_FILE};
 use crate::stats::{QuerySerial, StatsStore};
-use gc_graph::{io, GraphError, GraphId};
-use gc_index::fingerprint::fnv1a;
+use gc_graph::{GraphDataset, GraphError, GraphId};
+use gc_index::fingerprint::{fnv1a, fnv1a_continue};
 use gc_index::paths::{enumerate_paths, PathProfile};
 use gc_methods::QueryKind;
 use gc_subiso::Matcher;
-use std::io::{BufRead, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -93,12 +86,48 @@ pub struct PersistedCache {
     /// policy logs a warning (see
     /// [`GraphCache::restore`](crate::GraphCache::restore)).
     pub policy: Option<String>,
+    /// The dataset the answer sets and fragment occurrences index into.
+    pub dataset: DatasetIdentity,
     /// The sub-query fragment store (empty for caches without the
     /// fragment layer).
     pub fragments: Vec<PersistedFragment>,
     /// Path-feature profiles captured at save time, parallel to
     /// `entries`; `None` when the state was saved without them.
     pub profiles: Option<StoredProfiles>,
+}
+
+/// Which dataset a cache's graph ids index into: its graph count and an
+/// FNV-1a fold over every graph's node count, edge count, labels and
+/// edges, in dataset order. Computed when a cache is saved or restored,
+/// never when one is built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DatasetIdentity {
+    /// Number of graphs in the dataset.
+    pub graphs: u64,
+    /// The FNV-1a fold over the dataset's graphs.
+    pub fold: u64,
+}
+
+impl DatasetIdentity {
+    /// The identity of `dataset`.
+    pub fn of(dataset: &GraphDataset) -> Self {
+        let mut fold = fnv1a(&[]);
+        let mut bytes = Vec::new();
+        for g in dataset.graphs() {
+            bytes.clear();
+            let counts = [g.node_count() as u32, g.edge_count() as u32];
+            let labels = g.labels().iter().copied();
+            let edges = g.edges().flat_map(|(u, v)| [u, v]);
+            for w in counts.into_iter().chain(labels).chain(edges) {
+                bytes.extend_from_slice(&w.to_le_bytes());
+            }
+            fold = fnv1a_continue(fold, &bytes);
+        }
+        Self {
+            graphs: dataset.len() as u64,
+            fold,
+        }
+    }
 }
 
 /// What [`PersistedCache::load_resilient`] recovered: the state plus the
@@ -233,6 +262,40 @@ impl PersistedCache {
         }
     }
 
+    /// Refuses a state saved over another dataset than `dataset` — its
+    /// answer ids would name other graphs, or none — and, as a second
+    /// guard, any answer or fragment occurrence id outside `dataset`.
+    pub(crate) fn check_dataset(&self, dataset: &GraphDataset) -> Result<(), GraphError> {
+        let here = DatasetIdentity::of(dataset);
+        if self.dataset != here {
+            return Err(GraphError::snapshot(
+                0,
+                format!(
+                    "snapshot was saved over another dataset ({} graphs, fold {:016x}) than \
+                     this cache serves ({} graphs, fold {:016x}) — rebuild the cache over \
+                     this dataset",
+                    self.dataset.graphs, self.dataset.fold, here.graphs, here.fold
+                ),
+            ));
+        }
+        let answers = self.entries.iter().flat_map(|e| &e.2);
+        let occurrences = self.fragments.iter().flat_map(|f| &f.occs);
+        match answers
+            .chain(occurrences)
+            .find(|id| id.index() >= dataset.len())
+        {
+            Some(id) => Err(GraphError::snapshot(
+                0,
+                format!(
+                    "graph id {} outside the dataset's {} graphs",
+                    id.0,
+                    dataset.len()
+                ),
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Keeps one entry per isomorphism class and kind — the smallest
     /// serial — and drops the others with their statistics rows (and
     /// stored profiles). Snapshots written while exact repeats were still
@@ -327,228 +390,6 @@ impl PersistedCache {
     }
 }
 
-/// Columns that snapshots of earlier releases carry and no decision read:
-/// the query's node, edge and label counts, its expensiveness, its
-/// special-case hit count and two wall-clock timings. They load, and are
-/// dropped.
-const RETIRED_STATS_COLUMNS: [&str; 7] = [
-    "nodes",
-    "edges",
-    "labels",
-    "expensiveness",
-    "special_hits",
-    "filter_us",
-    "verify_us",
-];
-
-/// Writes the STATS codec: rows in serial order, each as its four cells
-/// in column-name order — so identical statistics always serialise to
-/// identical bytes.
-pub(crate) fn write_stats_text(mut w: impl Write, stats: &StatsStore) -> std::io::Result<()> {
-    for row in stats.rows() {
-        writeln!(w, "row {}", row.serial)?;
-        writeln!(w, "  c_total float {}", row.c_total)?;
-        writeln!(w, "  hits int {}", row.hits)?;
-        writeln!(w, "  last_hit int {}", row.last_hit)?;
-        writeln!(w, "  r_total int {}", row.r_total)?;
-    }
-    Ok(())
-}
-
-/// Parses the STATS codec into `stats`. Strict: malformed rows or cells
-/// are errors, not skips. A cell a row lacks keeps the admitted row's
-/// value (never hit, its own serial as the last hit), the retired columns
-/// of earlier releases are dropped, and any other column name is an
-/// error.
-pub(crate) fn read_stats_text(r: impl BufRead, stats: &mut StatsStore) -> Result<(), GraphError> {
-    let mut current: Option<QuerySerial> = None;
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        let lineno = i + 1;
-        if let Some(k) = line.strip_prefix("row ") {
-            let serial = k
-                .trim()
-                .parse()
-                .map_err(|_| GraphError::parse(lineno, "bad stats key"))?;
-            stats.admit(serial);
-            current = Some(serial);
-        } else if !line.trim().is_empty() {
-            let key =
-                current.ok_or_else(|| GraphError::parse(lineno, "stats cell before any row"))?;
-            let mut parts = line.split_whitespace();
-            let col = parts
-                .next()
-                .ok_or_else(|| GraphError::parse(lineno, "missing column name"))?;
-            let kind = parts
-                .next()
-                .ok_or_else(|| GraphError::parse(lineno, "missing value kind"))?;
-            let raw = parts
-                .next()
-                .ok_or_else(|| GraphError::parse(lineno, "missing value"))?;
-            let bad = || GraphError::parse(lineno, format!("bad {kind} {raw:?}"));
-            let mut row = stats.row(key);
-            match (col, kind) {
-                ("hits", "int") => row.hits = raw.parse().map_err(|_| bad())?,
-                ("last_hit", "int") => row.last_hit = raw.parse().map_err(|_| bad())?,
-                ("r_total", "int") => row.r_total = raw.parse().map_err(|_| bad())?,
-                ("c_total", "float") => row.c_total = raw.parse().map_err(|_| bad())?,
-                ("hits" | "last_hit" | "r_total" | "c_total", "int" | "float") => {
-                    return Err(GraphError::parse(
-                        lineno,
-                        format!("column {col:?} cannot hold a {kind} value"),
-                    ))
-                }
-                (_, "int") if RETIRED_STATS_COLUMNS.contains(&col) => {
-                    raw.parse::<i64>().map_err(|_| bad())?;
-                }
-                (_, "float") if RETIRED_STATS_COLUMNS.contains(&col) => {
-                    raw.parse::<f64>().map_err(|_| bad())?;
-                }
-                (_, "int" | "float") => {
-                    return Err(GraphError::parse(
-                        lineno,
-                        format!("unknown statistics column {col:?}"),
-                    ))
-                }
-                (_, other) => {
-                    return Err(GraphError::parse(
-                        lineno,
-                        format!("unknown value kind {other:?}"),
-                    ))
-                }
-            }
-            stats.insert(row);
-        }
-    }
-    Ok(())
-}
-
-/// Writes the FRAGMENTS codec (version header + one record per fragment).
-pub(crate) fn write_fragments_text(
-    mut w: impl Write,
-    fragments: &[PersistedFragment],
-) -> std::io::Result<()> {
-    writeln!(w, "fragments_v1")?;
-    for f in fragments {
-        writeln!(
-            w,
-            "@fragment key:{:016x} hits:{} last:{} r:{} c:{}",
-            f.key, f.hits, f.last_hit, f.r_total, f.c_total
-        )?;
-        io::write_graph(&mut w, &format!("f{:016x}", f.key), &f.graph)?;
-        write!(w, "occs:")?;
-        for id in &f.occs {
-            write!(w, " {}", id.0)?;
-        }
-        writeln!(w)?;
-    }
-    Ok(())
-}
-
-/// Parses the strict FRAGMENTS codec (see the module docs).
-pub(crate) fn read_fragments_text(r: impl BufRead) -> Result<Vec<PersistedFragment>, GraphError> {
-    let mut lines = r.lines();
-    let header = lines
-        .next()
-        .transpose()?
-        .ok_or_else(|| GraphError::parse(1, "missing fragments version header"))?;
-    if header.trim() != "fragments_v1" {
-        return Err(GraphError::parse(1, "unknown fragments format version"));
-    }
-    let mut fragments = Vec::new();
-    let mut pending: Vec<String> = Vec::new();
-    let mut current: Option<PersistedFragment> = None;
-    let mut lineno = 1usize;
-    let finish = |mut frag: PersistedFragment,
-                  pending: &mut Vec<String>,
-                  fragments: &mut Vec<PersistedFragment>,
-                  lineno: usize|
-     -> Result<(), GraphError> {
-        let occs_line = pending
-            .pop()
-            .ok_or_else(|| GraphError::parse(lineno, "fragment missing occs line"))?;
-        let rest = occs_line
-            .strip_prefix("occs:")
-            .ok_or_else(|| GraphError::parse(lineno, "expected 'occs:' line"))?;
-        for tok in rest.split_whitespace() {
-            let id: u32 = tok
-                .parse()
-                .map_err(|_| GraphError::parse(lineno, format!("bad occurrence id {tok:?}")))?;
-            frag.occs.push(GraphId(id));
-        }
-        let text = pending.join("\n");
-        let ds = io::read_dataset(text.as_bytes())?;
-        if ds.len() != 1 {
-            return Err(GraphError::parse(
-                lineno,
-                "expected exactly one fragment graph record",
-            ));
-        }
-        frag.graph = ds.graph(GraphId(0)).clone();
-        fragments.push(frag);
-        pending.clear();
-        Ok(())
-    };
-    for line in lines {
-        let line = line?;
-        lineno += 1;
-        if let Some(s) = line.strip_prefix("@fragment ") {
-            if let Some(prev) = current.take() {
-                finish(prev, &mut pending, &mut fragments, lineno)?;
-            }
-            current = Some(parse_fragment_header(s, lineno)?);
-        } else if current.is_some() {
-            pending.push(line);
-        } else if !line.trim().is_empty() {
-            return Err(GraphError::parse(lineno, "content before first @fragment"));
-        }
-    }
-    if let Some(prev) = current.take() {
-        finish(prev, &mut pending, &mut fragments, lineno)?;
-    }
-    Ok(fragments)
-}
-
-/// Parses one `@fragment` header's `name:value` tokens. Every token is
-/// required and unknown names are rejected — a save that this code cannot
-/// fully understand must fail loudly, not load a half-read fragment.
-fn parse_fragment_header(s: &str, lineno: usize) -> Result<PersistedFragment, GraphError> {
-    let mut key = None;
-    let mut hits = None;
-    let mut last_hit = None;
-    let mut r_total = None;
-    let mut c_total = None;
-    for tok in s.split_whitespace() {
-        let (name, val) = tok.split_once(':').ok_or_else(|| {
-            GraphError::parse(lineno, format!("malformed fragment token {tok:?}"))
-        })?;
-        let bad = |what: &str| GraphError::parse(lineno, format!("bad fragment {what} {val:?}"));
-        match name {
-            "key" => key = Some(u64::from_str_radix(val, 16).map_err(|_| bad("key"))?),
-            "hits" => hits = Some(val.parse::<u64>().map_err(|_| bad("hits"))?),
-            "last" => last_hit = Some(val.parse::<u64>().map_err(|_| bad("last"))?),
-            "r" => r_total = Some(val.parse::<u64>().map_err(|_| bad("r"))?),
-            "c" => c_total = Some(val.parse::<f64>().map_err(|_| bad("c"))?),
-            other => {
-                return Err(GraphError::parse(
-                    lineno,
-                    format!("unknown fragment token {other:?}"),
-                ))
-            }
-        }
-    }
-    let missing = |what: &str| GraphError::parse(lineno, format!("fragment missing {what} token"));
-    Ok(PersistedFragment {
-        key: key.ok_or_else(|| missing("key"))?,
-        graph: gc_graph::LabeledGraph::from_parts(Vec::new(), &[]),
-        occs: Vec::new(),
-        hits: hits.ok_or_else(|| missing("hits"))?,
-        last_hit: last_hit.ok_or_else(|| missing("last"))?,
-        r_total: r_total.ok_or_else(|| missing("r"))?,
-        c_total: c_total.ok_or_else(|| missing("c"))?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -591,6 +432,7 @@ mod tests {
             stats,
             next_serial: 42,
             policy: Some("hd".to_string()),
+            dataset: DatasetIdentity::default(),
             fragments: vec![PersistedFragment {
                 key: 0xdead_beef_0042_7711,
                 graph: LabeledGraph::from_parts(vec![1, 2, 1], &[(0, 1), (1, 2)]),
@@ -632,30 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_fragments_rejected() {
-        let mut buf = Vec::new();
-        write_fragments_text(&mut buf, &sample().fragments).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let parse = |t: &str| read_fragments_text(t.as_bytes());
-
-        // Wrong version header.
-        assert!(parse(&text.replace("fragments_v1", "fragments_v9")).is_err());
-        // Malformed key.
-        assert!(parse(&text.replace("key:", "key:zz")).is_err());
-        // Unknown header token.
-        assert!(parse(&text.replace("hits:", "hats:")).is_err());
-        // Missing occs line.
-        let no_occs: String = text
-            .lines()
-            .filter(|l| !l.starts_with("occs:"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(parse(&no_occs).is_err());
-        // The intact codec still parses (sanity-check the baseline).
-        assert_eq!(parse(&text).unwrap(), sample().fragments);
-    }
-
-    #[test]
     fn snapshot_materialisation() {
         let loaded = roundtripped("snapshot", &sample());
         let (snap, stats, next) = loaded.into_snapshot_sharded(QueryIndexConfig::default(), 1);
@@ -687,21 +505,55 @@ mod tests {
         assert_eq!(sub, flat_sub);
     }
 
-    /// A directory with no snapshot fails with a typed error, and a
-    /// malformed STATS section is rejected, not skipped. (Text saves of
-    /// earlier releases are refused through `GraphCache::restore` in
-    /// `tests/persistence.rs`.)
+    /// A directory with no snapshot, or whose flat `snapshot.bin` is not
+    /// one, fails with a typed error. (Malformed sections are pinned by
+    /// `snapshot_bin`'s tests; text saves of earlier releases are refused
+    /// through `GraphCache::restore` in `tests/persistence.rs`.)
     #[test]
     fn malformed_inputs_rejected() {
         let dir = tmpdir("malformed");
         let missing = PersistedCache::load_resilient(dir.join("absent"));
         assert!(matches!(missing, Err(GraphError::Snapshot { .. })));
 
-        let mut stats = StatsStore::new();
-        assert!(read_stats_text("  orphan int 3\n".as_bytes(), &mut stats).is_err());
-        assert!(read_stats_text("row 1\n  hits int x\n".as_bytes(), &mut stats).is_err());
-        assert!(read_stats_text("row 1\n  hits text 2\n".as_bytes(), &mut stats).is_err());
+        std::fs::write(dir.join(SNAPSHOT_FILE), b"not a snapshot at all, just text").unwrap();
+        let garbage = PersistedCache::load_resilient(&dir);
+        assert!(matches!(garbage, Err(GraphError::Snapshot { .. })));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A state is checked against the dataset it is restored over: its
+    /// identity must match, and every answer and occurrence id must name
+    /// one of the dataset's graphs.
+    #[test]
+    fn dataset_mismatch_and_foreign_ids_refused() {
+        let graphs = |n: u32| {
+            GraphDataset::new(
+                (0..n)
+                    .map(|i| LabeledGraph::from_parts(vec![i, 1], &[(0, 1)]))
+                    .collect(),
+            )
+        };
+        let five = graphs(5);
+        let mut state = sample();
+        state.dataset = DatasetIdentity::of(&five);
+        state.check_dataset(&five).unwrap();
+
+        let relabelled = GraphDataset::new(
+            (0..5)
+                .map(|i| LabeledGraph::from_parts(vec![i, 2], &[(0, 1)]))
+                .collect(),
+        );
+        for other in [graphs(6), relabelled] {
+            let err = state.check_dataset(&other).unwrap_err();
+            assert!(err.to_string().contains("another dataset"), "{err}");
+        }
+
+        state.fragments[0].occs.push(GraphId(5));
+        let err = state.check_dataset(&five).unwrap_err();
+        assert!(err.to_string().contains("graph id 5 outside"), "{err}");
+        state.fragments[0].occs.pop();
+        state.entries[1].2.push(GraphId(7));
+        assert!(state.check_dataset(&five).is_err());
     }
 
     #[test]
@@ -738,54 +590,5 @@ mod tests {
         bytes[body_len..].copy_from_slice(&sum.to_le_bytes());
         let err = crate::snapshot_bin::decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("UTF-8"), "{err}");
-    }
-
-    /// Rows of earlier releases load into the four-field row: a
-    /// nine-column row keeps its hits, last hit, `R` and `C`, the
-    /// `filter_us`/`verify_us` timings of still older saves are dropped
-    /// too, and a cell a row lacks keeps the admitted value. A column name
-    /// no release wrote is a typed error.
-    #[test]
-    fn retired_timing_columns_are_dropped() {
-        let old = "row 3\n  c_total float 12.5\n  edges int 2\n  expensiveness float 840\n  \
-                   hits int 7\n  labels int 2\n  last_hit int 40\n  nodes int 3\n  \
-                   r_total int 11\n  special_hits int 2\n\
-                   row 5\n  filter_us float 1.5\n  hits int 2\n  verify_us float 9\n";
-        let mut stats = StatsStore::new();
-        read_stats_text(old.as_bytes(), &mut stats).unwrap();
-        assert_eq!(
-            stats.rows(),
-            vec![
-                PolicyRow {
-                    serial: 3,
-                    last_hit: 40,
-                    hits: 7,
-                    r_total: 11,
-                    c_total: 12.5,
-                },
-                PolicyRow {
-                    serial: 5,
-                    last_hit: 5,
-                    hits: 2,
-                    r_total: 0,
-                    c_total: 0.0,
-                },
-            ]
-        );
-        let mut written = Vec::new();
-        write_stats_text(&mut written, &stats).unwrap();
-        assert_eq!(
-            String::from_utf8(written).unwrap(),
-            "row 3\n  c_total float 12.5\n  hits int 7\n  last_hit int 40\n  r_total int 11\n\
-             row 5\n  c_total float 0\n  hits int 2\n  last_hit int 5\n  r_total int 0\n"
-        );
-
-        let unknown = read_stats_text("row 1\n  hats int 2\n".as_bytes(), &mut stats);
-        assert!(
-            matches!(&unknown, Err(GraphError::Parse { message, .. }) if message.contains("hats")),
-            "{unknown:?}"
-        );
-        let wrong_kind = read_stats_text("row 1\n  hits float 2.5\n".as_bytes(), &mut stats);
-        assert!(matches!(wrong_kind, Err(GraphError::Parse { .. })));
     }
 }

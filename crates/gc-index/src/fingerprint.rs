@@ -75,10 +75,11 @@ impl Fingerprint {
 const FNV_BASIS: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
-/// The FNV-1a step, resumable from any accumulator — the single home of
-/// the hash constants shared by [`fnv1a`] and the iso-hash folds.
+/// The FNV-1a step, resumable from any accumulator (`fnv1a(&[])` is the
+/// first) — the single home of the hash constants shared by [`fnv1a`], the
+/// iso-hash folds and streamed folds over many byte runs.
 #[inline]
-fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
+pub fn fnv1a_continue(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);

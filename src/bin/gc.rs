@@ -96,7 +96,8 @@
 //!
 //! * `0` — success;
 //! * `1` — runtime failure (I/O errors, malformed datasets, missing
-//!   `--restore` state, protocol errors on a live connection);
+//!   `--restore` state or one saved by an earlier release or over another
+//!   dataset, protocol errors on a live connection);
 //! * `2` — usage error (unknown subcommand, option or flag value, missing
 //!   required option, unknown profile/workload/method/policy/suite name);
 //! * `3` — benchmark regression: `gc bench --check` found deterministic

@@ -3,10 +3,11 @@
 //! on-disk representation, the checksummed `snapshot.bin`. The property
 //! test pins the round trip — save → restore → save is byte-identical and
 //! the restored cache answers like the one that was saved — and the unit
-//! tests pin the failure modes: corrupted snapshots and text saves of
-//! earlier releases fail with typed errors, never a panic.
+//! tests pin the failure modes: corrupted snapshots, saves of earlier
+//! releases and snapshots of another dataset fail with typed errors, never
+//! a panic or a wrong answer.
 
-use graphcache::core::{GraphCache, PersistedCache, PolicyRow, StatsStore};
+use graphcache::core::{DatasetIdentity, GraphCache, PersistedCache, PolicyRow, StatsStore};
 use graphcache::graph::GraphError;
 use graphcache::prelude::*;
 use graphcache::workload::generate_type_a;
@@ -246,6 +247,82 @@ fn text_saves_fail_restore_typed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `snapshot.bin` of the earlier format (`GCSNAP01`, here an otherwise
+/// current image under that magic and a valid checksum) fails `restore`
+/// with a typed error that names an earlier release and says to rebuild,
+/// and leaves the cache empty.
+#[test]
+fn earlier_format_snapshot_fails_restore_typed() {
+    let (gc, d) = warmed_cache(10, 20, 12);
+    let dir = tmpdir("gcsnap01");
+    gc.save(&dir).unwrap();
+    std::fs::remove_file(dir.join("MANIFEST")).unwrap();
+    let mut bytes = read_file(&dir, "snapshot.bin");
+    let body = bytes.len() - 8;
+    bytes[..8].copy_from_slice(b"GCSNAP01");
+    let sum = graphcache::index::fingerprint::fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(dir.join("snapshot.bin"), bytes).unwrap();
+    let cache = fresh_cache(&d, 12);
+    match cache.restore(&dir) {
+        Err(GraphError::Snapshot { message, .. }) => {
+            assert!(message.contains("earlier release"), "{message}");
+            assert!(message.contains("rebuild the cache"), "{message}");
+        }
+        other => panic!("GCSNAP01 image: expected GraphError::Snapshot, got {other:?}"),
+    }
+    assert_eq!(cache.cache_len(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Restores `saved_over`'s warmed cache into a cache over `restored_over`:
+/// the restore must fail typed, leave the cache empty, and the cache must
+/// then answer a workload exactly like uncached Method M.
+fn assert_foreign_snapshot_refused(saved_over: &GraphDataset, restored_over: &GraphDataset) {
+    let workload = generate_type_a(saved_over, &TypeAConfig::zz(1.4).count(40).seed(11));
+    let dir = tmpdir(&format!("foreign-{}", saved_over.len()));
+    let first = fresh_cache(saved_over, 20);
+    for q in workload.graphs() {
+        first.run(q);
+    }
+    assert!(first.cache_len() > 0);
+    first.save(&dir).unwrap();
+
+    let cache = fresh_cache(restored_over, 20);
+    match cache.restore(&dir) {
+        Err(GraphError::Snapshot { message, .. }) => {
+            assert!(message.contains("another dataset"), "{message}");
+        }
+        other => panic!("foreign snapshot: expected GraphError::Snapshot, got {other:?}"),
+    }
+    assert_eq!(cache.cache_len(), 0);
+    let method_m = MethodBuilder::ggsx().build(restored_over);
+    for q in workload.graphs() {
+        assert_eq!(cache.run(q).answer, method_m.run(q).answer);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot saved over one dataset is refused over another with the
+/// same number of graphs, whose answer ids would name other graphs.
+#[test]
+fn restore_over_same_sized_other_dataset_is_refused() {
+    let saved_over = datasets::aids_like(0.04, 321);
+    let restored_over = datasets::aids_like(0.04, 999);
+    assert_eq!(saved_over.len(), restored_over.len());
+    assert_foreign_snapshot_refused(&saved_over, &restored_over);
+}
+
+/// A snapshot saved over a larger dataset is refused over a smaller one,
+/// whose answer ids it would index past the end.
+#[test]
+fn restore_over_smaller_dataset_is_refused() {
+    let saved_over = datasets::aids_like(0.08, 321);
+    let restored_over = datasets::aids_like(0.04, 321);
+    assert!(saved_over.len() > restored_over.len());
+    assert_foreign_snapshot_refused(&saved_over, &restored_over);
+}
+
 /// Snapshots written while exact repeats were still re-admitted hold
 /// isomorphic copies of one query. Restore keeps the smallest serial of
 /// each isomorphism class and drops the others with their statistics rows,
@@ -288,6 +365,7 @@ fn restore_drops_isomorphic_copies_of_old_snapshots() {
         stats,
         next_serial: 9,
         policy: Some("hd".to_string()),
+        dataset: DatasetIdentity::of(&d),
         ..PersistedCache::default()
     }
     .save(&dir)
