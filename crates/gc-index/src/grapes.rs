@@ -100,6 +100,12 @@ impl GrapesIndex {
         self.cfg
     }
 
+    /// The count postings the filters read.
+    #[cfg(test)]
+    pub(crate) fn core(&self) -> &CountPostings {
+        &self.core
+    }
+
     /// The start-node locations of `feature` within graph `id`, if indexed.
     pub fn locations(&self, feature: &[Label], id: GraphId) -> Option<&[NodeId]> {
         let posting = self.locations.get(feature_key(feature))?;

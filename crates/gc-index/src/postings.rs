@@ -1,5 +1,6 @@
-//! Packed, key-addressed postings — the storage shape shared by
-//! GraphGrepSX, Grapes and GraphCache's own query index.
+//! Packed, key-addressed postings — the storage shape of Grapes' location
+//! lists and GraphCache's own query index. (GGSX's and Grapes' count
+//! postings add count planes for dense features; see `ggsx.rs`.)
 //!
 //! Every posting lives in one flat arena, grouped by [`FeatureKey`], and a
 //! `key → (offset, len)` directory resolves a feature to its contiguous
