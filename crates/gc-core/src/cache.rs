@@ -714,10 +714,10 @@ impl GraphCache {
         self.shared.maint_stats()
     }
 
-    /// Per-shard arena utilization as `(bytes_live, bytes_reserved)` —
-    /// how much of each shard's packed postings + answer arenas holds
-    /// live data versus reserved-but-dead slots awaiting compaction
-    /// (diagnostics; surfaced by `gc query --maint-stats`).
+    /// Per-shard answer-arena utilization as `(bytes_live, bytes_reserved)`
+    /// — how much of each shard's answer arena holds live data versus
+    /// tombstoned ranges awaiting compaction (diagnostics; surfaced by
+    /// `gc query --maint-stats`).
     pub fn arena_utilization(&self) -> Vec<(usize, usize)> {
         self.shared.load_snapshot().arena_utilization()
     }
@@ -2275,6 +2275,7 @@ mod tests {
     /// a different path length enumerates its own.
     #[test]
     fn one_enumeration_per_miss_matches_separate_enumerations() {
+        use crate::query_index::Probe;
         use gc_index::GgsxConfig;
         let queries = [
             path_graph(&[0, 1]),
@@ -2331,12 +2332,9 @@ mod tests {
                 let own = snapshot.profile_of(q);
                 let (qn, qm) = (q.node_count() as u32, q.edge_count() as u32);
                 for shard in snapshot.shards() {
-                    let a = shard.index().candidates_from_profile(
-                        shared.within(index_cfg.work_cap),
-                        qn,
-                        qm,
-                    );
-                    let b = shard.index().candidates_from_profile(&own, qn, qm);
+                    let a =
+                        shard.candidates(&Probe::new(shared.within(index_cfg.work_cap), (qn, qm)));
+                    let b = shard.candidates(&Probe::new(&own, (qn, qm)));
                     assert_eq!(
                         (a.sub, a.super_),
                         (b.sub, b.super_),

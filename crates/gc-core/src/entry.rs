@@ -1,17 +1,19 @@
-//! Cache entries, index shards, and immutable sharded cache snapshots.
+//! Cache entries, shards, and immutable sharded cache snapshots.
 //!
-//! The cache contents are partitioned into `N` serial-hashed [`Shard`]s,
-//! each pairing its entries with its own [`QueryIndex`]. A maintenance
-//! round only touches the shards its victims/admissions hash into —
-//! patching them incrementally (tombstone removals, appended insertions)
-//! and compacting a shard only when its tombstone debt crosses a
-//! threshold — so maintenance cost is O(delta + touched shards), not
-//! O(|cache|). Readers assemble a [`CacheSnapshot`] view from per-shard
-//! `Arc`s; the paper's "old index keeps serving reads" invariant holds per
-//! shard (see [`crate::window`]).
+//! The cache contents are partitioned into `N` serial-hashed [`Shard`]s.
+//! A shard holds its entries in slots plus one packed column per value the
+//! query path reads before it touches an entry: kind, fingerprint, size,
+//! overflow flag, feature signature, answer range. The candidate pass over
+//! those columns is [`Shard::candidates`] (see [`crate::query_index`]). A
+//! maintenance round only touches the shards its victims/admissions hash
+//! into — tombstoning removals and appending insertions — and compacts a
+//! shard only when its tombstone debt crosses a threshold, so maintenance
+//! cost is O(delta + touched shards), not O(|cache|). Readers assemble a
+//! [`CacheSnapshot`] view from per-shard `Arc`s; the paper's "old index
+//! keeps serving reads" invariant holds per shard (see [`crate::window`]).
 
 use crate::invariants::{ensure, tiled_end, InvariantClause, InvariantViolation};
-use crate::query_index::{HitCandidates, QueryIndex, QueryIndexConfig};
+use crate::query_index::{signature, HitCandidates, Probe, QueryIndexConfig, Signature};
 use crate::stats::QuerySerial;
 use gc_graph::{sizing, GraphId, LabeledGraph};
 use gc_index::fingerprint::iso_hash;
@@ -86,7 +88,7 @@ impl CacheEntry {
     }
 }
 
-/// An entry's `(nodes, edges)` size, as the query index stores it.
+/// An entry's `(nodes, edges)` size, as the candidate pass reads it.
 fn entry_size(entry: &CacheEntry) -> (u32, u32) {
     (
         entry.graph.node_count() as u32,
@@ -102,29 +104,30 @@ pub fn shard_for(serial: QuerySerial, shards: usize) -> usize {
     (serial.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % shards
 }
 
-/// One cache partition: its entries plus the query index over them.
+/// One cache partition: its entries in slots, and one packed column per
+/// value the query path reads before it dereferences an entry.
 ///
 /// Slots are positions in the shard's entry vector; a removed entry leaves
-/// a `None` tombstone so surviving slots never shift and the index postings
-/// stay valid. [`compact`](Self::compact) rebuilds both densely when the
-/// debt grows. Shards are patched through `Arc::make_mut` by the Window
-/// Manager: in place while the shard lock holds the only reference, and by
-/// deep copy (readers keep the old state) while any [`CacheSnapshot`] view
-/// still holds the `Arc` — which is why the query path releases its view
-/// before it can trigger a round (see [`crate::window`]).
-#[derive(Debug, Clone)]
+/// a `None` tombstone so surviving slots never shift. Admission appends a
+/// row to every column; [`compact`](Self::compact) rebuilds them densely
+/// when tombstones pile up. Shards are patched through `Arc::make_mut` by
+/// the Window Manager: in place while the shard lock holds the only
+/// reference, and by deep copy (readers keep the old state) while any
+/// [`CacheSnapshot`] view still holds the `Arc` — which is why the query
+/// path releases its view before it can trigger a round (see
+/// [`crate::window`]).
+#[derive(Debug, Clone, Default)]
 pub struct Shard {
-    /// Entry per slot, aligned with the index; `None` marks a tombstone.
-    /// The full entry (graph + profile) is only dereferenced once a slot
-    /// survives candidate filtering — the filter itself runs on the packed
-    /// columns below.
+    /// Entry per slot; `None` marks a tombstone. The full entry (graph +
+    /// profile) is only dereferenced once a slot survives candidate
+    /// filtering — the filter itself runs on the packed columns below.
     entries: Vec<Option<Arc<CacheEntry>>>,
-    /// The combined subgraph/supergraph index over this shard's entries.
-    index: QueryIndex,
+    /// Live serial → slot, for O(1) removal and exact-serial lookup.
+    slot_of: FxHashMap<QuerySerial, u32>,
     /// Iso fingerprint → live slots carrying it — the exact-match fast
-    /// path's key map, maintained incrementally alongside the index
-    /// (`insert` appends the slot, `remove` prunes it eagerly, so the map
-    /// never accumulates tombstone debt).
+    /// path's key map, maintained incrementally (`insert` appends the slot,
+    /// `remove` prunes it eagerly, so the map never accumulates tombstone
+    /// debt).
     exact: FxHashMap<u64, Vec<u32>>,
     /// Per-slot iso fingerprints, packed (struct-of-arrays hot lane).
     fingerprints: Vec<u64>,
@@ -135,6 +138,14 @@ pub struct Shard {
     /// the gather stage reads this column instead of chasing the entry and
     /// graph `Arc`s per candidate.
     distinct_labels: Vec<u32>,
+    /// Per-slot `(nodes, edges)` sizes — the candidate pass's first test.
+    sizes: Vec<(u32, u32)>,
+    /// Per slot: the entry's enumeration overflowed (no profile), so it
+    /// passes both directions on size alone.
+    overflow: Vec<bool>,
+    /// Per-slot feature signatures — the candidate pass's second test
+    /// (see [`crate::query_index`]).
+    signatures: Vec<Signature>,
     /// Per-slot `(offset, len)` range into the shared [`answers`] arena.
     /// Tombstoned slots keep their range; the ids behind it become
     /// reserved-but-dead bytes until compaction reclaims them.
@@ -151,61 +162,48 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// An empty shard.
-    pub fn empty(cfg: QueryIndexConfig) -> Self {
-        Shard {
-            entries: Vec::new(),
-            index: QueryIndex::build_from_profiles(cfg, std::iter::empty()),
-            exact: FxHashMap::default(),
-            fingerprints: Vec::new(),
-            kinds: Vec::new(),
-            distinct_labels: Vec::new(),
-            answer_ranges: Vec::new(),
-            answers: Vec::new(),
-            answers_live: 0,
-        }
-    }
-
-    /// Builds a dense shard from entries, reusing each entry's stored
-    /// feature profile: the index is bulk-built (fully packed), then the
-    /// columns follow in slot order.
-    pub fn build(cfg: QueryIndexConfig, entries: Vec<Arc<CacheEntry>>) -> Self {
-        let mut shard = Shard::empty(cfg);
-        shard.index = QueryIndex::build_from_profiles(
-            cfg,
-            entries
-                .iter()
-                .map(|e| (e.serial, entry_size(e), &e.profile)),
-        );
+    /// Builds a dense shard from entries, in order, reusing each entry's
+    /// stored feature profile.
+    pub fn build(entries: Vec<Arc<CacheEntry>>) -> Self {
+        let mut shard = Shard::default();
         for e in entries {
-            shard.push_columns(e);
+            shard.insert(e);
         }
         shard
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.slot_of.len()
     }
 
     /// True when the shard holds no live entries.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.slot_of.is_empty()
     }
 
-    /// The shard's query index.
-    pub fn index(&self) -> &QueryIndex {
-        &self.index
+    /// Total slots, live and tombstoned.
+    pub fn slots(&self) -> usize {
+        self.entries.len()
     }
 
-    /// Looks up a live entry by serial (O(1) via the index's slot map).
+    /// Tombstoned slots awaiting compaction.
+    pub fn tombstones(&self) -> usize {
+        self.slots() - self.len()
+    }
+
+    /// The slot currently holding `serial`, when it is live.
+    pub fn slot_of(&self, serial: QuerySerial) -> Option<u32> {
+        self.slot_of.get(&serial).copied()
+    }
+
+    /// Looks up a live entry by serial (O(1) via the slot map).
     pub fn entry(&self, serial: QuerySerial) -> Option<&Arc<CacheEntry>> {
-        self.index
-            .slot_of(serial)
+        self.slot_of(serial)
             .and_then(|slot| self.entries[slot as usize].as_ref())
     }
 
-    /// The entry at an index slot (`None` for tombstoned slots).
+    /// The entry at a slot (`None` for tombstoned slots).
     pub fn entry_at(&self, slot: u32) -> Option<&Arc<CacheEntry>> {
         self.entries.get(slot as usize).and_then(|e| e.as_ref())
     }
@@ -215,26 +213,22 @@ impl Shard {
         self.entries.iter().flatten()
     }
 
-    /// Admits an entry: appends a slot, indexes its profile and threads its
+    /// Admits an entry: appends a slot to every column and threads its
     /// fingerprint into the exact-match map. The serial must not already be
-    /// live in this shard.
+    /// live in this shard (a store invariant the Window Manager enforces
+    /// before admission).
     pub fn insert(&mut self, entry: Arc<CacheEntry>) {
-        let slot = self
-            .index
-            .insert_profile(entry.serial, entry_size(&entry), &entry.profile);
-        debug_assert_eq!(slot as usize, self.entries.len());
-        self.push_columns(entry);
-    }
-
-    /// Appends the packed columns of the entry the index just gave the
-    /// next slot.
-    fn push_columns(&mut self, entry: Arc<CacheEntry>) {
         let slot = self.entries.len() as u32;
+        let previous = self.slot_of.insert(entry.serial, slot);
+        debug_assert!(previous.is_none(), "serial {} inserted twice", entry.serial);
         self.exact.entry(entry.fingerprint).or_default().push(slot);
         self.fingerprints.push(entry.fingerprint);
         self.kinds.push(entry.kind);
         self.distinct_labels
             .push(entry.graph.distinct_label_count() as u32);
+        self.sizes.push(entry_size(&entry));
+        self.overflow.push(entry.profile.counts().is_none());
+        self.signatures.push(signature(&entry.profile));
         let offset = self.answers.len() as u32;
         self.answers.extend_from_slice(&entry.answer);
         self.answer_ranges.push((offset, entry.answer.len() as u32));
@@ -245,23 +239,46 @@ impl Shard {
     /// Evicts an entry: tombstones its slot in place and prunes the
     /// exact-match map. Returns whether the serial was live here.
     pub fn remove(&mut self, serial: QuerySerial) -> bool {
-        match self.index.remove(serial) {
-            Some(slot) => {
-                if let Some(entry) = self.entries[slot as usize].take() {
-                    if let Some(slots) = self.exact.get_mut(&entry.fingerprint) {
-                        slots.retain(|&s| s != slot);
-                        if slots.is_empty() {
-                            self.exact.remove(&entry.fingerprint);
-                        }
-                    }
-                    // The range stays behind in `answer_ranges`/`answers`
-                    // as reserved-dead bytes; only the live counter moves.
-                    self.answers_live -= self.answer_ranges[slot as usize].1 as usize;
+        let Some(slot) = self.slot_of.remove(&serial) else {
+            return false;
+        };
+        if let Some(entry) = self.entries[slot as usize].take() {
+            if let Some(slots) = self.exact.get_mut(&entry.fingerprint) {
+                slots.retain(|&s| s != slot);
+                if slots.is_empty() {
+                    self.exact.remove(&entry.fingerprint);
                 }
-                true
             }
-            None => false,
+            // The range stays behind in `answer_ranges`/`answers` as
+            // reserved-dead bytes; only the live counter moves.
+            self.answers_live -= self.answer_ranges[slot as usize].1 as usize;
         }
+        true
+    }
+
+    /// Candidate slots for a prepared query, both directions, in one pass
+    /// over the live slots: size, then signature, then — on survivors
+    /// only — the exact profile merge (see [`crate::query_index`]).
+    pub fn candidates(&self, probe: &Probe<'_>) -> HitCandidates {
+        let mut out = HitCandidates::default();
+        for (slot, entry) in self.entries.iter().enumerate() {
+            let Some(entry) = entry else {
+                continue;
+            };
+            let (sub, sup) = probe.decide(
+                self.sizes[slot],
+                self.overflow[slot],
+                &self.signatures[slot],
+                &entry.profile,
+            );
+            if sub {
+                out.sub.push(slot as u32);
+            }
+            if sup {
+                out.super_.push(slot as u32);
+            }
+        }
+        out
     }
 
     /// Live slots whose entries carry the given iso fingerprint — the
@@ -275,6 +292,12 @@ impl Shard {
     /// allocated slot, including tombstones).
     pub fn kind_at(&self, slot: u32) -> QueryKind {
         self.kinds[slot as usize]
+    }
+
+    /// The `(nodes, edges)` size of the query at a slot, from the packed
+    /// column.
+    pub fn size_at(&self, slot: u32) -> (u32, u32) {
+        self.sizes[slot as usize]
     }
 
     /// The iso fingerprint at a slot, from the packed column.
@@ -301,46 +324,33 @@ impl Shard {
         &self.answers[offset as usize..(offset + len) as usize]
     }
 
-    /// Arena utilization of this shard as `(bytes_live, bytes_reserved)`:
-    /// postings-arena and answer-arena bytes still referenced by live slots
+    /// Answer-arena utilization of this shard as
+    /// `(bytes_live, bytes_reserved)`: bytes still referenced by live slots
     /// versus total bytes held, so fragmentation left behind by tombstones
     /// is observable before compaction reclaims it.
     pub fn arena_utilization(&self) -> (usize, usize) {
-        let (index_live, index_reserved) = self.index.arena_utilization();
         (
-            index_live + sizing::slice_bytes::<GraphId>(self.answers_live),
-            index_reserved + sizing::slice_bytes::<GraphId>(self.answers.len()),
+            sizing::slice_bytes::<GraphId>(self.answers_live),
+            sizing::slice_bytes::<GraphId>(self.answers.len()),
         )
     }
 
     /// Fraction of slots that are tombstones — the compaction-debt signal
     /// the Window Manager compares against its threshold.
     pub fn tombstone_debt(&self) -> f64 {
-        let slots = self.index.slots();
-        if slots == 0 {
+        if self.entries.is_empty() {
             0.0
         } else {
-            self.index.tombstones() as f64 / slots as f64
+            self.tombstones() as f64 / self.slots() as f64
         }
     }
 
-    /// Fraction of postings-arena slots owned by tombstoned entries — the
-    /// second compaction-debt signal. Evicting a few feature-rich entries
-    /// can rot most of the postings arena while tombstone debt still looks
-    /// healthy, so the Window Manager checks both.
-    pub fn postings_debt(&self) -> f64 {
-        self.index.postings_debt()
-    }
-
     /// A dense rebuild of this shard from its live entries (slot order
-    /// preserved), reclaiming tombstoned postings — the per-shard
-    /// full-rebuild fallback, O(|shard|). Non-mutating so the Window
-    /// Manager can build it off-lock and swap it in with a pointer store.
+    /// preserved), reclaiming tombstoned slots — the per-shard full-rebuild
+    /// fallback, O(|shard|). Non-mutating so the Window Manager can build it
+    /// off-lock and swap it in with a pointer store.
     pub fn compacted(&self) -> Shard {
-        Shard::build(
-            self.index.config(),
-            self.live_entries().cloned().collect::<Vec<_>>(),
-        )
+        Shard::build(self.live_entries().cloned().collect())
     }
 
     /// In-place [`compacted`](Self::compacted) (owned-state callers).
@@ -362,16 +372,18 @@ impl Shard {
     {
         let mut live: Vec<Arc<CacheEntry>> = self.live_entries().cloned().collect();
         live.sort_by_cached_key(|e| (rank(e.serial), e.serial));
-        Shard::build(self.index.config(), live)
+        Shard::build(live)
     }
 
     /// Checks this shard against the store invariant, as shard `home` of
-    /// `shards`: the index's own consistency, packed columns aligned with
-    /// the entries they mirror, every serial routed here, the exact-match
-    /// map listing exactly the live slots, the answer ranges tiling their
-    /// arena with `answers_live` equal to a recount, and `memory_bytes`
-    /// equal to a recount from the live entries and allocated slots.
-    /// Returns the first violated clause, tagged with `home`.
+    /// `shards`: packed columns aligned with the entries they mirror
+    /// (signature and overflow flag recomputed from each live profile),
+    /// `serial → slot` a bijection onto the live slots, every serial routed
+    /// here, the exact-match map listing exactly the live slots, the answer
+    /// ranges tiling their arena with `answers_live` equal to a recount, and
+    /// `memory_bytes` equal to a recount from the live entries and
+    /// allocated slots. Returns the first violated clause, tagged with
+    /// `home`.
     pub fn check_invariants(&self, home: usize, shards: usize) -> Result<(), InvariantViolation> {
         self.check_clauses(home, shards).map_err(|mut v| {
             v.shard = Some(home);
@@ -380,49 +392,64 @@ impl Shard {
     }
 
     fn check_clauses(&self, home: usize, shards: usize) -> Result<(), InvariantViolation> {
-        self.index.check_invariants()?;
-
-        let slots = self.index.slots();
+        let slots = self.slots();
         for (name, len) in [
-            ("entries", self.entries.len()),
             ("fingerprints", self.fingerprints.len()),
             ("kinds", self.kinds.len()),
             ("distinct_labels", self.distinct_labels.len()),
+            ("sizes", self.sizes.len()),
+            ("overflow", self.overflow.len()),
+            ("signatures", self.signatures.len()),
             ("answer_ranges", self.answer_ranges.len()),
         ] {
             ensure(len == slots, InvariantClause::Columns, || {
                 format!("shard column {name} has {len} rows for {slots} slots")
             })?;
         }
+        let live = self.live_entries().count();
+        ensure(self.len() == live, InvariantClause::SerialMap, || {
+            format!("{} mapped serials for {live} live slots", self.len())
+        })?;
         for slot in 0..slots as u32 {
-            let live = self.index.is_live(slot);
             let Some(e) = self.entry_at(slot) else {
-                ensure(!live, InvariantClause::Columns, || {
-                    format!("live slot {slot} has no entry")
-                })?;
                 continue;
             };
             ensure(
-                live && self.index.serial(slot) == e.serial,
+                self.slot_of(e.serial) == Some(slot),
                 InvariantClause::SerialMap,
-                || format!("slot {slot} holds entry {}, the index disagrees", e.serial),
+                || {
+                    format!(
+                        "slot {slot} holds entry {}, the serial map disagrees",
+                        e.serial
+                    )
+                },
             )?;
             ensure(
                 shard_for(e.serial, shards) == home,
                 InvariantClause::SerialMap,
                 || format!("serial {} does not route to this shard", e.serial),
             )?;
-            let size = (e.graph.node_count() as u32, e.graph.edge_count() as u32);
             ensure(
                 self.fingerprint_at(slot) == e.fingerprint
                     && self.kind_at(slot) == e.kind
                     && self.distinct_labels_at(slot) as usize == e.graph.distinct_label_count()
-                    && self.index.size(slot) == size
+                    && self.size_at(slot) == entry_size(e)
                     && self.answer_at(slot) == e.answer.as_slice(),
                 InvariantClause::Columns,
                 || {
                     format!(
                         "packed columns of slot {slot} differ from entry {}",
+                        e.serial
+                    )
+                },
+            )?;
+            ensure(
+                self.overflow[slot as usize] == e.profile.counts().is_none()
+                    && self.signatures[slot as usize] == signature(&e.profile),
+                InvariantClause::Columns,
+                || {
+                    format!(
+                        "signature or overflow flag of slot {slot} differs from entry {}'s profile",
                         e.serial
                     )
                 },
@@ -435,9 +462,7 @@ impl Shard {
             let sound = !bucket.is_empty()
                 && bucket.windows(2).all(|w| w[0] < w[1])
                 && bucket.iter().all(|&slot| {
-                    (slot as usize) < slots
-                        && self.index.is_live(slot)
-                        && self.fingerprints[slot as usize] == fp
+                    self.entry_at(slot).is_some() && self.fingerprints[slot as usize] == fp
                 });
             ensure(sound, InvariantClause::FingerprintMap, || {
                 format!("bucket {fp:#x} lists {bucket:?}")
@@ -473,9 +498,12 @@ impl Shard {
         let per_slot = std::mem::size_of::<u64>()
             + std::mem::size_of::<QueryKind>()
             + std::mem::size_of::<u32>()
+            + std::mem::size_of::<(u32, u32)>()
+            + std::mem::size_of::<bool>()
+            + std::mem::size_of::<Signature>()
             + std::mem::size_of::<(u32, u32)>();
         let recount = self.live_entries().map(|e| e.memory_bytes()).sum::<usize>()
-            + self.index.memory_bytes()
+            + self.len() * sizing::MAP_SLOT_BYTES
             + live_fps.len() * sizing::MAP_NODE_OVERHEAD
             + sizing::slice_bytes::<u32>(self.len())
             + slots * per_slot
@@ -487,8 +515,8 @@ impl Shard {
         )
     }
 
-    /// Approximate memory footprint of entries + index + exact map + packed
-    /// columns, in bytes.
+    /// Approximate memory footprint of entries + serial map + exact map +
+    /// packed columns, in bytes.
     pub fn memory_bytes(&self) -> usize {
         let exact: usize = self
             .exact
@@ -498,12 +526,28 @@ impl Shard {
         let columns = sizing::slice_bytes::<u64>(self.fingerprints.len())
             + sizing::slice_bytes::<QueryKind>(self.kinds.len())
             + sizing::slice_bytes::<u32>(self.distinct_labels.len())
+            + sizing::slice_bytes::<(u32, u32)>(self.sizes.len())
+            + sizing::slice_bytes::<bool>(self.overflow.len())
+            + sizing::slice_bytes::<Signature>(self.signatures.len())
             + sizing::slice_bytes::<(u32, u32)>(self.answer_ranges.len())
             + sizing::slice_bytes::<GraphId>(self.answers.len());
         self.live_entries().map(|e| e.memory_bytes()).sum::<usize>()
-            + self.index.memory_bytes()
+            + self.slot_of.len() * sizing::MAP_SLOT_BYTES
             + exact
             + columns
+    }
+}
+
+#[cfg(test)]
+impl Shard {
+    /// The signature column at `slot`, for invariant tests that corrupt it.
+    pub(crate) fn signature_mut(&mut self, slot: u32) -> &mut Signature {
+        &mut self.signatures[slot as usize]
+    }
+
+    /// Maps `serial` to `slot` behind the shard's back, for invariant tests.
+    pub(crate) fn map_serial(&mut self, serial: QuerySerial, slot: u32) {
+        self.slot_of.insert(serial, slot);
     }
 }
 
@@ -531,7 +575,7 @@ impl CacheSnapshot {
         CacheSnapshot {
             cfg,
             shards: (0..shards.max(1))
-                .map(|_| Arc::new(Shard::empty(cfg)))
+                .map(|_| Arc::new(Shard::default()))
                 .collect(),
         }
     }
@@ -558,7 +602,7 @@ impl CacheSnapshot {
             cfg,
             shards: parts
                 .into_iter()
-                .map(|p| Arc::new(Shard::build(cfg, p)))
+                .map(|p| Arc::new(Shard::build(p)))
                 .collect(),
         }
     }
@@ -622,14 +666,17 @@ impl CacheSnapshot {
     /// per shard on slots — see [`crate::processors`]).
     pub fn candidate_serials(&self, query: &LabeledGraph) -> (Vec<QuerySerial>, Vec<QuerySerial>) {
         let profile = self.profile_of(query);
-        let (qn, qm) = (query.node_count() as u32, query.edge_count() as u32);
+        let probe = Probe::new(
+            &profile,
+            (query.node_count() as u32, query.edge_count() as u32),
+        );
         let mut sub = Vec::new();
         let mut super_ = Vec::new();
         for shard in &self.shards {
-            let HitCandidates { sub: s, super_: p } =
-                shard.index().candidates_from_profile(&profile, qn, qm);
-            sub.extend(s.iter().map(|&slot| shard.index().serial(slot)));
-            super_.extend(p.iter().map(|&slot| shard.index().serial(slot)));
+            let HitCandidates { sub: s, super_: p } = shard.candidates(&probe);
+            let serial = |&slot: &u32| shard.entry_at(slot).map(|e| e.serial);
+            sub.extend(s.iter().filter_map(serial));
+            super_.extend(p.iter().filter_map(serial));
         }
         (sub, super_)
     }
@@ -703,10 +750,7 @@ mod tests {
 
     #[test]
     fn shard_insert_remove_compact() {
-        let mut shard = Shard::build(
-            QueryIndexConfig::default(),
-            vec![entry(1), entry(2), entry(3)],
-        );
+        let mut shard = Shard::build(vec![entry(1), entry(2), entry(3)]);
         assert!(shard.remove(2));
         assert!(!shard.remove(2), "double remove is a no-op");
         assert_eq!(shard.len(), 2);
@@ -721,14 +765,14 @@ mod tests {
         shard.compact();
         assert_eq!(shard.len(), 3);
         assert_eq!(shard.tombstone_debt(), 0.0);
-        assert_eq!(shard.index().slots(), 3, "dense after compaction");
+        assert_eq!(shard.slots(), 3, "dense after compaction");
         let order: Vec<QuerySerial> = shard.live_entries().map(|e| e.serial).collect();
         assert_eq!(order, vec![1, 3, 4], "slot order preserved");
     }
 
     #[test]
     fn exact_map_follows_insert_remove_compact() {
-        let mut shard = Shard::build(QueryIndexConfig::default(), vec![entry(1), entry(2)]);
+        let mut shard = Shard::build(vec![entry(1), entry(2)]);
         let fp = entry(1).fingerprint; // all test entries share one graph
         assert_eq!(shard.exact_slots(fp), &[0, 1]);
         assert!(shard.exact_slots(fp ^ 1).is_empty());
@@ -747,10 +791,7 @@ mod tests {
 
     #[test]
     fn packed_columns_follow_insert_remove_compact() {
-        let mut shard = Shard::build(
-            QueryIndexConfig::default(),
-            vec![entry(1), entry(2), entry(3)],
-        );
+        let mut shard = Shard::build(vec![entry(1), entry(2), entry(3)]);
         for slot in 0..3u32 {
             let e = shard.entry_at(slot).unwrap();
             assert_eq!(shard.fingerprint_at(slot), e.fingerprint);
@@ -780,10 +821,7 @@ mod tests {
 
     #[test]
     fn ranked_compaction_reorders_but_preserves_contents() {
-        let mut shard = Shard::build(
-            QueryIndexConfig::default(),
-            vec![entry(1), entry(2), entry(3), entry(4)],
-        );
+        let mut shard = Shard::build(vec![entry(1), entry(2), entry(3), entry(4)]);
         shard.remove(2);
         // Hotter = smaller key; make serial 4 hottest, then 1, then 3.
         let heat = |serial: QuerySerial| match serial {
@@ -800,7 +838,7 @@ mod tests {
         // Same live serials, same per-serial answers, columns realigned.
         for &serial in &[1u64, 3, 4] {
             let e = ranked.entry(serial).unwrap();
-            let slot = ranked.index().slot_of(serial).unwrap();
+            let slot = ranked.slot_of(serial).unwrap();
             assert_eq!(ranked.fingerprint_at(slot), e.fingerprint);
             assert_eq!(ranked.answer_at(slot), e.answer.as_slice());
         }
@@ -809,10 +847,7 @@ mod tests {
 
     #[test]
     fn invariant_check_follows_churn_and_names_the_broken_clause() {
-        let mut shard = Shard::build(
-            QueryIndexConfig::default(),
-            vec![entry(1), entry(2), entry(3)],
-        );
+        let mut shard = Shard::build(vec![entry(1), entry(2), entry(3)]);
         assert_eq!(shard.check_invariants(0, 1), Ok(()));
         shard.remove(2);
         shard.insert(entry(4));

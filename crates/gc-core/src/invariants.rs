@@ -2,12 +2,11 @@
 //! invariant of the cache stores is broken, where, and what was observed.
 //!
 //! The checks themselves live beside the private fields they read
-//! ([`QueryIndex::check_invariants`], [`Shard::check_invariants`]; the
-//! cache-wide clauses in [`GraphCache::check_invariants`]); this module
-//! only names the clauses, in the order they are checked.
+//! ([`Shard::check_invariants`]; the cache-wide clauses in
+//! [`GraphCache::check_invariants`]); this module only names the clauses,
+//! in the order they are checked.
 //!
 //! [`GraphCache::check_invariants`]: crate::GraphCache::check_invariants
-//! [`QueryIndex::check_invariants`]: crate::QueryIndex::check_invariants
 //! [`Shard::check_invariants`]: crate::Shard::check_invariants
 
 use std::fmt;
@@ -15,9 +14,9 @@ use std::fmt;
 /// One clause of the cache-store invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvariantClause {
-    /// The per-slot columns of a shard and its index all have one length,
-    /// and every live slot's packed values (fingerprint, kind, label count,
-    /// size, answer range) equal its entry's.
+    /// The per-slot columns of a shard all have one length, and every live
+    /// slot's packed values (fingerprint, kind, label count, size, answer
+    /// range, overflow flag, feature signature) equal its entry's.
     Columns,
     /// `serial → slot` is a bijection between the live serials and the live
     /// slots, and every serial lives in the shard it routes to.
@@ -25,9 +24,8 @@ pub enum InvariantClause {
     /// `fingerprint → slots` lists exactly the live slots, each under its
     /// own fingerprint, with no empty bucket left behind.
     FingerprintMap,
-    /// A running tally (`answers_live`, tombstones, dead postings, spill
-    /// length) differs from a recount, or the arena ranges do not tile
-    /// their arena.
+    /// The `answers_live` tally differs from a recount, or the answer
+    /// ranges do not tile their arena.
     Counters,
     /// A shard's `memory_bytes` differs from a recount over its live
     /// entries and allocated slots.

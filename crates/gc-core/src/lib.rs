@@ -14,9 +14,9 @@
 //!   the candidate set ([`pruner`], equations (1)/(2) + both special
 //!   cases), verifies the remainder with M's verifier, and records
 //!   statistics ([`metrics`], [`stats`]).
-//! * **Cache Manager** — entries + the combined sub/supergraph query index
-//!   ([`query_index`]) live in serial-hashed, independently swapped shards
-//!   ([`entry`]); the Window Manager ([`window`]) batches admissions
+//! * **Cache Manager** — entries and the columns of the combined
+//!   sub/supergraph candidate filter ([`query_index`]) live in
+//!   serial-hashed, independently swapped shards ([`entry`]); the Window Manager ([`window`]) batches admissions
 //!   through a Window, consults the admission policy ([`admission`]) and
 //!   the replacement policy ([`policy`]), and applies the victim/admit
 //!   delta incrementally to just the touched shards (per-shard compaction
@@ -110,7 +110,7 @@ pub use processors::{
     candidate_serials, exact_probe, find_hits_naive, find_hits_opts, sweep, ExactProbe, HitQuery,
     HitSet, VerifyOptions,
 };
-pub use query_index::{QueryIndex, QueryIndexConfig};
+pub use query_index::{Probe, QueryIndexConfig};
 pub use registry::{PolicyError, PolicyParams, PolicyRegistry};
 pub use staged::{FaultIo, FaultMode, Manifest, RealIo, SnapshotIo};
 pub use stats::{QuerySerial, StatsStore};

@@ -181,12 +181,12 @@ pub struct MaintStats {
     pub entries_evicted: u64,
     /// Shard patches applied (a shard touched by k rounds counts k times).
     pub shards_patched: u64,
-    /// Per-shard dense rebuilds triggered by tombstone or postings debt.
+    /// Per-shard dense rebuilds triggered by tombstone debt.
     pub compactions: u64,
-    /// Dead posting slots currently left behind in shard postings arenas by
-    /// evictions (a point-in-time gauge, reclaimed by compaction). Unlike
-    /// `tombstone_debt` this sees *postings* waste: evicting feature-rich
-    /// entries can rot the postings arena long before half the slots die.
+    /// Tombstoned slots currently left behind in the shards by evictions (a
+    /// point-in-time gauge, reclaimed by compaction) — the one debt a shard
+    /// carries. The name, and the `postings_debt` counter it is reported
+    /// under, date from when each slot also owned postings.
     pub dead_postings: u64,
     /// Fragments built into the fragment store during maintenance.
     pub fragments_built: u64,

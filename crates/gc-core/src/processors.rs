@@ -38,6 +38,7 @@
 //! (`tests/hit_path.rs`) and the baseline of `benches/hit_path.rs`.
 
 use crate::entry::CacheSnapshot;
+use crate::query_index::Probe;
 use crate::stats::QuerySerial;
 use gc_graph::LabeledGraph;
 use gc_index::fingerprint::iso_hash;
@@ -258,7 +259,7 @@ pub fn exact_probe(
     let mut bucket: Vec<&std::sync::Arc<crate::entry::CacheEntry>> = Vec::new();
     for shard in snapshot.shards() {
         for &slot in shard.exact_slots(fingerprint) {
-            if shard.kind_at(slot) != kind || shard.index().size(slot) != size {
+            if shard.kind_at(slot) != kind || shard.size_at(slot) != size {
                 continue;
             }
             if let Some(entry) = shard.entry_at(slot) {
@@ -324,79 +325,61 @@ pub fn sweep(
     // feature profiles, and overflow entries are conservative in both
     // directions), so the super list's same-size slots are skipped.
     //
-    // The whole gather runs on the shard's packed metadata columns (kind,
-    // size, fingerprint, serial, distinct-label count): a linear pass over
-    // contiguous arrays with no entry-`Arc` dereference. Only a slot that
-    // survives every prefilter touches its entry — and then only to park
-    // the graph handle in the verification queue.
+    // The candidate pass and the gather run on the shard's packed columns
+    // (size, signature, kind, fingerprint, distinct-label count): a linear
+    // pass over contiguous arrays. An entry is dereferenced only by a slot
+    // whose size and signature survive (for the profile merge) and by a
+    // candidate that survives every prefilter (for its serial and graph).
     let mut queue: Vec<Cand<'_>> = Vec::new();
     // Candidate restriction (routed mode): serials outside the allow set
-    // never enter the queue. A sorted list + binary search keeps the gather
-    // a pure column scan.
+    // never enter the queue (a sorted list and a binary search).
     let allow = opts.allowed.as_deref();
     let permitted = |serial: QuerySerial| match allow {
         None => true,
         Some(list) => list.binary_search(&serial).is_ok(),
     };
+    let filter = Probe::new(hq.profile, (qn as u32, qm as u32));
     for shard in snapshot.shards() {
-        let cands = shard
-            .index()
-            .candidates_from_profile(hq.profile, qn as u32, qm as u32);
+        let cands = shard.candidates(&filter);
         for &slot in &cands.sub {
-            if shard.kind_at(slot) != hq.kind || !permitted(shard.index().serial(slot)) {
+            if shard.kind_at(slot) != hq.kind {
                 continue;
             }
-            let (cn, cm) = shard.index().size(slot);
-            let same_size = (cn, cm) == (qn as u32, qm as u32);
+            // Candidate slots are always live: the pass skips tombstones.
+            let Some(entry) = shard.entry_at(slot).filter(|e| permitted(e.serial)) else {
+                continue;
+            };
+            let (cn, cm) = shard.size_at(slot);
             // Identical to `cost::estimate(query, candidate)`: the packed
             // column holds the candidate's precomputed distinct-label count.
-            let cand_cost =
+            let cost =
                 cost::estimate_raw(qn as u64, cn as u64, shard.distinct_labels_at(slot) as u64);
-            if same_size {
+            let dir = if (cn, cm) == (qn as u32, qm as u32) {
                 if shard.fingerprint_at(slot) != hq.fingerprint {
                     continue; // iso-invariant mismatch proves a non-hit
                 }
-                let serial = shard.index().serial(slot);
-                if hits.exact == Some(serial) {
+                if hits.exact == Some(entry.serial) {
                     // Confirmed isomorphic by the probe: a hit in both
                     // directions, no further test needed.
-                    hits.sub.push(serial);
-                    hits.super_.push(serial);
+                    hits.sub.push(entry.serial);
+                    hits.super_.push(entry.serial);
                     continue;
                 }
-                if refuted.binary_search(&serial).is_ok() {
+                if refuted.binary_search(&entry.serial).is_ok() {
                     continue; // probe already disproved this one
                 }
-                // Candidate slots are always live (tombstones never leave
-                // the index sweep), so the lookup cannot miss.
-                let Some(entry) = shard.entry_at(slot) else {
-                    continue;
-                };
-                queue.push(Cand {
-                    entry,
-                    dir: Dir::Iso,
-                    cost: cand_cost,
-                });
+                Dir::Iso
             } else {
-                let Some(entry) = shard.entry_at(slot) else {
-                    continue;
-                };
-                queue.push(Cand {
-                    entry,
-                    dir: Dir::Sub,
-                    cost: cand_cost,
-                });
-            }
+                Dir::Sub
+            };
+            queue.push(Cand { entry, dir, cost });
         }
         for &slot in &cands.super_ {
-            if shard.kind_at(slot) != hq.kind || !permitted(shard.index().serial(slot)) {
-                continue;
-            }
-            let (cn, cm) = shard.index().size(slot);
-            if (cn, cm) == (qn as u32, qm as u32) {
+            let (cn, cm) = shard.size_at(slot);
+            if shard.kind_at(slot) != hq.kind || (cn, cm) == (qn as u32, qm as u32) {
                 continue; // same-size: handled through the sub list above
             }
-            let Some(entry) = shard.entry_at(slot) else {
+            let Some(entry) = shard.entry_at(slot).filter(|e| permitted(e.serial)) else {
                 continue;
             };
             queue.push(Cand {
@@ -442,27 +425,33 @@ pub fn sweep(
 pub fn candidate_serials(snapshot: &CacheSnapshot, hq: &HitQuery<'_>) -> Vec<(QuerySerial, u64)> {
     let qn = hq.query.node_count() as u32;
     let qm = hq.query.edge_count() as u32;
+    let probe = Probe::new(hq.profile, (qn, qm));
     let mut out: Vec<(QuerySerial, u64)> = Vec::new();
     for shard in snapshot.shards() {
-        let cands = shard.index().candidates_from_profile(hq.profile, qn, qm);
+        let cands = shard.candidates(&probe);
+        let mut keep = |slot: u32| {
+            if let Some(entry) = shard.entry_at(slot) {
+                out.push((entry.serial, shard.fingerprint_at(slot)));
+            }
+        };
         for &slot in &cands.sub {
             if shard.kind_at(slot) != hq.kind {
                 continue;
             }
-            let same_size = shard.index().size(slot) == (qn, qm);
+            let same_size = shard.size_at(slot) == (qn, qm);
             if same_size && shard.fingerprint_at(slot) != hq.fingerprint {
                 continue; // iso-invariant mismatch proves a non-hit
             }
-            out.push((shard.index().serial(slot), shard.fingerprint_at(slot)));
+            keep(slot);
         }
         for &slot in &cands.super_ {
             if shard.kind_at(slot) != hq.kind {
                 continue;
             }
-            if shard.index().size(slot) == (qn, qm) {
+            if shard.size_at(slot) == (qn, qm) {
                 continue; // same-size: only ever surfaces through the sub list
             }
-            out.push((shard.index().serial(slot), shard.fingerprint_at(slot)));
+            keep(slot);
         }
     }
     out.sort_unstable();
@@ -562,11 +551,10 @@ pub fn find_hits_naive(
     let mut hits = HitSet::default();
     let qn = query.node_count();
     let qm = query.edge_count();
+    let probe = Probe::new(&profile, (qn as u32, qm as u32));
     let mut sub_set: FxHashSet<QuerySerial> = FxHashSet::default();
     for shard in snapshot.shards() {
-        let candidates = shard
-            .index()
-            .candidates_from_profile(&profile, qn as u32, qm as u32);
+        let candidates = shard.candidates(&probe);
 
         for &slot in &candidates.sub {
             let Some(entry) = shard.entry_at(slot) else {

@@ -23,8 +23,9 @@
 //!
 //! `Arc::make_mut` patches in place exactly when the shard lock holds the
 //! only reference, and otherwise deep-copies the shard — entry vector,
-//! packed columns, answer arena and the query index's postings — before
-//! patching the copy. Who else can hold a
+//! serial and fingerprint maps, packed columns (the candidate filter's
+//! sizes and signatures among them) and answer arena — before patching the
+//! copy. Who else can hold a
 //! reference: a query's snapshot view (`Shared::load_snapshot`, one
 //! `Arc` per shard). The round's own view is dropped before the patch
 //! loop, and the query path drops its view before it pushes to the Window
@@ -37,11 +38,13 @@
 //! `held_view_forces_copy_on_write_and_keeps_its_epoch`); the tests below
 //! call `maintain` directly and cannot see a view the caller holds.
 //!
-//! Tombstoned slots keep their index postings until the shard's
-//! *compaction threshold* is crossed (`MaintenanceConfig::compact_debt`,
-//! default 50% dead slots), at which point that shard alone falls back to
-//! a dense full rebuild. This bounds both wasted postings memory and the
-//! per-probe sweep over dead slots.
+//! An admission appends one row to each of the shard's columns; nothing is
+//! re-sorted or re-packed. An eviction tombstones its slot, which keeps its
+//! column rows and answer range until the shard's *compaction threshold*
+//! is crossed (`MaintenanceConfig::compact_debt`, default 50% dead slots).
+//! Tombstones are the only debt a shard carries, so this is the only
+//! trigger: that shard alone falls back to a dense full rebuild, which
+//! bounds both the dead rows and the candidate pass's walk over them.
 //!
 //! The paper's invariant — "queries arriving at the system while this
 //! procedure is taking place continue being served by the old index" —
@@ -90,8 +93,8 @@ pub struct WindowEntry {
     /// The direction the answer was computed under (carried into the
     /// cache entry so hits never cross query kinds).
     pub kind: QueryKind,
-    /// The query's feature profile (computed during execution; reused by
-    /// the index rebuild).
+    /// The query's feature profile (computed during execution; carried
+    /// into the cache entry, whose signature it sets).
     pub profile: PathProfile,
     /// The query's iso fingerprint (computed during execution; carried into
     /// the cache entry so admission never re-hashes the graph).
@@ -229,7 +232,7 @@ impl Shared {
     ) -> Self {
         Shared {
             shards: (0..shard_count.max(1))
-                .map(|_| RwLock::new(Arc::new(Shard::empty(index_cfg))))
+                .map(|_| RwLock::new(Arc::new(Shard::default())))
                 .collect(),
             index_cfg,
             stats: Mutex::new(StatsStore::new()),
@@ -297,7 +300,7 @@ impl Shared {
             dead_postings: self
                 .shards
                 .iter()
-                .map(|s| s.read().index().dead_postings() as u64)
+                .map(|s| s.read().tombstones() as u64)
                 .sum(),
         }
     }
@@ -309,8 +312,7 @@ impl Shared {
 pub(crate) struct MaintenanceConfig {
     pub capacity: usize,
     /// Tombstone-debt fraction above which a patched shard falls back to a
-    /// dense rebuild (see the module docs). The index configuration itself
-    /// travels inside each shard's index.
+    /// dense rebuild (see the module docs).
     pub compact_debt: f64,
 }
 
@@ -496,10 +498,7 @@ pub(crate) fn maintain(
             for e in inserts {
                 shard.insert(e);
             }
-            // Either debt signal triggers the rebuild: slot tombstones or
-            // postings-arena rot (evicting feature-rich entries can waste
-            // most of the arena while slot debt still looks healthy).
-            shard.tombstone_debt() > cfg.compact_debt || shard.postings_debt() > cfg.compact_debt
+            shard.tombstone_debt() > cfg.compact_debt
         };
         if over_debt {
             // Compaction is the O(|shard|) fallback, so it runs OFF the
@@ -681,6 +680,7 @@ mod tests {
     fn capacity_respected_with_eviction() {
         let s = shared();
         maintain(&s, &cfg(2), vec![entry(1, 1.0), entry(2, 1.0)], 2);
+        assert_eq!(s.maint_stats().dead_postings, 0, "dense cache, no debt");
         // Mark entry 2 as recently hit so LRU evicts entry 1.
         s.stats.lock().credit(2, 9, 0, 0.0);
         maintain(&s, &cfg(2), vec![entry(3, 1.0)], 3);
@@ -691,7 +691,14 @@ mod tests {
         assert!(snap.entry(3).is_some());
         // Victim's stats row dropped.
         assert!(!s.stats.lock().contains_row(1));
-        assert_eq!(s.maint_stats().entries_evicted, 1);
+        let m = s.maint_stats();
+        assert_eq!(m.entries_evicted, 1);
+        // 1 tombstone of 3 slots is under the threshold: no compaction, and
+        // the gauge counts the victim's slot until one runs.
+        assert_eq!(m.compactions, 0);
+        assert_eq!(m.dead_postings, 1, "the victim's slot is the debt");
+        let (live, reserved) = snap.shards()[0].arena_utilization();
+        assert!(live < reserved, "fragmentation observable");
     }
 
     #[test]
@@ -802,27 +809,6 @@ mod tests {
         for shard in snap.shards() {
             assert!(shard.tombstone_debt() <= DEFAULT_COMPACT_DEBT + 1e-9);
         }
-    }
-
-    /// Evictions leave dead postings behind; the gauge must see them while
-    /// the shard is under the compaction threshold, and compaction must
-    /// clear them.
-    #[test]
-    fn postings_debt_gauge_reflects_evictions() {
-        let s = shared();
-        maintain(&s, &cfg(2), vec![entry(1, 1.0), entry(2, 1.0)], 2);
-        assert_eq!(s.maint_stats().dead_postings, 0, "dense cache, no debt");
-        // Mark entry 2 as recently hit so LRU evicts entry 1; the shard
-        // ends with 1 tombstone of 3 slots (debt 1/3 < 1/2, no compaction).
-        s.stats.lock().credit(2, 9, 0, 0.0);
-        maintain(&s, &cfg(2), vec![entry(3, 1.0)], 3);
-        let m = s.maint_stats();
-        assert_eq!(m.compactions, 0);
-        assert!(m.dead_postings > 0, "evicted entry's postings are debt");
-        let snap = s.load_snapshot();
-        assert!(snap.shards()[0].postings_debt() > 0.0);
-        let (live, reserved) = snap.shards()[0].arena_utilization();
-        assert!(live < reserved, "fragmentation observable");
     }
 
     /// Maintenance-triggered compaction packs policy-hot entries into the

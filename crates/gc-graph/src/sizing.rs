@@ -28,10 +28,6 @@ pub const MAP_NODE_OVERHEAD: usize = 48;
 /// heap payload (e.g. `serial → slot` lookup tables).
 pub const MAP_SLOT_BYTES: usize = 16;
 
-/// Per-slot metadata of a query-index slot: serial, size pair, distinct
-/// count, liveness and debt bookkeeping across the parallel arrays.
-pub const INDEX_SLOT_BYTES: usize = 24;
-
 /// Fixed overhead of one cached entry beyond its graph, answer range and
 /// profile: the `Arc` headers, enum tags and slot metadata.
 pub const ENTRY_OVERHEAD: usize = 32;
@@ -65,7 +61,6 @@ mod tests {
             assert!(ENTRY_OVERHEAD < WINDOW_ENTRY_OVERHEAD);
             assert!(WINDOW_ENTRY_OVERHEAD < FRAGMENT_OVERHEAD);
             assert!(MAP_SLOT_BYTES < MAP_NODE_OVERHEAD);
-            assert!(INDEX_SLOT_BYTES > 0);
         }
     }
 }

@@ -1,25 +1,22 @@
 //! Grapes — path index with occurrence locations \[Giugno et al., PLoS One
 //! 2013\].
 //!
-//! Grapes indexes the same labelled-path features as GraphGrepSX but
-//! additionally records, per feature and graph, the nodes at which
-//! occurrences start. The original system uses these locations to restrict
-//! verification to the relevant regions of each candidate graph and runs
-//! verification on multiple threads (the paper evaluates Grapes1 and
-//! Grapes6 — 1 and 6 threads). In this reproduction the filtering and the
-//! location store live here; the thread pool lives in `gc-methods`, and the
-//! location lists feed the space-accounting experiments (Grapes' index is
-//! markedly larger than GGSX's, which the paper's space discussion relies
-//! on).
+//! Grapes indexes the same labelled-path features as GraphGrepSX and, in
+//! the original system, additionally records per feature and graph the
+//! nodes at which occurrences start, to restrict verification to the
+//! relevant regions of each candidate graph; it runs verification on
+//! multiple threads (the paper evaluates Grapes1 and Grapes6 — 1 and 6
+//! threads). In this reproduction nothing reads locations — verification
+//! runs VF2 over whole candidate graphs for every method — so Grapes keeps
+//! only GGSX's count postings: its filter, candidate sets and index size
+//! equal GGSX's, and the thread pool that sets it apart lives in
+//! `gc-methods`. `docs/paper-figures.md` (§7.3) records the space row this
+//! changes.
 
 use crate::ggsx::CountPostings;
-use crate::paths::{
-    enumerate_paths_located, feature_key, FeatureKey, LocatedProfile, PathEnumeration, PathProfile,
-    PathShape,
-};
-use crate::postings::KeyedPostings;
+use crate::paths::{PathEnumeration, PathShape};
 use crate::{CandidateSet, FilterIndex};
-use gc_graph::{sizing, GraphDataset, GraphId, Label, LabeledGraph, NodeId};
+use gc_graph::{GraphDataset, LabeledGraph};
 
 /// Configuration for [`GrapesIndex`].
 #[derive(Debug, Clone, Copy)]
@@ -48,49 +45,23 @@ impl GrapesConfig {
     }
 }
 
-/// The Grapes filtering index: GGSX's count postings plus, per feature and
-/// graph, a range of the packed start-node arena.
+/// The Grapes filtering index: GGSX's count postings under Grapes'
+/// configuration.
 #[derive(Debug, Clone)]
 pub struct GrapesIndex {
     core: CountPostings,
-    /// Per feature: `(graph, offset, len)` into [`GrapesIndex::starts`].
-    locations: KeyedPostings<(GraphId, u32, u32)>,
-    /// Sorted start-node lists, packed back to back.
-    starts: Vec<NodeId>,
     cfg: GrapesConfig,
 }
 
 impl GrapesIndex {
     /// Builds the index over a dataset.
     pub fn build(dataset: &GraphDataset, cfg: GrapesConfig) -> Self {
-        let mut profiles = Vec::with_capacity(dataset.len());
-        let mut located: Vec<(FeatureKey, GraphId, u32, u32)> = Vec::new();
-        let mut starts = Vec::new();
-        for (id, g) in dataset.iter() {
-            match enumerate_paths_located(g, cfg.max_path_len, cfg.work_cap) {
-                LocatedProfile::Counts(features) => {
-                    let mut counts = Vec::with_capacity(features.len());
-                    for (seq, (count, locs)) in features {
-                        let key = feature_key(&seq);
-                        counts.push((key, count));
-                        located.push((key, id, starts.len() as u32, locs.len() as u32));
-                        starts.extend_from_slice(&locs);
-                    }
-                    counts.sort_unstable_by_key(|&(k, _)| k);
-                    profiles.push((id, PathProfile::Counts(counts)));
-                }
-                LocatedProfile::Overflow => profiles.push((id, PathProfile::Overflow)),
-            }
-        }
-        located.sort_unstable_by_key(|&(key, id, _, _)| (key, id));
+        let profiles = dataset.iter().map(|(id, g)| {
+            let profile = PathEnumeration::new(g, cfg.max_path_len, cfg.work_cap).profile;
+            (id, profile)
+        });
         GrapesIndex {
-            core: CountPostings::build(profiles.into_iter()),
-            locations: KeyedPostings::from_grouped(
-                located
-                    .into_iter()
-                    .map(|(key, id, off, len)| (key, (id, off, len))),
-            ),
-            starts,
+            core: CountPostings::build(profiles),
             cfg,
         }
     }
@@ -104,14 +75,6 @@ impl GrapesIndex {
     #[cfg(test)]
     pub(crate) fn core(&self) -> &CountPostings {
         &self.core
-    }
-
-    /// The start-node locations of `feature` within graph `id`, if indexed.
-    pub fn locations(&self, feature: &[Label], id: GraphId) -> Option<&[NodeId]> {
-        let posting = self.locations.get(feature_key(feature))?;
-        let i = posting.binary_search_by_key(&id, |&(g, _, _)| g).ok()?;
-        let (_, off, len) = posting[i];
-        Some(&self.starts[off as usize..(off + len) as usize])
     }
 }
 
@@ -140,8 +103,6 @@ impl FilterIndex for GrapesIndex {
 
     fn memory_bytes(&self) -> usize {
         self.core.memory_bytes()
-            + self.locations.memory_bytes()
-            + sizing::slice_bytes::<NodeId>(self.starts.len())
     }
 
     fn filter_supergraph_with(
@@ -185,28 +146,12 @@ mod tests {
     }
 
     #[test]
-    fn locations_recorded() {
-        let d = dataset();
-        let grapes = GrapesIndex::build(&d, GrapesConfig::default());
-        // Feature [0, 1] (a→b) starts at nodes 0 and 2 in G0.
-        let locs = grapes.locations(&[0, 1], GraphId(0)).unwrap();
-        assert_eq!(locs, &[0, 2]);
-        // Absent feature/graph combinations return None.
-        assert!(grapes.locations(&[5, 5], GraphId(0)).is_none());
-        assert!(grapes.locations(&[0, 1, 2], GraphId(0)).is_none());
-    }
-
-    #[test]
-    fn grapes_index_larger_than_ggsx() {
+    fn grapes_index_same_size_as_ggsx() {
         let d = dataset();
         let grapes = GrapesIndex::build(&d, GrapesConfig::default());
         let ggsx = PathTrie::build(&d, GgsxConfig::default());
-        assert!(
-            grapes.memory_bytes() > ggsx.memory_bytes(),
-            "location lists must cost memory: grapes {} vs ggsx {}",
-            grapes.memory_bytes(),
-            ggsx.memory_bytes()
-        );
+        assert!(grapes.memory_bytes() > 0);
+        assert_eq!(grapes.memory_bytes(), ggsx.memory_bytes());
     }
 
     #[test]

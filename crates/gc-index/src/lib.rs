@@ -6,9 +6,10 @@
 //! * [`PathTrie`] — GraphGrepSX \[Bonnici et al. 2010\]: all labelled simple
 //!   paths up to 4 edges, keyed by a 64-bit fold of their labels, with
 //!   per-graph occurrence counts packed into one arena;
-//! * [`GrapesIndex`] — Grapes \[Giugno et al. 2013\]: the same path features
-//!   augmented with occurrence locations (Grapes' verification parallelism
-//!   lives in `gc-methods`);
+//! * [`GrapesIndex`] — Grapes \[Giugno et al. 2013\]: the same path
+//!   features and count postings (Grapes' occurrence locations are not
+//!   kept, since verification never reads them; its verification
+//!   parallelism lives in `gc-methods`);
 //! * [`CtIndex`] — CT-Index \[Klein, Kriege, Mutzel 2011\]: per-graph
 //!   fingerprint bitmaps over tree features (≤ 6 nodes) and cycle features
 //!   (≤ 8 nodes), 4096 bits by default.
@@ -29,7 +30,6 @@ pub mod fx;
 pub mod ggsx;
 pub mod grapes;
 pub mod paths;
-pub mod postings;
 
 pub use ct_index::{CtConfig, CtIndex};
 pub use ggsx::{GgsxConfig, PathTrie};

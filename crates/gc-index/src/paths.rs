@@ -238,8 +238,7 @@ fn dfs(
 
 /// Like [`enumerate_paths`] but keyed by the label sequence itself and
 /// recording, for every feature, the start nodes at which an occurrence
-/// begins (Grapes' location lists; `gc-fragments` builds path graphs from
-/// the labels).
+/// begins (`gc-fragments` builds path graphs from the labels).
 #[derive(Debug, Clone)]
 pub enum LocatedProfile {
     /// label sequence → (occurrence count, sorted start-node list).

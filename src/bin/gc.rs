@@ -756,16 +756,16 @@ fn cmd_query(args: &[String]) -> CliResult {
                 .fragment_eviction_name()
                 .unwrap_or_else(|| "off".to_string()),
         );
-        // Arena utilization: how tightly the packed postings + answer
-        // arenas are used per shard, and the dead-posting gauge the 50%
-        // compaction heuristic watches.
+        // Answer-arena utilization per shard, and the tombstoned slots the
+        // 50% compaction threshold watches (the gauge keeps its old name,
+        // postings debt, in STATS and the bench counters).
         let util = cache.arena_utilization();
         let live: usize = util.iter().map(|(l, _)| l).sum();
         let reserved: usize = util.iter().map(|(_, r)| r).sum();
         let per_shard: Vec<String> = util.iter().map(|(l, r)| format!("{l}/{r}")).collect();
         println!(
             "maintenance: arena utilization {live}/{reserved} bytes live/reserved \
-             (per shard: {}) | postings debt {}",
+             (per shard: {}) | postings debt (tombstoned slots) {}",
             per_shard.join(" "),
             m.dead_postings,
         );

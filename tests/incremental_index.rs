@@ -16,9 +16,10 @@
 
 use graphcache::core::{
     find_hits_naive, find_hits_opts, shard_for, CacheEntry, CacheSnapshot, GraphCache, HitQuery,
-    QueryIndexConfig, QuerySerial, Shard, VerifyOptions,
+    Probe, QueryIndexConfig, QuerySerial, Shard, VerifyOptions,
 };
-use graphcache::index::paths::enumerate_paths;
+use graphcache::index::fx::FxHashMap;
+use graphcache::index::paths::{enumerate_paths, FeatureKey, PathProfile};
 use graphcache::prelude::*;
 use graphcache::subiso::Vf2;
 use graphcache::workload::generate_type_a;
@@ -83,7 +84,7 @@ proptest! {
         // The incrementally maintained state: one Arc per shard, patched
         // exactly like window::maintain patches the live shards.
         let mut shards: Vec<Arc<Shard>> =
-            (0..n_shards).map(|_| Arc::new(Shard::empty(cfg))).collect();
+            (0..n_shards).map(|_| Arc::new(Shard::default())).collect();
         // Ground truth: the live entries in admission order.
         let mut live: Vec<Arc<CacheEntry>> = Vec::new();
         let mut next_serial: QuerySerial = 0;
@@ -147,15 +148,13 @@ proptest! {
         for (i, shard) in shards.iter().enumerate() {
             let mut compacted = shard.as_ref().clone();
             compacted.compact();
-            let rebuilt = Shard::build(
-                cfg,
-                shard.live_entries().cloned().collect::<Vec<_>>(),
-            );
+            let rebuilt = Shard::build(shard.live_entries().cloned().collect());
             for probe in probes() {
                 let profile = enumerate_paths(&probe, cfg.max_path_len, cfg.work_cap);
                 let (qn, qm) = (probe.node_count() as u32, probe.edge_count() as u32);
-                let a = compacted.index().candidates_from_profile(&profile, qn, qm);
-                let b = rebuilt.index().candidates_from_profile(&profile, qn, qm);
+                let probe = Probe::new(&profile, (qn, qm));
+                let a = compacted.candidates(&probe);
+                let b = rebuilt.candidates(&probe);
                 prop_assert_eq!(a.sub, b.sub, "shard {} sub slots", i);
                 prop_assert_eq!(a.super_, b.super_, "shard {} super slots", i);
             }
@@ -186,13 +185,16 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The arena-backed candidate sweep (packed postings directory +
-    /// SoA entry columns) is an implementation detail: for any churned
-    /// state — tombstones included — and after hot-ranked compaction
-    /// reorders the slots, [`find_hits_opts`] over the arena layout
-    /// returns exactly the `HitSet` of the pointer-rich
-    /// [`find_hits_naive`] sweep that visits every live entry directly.
-    /// Pinned across 1/4/16 shards with mixed entry directions.
+    /// The pipeline's gather (packed columns, cost order, fingerprint
+    /// fast path) is an implementation detail: for any churned state —
+    /// tombstones included — and after hot-ranked compaction reorders the
+    /// slots, [`find_hits_opts`] returns exactly the `HitSet` of the flat
+    /// [`find_hits_naive`] sweep, which tests every candidate slot in slot
+    /// order. Both read their candidates from the same
+    /// [`Shard::candidates`] pass, so this cannot see a filter that drops
+    /// a true candidate; `candidate_pass_equals_definition` below checks
+    /// the pass itself. Pinned across 1/4/16 shards with mixed entry
+    /// directions.
     #[test]
     fn arena_sweep_equals_pointer_sweep(
         seeds in pvec(0u64..1_000_000, 5..50usize),
@@ -220,14 +222,14 @@ proptest! {
         };
 
         let mut shards: Vec<Arc<Shard>> =
-            (0..n_shards).map(|_| Arc::new(Shard::empty(cfg))).collect();
+            (0..n_shards).map(|_| Arc::new(Shard::default())).collect();
         for (i, &seed) in seeds.iter().enumerate() {
             let serial = i as QuerySerial + 1;
             let e = entry_with_kind(serial, seed);
             Arc::make_mut(&mut shards[shard_for(serial, n_shards)]).insert(e);
         }
-        // Tombstone a subset so the packed postings carry dead slots —
-        // the sweep must skip them, not resurrect them.
+        // Tombstone a subset so the packed columns carry dead slots — the
+        // sweep must skip them, not resurrect them.
         for (i, _) in seeds.iter().enumerate() {
             let serial = i as QuerySerial + 1;
             if evicts[i % evicts.len()] && i > 0 {
@@ -260,8 +262,8 @@ proptest! {
         check(&CacheSnapshot::from_shards(cfg, shards.clone()));
 
         // Hot-packed layout: every shard compacted with an arbitrary
-        // maintenance rank, reordering slots (and the answer/posting
-        // arenas with them).
+        // maintenance rank, reordering slots (and the columns and answer
+        // arena with them).
         let ranked: Vec<Arc<Shard>> = shards
             .iter()
             .map(|s| {
@@ -269,6 +271,117 @@ proptest! {
             })
             .collect();
         check(&CacheSnapshot::from_shards(cfg, ranked));
+    }
+}
+
+/// Definition-level candidate reference, with no signature and no merge:
+/// a live entry of a shard is a sub-candidate of the query when its size
+/// allows containment and every feature of the query, looked up in the
+/// entry's profile, occurs there at least as often; a super-candidate
+/// symmetrically. An overflowed profile on either side leaves the size
+/// test alone. Returns the serials in slot order.
+fn reference_candidates(
+    shard: &Shard,
+    query: &PathProfile,
+    size: (u32, u32),
+) -> (Vec<QuerySerial>, Vec<QuerySerial>) {
+    let lookup = |p: &PathProfile| -> Option<FxHashMap<FeatureKey, u32>> {
+        p.counts().map(|c| c.iter().copied().collect())
+    };
+    // Every feature of `part` occurs in `whole` at least as often.
+    let within = |part: &PathProfile, whole: &FxHashMap<FeatureKey, u32>| {
+        part.counts()
+            .unwrap()
+            .iter()
+            .all(|(k, c)| whole.get(k).is_some_and(|have| have >= c))
+    };
+    let q_map = lookup(query);
+    let (mut sub, mut super_) = (Vec::new(), Vec::new());
+    for e in shard.live_entries() {
+        let (en, em) = (e.graph.node_count() as u32, e.graph.edge_count() as u32);
+        let e_map = lookup(&e.profile);
+        let features = |f: &dyn Fn() -> bool| q_map.is_none() || e_map.is_none() || f();
+        if en >= size.0 && em >= size.1 && features(&|| within(query, e_map.as_ref().unwrap())) {
+            sub.push(e.serial);
+        }
+        if en <= size.0 && em <= size.1 && features(&|| within(&e.profile, q_map.as_ref().unwrap()))
+        {
+            super_.push(e.serial);
+        }
+    }
+    (sub, super_)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The candidate pass (size, signature, profile merge) returns, per
+    /// shard and in both directions, exactly the serials of the
+    /// definition-level reference: no true candidate dropped, no extra one
+    /// kept. Runs over 1/4/16 shards, tombstones, ranked compaction,
+    /// entries whose enumeration overflowed a small work cap, and an
+    /// overflowed query.
+    #[test]
+    fn candidate_pass_equals_definition(
+        seeds in pvec(0u64..1_000_000, 5..60usize),
+        evicts in pvec(any::<bool>(), 5..60usize),
+        ranks in pvec(0u64..16, 5..60usize),
+        shard_sel in 0usize..3,
+    ) {
+        let n_shards = [1usize, 4, 16][shard_sel];
+        let mut shards: Vec<Arc<Shard>> =
+            (0..n_shards).map(|_| Arc::new(Shard::default())).collect();
+        for (i, &seed) in seeds.iter().enumerate() {
+            let serial = i as QuerySerial + 1;
+            let graph = seeded_graph(seed);
+            // Every seventh entry enumerates under a cap it overflows.
+            let work_cap = if seed.is_multiple_of(7) { 2 } else { u64::MAX };
+            let profile = enumerate_paths(&graph, 4, work_cap);
+            let e = CacheEntry::new(
+                serial,
+                Arc::new(graph),
+                vec![GraphId(0)],
+                QueryKind::Subgraph,
+                profile,
+            );
+            Arc::make_mut(&mut shards[shard_for(serial, n_shards)]).insert(Arc::new(e));
+        }
+        for i in 0..seeds.len() {
+            let serial = i as QuerySerial + 1;
+            if evicts[i % evicts.len()] {
+                Arc::make_mut(&mut shards[shard_for(serial, n_shards)]).remove(serial);
+            }
+        }
+        let ranked: Vec<Arc<Shard>> = shards
+            .iter()
+            .map(|s| Arc::new(s.compacted_ranked(|serial| ranks[serial as usize % ranks.len()])))
+            .collect();
+
+        let mut queries: Vec<(LabeledGraph, PathProfile)> = probes()
+            .into_iter()
+            .chain(seeds.iter().take(8).map(|&s| seeded_graph(s ^ 0x5A5A)))
+            .map(|g| {
+                let p = enumerate_paths(&g, 4, u64::MAX);
+                (g, p)
+            })
+            .collect();
+        queries.push((path_graph(&[0, 1, 2]), PathProfile::Overflow));
+
+        for (layout, set) in [("churned", &shards), ("ranked", &ranked)] {
+            for (i, shard) in set.iter().enumerate() {
+                prop_assert_eq!(shard.check_invariants(i, n_shards), Ok(()));
+                for (g, profile) in &queries {
+                    let size = (g.node_count() as u32, g.edge_count() as u32);
+                    let got = shard.candidates(&Probe::new(profile, size));
+                    let serials = |slots: &[u32]| -> Vec<QuerySerial> {
+                        slots.iter().map(|&s| shard.entry_at(s).unwrap().serial).collect()
+                    };
+                    let (sub, super_) = reference_candidates(shard, profile, size);
+                    prop_assert_eq!(serials(&got.sub), sub, "{} shard {} sub, {:?}", layout, i, g);
+                    prop_assert_eq!(serials(&got.super_), super_, "{} shard {} super, {:?}", layout, i, g);
+                }
+            }
+        }
     }
 }
 
