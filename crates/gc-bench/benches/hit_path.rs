@@ -20,8 +20,8 @@
 //! and then times all three pipelines with criterion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gc_core::processors::{find_hits_naive, find_hits_opts, HitQuery, VerifyOptions};
-use gc_core::{CacheEntry, CacheSnapshot, QueryIndexConfig};
+use gc_core::processors::{exact_probe, find_hits_naive, sweep, HitQuery, VerifyOptions};
+use gc_core::{CacheEntry, CacheSnapshot, QUERY_INDEX_SHAPE};
 use gc_graph::zipf::ZipfSampler;
 use gc_graph::{GraphId, LabeledGraph};
 use gc_index::paths::enumerate_paths;
@@ -49,8 +49,8 @@ fn seeded_graph(seed: u64) -> LabeledGraph {
 
 fn entry_for(serial: u64) -> Arc<CacheEntry> {
     let graph = seeded_graph(serial);
-    let cfg = QueryIndexConfig::default();
-    let profile = enumerate_paths(&graph, cfg.max_path_len, cfg.work_cap);
+    let shape = QUERY_INDEX_SHAPE;
+    let profile = enumerate_paths(&graph, shape.max_len, shape.work_cap);
     Arc::new(CacheEntry::new(
         serial,
         Arc::new(graph),
@@ -88,7 +88,7 @@ struct Totals {
     hits: usize,
 }
 
-fn sweep(
+fn totals(
     snap: &CacheSnapshot,
     queries: &[LabeledGraph],
     mut f: impl FnMut(&CacheSnapshot, &LabeledGraph) -> (u64, u64, usize),
@@ -112,42 +112,48 @@ fn run_naive(snap: &CacheSnapshot, q: &LabeledGraph) -> (u64, u64, usize) {
     (h.tests, h.work, h.sub.len() + h.super_.len())
 }
 
-fn run_opts(snap: &CacheSnapshot, q: &LabeledGraph, opts: &VerifyOptions) -> (u64, u64, usize) {
+/// The query path's order: the fingerprint probe, then — on a miss, or
+/// always when `sweep_exact` — the sweep it hands its refutations to.
+fn run_opts(
+    snap: &CacheSnapshot,
+    q: &LabeledGraph,
+    opts: &VerifyOptions,
+    sweep_exact: bool,
+) -> (u64, u64, usize) {
     let profile = snap.profile_of(q);
-    let h = find_hits_opts(
-        snap,
-        &HitQuery::new(q, QueryKind::Subgraph, &profile),
-        &Vf2::new(),
-        opts,
-    );
+    let hq = HitQuery::new(q, QueryKind::Subgraph, &profile);
+    let vf2 = Vf2::new();
+    let probe = exact_probe(snap, q, hq.kind, hq.fingerprint, &vf2, opts);
+    let h = if probe.hits.exact.is_some() && !sweep_exact {
+        probe.hits
+    } else {
+        sweep(snap, &hq, probe, &vf2, opts)
+    };
     (h.tests, h.work, h.sub.len() + h.super_.len())
 }
 
 fn bench_hit_path(c: &mut Criterion) {
-    let cfg = QueryIndexConfig::default();
+    let shape = QUERY_INDEX_SHAPE;
     let entries: Vec<Arc<CacheEntry>> = (1..=CACHED).map(entry_for).collect();
-    let snap = CacheSnapshot::build_sharded(cfg, SHARDS, entries);
+    let snap = CacheSnapshot::build_sharded(shape, SHARDS, entries);
     let (queries, is_repeat) = workload(CACHED);
 
     // ---- Hardware-independent counters (asserted, printed once). ----
-    let naive = sweep(&snap, &queries, run_naive);
+    let naive = totals(&snap, &queries, run_naive);
     let per_query_budget = (naive.work / QUERIES as u64 / BUDGET_DIVISOR).max(1);
     let budgeted_opts = VerifyOptions {
         budget: Some(per_query_budget),
         ..VerifyOptions::default()
     };
-    let budgeted = sweep(&snap, &queries, |s, q| run_opts(s, q, &budgeted_opts));
-    let fp_opts = VerifyOptions {
-        exact_shortcut: true,
-        ..VerifyOptions::default()
-    };
-    let fp_first = sweep(&snap, &queries, |s, q| run_opts(s, q, &fp_opts));
+    let budgeted = totals(&snap, &queries, |s, q| run_opts(s, q, &budgeted_opts, true));
+    let fp_opts = VerifyOptions::default();
+    let fp_first = totals(&snap, &queries, |s, q| run_opts(s, q, &fp_opts, false));
 
     // Exact repeats must complete with zero candidate sub-iso tests.
     let mut repeat_tests = 0u64;
     for (q, &rep) in queries.iter().zip(&is_repeat) {
         if rep {
-            let (tests, _, _) = run_opts(&snap, q, &fp_opts);
+            let (tests, _, _) = run_opts(&snap, q, &fp_opts, false);
             repeat_tests += tests;
         }
     }
@@ -185,13 +191,13 @@ fn bench_hit_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("hit_path");
     group.sample_size(10);
     group.bench_function("naive", |b| {
-        b.iter(|| sweep(&snap, &queries, run_naive).work)
+        b.iter(|| totals(&snap, &queries, run_naive).work)
     });
     group.bench_function("ordered_budgeted", |b| {
-        b.iter(|| sweep(&snap, &queries, |s, q| run_opts(s, q, &budgeted_opts)).work)
+        b.iter(|| totals(&snap, &queries, |s, q| run_opts(s, q, &budgeted_opts, true)).work)
     });
     group.bench_function("fingerprint_first", |b| {
-        b.iter(|| sweep(&snap, &queries, |s, q| run_opts(s, q, &fp_opts)).work)
+        b.iter(|| totals(&snap, &queries, |s, q| run_opts(s, q, &fp_opts, false)).work)
     });
     group.finish();
 }

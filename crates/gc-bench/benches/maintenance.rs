@@ -30,7 +30,7 @@
 //! be well over 5x faster than the full rebuild.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use gc_core::{shard_for, CacheEntry, CacheSnapshot, GraphCache, QueryIndexConfig, Shard};
+use gc_core::{shard_for, CacheEntry, CacheSnapshot, GraphCache, Shard, QUERY_INDEX_SHAPE};
 use gc_graph::{GraphDataset, GraphId, LabeledGraph};
 use gc_index::paths::enumerate_paths;
 use gc_methods::{MethodBuilder, QueryKind};
@@ -50,8 +50,8 @@ fn seeded_graph(seed: u64) -> LabeledGraph {
 
 fn entry_for(serial: u64) -> Arc<CacheEntry> {
     let graph = seeded_graph(serial.wrapping_mul(0x9E37_79B9));
-    let cfg = QueryIndexConfig::default();
-    let profile = enumerate_paths(&graph, cfg.max_path_len, cfg.work_cap);
+    let shape = QUERY_INDEX_SHAPE;
+    let profile = enumerate_paths(&graph, shape.max_len, shape.work_cap);
     Arc::new(CacheEntry::new(
         serial,
         Arc::new(graph),
@@ -98,7 +98,7 @@ fn cache_before_round(size: u64, delta: u64) -> GraphCache {
 }
 
 fn bench_maintenance(c: &mut Criterion) {
-    let cfg = QueryIndexConfig::default();
+    let shape = QUERY_INDEX_SHAPE;
     let mut group = c.benchmark_group("maintenance");
     group.sample_size(10);
 
@@ -112,14 +112,14 @@ fn bench_maintenance(c: &mut Criterion) {
             let admits: Vec<Arc<CacheEntry>> = (size + 1..=size + delta).map(entry_for).collect();
             // The surviving entry set the full rebuild starts from.
             let survivors: Vec<Arc<CacheEntry>> = base[delta as usize..].to_vec();
-            let base_snapshot = CacheSnapshot::build_sharded(cfg, SHARDS, base.clone());
+            let base_snapshot = CacheSnapshot::build_sharded(shape, SHARDS, base.clone());
 
             // Old path: clone survivors + admissions, rebuild all indexes.
             group.bench_with_input(BenchmarkId::new("full", &label), &(), |b, _| {
                 b.iter(|| {
                     let mut entries = survivors.clone();
                     entries.extend(admits.iter().cloned());
-                    CacheSnapshot::build_sharded(cfg, SHARDS, entries)
+                    CacheSnapshot::build_sharded(shape, SHARDS, entries)
                 })
             });
 

@@ -14,14 +14,14 @@ use crate::metrics::{MaintStats, QueryRecord};
 use crate::policy::{EvictionPolicy, PolicyRow};
 use crate::processors;
 use crate::pruner::{self, HitAnswer, PruneOutcome};
-use crate::query_index::QueryIndexConfig;
+use crate::query_index::QUERY_INDEX_SHAPE;
 use crate::registry::{self, PolicyError};
 use crate::stats::QuerySerial;
-use crate::window::{self, MaintMsg, MaintenanceConfig, Shared, WindowEntry};
+use crate::window::{self, MaintMsg, Shared, WindowEntry};
 use gc_fragments::FragmentConfig;
 use gc_graph::{idset, GraphId, LabeledGraph};
 use gc_index::fingerprint::iso_hash;
-use gc_index::paths::{PathEnumeration, PathProfile};
+use gc_index::paths::{PathEnumeration, PathProfile, PathShape};
 use gc_methods::{Method, QueryKind};
 use gc_subiso::cost;
 use parking_lot::Mutex;
@@ -279,7 +279,7 @@ impl GraphCacheBuilder {
         Ok(GraphCache::assemble(
             method,
             self.cfg,
-            QueryIndexConfig::default(),
+            QUERY_INDEX_SHAPE,
             eviction,
             admission,
             fragment_eviction,
@@ -468,8 +468,8 @@ enum ReadOutcome {
 
 /// Enumerates a query's path features under the query index's path length
 /// and `work_cap` — the query path's one enumeration.
-fn enumerate_query(query: &LabeledGraph, cfg: QueryIndexConfig, work_cap: u64) -> PathEnumeration {
-    PathEnumeration::new(query, cfg.max_path_len, work_cap)
+fn enumerate_query(query: &LabeledGraph, shape: PathShape, work_cap: u64) -> PathEnumeration {
+    PathEnumeration::new(query, shape.max_len, work_cap)
 }
 
 /// A query's record as far as hit detection, which started at `t_gc`,
@@ -598,7 +598,7 @@ impl GraphCache {
     fn assemble(
         method: Method,
         cfg: GcConfig,
-        index_cfg: QueryIndexConfig,
+        index_shape: PathShape,
         eviction: Box<dyn EvictionPolicy>,
         admission: Box<dyn AdmissionPolicy>,
         fragment_eviction: Box<dyn EvictionPolicy>,
@@ -608,7 +608,7 @@ impl GraphCache {
             .fragments
             .then(|| FragmentState::new(cfg.fragment, method.clone(), fragment_eviction));
         let shared = Arc::new(Shared::new(
-            index_cfg,
+            index_shape,
             effective_shards(&cfg),
             eviction,
             admission,
@@ -616,13 +616,7 @@ impl GraphCache {
             method.matcher().clone(),
         ));
         let worker = cfg.background.then(|| {
-            let (tx, handle) = window::spawn_manager(
-                shared.clone(),
-                MaintenanceConfig {
-                    capacity: cfg.capacity,
-                    compact_debt: window::DEFAULT_COMPACT_DEBT,
-                },
-            );
+            let (tx, handle) = window::spawn_manager(shared.clone(), cfg.capacity);
             Arc::new(ManagerHandle {
                 tx: Some(tx),
                 handle: Some(handle),
@@ -869,8 +863,7 @@ impl GraphCache {
                     })
                     .unwrap_or_default(),
                 profiles: Some(crate::persist::StoredProfiles {
-                    max_path_len: self.shared.index_cfg.max_path_len,
-                    work_cap: self.shared.index_cfg.work_cap,
+                    shape: self.shared.index_shape,
                     profiles: snapshot.iter_entries().map(|e| e.profile.clone()).collect(),
                 }),
             }
@@ -937,7 +930,7 @@ impl GraphCache {
         // The persisted format carries no shard layout: entries are
         // re-routed into this instance's shard count on load.
         let (snapshot, stats, next_serial) =
-            loaded.into_snapshot_sharded(self.shared.index_cfg, self.shared.shards.len());
+            loaded.into_snapshot_sharded(self.shared.index_shape, self.shared.shards.len());
         // Drain queued background batches so none of them (built from the
         // pre-restore snapshot) lands after our swap.
         self.flush_pending();
@@ -1159,8 +1152,8 @@ impl GraphCache {
     ) -> Vec<(QuerySerial, u64)> {
         let kind = kind.unwrap_or(self.cfg.query_kind);
         let snapshot = self.shared.load_snapshot();
-        let cfg = snapshot.index_cfg();
-        let profile = enumerate_query(query, cfg, cfg.work_cap).profile;
+        let shape = snapshot.index_shape();
+        let profile = enumerate_query(query, shape, shape.work_cap).profile;
         let hit_query = processors::HitQuery::new(query, kind, &profile);
         processors::candidate_serials(&snapshot, &hit_query)
     }
@@ -1169,10 +1162,10 @@ impl GraphCache {
     /// raised to Method M's when its filter reads paths of the same length,
     /// so the one enumeration serves both. With a different length (the
     /// §7.3 ablation) Method M enumerates its own.
-    fn miss_work_cap(&self, cfg: QueryIndexConfig) -> u64 {
+    fn miss_work_cap(&self, shape: PathShape) -> u64 {
         match self.method.path_shape() {
-            Some(m) if m.max_len == cfg.max_path_len => cfg.work_cap.max(m.work_cap),
-            _ => cfg.work_cap,
+            Some(m) if m.max_len == shape.max_len => shape.work_cap.max(m.work_cap),
+            _ => shape.work_cap,
         }
     }
 
@@ -1187,7 +1180,6 @@ impl GraphCache {
             max_hits: ov.max_hits,
             deadline: ov.deadline,
             allowed: ov.allowed,
-            ..Default::default()
         };
         let matcher = self.method.matcher().as_ref();
 
@@ -1234,12 +1226,12 @@ impl GraphCache {
                 // for Method M's filter and for index patching if the
                 // query is later admitted. Each reads the enumeration
                 // within its own work cap.
-                let cfg = snapshot.index_cfg();
-                let features = enumerate_query(query, cfg, self.miss_work_cap(cfg));
+                let shape = snapshot.index_shape();
+                let features = enumerate_query(query, shape, self.miss_work_cap(shape));
                 let hit_query = processors::HitQuery {
                     query,
                     kind,
-                    profile: features.within(cfg.work_cap),
+                    profile: features.within(shape.work_cap),
                     fingerprint,
                 };
                 let hits = processors::sweep(&snapshot, &hit_query, probe, matcher, &opts);
@@ -1281,7 +1273,7 @@ impl GraphCache {
                 );
                 let read = ReadOutcome::Miss {
                     pruned,
-                    profile: features.into_profile(cfg.work_cap),
+                    profile: features.into_profile(shape.work_cap),
                     fingerprint,
                 };
                 (record, read)
@@ -1540,13 +1532,7 @@ impl GraphCache {
                 let _ = worker.sender().send(MaintMsg::Batch(batch, now));
                 Duration::ZERO
             }
-            None => {
-                let cfg = MaintenanceConfig {
-                    capacity: self.cfg.capacity,
-                    compact_debt: window::DEFAULT_COMPACT_DEBT,
-                };
-                window::maintain(&self.shared, &cfg, batch, now)
-            }
+            None => window::maintain(&self.shared, self.cfg.capacity, batch, now),
         }
     }
 }
@@ -2287,8 +2273,8 @@ mod tests {
             .map(|q| PathEnumeration::new(q, 4, u64::MAX).work)
             .collect();
         assert!(work[0] < work[1] && work[1] < work[2], "{work:?}");
-        let index_cfg = QueryIndexConfig {
-            max_path_len: 4,
+        let index_shape = PathShape {
+            max_len: 4,
             work_cap: work[0],
         };
         for ggsx in [
@@ -2308,12 +2294,12 @@ mod tests {
             let gc = GraphCache::assemble(
                 method,
                 b.cfg,
-                index_cfg,
+                index_shape,
                 registry::build_eviction("hd").unwrap(),
                 registry::build_admission("none").unwrap(),
                 registry::build_eviction("lru").unwrap(),
             );
-            let shared_cap = gc.miss_work_cap(index_cfg);
+            let shared_cap = gc.miss_work_cap(index_shape);
             let expected_cap = if ggsx.max_path_len == 4 {
                 work[1]
             } else {
@@ -2328,12 +2314,12 @@ mod tests {
             assert_eq!(gc.cache_len(), queries.len());
             let snapshot = gc.shared.load_snapshot();
             for q in &queries {
-                let shared = enumerate_query(q, index_cfg, shared_cap);
+                let shared = enumerate_query(q, index_shape, shared_cap);
                 let own = snapshot.profile_of(q);
                 let (qn, qm) = (q.node_count() as u32, q.edge_count() as u32);
                 for shard in snapshot.shards() {
-                    let a =
-                        shard.candidates(&Probe::new(shared.within(index_cfg.work_cap), (qn, qm)));
+                    let a = shard
+                        .candidates(&Probe::new(shared.within(index_shape.work_cap), (qn, qm)));
                     let b = shard.candidates(&Probe::new(&own, (qn, qm)));
                     assert_eq!(
                         (a.sub, a.super_),
@@ -2348,7 +2334,7 @@ mod tests {
                         "CS_M of {q:?} ({kind:?}, {ggsx:?})"
                     );
                 }
-                assert_eq!(shared.into_profile(index_cfg.work_cap), own);
+                assert_eq!(shared.into_profile(index_shape.work_cap), own);
             }
             assert_eq!(gc.check_invariants(), Ok(()));
         }
@@ -2363,8 +2349,8 @@ mod tests {
         gc.run(&path_graph(&[0, 1])); // flush at W=2
         assert_eq!(gc.check_invariants(), Ok(()));
         let copy = Arc::new(path_graph(&[2, 1, 0]));
-        let cfg = gc.shared.load_snapshot().index_cfg();
-        let profile = enumerate_query(&copy, cfg, cfg.work_cap).profile;
+        let shape = gc.shared.load_snapshot().index_shape();
+        let profile = enumerate_query(&copy, shape, shape.work_cap).profile;
         let entry = CacheEntry::new(99, copy, first.answer, QueryKind::Subgraph, profile);
         Arc::make_mut(&mut *gc.shared.shards[0].write()).insert(Arc::new(entry));
         let v = gc.check_invariants().unwrap_err();

@@ -13,12 +13,12 @@
 //! keeps serving reads" invariant holds per shard (see [`crate::window`]).
 
 use crate::invariants::{ensure, tiled_end, InvariantClause, InvariantViolation};
-use crate::query_index::{signature, HitCandidates, Probe, QueryIndexConfig, Signature};
+use crate::query_index::{signature, HitCandidates, Probe, Signature};
 use crate::stats::QuerySerial;
 use gc_graph::{sizing, GraphId, LabeledGraph};
 use gc_index::fingerprint::iso_hash;
 use gc_index::fx::FxHashMap;
-use gc_index::paths::{enumerate_paths, PathProfile};
+use gc_index::paths::{enumerate_paths, PathProfile, PathShape};
 use gc_methods::QueryKind;
 use std::sync::{Arc, OnceLock};
 
@@ -559,21 +559,21 @@ impl Shard {
 /// "simple in-memory reference (pointer) swaps").
 #[derive(Debug, Clone)]
 pub struct CacheSnapshot {
-    cfg: QueryIndexConfig,
+    shape: PathShape,
     shards: Vec<Arc<Shard>>,
 }
 
 impl CacheSnapshot {
     /// An empty single-shard snapshot (system start: "GraphCache's data
     /// stores are initially all empty", §5.1).
-    pub fn empty(cfg: QueryIndexConfig) -> Self {
-        Self::empty_sharded(cfg, 1)
+    pub fn empty(shape: PathShape) -> Self {
+        Self::empty_sharded(shape, 1)
     }
 
     /// An empty snapshot with `shards` partitions.
-    pub fn empty_sharded(cfg: QueryIndexConfig, shards: usize) -> Self {
+    pub fn empty_sharded(shape: PathShape, shards: usize) -> Self {
         CacheSnapshot {
-            cfg,
+            shape,
             shards: (0..shards.max(1))
                 .map(|_| Arc::new(Shard::default()))
                 .collect(),
@@ -582,24 +582,20 @@ impl CacheSnapshot {
 
     /// Builds a single-shard snapshot from a set of entries, reusing each
     /// entry's stored feature profile.
-    pub fn build(cfg: QueryIndexConfig, entries: Vec<Arc<CacheEntry>>) -> Self {
-        Self::build_sharded(cfg, 1, entries)
+    pub fn build(shape: PathShape, entries: Vec<Arc<CacheEntry>>) -> Self {
+        Self::build_sharded(shape, 1, entries)
     }
 
     /// Builds a snapshot with `shards` partitions; entries are routed by
     /// [`shard_for`] and keep their relative order within each shard.
-    pub fn build_sharded(
-        cfg: QueryIndexConfig,
-        shards: usize,
-        entries: Vec<Arc<CacheEntry>>,
-    ) -> Self {
+    pub fn build_sharded(shape: PathShape, shards: usize, entries: Vec<Arc<CacheEntry>>) -> Self {
         let n = shards.max(1);
         let mut parts: Vec<Vec<Arc<CacheEntry>>> = (0..n).map(|_| Vec::new()).collect();
         for e in entries {
             parts[shard_for(e.serial, n)].push(e);
         }
         CacheSnapshot {
-            cfg,
+            shape,
             shards: parts
                 .into_iter()
                 .map(|p| Arc::new(Shard::build(p)))
@@ -608,9 +604,9 @@ impl CacheSnapshot {
     }
 
     /// Assembles a snapshot view from already-built shards.
-    pub fn from_shards(cfg: QueryIndexConfig, shards: Vec<Arc<Shard>>) -> Self {
+    pub fn from_shards(shape: PathShape, shards: Vec<Arc<Shard>>) -> Self {
         debug_assert!(!shards.is_empty());
-        CacheSnapshot { cfg, shards }
+        CacheSnapshot { shape, shards }
     }
 
     /// The shards, in routing order.
@@ -629,9 +625,9 @@ impl CacheSnapshot {
         self.shards.len()
     }
 
-    /// The index configuration shared by every shard.
-    pub fn index_cfg(&self) -> QueryIndexConfig {
-        self.cfg
+    /// The query index's path shape, shared by every shard.
+    pub fn index_shape(&self) -> PathShape {
+        self.shape
     }
 
     /// Number of cached queries across all shards.
@@ -658,7 +654,7 @@ impl CacheSnapshot {
     /// configuration (computed once per query, reused for candidate probing
     /// across every shard and for eventual admission).
     pub fn profile_of(&self, query: &LabeledGraph) -> PathProfile {
-        enumerate_paths(query, self.cfg.max_path_len, self.cfg.work_cap)
+        enumerate_paths(query, self.shape.max_len, self.shape.work_cap)
     }
 
     /// Candidate *serials* for a query, both directions, merged across
@@ -697,6 +693,7 @@ impl CacheSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query_index::QUERY_INDEX_SHAPE;
 
     fn entry(serial: QuerySerial) -> Arc<CacheEntry> {
         let graph = LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]);
@@ -712,7 +709,7 @@ mod tests {
 
     #[test]
     fn empty_snapshot() {
-        let s = CacheSnapshot::empty(QueryIndexConfig::default());
+        let s = CacheSnapshot::empty(QUERY_INDEX_SHAPE);
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert_eq!(s.shard_count(), 1);
@@ -721,7 +718,7 @@ mod tests {
 
     #[test]
     fn build_and_lookup() {
-        let s = CacheSnapshot::build(QueryIndexConfig::default(), vec![entry(5), entry(9)]);
+        let s = CacheSnapshot::build(QUERY_INDEX_SHAPE, vec![entry(5), entry(9)]);
         assert_eq!(s.len(), 2);
         assert_eq!(s.entry(9).unwrap().serial, 9);
         assert!(s.entry(7).is_none());
@@ -732,7 +729,7 @@ mod tests {
     fn sharded_build_routes_and_looks_up() {
         let serials: Vec<QuerySerial> = (1..=20).collect();
         let s = CacheSnapshot::build_sharded(
-            QueryIndexConfig::default(),
+            QUERY_INDEX_SHAPE,
             4,
             serials.iter().map(|&x| entry(x)).collect(),
         );

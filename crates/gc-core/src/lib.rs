@@ -107,10 +107,10 @@ pub use persist::{
 pub use policies::{GreedyDual, SegmentedLru};
 pub use policy::{EvictionPolicy, PolicyKind, PolicyRow, PolicyView};
 pub use processors::{
-    candidate_serials, exact_probe, find_hits_naive, find_hits_opts, sweep, ExactProbe, HitQuery,
-    HitSet, VerifyOptions,
+    candidate_serials, exact_probe, find_hits_naive, sweep, ExactProbe, HitQuery, HitSet,
+    VerifyOptions,
 };
-pub use query_index::{Probe, QueryIndexConfig};
+pub use query_index::{Probe, QUERY_INDEX_SHAPE};
 pub use registry::{PolicyError, PolicyParams, PolicyRegistry};
 pub use staged::{FaultIo, FaultMode, Manifest, RealIo, SnapshotIo};
 pub use stats::{QuerySerial, StatsStore};

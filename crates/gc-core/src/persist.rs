@@ -23,12 +23,11 @@
 //! error that says to rebuild the cache.
 
 use crate::entry::{CacheEntry, CacheSnapshot};
-use crate::query_index::QueryIndexConfig;
 use crate::staged::{Generation, Manifest, SNAPSHOT_FILE};
 use crate::stats::{QuerySerial, StatsStore};
 use gc_graph::{GraphDataset, GraphError, GraphId};
 use gc_index::fingerprint::{fnv1a, fnv1a_continue};
-use gc_index::paths::{enumerate_paths, PathProfile};
+use gc_index::paths::{enumerate_paths, PathProfile, PathShape};
 use gc_methods::QueryKind;
 use gc_subiso::Matcher;
 use std::path::Path;
@@ -46,16 +45,14 @@ pub enum PersistFormat {
 
 /// Path-feature profiles captured at save time, so a restore can skip
 /// re-enumerating every entry graph's simple paths — the dominant cost of
-/// materialising a restored cache. The index configuration they were
-/// enumerated under is recorded alongside; profiles are only reused when
-/// the restoring configuration matches (see
+/// materialising a restored cache. The path shape they were enumerated
+/// under is recorded alongside; profiles are only reused when the
+/// restoring cache's shape matches (see
 /// [`PersistedCache::into_snapshot_sharded`]).
 #[derive(Debug, Clone)]
 pub struct StoredProfiles {
-    /// `max_path_len` the profiles were enumerated with.
-    pub max_path_len: usize,
-    /// `work_cap` the profiles were enumerated with.
-    pub work_cap: u64,
+    /// The path shape the profiles were enumerated under.
+    pub shape: PathShape,
     /// One profile per entry, parallel to [`PersistedCache::entries`].
     pub profiles: Vec<PathProfile>,
 }
@@ -346,18 +343,16 @@ impl PersistedCache {
     /// serial hash on load.
     pub fn into_snapshot_sharded(
         self,
-        cfg: QueryIndexConfig,
+        shape: PathShape,
         shards: usize,
     ) -> (CacheSnapshot, StatsStore, QuerySerial) {
         // Stored profiles skip the per-entry path enumeration — but only
-        // when they were captured under this exact index configuration
-        // and cover every entry; anything else re-enumerates, so a stale
-        // or mismatched profile section can never poison the index.
-        let stored = self.profiles.filter(|p| {
-            p.max_path_len == cfg.max_path_len
-                && p.work_cap == cfg.work_cap
-                && p.profiles.len() == self.entries.len()
-        });
+        // when they were captured under this exact path shape and cover
+        // every entry; anything else re-enumerates, so a stale or
+        // mismatched profile section can never poison the index.
+        let stored = self
+            .profiles
+            .filter(|p| p.shape == shape && p.profiles.len() == self.entries.len());
         let profiles: Vec<Option<PathProfile>> = match stored {
             Some(p) => p.profiles.into_iter().map(Some).collect(),
             None => vec![None; self.entries.len()],
@@ -369,7 +364,7 @@ impl PersistedCache {
             .map(
                 |((serial, graph, answer, kind, fingerprint), stored_profile)| {
                     let profile = stored_profile
-                        .unwrap_or_else(|| enumerate_paths(&graph, cfg.max_path_len, cfg.work_cap));
+                        .unwrap_or_else(|| enumerate_paths(&graph, shape.max_len, shape.work_cap));
                     Arc::new(CacheEntry {
                         serial,
                         graph: Arc::new(graph),
@@ -383,7 +378,7 @@ impl PersistedCache {
             )
             .collect();
         (
-            CacheSnapshot::build_sharded(cfg, shards, entries),
+            CacheSnapshot::build_sharded(shape, shards, entries),
             self.stats,
             self.next_serial,
         )
@@ -394,6 +389,7 @@ impl PersistedCache {
 mod tests {
     use super::*;
     use crate::policy::PolicyRow;
+    use crate::query_index::QUERY_INDEX_SHAPE;
     use gc_graph::LabeledGraph;
     use gc_index::fingerprint::iso_hash;
 
@@ -476,7 +472,7 @@ mod tests {
     #[test]
     fn snapshot_materialisation() {
         let loaded = roundtripped("snapshot", &sample());
-        let (snap, stats, next) = loaded.into_snapshot_sharded(QueryIndexConfig::default(), 1);
+        let (snap, stats, next) = loaded.into_snapshot_sharded(QUERY_INDEX_SHAPE, 1);
         assert_eq!(snap.len(), 2);
         assert_eq!(next, 42);
         assert_eq!(stats.len(), 2);
@@ -490,7 +486,7 @@ mod tests {
     #[test]
     fn sharded_materialisation_routes_entries() {
         let loaded = roundtripped("sharded", &sample());
-        let (snap, _, _) = loaded.into_snapshot_sharded(QueryIndexConfig::default(), 4);
+        let (snap, _, _) = loaded.into_snapshot_sharded(QUERY_INDEX_SHAPE, 4);
         assert_eq!(snap.shard_count(), 4);
         assert_eq!(snap.len(), 2);
         assert!(snap.entry(3).is_some());
@@ -498,7 +494,7 @@ mod tests {
         // Candidates match the single-shard materialisation (as sets).
         let probe = LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]);
         let (mut sub, _) = snap.candidate_serials(&probe);
-        let (flat, _, _) = sample().into_snapshot_sharded(QueryIndexConfig::default(), 1);
+        let (flat, _, _) = sample().into_snapshot_sharded(QUERY_INDEX_SHAPE, 1);
         let (mut flat_sub, _) = flat.candidate_serials(&probe);
         sub.sort_unstable();
         flat_sub.sort_unstable();

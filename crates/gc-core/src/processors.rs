@@ -30,8 +30,8 @@
 //!    sweep stops early once the request's hit budget
 //!    ([`VerifyOptions::max_hits`]) is satisfied.
 //!
-//! [`find_hits_opts`] runs both; with [`VerifyOptions::exact_shortcut`] it
-//! stops after a confirmed probe, as the query path does.
+//! The query path (`GraphCache::run_overridden`) calls [`exact_probe`]
+//! and, on a miss, hands its refutations to [`sweep`].
 //! [`HitSet`] serial lists are always sorted, making the output canonical
 //! across shard counts. [`find_hits_naive`] keeps
 //! the original flat per-shard sweep as the parity oracle
@@ -124,12 +124,6 @@ pub struct VerifyOptions {
     /// (sub + super together) have been confirmed. `None` = find them all.
     /// Early exit is not truncation — the caller asked for at most this.
     pub max_hits: Option<usize>,
-    /// Return immediately once the fingerprint probe confirms an exact hit,
-    /// skipping candidate verification entirely, since an exact answer
-    /// supersedes sub/super pruning. [`find_hits_opts`] only: the query
-    /// path calls [`exact_probe`] and [`sweep`] itself and never sweeps
-    /// after an exact hit.
-    pub exact_shortcut: bool,
     /// Wall-clock deadline for the sweep, checked at the same arbitration
     /// points as the work pool (between matcher tests, never inside one).
     /// Expiry stops the sweep with
@@ -204,23 +198,6 @@ pub(crate) fn isomorphic_repeats<'a>(
         }
     }
     repeats
-}
-
-/// The full pipeline: [`exact_probe`], then — unless
-/// [`exact_shortcut`](VerifyOptions::exact_shortcut) stops at a confirmed
-/// exact hit — the cost-ordered budget-arbitrated [`sweep`]. See the
-/// module docs.
-pub fn find_hits_opts(
-    snapshot: &CacheSnapshot,
-    hq: &HitQuery<'_>,
-    matcher: &dyn Matcher,
-    opts: &VerifyOptions,
-) -> HitSet {
-    let probe = exact_probe(snapshot, hq.query, hq.kind, hq.fingerprint, matcher, opts);
-    if opts.exact_shortcut && probe.hits.exact.is_some() {
-        return probe.hits;
-    }
-    sweep(snapshot, hq, probe, matcher, opts)
 }
 
 /// What [`exact_probe`] found, handed on to [`sweep`] on a miss.
@@ -410,7 +387,7 @@ pub fn sweep(
     finalize(hits)
 }
 
-/// Enumerates the serials [`find_hits_opts`]'s candidate sweep would
+/// Enumerates the serials [`sweep`] would
 /// consider for this query — the same packed-column prefilters (kind
 /// match; same-size slots require fingerprint equality; the super list's
 /// same-size slots are skipped) with no matcher tests, no budget
@@ -606,7 +583,7 @@ pub fn find_hits_naive(
 mod tests {
     use super::*;
     use crate::entry::CacheEntry;
-    use crate::query_index::QueryIndexConfig;
+    use crate::query_index::QUERY_INDEX_SHAPE;
     use gc_graph::GraphId;
     use gc_subiso::Vf2;
     use std::sync::Arc;
@@ -631,32 +608,39 @@ mod tests {
                 ))
             })
             .collect();
-        CacheSnapshot::build(QueryIndexConfig::default(), entries)
+        CacheSnapshot::build(QUERY_INDEX_SHAPE, entries)
     }
 
     fn snapshot(graphs: Vec<LabeledGraph>) -> CacheSnapshot {
         snapshot_of_kind(graphs, QueryKind::Subgraph)
     }
 
+    /// The fingerprint probe, then the sweep it hands its refutations to.
+    fn pipeline(snap: &CacheSnapshot, hq: &HitQuery<'_>, opts: &VerifyOptions) -> HitSet {
+        let vf2 = Vf2::new();
+        let probe = exact_probe(snap, hq.query, hq.kind, hq.fingerprint, &vf2, opts);
+        sweep(snap, hq, probe, &vf2, opts)
+    }
+
     fn run_opts(snap: &CacheSnapshot, g: &LabeledGraph, opts: &VerifyOptions) -> HitSet {
         let profile = snap.profile_of(g);
-        find_hits_opts(
-            snap,
-            &HitQuery::new(g, QueryKind::Subgraph, &profile),
-            &Vf2::new(),
-            opts,
-        )
+        pipeline(snap, &HitQuery::new(g, QueryKind::Subgraph, &profile), opts)
     }
 
     /// The unbounded pipeline for a query of `kind`.
     fn hits_of(snap: &CacheSnapshot, g: &LabeledGraph, kind: QueryKind) -> HitSet {
         let profile = snap.profile_of(g);
-        find_hits_opts(
+        pipeline(
             snap,
             &HitQuery::new(g, kind, &profile),
-            &Vf2::new(),
             &VerifyOptions::default(),
         )
+    }
+
+    /// The fingerprint probe alone, as the query path runs it first.
+    fn probe_of(snap: &CacheSnapshot, g: &LabeledGraph, opts: &VerifyOptions) -> HitSet {
+        let fingerprint = iso_hash(g);
+        exact_probe(snap, g, QueryKind::Subgraph, fingerprint, &Vf2::new(), opts).hits
     }
 
     #[test]
@@ -753,11 +737,10 @@ mod tests {
         // stays unrestricted even under an empty allow set.
         let snap = snapshot(vec![path_graph(&[0, 1, 0])]);
         let g = path_graph(&[0, 1, 0]);
-        let hits = run_opts(
+        let hits = probe_of(
             &snap,
             &g,
             &VerifyOptions {
-                exact_shortcut: true,
                 allowed: Some(Vec::new()),
                 ..VerifyOptions::default()
             },
@@ -854,7 +837,7 @@ mod tests {
             fingerprint: iso_hash(&g),
             exact_saving: std::sync::OnceLock::new(),
         };
-        let snap = CacheSnapshot::build(QueryIndexConfig::default(), vec![Arc::new(forged)]);
+        let snap = CacheSnapshot::build(QUERY_INDEX_SHAPE, vec![Arc::new(forged)]);
         let hq = HitQuery::new(&g, QueryKind::Subgraph, &profile);
         let (vf2, opts) = (Vf2::new(), VerifyOptions::default());
         let probe = exact_probe(&snap, &g, hq.kind, hq.fingerprint, &vf2, &opts);
@@ -868,24 +851,17 @@ mod tests {
     }
 
     #[test]
-    fn exact_shortcut_skips_candidate_verification() {
+    fn exact_probe_skips_candidate_verification() {
         let snap = snapshot(vec![
             path_graph(&[0, 1, 0]),
             path_graph(&[0, 1, 0, 1]), // would be a sub candidate
             path_graph(&[0, 1]),       // would be a super candidate
         ]);
         let g = path_graph(&[0, 1, 0]);
-        let hits = run_opts(
-            &snap,
-            &g,
-            &VerifyOptions {
-                exact_shortcut: true,
-                ..VerifyOptions::default()
-            },
-        );
+        let hits = probe_of(&snap, &g, &VerifyOptions::default());
         assert_eq!(hits.exact, Some(100));
         assert!(hits.exact_via_fingerprint);
-        assert_eq!(hits.tests, 0, "no candidate sweep on the shortcut path");
+        assert_eq!(hits.tests, 0, "no candidate sweep on an exact repeat");
         assert!(hits.sub.is_empty() && hits.super_.is_empty());
     }
 

@@ -32,26 +32,15 @@
 //! [`CacheEntry`]: crate::CacheEntry
 //! [`Shard`]: crate::Shard
 
-use gc_index::paths::{FeatureKey, PathProfile};
+use gc_index::paths::{FeatureKey, PathProfile, PathShape};
 
-/// Configuration of the query index.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryIndexConfig {
-    /// Maximum feature path length in edges (GGSX default: 4).
-    pub max_path_len: usize,
-    /// Per-graph enumeration work cap; overflowing graphs are indexed
-    /// conservatively (always candidates, in both directions).
-    pub work_cap: u64,
-}
-
-impl Default for QueryIndexConfig {
-    fn default() -> Self {
-        QueryIndexConfig {
-            max_path_len: 4,
-            work_cap: 5_000_000,
-        }
-    }
-}
+/// The query index's path shape: paths of up to 4 edges (GGSX's default),
+/// and a per-graph enumeration work cap past which a graph is indexed
+/// conservatively (always a candidate, in both directions).
+pub const QUERY_INDEX_SHAPE: PathShape = PathShape {
+    max_len: 4,
+    work_cap: 5_000_000,
+};
 
 /// Candidate slots for a new query, in both directions, ascending.
 #[derive(Debug, Clone, Default)]
@@ -177,19 +166,18 @@ mod tests {
 
     /// A shard over `graphs`, serials 0, 10, 20, … in slot order.
     fn build(graphs: &[LabeledGraph]) -> Shard {
-        let cfg = QueryIndexConfig::default();
         Shard::build(
             graphs
                 .iter()
                 .enumerate()
-                .map(|(i, g)| entry_capped(i as u64 * 10, g, cfg.work_cap))
+                .map(|(i, g)| entry_capped(i as u64 * 10, g, QUERY_INDEX_SHAPE.work_cap))
                 .collect(),
         )
     }
 
     fn candidates(shard: &Shard, query: &LabeledGraph) -> HitCandidates {
-        let cfg = QueryIndexConfig::default();
-        let profile = enumerate_paths(query, cfg.max_path_len, cfg.work_cap);
+        let shape = QUERY_INDEX_SHAPE;
+        let profile = enumerate_paths(query, shape.max_len, shape.work_cap);
         let size = (query.node_count() as u32, query.edge_count() as u32);
         shard.candidates(&Probe::new(&profile, size))
     }

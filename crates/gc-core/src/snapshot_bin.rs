@@ -70,7 +70,7 @@ use crate::policy::PolicyRow;
 use crate::stats::StatsStore;
 use gc_graph::{GraphError, GraphId, LabeledGraph};
 use gc_index::fingerprint::fnv1a;
-use gc_index::paths::PathProfile;
+use gc_index::paths::{PathProfile, PathShape};
 use gc_methods::QueryKind;
 
 /// Format magic: "GC snapshot", format revision 02.
@@ -268,7 +268,7 @@ pub(crate) fn encode(cache: &PersistedCache) -> Vec<u8> {
 
     // Assemble: header, section table, payload, checksum.
     let (max_len, work_cap) = match &cache.profiles {
-        Some(stored) => (stored.max_path_len as u64, stored.work_cap),
+        Some(stored) => (stored.shape.max_len as u64, stored.shape.work_cap),
         None => (u64::MAX, 0),
     };
     let n = entries.len() as u64;
@@ -555,8 +555,10 @@ pub(crate) fn decode(buf: &[u8]) -> Result<PersistedCache, GraphError> {
         max_len => {
             let (b, at) = s.get(SEC_PROFILE_KEYS, "profile keys")?;
             Some(StoredProfiles {
-                max_path_len: max_len as usize,
-                work_cap: profile_work_cap,
+                shape: PathShape {
+                    max_len: max_len as usize,
+                    work_cap: profile_work_cap,
+                },
                 profiles: read_profile_keys(b, at, n)?,
             })
         }
@@ -582,6 +584,7 @@ pub(crate) fn decode(buf: &[u8]) -> Result<PersistedCache, GraphError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query_index::QUERY_INDEX_SHAPE;
     use gc_index::fingerprint::iso_hash;
     use gc_index::paths::enumerate_paths;
 
@@ -600,8 +603,7 @@ mod tests {
         let fp3 = iso_hash(&g3);
         let fp9 = iso_hash(&g9);
         let profiles = with_profiles.then(|| StoredProfiles {
-            max_path_len: 4,
-            work_cap: 5_000_000,
+            shape: QUERY_INDEX_SHAPE,
             profiles: vec![enumerate_paths(&g3, 4, 5_000_000), PathProfile::Overflow],
         });
         PersistedCache {
@@ -727,8 +729,7 @@ mod tests {
             assert_eq!(back.fragments, orig.fragments);
             match (&back.profiles, with_profiles) {
                 (Some(p), true) => {
-                    assert_eq!(p.max_path_len, 4);
-                    assert_eq!(p.work_cap, 5_000_000);
+                    assert_eq!(p.shape, QUERY_INDEX_SHAPE);
                     assert_eq!(p.profiles.len(), 2);
                     assert_eq!(
                         p.profiles[0].counts(),

@@ -41,7 +41,7 @@
 //! An admission appends one row to each of the shard's columns; nothing is
 //! re-sorted or re-packed. An eviction tombstones its slot, which keeps its
 //! column rows and answer range until the shard's *compaction threshold*
-//! is crossed (`MaintenanceConfig::compact_debt`, default 50% dead slots).
+//! is crossed (`COMPACT_DEBT`, 50% dead slots).
 //! Tombstones are the only debt a shard carries, so this is the only
 //! trigger: that shard alone falls back to a dense full rebuild, which
 //! bounds both the dead rows and the candidate pass's walk over them.
@@ -62,11 +62,10 @@ use crate::fragments::{self, FragmentSource, FragmentState};
 use crate::metrics::MaintStats;
 use crate::policy::{EvictionPolicy, PolicyRow, PolicyView};
 use crate::processors::{self, VerifyOptions};
-use crate::query_index::QueryIndexConfig;
 use crate::stats::{QuerySerial, StatsStore};
 use gc_graph::{sizing, GraphId, LabeledGraph};
 use gc_index::fx::FxHashMap;
-use gc_index::paths::PathProfile;
+use gc_index::paths::{PathProfile, PathShape};
 use gc_methods::QueryKind;
 use gc_subiso::Matcher;
 use parking_lot::{Mutex, RwLock};
@@ -74,9 +73,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Default [`MaintenanceConfig::compact_debt`]: a shard compacts once half
-/// its slots are tombstones.
-pub(crate) const DEFAULT_COMPACT_DEBT: f64 = 0.5;
+/// The compaction threshold: a shard compacts once half its slots are
+/// tombstones.
+pub(crate) const COMPACT_DEBT: f64 = 0.5;
 
 /// One missed query waiting in the Window: the graph, its freshly computed
 /// answer, and the static/timing statistics the Window stores keep (paper
@@ -178,8 +177,8 @@ pub(crate) struct Shared {
     /// The cache shards; a maintenance round locks only the shards its
     /// delta touches, readers clone each shard's `Arc` independently.
     pub shards: Vec<RwLock<Arc<Shard>>>,
-    /// Index configuration shared by every shard.
-    pub index_cfg: QueryIndexConfig,
+    /// The query index's path shape, shared by every shard.
+    pub index_shape: PathShape,
     /// Statistics of cached queries (GCstats).
     pub stats: Mutex<StatsStore>,
     /// The admission policy (trait object — see [`crate::registry`]).
@@ -223,7 +222,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     pub(crate) fn new(
-        index_cfg: QueryIndexConfig,
+        index_shape: PathShape,
         shard_count: usize,
         eviction: Box<dyn EvictionPolicy>,
         admission: Box<dyn AdmissionPolicy>,
@@ -234,7 +233,7 @@ impl Shared {
             shards: (0..shard_count.max(1))
                 .map(|_| RwLock::new(Arc::new(Shard::default())))
                 .collect(),
-            index_cfg,
+            index_shape,
             stats: Mutex::new(StatsStore::new()),
             admission: Mutex::new(admission),
             eviction: Mutex::new(eviction),
@@ -255,7 +254,7 @@ impl Shared {
     /// even while maintenance patches the live state.
     pub(crate) fn load_snapshot(&self) -> CacheSnapshot {
         CacheSnapshot::from_shards(
-            self.index_cfg,
+            self.index_shape,
             self.shards.iter().map(|s| s.read().clone()).collect(),
         )
     }
@@ -306,21 +305,13 @@ impl Shared {
     }
 }
 
-/// Static maintenance parameters. The policies themselves live in
-/// [`Shared`] (they are stateful trait objects, not configuration).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MaintenanceConfig {
-    pub capacity: usize,
-    /// Tombstone-debt fraction above which a patched shard falls back to a
-    /// dense rebuild (see the module docs).
-    pub compact_debt: f64,
-}
-
-/// Executes one maintenance round over a full window batch. Returns the
-/// wall time spent (recorded as overhead, Fig. 10).
+/// Executes one maintenance round over a full window batch against a cache
+/// of `capacity` entries. The policies live in [`Shared`] (they are
+/// stateful trait objects, not configuration). Returns the wall time spent
+/// (recorded as overhead, Fig. 10).
 pub(crate) fn maintain(
     shared: &Shared,
-    cfg: &MaintenanceConfig,
+    capacity: usize,
     batch: Vec<WindowEntry>,
     now: QuerySerial,
 ) -> Duration {
@@ -361,8 +352,8 @@ pub(crate) fn maintain(
         admitted
     };
     // More admitted queries than the whole cache can hold: keep the newest.
-    let admitted = if admitted.len() > cfg.capacity {
-        let skip = admitted.len() - cfg.capacity;
+    let admitted = if admitted.len() > capacity {
+        let skip = admitted.len() - capacity;
         admitted.into_iter().skip(skip).collect::<Vec<_>>()
     } else {
         admitted
@@ -424,7 +415,7 @@ pub(crate) fn maintain(
     // eviction policy is consulted — policies run behind their own lock
     // and never see store internals, only the PolicyView.
     let t_victims = Instant::now();
-    let free = cfg.capacity.saturating_sub(old.len());
+    let free = capacity.saturating_sub(old.len());
     let evict_needed = admitted.len().saturating_sub(free);
     let victims: Vec<QuerySerial> = {
         let rows: Vec<PolicyRow> = if evict_needed > 0 {
@@ -498,7 +489,7 @@ pub(crate) fn maintain(
             for e in inserts {
                 shard.insert(e);
             }
-            shard.tombstone_debt() > cfg.compact_debt
+            shard.tombstone_debt() > COMPACT_DEBT
         };
         if over_debt {
             // Compaction is the O(|shard|) fallback, so it runs OFF the
@@ -585,7 +576,7 @@ pub(crate) enum MaintMsg {
 /// a separate thread").
 pub(crate) fn spawn_manager(
     shared: Arc<Shared>,
-    cfg: MaintenanceConfig,
+    capacity: usize,
 ) -> (mpsc::Sender<MaintMsg>, std::thread::JoinHandle<()>) {
     let (tx, rx) = mpsc::channel::<MaintMsg>();
     let handle = std::thread::Builder::new()
@@ -594,7 +585,7 @@ pub(crate) fn spawn_manager(
             while let Ok(msg) = rx.recv() {
                 match msg {
                     MaintMsg::Batch(batch, now) => {
-                        maintain(&shared, &cfg, batch, now);
+                        maintain(&shared, capacity, batch, now);
                     }
                     MaintMsg::Sync(reply) => {
                         let _ = reply.send(());
@@ -611,6 +602,7 @@ mod tests {
     use super::*;
     use crate::admission::{AdmissionConfig, AdmissionControl, AdmitAll};
     use crate::policy::PolicyKind;
+    use crate::query_index::QUERY_INDEX_SHAPE;
     use gc_subiso::Vf2;
 
     /// A window entry whose graph is unique to its serial (an edge to a
@@ -640,7 +632,7 @@ mod tests {
 
     fn shared_with(shards: usize) -> Shared {
         Shared::new(
-            QueryIndexConfig::default(),
+            QUERY_INDEX_SHAPE,
             shards,
             Box::new(PolicyKind::Lru),
             Box::new(AdmitAll),
@@ -653,17 +645,10 @@ mod tests {
         shared_with(1)
     }
 
-    fn cfg(capacity: usize) -> MaintenanceConfig {
-        MaintenanceConfig {
-            capacity,
-            compact_debt: DEFAULT_COMPACT_DEBT,
-        }
-    }
-
     #[test]
     fn admitted_entries_enter_cache() {
         let s = shared();
-        maintain(&s, &cfg(10), vec![entry(1, 1.0), entry(2, 1.0)], 2);
+        maintain(&s, 10, vec![entry(1, 1.0), entry(2, 1.0)], 2);
         let snap = s.load_snapshot();
         assert_eq!(snap.len(), 2);
         assert!(snap.entry(1).is_some());
@@ -679,11 +664,11 @@ mod tests {
     #[test]
     fn capacity_respected_with_eviction() {
         let s = shared();
-        maintain(&s, &cfg(2), vec![entry(1, 1.0), entry(2, 1.0)], 2);
+        maintain(&s, 2, vec![entry(1, 1.0), entry(2, 1.0)], 2);
         assert_eq!(s.maint_stats().dead_postings, 0, "dense cache, no debt");
         // Mark entry 2 as recently hit so LRU evicts entry 1.
         s.stats.lock().credit(2, 9, 0, 0.0);
-        maintain(&s, &cfg(2), vec![entry(3, 1.0)], 3);
+        maintain(&s, 2, vec![entry(3, 1.0)], 3);
         let snap = s.load_snapshot();
         assert_eq!(snap.len(), 2);
         assert!(snap.entry(1).is_none(), "LRU victim");
@@ -704,12 +689,7 @@ mod tests {
     #[test]
     fn oversized_batch_keeps_newest() {
         let s = shared();
-        maintain(
-            &s,
-            &cfg(2),
-            vec![entry(1, 1.0), entry(2, 1.0), entry(3, 1.0)],
-            3,
-        );
+        maintain(&s, 2, vec![entry(1, 1.0), entry(2, 1.0), entry(3, 1.0)], 3);
         let snap = s.load_snapshot();
         assert_eq!(snap.len(), 2);
         assert!(snap.entry(2).is_some() && snap.entry(3).is_some());
@@ -718,7 +698,7 @@ mod tests {
     #[test]
     fn empty_batch_after_admission_skips_rebuild() {
         let s = Shared::new(
-            QueryIndexConfig::default(),
+            QUERY_INDEX_SHAPE,
             1,
             Box::new(PolicyKind::Lru),
             Box::new(AdmissionControl::new(AdmissionConfig {
@@ -735,7 +715,7 @@ mod tests {
             ac.end_window();
         }
         let before = Arc::as_ptr(&s.load_snapshot().shards()[0]);
-        maintain(&s, &cfg(10), vec![entry(1, 0.0)], 1); // 0.0 < threshold
+        maintain(&s, 10, vec![entry(1, 0.0)], 1); // 0.0 < threshold
         let after = Arc::as_ptr(&s.load_snapshot().shards()[0]);
         assert_eq!(before, after, "shard untouched");
         assert_eq!(s.load_snapshot().len(), 0);
@@ -755,7 +735,7 @@ mod tests {
         let before: Vec<*const Shard> = s.shards.iter().map(|l| Arc::as_ptr(&*l.read())).collect();
         maintain(
             &s,
-            &cfg(100),
+            100,
             vec![entry(in_target[0], 1.0), entry(in_target[1], 1.0)],
             in_target[1],
         );
@@ -775,9 +755,9 @@ mod tests {
     #[test]
     fn inflight_reader_keeps_old_shard_state() {
         let s = shared();
-        maintain(&s, &cfg(10), vec![entry(1, 1.0)], 1);
+        maintain(&s, 10, vec![entry(1, 1.0)], 1);
         let pinned = s.load_snapshot(); // in-flight query's view
-        maintain(&s, &cfg(10), vec![entry(2, 1.0)], 2);
+        maintain(&s, 10, vec![entry(2, 1.0)], 2);
         assert_eq!(pinned.len(), 1, "old view unchanged");
         assert!(pinned.entry(2).is_none());
         let fresh = s.load_snapshot();
@@ -799,7 +779,7 @@ mod tests {
                     entry(serial, 1.0)
                 })
                 .collect();
-            maintain(&s, &cfg(capacity), batch, serial);
+            maintain(&s, capacity, batch, serial);
         }
         let m = s.maint_stats();
         assert!(m.compactions > 0, "churn must compact: {m:?}");
@@ -807,7 +787,7 @@ mod tests {
         assert_eq!(snap.len(), capacity);
         // Debt is bounded by the threshold after compaction rounds.
         for shard in snap.shards() {
-            assert!(shard.tombstone_debt() <= DEFAULT_COMPACT_DEBT + 1e-9);
+            assert!(shard.tombstone_debt() <= COMPACT_DEBT + 1e-9);
         }
     }
 
@@ -828,7 +808,7 @@ mod tests {
                 .collect();
             // Give the oldest live entry a big hit count so rank-ordered
             // compaction must pull it to slot 0 despite its age.
-            maintain(&s, &cfg(capacity), batch, serial);
+            maintain(&s, capacity, batch, serial);
             let snap = s.load_snapshot();
             let oldest = snap.iter_entries().map(|e| e.serial).min().unwrap();
             let mut stats = s.stats.lock();
@@ -871,7 +851,7 @@ mod tests {
                 sc.spawn(move || {
                     maintain(
                         &s,
-                        &cfg(100),
+                        100,
                         vec![entry(t * 10 + 1, 1.0), entry(t * 10 + 2, 1.0)],
                         t * 10 + 2,
                     );
@@ -894,14 +874,14 @@ mod tests {
     fn duplicates_are_dropped_before_victim_sizing() {
         let s = shared();
         let path = |labels: [u32; 3]| LabeledGraph::from_parts(labels.to_vec(), &[(0, 1), (1, 2)]);
-        maintain(&s, &cfg(2), vec![entry_with(1, path([0, 1, 2]), 1.0)], 1);
-        maintain(&s, &cfg(2), vec![entry(2, 1.0)], 2);
+        maintain(&s, 2, vec![entry_with(1, path([0, 1, 2]), 1.0)], 1);
+        maintain(&s, 2, vec![entry(2, 1.0)], 2);
         assert_eq!(s.load_snapshot().len(), 2, "the cache is full");
         // 3 repeats resident 1 (reversed node order), 4 and 5 are two
         // copies of a new query: only 4 is admitted, so one victim.
         maintain(
             &s,
-            &cfg(2),
+            2,
             vec![
                 entry_with(3, path([2, 1, 0]), 1.0),
                 entry_with(4, path([5, 6, 7]), 1.0),
@@ -919,7 +899,7 @@ mod tests {
         assert!(!s.stats.lock().contains_row(5));
         // A batch of nothing but duplicates patches no shard.
         let before = Arc::as_ptr(&s.load_snapshot().shards()[0]);
-        maintain(&s, &cfg(2), vec![entry_with(6, path([5, 6, 7]), 1.0)], 6);
+        maintain(&s, 2, vec![entry_with(6, path([5, 6, 7]), 1.0)], 6);
         assert_eq!(before, Arc::as_ptr(&s.load_snapshot().shards()[0]));
         assert_eq!(s.maint_stats().entries_admitted, 3);
     }
@@ -927,7 +907,7 @@ mod tests {
     #[test]
     fn background_manager_processes_batches() {
         let s = Arc::new(shared());
-        let (tx, handle) = spawn_manager(s.clone(), cfg(10));
+        let (tx, handle) = spawn_manager(s.clone(), 10);
         tx.send(MaintMsg::Batch(vec![entry(1, 1.0)], 1)).unwrap();
         let (rtx, rrx) = mpsc::channel();
         tx.send(MaintMsg::Sync(rtx)).unwrap();

@@ -5,9 +5,10 @@
 //! `gc generate` / `gc workload` / `gc query` pipeline whose results lived
 //! only in stdout. This crate turns one cell of that matrix into a
 //! declarative [`Scenario`], groups scenarios into named [`Suite`]s, runs
-//! them end-to-end through the concurrent service API
-//! ([`run_suite_by`] / [`run_scenario`]), and collects
-//! [`ScenarioReport`]s whose counters are a *pure function of the seeds*:
+//! each end-to-end through one runner ([`run_scenario_on`]; in-process,
+//! [`run_scenario`]) on whichever [`Deployment`] the run chose, and
+//! collects [`ScenarioReport`]s whose counters are a *pure function of the
+//! seeds*:
 //!
 //! * deterministic counters — hit/miss composition, sub-iso tests,
 //!   verification budget accounting, maintenance phase counts, final
@@ -40,6 +41,6 @@ pub mod scenario;
 pub use json::Json;
 pub use report::{Drift, MatrixReport, ScenarioReport, SCHEMA_VERSION};
 pub use runner::{
-    assemble_counters, build_cache, finish_report, run_scenario, run_suite_by, SETTLED_COUNTERS,
+    build_cache, run_scenario, run_scenario_on, Deployment, Executor, InProcess, SETTLED_COUNTERS,
 };
 pub use scenario::{Scenario, Suite, WorkloadSpec};

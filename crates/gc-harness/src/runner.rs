@@ -1,21 +1,28 @@
-//! Executes scenarios end-to-end: dataset generation → workload
-//! generation → a [`GraphCache`] built over Method M → batch replay
-//! through the concurrent service API → counter collection.
+//! The one scenario runner: dataset generation → workload generation →
+//! one [`GraphCache`] per daemon over a freshly built Method M → an
+//! [`Executor`] replays the workload in order → counter collection, the
+//! persistence cycle and the reference arm on the first cache.
+//!
+//! Where a query executes is the [`Deployment`]'s choice: [`InProcess`]
+//! calls [`GraphCache::execute`]; `gc_server::bench::Fleet` serves the
+//! same caches through one daemon or a routed fleet. Everything else —
+//! every [`Scenario`] field included — is this module's, once.
 
-use crate::report::{MatrixReport, ScenarioReport, SCHEMA_VERSION};
-use crate::scenario::{Scenario, Suite};
+use crate::report::ScenarioReport;
+use crate::scenario::Scenario;
 use gc_core::{GraphCache, QueryRecord, QueryRequest, RunCounters};
-use gc_graph::GraphDataset;
+use gc_graph::{GraphDataset, LabeledGraph};
 use gc_methods::Method;
 use gc_workload::Workload;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// The cache-side counters every runner appends after the run counters,
-/// in schema order: maintenance
+/// The cache-side counters every executor's [`settle`](Executor::settle)
+/// reports, in schema order after the run counters: maintenance
 /// ([`MaintStats::deterministic_counters`](gc_core::MaintStats::deterministic_counters)),
-/// final cache shape, durability gauges. The in-process runner reads them
-/// from the cache, the served and routed runners from the daemon's
-/// settled `STATS` reply; both look them up through this one list.
+/// final cache shape, durability gauges. In-process they are read from the
+/// cache, over the wire from the daemon's settled `STATS` reply; both are
+/// looked up through this one list.
 pub const SETTLED_COUNTERS: [&str; 12] = [
     "maint_rounds",
     "entries_admitted",
@@ -31,43 +38,100 @@ pub const SETTLED_COUNTERS: [&str; 12] = [
     "recovered_generation",
 ];
 
-/// Runs one scenario and collects its report.
-///
-/// The replay goes through [`GraphCache::run_batch`] — the concurrent
-/// service API — with the scenario's client thread count (suites use 1,
-/// where `run_batch` degenerates to an in-order sequential replay and the
-/// counters are a pure function of the seeds). Wall-clock covers the whole
-/// scenario, generation included, and is advisory only.
+/// A system standing ready to take one scenario's workload. Dropping it
+/// tears the system down, on error paths too.
+pub trait Executor {
+    /// Answers query `id` (its workload position) and returns its record.
+    fn query(&mut self, id: usize, graph: &LabeledGraph) -> Result<QueryRecord, String>;
+
+    /// Folds pending maintenance in and returns the settled stats, named
+    /// as [`SETTLED_COUNTERS`] names them (extra keys are ignored).
+    fn settle(&mut self) -> Result<Vec<(String, u64)>, String>;
+}
+
+/// How a run's scenarios execute: chosen once per run, stood up once per
+/// scenario over the caches the runner built.
+pub trait Deployment {
+    /// Caches the runner builds, one per daemon; the first is the one the
+    /// persistence cycle and the reference arm read.
+    fn daemons(&self) -> usize;
+
+    /// Stands the system up over `caches` (handles onto the runner's own).
+    fn stand_up(
+        &self,
+        scenario: &Scenario,
+        caches: &[GraphCache],
+    ) -> Result<Box<dyn Executor>, String>;
+}
+
+/// In-process execution: [`GraphCache::execute`] in workload order, which
+/// is what [`GraphCache::run_batch`] does with one client thread.
+pub struct InProcess;
+
+impl Deployment for InProcess {
+    fn daemons(&self) -> usize {
+        1
+    }
+
+    fn stand_up(&self, _: &Scenario, caches: &[GraphCache]) -> Result<Box<dyn Executor>, String> {
+        Ok(Box::new(caches[0].clone()))
+    }
+}
+
+impl Executor for GraphCache {
+    fn query(&mut self, _: usize, graph: &LabeledGraph) -> Result<QueryRecord, String> {
+        Ok(self.execute(QueryRequest::from(graph)).result.record)
+    }
+
+    fn settle(&mut self) -> Result<Vec<(String, u64)>, String> {
+        self.flush_pending();
+        Ok(settled_stats(self))
+    }
+}
+
+/// Runs one scenario in-process and collects its report.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
+    run_scenario_on(scenario, &InProcess)
+}
+
+/// Runs one scenario on `deployment` and collects its report: the one
+/// sequence every executor shares. Queries go one at a time in workload
+/// order, so the counters are a pure function of the seeds. Wall-clock
+/// covers generation, construction, the replay and the tear-down, and is
+/// advisory only.
+pub fn run_scenario_on(
+    scenario: &Scenario,
+    deployment: &dyn Deployment,
+) -> Result<ScenarioReport, String> {
+    let named = |e: String| format!("scenario {:?}: {e}", scenario.name);
     let t0 = Instant::now();
     let (dataset, workload) = scenario.generate();
-    let cache = build_cache(scenario, &dataset)?;
-
-    let records: Vec<QueryRecord> = cache
-        .run_batch(workload.graphs().map(QueryRequest::from))
-        .into_iter()
-        .map(|resp| resp.result.record)
-        .collect();
-
-    // Make sure queued maintenance is folded in before reading the
-    // maintenance counters and the final cache shape.
-    cache.flush_pending();
+    let caches = (0..deployment.daemons())
+        .map(|_| build_cache(scenario, &dataset))
+        .collect::<Result<Vec<_>, _>>()?;
+    let Some(cache) = caches.first() else {
+        return Err(named("a deployment needs at least one daemon".into()));
+    };
+    let (records, settled) = {
+        // Dropped at the end of this block, or at the first error.
+        let mut executor = deployment.stand_up(scenario, &caches).map_err(named)?;
+        let records = workload
+            .graphs()
+            .enumerate()
+            .map(|(i, graph)| executor.query(i, graph))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(named)?;
+        (records, executor.settle().map_err(named)?)
+    };
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    let mut counters = assemble_counters(scenario, &records, &settled_stats(&cache))?;
+    let mut counters = assemble_counters(scenario, &records, &settled)?;
     if scenario.persist_cycle {
-        let snapshot_bytes = persist_cycle(scenario, &cache, &dataset)?;
+        let snapshot_bytes = persist_cycle(scenario, cache, &dataset)?;
         counters.push(("persisted_entries".to_string(), cache.cache_len() as u64));
         counters.push(("snapshot_bytes".to_string(), snapshot_bytes as u64));
     }
-    Ok(finish_report(
-        scenario,
-        &dataset,
-        &workload,
-        Some(cache.method()),
-        counters,
-        wall_ms,
-    ))
+    Ok(finish_report(scenario, &workload, cache, counters, wall_ms))
 }
 
 /// An in-process cache's values for [`SETTLED_COUNTERS`], named as the
@@ -95,7 +159,7 @@ fn settled_stats(cache: &GraphCache) -> Vec<(String, u64)> {
 /// up by name in `settled`. Extra `settled` keys (a daemon's session
 /// gauges, a router's placement counters) are ignored; a missing one is
 /// an error.
-pub fn assemble_counters(
+fn assemble_counters(
     scenario: &Scenario,
     records: &[QueryRecord],
     settled: &[(String, u64)],
@@ -119,26 +183,23 @@ pub fn assemble_counters(
 
 /// Wraps a finished replay's counters into the scenario's report. When
 /// the scenario names a [`reference`](Scenario::reference) method, its
-/// uncached replay runs here, so every runner reports it the same way.
-/// `cached` is the replayed cache's Method M when the runner still holds
-/// it: a reference of the same kind reuses it instead of building its
-/// index again (Method M keeps no state between queries).
-pub fn finish_report(
+/// uncached replay runs here; a reference of the cache's own kind reuses
+/// the cache's Method M instead of building its index again (Method M
+/// keeps no state between queries).
+fn finish_report(
     scenario: &Scenario,
-    dataset: &GraphDataset,
     workload: &Workload,
-    cached: Option<&Method>,
+    cache: &GraphCache,
     mut counters: Vec<(String, u64)>,
     wall_ms: f64,
 ) -> ScenarioReport {
     let reference_ms = scenario.reference.map(|kind| {
         let built;
-        let method = match cached {
-            Some(method) if kind == scenario.method => method,
-            _ => {
-                built = kind.build(dataset);
-                &built
-            }
+        let method = if kind == scenario.method {
+            cache.method()
+        } else {
+            built = kind.build(cache.method().dataset());
+            &built
         };
         let (arm, ms) = reference_arm(scenario, method, workload);
         counters.extend(arm);
@@ -179,19 +240,13 @@ fn reference_arm(
     (counters.map(|(k, v)| (k.to_string(), v)).to_vec(), ms)
 }
 
-/// Builds the scenario's cache over a freshly built Method M. Factored
-/// out so the persistence cycle can stand up a second, identically
-/// configured cache to restore into, and public so the served/routed
-/// bench runners construct their daemons' caches (one per fleet peer)
-/// through the exact same path — any construction drift would show up
-/// as counter drift against the shared baseline. Expensiveness is a
+/// Builds the scenario's cache over a freshly built Method M: the runner's
+/// one cache per daemon, and the persistence cycle's second, identically
+/// configured cache to restore into. Expensiveness is a
 /// query's verification work, never a clock reading, so admission
 /// decisions, greedy-dual credits and policy statistics are a pure
 /// function of the seeds even on a busy CI box.
-pub fn build_cache(
-    scenario: &Scenario,
-    dataset: &gc_graph::GraphDataset,
-) -> Result<GraphCache, String> {
+pub fn build_cache(scenario: &Scenario, dataset: &GraphDataset) -> Result<GraphCache, String> {
     let method = scenario.method.build(dataset);
     let mut builder = GraphCache::builder()
         .capacity(scenario.capacity)
@@ -228,11 +283,15 @@ pub fn build_cache(
 fn persist_cycle(
     scenario: &Scenario,
     cache: &GraphCache,
-    dataset: &gc_graph::GraphDataset,
+    dataset: &GraphDataset,
 ) -> Result<usize, String> {
+    // Unique per process and per call: two runs of one scenario (the
+    // parity tests) may cycle at the same time.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     let root = std::env::temp_dir().join(format!(
-        "gc-harness-persist-{}-{}",
+        "gc-harness-persist-{}-{}-{}",
         std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed),
         scenario.name
     ));
     let result = persist_cycle_in(scenario, cache, dataset, &root);
@@ -245,7 +304,7 @@ fn persist_cycle(
 fn persist_cycle_in(
     scenario: &Scenario,
     cache: &GraphCache,
-    dataset: &gc_graph::GraphDataset,
+    dataset: &GraphDataset,
     root: &std::path::Path,
 ) -> Result<usize, String> {
     let ctx = |stage: &str, e: String| {
@@ -289,37 +348,11 @@ fn persist_cycle_in(
     Ok(original.len())
 }
 
-/// Runs every scenario of a suite, in order, through `run_one` — the
-/// in-process [`run_scenario`] or one of `gc_server::bench`'s served and
-/// routed runners — calling `progress` after each scenario completes (the
-/// CLI prints its table rows through this without the harness knowing
-/// about stdout).
-pub fn run_suite_by<R, P>(
-    suite: Suite,
-    mut run_one: R,
-    mut progress: P,
-) -> Result<MatrixReport, String>
-where
-    R: FnMut(&Scenario) -> Result<ScenarioReport, String>,
-    P: FnMut(&ScenarioReport),
-{
-    let mut scenarios = Vec::new();
-    for scenario in suite.scenarios() {
-        let report = run_one(&scenario)?;
-        progress(&report);
-        scenarios.push(report);
-    }
-    Ok(MatrixReport {
-        schema_version: SCHEMA_VERSION,
-        suite: suite.name().to_string(),
-        scenarios,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::WorkloadSpec;
+    use crate::report::{MatrixReport, SCHEMA_VERSION};
+    use crate::scenario::{Suite, WorkloadSpec};
     use gc_methods::MethodKind;
 
     fn tiny() -> Scenario {
@@ -509,7 +542,7 @@ mod tests {
 
     #[test]
     fn batch_runner_matches_workload_order() {
-        // run_scenario skips the warm-up by position, so run_batch must
+        // RunCounters skip the warm-up by position, so run_batch must
         // return records in workload order even with several clients.
         let mut s = tiny();
         s.threads = 4;

@@ -145,10 +145,12 @@ pub struct Scenario {
     pub shards: usize,
     /// Per-query hit-verification work budget; `None` = unbounded.
     pub verify_budget: Option<u64>,
-    /// Client threads for `run_batch`. Suites keep this at 1: with one
-    /// client the counter stream is a pure function of the seeds, which is
-    /// what the regression gate relies on. Values > 1 exercise the
-    /// concurrent path but make admission order scheduling-dependent.
+    /// The cache's worker threads ([`GraphCacheBuilder::threads`]; shards
+    /// follow it when `shards` is 0). The runner replays one query at a
+    /// time in workload order whatever the value; suites keep it at 1, so
+    /// a cache's layout is the same on every host.
+    ///
+    /// [`GraphCacheBuilder::threads`]: gc_core::GraphCacheBuilder::threads
     pub threads: usize,
     /// Subgraph or supergraph semantics.
     pub kind: QueryKind,
@@ -611,9 +613,9 @@ mod tests {
 
     #[test]
     fn suites_keep_one_client_thread() {
-        // The regression gate only holds with a sequential client; a suite
-        // scenario quietly flipping to threads > 1 would make the
-        // committed baseline flaky.
+        // The committed baselines were recorded with one worker thread
+        // (and so one shard); a suite scenario quietly flipping to
+        // threads > 1 would change its cache layout under the gate.
         for suite in Suite::ALL {
             for s in suite.scenarios() {
                 assert_eq!(s.threads, 1, "{}", s.name);

@@ -24,10 +24,12 @@
 //! * [`router`] — `gc route`: the fingerprint-routing front-end that
 //!   fans one query stream across a fleet of routed peers (consistent
 //!   hashing over iso-fingerprints, probe fanout, lockstep replication);
-//! * [`mod@bench`] — served-mode suite execution for `gc bench --serve`
-//!   and `gc bench --route`, which pins the acceptance bar: counters
-//!   served over the socket — through one daemon or a routed fleet —
-//!   are byte-identical to the in-process runner's for the same seeds.
+//! * [`mod@bench`] — the [`bench::Fleet`] deployment behind
+//!   `gc bench --serve` and `gc bench --route N`: the harness's one
+//!   scenario runner with the workload served over sockets. Its parity
+//!   table pins the acceptance bar: counters served through one daemon or
+//!   a routed fleet are byte-identical to the in-process run's for the
+//!   same seeds.
 //!
 //! The one `unsafe` block in the workspace lives here, fenced inside
 //! `server::signal`: a two-line `signal(2)` binding (std has no signal

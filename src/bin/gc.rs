@@ -172,9 +172,11 @@ use graphcache::core::{
     registry, GraphCache, GraphCacheBuilder, PolicyError, QueryKind, QueryRequest, RunCounters,
 };
 use graphcache::graph::{io, GraphDataset};
-use graphcache::harness::{run_scenario, run_suite_by, MatrixReport, Suite};
+use graphcache::harness::{
+    run_scenario_on, Deployment, InProcess, MatrixReport, Suite, SCHEMA_VERSION,
+};
 use graphcache::methods::{Method, MethodKind};
-use graphcache::server::bench::{run_scenario_routed, run_scenario_served};
+use graphcache::server::bench::Fleet;
 use graphcache::server::{
     Client, ClientError, PeerIdentity, QueryFrame, QueryOutcome, RetryPolicy, Router, RouterConfig,
     ServeConfig, Server, StatsScope,
@@ -1104,15 +1106,23 @@ fn cmd_bench(args: &[String]) -> CliResult {
             "--serve and --route are mutually exclusive",
         ));
     }
+    // One runner, three deployments: in-process, one daemon on a private
+    // unix socket, or a routed fleet behind a gc route front-end. The wire
+    // paths must match the in-process counters byte-for-byte, so --check
+    // gates all three (and any fleet size) against one baseline.
+    let (deployment, via): (Box<dyn Deployment>, String) = match routed {
+        Some(peers) => (
+            Box::new(Fleet::routed(peers)),
+            format!(", via {peers}-peer routed fleet"),
+        ),
+        None if served => (Box::new(Fleet::served()), ", via gc serve daemon".into()),
+        None => (Box::new(InProcess), String::new()),
+    };
+    let scenarios = suite.scenarios();
     println!(
-        "running suite {} ({} scenarios{})...",
+        "running suite {} ({} scenarios{via})...",
         suite.name(),
-        suite.scenarios().len(),
-        match routed {
-            Some(peers) => format!(", via {peers}-peer routed fleet"),
-            None if served => ", via gc serve daemon".to_string(),
-            None => String::new(),
-        }
+        scenarios.len(),
     );
     println!(
         "{:<30} {:>7} {:>9} {:>9} {:>9} {:>7} {:>9} {:>8} {:>8}",
@@ -1126,7 +1136,13 @@ fn cmd_bench(args: &[String]) -> CliResult {
         "tests-x",
         "work-x"
     );
-    let progress = |s: &graphcache::harness::ScenarioReport| {
+    let mut report = MatrixReport {
+        schema_version: SCHEMA_VERSION,
+        suite: suite.name().to_string(),
+        scenarios: Vec::with_capacity(scenarios.len()),
+    };
+    for scenario in &scenarios {
+        let s = run_scenario_on(scenario, deployment.as_ref()).map_err(CliError::Runtime)?;
         // Speed-ups over the uncached reference arm, when the scenario has one.
         let (tests_x, work_x) = match s.speedups() {
             Some((tests, work)) => (format!("{tests:.2}"), format!("{work:.2}")),
@@ -1144,20 +1160,8 @@ fn cmd_bench(args: &[String]) -> CliResult {
             tests_x,
             work_x,
         );
-    };
-    // One suite loop, three executors. The served path replays every
-    // scenario through the daemon on a private unix socket, the routed
-    // path through a fleet of routed peers behind a gc route front-end;
-    // both must match the in-process counters byte-for-byte, so --check
-    // gates all three (and any fleet size) against one baseline.
-    let report = if let Some(peers) = routed {
-        run_suite_by(suite, |s| run_scenario_routed(s, peers), progress)
-    } else if served {
-        run_suite_by(suite, run_scenario_served, progress)
-    } else {
-        run_suite_by(suite, run_scenario, progress)
+        report.scenarios.push(s);
     }
-    .map_err(CliError::Runtime)?;
 
     if let Some(path) = opts.get("json") {
         let text = report.to_json(opts.contains_key("timings"));

@@ -16,7 +16,7 @@
 //! hit_path`) so the ordering/budget logic is exercised with optimizations.
 
 use graphcache::core::processors::{exact_probe, find_hits_naive, sweep, HitQuery, VerifyOptions};
-use graphcache::core::{CacheEntry, CacheSnapshot, HitSet, QueryIndexConfig, QuerySerial};
+use graphcache::core::{CacheEntry, CacheSnapshot, HitSet, QuerySerial, QUERY_INDEX_SHAPE};
 use graphcache::index::paths::enumerate_paths;
 use graphcache::prelude::*;
 use graphcache::subiso::Vf2;
@@ -42,8 +42,8 @@ fn seeded_graph(seed: u64) -> LabeledGraph {
 
 fn entry_for(serial: QuerySerial, seed: u64) -> Arc<CacheEntry> {
     let graph = seeded_graph(seed);
-    let cfg = QueryIndexConfig::default();
-    let profile = enumerate_paths(&graph, cfg.max_path_len, cfg.work_cap);
+    let shape = QUERY_INDEX_SHAPE;
+    let profile = enumerate_paths(&graph, shape.max_len, shape.work_cap);
     Arc::new(CacheEntry::new(
         serial,
         Arc::new(graph),
@@ -79,7 +79,7 @@ proptest! {
         seeds in pvec(0u64..4_000, 1..40usize),
         probe_seed in 0u64..4_000,
     ) {
-        let cfg = QueryIndexConfig::default();
+        let shape = QUERY_INDEX_SHAPE;
         let entries: Vec<Arc<CacheEntry>> = seeds
             .iter()
             .enumerate()
@@ -92,7 +92,7 @@ proptest! {
             entries[probe_seed as usize % entries.len()].graph.as_ref().clone(),
         ];
         for shards in [1usize, 4, 16] {
-            let snap = CacheSnapshot::build_sharded(cfg, shards, entries.clone());
+            let snap = CacheSnapshot::build_sharded(shape, shards, entries.clone());
             for probe in &probes {
                 let naive = find_hits_naive(
                     &snap, probe, QueryKind::Subgraph, &Vf2::new(),
@@ -115,14 +115,14 @@ proptest! {
         probe_seed in 0u64..4_000,
         budget in 0u64..2_000,
     ) {
-        let cfg = QueryIndexConfig::default();
+        let shape = QUERY_INDEX_SHAPE;
         let entries: Vec<Arc<CacheEntry>> = seeds
             .iter()
             .enumerate()
             .map(|(i, &s)| entry_for(i as u64 + 1, s))
             .collect();
         let probe = seeded_graph(probe_seed);
-        let snap = CacheSnapshot::build_sharded(cfg, 4, entries);
+        let snap = CacheSnapshot::build_sharded(shape, 4, entries);
         let full = pipeline(&snap, &probe, &VerifyOptions::default());
         let budgeted = pipeline(&snap, &probe, &VerifyOptions {
             budget: Some(budget),
@@ -153,14 +153,14 @@ proptest! {
         probe_seed in 0u64..4_000,
         max_hits in 1usize..4,
     ) {
-        let cfg = QueryIndexConfig::default();
+        let shape = QUERY_INDEX_SHAPE;
         let entries: Vec<Arc<CacheEntry>> = seeds
             .iter()
             .enumerate()
             .map(|(i, &s)| entry_for(i as u64 + 1, s))
             .collect();
         let probe = seeded_graph(probe_seed);
-        let snap = CacheSnapshot::build_sharded(cfg, 4, entries);
+        let snap = CacheSnapshot::build_sharded(shape, 4, entries);
         let full = pipeline(&snap, &probe, &VerifyOptions::default());
         let capped = pipeline(&snap, &probe, &VerifyOptions {
             max_hits: Some(max_hits),
@@ -182,10 +182,10 @@ proptest! {
 /// alone — no profile, zero candidate sub-iso tests — across shard counts.
 #[test]
 fn exact_repeat_zero_tests_via_fingerprint() {
-    let cfg = QueryIndexConfig::default();
+    let shape = QUERY_INDEX_SHAPE;
     let entries: Vec<Arc<CacheEntry>> = (0..25u64).map(|s| entry_for(s + 1, s * 17)).collect();
     for shards in [1usize, 4, 16] {
-        let snap = CacheSnapshot::build_sharded(cfg, shards, entries.clone());
+        let snap = CacheSnapshot::build_sharded(shape, shards, entries.clone());
         for probe_entry in entries.iter().step_by(5) {
             let probe = probe_entry.graph.as_ref();
             let hits = exact_probe(

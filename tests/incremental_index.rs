@@ -15,8 +15,8 @@
 //!   same cached set under the same deterministic policy.
 
 use graphcache::core::{
-    find_hits_naive, find_hits_opts, shard_for, CacheEntry, CacheSnapshot, GraphCache, HitQuery,
-    Probe, QueryIndexConfig, QuerySerial, Shard, VerifyOptions,
+    exact_probe, find_hits_naive, shard_for, sweep, CacheEntry, CacheSnapshot, GraphCache,
+    HitQuery, Probe, QuerySerial, Shard, VerifyOptions, QUERY_INDEX_SHAPE,
 };
 use graphcache::index::fx::FxHashMap;
 use graphcache::index::paths::{enumerate_paths, FeatureKey, PathProfile};
@@ -47,8 +47,8 @@ fn seeded_graph(seed: u64) -> LabeledGraph {
 
 fn entry_for(serial: QuerySerial, seed: u64) -> Arc<CacheEntry> {
     let graph = seeded_graph(seed);
-    let cfg = QueryIndexConfig::default();
-    let profile = enumerate_paths(&graph, cfg.max_path_len, cfg.work_cap);
+    let shape = QUERY_INDEX_SHAPE;
+    let profile = enumerate_paths(&graph, shape.max_len, shape.work_cap);
     Arc::new(CacheEntry::new(
         serial,
         Arc::new(graph),
@@ -80,7 +80,7 @@ proptest! {
         ops in pvec((0u8..4, 0u64..1_000_000), 1..80usize),
         n_shards in 1usize..6,
     ) {
-        let cfg = QueryIndexConfig::default();
+        let shape = QUERY_INDEX_SHAPE;
         // The incrementally maintained state: one Arc per shard, patched
         // exactly like window::maintain patches the live shards.
         let mut shards: Vec<Arc<Shard>> =
@@ -118,8 +118,8 @@ proptest! {
             }
         }
 
-        let incremental = CacheSnapshot::from_shards(cfg, shards.clone());
-        let fresh = CacheSnapshot::build_sharded(cfg, n_shards, live.clone());
+        let incremental = CacheSnapshot::from_shards(shape, shards.clone());
+        let fresh = CacheSnapshot::build_sharded(shape, n_shards, live.clone());
         prop_assert_eq!(incremental.len(), live.len());
         for (i, shard) in shards.iter().enumerate() {
             prop_assert_eq!(shard.check_invariants(i, n_shards), Ok(()));
@@ -132,7 +132,7 @@ proptest! {
             let want = fresh.candidate_serials(&probe);
             prop_assert_eq!(&got, &want, "probe {:?}", &probe);
             // And as sets they match the monolithic single-shard build.
-            let flat = CacheSnapshot::build(cfg, live.clone());
+            let flat = CacheSnapshot::build(shape, live.clone());
             let (mut fs, mut fp) = flat.candidate_serials(&probe);
             let (mut gs, mut gp) = got;
             fs.sort_unstable();
@@ -150,7 +150,7 @@ proptest! {
             compacted.compact();
             let rebuilt = Shard::build(shard.live_entries().cloned().collect());
             for probe in probes() {
-                let profile = enumerate_paths(&probe, cfg.max_path_len, cfg.work_cap);
+                let profile = enumerate_paths(&probe, shape.max_len, shape.work_cap);
                 let (qn, qm) = (probe.node_count() as u32, probe.edge_count() as u32);
                 let probe = Probe::new(&profile, (qn, qm));
                 let a = compacted.candidates(&probe);
@@ -167,13 +167,13 @@ proptest! {
         serials in pvec(1u64..10_000, 1..40usize),
         n_shards in 1usize..8,
     ) {
-        let cfg = QueryIndexConfig::default();
+        let shape = QUERY_INDEX_SHAPE;
         let mut unique = serials.clone();
         unique.sort_unstable();
         unique.dedup();
         let entries: Vec<Arc<CacheEntry>> =
             unique.iter().map(|&s| entry_for(s, s)).collect();
-        let snap = CacheSnapshot::build_sharded(cfg, n_shards, entries);
+        let snap = CacheSnapshot::build_sharded(shape, n_shards, entries);
         for &s in &unique {
             prop_assert_eq!(snap.entry(s).map(|e| e.serial), Some(s));
         }
@@ -188,7 +188,8 @@ proptest! {
     /// The pipeline's gather (packed columns, cost order, fingerprint
     /// fast path) is an implementation detail: for any churned state —
     /// tombstones included — and after hot-ranked compaction reorders the
-    /// slots, [`find_hits_opts`] returns exactly the `HitSet` of the flat
+    /// slots, the query path's [`exact_probe`] handing its refutations to
+    /// [`sweep`] returns exactly the `HitSet` of the flat
     /// [`find_hits_naive`] sweep, which tests every candidate slot in slot
     /// order. Both read their candidates from the same
     /// [`Shard::candidates`] pass, so this cannot see a filter that drops
@@ -203,10 +204,10 @@ proptest! {
         shard_sel in 0usize..3,
     ) {
         let n_shards = [1usize, 4, 16][shard_sel];
-        let cfg = QueryIndexConfig::default();
+        let shape = QUERY_INDEX_SHAPE;
         let entry_with_kind = |serial: QuerySerial, seed: u64| {
             let graph = seeded_graph(seed);
-            let profile = enumerate_paths(&graph, cfg.max_path_len, cfg.work_cap);
+            let profile = enumerate_paths(&graph, shape.max_len, shape.work_cap);
             let kind = if seed.is_multiple_of(3) {
                 QueryKind::Supergraph
             } else {
@@ -246,12 +247,10 @@ proptest! {
                     &Vf2::new(),
                 );
                 let profile = snap.profile_of(&probe);
-                let swept = find_hits_opts(
-                    snap,
-                    &HitQuery::new(&probe, QueryKind::Subgraph, &profile),
-                    &Vf2::new(),
-                    &VerifyOptions::default(),
-                );
+                let hq = HitQuery::new(&probe, QueryKind::Subgraph, &profile);
+                let (vf2, opts) = (Vf2::new(), VerifyOptions::default());
+                let exact = exact_probe(snap, &probe, hq.kind, hq.fingerprint, &vf2, &opts);
+                let swept = sweep(snap, &hq, exact, &vf2, &opts);
                 prop_assert_eq!(&swept.sub, &naive.sub, "sub hits, probe {:?}", &probe);
                 prop_assert_eq!(&swept.super_, &naive.super_, "super hits, probe {:?}", &probe);
                 prop_assert_eq!(swept.exact, naive.exact, "exact hit, probe {:?}", &probe);
@@ -259,7 +258,7 @@ proptest! {
         };
 
         // Churned layout: live slots interleaved with tombstones.
-        check(&CacheSnapshot::from_shards(cfg, shards.clone()));
+        check(&CacheSnapshot::from_shards(shape, shards.clone()));
 
         // Hot-packed layout: every shard compacted with an arbitrary
         // maintenance rank, reordering slots (and the columns and answer
@@ -270,7 +269,7 @@ proptest! {
                 Arc::new(s.compacted_ranked(|serial| ranks[serial as usize % ranks.len()]))
             })
             .collect();
-        check(&CacheSnapshot::from_shards(cfg, ranked));
+        check(&CacheSnapshot::from_shards(shape, ranked));
     }
 }
 
