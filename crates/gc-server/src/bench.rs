@@ -222,27 +222,46 @@ mod tests {
 
     /// The parity table's columns: one scenario per `Scenario` path the
     /// wire must honour exactly as the in-process run does.
-    fn columns() -> Vec<Scenario> {
-        let plain = tiny("parity-plain");
-        let mut budget = tiny("parity-budget");
-        budget.verify_budget = Some(400);
-        budget.admission = Some("adaptive".into());
-        budget.eviction = "gcr".into();
-        let mut fragments = tiny("parity-fragments");
-        fragments.fragments = true;
-        fragments.method = MethodKind::SiVf2;
-        fragments.workload = WorkloadSpec::Zz(1.05);
-        let mut persist = tiny("parity-persist");
-        persist.persist_cycle = true;
-        vec![plain, budget, fragments, persist]
+    fn plain() -> Scenario {
+        tiny("parity-plain")
     }
 
-    /// One row of the parity table: every column's counters and config on
+    /// The budgeted/admission-gated path, where the verification pool and
+    /// admission threshold are live.
+    fn budget() -> Scenario {
+        let mut s = tiny("parity-budget");
+        s.verify_budget = Some(400);
+        s.admission = Some("adaptive".into());
+        s.eviction = "gcr".into();
+        s
+    }
+
+    /// The fragment layer live: fragment counters in the RESULT frames and
+    /// fragment upkeep counters in STATS.
+    fn fragments() -> Scenario {
+        let mut s = tiny("parity-fragments");
+        s.fragments = true;
+        s.method = MethodKind::SiVf2;
+        s.workload = WorkloadSpec::Zz(1.05);
+        s
+    }
+
+    fn persist() -> Scenario {
+        let mut s = tiny("parity-persist");
+        s.persist_cycle = true;
+        s
+    }
+
+    fn columns() -> Vec<Scenario> {
+        vec![plain(), budget(), fragments(), persist()]
+    }
+
+    /// Cells of the parity table: each column's counters and config on
     /// `fleet` equal the in-process run's.
-    fn parity_row(fleet: Fleet) {
-        for s in columns() {
+    fn parity(fleet: &Fleet, columns: Vec<Scenario>) {
+        for s in columns {
             let in_process = run_scenario(&s).expect("in-process run");
-            let wire = run_scenario_on(&s, &fleet).expect("wire run");
+            let wire = run_scenario_on(&s, fleet).expect("wire run");
             assert_eq!(wire.counters, in_process.counters, "{fleet:?} {}", s.name);
             assert_eq!(wire.config, in_process.config, "{fleet:?} {}", s.name);
             if s.fragments {
@@ -257,9 +276,26 @@ mod tests {
         }
     }
 
+    /// One row of the parity table: every column on `fleet`.
+    fn parity_row(fleet: Fleet) {
+        parity(&fleet, columns());
+    }
+
+    /// The served row is split across three tests so each column fails
+    /// under its own name.
     #[test]
     fn served_counters_match_in_process() {
-        parity_row(Fleet::served());
+        parity(&Fleet::served(), vec![plain(), persist()]);
+    }
+
+    #[test]
+    fn served_counters_match_with_budget_and_admission() {
+        parity(&Fleet::served(), vec![budget()]);
+    }
+
+    #[test]
+    fn served_counters_match_with_fragments() {
+        parity(&Fleet::served(), vec![fragments()]);
     }
 
     #[test]
