@@ -8,7 +8,10 @@
 //!
 //! The sweep group asserts its invariants before timing anything: both
 //! forms return the same outcomes, and their summed `nodes_expanded` is at
-//! most half of what id-order VF2 expanded on the same sweep.
+//! most half of what id-order VF2 expanded on the same sweep and at most
+//! 0.6× of what VF2 expanded with a label-blind lookahead. CI runs this
+//! bench (`cargo bench -p gc-bench --bench subiso -- sweep`) as the
+//! matcher work gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gc_graph::random::bfs_edge_subgraph;
@@ -104,6 +107,10 @@ fn work(outcomes: &[MatchOutcome]) -> u64 {
 /// nodes in id order (the order before most-constrained-first).
 const ID_ORDER_SWEEP_WORK: u64 = 329_668;
 
+/// The same under most-constrained-first VF2 whose lookahead counted free
+/// target neighbours of any label (before the label-aware lookahead).
+const LABEL_BLIND_SWEEP_WORK: u64 = 75_953;
+
 fn bench_sweep(c: &mut Criterion) {
     let d = datasets::aids_like(0.2, 5);
     let sweeps = Sweeps::new(&d);
@@ -115,7 +122,7 @@ fn bench_sweep(c: &mut Criterion) {
     assert_eq!(each, per_pair, "contains_each must equal the per-pair loop");
     println!(
         "sweep: {} queries, {} GGSX candidates, {} found, {} nodes expanded either way \
-         ({ID_ORDER_SWEEP_WORK} in id order)",
+         ({ID_ORDER_SWEEP_WORK} in id order, {LABEL_BLIND_SWEEP_WORK} label-blind)",
         sweeps.queries.len(),
         per_pair.len(),
         per_pair.iter().filter(|o| o.found).count(),
@@ -124,6 +131,10 @@ fn bench_sweep(c: &mut Criterion) {
     assert!(
         2 * work(&per_pair) <= ID_ORDER_SWEEP_WORK,
         "most-constrained-first VF2 must expand at most half the id-order nodes"
+    );
+    assert!(
+        5 * work(&per_pair) <= 3 * LABEL_BLIND_SWEEP_WORK,
+        "the label-aware lookahead must expand at most 0.6x the label-blind nodes"
     );
 
     // ---- Wall-clock comparison of the same sweep. ----

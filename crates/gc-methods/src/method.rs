@@ -4,7 +4,7 @@
 use gc_graph::{idset, GraphDataset, GraphId, LabeledGraph};
 use gc_index::paths::{PathEnumeration, PathShape};
 use gc_index::{CandidateSet, FilterIndex};
-use gc_subiso::{MatchConfig, MatchStats, Matcher};
+use gc_subiso::{MatchConfig, MatchOutcome, MatchStats, Matcher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -187,11 +187,9 @@ impl Method {
         };
         let mut stats = MatchStats::default();
         let mut answer = Vec::new();
-        for &(id, found, work) in &outcomes {
-            stats.tests += 1;
-            stats.positives += found as u64;
-            stats.nodes_expanded += work;
-            if found {
+        for &(id, out) in &outcomes {
+            stats.record(out);
+            if out.found {
                 answer.push(id);
             }
         }
@@ -199,12 +197,15 @@ impl Method {
             answer,
             duration: t0.elapsed(),
             stats,
-            outcomes,
+            outcomes: outcomes
+                .into_iter()
+                .map(|(id, out)| (id, out.found, out.nodes_expanded))
+                .collect(),
         }
     }
 
-    fn test_one(&self, query: &LabeledGraph, id: GraphId, kind: QueryKind) -> (bool, u64) {
-        let out = match kind {
+    fn test_one(&self, query: &LabeledGraph, id: GraphId, kind: QueryKind) -> MatchOutcome {
+        match kind {
             QueryKind::Subgraph => {
                 self.matcher
                     .contains_with(query, self.dataset.graph(id), &self.match_config)
@@ -213,8 +214,7 @@ impl Method {
                 self.matcher
                     .contains_with(self.dataset.graph(id), query, &self.match_config)
             }
-        };
-        (out.found, out.nodes_expanded)
+        }
     }
 
     /// A subgraph query is the pattern of every test, so the matcher sweeps
@@ -225,7 +225,7 @@ impl Method {
         query: &LabeledGraph,
         candidates: &[GraphId],
         kind: QueryKind,
-    ) -> Vec<(GraphId, bool, u64)> {
+    ) -> Vec<(GraphId, MatchOutcome)> {
         match kind {
             QueryKind::Subgraph => {
                 let targets: Vec<&LabeledGraph> = candidates
@@ -235,18 +235,11 @@ impl Method {
                 let mut outcomes = Vec::with_capacity(candidates.len());
                 self.matcher
                     .contains_each(query, &targets, &self.match_config, &mut outcomes);
-                candidates
-                    .iter()
-                    .zip(outcomes)
-                    .map(|(&id, out)| (id, out.found, out.nodes_expanded))
-                    .collect()
+                candidates.iter().copied().zip(outcomes).collect()
             }
             QueryKind::Supergraph => candidates
                 .iter()
-                .map(|&id| {
-                    let (found, work) = self.test_one(query, id, kind);
-                    (id, found, work)
-                })
+                .map(|&id| (id, self.test_one(query, id, kind)))
                 .collect(),
         }
     }
@@ -256,10 +249,10 @@ impl Method {
         query: &LabeledGraph,
         candidates: &[GraphId],
         kind: QueryKind,
-    ) -> Vec<(GraphId, bool, u64)> {
+    ) -> Vec<(GraphId, MatchOutcome)> {
         let next = AtomicUsize::new(0);
         let workers = self.threads.min(candidates.len());
-        let shards: Vec<Vec<(GraphId, bool, u64)>> = std::thread::scope(|s| {
+        let shards: Vec<Vec<(GraphId, MatchOutcome)>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let next = &next;
@@ -271,8 +264,7 @@ impl Method {
                                 break;
                             }
                             let id = candidates[i];
-                            let (found, work) = self.test_one(query, id, kind);
-                            local.push((id, found, work));
+                            local.push((id, self.test_one(query, id, kind)));
                         }
                         local
                     })
@@ -283,8 +275,8 @@ impl Method {
                 .map(|h| h.join().expect("verifier thread panicked"))
                 .collect()
         });
-        let mut all: Vec<(GraphId, bool, u64)> = shards.into_iter().flatten().collect();
-        all.sort_unstable_by_key(|(id, _, _)| *id);
+        let mut all: Vec<(GraphId, MatchOutcome)> = shards.into_iter().flatten().collect();
+        all.sort_unstable_by_key(|&(id, _)| id);
         all
     }
 

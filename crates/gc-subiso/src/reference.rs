@@ -7,6 +7,12 @@
 //!   next node at every recursion call. The most-constrained-first VF2
 //!   expands different search nodes, so it is held to the reference's
 //!   *answers*: decisions, counts and embeddings;
+//! * [`vf2_label_blind::Vf2`] — the compiled VF2 on the same plan, with the
+//!   lookahead that counts free target neighbours of any label. The
+//!   shipped VF2's label-aware lookahead only cuts branches this one
+//!   explores, so it is held to the same outcomes under any budget that
+//!   does not trip, the same counts and embeddings, and at most the same
+//!   `nodes_expanded`;
 //! * [`vf2_plus::Vf2Plus`] — VF2+ with a lookahead that allocates per call
 //!   and a `HashMap` label index, which the shipped VF2+ must equal step for
 //!   step.
@@ -239,6 +245,155 @@ pub(crate) mod vf2 {
                         flow?;
                     }
                 }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// The compiled VF2 with the lookahead it had before it read labels: a
+/// candidate needs only as many unused target neighbours, of any label, as
+/// its node has pattern neighbours mapped later. Same plan, same order, so
+/// the shipped VF2 must expand no more nodes than this on any test.
+pub(crate) mod vf2_label_blind {
+    use super::quick_reject;
+    use crate::common::{Found, Work};
+    use crate::vf2::{Driver, Plan, Step};
+    use crate::{MatchConfig, MatchOutcome, Matcher};
+    use gc_graph::{LabeledGraph, NodeId};
+    use std::ops::ControlFlow;
+
+    /// The label-blind compiled VF2.
+    pub(crate) struct Vf2;
+
+    impl Matcher for Vf2 {
+        fn name(&self) -> &'static str {
+            "VF2 (label-blind lookahead)"
+        }
+
+        fn contains_with(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+            cfg: &MatchConfig,
+        ) -> MatchOutcome {
+            run(pattern, target, cfg, &mut Driver::decide())
+        }
+
+        fn find_embedding(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+        ) -> Option<Vec<NodeId>> {
+            let mut driver = Driver::find();
+            run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+            driver.embedding
+        }
+
+        fn count_embeddings(
+            &self,
+            pattern: &LabeledGraph,
+            target: &LabeledGraph,
+            limit: u64,
+        ) -> u64 {
+            let mut driver = Driver::count(limit);
+            run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+            driver.count
+        }
+    }
+
+    fn run(
+        pattern: &LabeledGraph,
+        target: &LabeledGraph,
+        cfg: &MatchConfig,
+        driver: &mut Driver,
+    ) -> MatchOutcome {
+        if pattern.node_count() == 0 {
+            driver.on_embedding(&[]);
+            return MatchOutcome {
+                found: true,
+                complete: true,
+                nodes_expanded: 0,
+            };
+        }
+        let mut work = Work::new(cfg.budget);
+        if !quick_reject(pattern, target) {
+            let plan = Plan::build(pattern);
+            let mut st = State {
+                plan: &plan,
+                t: target,
+                core_p: vec![None; pattern.node_count()],
+                img: vec![0; pattern.node_count()],
+                used: vec![false; target.node_count()],
+            };
+            let _ = search(&mut st, 0, &mut work, driver);
+        }
+        MatchOutcome {
+            found: driver.found,
+            complete: !work.exhausted,
+            nodes_expanded: work.nodes,
+        }
+    }
+
+    struct State<'a> {
+        plan: &'a Plan,
+        t: &'a LabeledGraph,
+        core_p: Vec<Option<NodeId>>,
+        img: Vec<NodeId>,
+        used: Vec<bool>,
+    }
+
+    impl State<'_> {
+        fn feasible(&self, step: &Step, v: NodeId) -> bool {
+            let t = self.t;
+            if step.label != t.label(v) || self.used[v as usize] {
+                return false;
+            }
+            if step.degree as usize > t.degree(v) {
+                return false;
+            }
+            let back = &self.plan.back[step.back_lo as usize..step.back_hi as usize];
+            if back.iter().any(|&b| !t.has_edge(self.img[b as usize], v)) {
+                return false;
+            }
+            // The pattern neighbours mapped later, whatever their labels.
+            let need: u32 = self.plan.back[step.back_hi as usize..step.ahead_hi as usize]
+                .chunks_exact(2)
+                .map(|pair| pair[1])
+                .sum();
+            let free = t.neighbors(v).iter().filter(|&&x| !self.used[x as usize]);
+            free.count() as u32 >= need
+        }
+    }
+
+    fn search(
+        st: &mut State<'_>,
+        depth: usize,
+        work: &mut Work,
+        driver: &mut Driver,
+    ) -> ControlFlow<()> {
+        let plan = st.plan;
+        let Some(step) = plan.steps.get(depth) else {
+            return match driver.on_embedding(&st.core_p) {
+                Found::Stop => ControlFlow::Break(()),
+                Found::Continue => ControlFlow::Continue(()),
+            };
+        };
+        let t = st.t;
+        let cands = match step.anchor {
+            Some(a) => t.neighbors(st.img[a as usize]),
+            None => t.nodes_with_label(step.label),
+        };
+        for &v in cands {
+            work.step()?;
+            if st.feasible(step, v) {
+                st.img[depth] = v;
+                st.core_p[step.node as usize] = Some(v);
+                st.used[v as usize] = true;
+                let flow = search(st, depth + 1, work, driver);
+                st.core_p[step.node as usize] = None;
+                st.used[v as usize] = false;
+                flow?;
             }
         }
         ControlFlow::Continue(())
@@ -615,6 +770,65 @@ mod tests {
         }
 
         #[test]
+        fn label_aware_lookahead_cuts_only_dead_branches(
+            p in arb_graph(7, 3),
+            t in arb_graph(10, 3),
+            (k, drop_mask) in (0..9usize, any::<u64>()),
+            raw in any::<u64>(),
+        ) {
+            let blind = super::vf2_label_blind::Vf2;
+            let cfg = budget(raw);
+            for p in &patterns(p, &t, k, drop_mask) {
+                let free = Vf2.contains_with(p, &t, &MatchConfig::UNBOUNDED);
+                let free_blind = blind.contains_with(p, &t, &MatchConfig::UNBOUNDED);
+                prop_assert!(free.complete && free_blind.complete);
+                prop_assert_eq!(free.found, free_blind.found, "{:?} in {:?}", p, t);
+                prop_assert!(
+                    free.nodes_expanded <= free_blind.nodes_expanded,
+                    "{} > {} nodes: {:?} in {:?}",
+                    free.nodes_expanded, free_blind.nodes_expanded, p, t
+                );
+                // A budget trips as it always did, and never where the
+                // label-blind search finished within it.
+                let bounded = Vf2.contains_with(p, &t, &cfg);
+                if bounded.complete {
+                    prop_assert_eq!(bounded, free);
+                } else {
+                    prop_assert!(!bounded.found);
+                    prop_assert_eq!(Some(bounded.nodes_expanded), cfg.budget.map(|b| b + 1));
+                    prop_assert!(!blind.contains_with(p, &t, &cfg).complete);
+                }
+                for limit in [1, 2, 3, limit(raw), u64::MAX] {
+                    prop_assert_eq!(
+                        Vf2.count_embeddings(p, &t, limit),
+                        blind.count_embeddings(p, &t, limit),
+                        "limit {}: {:?} in {:?}", limit, p, t
+                    );
+                }
+                // The cut branches hold no embedding, so the first one
+                // found is the same.
+                let found = Vf2.find_embedding(p, &t);
+                prop_assert_eq!(&found, &blind.find_embedding(p, &t));
+                if let Some(embedding) = found {
+                    prop_assert!(is_valid_embedding(p, &t, &embedding), "{:?}", embedding);
+                }
+            }
+        }
+
+        #[test]
+        fn narrow_plan_priorities_order_like_wide_ones(
+            p in arb_graph(12, 3),
+            (k, drop_mask) in (0..13usize, any::<u64>()),
+        ) {
+            use crate::vf2::Plan;
+            for p in &patterns(p.clone(), &p, k, drop_mask) {
+                if p.node_count() > 0 {
+                    prop_assert_eq!(Plan::build_with::<u64>(p), Plan::build_with::<u128>(p));
+                }
+            }
+        }
+
+        #[test]
         fn contains_each_equals_the_per_target_loop(
             p in arb_graph(6, 3),
             targets in vec(arb_graph(10, 3), 0..6),
@@ -715,11 +929,98 @@ mod tests {
         assert!(deep_found >= 50, "only {deep_found} deep positives");
     }
 
+    /// `(shipped, label-blind)` outcomes of one unbounded decision test.
+    fn both(p: &LabeledGraph, t: &LabeledGraph) -> (MatchOutcome, MatchOutcome) {
+        (
+            Vf2.contains_with(p, t, &MatchConfig::UNBOUNDED),
+            super::vf2_label_blind::Vf2.contains_with(p, t, &MatchConfig::UNBOUNDED),
+        )
+    }
+
+    #[test]
+    fn label_lookahead_prunes() {
+        // The star 1 - 0 - 2 (labels 0, 1, 2) against a label-0 node with
+        // two label-1 leaves; the one label-2 node hangs off a leaf, so
+        // quick reject passes. The root's later neighbours need labels
+        // {1, 2} and the one root candidate offers {1, 1}: cut at the
+        // root, where the label-blind count (two free neighbours) descends
+        // into 2 × 3 more nodes.
+        let p = LabeledGraph::from_parts(vec![0, 1, 2], &[(0, 1), (0, 2)]);
+        let t = LabeledGraph::from_parts(vec![0, 1, 1, 2], &[(0, 1), (0, 2), (2, 3)]);
+        let (out, blind) = both(&p, &t);
+        assert!(!out.found && !blind.found);
+        assert_eq!((out.nodes_expanded, blind.nodes_expanded), (1, 7));
+    }
+
+    #[test]
+    fn a_hub_missing_one_of_twelve_labels_is_cut_at_the_root() {
+        // Pattern: a label-0 hub with twelve leaves labelled 1..=12.
+        // Target: hub 0 has thirteen leaves but no label 12 among them;
+        // hub 14 has all twelve. Hub 0 is cut where it is tried; the
+        // label-blind search fills eleven leaves under it first and
+        // backtracks through all of them.
+        let p = LabeledGraph::from_parts(
+            (0..=12).collect(),
+            &(1..=12).map(|i| (0, i)).collect::<Vec<_>>(),
+        );
+        let mut labels: Vec<u32> = vec![0];
+        labels.extend((1..=11).chain([13, 14]));
+        labels.push(0);
+        labels.extend(1..=12);
+        let mut edges: Vec<(u32, u32)> = (1..=13).map(|i| (0, i)).collect();
+        edges.extend((15..=26).map(|i| (14, i)));
+        let t = LabeledGraph::from_parts(labels, &edges);
+        let (out, blind) = both(&p, &t);
+        assert!(out.found && blind.found);
+        // Two roots tried, then leaf i matches at hub 14's i-th neighbour.
+        assert_eq!(out.nodes_expanded, 2 + (1..=12).sum::<u64>());
+        assert!(
+            blind.nodes_expanded >= out.nodes_expanded + 11 * 13,
+            "{} vs {}",
+            blind.nodes_expanded,
+            out.nodes_expanded
+        );
+        let embedding = Vf2.find_embedding(&p, &t).expect("hub 14 holds it");
+        assert_eq!(embedding[0], 14);
+        assert!(is_valid_embedding(&p, &t, &embedding));
+    }
+
+    #[test]
+    fn a_disconnected_pattern_looks_ahead_per_component() {
+        // Two components, 1 - 0 - 2 and 3 - 4, with labels 5, 6, 7 and
+        // 5, 7. The first target offers every label but no label-5 node
+        // with both a label-6 and a label-7 neighbour; the second does.
+        let p = LabeledGraph::from_parts(vec![5, 6, 7, 5, 7], &[(0, 1), (0, 2), (3, 4)]);
+        let without = LabeledGraph::from_parts(
+            vec![5, 6, 6, 5, 7, 7],
+            &[(0, 1), (0, 2), (3, 4), (3, 5), (1, 4)],
+        );
+        let with = LabeledGraph::from_parts(
+            vec![5, 6, 7, 5, 7, 6],
+            &[(0, 1), (0, 2), (3, 4), (3, 5), (1, 4)],
+        );
+        for t in [&without, &with] {
+            let (out, blind) = both(&p, t);
+            assert_eq!(out.found, blind.found, "{t:?}");
+            assert!(out.nodes_expanded <= blind.nodes_expanded);
+            assert_eq!(
+                Vf2.count_embeddings(&p, t, u64::MAX),
+                super::vf2_label_blind::Vf2.count_embeddings(&p, t, u64::MAX)
+            );
+        }
+        let (out, blind) = both(&p, &without);
+        assert!(!out.found);
+        assert!(out.nodes_expanded < blind.nodes_expanded);
+        assert!(Vf2.contains(&p, &with));
+        assert_eq!(Vf2.count_embeddings(&p, &with, u64::MAX), 2);
+    }
+
     /// Every test Method M's verifier runs for AIDS-shaped UU and ZZ
     /// queries — the GGSX candidate sets, in the subgraph and in the
-    /// supergraph direction — decided alike by VF2, the id-order reference
-    /// and VF2+; and each subgraph sweep through `contains_each` equal to
-    /// its per-pair loop.
+    /// supergraph direction — decided alike by VF2, the id-order reference,
+    /// the label-blind reference and VF2+, with VF2's summed work at most
+    /// the label-blind one's; and each subgraph sweep through
+    /// `contains_each` equal to its per-pair loop.
     #[test]
     fn aids_candidate_sets_decide_alike() {
         use gc_index::{FilterIndex, GgsxConfig, PathTrie};
@@ -728,6 +1029,7 @@ mod tests {
         let d = datasets::aids_like(0.2, 3);
         let ggsx = PathTrie::build(&d, GgsxConfig::default());
         let (mut tests, mut positives) = (0u32, 0u32);
+        let (mut work, mut blind_work) = (0u64, 0u64);
         for cfg in [TypeAConfig::uu(), TypeAConfig::zz(1.4)] {
             for q in generate_type_a(&d, &cfg.count(200).seed(9)).queries {
                 let q = &q.graph;
@@ -741,9 +1043,15 @@ mod tests {
                     .map(|&t| (q, t))
                     .chain(sup.iter().map(|&id| (d.graph(id), q)));
                 for (p, t) in pairs {
-                    let found = Vf2.contains(p, t);
+                    let out = Vf2.contains_with(p, t, &MatchConfig::UNBOUNDED);
+                    let found = out.found;
                     assert_eq!(found, super::vf2::Vf2.contains(p, t), "{p:?} in {t:?}");
                     assert_eq!(found, Vf2Plus.contains(p, t), "VF2+: {p:?} in {t:?}");
+                    let blind =
+                        super::vf2_label_blind::Vf2.contains_with(p, t, &MatchConfig::UNBOUNDED);
+                    assert_eq!(found, blind.found, "label-blind: {p:?} in {t:?}");
+                    work += out.nodes_expanded;
+                    blind_work += blind.nodes_expanded;
                     tests += 1;
                     positives += found as u32;
                 }
@@ -759,6 +1067,10 @@ mod tests {
         assert!(
             tests >= 10_000 && positives >= 5_000,
             "{tests} tests, {positives} positive"
+        );
+        assert!(
+            work <= blind_work,
+            "{work} nodes expanded, {blind_work} with the label-blind lookahead"
         );
     }
 }

@@ -4,9 +4,9 @@
 //! The search is the classic recipe: depth-first extension of a partial
 //! mapping, connectivity-driven candidate generation (a pattern node with a
 //! mapped neighbour, its *anchor*, is tried only against the target
-//! neighbours of the anchor's image), plus the standard feasibility rules —
-//! label equality, injectivity, degree dominance, mapped-neighbour
-//! consistency and a one-step lookahead on unmapped neighbour counts.
+//! neighbours of the anchor's image), plus the feasibility rules — label
+//! equality, injectivity, degree dominance, mapped-neighbour consistency
+//! and a label-aware one-step lookahead.
 //!
 //! **Most constrained node first.** VF2 leaves the order in which pattern
 //! nodes are matched open; this one follows RI and VF2++. The next node is
@@ -21,9 +21,19 @@
 //! each depth's feasibility test needs: the depths of its earlier-mapped
 //! neighbours other than the anchor (the anchor edge is implied, since
 //! candidates are drawn from the anchor image's neighbours) and its
-//! lookahead *need*, the number of its pattern neighbours mapped later.
-//! The search runs by depth index and stops counting free target
-//! neighbours once the need is met.
+//! lookahead table.
+//!
+//! **Label-aware lookahead.** The pattern neighbours of a node `u` mapped
+//! at later depths will each need their own target node, unused now,
+//! adjacent to `u`'s image and carrying their label. So a candidate `v`
+//! for `u` is cut unless, for every label `l` that `k` of those neighbours
+//! carry, `v` has at least `k` unused neighbours labelled `l` (VF2++'s
+//! cutting rule, and the pruning the paper's VF2+ is credited with). The
+//! table is `(label, count)` pairs per depth. The rule is necessary for
+//! every embedding, so decisions, counts and embeddings are those of the
+//! label-blind count it replaces; it implies that count, so on the same
+//! order its search tree is a subtree of the label-blind one and
+//! `nodes_expanded` can only fall.
 //!
 //! Quick reject and the component roots read the label/degree shape each
 //! graph lays out when it is built. [`Matcher::contains_each`] builds the
@@ -162,91 +172,113 @@ impl Driver {
 }
 
 /// One depth of a [`Plan`].
-#[derive(Debug, Clone)]
-struct Step {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Step {
     /// The pattern node mapped at this depth.
-    node: NodeId,
-    label: Label,
-    degree: u32,
+    pub(crate) node: NodeId,
+    pub(crate) label: Label,
+    pub(crate) degree: u32,
     /// Depth of the anchor: candidates are the target neighbours of its
     /// image. `None` for the first node of each connected component, whose
     /// candidates are the target nodes with its label.
-    anchor: Option<u32>,
+    pub(crate) anchor: Option<u32>,
     /// `back[back_lo..back_hi]`: depths of the earlier-mapped pattern
     /// neighbours other than the anchor, in ascending node-id order.
-    back_lo: u32,
-    back_hi: u32,
-    /// Pattern neighbours mapped at later depths: the lookahead needs this
-    /// many unused target neighbours of the candidate.
-    need: u32,
+    pub(crate) back_lo: u32,
+    pub(crate) back_hi: u32,
+    /// `back[back_hi..ahead_hi]`: the lookahead table, `(label, count)`
+    /// pairs laid flat, one per label among the pattern neighbours mapped
+    /// at later depths, in node-id order of their first such neighbour.
+    /// The candidate needs `count` unused target neighbours carrying
+    /// `label`.
+    pub(crate) ahead_hi: u32,
 }
 
 /// The visiting order for one pattern, with each depth's feasibility inputs
 /// precomputed.
-#[derive(Debug, Clone)]
-struct Plan {
-    steps: Vec<Step>,
-    back: Vec<u32>,
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Plan {
+    pub(crate) steps: Vec<Step>,
+    /// Each step's back depths, then its lookahead pairs, step after step.
+    pub(crate) back: Vec<u32>,
 }
 
 impl Plan {
     /// Orders the pattern most constrained node first (module doc) in
-    /// O((|V| + |E|) log |V|). Each node's priority is one packed integer,
-    /// larger is better: placed neighbours, then `!rarity`, then degree,
-    /// then `!id`. Placing a node pushes a fresh entry for each unplaced
-    /// neighbour onto a lazy heap; an entry is never updated, but a node's
-    /// newer entries outrank its older ones, so the first of its entries to
-    /// surface is its current one and later ones are skipped as placed.
-    fn build(p: &LabeledGraph) -> Plan {
+    /// O((|V| + |E|) log |V|). Each node's priority is one packed integer
+    /// ([`Priority`]). Placing a node pushes a fresh entry for each
+    /// unplaced neighbour onto a lazy heap; an entry is never updated, but
+    /// a node's newer entries outrank its older ones, so the first of its
+    /// entries to surface is its current one and later ones are skipped as
+    /// placed. Below 2^16 nodes the entries are `u64`s, half the bytes to
+    /// move and compare of the `u128`s larger patterns need, in the same
+    /// order.
+    pub(crate) fn build(p: &LabeledGraph) -> Plan {
+        if p.node_count() <= usize::from(u16::MAX) {
+            Self::build_with::<u64>(p)
+        } else {
+            Self::build_with::<u128>(p)
+        }
+    }
+
+    pub(crate) fn build_with<K: Priority>(p: &LabeledGraph) -> Plan {
         const UNPLACED: u32 = u32::MAX;
         let n = p.node_count();
-        // `rank[u]`: the priority bits that never change, `!rarity` above
-        // the degree, where rarity counts the pattern nodes sharing u's label.
-        let mut rank = vec![0u64; n];
+        // Per pattern node, in one buffer: its priority with no placed
+        // neighbour (rarity counts the pattern nodes sharing its label),
+        // its depth once placed and its placed-neighbour count.
+        #[derive(Clone, Copy)]
+        struct Node<K> {
+            fixed: K,
+            depth: u32,
+            placed_nbrs: u32,
+        }
+        let mut node = vec![
+            Node {
+                fixed: K::fixed(0, 0, 0),
+                depth: UNPLACED,
+                placed_nbrs: 0,
+            };
+            n
+        ];
         for same in p
             .nodes_by_label()
             .chunk_by(|&a, &b| p.label(a) == p.label(b))
         {
             for &u in same {
-                rank[u as usize] = u64::from(!(same.len() as u32)) << 32 | p.degree(u) as u64;
+                node[u as usize].fixed = K::fixed(same.len() as u32, p.degree(u) as u32, u);
             }
         }
-        let key = |u: NodeId, placed: u32| {
-            u128::from(placed) << 96 | u128::from(rank[u as usize]) << 32 | u128::from(!u)
-        };
-        let mut depth_of = vec![UNPLACED; n];
-        let mut placed_nbrs = vec![0u32; n];
         // Each edge pushes at most one endpoint, once.
         let mut frontier = BinaryHeap::with_capacity(p.edge_count());
         let mut steps = Vec::with_capacity(n);
         while steps.len() < n {
             let u = match frontier.pop() {
-                Some(k) => !(k as u32),
+                Some(k) => K::node(k),
                 // No unplaced node has a placed neighbour: a connected
                 // component starts. The first starts at the best node, by
                 // one scan. At the second, every unplaced node is queued
                 // with no placed neighbour, once, so later starts come from
                 // the heap and the build stays O((|V| + |E|) log |V|).
-                None if steps.is_empty() => p.nodes().max_by_key(|&u| key(u, 0)).expect("n > 0"),
+                None if steps.is_empty() => {
+                    K::node(node.iter().map(|x| x.fixed).max().expect("n > 0"))
+                }
                 None => {
-                    frontier.extend(
-                        p.nodes()
-                            .filter(|&u| depth_of[u as usize] == UNPLACED)
-                            .map(|u| key(u, 0)),
-                    );
+                    frontier.extend(node.iter().filter(|x| x.depth == UNPLACED).map(|x| x.fixed));
                     continue;
                 }
             };
-            if depth_of[u as usize] != UNPLACED {
+            if node[u as usize].depth != UNPLACED {
                 continue;
             }
-            depth_of[u as usize] = steps.len() as u32;
+            node[u as usize].depth = steps.len() as u32;
             let mut anchor: Option<u32> = None;
             for &w in p.neighbors(u) {
-                match depth_of[w as usize] {
+                let x = &mut node[w as usize];
+                match x.depth {
                     UNPLACED => {
-                        placed_nbrs[w as usize] += 1;
-                        frontier.push(key(w, placed_nbrs[w as usize]));
+                        x.placed_nbrs += 1;
+                        frontier.push(x.fixed.placed(x.placed_nbrs));
                     }
                     dw => anchor = Some(anchor.map_or(dw, |a| a.min(dw))),
                 }
@@ -258,25 +290,77 @@ impl Plan {
                 anchor,
                 back_lo: 0,
                 back_hi: 0,
-                need: 0,
+                ahead_hi: 0,
             });
         }
-        // Each edge adds one entry at its later endpoint, unless it is the
-        // anchor's.
-        let mut back = Vec::with_capacity(p.edge_count());
+        // Each edge adds one back depth at its later endpoint, unless it is
+        // the anchor's, and counts its later endpoint's label in its
+        // earlier endpoint's pairs: at most 3|E| entries in all.
+        let mut back = Vec::with_capacity(3 * p.edge_count());
         for (d, step) in (0..).zip(steps.iter_mut()) {
             step.back_lo = back.len() as u32;
-            for &w in p.neighbors(step.node) {
-                let dw = depth_of[w as usize];
-                if dw > d {
-                    step.need += 1;
-                } else if Some(dw) != step.anchor {
-                    back.push(dw);
+            let nbrs = p.neighbors(step.node);
+            back.extend(
+                nbrs.iter()
+                    .map(|&w| node[w as usize].depth)
+                    .filter(|&dw| dw < d && Some(dw) != step.anchor),
+            );
+            step.back_hi = back.len() as u32;
+            let pairs = back.len();
+            for &w in nbrs {
+                if node[w as usize].depth > d {
+                    let l = p.label(w);
+                    match back[pairs..].chunks_exact_mut(2).find(|pair| pair[0] == l) {
+                        Some(pair) => pair[1] += 1,
+                        None => back.extend([l, 1]),
+                    }
                 }
             }
-            step.back_hi = back.len() as u32;
+            step.ahead_hi = back.len() as u32;
         }
         Plan { steps, back }
+    }
+}
+
+/// A pattern node's packed priority on the plan's heap, larger is better:
+/// placed neighbours, then `!rarity`, then degree, then `!id`, each in a
+/// quarter of the integer.
+pub(crate) trait Priority: Ord + Copy {
+    /// The priority of node `u` with no placed neighbour.
+    fn fixed(rarity: u32, degree: u32, u: NodeId) -> Self;
+    /// `self`, which has no placed neighbour, with `placed` of them.
+    fn placed(self, placed: u32) -> Self;
+    /// The node whose priority this is.
+    fn node(self) -> NodeId;
+}
+
+impl Priority for u128 {
+    fn fixed(rarity: u32, degree: u32, u: NodeId) -> Self {
+        u128::from(!rarity) << 64 | u128::from(degree) << 32 | u128::from(!u)
+    }
+
+    fn placed(self, placed: u32) -> Self {
+        self | u128::from(placed) << 96
+    }
+
+    fn node(self) -> NodeId {
+        !(self as u32)
+    }
+}
+
+/// 16-bit fields: exact for patterns of at most `u16::MAX` nodes, whose
+/// rarities, degrees, placed counts and ids all fit.
+impl Priority for u64 {
+    fn fixed(rarity: u32, degree: u32, u: NodeId) -> Self {
+        u64::from(!(rarity as u16)) << 32 | u64::from(degree as u16) << 16 | u64::from(!(u as u16))
+    }
+
+    fn placed(self, placed: u32) -> Self {
+        self | u64::from(placed as u16) << 48
+    }
+
+    fn node(self) -> NodeId {
+        NodeId::from(!(self as u16))
     }
 }
 
@@ -368,21 +452,20 @@ impl Search<'_> {
                 return false;
             }
         }
-        // One-step lookahead: the unmapped pattern neighbours of u need
-        // distinct unmapped target neighbours of v.
-        if step.need == 0 {
-            return true;
-        }
-        let mut free = 0;
-        for &x in t.neighbors(v) {
-            if !self.used[x as usize] {
-                free += 1;
-                if free == step.need {
-                    return true;
-                }
-            }
-        }
-        false
+        // Label-aware one-step lookahead: each pattern neighbour of u mapped
+        // at a later depth needs its own unused target neighbour of v with
+        // its label. Per label `l` counted `k` times, v needs `k` unused
+        // neighbours labelled `l`.
+        let nbrs = t.neighbors(v);
+        let ahead = &self.plan.back[step.back_hi as usize..step.ahead_hi as usize];
+        ahead.chunks_exact(2).all(|pair| {
+            let (l, k) = (pair[0], pair[1]);
+            let mut free = 0;
+            nbrs.iter().any(|&x| {
+                free += ((t.label(x) == l) & !self.used[x as usize]) as u32;
+                free == k
+            })
+        })
     }
 
     fn search(&mut self, depth: usize, work: &mut Work, driver: &mut Driver) -> ControlFlow<()> {
@@ -604,8 +687,28 @@ mod tests {
                 Some(8)
             ]
         );
-        let needs: Vec<u32> = plan.steps.iter().map(|s| s.need).collect();
-        assert_eq!(needs, vec![2, 0, 1, 2, 2, 0, 0, 0, 1, 0]);
+        // Lookahead pairs: 3 (label 1) awaits 2 (label 0) and 4 (label 2);
+        // 1 awaits 0 and 5 (label 0 twice); 0 awaits 5 and 8 (label 3).
+        let aheads: Vec<&[u32]> = plan
+            .steps
+            .iter()
+            .map(|s| &plan.back[s.back_hi as usize..s.ahead_hi as usize])
+            .collect();
+        assert_eq!(
+            aheads,
+            vec![
+                &[0, 1, 2, 1][..],
+                &[],
+                &[0, 1],
+                &[0, 2],
+                &[0, 1, 3, 1],
+                &[],
+                &[],
+                &[],
+                &[0, 1],
+                &[]
+            ]
+        );
         let backs: Vec<&[u32]> = plan
             .steps
             .iter()

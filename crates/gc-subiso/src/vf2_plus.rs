@@ -7,9 +7,10 @@
 //! rarity in the target and strongest-connectivity-first (as in RI/VF3), and
 //! pruning with per-label neighbour counts — are implemented here. The
 //! paper's VF2+ is several times faster than its vanilla VF2 on labelled
-//! graphs. This crate's VF2 already orders by connectivity and by label
-//! rarity *in the pattern*; VF2+ differs in reading rarity in the target
-//! (a new order per target) and in its label-aware lookahead.
+//! graphs. This crate's VF2 orders by connectivity and by label rarity
+//! *in the pattern* and prunes with the same per-label neighbour counts;
+//! VF2+ now differs from it only in reading rarity in the target, so it
+//! builds a new order per target.
 
 use crate::common::{quick_reject, sorted_multiset_contained, Found, Work};
 use crate::vf2::Driver;

@@ -87,3 +87,40 @@ fn budgeted_method_verifier_stays_sound() {
         }
     }
 }
+
+#[test]
+fn budgeted_method_verifier_reports_incomplete_tests() {
+    // A one-step verifier budget trips on every test that needs a second
+    // step. Method M must count those tests as incomplete, in both
+    // directions and on one thread or several, and a tripped test never
+    // answers yes: every answer of the budgeted run is an answer of the
+    // unbounded one.
+    let d = dataset();
+    let workload = generate_type_a(&d, &TypeAConfig::uu().count(20).seed(4));
+    let unbounded = MethodBuilder::ggsx().build(&d);
+    for threads in [1, 3] {
+        let budgeted = MethodBuilder::ggsx()
+            .threads(threads)
+            .match_config(MatchConfig::bounded(1))
+            .build(&d);
+        let mut incomplete = 0;
+        for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
+            for q in workload.graphs() {
+                let full = unbounded.run_directed(q, kind);
+                let cut = budgeted.run_directed(q, kind);
+                let stats = cut.verify.stats;
+                assert_eq!(stats.tests, full.verify.stats.tests);
+                assert!(stats.incomplete + stats.positives <= stats.tests);
+                assert!(
+                    cut.answer.iter().all(|id| full.answer.contains(id)),
+                    "a budget-tripped test answered yes"
+                );
+                incomplete += stats.incomplete;
+            }
+        }
+        assert!(
+            incomplete > 0,
+            "{threads} thread(s): no test reported incomplete"
+        );
+    }
+}
