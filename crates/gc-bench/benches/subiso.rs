@@ -7,11 +7,14 @@
 //! the supergraph direction.
 //!
 //! The sweep group asserts its invariants before timing anything: both
-//! forms return the same outcomes, and their summed `nodes_expanded` is at
-//! most half of what id-order VF2 expanded on the same sweep and at most
-//! 0.6× of what VF2 expanded with a label-blind lookahead. CI runs this
-//! bench (`cargo bench -p gc-bench --bench subiso -- sweep`) as the
-//! matcher work gate.
+//! forms return the same outcomes; their summed `nodes_expanded` is at
+//! most half of what id-order VF2 expanded on the same sweep, at most 0.6×
+//! of what VF2 expanded with a label-blind lookahead, and strictly less
+//! than the label-aware VF2 expanded before quick reject read cycle
+//! lengths; and at least half of the small-ring sweep (a carbon triangle
+//! with a pendant and a carbon 4-cycle against their GGSX candidates) is
+//! refused without a search node. CI runs this bench (`cargo bench -p
+//! gc-bench --bench subiso -- sweep`) as the matcher work gate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gc_graph::random::bfs_edge_subgraph;
@@ -111,6 +114,32 @@ const ID_ORDER_SWEEP_WORK: u64 = 329_668;
 /// target neighbours of any label (before the label-aware lookahead).
 const LABEL_BLIND_SWEEP_WORK: u64 = 75_953;
 
+/// The same under the label-aware VF2 behind a quick reject that knew no
+/// cycle lengths.
+const LABEL_AWARE_SWEEP_WORK: u64 = 41_804;
+
+/// The small-ring shapes among `cold-uniform`'s costliest queries, on the
+/// dataset's commonest label (AIDS's carbon): a triangle with a pendant
+/// and a 4-cycle. GGSX's path features cannot see a ring, so most of
+/// their candidates lack it.
+fn small_rings(d: &GraphDataset) -> Vec<LabeledGraph> {
+    let mut counts = std::collections::BTreeMap::new();
+    for g in d.graphs() {
+        for &l in g.labels() {
+            *counts.entry(l).or_insert(0u64) += 1;
+        }
+    }
+    let carbon = counts
+        .iter()
+        .max_by_key(|&(&l, &n)| (n, std::cmp::Reverse(l)))
+        .map(|(&l, _)| l)
+        .expect("a non-empty dataset");
+    vec![
+        LabeledGraph::from_parts(vec![carbon; 4], &[(0, 1), (1, 2), (2, 0), (0, 3)]),
+        LabeledGraph::from_parts(vec![carbon; 4], &[(0, 1), (1, 2), (2, 3), (3, 0)]),
+    ]
+}
+
 fn bench_sweep(c: &mut Criterion) {
     let d = datasets::aids_like(0.2, 5);
     let sweeps = Sweeps::new(&d);
@@ -135,6 +164,27 @@ fn bench_sweep(c: &mut Criterion) {
     assert!(
         5 * work(&per_pair) <= 3 * LABEL_BLIND_SWEEP_WORK,
         "the label-aware lookahead must expand at most 0.6x the label-blind nodes"
+    );
+    assert!(
+        work(&per_pair) < LABEL_AWARE_SWEEP_WORK,
+        "quick reject's cycle rule must cut the sweep below {LABEL_AWARE_SWEEP_WORK} nodes"
+    );
+    let ggsx = PathTrie::build(&d, GgsxConfig::default());
+    let (mut tests, mut refused) = (0, 0);
+    for ring in &small_rings(&d) {
+        let targets: Vec<&LabeledGraph> = ggsx.filter(ring).iter().map(|&id| d.graph(id)).collect();
+        let mut out = Vec::new();
+        vf2.contains_each(ring, &targets, &MatchConfig::UNBOUNDED, &mut out);
+        tests += out.len();
+        refused += out
+            .iter()
+            .filter(|o| !o.found && o.nodes_expanded == 0)
+            .count();
+    }
+    println!("small rings: {refused} of {tests} GGSX candidates refused without a search node");
+    assert!(
+        2 * refused >= tests && tests > 0,
+        "quick reject must refuse at least half of the small-ring candidates"
     );
 
     // ---- Wall-clock comparison of the same sweep. ----

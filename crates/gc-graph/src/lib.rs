@@ -34,4 +34,4 @@ pub mod zipf;
 pub use builder::GraphBuilder;
 pub use dataset::{DatasetStats, GraphDataset, GraphId};
 pub use error::GraphError;
-pub use graph::{EdgeIter, Label, LabeledGraph, NodeId};
+pub use graph::{EdgeIter, Label, LabeledGraph, NodeId, CYCLES_UNKNOWN, CYCLE_MAX};

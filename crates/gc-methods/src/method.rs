@@ -39,9 +39,6 @@ pub struct VerifyOutput {
     pub duration: Duration,
     /// Aggregate sub-iso counters.
     pub stats: MatchStats,
-    /// Per-candidate outcome: `(graph, contained?, work)`. Sorted by graph
-    /// id; used by GraphCache's statistics monitor.
-    pub outcomes: Vec<(GraphId, bool, u64)>,
 }
 
 /// Result of a full (uncached) Method M query execution.
@@ -197,10 +194,6 @@ impl Method {
             answer,
             duration: t0.elapsed(),
             stats,
-            outcomes: outcomes
-                .into_iter()
-                .map(|(id, out)| (id, out.found, out.nodes_expanded))
-                .collect(),
         }
     }
 
@@ -365,7 +358,7 @@ mod tests {
         let a = serial.run(&q);
         let b = parallel.run(&q);
         assert_eq!(a.answer, b.answer);
-        assert_eq!(a.verify.outcomes, b.verify.outcomes);
+        assert_eq!(a.verify.stats, b.verify.stats);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! matchers right:
 //!
 //! * [`quick_reject`] — the `HashMap` label-count predicate, which the
-//!   shape-reading quick reject must equal;
+//!   counting part of the shape-reading quick reject must equal (the
+//!   cycle part is held to the id-order reference's answers instead);
 //! * [`vf2::Vf2`] — VF2 visiting pattern nodes in id order, re-deriving the
 //!   next node at every recursion call. The most-constrained-first VF2
 //!   expands different search nodes, so it is held to the reference's
@@ -14,8 +15,8 @@
 //!   does not trip, the same counts and embeddings, and at most the same
 //!   `nodes_expanded`;
 //! * [`vf2_plus::Vf2Plus`] — VF2+ with a lookahead that allocates per call
-//!   and a `HashMap` label index, which the shipped VF2+ must equal step for
-//!   step.
+//!   and a `HashMap` label index behind the shipped quick reject, which the
+//!   shipped VF2+ must equal step for step.
 
 use gc_graph::{Label, LabeledGraph};
 use std::collections::HashMap;
@@ -402,8 +403,7 @@ pub(crate) mod vf2_label_blind {
 
 /// VF2+ whose lookahead collects and sorts two fresh vectors per call.
 pub(crate) mod vf2_plus {
-    use super::quick_reject;
-    use crate::common::{sorted_multiset_contained, Found, Work};
+    use crate::common::{quick_reject, sorted_multiset_contained, Found, Work};
     use crate::vf2::Driver;
     use crate::{MatchConfig, MatchOutcome, Matcher};
     use gc_graph::{Label, LabeledGraph, NodeId};
@@ -715,6 +715,24 @@ mod tests {
         [p, prefix_pattern(t, k, drop_mask)]
     }
 
+    /// The patterns the cycle rule is tested on: those of [`patterns`],
+    /// the target's whole prefix, which keeps every cycle among its first
+    /// `k` nodes, and a ring through the labels of those nodes, which the
+    /// counting conditions often pass whether or not the target has a
+    /// cycle that long.
+    fn cycle_patterns(
+        p: LabeledGraph,
+        t: &LabeledGraph,
+        k: usize,
+        drop_mask: u64,
+    ) -> [LabeledGraph; 4] {
+        let k = k.min(t.node_count());
+        let ring: Vec<(u32, u32)> = (0..k as u32).map(|i| (i, (i + 1) % k as u32)).collect();
+        let ring = LabeledGraph::from_parts(t.labels()[..k].to_vec(), &ring);
+        let [p, prefix] = patterns(p, t, k, drop_mask);
+        [p, prefix, prefix_pattern(t, k, 0), ring]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -875,10 +893,33 @@ mod tests {
             let [p, prefix] = patterns(p, &t, k, drop_mask);
             for p in &[p, prefix, relabelled] {
                 prop_assert_eq!(
-                    common::quick_reject(p, &t),
+                    common::counts_reject(p, &t),
                     super::quick_reject(p, &t),
                     "{:?} vs {:?}", p, t
                 );
+                prop_assert_eq!(
+                    common::quick_reject(p, &t),
+                    common::counts_reject(p, &t) || common::lacks_a_cycle(p, &t)
+                );
+            }
+        }
+
+        #[test]
+        fn cycle_rule_never_refuses_an_embedding(
+            p in arb_graph(7, 2),
+            t in arb_graph(10, 2),
+            (k, drop_mask) in (0..11usize, any::<u64>()),
+        ) {
+            // Two labels and up to twice as many edges as nodes, so most
+            // graphs hold short cycles; the prefixes are extracted
+            // subgraphs of the target, one with every cycle among its
+            // nodes. The id-order reference runs behind the cycle-blind
+            // predicate.
+            for p in &cycle_patterns(p, &t, k, drop_mask) {
+                if super::vf2::Vf2.contains(p, &t) {
+                    prop_assert!(!common::lacks_a_cycle(p, &t), "{:?} in {:?}", p, &t);
+                    prop_assert!(!common::quick_reject(p, &t), "{:?} in {:?}", p, &t);
+                }
             }
         }
 
@@ -927,6 +968,33 @@ mod tests {
         }
         assert!(tripped >= 20, "only {tripped} budget trips");
         assert!(deep_found >= 50, "only {deep_found} deep positives");
+    }
+
+    #[test]
+    fn the_cycle_cases_reach_cyclic_positives_and_refusals() {
+        // Guards the generator of `cycle_rule_never_refuses_an_embedding`:
+        // it is only as strong as the share of embedded patterns that hold
+        // a short cycle, and of pairs the cycle rule alone refuses.
+        let mut rng = proptest::test_runner::new_rng();
+        let (mut cyclic_found, mut refused) = (0, 0);
+        for _ in 0..512 {
+            let p = arb_graph(7, 2).generate(&mut rng);
+            let t = arb_graph(10, 2).generate(&mut rng);
+            let k = (0..11usize).generate(&mut rng);
+            for p in &cycle_patterns(p, &t, k, any::<u64>().generate(&mut rng)) {
+                let found = super::vf2::Vf2.contains(p, &t);
+                cyclic_found += (found && p.short_cycles() != 0) as u32;
+                refused += (!common::counts_reject(p, &t) && common::lacks_a_cycle(p, &t)) as u32;
+            }
+        }
+        assert!(
+            cyclic_found >= 50,
+            "only {cyclic_found} positives with a cycle"
+        );
+        assert!(
+            refused >= 10,
+            "only {refused} pairs refused by cycles alone"
+        );
     }
 
     /// `(shipped, label-blind)` outcomes of one unbounded decision test.

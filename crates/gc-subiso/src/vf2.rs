@@ -35,11 +35,20 @@
 //! order its search tree is a subtree of the label-blind one and
 //! `nodes_expanded` can only fall.
 //!
-//! Quick reject and the component roots read the label/degree shape each
-//! graph lays out when it is built. [`Matcher::contains_each`] builds the
-//! plan once and reuses the search buffers across every target, which is
-//! how Method M's verifier sweeps a subgraph query's candidate set; it
-//! equals the per-target loop because the plan ignores the target.
+//! **Quick reject before any plan.** A pair is refused without a search
+//! node when the pattern has a short cycle (3 to 6 nodes) of a length the
+//! target has none of, or when sizes, label counts or sorted degrees do
+//! not fit. Both read the shape each graph lays out when it is built: a
+//! word of short-cycle lengths, and label runs over the nodes ordered by
+//! label, which the component roots also read. The cycle rule is what a
+//! path-feature filter cannot see: a carbon triangle or 4-cycle survives
+//! GGSX against most carbon-rich graphs, where a search would build every
+//! tree-shaped partial match before the closing edge fails.
+//!
+//! [`Matcher::contains_each`] builds the plan once and reuses the search
+//! buffers across every target, which is how Method M's verifier sweeps a
+//! subgraph query's candidate set; it equals the per-target loop because
+//! the plan ignores the target.
 
 use crate::common::{quick_reject, Found, Work};
 use crate::{MatchConfig, MatchOutcome, Matcher};
