@@ -133,9 +133,8 @@ fn run_opts(
 }
 
 fn bench_hit_path(c: &mut Criterion) {
-    let shape = QUERY_INDEX_SHAPE;
     let entries: Vec<Arc<CacheEntry>> = (1..=CACHED).map(entry_for).collect();
-    let snap = CacheSnapshot::build_sharded(shape, SHARDS, entries);
+    let snap = CacheSnapshot::build_sharded(SHARDS, entries);
     let (queries, is_repeat) = workload(CACHED);
 
     // ---- Hardware-independent counters (asserted, printed once). ----

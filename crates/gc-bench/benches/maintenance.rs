@@ -98,7 +98,6 @@ fn cache_before_round(size: u64, delta: u64) -> GraphCache {
 }
 
 fn bench_maintenance(c: &mut Criterion) {
-    let shape = QUERY_INDEX_SHAPE;
     let mut group = c.benchmark_group("maintenance");
     group.sample_size(10);
 
@@ -112,14 +111,14 @@ fn bench_maintenance(c: &mut Criterion) {
             let admits: Vec<Arc<CacheEntry>> = (size + 1..=size + delta).map(entry_for).collect();
             // The surviving entry set the full rebuild starts from.
             let survivors: Vec<Arc<CacheEntry>> = base[delta as usize..].to_vec();
-            let base_snapshot = CacheSnapshot::build_sharded(shape, SHARDS, base.clone());
+            let base_snapshot = CacheSnapshot::build_sharded(SHARDS, base.clone());
 
             // Old path: clone survivors + admissions, rebuild all indexes.
             group.bench_with_input(BenchmarkId::new("full", &label), &(), |b, _| {
                 b.iter(|| {
                     let mut entries = survivors.clone();
                     entries.extend(admits.iter().cloned());
-                    CacheSnapshot::build_sharded(shape, SHARDS, entries)
+                    CacheSnapshot::build_sharded(SHARDS, entries)
                 })
             });
 

@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gc_core::{DatasetIdentity, PersistedCache, StatsStore, StoredProfiles, QUERY_INDEX_SHAPE};
 use gc_graph::{GraphId, LabeledGraph};
 use gc_index::fingerprint::iso_hash;
-use gc_index::paths::{enumerate_paths, PathShape};
+use gc_index::paths::enumerate_paths;
 use gc_methods::QueryKind;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -51,7 +51,8 @@ fn seeded_graph(seed: u64) -> LabeledGraph {
 }
 
 /// Builds the 10k-entry persisted state, profiles included.
-fn corpus(shape: &PathShape) -> PersistedCache {
+fn corpus() -> PersistedCache {
+    let shape = QUERY_INDEX_SHAPE;
     let mut entries = Vec::with_capacity(ENTRIES as usize);
     let mut profiles = Vec::with_capacity(ENTRIES as usize);
     for serial in 1..=ENTRIES {
@@ -68,22 +69,19 @@ fn corpus(shape: &PathShape) -> PersistedCache {
         policy: Some("lru".to_string()),
         dataset: DatasetIdentity::default(),
         fragments: Vec::new(),
-        profiles: Some(StoredProfiles {
-            shape: *shape,
-            profiles,
-        }),
+        profiles: Some(StoredProfiles { shape, profiles }),
     }
 }
 
 /// One full restore: load from `dir` + sharded materialisation, reusing
 /// the stored profiles or (`reuse_profiles == false`) re-enumerating
 /// paths. Returns the entry count so the work can't be optimised away.
-fn restore(dir: &Path, shape: PathShape, reuse_profiles: bool) -> usize {
+fn restore(dir: &Path, reuse_profiles: bool) -> usize {
     let mut loaded = PersistedCache::load_resilient(dir).expect("load").state;
     if !reuse_profiles {
         loaded.profiles = None;
     }
-    let (snap, _stats, _serial) = loaded.into_snapshot_sharded(shape, SHARDS);
+    let (snap, _stats, _serial) = loaded.into_snapshot_sharded(SHARDS);
     snap.len()
 }
 
@@ -101,18 +99,17 @@ fn best_of_3(mut f: impl FnMut() -> usize) -> (Duration, usize) {
 }
 
 fn bench_restore(c: &mut Criterion) {
-    let shape = QUERY_INDEX_SHAPE;
     let root: PathBuf =
         std::env::temp_dir().join(format!("gc-bench-restore-{}", std::process::id()));
-    let state = corpus(&shape);
+    let state = corpus();
     state.save(&root).expect("save");
     let bytes = std::fs::metadata(root.join("snapshot.bin"))
         .expect("snapshot.bin")
         .len();
 
     // ---- The ≥5x restore contract (asserted, printed once). ----
-    let (slow_t, slow_n) = best_of_3(|| restore(&root, shape, false));
-    let (fast_t, fast_n) = best_of_3(|| restore(&root, shape, true));
+    let (slow_t, slow_n) = best_of_3(|| restore(&root, false));
+    let (fast_t, fast_n) = best_of_3(|| restore(&root, true));
     assert_eq!(slow_n, ENTRIES as usize);
     assert_eq!(fast_n, ENTRIES as usize);
     let speedup = slow_t.as_secs_f64() / fast_t.as_secs_f64().max(1e-9);
@@ -133,10 +130,8 @@ fn bench_restore(c: &mut Criterion) {
     // ---- Wall-clock distributions of the same two paths. ----
     let mut group = c.benchmark_group("restore");
     group.sample_size(10);
-    group.bench_function("re-enumerate", |b| b.iter(|| restore(&root, shape, false)));
-    group.bench_function("stored-profiles", |b| {
-        b.iter(|| restore(&root, shape, true))
-    });
+    group.bench_function("re-enumerate", |b| b.iter(|| restore(&root, false)));
+    group.bench_function("stored-profiles", |b| b.iter(|| restore(&root, true)));
     group.finish();
 
     let _ = std::fs::remove_dir_all(&root);

@@ -11,7 +11,9 @@
 //! most half of what id-order VF2 expanded on the same sweep, at most 0.6×
 //! of what VF2 expanded with a label-blind lookahead, and strictly less
 //! than the label-aware VF2 expanded before quick reject read cycle
-//! lengths; and at least half of the small-ring sweep (a carbon triangle
+//! lengths; VF2+ decides every test as VF2 does and expands exactly the
+//! nodes it expanded with a search of its own; and at least half of the
+//! small-ring sweep (a carbon triangle
 //! with a pendant and a carbon 4-cycle against their GGSX candidates) is
 //! refused without a search node. CI runs this bench (`cargo bench -p
 //! gc-bench --bench subiso -- sweep`) as the matcher work gate.
@@ -118,6 +120,12 @@ const LABEL_BLIND_SWEEP_WORK: u64 = 75_953;
 /// cycle lengths.
 const LABEL_AWARE_SWEEP_WORK: u64 = 41_804;
 
+/// Summed `nodes_expanded` of the sweep below under VF2+, measured when it
+/// still ran a search of its own (an O(|V|²) plan per target and a
+/// lookahead that sorted label lists); running on VF2's plan builder and
+/// search, it must expand exactly these nodes.
+const VF2_PLUS_SWEEP_WORK: u64 = 38_576;
+
 /// The small-ring shapes among `cold-uniform`'s costliest queries, on the
 /// dataset's commonest label (AIDS's carbon): a triangle with a pendant
 /// and a 4-cycle. GGSX's path features cannot see a ring, so most of
@@ -168,6 +176,29 @@ fn bench_sweep(c: &mut Criterion) {
     assert!(
         work(&per_pair) < LABEL_AWARE_SWEEP_WORK,
         "quick reject's cycle rule must cut the sweep below {LABEL_AWARE_SWEEP_WORK} nodes"
+    );
+    let plus = MatcherKind::Vf2Plus.build();
+    let plus_each = sweeps.each(plus.as_ref());
+    assert_eq!(
+        plus_each,
+        sweeps.per_pair(plus.as_ref()),
+        "VF2+'s contains_each must equal its per-pair loop"
+    );
+    assert!(
+        plus_each
+            .iter()
+            .zip(&per_pair)
+            .all(|(p, v)| p.found == v.found),
+        "VF2+ must decide every sweep test as VF2 does"
+    );
+    println!(
+        "sweep: VF2+ expands {} nodes ({VF2_PLUS_SWEEP_WORK} expected)",
+        work(&plus_each)
+    );
+    assert_eq!(
+        work(&plus_each),
+        VF2_PLUS_SWEEP_WORK,
+        "VF2+ must expand exactly the nodes it expanded with a search of its own"
     );
     let ggsx = PathTrie::build(&d, GgsxConfig::default());
     let (mut tests, mut refused) = (0, 0);

@@ -21,7 +21,7 @@ use crate::window::{self, MaintMsg, Shared, WindowEntry};
 use gc_fragments::FragmentConfig;
 use gc_graph::{idset, GraphId, LabeledGraph};
 use gc_index::fingerprint::iso_hash;
-use gc_index::paths::{PathEnumeration, PathProfile, PathShape};
+use gc_index::paths::{PathEnumeration, PathProfile};
 use gc_methods::{Method, QueryKind};
 use gc_subiso::cost;
 use parking_lot::Mutex;
@@ -279,7 +279,6 @@ impl GraphCacheBuilder {
         Ok(GraphCache::assemble(
             method,
             self.cfg,
-            QUERY_INDEX_SHAPE,
             eviction,
             admission,
             fragment_eviction,
@@ -468,8 +467,8 @@ enum ReadOutcome {
 
 /// Enumerates a query's path features under the query index's path length
 /// and `work_cap` — the query path's one enumeration.
-fn enumerate_query(query: &LabeledGraph, shape: PathShape, work_cap: u64) -> PathEnumeration {
-    PathEnumeration::new(query, shape.max_len, work_cap)
+fn enumerate_query(query: &LabeledGraph, work_cap: u64) -> PathEnumeration {
+    PathEnumeration::new(query, QUERY_INDEX_SHAPE.max_len, work_cap)
 }
 
 /// A query's record as far as hit detection, which started at `t_gc`,
@@ -598,7 +597,6 @@ impl GraphCache {
     fn assemble(
         method: Method,
         cfg: GcConfig,
-        index_shape: PathShape,
         eviction: Box<dyn EvictionPolicy>,
         admission: Box<dyn AdmissionPolicy>,
         fragment_eviction: Box<dyn EvictionPolicy>,
@@ -608,7 +606,6 @@ impl GraphCache {
             .fragments
             .then(|| FragmentState::new(cfg.fragment, method.clone(), fragment_eviction));
         let shared = Arc::new(Shared::new(
-            index_shape,
             effective_shards(&cfg),
             eviction,
             admission,
@@ -863,7 +860,7 @@ impl GraphCache {
                     })
                     .unwrap_or_default(),
                 profiles: Some(crate::persist::StoredProfiles {
-                    shape: self.shared.index_shape,
+                    shape: QUERY_INDEX_SHAPE,
                     profiles: snapshot.iter_entries().map(|e| e.profile.clone()).collect(),
                 }),
             }
@@ -929,8 +926,7 @@ impl GraphCache {
         let saved_fragments = std::mem::take(&mut loaded.fragments);
         // The persisted format carries no shard layout: entries are
         // re-routed into this instance's shard count on load.
-        let (snapshot, stats, next_serial) =
-            loaded.into_snapshot_sharded(self.shared.index_shape, self.shared.shards.len());
+        let (snapshot, stats, next_serial) = loaded.into_snapshot_sharded(self.shared.shards.len());
         // Drain queued background batches so none of them (built from the
         // pre-restore snapshot) lands after our swap.
         self.flush_pending();
@@ -1152,8 +1148,7 @@ impl GraphCache {
     ) -> Vec<(QuerySerial, u64)> {
         let kind = kind.unwrap_or(self.cfg.query_kind);
         let snapshot = self.shared.load_snapshot();
-        let shape = snapshot.index_shape();
-        let profile = enumerate_query(query, shape, shape.work_cap).profile;
+        let profile = enumerate_query(query, QUERY_INDEX_SHAPE.work_cap).profile;
         let hit_query = processors::HitQuery::new(query, kind, &profile);
         processors::candidate_serials(&snapshot, &hit_query)
     }
@@ -1162,7 +1157,8 @@ impl GraphCache {
     /// raised to Method M's when its filter reads paths of the same length,
     /// so the one enumeration serves both. With a different length (the
     /// §7.3 ablation) Method M enumerates its own.
-    fn miss_work_cap(&self, shape: PathShape) -> u64 {
+    fn miss_work_cap(&self) -> u64 {
+        let shape = QUERY_INDEX_SHAPE;
         match self.method.path_shape() {
             Some(m) if m.max_len == shape.max_len => shape.work_cap.max(m.work_cap),
             _ => shape.work_cap,
@@ -1226,12 +1222,11 @@ impl GraphCache {
                 // for Method M's filter and for index patching if the
                 // query is later admitted. Each reads the enumeration
                 // within its own work cap.
-                let shape = snapshot.index_shape();
-                let features = enumerate_query(query, shape, self.miss_work_cap(shape));
+                let features = enumerate_query(query, self.miss_work_cap());
                 let hit_query = processors::HitQuery {
                     query,
                     kind,
-                    profile: features.within(shape.work_cap),
+                    profile: features.within(QUERY_INDEX_SHAPE.work_cap),
                     fingerprint,
                 };
                 let hits = processors::sweep(&snapshot, &hit_query, probe, matcher, &opts);
@@ -1273,7 +1268,7 @@ impl GraphCache {
                 );
                 let read = ReadOutcome::Miss {
                     pruned,
-                    profile: features.into_profile(shape.work_cap),
+                    profile: features.into_profile(QUERY_INDEX_SHAPE.work_cap),
                     fingerprint,
                 };
                 (record, read)
@@ -2256,55 +2251,63 @@ mod tests {
     /// The shared-profile overflow rule: one enumeration per miss, under the
     /// larger of the query index's and GGSX's work caps, gives the GC sweep,
     /// Method M's filter and the Window entry exactly what enumerating
-    /// under each one's own cap gives — for a query within both caps, one
-    /// between them and one past both, in both directions. A Method M over
-    /// a different path length enumerates its own.
+    /// under each one's own cap gives — for queries within both caps, past
+    /// GGSX's only, past the query index's only and past both, in both
+    /// directions. A Method M over a different path length enumerates its
+    /// own. The query index's cap is [`QUERY_INDEX_SHAPE`]'s, so the last
+    /// two classes need a query of more than 5 million enumeration steps:
+    /// a label-0 24-clique.
     #[test]
     fn one_enumeration_per_miss_matches_separate_enumerations() {
         use crate::query_index::Probe;
         use gc_index::GgsxConfig;
+        let clique: Vec<(u32, u32)> = (0..24u32)
+            .flat_map(|i| (i + 1..24).map(move |j| (i, j)))
+            .collect();
         let queries = [
             path_graph(&[0, 1]),
             path_graph(&[0, 1, 0, 1]),
             path_graph(&[0, 1, 2, 1, 0]),
+            LabeledGraph::from_parts(vec![0; 24], &clique),
         ];
         let work: Vec<u64> = queries
             .iter()
             .map(|q| PathEnumeration::new(q, 4, u64::MAX).work)
             .collect();
-        assert!(work[0] < work[1] && work[1] < work[2], "{work:?}");
-        let index_shape = PathShape {
-            max_len: 4,
-            work_cap: work[0],
-        };
-        for ggsx in [
-            GgsxConfig {
-                max_path_len: 4,
-                work_cap: work[1],
-            },
-            GgsxConfig {
-                max_path_len: 5,
-                work_cap: work[1],
-            },
+        let index_cap = QUERY_INDEX_SHAPE.work_cap;
+        assert!(
+            work[0] < work[1] && work[1] < work[2] && work[2] < index_cap && index_cap < work[3],
+            "{work:?}"
+        );
+        for (ggsx, expected_cap) in [
+            (
+                GgsxConfig {
+                    max_path_len: 4,
+                    work_cap: work[1],
+                },
+                index_cap,
+            ),
+            (
+                GgsxConfig {
+                    max_path_len: 4,
+                    work_cap: work[3],
+                },
+                work[3],
+            ),
+            (
+                GgsxConfig {
+                    max_path_len: 5,
+                    work_cap: work[1],
+                },
+                index_cap,
+            ),
         ] {
             let d = dataset();
             let method = MethodBuilder::ggsx_with(ggsx).build(&d);
             let reference = MethodBuilder::ggsx_with(ggsx).build(&d);
             let b = GraphCache::builder().capacity(10).window(1);
-            let gc = GraphCache::assemble(
-                method,
-                b.cfg,
-                index_shape,
-                registry::build_eviction("hd").unwrap(),
-                registry::build_admission("none").unwrap(),
-                registry::build_eviction("lru").unwrap(),
-            );
-            let shared_cap = gc.miss_work_cap(index_shape);
-            let expected_cap = if ggsx.max_path_len == 4 {
-                work[1]
-            } else {
-                work[0]
-            };
+            let gc = b.build(method);
+            let shared_cap = gc.miss_work_cap();
             assert_eq!(shared_cap, expected_cap);
             // Admit every query (W = 1), so the index holds one entry per
             // overflow class, then probe with each.
@@ -2314,12 +2317,11 @@ mod tests {
             assert_eq!(gc.cache_len(), queries.len());
             let snapshot = gc.shared.load_snapshot();
             for q in &queries {
-                let shared = enumerate_query(q, index_shape, shared_cap);
+                let shared = enumerate_query(q, shared_cap);
                 let own = snapshot.profile_of(q);
                 let (qn, qm) = (q.node_count() as u32, q.edge_count() as u32);
                 for shard in snapshot.shards() {
-                    let a = shard
-                        .candidates(&Probe::new(shared.within(index_shape.work_cap), (qn, qm)));
+                    let a = shard.candidates(&Probe::new(shared.within(index_cap), (qn, qm)));
                     let b = shard.candidates(&Probe::new(&own, (qn, qm)));
                     assert_eq!(
                         (a.sub, a.super_),
@@ -2334,7 +2336,7 @@ mod tests {
                         "CS_M of {q:?} ({kind:?}, {ggsx:?})"
                     );
                 }
-                assert_eq!(shared.into_profile(index_shape.work_cap), own);
+                assert_eq!(shared.into_profile(index_cap), own);
             }
             assert_eq!(gc.check_invariants(), Ok(()));
         }
@@ -2349,8 +2351,7 @@ mod tests {
         gc.run(&path_graph(&[0, 1])); // flush at W=2
         assert_eq!(gc.check_invariants(), Ok(()));
         let copy = Arc::new(path_graph(&[2, 1, 0]));
-        let shape = gc.shared.load_snapshot().index_shape();
-        let profile = enumerate_query(&copy, shape, shape.work_cap).profile;
+        let profile = enumerate_query(&copy, QUERY_INDEX_SHAPE.work_cap).profile;
         let entry = CacheEntry::new(99, copy, first.answer, QueryKind::Subgraph, profile);
         Arc::make_mut(&mut *gc.shared.shards[0].write()).insert(Arc::new(entry));
         let v = gc.check_invariants().unwrap_err();

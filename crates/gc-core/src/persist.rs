@@ -23,6 +23,7 @@
 //! error that says to rebuild the cache.
 
 use crate::entry::{CacheEntry, CacheSnapshot};
+use crate::query_index::QUERY_INDEX_SHAPE;
 use crate::staged::{Generation, Manifest, SNAPSHOT_FILE};
 use crate::stats::{QuerySerial, StatsStore};
 use gc_graph::{GraphDataset, GraphError, GraphId};
@@ -46,8 +47,8 @@ pub enum PersistFormat {
 /// Path-feature profiles captured at save time, so a restore can skip
 /// re-enumerating every entry graph's simple paths — the dominant cost of
 /// materialising a restored cache. The path shape they were enumerated
-/// under is recorded alongside; profiles are only reused when the
-/// restoring cache's shape matches (see
+/// under is recorded alongside; profiles are only reused when it is the
+/// query index's [`QUERY_INDEX_SHAPE`] (see
 /// [`PersistedCache::into_snapshot_sharded`]).
 #[derive(Debug, Clone)]
 pub struct StoredProfiles {
@@ -341,15 +342,12 @@ impl PersistedCache {
     /// shard counts are runtime configuration, so a save taken under one
     /// count restores cleanly under any other; entries are re-routed by
     /// serial hash on load.
-    pub fn into_snapshot_sharded(
-        self,
-        shape: PathShape,
-        shards: usize,
-    ) -> (CacheSnapshot, StatsStore, QuerySerial) {
+    pub fn into_snapshot_sharded(self, shards: usize) -> (CacheSnapshot, StatsStore, QuerySerial) {
         // Stored profiles skip the per-entry path enumeration — but only
-        // when they were captured under this exact path shape and cover
-        // every entry; anything else re-enumerates, so a stale or
+        // when they were captured under the query index's path shape and
+        // cover every entry; anything else re-enumerates, so a stale or
         // mismatched profile section can never poison the index.
+        let shape = QUERY_INDEX_SHAPE;
         let stored = self
             .profiles
             .filter(|p| p.shape == shape && p.profiles.len() == self.entries.len());
@@ -378,7 +376,7 @@ impl PersistedCache {
             )
             .collect();
         (
-            CacheSnapshot::build_sharded(shape, shards, entries),
+            CacheSnapshot::build_sharded(shards, entries),
             self.stats,
             self.next_serial,
         )
@@ -389,7 +387,6 @@ impl PersistedCache {
 mod tests {
     use super::*;
     use crate::policy::PolicyRow;
-    use crate::query_index::QUERY_INDEX_SHAPE;
     use gc_graph::LabeledGraph;
     use gc_index::fingerprint::iso_hash;
 
@@ -472,7 +469,7 @@ mod tests {
     #[test]
     fn snapshot_materialisation() {
         let loaded = roundtripped("snapshot", &sample());
-        let (snap, stats, next) = loaded.into_snapshot_sharded(QUERY_INDEX_SHAPE, 1);
+        let (snap, stats, next) = loaded.into_snapshot_sharded(1);
         assert_eq!(snap.len(), 2);
         assert_eq!(next, 42);
         assert_eq!(stats.len(), 2);
@@ -486,7 +483,7 @@ mod tests {
     #[test]
     fn sharded_materialisation_routes_entries() {
         let loaded = roundtripped("sharded", &sample());
-        let (snap, _, _) = loaded.into_snapshot_sharded(QUERY_INDEX_SHAPE, 4);
+        let (snap, _, _) = loaded.into_snapshot_sharded(4);
         assert_eq!(snap.shard_count(), 4);
         assert_eq!(snap.len(), 2);
         assert!(snap.entry(3).is_some());
@@ -494,7 +491,7 @@ mod tests {
         // Candidates match the single-shard materialisation (as sets).
         let probe = LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]);
         let (mut sub, _) = snap.candidate_serials(&probe);
-        let (flat, _, _) = sample().into_snapshot_sharded(QUERY_INDEX_SHAPE, 1);
+        let (flat, _, _) = sample().into_snapshot_sharded(1);
         let (mut flat_sub, _) = flat.candidate_serials(&probe);
         sub.sort_unstable();
         flat_sub.sort_unstable();

@@ -583,7 +583,6 @@ pub fn find_hits_naive(
 mod tests {
     use super::*;
     use crate::entry::CacheEntry;
-    use crate::query_index::QUERY_INDEX_SHAPE;
     use gc_graph::GraphId;
     use gc_subiso::Vf2;
     use std::sync::Arc;
@@ -608,7 +607,7 @@ mod tests {
                 ))
             })
             .collect();
-        CacheSnapshot::build(QUERY_INDEX_SHAPE, entries)
+        CacheSnapshot::build(entries)
     }
 
     fn snapshot(graphs: Vec<LabeledGraph>) -> CacheSnapshot {
@@ -837,7 +836,7 @@ mod tests {
             fingerprint: iso_hash(&g),
             exact_saving: std::sync::OnceLock::new(),
         };
-        let snap = CacheSnapshot::build(QUERY_INDEX_SHAPE, vec![Arc::new(forged)]);
+        let snap = CacheSnapshot::build(vec![Arc::new(forged)]);
         let hq = HitQuery::new(&g, QueryKind::Subgraph, &profile);
         let (vf2, opts) = (Vf2::new(), VerifyOptions::default());
         let probe = exact_probe(&snap, &g, hq.kind, hq.fingerprint, &vf2, &opts);

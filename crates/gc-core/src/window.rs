@@ -65,7 +65,7 @@ use crate::processors::{self, VerifyOptions};
 use crate::stats::{QuerySerial, StatsStore};
 use gc_graph::{sizing, GraphId, LabeledGraph};
 use gc_index::fx::FxHashMap;
-use gc_index::paths::{PathProfile, PathShape};
+use gc_index::paths::PathProfile;
 use gc_methods::QueryKind;
 use gc_subiso::Matcher;
 use parking_lot::{Mutex, RwLock};
@@ -177,8 +177,6 @@ pub(crate) struct Shared {
     /// The cache shards; a maintenance round locks only the shards its
     /// delta touches, readers clone each shard's `Arc` independently.
     pub shards: Vec<RwLock<Arc<Shard>>>,
-    /// The query index's path shape, shared by every shard.
-    pub index_shape: PathShape,
     /// Statistics of cached queries (GCstats).
     pub stats: Mutex<StatsStore>,
     /// The admission policy (trait object — see [`crate::registry`]).
@@ -222,7 +220,6 @@ pub(crate) struct Shared {
 
 impl Shared {
     pub(crate) fn new(
-        index_shape: PathShape,
         shard_count: usize,
         eviction: Box<dyn EvictionPolicy>,
         admission: Box<dyn AdmissionPolicy>,
@@ -233,7 +230,6 @@ impl Shared {
             shards: (0..shard_count.max(1))
                 .map(|_| RwLock::new(Arc::new(Shard::default())))
                 .collect(),
-            index_shape,
             stats: Mutex::new(StatsStore::new()),
             admission: Mutex::new(admission),
             eviction: Mutex::new(eviction),
@@ -253,10 +249,7 @@ impl Shared {
     /// captured here stay alive (and unchanged) for the view's lifetime
     /// even while maintenance patches the live state.
     pub(crate) fn load_snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot::from_shards(
-            self.index_shape,
-            self.shards.iter().map(|s| s.read().clone()).collect(),
-        )
+        CacheSnapshot::from_shards(self.shards.iter().map(|s| s.read().clone()).collect())
     }
 
     /// Replaces every shard with the given snapshot's (restore path). The
@@ -602,7 +595,6 @@ mod tests {
     use super::*;
     use crate::admission::{AdmissionConfig, AdmissionControl, AdmitAll};
     use crate::policy::PolicyKind;
-    use crate::query_index::QUERY_INDEX_SHAPE;
     use gc_subiso::Vf2;
 
     /// A window entry whose graph is unique to its serial (an edge to a
@@ -632,7 +624,6 @@ mod tests {
 
     fn shared_with(shards: usize) -> Shared {
         Shared::new(
-            QUERY_INDEX_SHAPE,
             shards,
             Box::new(PolicyKind::Lru),
             Box::new(AdmitAll),
@@ -698,7 +689,6 @@ mod tests {
     #[test]
     fn empty_batch_after_admission_skips_rebuild() {
         let s = Shared::new(
-            QUERY_INDEX_SHAPE,
             1,
             Box::new(PolicyKind::Lru),
             Box::new(AdmissionControl::new(AdmissionConfig {

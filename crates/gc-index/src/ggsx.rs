@@ -59,7 +59,7 @@ impl GgsxConfig {
 }
 
 /// Per-feature `(graph, count)` postings over a dataset — the filtering
-/// core GGSX and Grapes share.
+/// core of GGSX (and so of Grapes, which filters with GGSX's index).
 ///
 /// Each feature takes whichever of two layouts needs fewer words. A sparse
 /// feature keeps its `(graph, count)` pairs, one word per holder, sorted
@@ -545,7 +545,6 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grapes::{GrapesConfig, GrapesIndex};
     use gc_subiso::{Matcher, Vf2};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -813,56 +812,43 @@ mod tests {
         );
     }
 
-    /// The 2 500-graph AIDS-shaped dataset and both path indexes over it.
-    fn aids() -> &'static (GraphDataset, PathTrie, GrapesIndex) {
-        static AIDS: OnceLock<(GraphDataset, PathTrie, GrapesIndex)> = OnceLock::new();
+    /// The 2 500-graph AIDS-shaped dataset and the path index over it.
+    fn aids() -> &'static (GraphDataset, PathTrie) {
+        static AIDS: OnceLock<(GraphDataset, PathTrie)> = OnceLock::new();
         AIDS.get_or_init(|| {
             let d = gc_workload::datasets::aids_like(1.0, 42);
             let ggsx = PathTrie::build(&d, GgsxConfig::default());
-            let grapes = GrapesIndex::build(&d, GrapesConfig::default());
-            (d, ggsx, grapes)
+            (d, ggsx)
         })
     }
 
     #[test]
     fn hybrid_filters_equal_the_array_reference_on_aids_queries() {
         use gc_workload::{generate_type_a, TypeAConfig};
-        let (d, ggsx, grapes) = aids();
+        let (d, ggsx) = aids();
         assert_eq!(d.len(), 2500);
-        let indexes = [
-            (ggsx as &dyn FilterIndex, ArrayPostings::new(&ggsx.core)),
-            (
-                grapes as &dyn FilterIndex,
-                ArrayPostings::new(grapes.core()),
-            ),
-        ];
+        let arrays = ArrayPostings::new(&ggsx.core);
         for cfg in [TypeAConfig::uu(), TypeAConfig::zz(1.4)] {
             for q in generate_type_a(d, &cfg.count(200).seed(30)).queries {
                 let q = &q.graph;
                 let profile = PathEnumeration::new(q, 4, GgsxConfig::default().work_cap).profile;
-                for (index, arrays) in &indexes {
-                    let sub = arrays.subgraph(&profile);
-                    assert_eq!(index.filter(q), sub, "{} subgraph {q:?}", index.name());
-                    let sup = arrays.supergraph(&profile);
-                    assert_eq!(
-                        index.filter_supergraph(q),
-                        Some(sup),
-                        "{} supergraph {q:?}",
-                        index.name()
-                    );
-                }
+                assert_eq!(ggsx.filter(q), arrays.subgraph(&profile), "subgraph {q:?}");
+                assert_eq!(
+                    ggsx.filter_supergraph(q),
+                    Some(arrays.supergraph(&profile)),
+                    "supergraph {q:?}"
+                );
             }
         }
     }
 
     #[test]
     fn count_planes_never_cost_memory() {
-        let (_, ggsx, grapes) = aids();
-        for core in [&ggsx.core, grapes.core()] {
-            let planes = core.directory.values().filter(|s| s.planes() > 0).count();
-            let (hybrid, arrays) = (core.memory_bytes(), ArrayPostings::new(core).memory_bytes());
-            assert!(planes > 0, "no feature of the AIDS-shaped dataset is dense");
-            assert!(hybrid < arrays, "hybrid {hybrid} B, arrays {arrays} B");
-        }
+        let (_, ggsx) = aids();
+        let core = &ggsx.core;
+        let planes = core.directory.values().filter(|s| s.planes() > 0).count();
+        let (hybrid, arrays) = (core.memory_bytes(), ArrayPostings::new(core).memory_bytes());
+        assert!(planes > 0, "no feature of the AIDS-shaped dataset is dense");
+        assert!(hybrid < arrays, "hybrid {hybrid} B, arrays {arrays} B");
     }
 }

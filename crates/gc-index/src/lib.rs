@@ -5,11 +5,11 @@
 //!
 //! * [`PathTrie`] — GraphGrepSX \[Bonnici et al. 2010\]: all labelled simple
 //!   paths up to 4 edges, keyed by a 64-bit fold of their labels, with
-//!   per-graph occurrence counts packed into one arena;
-//! * [`GrapesIndex`] — Grapes \[Giugno et al. 2013\]: the same path
-//!   features and count postings (Grapes' occurrence locations are not
-//!   kept, since verification never reads them; its verification
-//!   parallelism lives in `gc-methods`);
+//!   per-graph occurrence counts packed into one arena. Grapes \[Giugno
+//!   et al. 2013\] filters with this same index: its occurrence locations
+//!   only narrow verification, which here always runs over whole
+//!   candidate graphs, so what sets Grapes1/6 apart is their verifier
+//!   thread count, set in `gc-methods`;
 //! * [`CtIndex`] — CT-Index \[Klein, Kriege, Mutzel 2011\]: per-graph
 //!   fingerprint bitmaps over tree features (≤ 6 nodes) and cycle features
 //!   (≤ 8 nodes), 4096 bits by default.
@@ -28,12 +28,10 @@ pub mod features;
 pub mod fingerprint;
 pub mod fx;
 pub mod ggsx;
-pub mod grapes;
 pub mod paths;
 
 pub use ct_index::{CtConfig, CtIndex};
 pub use ggsx::{GgsxConfig, PathTrie};
-pub use grapes::{GrapesConfig, GrapesIndex};
 
 use gc_graph::{GraphDataset, GraphId, LabeledGraph};
 use paths::{PathEnumeration, PathShape};

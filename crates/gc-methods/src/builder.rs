@@ -2,7 +2,7 @@
 
 use crate::method::Method;
 use gc_graph::GraphDataset;
-use gc_index::{CtConfig, CtIndex, FilterIndex, GgsxConfig, GrapesConfig, GrapesIndex, PathTrie};
+use gc_index::{CtConfig, CtIndex, FilterIndex, GgsxConfig, PathTrie};
 use gc_subiso::{MatchConfig, Matcher, MatcherKind};
 use std::sync::Arc;
 
@@ -114,7 +114,6 @@ impl MethodKind {
 enum FilterSpec {
     None,
     Ggsx(GgsxConfig),
-    Grapes(GrapesConfig),
     Ct(CtConfig),
 }
 
@@ -158,15 +157,16 @@ impl MethodBuilder {
         }
     }
 
-    /// Grapes: located path postings + VF2 on `threads` verification threads
-    /// (the paper evaluates Grapes1 and Grapes6).
+    /// Grapes: GGSX's path index + VF2 on `threads` verification threads
+    /// (the paper evaluates Grapes1 and Grapes6). Grapes' occurrence
+    /// locations only narrow verification to regions of a candidate, and
+    /// verification here always searches the whole graph, so its filter
+    /// is GGSX's.
     pub fn grapes(threads: usize) -> Self {
         MethodBuilder {
             name: format!("Grapes{threads}"),
-            filter: FilterSpec::Grapes(GrapesConfig::default()),
-            verifier: MatcherKind::Vf2,
             threads: threads.max(1),
-            match_config: MatchConfig::UNBOUNDED,
+            ..Self::ggsx()
         }
     }
 
@@ -253,7 +253,6 @@ impl MethodBuilder {
         let filter: Option<Box<dyn FilterIndex>> = match self.filter {
             FilterSpec::None => None,
             FilterSpec::Ggsx(cfg) => Some(Box::new(PathTrie::build(&dataset, cfg))),
-            FilterSpec::Grapes(cfg) => Some(Box::new(GrapesIndex::build(&dataset, cfg))),
             FilterSpec::Ct(cfg) => Some(Box::new(CtIndex::build(&dataset, cfg))),
         };
         let matcher: Arc<dyn Matcher> = self.verifier.build().into();
@@ -271,6 +270,7 @@ impl MethodBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QueryKind;
     use gc_graph::LabeledGraph;
 
     fn tiny() -> GraphDataset {
@@ -305,6 +305,40 @@ mod tests {
         let m = MethodBuilder::grapes(0).build(&d);
         assert_eq!(m.threads(), 1);
         assert_eq!(m.name(), "Grapes0"); // name reflects the requested count
+    }
+
+    #[test]
+    fn grapes_filters_as_ggsx_with_its_own_thread_count() {
+        let d = GraphDataset::new(vec![
+            LabeledGraph::from_parts(vec![0, 1, 0], &[(0, 1), (1, 2)]),
+            LabeledGraph::from_parts(vec![0, 1, 2], &[(0, 1), (1, 2), (2, 0)]),
+            LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]),
+            LabeledGraph::from_parts(vec![9, 9, 9], &[(0, 1), (1, 2)]),
+        ]);
+        let queries = [
+            LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]),
+            LabeledGraph::from_parts(vec![0, 1, 0], &[(0, 1), (1, 2)]),
+            LabeledGraph::from_parts(vec![1, 0, 0], &[(0, 1), (0, 2)]),
+            LabeledGraph::from_parts(vec![0, 1, 2, 9], &[(0, 1), (1, 2), (2, 0), (2, 3)]),
+            LabeledGraph::from_parts(vec![9, 9], &[(0, 1)]),
+        ];
+        let ggsx = MethodKind::Ggsx.build(&d);
+        for (kind, threads) in [(MethodKind::Grapes1, 1), (MethodKind::Grapes6, 6)] {
+            let grapes = kind.build(&d);
+            assert_eq!(grapes.threads(), threads);
+            assert_eq!(grapes.path_shape(), ggsx.path_shape());
+            assert_eq!(grapes.index_memory_bytes(), ggsx.index_memory_bytes());
+            for q in &queries {
+                for direction in [QueryKind::Subgraph, QueryKind::Supergraph] {
+                    assert_eq!(
+                        grapes.filter_directed(q, direction).candidates,
+                        ggsx.filter_directed(q, direction).candidates,
+                        "{} {direction:?} {q:?}",
+                        kind.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! \[He & Singh 2008\] — and uses them both as standalone Method M instances
 //! and as the verifiers of the FTV methods. This crate implements all three
 //! plus Ullmann's algorithm (used as an independent referee in property
-//! tests).
+//! tests). VF2+ is not a second search: it is VF2's plan builder and
+//! search with label rarity counted in the target instead of the pattern,
+//! so it builds one plan per target.
 //!
 //! All matchers solve the **decision** version of non-induced, vertex-
 //! labelled, undirected subgraph isomorphism (`g ⊆ G` of paper §3) and can

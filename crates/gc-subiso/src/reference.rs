@@ -14,9 +14,11 @@
 //!   explores, so it is held to the same outcomes under any budget that
 //!   does not trip, the same counts and embeddings, and at most the same
 //!   `nodes_expanded`;
-//! * [`vf2_plus::Vf2Plus`] — VF2+ with a lookahead that allocates per call
-//!   and a `HashMap` label index behind the shipped quick reject, which the
-//!   shipped VF2+ must equal step for step.
+//! * [`vf2_plus::Vf2Plus`] — VF2+ as its own search: an O(|V|²) plan
+//!   builder, a lookahead that allocates per call and a `HashMap` label
+//!   index behind the shipped quick reject. The shipped VF2+ runs VF2's
+//!   plan builder and search with rarity counted in the target, and must
+//!   equal this one step for step.
 
 use gc_graph::{Label, LabeledGraph};
 use std::collections::HashMap;
@@ -259,7 +261,7 @@ pub(crate) mod vf2 {
 pub(crate) mod vf2_label_blind {
     use super::quick_reject;
     use crate::common::{Found, Work};
-    use crate::vf2::{Driver, Plan, Step};
+    use crate::vf2::{Driver, Plan, Rarity, Step};
     use crate::{MatchConfig, MatchOutcome, Matcher};
     use gc_graph::{LabeledGraph, NodeId};
     use std::ops::ControlFlow;
@@ -319,7 +321,7 @@ pub(crate) mod vf2_label_blind {
         }
         let mut work = Work::new(cfg.budget);
         if !quick_reject(pattern, target) {
-            let plan = Plan::build(pattern);
+            let plan = Plan::build(pattern, Rarity::Pattern);
             let mut st = State {
                 plan: &plan,
                 t: target,
@@ -836,12 +838,18 @@ mod tests {
         #[test]
         fn narrow_plan_priorities_order_like_wide_ones(
             p in arb_graph(12, 3),
+            t in arb_graph(12, 4),
             (k, drop_mask) in (0..13usize, any::<u64>()),
         ) {
-            use crate::vf2::Plan;
+            use crate::vf2::{Plan, Rarity};
             for p in &patterns(p.clone(), &p, k, drop_mask) {
                 if p.node_count() > 0 {
-                    prop_assert_eq!(Plan::build_with::<u64>(p), Plan::build_with::<u128>(p));
+                    for rarity in [Rarity::Pattern, Rarity::Target(&t)] {
+                        prop_assert_eq!(
+                            Plan::build_with::<u64>(p, rarity),
+                            Plan::build_with::<u128>(p, rarity)
+                        );
+                    }
                 }
             }
         }
@@ -865,7 +873,7 @@ mod tests {
                 let mut each = Vec::new();
                 Vf2.contains_each(p, &refs, &cfg, &mut each);
                 prop_assert_eq!(&each, &per_pair);
-                // The trait default is the loop itself.
+                // VF2+ reuses the buffers but builds a plan per target.
                 let per_pair: Vec<MatchOutcome> =
                     refs.iter().map(|t| Vf2Plus.contains_with(p, t, &cfg)).collect();
                 let mut default = Vec::new();
@@ -995,6 +1003,50 @@ mod tests {
             refused >= 10,
             "only {refused} pairs refused by cycles alone"
         );
+    }
+
+    #[test]
+    fn vf2_plus_counts_rarity_past_sixteen_bits_in_a_large_target() {
+        use crate::vf2::{Plan, Rarity};
+        // A single-label path of 2^16 nodes: every label-0 node has rarity
+        // 65 536, which a 16-bit field would read as 0.
+        let n = 1u32 << 16;
+        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
+        let t = LabeledGraph::from_parts(vec![0; n as usize], &edges);
+        // A label-0 hub (degree 2) with a label-0 and a label-1 leaf. In
+        // the target, label 1 is rarer (0 nodes), so node 2 goes first;
+        // the 16-bit keys would tie the rarities and start at the hub.
+        let two = LabeledGraph::from_parts(vec![0, 0, 1], &[(0, 1), (0, 2)]);
+        let wide = Plan::build(&two, Rarity::Target(&t));
+        assert_eq!(wide, Plan::build_with::<u128>(&two, Rarity::Target(&t)));
+        assert_eq!(wide.steps[0].node, 2);
+        assert_eq!(
+            Plan::build_with::<u64>(&two, Rarity::Target(&t)).steps[0].node,
+            0
+        );
+        // Patterns that survive quick reject decide, count and embed as
+        // the reference VF2+ does.
+        let reference = super::vf2_plus::Vf2Plus;
+        for p in [
+            LabeledGraph::from_parts(vec![0; 3], &[(0, 1), (1, 2)]),
+            LabeledGraph::from_parts(vec![0; 5], &[(0, 1), (2, 3)]),
+        ] {
+            for cfg in [MatchConfig::UNBOUNDED, MatchConfig::bounded(5)] {
+                assert_eq!(
+                    Vf2Plus.contains_with(&p, &t, &cfg),
+                    reference.contains_with(&p, &t, &cfg),
+                    "{p:?} under {cfg:?}"
+                );
+            }
+            assert_eq!(
+                Vf2Plus.count_embeddings(&p, &t, 10),
+                reference.count_embeddings(&p, &t, 10)
+            );
+            assert_eq!(
+                Vf2Plus.find_embedding(&p, &t),
+                reference.find_embedding(&p, &t)
+            );
+        }
     }
 
     /// `(shipped, label-blind)` outcomes of one unbounded decision test.

@@ -21,7 +21,9 @@
 //! each depth's feasibility test needs: the depths of its earlier-mapped
 //! neighbours other than the anchor (the anchor edge is implied, since
 //! candidates are drawn from the anchor image's neighbours) and its
-//! lookahead table.
+//! lookahead table. VF2+ (`vf2_plus.rs`) is this engine with one change:
+//! its plan counts a label's rarity in the target ([`Rarity::Target`]),
+//! so it builds one plan per target.
 //!
 //! **Label-aware lookahead.** The pattern neighbours of a node `u` mapped
 //! at later depths will each need their own target node, unused now,
@@ -78,7 +80,7 @@ impl Matcher for Vf2 {
         target: &LabeledGraph,
         cfg: &MatchConfig,
     ) -> MatchOutcome {
-        Compiled::new(pattern).run(target, cfg, &mut Driver::decide())
+        Compiled::vf2(pattern).decide(target, cfg)
     }
 
     fn contains_each(
@@ -88,24 +90,15 @@ impl Matcher for Vf2 {
         cfg: &MatchConfig,
         out: &mut Vec<MatchOutcome>,
     ) {
-        let mut compiled = Compiled::new(pattern);
-        out.extend(
-            targets
-                .iter()
-                .map(|t| compiled.run(t, cfg, &mut Driver::decide())),
-        );
+        Compiled::vf2(pattern).decide_each(targets, cfg, out);
     }
 
     fn find_embedding(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> Option<Vec<NodeId>> {
-        let mut driver = Driver::find();
-        Compiled::new(pattern).run(target, &MatchConfig::UNBOUNDED, &mut driver);
-        driver.embedding
+        Compiled::vf2(pattern).find(target)
     }
 
     fn count_embeddings(&self, pattern: &LabeledGraph, target: &LabeledGraph, limit: u64) -> u64 {
-        let mut driver = Driver::count(limit);
-        Compiled::new(pattern).run(target, &MatchConfig::UNBOUNDED, &mut driver);
-        driver.count
+        Compiled::vf2(pattern).count(target, limit)
     }
 }
 
@@ -203,6 +196,15 @@ pub(crate) struct Step {
     pub(crate) ahead_hi: u32,
 }
 
+/// Where a plan counts how rare a pattern node's label is.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Rarity<'t> {
+    /// The pattern nodes carrying it (VF2): the plan serves every target.
+    Pattern,
+    /// The target nodes carrying it (VF2+): the plan serves that target.
+    Target(&'t LabeledGraph),
+}
+
 /// The visiting order for one pattern, with each depth's feasibility inputs
 /// precomputed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,23 +221,27 @@ impl Plan {
     /// unplaced neighbour onto a lazy heap; an entry is never updated, but
     /// a node's newer entries outrank its older ones, so the first of its
     /// entries to surface is its current one and later ones are skipped as
-    /// placed. Below 2^16 nodes the entries are `u64`s, half the bytes to
-    /// move and compare of the `u128`s larger patterns need, in the same
+    /// placed. While the pattern, and a target that rarity is counted in,
+    /// have below 2^16 nodes, the entries are `u64`s, half the bytes to
+    /// move and compare of the `u128`s larger graphs need, in the same
     /// order.
-    pub(crate) fn build(p: &LabeledGraph) -> Plan {
-        if p.node_count() <= usize::from(u16::MAX) {
-            Self::build_with::<u64>(p)
+    pub(crate) fn build(p: &LabeledGraph, rarity: Rarity<'_>) -> Plan {
+        let t = match rarity {
+            Rarity::Pattern => 0,
+            Rarity::Target(t) => t.node_count(),
+        };
+        if p.node_count().max(t) <= usize::from(u16::MAX) {
+            Self::build_with::<u64>(p, rarity)
         } else {
-            Self::build_with::<u128>(p)
+            Self::build_with::<u128>(p, rarity)
         }
     }
 
-    pub(crate) fn build_with<K: Priority>(p: &LabeledGraph) -> Plan {
+    pub(crate) fn build_with<K: Priority>(p: &LabeledGraph, rarity: Rarity<'_>) -> Plan {
         const UNPLACED: u32 = u32::MAX;
         let n = p.node_count();
         // Per pattern node, in one buffer: its priority with no placed
-        // neighbour (rarity counts the pattern nodes sharing its label),
-        // its depth once placed and its placed-neighbour count.
+        // neighbour, its depth once placed and its placed-neighbour count.
         #[derive(Clone, Copy)]
         struct Node<K> {
             fixed: K,
@@ -254,8 +260,12 @@ impl Plan {
             .nodes_by_label()
             .chunk_by(|&a, &b| p.label(a) == p.label(b))
         {
+            let rare = match rarity {
+                Rarity::Pattern => same.len(),
+                Rarity::Target(t) => t.nodes_with_label(p.label(same[0])).len(),
+            } as u32;
             for &u in same {
-                node[u as usize].fixed = K::fixed(same.len() as u32, p.degree(u) as u32, u);
+                node[u as usize].fixed = K::fixed(rare, p.degree(u) as u32, u);
             }
         }
         // Each edge pushes at most one endpoint, once.
@@ -357,8 +367,9 @@ impl Priority for u128 {
     }
 }
 
-/// 16-bit fields: exact for patterns of at most `u16::MAX` nodes, whose
-/// rarities, degrees, placed counts and ids all fit.
+/// 16-bit fields: exact when the pattern, and the graph rarities are
+/// counted in, have at most `u16::MAX` nodes, so rarities, degrees, placed
+/// counts and ids all fit.
 impl Priority for u64 {
     fn fixed(rarity: u32, degree: u32, u: NodeId) -> Self {
         u64::from(!(rarity as u16)) << 32 | u64::from(degree as u16) << 16 | u64::from(!(u as u16))
@@ -374,10 +385,13 @@ impl Priority for u64 {
 }
 
 /// A pattern prepared for tests against any number of targets: its plan
-/// (built on the first target that survives quick reject) and search
-/// buffers reused from one target to the next.
-struct Compiled<'p> {
+/// (built on the first target that survives quick reject, or on each one
+/// when rarity is counted in the target) and search buffers reused from
+/// one target to the next.
+pub(crate) struct Compiled<'p> {
     pattern: &'p LabeledGraph,
+    /// VF2+'s order: a plan per target, [`Rarity::Target`].
+    target_rarity: bool,
     plan: Option<Plan>,
     /// `img[d]`: the target node mapped at depth `d`.
     img: Vec<NodeId>,
@@ -387,13 +401,49 @@ struct Compiled<'p> {
 }
 
 impl<'p> Compiled<'p> {
-    fn new(pattern: &'p LabeledGraph) -> Self {
+    /// VF2: one plan, rarity counted in the pattern.
+    pub(crate) fn vf2(pattern: &'p LabeledGraph) -> Self {
+        Self::new(pattern, false)
+    }
+
+    /// VF2+: a plan per target, rarity counted in the target.
+    pub(crate) fn vf2_plus(pattern: &'p LabeledGraph) -> Self {
+        Self::new(pattern, true)
+    }
+
+    fn new(pattern: &'p LabeledGraph, target_rarity: bool) -> Self {
         Compiled {
             pattern,
+            target_rarity,
             plan: None,
             img: vec![0; pattern.node_count()],
             used: Vec::new(),
         }
+    }
+
+    pub(crate) fn decide(&mut self, target: &LabeledGraph, cfg: &MatchConfig) -> MatchOutcome {
+        self.run(target, cfg, &mut Driver::decide())
+    }
+
+    pub(crate) fn decide_each(
+        &mut self,
+        targets: &[&LabeledGraph],
+        cfg: &MatchConfig,
+        out: &mut Vec<MatchOutcome>,
+    ) {
+        out.extend(targets.iter().map(|t| self.decide(t, cfg)));
+    }
+
+    pub(crate) fn find(&mut self, target: &LabeledGraph) -> Option<Vec<NodeId>> {
+        let mut driver = Driver::find();
+        self.run(target, &MatchConfig::UNBOUNDED, &mut driver);
+        driver.embedding
+    }
+
+    pub(crate) fn count(&mut self, target: &LabeledGraph, limit: u64) -> u64 {
+        let mut driver = Driver::count(limit);
+        self.run(target, &MatchConfig::UNBOUNDED, &mut driver);
+        driver.count
     }
 
     fn run(
@@ -414,7 +464,13 @@ impl<'p> Compiled<'p> {
         let mut work = Work::new(cfg.budget);
         if !quick_reject(self.pattern, target) {
             let pattern = self.pattern;
-            let plan = self.plan.get_or_insert_with(|| Plan::build(pattern));
+            let plan = if self.target_rarity {
+                self.plan
+                    .insert(Plan::build(pattern, Rarity::Target(target)))
+            } else {
+                self.plan
+                    .get_or_insert_with(|| Plan::build(pattern, Rarity::Pattern))
+            };
             if self.used.len() < target.node_count() {
                 self.used.resize(target.node_count(), false);
             }
@@ -675,7 +731,7 @@ mod tests {
                 (6, 7),
             ],
         );
-        let plan = Plan::build(&p);
+        let plan = Plan::build(&p, Rarity::Pattern);
         let order: Vec<NodeId> = plan.steps.iter().map(|s| s.node).collect();
         assert_eq!(order, vec![3, 4, 2, 1, 0, 5, 8, 9, 6, 7]);
         // The anchor is the earliest-placed neighbour: 5's are 1 (depth 3)

@@ -1,22 +1,20 @@
-//! "VF2+": VF2 augmented with a rarity-driven static variable ordering and a
-//! label-aware one-step lookahead.
+//! "VF2+": VF2 whose visiting order counts label rarity in the target.
 //!
 //! The paper uses a modified VF2 provided by the CT-Index authors (denoted
 //! VF2+ in §7.1). The exact modifications are not published; the consensus
 //! improvements for labelled databases — ordering pattern vertices by label
 //! rarity in the target and strongest-connectivity-first (as in RI/VF3), and
-//! pruning with per-label neighbour counts — are implemented here. The
-//! paper's VF2+ is several times faster than its vanilla VF2 on labelled
-//! graphs. This crate's VF2 orders by connectivity and by label rarity
-//! *in the pattern* and prunes with the same per-label neighbour counts;
-//! VF2+ now differs from it only in reading rarity in the target, so it
-//! builds a new order per target.
+//! pruning with per-label neighbour counts — are what it stands for here.
+//! This crate's VF2 already orders by connectivity and prunes with the same
+//! per-label neighbour counts, but counts rarity *in the pattern*, so one
+//! plan serves every target. VF2+ is that engine — the same plan builder,
+//! search, quick reject and work count — with the plan's rarity read from
+//! the target ([`Rarity::Target`](crate::vf2::Rarity)), so it builds one
+//! plan per target.
 
-use crate::common::{quick_reject, sorted_multiset_contained, Found, Work};
-use crate::vf2::Driver;
+use crate::vf2::Compiled;
 use crate::{MatchConfig, MatchOutcome, Matcher};
-use gc_graph::{Label, LabeledGraph, NodeId};
-use std::ops::ControlFlow;
+use gc_graph::{LabeledGraph, NodeId};
 
 /// The VF2+ matcher. Stateless; construct once and reuse freely.
 #[derive(Debug, Default, Clone, Copy)]
@@ -40,215 +38,26 @@ impl Matcher for Vf2Plus {
         target: &LabeledGraph,
         cfg: &MatchConfig,
     ) -> MatchOutcome {
-        let mut driver = Driver::decide();
-        run(pattern, target, cfg, &mut driver)
+        Compiled::vf2_plus(pattern).decide(target, cfg)
+    }
+
+    fn contains_each(
+        &self,
+        pattern: &LabeledGraph,
+        targets: &[&LabeledGraph],
+        cfg: &MatchConfig,
+        out: &mut Vec<MatchOutcome>,
+    ) {
+        Compiled::vf2_plus(pattern).decide_each(targets, cfg, out);
     }
 
     fn find_embedding(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> Option<Vec<NodeId>> {
-        let mut driver = Driver::find();
-        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
-        driver.embedding
+        Compiled::vf2_plus(pattern).find(target)
     }
 
     fn count_embeddings(&self, pattern: &LabeledGraph, target: &LabeledGraph, limit: u64) -> u64 {
-        let mut driver = Driver::count(limit);
-        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
-        driver.count
+        Compiled::vf2_plus(pattern).count(target, limit)
     }
-}
-
-fn run(
-    pattern: &LabeledGraph,
-    target: &LabeledGraph,
-    cfg: &MatchConfig,
-    driver: &mut Driver,
-) -> MatchOutcome {
-    if pattern.node_count() == 0 {
-        driver.on_embedding(&[]);
-        return MatchOutcome {
-            found: true,
-            complete: true,
-            nodes_expanded: 0,
-        };
-    }
-    let mut work = Work::new(cfg.budget);
-    if !quick_reject(pattern, target) {
-        let plan = Plan::build(pattern, target);
-        let mut st = State {
-            p: pattern,
-            t: target,
-            plan: &plan,
-            core_p: vec![None; pattern.node_count()],
-            used_t: vec![false; target.node_count()],
-            p_labels: Vec::new(),
-            t_labels: Vec::new(),
-        };
-        let _ = search(&mut st, 0, &mut work, driver);
-    }
-    MatchOutcome {
-        found: driver.found,
-        complete: !work.exhausted,
-        nodes_expanded: work.nodes,
-    }
-}
-
-/// Static search plan: pattern-node visit order plus, for each position, an
-/// anchor (an earlier-ordered pattern neighbour) when one exists. A node
-/// without one is tried against the target nodes carrying its label.
-struct Plan {
-    order: Vec<NodeId>,
-    anchor: Vec<Option<NodeId>>,
-}
-
-impl Plan {
-    fn build(p: &LabeledGraph, t: &LabeledGraph) -> Plan {
-        // Label frequencies in the target: rare labels first.
-        let freq: Vec<usize> = p
-            .nodes()
-            .map(|u| t.nodes_with_label(p.label(u)).len())
-            .collect();
-        let rarity = |u: NodeId| freq[u as usize];
-
-        let n = p.node_count();
-        let mut order: Vec<NodeId> = Vec::with_capacity(n);
-        let mut anchor: Vec<Option<NodeId>> = Vec::with_capacity(n);
-        let mut placed = vec![false; n];
-        let mut connectivity = vec![0u32; n]; // # already-ordered neighbours
-        for _ in 0..n {
-            // Greatest constraint first: maximise connectivity to the
-            // ordered prefix, then minimise label frequency in the target,
-            // then maximise degree; node id breaks remaining ties.
-            let best = p
-                .nodes()
-                .filter(|&u| !placed[u as usize])
-                .min_by(|&a, &b| {
-                    connectivity[b as usize]
-                        .cmp(&connectivity[a as usize])
-                        .then(rarity(a).cmp(&rarity(b)))
-                        .then(p.degree(b).cmp(&p.degree(a)))
-                        .then(a.cmp(&b))
-                })
-                .expect("unplaced node exists");
-            placed[best as usize] = true;
-            // Anchor: the earliest-ordered neighbour, if any.
-            let a = order.iter().copied().find(|&w| p.has_edge(w, best));
-            order.push(best);
-            anchor.push(a);
-            for &w in p.neighbors(best) {
-                connectivity[w as usize] += 1;
-            }
-        }
-        Plan { order, anchor }
-    }
-}
-
-struct State<'a> {
-    p: &'a LabeledGraph,
-    t: &'a LabeledGraph,
-    plan: &'a Plan,
-    core_p: Vec<Option<NodeId>>,
-    used_t: Vec<bool>,
-    /// Lookahead scratch: labels of the unmapped pattern neighbours of `u`
-    /// and of the unused target neighbours of `v`, refilled per test.
-    p_labels: Vec<Label>,
-    t_labels: Vec<Label>,
-}
-
-impl State<'_> {
-    fn feasible(&mut self, u: NodeId, v: NodeId) -> bool {
-        if self.p.label(u) != self.t.label(v) || self.used_t[v as usize] {
-            return false;
-        }
-        if self.p.degree(u) > self.t.degree(v) {
-            return false;
-        }
-        self.p_labels.clear();
-        for &w in self.p.neighbors(u) {
-            match self.core_p[w as usize] {
-                Some(img) => {
-                    if !self.t.has_edge(img, v) {
-                        return false;
-                    }
-                }
-                None => self.p_labels.push(self.p.label(w)),
-            }
-        }
-        if self.p_labels.is_empty() {
-            return true;
-        }
-        // Label-aware lookahead: each unmapped pattern neighbour needs a
-        // distinct unmapped target neighbour carrying the same label.
-        let (t, used_t) = (self.t, &self.used_t);
-        self.t_labels.clear();
-        self.t_labels.extend(
-            t.neighbors(v)
-                .iter()
-                .filter(|&&x| !used_t[x as usize])
-                .map(|&x| t.label(x)),
-        );
-        self.p_labels.sort_unstable();
-        self.t_labels.sort_unstable();
-        sorted_multiset_contained(self.p_labels.iter().copied(), self.t_labels.iter().copied())
-    }
-}
-
-fn search(
-    st: &mut State<'_>,
-    depth: usize,
-    work: &mut Work,
-    driver: &mut Driver,
-) -> ControlFlow<()> {
-    if depth == st.plan.order.len() {
-        return match driver.on_embedding(&st.core_p) {
-            Found::Stop => ControlFlow::Break(()),
-            Found::Continue => ControlFlow::Continue(()),
-        };
-    }
-    let u = st.plan.order[depth];
-    match st.plan.anchor[depth] {
-        Some(w) => {
-            let img = st.core_p[w as usize].expect("anchor ordered earlier");
-            let nbrs = st.t.neighbors(img);
-            // Index loop (not iterator): the body re-borrows `st` mutably.
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..nbrs.len() {
-                let v = nbrs[i];
-                work.step()?;
-                if st.feasible(u, v) {
-                    descend(st, depth, u, v, work, driver)?;
-                }
-            }
-        }
-        None => {
-            let cands = st.t.nodes_with_label(st.p.label(u));
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..cands.len() {
-                let v = cands[i];
-                work.step()?;
-                if st.feasible(u, v) {
-                    descend(st, depth, u, v, work, driver)?;
-                }
-            }
-        }
-    }
-    ControlFlow::Continue(())
-}
-
-#[inline]
-fn descend(
-    st: &mut State<'_>,
-    depth: usize,
-    u: NodeId,
-    v: NodeId,
-    work: &mut Work,
-    driver: &mut Driver,
-) -> ControlFlow<()> {
-    st.core_p[u as usize] = Some(v);
-    st.used_t[v as usize] = true;
-    let flow = search(st, depth + 1, work, driver);
-    st.core_p[u as usize] = None;
-    st.used_t[v as usize] = false;
-    flow
 }
 
 #[cfg(test)]

@@ -131,9 +131,10 @@
 //!   thread (the paper's deployment design) instead of inline;
 //! * `--maint-stats` — print the per-phase maintenance breakdown (victim
 //!   selection / index delta / stats upkeep, entries touched, shards
-//!   patched, compactions) after the replay, plus per-shard arena
-//!   utilization (bytes live / bytes reserved in the packed postings and
-//!   answer arenas) and the postings-debt gauge;
+//!   patched, compactions) and the fragment store's counts after the
+//!   replay, plus the answer arena's bytes live / bytes reserved, summed
+//!   and per shard, and the tombstoned slots the compaction threshold
+//!   watches;
 //! * `--eviction NAME` — replacement policy by registry name (default
 //!   `hd`; `lru|pop|pin|pinc|hd|gcr|slru|greedy-dual|…`, with optional
 //!   parameters like `slru:protected=0.5`). Unknown names fail with the

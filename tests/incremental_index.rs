@@ -80,7 +80,6 @@ proptest! {
         ops in pvec((0u8..4, 0u64..1_000_000), 1..80usize),
         n_shards in 1usize..6,
     ) {
-        let shape = QUERY_INDEX_SHAPE;
         // The incrementally maintained state: one Arc per shard, patched
         // exactly like window::maintain patches the live shards.
         let mut shards: Vec<Arc<Shard>> =
@@ -118,8 +117,8 @@ proptest! {
             }
         }
 
-        let incremental = CacheSnapshot::from_shards(shape, shards.clone());
-        let fresh = CacheSnapshot::build_sharded(shape, n_shards, live.clone());
+        let incremental = CacheSnapshot::from_shards(shards.clone());
+        let fresh = CacheSnapshot::build_sharded(n_shards, live.clone());
         prop_assert_eq!(incremental.len(), live.len());
         for (i, shard) in shards.iter().enumerate() {
             prop_assert_eq!(shard.check_invariants(i, n_shards), Ok(()));
@@ -132,7 +131,7 @@ proptest! {
             let want = fresh.candidate_serials(&probe);
             prop_assert_eq!(&got, &want, "probe {:?}", &probe);
             // And as sets they match the monolithic single-shard build.
-            let flat = CacheSnapshot::build(shape, live.clone());
+            let flat = CacheSnapshot::build(live.clone());
             let (mut fs, mut fp) = flat.candidate_serials(&probe);
             let (mut gs, mut gp) = got;
             fs.sort_unstable();
@@ -150,7 +149,7 @@ proptest! {
             compacted.compact();
             let rebuilt = Shard::build(shard.live_entries().cloned().collect());
             for probe in probes() {
-                let profile = enumerate_paths(&probe, shape.max_len, shape.work_cap);
+                let profile = enumerate_paths(&probe, QUERY_INDEX_SHAPE.max_len, QUERY_INDEX_SHAPE.work_cap);
                 let (qn, qm) = (probe.node_count() as u32, probe.edge_count() as u32);
                 let probe = Probe::new(&profile, (qn, qm));
                 let a = compacted.candidates(&probe);
@@ -167,13 +166,12 @@ proptest! {
         serials in pvec(1u64..10_000, 1..40usize),
         n_shards in 1usize..8,
     ) {
-        let shape = QUERY_INDEX_SHAPE;
         let mut unique = serials.clone();
         unique.sort_unstable();
         unique.dedup();
         let entries: Vec<Arc<CacheEntry>> =
             unique.iter().map(|&s| entry_for(s, s)).collect();
-        let snap = CacheSnapshot::build_sharded(shape, n_shards, entries);
+        let snap = CacheSnapshot::build_sharded(n_shards, entries);
         for &s in &unique {
             prop_assert_eq!(snap.entry(s).map(|e| e.serial), Some(s));
         }
@@ -204,10 +202,9 @@ proptest! {
         shard_sel in 0usize..3,
     ) {
         let n_shards = [1usize, 4, 16][shard_sel];
-        let shape = QUERY_INDEX_SHAPE;
         let entry_with_kind = |serial: QuerySerial, seed: u64| {
             let graph = seeded_graph(seed);
-            let profile = enumerate_paths(&graph, shape.max_len, shape.work_cap);
+            let profile = enumerate_paths(&graph, QUERY_INDEX_SHAPE.max_len, QUERY_INDEX_SHAPE.work_cap);
             let kind = if seed.is_multiple_of(3) {
                 QueryKind::Supergraph
             } else {
@@ -258,7 +255,7 @@ proptest! {
         };
 
         // Churned layout: live slots interleaved with tombstones.
-        check(&CacheSnapshot::from_shards(shape, shards.clone()));
+        check(&CacheSnapshot::from_shards(shards.clone()));
 
         // Hot-packed layout: every shard compacted with an arbitrary
         // maintenance rank, reordering slots (and the columns and answer
@@ -269,7 +266,7 @@ proptest! {
                 Arc::new(s.compacted_ranked(|serial| ranks[serial as usize % ranks.len()]))
             })
             .collect();
-        check(&CacheSnapshot::from_shards(shape, ranked));
+        check(&CacheSnapshot::from_shards(ranked));
     }
 }
 
