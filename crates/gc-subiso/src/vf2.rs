@@ -393,7 +393,9 @@ pub(crate) struct Compiled<'p> {
     /// VF2+'s order: a plan per target, [`Rarity::Target`].
     target_rarity: bool,
     plan: Option<Plan>,
-    /// `img[d]`: the target node mapped at depth `d`.
+    /// `img[d]`: the target node mapped at depth `d`. Like `used`, sized
+    /// at the first search, so a pair quick reject refuses allocates
+    /// nothing.
     img: Vec<NodeId>,
     /// Target nodes in the current partial mapping; all `false` between
     /// searches (every descent unmarks before it returns).
@@ -416,7 +418,7 @@ impl<'p> Compiled<'p> {
             pattern,
             target_rarity,
             plan: None,
-            img: vec![0; pattern.node_count()],
+            img: Vec::new(),
             used: Vec::new(),
         }
     }
@@ -471,6 +473,7 @@ impl<'p> Compiled<'p> {
                 self.plan
                     .get_or_insert_with(|| Plan::build(pattern, Rarity::Pattern))
             };
+            self.img.resize(pattern.node_count(), 0);
             if self.used.len() < target.node_count() {
                 self.used.resize(target.node_count(), false);
             }
