@@ -480,6 +480,39 @@ mod tests {
         assert!(!sub.is_empty());
     }
 
+    /// Stored profiles are reused verbatim only when they were enumerated
+    /// under [`QUERY_INDEX_SHAPE`]; under any other shape every entry is
+    /// enumerated again.
+    #[test]
+    fn stored_profiles_are_reused_only_under_the_query_index_shape() {
+        let marked = vec![PathProfile::Overflow, PathProfile::Overflow];
+        for (shape, reused) in [
+            (QUERY_INDEX_SHAPE, true),
+            (
+                PathShape {
+                    max_len: 3,
+                    ..QUERY_INDEX_SHAPE
+                },
+                false,
+            ),
+        ] {
+            let mut state = sample();
+            state.profiles = Some(StoredProfiles {
+                shape,
+                profiles: marked.clone(),
+            });
+            let (snap, _, _) = state.into_snapshot_sharded(2);
+            for (serial, graph, ..) in &sample().entries {
+                let expected = if reused {
+                    PathProfile::Overflow
+                } else {
+                    enumerate_paths(graph, QUERY_INDEX_SHAPE.max_len, QUERY_INDEX_SHAPE.work_cap)
+                };
+                assert_eq!(snap.entry(*serial).unwrap().profile, expected, "{shape:?}");
+            }
+        }
+    }
+
     #[test]
     fn sharded_materialisation_routes_entries() {
         let loaded = roundtripped("sharded", &sample());
