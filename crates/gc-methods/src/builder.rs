@@ -270,7 +270,6 @@ impl MethodBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QueryKind;
     use gc_graph::LabeledGraph;
 
     fn tiny() -> GraphDataset {
@@ -305,40 +304,6 @@ mod tests {
         let m = MethodBuilder::grapes(0).build(&d);
         assert_eq!(m.threads(), 1);
         assert_eq!(m.name(), "Grapes0"); // name reflects the requested count
-    }
-
-    #[test]
-    fn grapes_filters_as_ggsx_with_its_own_thread_count() {
-        let d = GraphDataset::new(vec![
-            LabeledGraph::from_parts(vec![0, 1, 0], &[(0, 1), (1, 2)]),
-            LabeledGraph::from_parts(vec![0, 1, 2], &[(0, 1), (1, 2), (2, 0)]),
-            LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]),
-            LabeledGraph::from_parts(vec![9, 9, 9], &[(0, 1), (1, 2)]),
-        ]);
-        let queries = [
-            LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]),
-            LabeledGraph::from_parts(vec![0, 1, 0], &[(0, 1), (1, 2)]),
-            LabeledGraph::from_parts(vec![1, 0, 0], &[(0, 1), (0, 2)]),
-            LabeledGraph::from_parts(vec![0, 1, 2, 9], &[(0, 1), (1, 2), (2, 0), (2, 3)]),
-            LabeledGraph::from_parts(vec![9, 9], &[(0, 1)]),
-        ];
-        let ggsx = MethodKind::Ggsx.build(&d);
-        for (kind, threads) in [(MethodKind::Grapes1, 1), (MethodKind::Grapes6, 6)] {
-            let grapes = kind.build(&d);
-            assert_eq!(grapes.threads(), threads);
-            assert_eq!(grapes.path_shape(), ggsx.path_shape());
-            assert_eq!(grapes.index_memory_bytes(), ggsx.index_memory_bytes());
-            for q in &queries {
-                for direction in [QueryKind::Subgraph, QueryKind::Supergraph] {
-                    assert_eq!(
-                        grapes.filter_directed(q, direction).candidates,
-                        ggsx.filter_directed(q, direction).candidates,
-                        "{} {direction:?} {q:?}",
-                        kind.name()
-                    );
-                }
-            }
-        }
     }
 
     #[test]

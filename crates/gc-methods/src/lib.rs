@@ -12,8 +12,8 @@
 //! | name     | filter                     | verifier | threads |
 //! |----------|----------------------------|----------|---------|
 //! | GGSX     | path counts (len ≤ 4)      | VF2      | 1       |
-//! | Grapes1  | located paths (len ≤ 4)    | VF2      | 1       |
-//! | Grapes6  | located paths (len ≤ 4)    | VF2      | 6       |
+//! | Grapes1  | GGSX's path counts         | VF2      | 1       |
+//! | Grapes6  | GGSX's path counts         | VF2      | 6       |
 //! | CT-Index | tree/cycle fingerprints    | VF2+     | 1       |
 //! | VF2      | none (all graphs)          | VF2      | 1       |
 //! | VF2+     | none (all graphs)          | VF2+     | 1       |
@@ -23,6 +23,8 @@
 #![warn(missing_docs)]
 
 mod builder;
+#[cfg(test)]
+mod grapes;
 mod method;
 
 pub use builder::{MethodBuilder, MethodKind};
