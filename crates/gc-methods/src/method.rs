@@ -5,7 +5,6 @@ use gc_graph::{idset, GraphDataset, GraphId, LabeledGraph};
 use gc_index::paths::{PathEnumeration, PathShape};
 use gc_index::{CandidateSet, FilterIndex};
 use gc_subiso::{MatchConfig, MatchOutcome, MatchStats, Matcher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -197,19 +196,6 @@ impl Method {
         }
     }
 
-    fn test_one(&self, query: &LabeledGraph, id: GraphId, kind: QueryKind) -> MatchOutcome {
-        match kind {
-            QueryKind::Subgraph => {
-                self.matcher
-                    .contains_with(query, self.dataset.graph(id), &self.match_config)
-            }
-            QueryKind::Supergraph => {
-                self.matcher
-                    .contains_with(self.dataset.graph(id), query, &self.match_config)
-            }
-        }
-    }
-
     /// A subgraph query is the pattern of every test, so the matcher sweeps
     /// the candidates in one `contains_each` call (and prepares the query
     /// once); a supergraph query's patterns are the candidates themselves.
@@ -232,45 +218,38 @@ impl Method {
             }
             QueryKind::Supergraph => candidates
                 .iter()
-                .map(|&id| (id, self.test_one(query, id, kind)))
+                .map(|&id| {
+                    let pattern = self.dataset.graph(id);
+                    (
+                        id,
+                        self.matcher
+                            .contains_with(pattern, query, &self.match_config),
+                    )
+                })
                 .collect(),
         }
     }
 
+    /// Splits the candidates into at most `threads` contiguous chunks, runs
+    /// each through [`verify_serial`](Self::verify_serial) on a thread of its
+    /// own (one matcher plan per chunk) and joins them in candidate order.
     fn verify_threaded(
         &self,
         query: &LabeledGraph,
         candidates: &[GraphId],
         kind: QueryKind,
     ) -> Vec<(GraphId, MatchOutcome)> {
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(candidates.len());
-        let shards: Vec<Vec<(GraphId, MatchOutcome)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    s.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= candidates.len() {
-                                break;
-                            }
-                            let id = candidates[i];
-                            local.push((id, self.test_one(query, id, kind)));
-                        }
-                        local
-                    })
-                })
+        let chunk = candidates.len().div_ceil(self.threads);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = candidates
+                .chunks(chunk)
+                .map(|part| s.spawn(move || self.verify_serial(query, part, kind)))
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("verifier thread panicked"))
+                .flat_map(|h| h.join().expect("verifier thread panicked"))
                 .collect()
-        });
-        let mut all: Vec<(GraphId, MatchOutcome)> = shards.into_iter().flatten().collect();
-        all.sort_unstable_by_key(|&(id, _)| id);
-        all
+        })
     }
 
     /// Runs a complete uncached subgraph query: filter, then verify.
@@ -359,6 +338,27 @@ mod tests {
         let b = parallel.run(&q);
         assert_eq!(a.answer, b.answer);
         assert_eq!(a.verify.stats, b.verify.stats);
+
+        // 13 candidates over 6 threads: uneven chunks of 3, both directions.
+        let graphs: Vec<LabeledGraph> = (0..13u32)
+            .map(|i| {
+                let labels = (0..2 + i % 4).map(|j| (i + j) % 3).collect();
+                let edges: Vec<(u32, u32)> = (1..2 + i % 4).map(|j| (j - 1, j)).collect();
+                LabeledGraph::from_parts(labels, &edges)
+            })
+            .collect();
+        let d = GraphDataset::new(graphs);
+        let ids: Vec<GraphId> = (0..13).map(GraphId).collect();
+        let serial = MethodBuilder::si_vf2().threads(1).build(&d);
+        let parallel = MethodBuilder::si_vf2().threads(6).build(&d);
+        let q = LabeledGraph::from_parts(vec![0, 1, 2], &[(0, 1), (1, 2)]);
+        for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
+            let a = serial.verify_directed(&q, &ids, kind);
+            let b = parallel.verify_directed(&q, &ids, kind);
+            assert_eq!(a.answer, b.answer, "{kind:?}");
+            assert_eq!(a.stats, b.stats, "{kind:?}");
+            assert!(!a.answer.is_empty() && a.answer.len() < 13, "{kind:?}");
+        }
     }
 
     #[test]

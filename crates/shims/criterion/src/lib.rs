@@ -4,7 +4,11 @@
 //! benches (`criterion_group!`/`criterion_main!`, benchmark groups,
 //! `bench_function`, `bench_with_input`, `Bencher::iter`) with a simple
 //! mean/min/max timing loop instead of criterion's statistical machinery.
-//! Results print one line per benchmark; there is no HTML report.
+//! Results print one line per benchmark; there is no HTML report. As in
+//! criterion, the first command-line argument that is not a flag filters
+//! the benchmarks by substring of `group/id` (`cargo bench -- sweep`): the
+//! bench functions still run, but a benchmark whose id does not match is
+//! neither timed nor printed.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -113,7 +117,14 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
-fn run_one(full_id: &str, samples: usize, f: impl FnOnce(&mut Bencher)) {
+fn run_one(full_id: &str, criterion: &Criterion, samples: usize, f: impl FnOnce(&mut Bencher)) {
+    if !criterion
+        .filter
+        .as_ref()
+        .is_none_or(|s| full_id.contains(s.as_str()))
+    {
+        return;
+    }
     let mut b = Bencher {
         samples,
         results: Vec::new(),
@@ -156,7 +167,8 @@ impl BenchmarkGroup<'_> {
         f: impl FnOnce(&mut Bencher),
     ) -> &mut Self {
         let id = id.into();
-        run_one(&format!("{}/{}", self.name, id.id), self.sample_size, f);
+        let full_id = format!("{}/{}", self.name, id.id);
+        run_one(&full_id, self.criterion, self.sample_size, f);
         self
     }
 
@@ -171,27 +183,43 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Ends the group (a no-op here; criterion computes summaries).
-    pub fn finish(&mut self) {
-        let _ = self.criterion;
-    }
+    pub fn finish(&mut self) {}
 }
 
 /// The benchmark driver.
 #[derive(Debug, Clone)]
 pub struct Criterion {
     sample_size: usize,
+    filter: Option<String>,
 }
 
 impl Default for Criterion {
     fn default() -> Self {
-        Criterion { sample_size: 10 }
+        Criterion {
+            sample_size: 10,
+            filter: None,
+        }
     }
+}
+
+/// The benchmark-name filter among a bench binary's arguments (program
+/// name excluded): the first one that is not a flag. `cargo bench -- sweep`
+/// runs the binary with `--bench sweep`.
+fn filter_of(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().find(|a| !a.starts_with('-'))
 }
 
 impl Criterion {
     /// Sets the default number of timed samples per benchmark.
     pub fn sample_size(mut self, n: usize) -> Self {
         self.sample_size = n.max(1);
+        self
+    }
+
+    /// Reads the benchmark-name filter from the command line
+    /// ([`criterion_group!`] calls this on its configuration).
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = filter_of(std::env::args().skip(1));
         self
     }
 
@@ -210,7 +238,7 @@ impl Criterion {
         id: impl Into<BenchmarkId>,
         f: impl FnOnce(&mut Bencher),
     ) -> &mut Self {
-        run_one(&id.into().id, self.sample_size, f);
+        run_one(&id.into().id, self, self.sample_size, f);
         self
     }
 }
@@ -226,7 +254,7 @@ pub fn black_box<T>(x: T) -> T {
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
         pub fn $name() {
-            let mut criterion = $config;
+            let mut criterion = $config.configure_from_args();
             $($target(&mut criterion);)+
         }
     };
@@ -281,6 +309,42 @@ mod tests {
         assert_eq!(BenchmarkId::new("f", 8).id, "f/8");
         assert_eq!(BenchmarkId::from_parameter("p").id, "p");
         assert_eq!(BenchmarkId::from("s").id, "s");
+    }
+
+    #[test]
+    fn the_filter_times_only_matching_ids() {
+        assert_eq!(
+            filter_of(["--bench".into(), "sweep".into()]),
+            Some("sweep".into())
+        );
+        assert_eq!(filter_of(["--bench".to_string()]), None);
+
+        let mut c = Criterion {
+            sample_size: 1,
+            filter: Some("sweep".into()),
+        };
+        let mut timed = Vec::new();
+        let mut group = c.benchmark_group("sweep");
+        group.bench_function("VF2/each", |b| {
+            timed.push("sweep/VF2/each");
+            b.iter(|| 1)
+        });
+        group.finish();
+        let mut group = c.benchmark_group("pair");
+        group.bench_function("VF2/iso", |b| {
+            timed.push("pair/VF2/iso");
+            b.iter(|| 2)
+        });
+        group.bench_with_input(BenchmarkId::new("sweep", 2), &2, |b, &n| {
+            timed.push("pair/sweep/2");
+            b.iter(|| n)
+        });
+        group.finish();
+        c.bench_function("top_level", |b| {
+            timed.push("top_level");
+            b.iter(|| 3)
+        });
+        assert_eq!(timed, ["sweep/VF2/each", "pair/sweep/2"]);
     }
 
     #[test]

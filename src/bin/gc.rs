@@ -1,164 +1,41 @@
 //! `gc` — command-line front end for GraphCache.
 //!
-//! Subcommands:
+//! Subcommands: `generate` writes a synthetic dataset, `stats` prints its
+//! shape, `workload` draws a query file, `query` replays one through a cache
+//! (in process, or with `--connect` against a daemon), `bench` runs scenario
+//! suites and the counter gate, `serve` runs the cache daemon, `route` the
+//! fingerprint-routing front-end of a fleet of `gc serve --peer-id` daemons
+//! (see `docs/architecture.md`), and `ctl` sends one control frame to a
+//! daemon.
 //!
-//! * `gc generate --profile aids|pdbs|pcm|synthetic [--scale F] [--seed N] --out FILE`
-//!   writes a synthetic dataset in the text format of `gc_graph::io`;
-//! * `gc stats FILE` prints dataset shape statistics;
-//! * `gc workload --dataset FILE --kind zz|zu|uu|b0|b20|b50 [--count N] [--seed N] --out FILE`
-//!   generates a query workload (queries are stored as a dataset file);
-//! * `gc query --dataset FILE --queries FILE [--method NAME]
-//!   [--eviction NAME] [--admission NAME] [--capacity N] [--window N]
-//!   [--threads N] [--shards N] [--verify-budget N]
-//!   [--fragments on|off] [--fragment-budget BYTES] [--fragment-eviction NAME]
-//!   [--supergraph] [--background] [--no-cache] [--maint-stats]
-//!   [--save DIR] [--restore DIR]` replays
-//!   the queries and prints per-run statistics;
-//! * `gc bench [--suite NAME] [--json FILE] [--check BASELINE]
-//!   [--tolerance PCT] [--timings] [--list] [--serve] [--route N]`
-//!   runs a scenario suite end-to-end (dataset generation → workload →
-//!   cached replay) and reports machine-readable metrics;
-//! * `gc serve --dataset FILE (--listen ADDR | --unix PATH) [cache flags]
-//!   [--max-sessions N] [--max-inflight N] [--drain-timeout SECS]
-//!   [--persist-on-exit DIR] [--restore DIR]` runs the long-lived cache
-//!   daemon speaking the line-delimited wire protocol of `gc_server`;
-//! * `gc route --unix PATH --peers SOCK,SOCK,... [--retries N]
-//!   [--retry-seed S]` runs the fingerprint-routing front-end over a
-//!   fleet of `gc serve --peer-id` daemons (see `docs/architecture.md`);
-//! * `gc ctl (--unix PATH | --tcp ADDR) [--timeout SECS] [--retries N]
-//!   ping|stats|shutdown` sends one control frame to a running daemon;
-//! * `gc query --connect unix:PATH|ADDR --queries FILE [--retries N]
-//!   [--retry-seed S] [--timeout-ms MS]` replays a query file against a
-//!   running daemon instead of an in-process cache.
-//!
-//! `gc serve` flags:
-//!
-//! * `--listen ADDR` / `--unix PATH` — TCP and/or unix-socket listener
-//!   (at least one is required). The daemon removes a stale socket file
-//!   at the unix path before binding, and unlinks it again on exit;
-//! * `--max-sessions N` — concurrent session cap (default 64); further
-//!   connections are refused with `ERR code=max-sessions`;
-//! * `--max-inflight N` — admission-permit pool size (default: the
-//!   cache's batch thread count). A `QUERY` that cannot take a permit is
-//!   answered `BUSY` and not executed — bounded backpressure, never an
-//!   unbounded queue;
-//! * `--drain-timeout SECS` — how long graceful drain (SIGTERM, SIGINT,
-//!   or a `SHUTDOWN` frame) waits for sessions to finish in-flight work
-//!   (default 10);
-//! * `--persist-on-exit DIR` — save the cache snapshot to DIR after a
-//!   graceful drain (the `gc query --save` / `--restore` format).
-//!   Snapshots commit atomically through generation slots plus a
-//!   checksummed `MANIFEST`, so a crash mid-write never clobbers the
-//!   previous good snapshot. A drain-time save failure is a typed error
-//!   (exit 1), never a silent drop;
-//! * `--snapshot-every SECS` — also write a background snapshot to the
-//!   `--persist-on-exit` directory every SECS seconds while serving,
-//!   without blocking queries (requires `--persist-on-exit`);
-//! * `--peer-id I/N` — serve as routed peer `I` of an `N`-peer fleet
-//!   behind `gc route`: `HELLO` advertises the identity, `PROBE` replies
-//!   are filtered to the peer's consistent-hash slice of the fingerprint
-//!   space, and query traffic requires a proto-4 `VERSION` announcement;
-//! * the cache-construction flags of `gc query` (`--method`,
-//!   `--eviction`, `--admission`, `--capacity`, `--window`, `--threads`,
-//!   `--shards`, `--verify-budget`, `--fragments`,
-//!   `--fragment-budget`, `--fragment-eviction`, `--supergraph`,
-//!   `--background`, `--restore`) configure the shared cache; `--window N`
-//!   counts cache misses, as for `gc query`.
-//!
-//! `gc bench` flags:
-//!
-//! * `--suite NAME` — which scenario matrix to run: any name in
-//!   `gc_harness::Suite::ALL`, which the usage line lists (default
-//!   `smoke`, the CI suite). The figure suites (`fig4` … `fig12`, `space`;
-//!   `paper` runs them all) add two speed-up columns over uncached
-//!   Method M — sub-iso tests and verification work — see
-//!   `docs/paper-figures.md`. `--list` prints the scenarios of the
-//!   selected suite without running them;
-//! * `--json FILE` — write the versioned report (deterministic counters
-//!   only, so the bytes are identical across runs with the same build;
-//!   add `--timings` to include the advisory wall-clock section);
-//! * `--check BASELINE` — compare the run's deterministic counters
-//!   against a committed baseline (`benches/baseline.json`), failing with
-//!   exit code 3 when any counter drifts beyond `--tolerance PCT`
-//!   (default 5). Wall-clock is advisory and never gated. Refresh the
-//!   baseline with `scripts/refresh-baseline.sh`;
-//! * `--serve` — run every scenario through the `gc serve` daemon on a
-//!   private unix socket instead of in-process calls. Counters are
-//!   byte-identical to the in-process path for the same seeds, so the
-//!   same committed baseline gates both (`--serve --check`);
-//! * `--route N` — run every scenario through an `N`-peer routed fleet
-//!   behind a `gc route` front-end on private unix sockets. The
-//!   determinism gate: counters are byte-identical to the in-process
-//!   path — and therefore identical for every fleet size — so the same
-//!   committed baseline gates `--route 1` and `--route 3` alike.
+//! The `COMMANDS` table holds every subcommand's options, each with its value
+//! placeholder and a one-line help, and the positional word it takes.
+//! Parsing, `gc <cmd> --help` and rejection all read it: an option the
+//! subcommand does not read, an option without its value and an extra
+//! positional word are usage errors, so a typo never runs with the default.
+//! What the cache options mean beyond their help line (the Window counts
+//! misses, the verify budget is one work pool per query, shards follow
+//! threads) is documented on `gc_core::GcConfig` and `GraphCacheBuilder`; the
+//! daemon's on `gc_server::ServeConfig` and in `docs/operations.md`; the
+//! bench suites, their speed-up columns and the baseline gate in
+//! `docs/paper-figures.md`.
 //!
 //! # Exit codes
 //!
-//! * `0` — success;
+//! * `0` — success (and `gc <cmd> --help`);
 //! * `1` — runtime failure (I/O errors, malformed datasets, missing
 //!   `--restore` state or one saved by an earlier release or over another
 //!   dataset, protocol errors on a live connection);
 //! * `2` — usage error (unknown subcommand, option or flag value, missing
-//!   required option, unknown profile/workload/method/policy/suite name);
+//!   required option, unexpected positional argument, unknown
+//!   profile/workload/method/policy/suite name); the failing subcommand's
+//!   usage follows the message;
 //! * `3` — benchmark regression: `gc bench --check` found deterministic
 //!   counters drifting beyond tolerance;
 //! * `4` — daemon unreachable: `gc ctl` / `gc query --connect` could not
 //!   connect (refused, or the socket file is gone), even after any
 //!   `--retries` budget. Distinct from 1 so scripts can tell "daemon
 //!   down" apart from "daemon answered but the request failed".
-//!
-//! `gc query` flags:
-//!
-//! * `--verify-budget N` — shared hit-verification work pool per query:
-//!   candidates are verified cheapest-first and each sub-iso test deducts
-//!   its matcher work from the pool; when it runs dry the sweep stops with
-//!   a partial (still sound) hit set and the query is reported as
-//!   `truncated`. Exact repeats bypass the pool entirely through the
-//!   fingerprint fast path;
-//! * `--window N` — the Window size W (default 20): a maintenance round
-//!   runs once `N` cache misses have accumulated. An exact hit is already
-//!   cached — it credits its entry and never enters the Window, so it does
-//!   not count toward `N`;
-//! * `--threads N` — fan the workload across `N` client threads via
-//!   `GraphCache::run_batch` (default `1` = sequential replay, the
-//!   paper's single-client setup, where every printed counter is a pure
-//!   function of the inputs; ignored with `--no-cache`, which always
-//!   replays sequentially);
-//! * `--shards N` — partition the cache snapshot into `N` serial-hashed
-//!   shards so maintenance rounds patch only the shards their delta
-//!   touches (`0`, the default, = one shard per client thread);
-//! * `--background` — run the Window Manager on a background maintenance
-//!   thread (the paper's deployment design) instead of inline;
-//! * `--maint-stats` — print the per-phase maintenance breakdown (victim
-//!   selection / index delta / stats upkeep, entries touched, shards
-//!   patched, compactions) and the fragment store's counts after the
-//!   replay, plus the answer arena's bytes live / bytes reserved, summed
-//!   and per shard, and the tombstoned slots the compaction threshold
-//!   watches;
-//! * `--eviction NAME` — replacement policy by registry name (default
-//!   `hd`; `lru|pop|pin|pinc|hd|gcr|slru|greedy-dual|…`, with optional
-//!   parameters like `slru:protected=0.5`). Unknown names fail with the
-//!   list of available policies;
-//! * `--admission NAME` — admission policy by registry name (default
-//!   `none`; `none|threshold|adaptive|…`, e.g. the paper's calibrated
-//!   threshold `threshold:windows=3,fraction=0.25`). It ranks queries by
-//!   their verification work;
-//! * `--fragments on|off` — the sub-query fragment cache (default off):
-//!   answered subgraph queries are decomposed into canonical path
-//!   fragments whose exact occurrence sets pre-prune the candidate space
-//!   of later structurally-overlapping queries;
-//! * `--fragment-budget BYTES` — byte budget of the fragment store
-//!   (default 1 MiB); `--fragment-eviction NAME` — its replacement policy
-//!   by registry name (default `lru`; same registry as `--eviction`, so
-//!   `slru:protected=0.5` etc. apply). Unknown names fail with the list
-//!   of available policies;
-//! * `--supergraph` — supergraph (`G ⊆ g`) instead of subgraph semantics;
-//! * `--no-cache` — replay through the bare Method M (baseline timing);
-//! * `--save DIR` / `--restore DIR` — persist / preload the cache stores
-//!   as one checksummed arena snapshot (`snapshot.bin`, committed through
-//!   a generation `MANIFEST`; see `docs/architecture.md`, "Persistence").
-//!   Text saves of earlier releases (`entries.txt`) are not read:
-//!   `--restore` fails on them with exit code 1.
 //!
 //! Example session:
 //! ```text
@@ -170,7 +47,8 @@
 //! ```
 
 use graphcache::core::{
-    registry, GraphCache, GraphCacheBuilder, PolicyError, QueryKind, QueryRequest, RunCounters,
+    registry, GraphCache, GraphCacheBuilder, PolicyError, QueryKind, QueryRecord, QueryRequest,
+    RunCounters,
 };
 use graphcache::graph::{io, GraphDataset};
 use graphcache::harness::{
@@ -186,6 +64,7 @@ use graphcache::workload::{
     generate_type_a, generate_type_b, DatasetProfile, TypeAConfig, TypeBConfig,
 };
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -217,185 +96,344 @@ impl CliError {
 
 type CliResult = Result<(), CliError>;
 
-fn print_usage() {
-    eprintln!("usage: gc <generate|stats|workload|query|bench|serve|route|ctl> [options]");
-    eprintln!("  gc generate --profile aids|pdbs|pcm|synthetic [--scale F] [--seed N] --out FILE");
-    eprintln!("  gc stats FILE");
-    eprintln!(
-        "  gc workload --dataset FILE --kind zz|zu|uu|b0|b20|b50 [--count N] [--seed N] --out FILE"
+/// One option a subcommand reads: its name, the placeholder of its value
+/// (empty for a bare flag) and its one-line help.
+type Opt = (&'static str, &'static str, &'static str);
+
+/// The cache-construction options `gc query` and `gc serve` share.
+#[rustfmt::skip]
+const CACHE_OPTS: &[Opt] = &[
+    ("method", "NAME", "Method M: ggsx|grapes1|grapes6|ct-index|vf2|vf2+|gql (default ggsx)"),
+    ("eviction", "NAME", "eviction policy: lru|pop|pin|pinc|hd|slru|greedy-dual… (default hd)"),
+    ("admission", "NAME", "admission policy: none|threshold|adaptive… (default none)"),
+    ("capacity", "N", "cache capacity C in entries (default 100)"),
+    ("window", "N", "Window W: one maintenance round per N cache misses (default 20)"),
+    ("threads", "N", "client threads through run_batch (default 1: sequential replay)"),
+    ("shards", "N", "snapshot shards (default 0: one per client thread)"),
+    ("fragments", "on|off", "the sub-query fragment cache (default off)"),
+    ("fragment-budget", "BYTES", "byte budget of the fragment store (default 1 MiB)"),
+    ("fragment-eviction", "NAME", "replacement policy of the fragment store (default lru)"),
+    ("background", "", "run the Window Manager on a background thread"),
+    ("restore", "DIR", "preload the cache from a snapshot saved to DIR"),
+];
+
+/// What a query asks, for a local cache and for one sent to a daemon alike.
+#[rustfmt::skip]
+const QUERY_OPTS: &[Opt] = &[
+    ("supergraph", "", "supergraph (G ⊆ g) instead of subgraph queries"),
+    ("verify-budget", "N", "hit-verification work pool per query (default: the cache's, unbounded)"),
+];
+
+/// Bounded deterministic retries of a refused connect or a `BUSY` reply.
+#[rustfmt::skip]
+const RETRY_OPTS: &[Opt] = &[
+    ("retries", "N", "retries of a refused connect or a BUSY reply (default 0; gc route: 10)"),
+    ("retry-seed", "S", "seed of the retry backoff's jitter"),
+];
+
+/// A subcommand: the options it reads, the positional word it takes, and
+/// the function that runs it on the parsed line.
+struct Command {
+    /// `gc <name>`. `query --connect` is a row of its own: the cache lives
+    /// in the daemon, so the cache options would do nothing.
+    name: &'static str,
+    about: &'static str,
+    opts: &'static [&'static [Opt]],
+    /// The placeholder of the one positional word it takes; alternatives
+    /// (`a|b`) are checked. `None` takes none.
+    word: Option<&'static str>,
+    run: fn(&Opts) -> CliResult,
+}
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate", about: "write a synthetic dataset in the text format of gc_graph::io",
+        opts: &[&[
+            ("profile", "aids|pdbs|pcm|synthetic", "dataset profile (required)"),
+            ("scale", "F", "scale of the profile's graph count (default 1)"),
+            ("seed", "N", "generator seed (default 42)"),
+            ("out", "FILE", "output file (required)"),
+        ]],
+        word: None, run: cmd_generate,
+    },
+    Command {
+        name: "stats", about: "print dataset shape statistics",
+        opts: &[],
+        word: Some("FILE"), run: cmd_stats,
+    },
+    Command {
+        name: "workload", about: "generate a query workload (queries are stored as a dataset file)",
+        opts: &[&[
+            ("dataset", "FILE", "dataset the queries are drawn from (required)"),
+            ("kind", "zz|zu|uu|b0|b20|b50", "workload type (required)"),
+            ("count", "N", "number of queries (default 500)"),
+            ("seed", "N", "generator seed (default 42)"),
+            ("out", "FILE", "output file (required)"),
+        ]],
+        word: None, run: cmd_workload,
+    },
+    Command {
+        name: "query", about: "replay a query file through a cache in process (or a daemon's)",
+        opts: &[
+            &[
+                ("dataset", "FILE", "dataset file (required)"),
+                ("queries", "FILE", "query file (required)"),
+            ],
+            CACHE_OPTS,
+            QUERY_OPTS,
+            &[
+                ("no-cache", "", "replay through the bare Method M (the uncached baseline)"),
+                ("maint-stats", "", "print maintenance phases, answer-arena bytes and dead slots"),
+                ("save", "DIR", "save the cache snapshot to DIR after the replay"),
+            ],
+        ],
+        word: None, run: cmd_query,
+    },
+    Command {
+        name: "query --connect", about: "replay a query file against a running daemon",
+        opts: &[
+            &[
+                ("connect", "unix:PATH|ADDR", "the daemon: unix:PATH, tcp:HOST:PORT or HOST:PORT"),
+                ("queries", "FILE", "query file (required)"),
+                ("timeout-ms", "MS", "per-query deadline; on expiry the daemon answers ERR"),
+            ],
+            QUERY_OPTS,
+            RETRY_OPTS,
+        ],
+        word: None, run: query_connect,
+    },
+    Command {
+        name: "bench", about: "run a scenario suite end-to-end; report its deterministic counters",
+        opts: &[&[
+            ("suite", "NAME", "scenario suite (default smoke; an unknown name lists them)"),
+            ("list", "", "print the suite's scenarios without running them"),
+            ("json", "FILE", "write the versioned report of deterministic counters"),
+            ("timings", "", "add the advisory wall-clock section to --json"),
+            ("check", "BASELINE", "exit 3 if a counter drifts from BASELINE beyond --tolerance"),
+            ("tolerance", "PCT", "allowed drift in percent (default 5)"),
+            ("serve", "", "run every scenario through a gc serve daemon on a private socket"),
+            ("route", "N", "run every scenario through an N-peer routed fleet"),
+        ]],
+        word: None, run: cmd_bench,
+    },
+    Command {
+        name: "serve", about: "run the cache daemon speaking the line-delimited wire protocol",
+        opts: &[
+            &[
+                ("dataset", "FILE", "dataset file (required)"),
+                ("listen", "ADDR", "TCP listener (this and/or --unix is required)"),
+                ("unix", "PATH", "unix-socket listener; a stale socket file is replaced"),
+                ("max-sessions", "N", "concurrent session cap (default 64)"),
+                ("max-inflight", "N", "queries in flight before a BUSY reply (default: --threads)"),
+                ("drain-timeout", "SECS", "how long a drain waits for sessions (default 10)"),
+                ("persist-on-exit", "DIR", "save the cache snapshot to DIR after a graceful drain"),
+                ("snapshot-every", "SECS", "also snapshot to the --persist-on-exit DIR every SECS"),
+                ("peer-id", "I/N", "serve as routed peer I of an N-peer fleet behind gc route"),
+            ],
+            CACHE_OPTS,
+            QUERY_OPTS,
+        ],
+        word: None, run: cmd_serve,
+    },
+    Command {
+        name: "route", about: "route queries by fingerprint over gc serve --peer-id daemons",
+        opts: &[
+            &[
+                ("unix", "PATH", "the router's unix socket (required)"),
+                ("peers", "SOCK,SOCK,...", "the peers' sockets, in peer-id order (required)"),
+            ],
+            RETRY_OPTS,
+        ],
+        word: None, run: cmd_route,
+    },
+    Command {
+        name: "ctl", about: "send one control frame to a running daemon",
+        opts: &[
+            &[
+                ("unix", "PATH", "the daemon's unix socket (this or --tcp is required)"),
+                ("tcp", "ADDR", "the daemon's TCP address"),
+                ("timeout", "SECS", "reply timeout, at least 1 second"),
+            ],
+            RETRY_OPTS,
+        ],
+        word: Some("ping|stats|shutdown"), run: cmd_ctl,
+    },
+];
+
+impl Command {
+    fn options(&self) -> impl Iterator<Item = &'static Opt> {
+        self.opts.iter().flat_map(|set| set.iter())
+    }
+}
+
+/// The row `gc <name> <args>` runs.
+fn command(name: &str, args: &[String]) -> Option<&'static Command> {
+    let connect = name == "query" && args.iter().any(|a| a == "--connect");
+    let name = if connect { "query --connect" } else { name };
+    COMMANDS.iter().find(|c| c.name == name)
+}
+
+/// `cmd`'s usage, built from its row.
+fn usage(cmd: &Command) -> String {
+    let mut text = format!("usage: gc {}", cmd.name);
+    if !cmd.opts.is_empty() {
+        text.push_str(" [options]");
+    }
+    if let Some(word) = cmd.word {
+        write!(text, " {word}").unwrap();
+    }
+    writeln!(text, "\n  {}", cmd.about).unwrap();
+    let head = |&(name, value, _): &Opt| format!("--{name} {value}");
+    let width = cmd.options().map(head).map(|h| h.len()).max().unwrap_or(0);
+    for o in cmd.options() {
+        writeln!(text, "  {:<width$}  {}", head(o), o.2).unwrap();
+    }
+    text
+}
+
+/// The subcommand list, for a missing or unknown subcommand.
+fn overview() -> String {
+    let mut text = String::from(
+        "usage: gc <subcommand> [options]; gc <subcommand> --help lists its options\n",
     );
-    eprintln!("  gc query --dataset FILE --queries FILE [--method NAME] [--eviction NAME]");
-    eprintln!("           [--admission NAME] [--capacity N] [--window N] [--threads N]");
-    eprintln!("           [--shards N] [--verify-budget N]");
-    eprintln!("           [--fragments on|off] [--fragment-budget BYTES]");
-    eprintln!("           [--fragment-eviction NAME] [--supergraph] [--background]");
-    eprintln!("           [--no-cache] [--maint-stats] [--save DIR] [--restore DIR]");
-    eprintln!("           (--window N: one maintenance round per N cache misses)");
-    eprintln!("  gc query --connect unix:PATH|ADDR --queries FILE [--supergraph]");
-    eprintln!("           [--verify-budget N] [--retries N] [--retry-seed S] [--timeout-ms MS]");
-    let suites: Vec<&str> = Suite::ALL.iter().map(|s| s.name()).collect();
-    eprintln!("  gc bench [--suite {}]", suites.join("|"));
-    eprintln!("           [--json FILE] [--timings] [--list]");
-    eprintln!("           [--check BASELINE] [--tolerance PCT] [--serve] [--route N]");
-    eprintln!("  gc serve --dataset FILE (--listen ADDR | --unix PATH) [--max-sessions N]");
-    eprintln!("           [--max-inflight N] [--drain-timeout SECS] [--persist-on-exit DIR]");
-    eprintln!("           [--snapshot-every SECS] [--restore DIR] [--peer-id I/N]");
-    eprintln!("           [cache flags as for gc query]");
-    eprintln!("  gc route --unix PATH --peers SOCK,SOCK,... [--retries N] [--retry-seed S]");
-    eprintln!("  gc ctl (--unix PATH | --tcp ADDR) [--timeout SECS] [--retries N]");
-    eprintln!("         ping|stats|shutdown");
+    for cmd in COMMANDS {
+        writeln!(text, "  gc {:<16} {}", cmd.name, cmd.about).unwrap();
+    }
+    text
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.split_first() {
-        None => Err(CliError::usage("no subcommand given")),
-        Some((cmd, rest)) => match cmd.as_str() {
-            "generate" => cmd_generate(rest),
-            "stats" => cmd_stats(rest),
-            "workload" => cmd_workload(rest),
-            "query" => cmd_query(rest),
-            "bench" => cmd_bench(rest),
-            "serve" => cmd_serve(rest),
-            "route" => cmd_route(rest),
-            "ctl" => cmd_ctl(rest),
-            other => Err(CliError::usage(format!("unknown subcommand {other:?}"))),
+    let (cmd, result) = match args.split_first() {
+        None => (None, Err(CliError::usage("no subcommand given"))),
+        Some((name, rest)) => match command(name, rest) {
+            None => (
+                None,
+                Err(CliError::usage(format!("unknown subcommand {name:?}"))),
+            ),
+            Some(cmd) if rest.iter().any(|a| a == "--help") => {
+                print!("{}", usage(cmd));
+                return ExitCode::SUCCESS;
+            }
+            Some(cmd) => (Some(cmd), parse_opts(cmd, rest).and_then(|o| (cmd.run)(&o))),
         },
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
+    let (msg, code) = match result {
+        Ok(()) => return ExitCode::SUCCESS,
         Err(CliError::Usage(msg)) => {
-            eprintln!("gc: {msg}");
-            print_usage();
-            ExitCode::from(2)
+            eprint!("gc: {msg}\n{}", cmd.map_or_else(overview, usage));
+            return ExitCode::from(2);
         }
-        Err(CliError::Runtime(msg)) => {
-            eprintln!("gc: {msg}");
-            ExitCode::from(1)
-        }
-        Err(CliError::Drift(msg)) => {
-            eprintln!("gc: {msg}");
-            ExitCode::from(3)
-        }
-        Err(CliError::Unavailable(msg)) => {
-            eprintln!("gc: {msg}");
-            ExitCode::from(4)
-        }
-    }
-}
-
-/// The options each subcommand reads (value-taking and bare alike), as
-/// `[cache-construction options, its own]`. `gc query --connect` is its own
-/// row: the cache lives in the daemon, so cache flags would do nothing.
-fn known_opts(cmd: &str, connect: bool) -> [&'static str; 2] {
-    const CACHE: &str = "method eviction admission capacity window threads shards \
-        verify-budget fragments fragment-budget fragment-eviction supergraph background restore";
-    match (cmd, connect) {
-        ("generate", _) => ["", "profile scale seed out"],
-        ("workload", _) => ["", "dataset kind count seed out"],
-        ("query", true) => [
-            "",
-            "connect queries supergraph verify-budget retries retry-seed timeout-ms",
-        ],
-        ("query", false) => [CACHE, "dataset queries no-cache maint-stats save"],
-        ("serve", _) => [
-            CACHE,
-            "dataset listen unix max-sessions max-inflight drain-timeout persist-on-exit \
-             snapshot-every peer-id",
-        ],
-        ("route", _) => ["", "unix peers retries retry-seed"],
-        ("ctl", _) => ["", "unix tcp timeout retries retry-seed"],
-        ("bench", _) => ["", "suite json check tolerance timings list serve route"],
-        _ => ["", ""], // `gc stats` takes a path and nothing else
-    }
-}
-
-/// Parses `--key value` pairs and bare flags into a map. Malformed
-/// invocations are usage errors, and so is any option `cmd` never reads:
-/// a typo (`--capcity 500`) or a flag from an older release must fail
-/// loudly, not run with the default.
-fn parse_opts(
-    cmd: &str,
-    args: &[String],
-) -> Result<(HashMap<String, String>, Vec<String>), CliError> {
-    let mut opts = HashMap::new();
-    let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(key) = a.strip_prefix("--") {
-            // Bare flags take no value.
-            const FLAGS: [&str; 7] = [
-                "supergraph",
-                "no-cache",
-                "background",
-                "maint-stats",
-                "timings",
-                "list",
-                "serve",
-            ];
-            if FLAGS.contains(&key) {
-                opts.insert(key.to_string(), "true".to_string());
-                i += 1;
-            } else {
-                let v = args
-                    .get(i + 1)
-                    .ok_or_else(|| CliError::usage(format!("--{key} needs a value")))?;
-                opts.insert(key.to_string(), v.clone());
-                i += 2;
-            }
-        } else {
-            positional.push(a.clone());
-            i += 1;
-        }
-    }
-    let connect = cmd == "query" && opts.contains_key("connect");
-    let known = known_opts(cmd, connect);
-    let is_known = |k: &str| {
-        known
-            .iter()
-            .any(|set| set.split_whitespace().any(|o| o == k))
+        Err(CliError::Runtime(msg)) => (msg, 1),
+        Err(CliError::Drift(msg)) => (msg, 3),
+        Err(CliError::Unavailable(msg)) => (msg, 4),
     };
-    let mut unknown: Vec<String> = opts
-        .keys()
-        .filter(|k| !is_known(k))
-        .map(|k| format!("--{k}"))
-        .collect();
-    if !unknown.is_empty() {
-        unknown.sort_unstable();
-        return Err(CliError::usage(format!(
-            "unknown option {} for gc {cmd}{}",
-            unknown.join(", "),
-            if connect { " --connect" } else { "" }
-        )));
-    }
-    Ok((opts, positional))
+    eprintln!("gc: {msg}");
+    ExitCode::from(code)
 }
 
-fn req<'a>(opts: &'a HashMap<String, String>, key: &str) -> Result<&'a str, CliError> {
-    opts.get(key)
-        .map(|s| s.as_str())
-        .ok_or_else(|| CliError::usage(format!("missing required option --{key}")))
+/// A parsed command line: the values of the options given (a bare flag's is
+/// `"true"`) and the positional word.
+struct Opts {
+    values: HashMap<&'static str, String>,
+    word: Option<String>,
 }
 
-fn num<T: std::str::FromStr>(
-    opts: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, CliError> {
-    match opts.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::usage(format!("invalid --{key}: {v:?}"))),
+impl Opts {
+    fn get(&self, key: &str) -> Option<&str> {
+        self.values.get(key).map(|s| s.as_str())
     }
+
+    fn has(&self, key: &str) -> bool {
+        self.values.contains_key(key)
+    }
+
+    fn req(&self, key: &str) -> Result<&str, CliError> {
+        self.get(key)
+            .ok_or_else(|| CliError::usage(format!("missing required option --{key}")))
+    }
+
+    /// The positional word; `parse_opts` refuses a line that lacks the
+    /// one its row takes.
+    fn word(&self) -> &str {
+        self.word.as_deref().unwrap_or("")
+    }
+
+    /// `--key`'s value as a number, if given.
+    fn opt_num<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, CliError> {
+        self.get(key)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| CliError::usage(format!("invalid --{key}: {v:?}")))
+            })
+            .transpose()
+    }
+
+    fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, CliError> {
+        Ok(self.opt_num(key)?.unwrap_or(default))
+    }
+
+    /// `--supergraph` as a query kind; `None` keeps the default (subgraph,
+    /// or the daemon's own kind for `--connect`).
+    fn kind(&self) -> Option<QueryKind> {
+        self.has("supergraph").then_some(QueryKind::Supergraph)
+    }
+}
+
+/// Parses `args` against `cmd`'s row: `--key value` for an option with a
+/// value placeholder, `--key` alone for a bare flag, and at most the one
+/// positional word the row takes. Anything else is a usage error — a typo
+/// (`--capcity 500`) or a flag from an older release must fail loudly, not
+/// run with the default.
+fn parse_opts(cmd: &Command, args: &[String]) -> Result<Opts, CliError> {
+    let mut opts = Opts {
+        values: HashMap::new(),
+        word: None,
+    };
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        let Some(key) = a.strip_prefix("--") else {
+            if cmd.word.is_none() || opts.word.is_some() {
+                return Err(CliError::usage(format!(
+                    "unexpected positional argument {a:?} for gc {}",
+                    cmd.name
+                )));
+            }
+            opts.word = Some(a.clone());
+            continue;
+        };
+        let &(name, placeholder, _) = cmd.options().find(|o| o.0 == key).ok_or_else(|| {
+            CliError::usage(format!("unknown option --{key} for gc {}", cmd.name))
+        })?;
+        let value = match placeholder {
+            "" => "true",
+            _ => args
+                .next()
+                .ok_or_else(|| CliError::usage(format!("--{key} needs a value")))?,
+        };
+        opts.values.insert(name, value.to_string());
+    }
+    if let Some(word) = cmd.word {
+        let w = opts.word();
+        if w.is_empty() {
+            return Err(CliError::usage(format!("gc {} needs {word}", cmd.name)));
+        }
+        if word.contains('|') && !word.split('|').any(|choice| choice == w) {
+            return Err(CliError::usage(format!(
+                "unknown gc {} command {w:?} ({word})",
+                cmd.name
+            )));
+        }
+    }
+    Ok(opts)
 }
 
 /// `--fragments on|off` (default off). An explicit value keeps the flag
 /// scriptable — `--fragments "$MODE"` — where a bare boolean flag could
 /// only ever turn the layer on.
-fn fragments_enabled(opts: &HashMap<String, String>) -> Result<bool, CliError> {
-    match opts.get("fragments").map(|s| s.as_str()) {
+fn fragments_enabled(opts: &Opts) -> Result<bool, CliError> {
+    match opts.get("fragments") {
         None => Ok(false),
         Some("on") => Ok(true),
         Some("off") => Ok(false),
@@ -405,17 +443,16 @@ fn fragments_enabled(opts: &HashMap<String, String>) -> Result<bool, CliError> {
     }
 }
 
-fn cmd_generate(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts("generate", args)?;
-    let name = req(&opts, "profile")?;
+fn cmd_generate(opts: &Opts) -> CliResult {
+    let name = opts.req("profile")?;
     let profile = DatasetProfile::by_name(name).ok_or_else(|| {
         CliError::usage(format!(
             "unknown profile {name:?} (aids|pdbs|pcm|synthetic)"
         ))
     })?;
-    let scale: f64 = num(&opts, "scale", 1.0)?;
-    let seed: u64 = num(&opts, "seed", 42)?;
-    let out = req(&opts, "out")?;
+    let scale: f64 = opts.num("scale", 1.0)?;
+    let seed: u64 = opts.num("seed", 42)?;
+    let out = opts.req("out")?;
     let dataset = profile.scaled(scale).generate(seed);
     io::save_dataset(out, &dataset)
         .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
@@ -423,12 +460,8 @@ fn cmd_generate(args: &[String]) -> CliResult {
     Ok(())
 }
 
-fn cmd_stats(args: &[String]) -> CliResult {
-    let (_, positional) = parse_opts("stats", args)?;
-    let path = positional
-        .first()
-        .ok_or_else(|| CliError::usage("usage: gc stats FILE"))?;
-    let dataset = load_dataset(path)?;
+fn cmd_stats(opts: &Opts) -> CliResult {
+    let dataset = load_dataset(opts.word())?;
     println!("{}", dataset.stats());
     Ok(())
 }
@@ -439,13 +472,12 @@ fn load_dataset(path: &str) -> Result<GraphDataset, CliError> {
     io::load_dataset(path).map_err(|e| CliError::Runtime(format!("cannot load {path}: {e}")))
 }
 
-fn cmd_workload(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts("workload", args)?;
-    let dataset = load_dataset(req(&opts, "dataset")?)?;
-    let count: usize = num(&opts, "count", 500)?;
-    let seed: u64 = num(&opts, "seed", 42)?;
-    let out = req(&opts, "out")?;
-    let kind = req(&opts, "kind")?;
+fn cmd_workload(opts: &Opts) -> CliResult {
+    let dataset = load_dataset(opts.req("dataset")?)?;
+    let count: usize = opts.num("count", 500)?;
+    let seed: u64 = opts.num("seed", 42)?;
+    let out = opts.req("out")?;
+    let kind = opts.req("kind")?;
     let workload = match kind {
         "zz" => generate_type_a(&dataset, &TypeAConfig::zz(1.4).count(count).seed(seed)),
         "zu" => generate_type_a(&dataset, &TypeAConfig::zu(1.4).count(count).seed(seed)),
@@ -483,11 +515,8 @@ fn cmd_workload(args: &[String]) -> CliResult {
 }
 
 /// Method M over `dataset`, named by `--method` (default `ggsx`).
-fn build_method(
-    opts: &HashMap<String, String>,
-    dataset: &GraphDataset,
-) -> Result<Method, CliError> {
-    let name = opts.get("method").map(|s| s.as_str()).unwrap_or("ggsx");
+fn build_method(opts: &Opts, dataset: &GraphDataset) -> Result<Method, CliError> {
+    let name = opts.get("method").unwrap_or("ggsx");
     match MethodKind::from_registry_name(name) {
         Some(kind) => Ok(kind.build(dataset)),
         None => {
@@ -505,38 +534,33 @@ fn build_method(
 /// drift apart on flag semantics. It reads no file: callers run it before
 /// the dataset loads, so a policy typo fails (exit 2, listing the
 /// available policies) before any expensive parsing.
-fn builder_from_opts(opts: &HashMap<String, String>) -> Result<GraphCacheBuilder, CliError> {
+fn builder_from_opts(opts: &Opts) -> Result<GraphCacheBuilder, CliError> {
     let usage = |e: PolicyError| CliError::usage(e.to_string());
-    let kind = if opts.contains_key("supergraph") {
-        QueryKind::Supergraph
-    } else {
-        QueryKind::Subgraph
-    };
     let mut builder = GraphCache::builder()
-        .capacity(num(opts, "capacity", 100usize)?)
-        .window(num(opts, "window", 20usize)?)
-        .query_kind(kind)
-        .background(opts.contains_key("background"))
-        .threads(num(opts, "threads", 1usize)?)
-        .shards(num(opts, "shards", 0usize)?)
+        .capacity(opts.num("capacity", 100)?)
+        .window(opts.num("window", 20)?)
+        .query_kind(opts.kind().unwrap_or_default())
+        .background(opts.has("background"))
+        .threads(opts.num("threads", 1)?)
+        .shards(opts.num("shards", 0)?)
         .fragments(fragments_enabled(opts)?);
     if let Some(spec) = opts.get("eviction") {
         registry::build_eviction(spec).map_err(usage)?;
-        builder = builder.eviction(spec.as_str());
+        builder = builder.eviction(spec);
     }
     if let Some(spec) = opts.get("admission") {
         registry::build_admission(spec).map_err(usage)?;
-        builder = builder.admission(spec.as_str());
+        builder = builder.admission(spec);
     }
     if let Some(spec) = opts.get("fragment-eviction") {
         registry::build_eviction(spec).map_err(usage)?;
-        builder = builder.fragment_eviction(spec.as_str());
+        builder = builder.fragment_eviction(spec);
     }
-    if opts.contains_key("verify-budget") {
-        builder = builder.verify_budget(num(opts, "verify-budget", 0u64)?);
+    if let Some(budget) = opts.opt_num("verify-budget")? {
+        builder = builder.verify_budget(budget);
     }
-    if opts.contains_key("fragment-budget") {
-        builder = builder.fragment_budget(num(opts, "fragment-budget", 0usize)?);
+    if let Some(budget) = opts.opt_num("fragment-budget")? {
+        builder = builder.fragment_budget(budget);
     }
     Ok(builder)
 }
@@ -546,7 +570,7 @@ fn builder_from_opts(opts: &HashMap<String, String>) -> Result<GraphCacheBuilder
 /// always has).
 fn build_cache(
     builder: GraphCacheBuilder,
-    opts: &HashMap<String, String>,
+    opts: &Opts,
     dataset: &GraphDataset,
 ) -> Result<GraphCache, CliError> {
     let cache = builder
@@ -594,37 +618,45 @@ fn connect_target(target: &str, policy: &RetryPolicy) -> Result<Client, CliError
 /// `--retries N [--retry-seed S]` → the bounded deterministic retry
 /// policy shared by connect and `BUSY` handling (default: no retries, the
 /// historical fail-fast behavior).
-fn retry_policy(opts: &HashMap<String, String>) -> Result<RetryPolicy, CliError> {
-    let attempts: u32 = num(opts, "retries", 0u32)?;
-    Ok(match opts.get("retry-seed") {
-        Some(_) => RetryPolicy::seeded(attempts, num(opts, "retry-seed", 0u64)?),
+fn retry_policy(opts: &Opts) -> Result<RetryPolicy, CliError> {
+    let attempts: u32 = opts.num("retries", 0)?;
+    Ok(match opts.opt_num("retry-seed")? {
+        Some(seed) => RetryPolicy::seeded(attempts, seed),
         None => RetryPolicy::with_attempts(attempts),
     })
 }
 
-fn cmd_query(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts("query", args)?;
-    if let Some(target) = opts.get("connect") {
-        return query_connect(&opts, target);
-    }
-    let builder = builder_from_opts(&opts)?;
-    let dataset = load_dataset(req(&opts, "dataset")?)?;
-    let queries = load_dataset(req(&opts, "queries")?)?;
-    let kind = if opts.contains_key("supergraph") {
-        QueryKind::Supergraph
+/// One replayed query's line: answers, Method-M tests, hit-verification
+/// tests and work, and how it hit — the same in process and over the wire.
+fn query_line(i: usize, r: &QueryRecord) -> String {
+    let exact = if r.exact_via_fingerprint {
+        " (exact hit via fingerprint)"
+    } else if r.exact_hit {
+        " (exact hit)"
     } else {
-        QueryKind::Subgraph
+        ""
     };
+    format!(
+        "query {i}: {} answers, {} tests | hit-verify: {} tests, {} work{exact}{}",
+        r.answer_size,
+        r.subiso_tests,
+        r.gc_tests,
+        r.budget_spent,
+        if r.truncated { " [truncated]" } else { "" },
+    )
+}
 
-    // --threads: 1 (default) replays sequentially, the paper's
-    // single-client setup; N > 1 fans out via run_batch.
-    let threads: usize = num(&opts, "threads", 1usize)?;
+fn cmd_query(opts: &Opts) -> CliResult {
+    let builder = builder_from_opts(opts)?;
+    let dataset = load_dataset(opts.req("dataset")?)?;
+    let queries = load_dataset(opts.req("queries")?)?;
 
-    if opts.contains_key("no-cache") {
-        if threads != 1 {
+    if opts.has("no-cache") {
+        if opts.has("threads") {
             eprintln!("gc: note: --threads is ignored with --no-cache (the baseline replays sequentially)");
         }
-        let method = build_method(&opts, &dataset)?;
+        let kind = opts.kind().unwrap_or_default();
+        let method = build_method(opts, &dataset)?;
         let t0 = std::time::Instant::now();
         let mut total_us = 0.0;
         let mut tests = 0u64;
@@ -653,10 +685,13 @@ fn cmd_query(args: &[String]) -> CliResult {
         return Ok(());
     }
 
-    let cache = build_cache(builder, &opts, &dataset)?;
+    let cache = build_cache(builder, opts, &dataset)?;
 
+    // One client thread (the default) replays sequentially, the paper's
+    // single-client setup; --threads N > 1 fans out via run_batch.
+    let threads = cache.batch_threads();
     let t0 = std::time::Instant::now();
-    let records: Vec<graphcache::core::QueryRecord> = if threads == 1 {
+    let records: Vec<QueryRecord> = if threads == 1 {
         queries
             .graphs()
             .iter()
@@ -674,22 +709,7 @@ fn cmd_query(args: &[String]) -> CliResult {
     let mut total_us = 0.0;
     for (i, r) in records.iter().enumerate() {
         total_us += r.query_time().as_secs_f64() * 1e6;
-        let exact = if r.exact_via_fingerprint {
-            " (exact hit via fingerprint)"
-        } else if r.exact_hit {
-            " (exact hit)"
-        } else {
-            ""
-        };
-        println!(
-            "query {i}: {} answers, {} tests | hit-verify: {} tests, {} work{}{}",
-            r.answer_size,
-            r.subiso_tests,
-            r.gc_tests,
-            r.budget_spent,
-            exact,
-            if r.truncated { " [truncated]" } else { "" },
-        );
+        println!("{}", query_line(i, r));
     }
     let counters = RunCounters::from_records(&records, 0);
     println!(
@@ -716,18 +736,14 @@ fn cmd_query(args: &[String]) -> CliResult {
             cache.fragment_store_len(),
         );
     }
+    // run_batch never uses more workers than there are requests.
     println!(
         "wall clock {:.1} ms on {} client thread(s) ({:.0} queries/s)",
         wall.as_secs_f64() * 1e3,
-        if threads == 1 {
-            1
-        } else {
-            // run_batch never uses more workers than there are requests.
-            cache.batch_threads().min(records.len().max(1))
-        },
+        threads.min(records.len().max(1)),
         records.len() as f64 / wall.as_secs_f64().max(1e-9)
     );
-    if opts.contains_key("maint-stats") {
+    if opts.has("maint-stats") {
         cache.flush_pending();
         let m = cache.maint_stats();
         println!(
@@ -788,21 +804,12 @@ fn cmd_query(args: &[String]) -> CliResult {
 /// jitter stream); with the default of no retries a `BUSY` is fail-stop
 /// (runtime error, exit 1). `--timeout-ms MS` attaches a per-query
 /// deadline that the server answers with `ERR code=deadline` on expiry.
-fn query_connect(opts: &HashMap<String, String>, target: &str) -> CliResult {
-    let queries = load_dataset(req(opts, "queries")?)?;
-    let kind = opts
-        .contains_key("supergraph")
-        .then_some(QueryKind::Supergraph);
-    let verify_budget = if opts.contains_key("verify-budget") {
-        Some(num(opts, "verify-budget", 0u64)?)
-    } else {
-        None
-    };
-    let timeout_ms = if opts.contains_key("timeout-ms") {
-        Some(num(opts, "timeout-ms", 0u64)?)
-    } else {
-        None
-    };
+fn query_connect(opts: &Opts) -> CliResult {
+    let target = opts.req("connect")?;
+    let queries = load_dataset(opts.req("queries")?)?;
+    let kind = opts.kind();
+    let verify_budget = opts.opt_num("verify-budget")?;
+    let timeout_ms = opts.opt_num("timeout-ms")?;
     let retry = retry_policy(opts)?;
     let mut client = connect_target(target, &retry)?;
     let t0 = std::time::Instant::now();
@@ -826,18 +833,7 @@ fn query_connect(opts: &HashMap<String, String>, target: &str) -> CliResult {
             QueryOutcome::Result(r) => {
                 tests += r.record.subiso_tests;
                 hits += r.record.any_hit() as usize;
-                println!(
-                    "query {i}: {} answers, {} tests | hit-verify: {} tests, {} work{}",
-                    r.answer.len(),
-                    r.record.subiso_tests,
-                    r.record.gc_tests,
-                    r.record.budget_spent,
-                    if r.record.truncated {
-                        " [truncated]"
-                    } else {
-                        ""
-                    },
-                );
+                println!("{}", query_line(i, &r.record));
             }
             QueryOutcome::Busy { inflight, max } => {
                 return Err(CliError::Runtime(format!(
@@ -868,10 +864,9 @@ fn query_connect(opts: &HashMap<String, String>, target: &str) -> CliResult {
 
 /// `gc serve`: the long-running daemon. Blocks until graceful drain
 /// (SIGTERM, SIGINT, or a `SHUTDOWN` frame) completes, then exits 0.
-fn cmd_serve(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts("serve", args)?;
-    let builder = builder_from_opts(&opts)?;
-    let listen = opts.get("listen").cloned();
+fn cmd_serve(opts: &Opts) -> CliResult {
+    let builder = builder_from_opts(opts)?;
+    let listen = opts.get("listen").map(String::from);
     let unix = opts.get("unix").map(PathBuf::from);
     if listen.is_none() && unix.is_none() {
         return Err(CliError::usage(
@@ -900,25 +895,21 @@ fn cmd_serve(args: &[String]) -> CliResult {
         listen,
         unix,
         peer,
-        max_sessions: num(&opts, "max-sessions", 64usize)?,
-        max_inflight: num(&opts, "max-inflight", 0usize)?,
-        drain_timeout: Duration::from_secs(num(&opts, "drain-timeout", 10u64)?),
+        max_sessions: opts.num("max-sessions", 64)?,
+        max_inflight: opts.num("max-inflight", 0)?,
+        drain_timeout: Duration::from_secs(opts.num("drain-timeout", 10)?),
         persist_on_exit: opts.get("persist-on-exit").map(PathBuf::from),
         handle_signals: true,
-        snapshot_every: if opts.contains_key("snapshot-every") {
-            Some(Duration::from_secs(num(&opts, "snapshot-every", 0u64)?))
-        } else {
-            None
-        },
+        snapshot_every: opts.opt_num("snapshot-every")?.map(Duration::from_secs),
     };
     if cfg.snapshot_every.is_some() && cfg.persist_on_exit.is_none() {
         return Err(CliError::usage(
             "--snapshot-every needs --persist-on-exit DIR (the snapshot target)",
         ));
     }
-    let dataset = load_dataset(req(&opts, "dataset")?)?;
+    let dataset = load_dataset(opts.req("dataset")?)?;
     let graphs = dataset.len();
-    let cache = build_cache(builder, &opts, &dataset)?;
+    let cache = build_cache(builder, opts, &dataset)?;
     let eviction = cache.eviction_name();
     let peer = cfg.peer;
     let server =
@@ -947,10 +938,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
 /// `gc serve --peer-id` daemons. Clients speak plain `QUERY` to the
 /// router's socket; the router computes each query's iso-fingerprint,
 /// sends it to the owning peer, and keeps every replica in lockstep.
-fn cmd_route(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts("route", args)?;
-    let unix = PathBuf::from(req(&opts, "unix")?);
-    let peers: Vec<PathBuf> = req(&opts, "peers")?
+fn cmd_route(opts: &Opts) -> CliResult {
+    let unix = PathBuf::from(opts.req("unix")?);
+    let peers: Vec<PathBuf> = opts
+        .req("peers")?
         .split(',')
         .filter(|s| !s.is_empty())
         .map(PathBuf::from)
@@ -965,7 +956,7 @@ fn cmd_route(args: &[String]) -> CliResult {
         // should ride out peer startup races and transient BUSY, so a
         // bounded-but-generous budget is the default.
         None => RetryPolicy::with_attempts(10),
-        Some(_) => retry_policy(&opts)?,
+        Some(_) => retry_policy(opts)?,
     };
     let router = Router::bind(RouterConfig {
         unix: unix.clone(),
@@ -991,43 +982,28 @@ fn cmd_route(args: &[String]) -> CliResult {
 }
 
 /// `gc ctl`: one control frame against a running daemon.
-fn cmd_ctl(args: &[String]) -> CliResult {
-    let (opts, positional) = parse_opts("ctl", args)?;
-    let command = positional
-        .first()
-        .map(|s| s.as_str())
-        .ok_or_else(|| CliError::usage("gc ctl needs a command (ping|stats|shutdown)"))?;
-    if !matches!(command, "ping" | "stats" | "shutdown") {
-        return Err(CliError::usage(format!(
-            "unknown ctl command {command:?} (ping|stats|shutdown)"
-        )));
-    }
+fn cmd_ctl(opts: &Opts) -> CliResult {
     let target = match (opts.get("unix"), opts.get("tcp")) {
         (Some(_), Some(_)) => {
             return Err(CliError::usage("give --unix PATH or --tcp ADDR, not both"))
         }
         (Some(path), None) => format!("unix:{path}"),
-        (None, Some(addr)) => addr.clone(),
+        (None, Some(addr)) => addr.to_string(),
         (None, None) => return Err(CliError::usage("gc ctl needs --unix PATH or --tcp ADDR")),
     };
     // Validate the timeout before dialing: a bad flag is a usage error
     // even when the daemon is unreachable.
-    let timeout = if opts.contains_key("timeout") {
-        let secs: u64 = num(&opts, "timeout", 0u64)?;
-        if secs == 0 {
-            return Err(CliError::usage("--timeout must be at least 1 second"));
-        }
-        Some(Duration::from_secs(secs))
-    } else {
-        None
+    let timeout = match opts.opt_num("timeout")? {
+        Some(0) => return Err(CliError::usage("--timeout must be at least 1 second")),
+        secs => secs.map(Duration::from_secs),
     };
-    let mut client = connect_target(&target, &retry_policy(&opts)?)?;
+    let mut client = connect_target(&target, &retry_policy(opts)?)?;
     if let Some(timeout) = timeout {
         client
             .set_timeout(Some(timeout))
             .map_err(|e| CliError::Runtime(format!("cannot set timeout: {e}")))?;
     }
-    match command {
+    match opts.word() {
         "ping" => {
             client
                 .ping(Some("ctl"))
@@ -1050,14 +1026,13 @@ fn cmd_ctl(args: &[String]) -> CliResult {
                 .map_err(|e| CliError::Runtime(format!("shutdown failed: {e}")))?;
             println!("shutdown requested; daemon draining");
         }
-        _ => unreachable!("validated above"),
+        _ => unreachable!("parse_opts admits ping|stats|shutdown only"),
     }
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> CliResult {
-    let (opts, _) = parse_opts("bench", args)?;
-    let suite_name = opts.get("suite").map(|s| s.as_str()).unwrap_or("smoke");
+fn cmd_bench(opts: &Opts) -> CliResult {
+    let suite_name = opts.get("suite").unwrap_or("smoke");
     let suite = Suite::from_name(suite_name).ok_or_else(|| {
         let available: Vec<&str> = Suite::ALL.iter().map(|s| s.name()).collect();
         CliError::usage(format!(
@@ -1065,7 +1040,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
             available.join(", ")
         ))
     })?;
-    let tolerance: f64 = num(&opts, "tolerance", 5.0)?;
+    let tolerance: f64 = opts.num("tolerance", 5.0)?;
     // NaN/inf would make every drift comparison pass, silently disabling
     // the gate.
     if !tolerance.is_finite() || tolerance < 0.0 {
@@ -1074,7 +1049,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
         ));
     }
 
-    if opts.contains_key("list") {
+    if opts.has("list") {
         println!(
             "suite {} ({} scenarios):",
             suite.name(),
@@ -1091,17 +1066,11 @@ fn cmd_bench(args: &[String]) -> CliResult {
         return Ok(());
     }
 
-    let served = opts.contains_key("serve");
-    let routed: Option<usize> = match opts.get("route") {
-        None => None,
-        Some(_) => {
-            let peers: usize = num(&opts, "route", 0usize)?;
-            if peers == 0 {
-                return Err(CliError::usage("--route needs at least 1 peer"));
-            }
-            Some(peers)
-        }
-    };
+    let served = opts.has("serve");
+    let routed: Option<usize> = opts.opt_num("route")?;
+    if routed == Some(0) {
+        return Err(CliError::usage("--route needs at least 1 peer"));
+    }
     if served && routed.is_some() {
         return Err(CliError::usage(
             "--serve and --route are mutually exclusive",
@@ -1165,7 +1134,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
     }
 
     if let Some(path) = opts.get("json") {
-        let text = report.to_json(opts.contains_key("timings"));
+        let text = report.to_json(opts.has("timings"));
         std::fs::write(path, &text)
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
         println!("wrote {path}");

@@ -600,6 +600,123 @@ fn unknown_options_are_rejected_by_every_subcommand() {
     );
 }
 
+/// Every subcommand takes at most the positional word its usage names
+/// (`FILE` for `stats`, the command for `ctl`): one more word is a usage
+/// error naming it, not silently dropped. None of the paths exist —
+/// rejection comes first.
+#[test]
+fn every_subcommand_refuses_a_stray_positional() {
+    let cases: [(&[&str], &str); 9] = [
+        (
+            &["generate", "--profile", "aids", "--out", "x", "0.5"],
+            "0.5",
+        ),
+        (&["stats", "d", "extra"], "extra"),
+        (
+            &[
+                "workload",
+                "--dataset",
+                "d",
+                "--kind",
+                "zz",
+                "--out",
+                "x",
+                "stray",
+            ],
+            "stray",
+        ),
+        (
+            &["query", "--dataset", "d", "--queries", "q", "stray"],
+            "stray",
+        ),
+        (
+            &["query", "--connect", "unix:s", "--queries", "q", "stray"],
+            "stray",
+        ),
+        (&["bench", "--suite", "smoke", "stray"], "stray"),
+        (
+            &["serve", "--dataset", "d", "--unix", "s", "stray"],
+            "stray",
+        ),
+        (
+            &["route", "--unix", "s", "--peers", "a,b", "stray"],
+            "stray",
+        ),
+        (&["ctl", "--unix", "s", "ping", "extra"], "extra"),
+    ];
+    for (args, word) in cases {
+        let out = assert_exit(args, 2);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unexpected positional argument \"{word}\"")),
+            "gc {args:?} must name {word}: {stderr}"
+        );
+    }
+}
+
+/// `gc <cmd> --help` exits 0 and prints every option the subcommand reads
+/// (and, for `query --connect`, none of the cache options it does not).
+#[test]
+fn help_lists_every_option_of_each_subcommand() {
+    const CACHE: &str = "method eviction admission capacity window threads shards \
+        verify-budget fragments fragment-budget fragment-eviction supergraph background restore";
+    let rows: [(&[&str], String); 9] = [
+        (&["generate"], "profile scale seed out".into()),
+        (&["stats"], String::new()),
+        (&["workload"], "dataset kind count seed out".into()),
+        (
+            &["query"],
+            format!("{CACHE} dataset queries no-cache maint-stats save"),
+        ),
+        (
+            &["query", "--connect", "unix:s"],
+            "connect queries supergraph verify-budget retries retry-seed timeout-ms".into(),
+        ),
+        (
+            &["bench"],
+            "suite json check tolerance timings list serve route".into(),
+        ),
+        (
+            &["serve"],
+            format!(
+                "{CACHE} dataset listen unix max-sessions max-inflight drain-timeout \
+                 persist-on-exit snapshot-every peer-id"
+            ),
+        ),
+        (&["route"], "unix peers retries retry-seed".into()),
+        (&["ctl"], "unix tcp timeout retries retry-seed".into()),
+    ];
+    for (cmd, opts) in rows {
+        let args: Vec<&str> = cmd.iter().copied().chain(["--help"]).collect();
+        let out = assert_exit(&args, 0);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with(&format!("usage: gc {}", cmd[0])),
+            "{stdout}"
+        );
+        for o in opts.split_whitespace() {
+            assert!(
+                stdout.contains(&format!("--{o} ")),
+                "gc {args:?} must list --{o}: {stdout}"
+            );
+        }
+    }
+    let out = assert_exit(&["stats", "--help"], 0);
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: gc stats FILE"));
+    let out = assert_exit(&["ctl", "--help"], 0);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("ping|stats|shutdown"));
+    let out = assert_exit(&["query", "--connect", "unix:s", "--help"], 0);
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("--capacity"));
+    // Without a subcommand, the usage error lists them all.
+    let out = assert_exit(&[], 2);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    for cmd in [
+        "generate", "stats", "workload", "query", "bench", "serve", "route", "ctl",
+    ] {
+        assert!(stderr.contains(&format!("gc {cmd} ")), "{stderr}");
+    }
+}
+
 /// Exit-code contract for the daemon-facing subcommands (`serve`, `ctl`,
 /// `query --connect`, `bench --serve`): bad invocations are usage errors
 /// (2), unreachable daemons are the dedicated unavailable code (4) —
