@@ -117,12 +117,8 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
-fn run_one(full_id: &str, criterion: &Criterion, samples: usize, f: impl FnOnce(&mut Bencher)) {
-    if !criterion
-        .filter
-        .as_ref()
-        .is_none_or(|s| full_id.contains(s.as_str()))
-    {
+fn run_one(full_id: &str, filter: Option<&str>, samples: usize, f: impl FnOnce(&mut Bencher)) {
+    if filter.is_some_and(|s| !full_id.contains(s)) {
         return;
     }
     let mut b = Bencher {
@@ -168,7 +164,12 @@ impl BenchmarkGroup<'_> {
     ) -> &mut Self {
         let id = id.into();
         let full_id = format!("{}/{}", self.name, id.id);
-        run_one(&full_id, self.criterion, self.sample_size, f);
+        run_one(
+            &full_id,
+            self.criterion.filter.as_deref(),
+            self.sample_size,
+            f,
+        );
         self
     }
 
@@ -238,7 +239,7 @@ impl Criterion {
         id: impl Into<BenchmarkId>,
         f: impl FnOnce(&mut Bencher),
     ) -> &mut Self {
-        run_one(&id.into().id, self, self.sample_size, f);
+        run_one(&id.into().id, self.filter.as_deref(), self.sample_size, f);
         self
     }
 }

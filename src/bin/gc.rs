@@ -97,7 +97,8 @@ impl CliError {
 type CliResult = Result<(), CliError>;
 
 /// One option a subcommand reads: its name, the placeholder of its value
-/// (empty for a bare flag) and its one-line help.
+/// (empty for a bare flag; alternatives like `on|off` are the only values
+/// it admits) and its one-line help.
 type Opt = (&'static str, &'static str, &'static str);
 
 /// The cache-construction options `gc query` and `gc serve` share.
@@ -139,8 +140,8 @@ struct Command {
     name: &'static str,
     about: &'static str,
     opts: &'static [&'static [Opt]],
-    /// The placeholder of the one positional word it takes; alternatives
-    /// (`a|b`) are checked. `None` takes none.
+    /// The placeholder of the one positional word it takes, alternatives
+    /// admitted alone as for an option's value. `None` takes none.
     word: Option<&'static str>,
     run: fn(&Opts) -> CliResult,
 }
@@ -150,7 +151,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "generate", about: "write a synthetic dataset in the text format of gc_graph::io",
         opts: &[&[
-            ("profile", "aids|pdbs|pcm|synthetic", "dataset profile (required)"),
+            ("profile", "NAME", "dataset profile: aids|pdbs|pcm|synthetic (required)"),
             ("scale", "F", "scale of the profile's graph count (default 1)"),
             ("seed", "N", "generator seed (default 42)"),
             ("out", "FILE", "output file (required)"),
@@ -194,7 +195,7 @@ const COMMANDS: &[Command] = &[
         name: "query --connect", about: "replay a query file against a running daemon",
         opts: &[
             &[
-                ("connect", "unix:PATH|ADDR", "the daemon: unix:PATH, tcp:HOST:PORT or HOST:PORT"),
+                ("connect", "TARGET", "the daemon: unix:PATH, tcp:HOST:PORT or HOST:PORT"),
                 ("queries", "FILE", "query file (required)"),
                 ("timeout-ms", "MS", "per-query deadline; on expiry the daemon answers ERR"),
             ],
@@ -412,6 +413,11 @@ fn parse_opts(cmd: &Command, args: &[String]) -> Result<Opts, CliError> {
                 .next()
                 .ok_or_else(|| CliError::usage(format!("--{key} needs a value")))?,
         };
+        if !admits(placeholder, value) {
+            return Err(CliError::usage(format!(
+                "invalid --{key} {value:?} ({placeholder})"
+            )));
+        }
         opts.values.insert(name, value.to_string());
     }
     if let Some(word) = cmd.word {
@@ -419,7 +425,7 @@ fn parse_opts(cmd: &Command, args: &[String]) -> Result<Opts, CliError> {
         if w.is_empty() {
             return Err(CliError::usage(format!("gc {} needs {word}", cmd.name)));
         }
-        if word.contains('|') && !word.split('|').any(|choice| choice == w) {
+        if !admits(word, w) {
             return Err(CliError::usage(format!(
                 "unknown gc {} command {w:?} ({word})",
                 cmd.name
@@ -429,18 +435,10 @@ fn parse_opts(cmd: &Command, args: &[String]) -> Result<Opts, CliError> {
     Ok(opts)
 }
 
-/// `--fragments on|off` (default off). An explicit value keeps the flag
-/// scriptable — `--fragments "$MODE"` — where a bare boolean flag could
-/// only ever turn the layer on.
-fn fragments_enabled(opts: &Opts) -> Result<bool, CliError> {
-    match opts.get("fragments") {
-        None => Ok(false),
-        Some("on") => Ok(true),
-        Some("off") => Ok(false),
-        Some(other) => Err(CliError::usage(format!(
-            "invalid --fragments {other:?} (on|off)"
-        ))),
-    }
+/// Whether `placeholder` admits `value`: a list of alternatives (`on|off`)
+/// admits only those, any other placeholder any value.
+fn admits(placeholder: &str, value: &str) -> bool {
+    !placeholder.contains('|') || placeholder.split('|').any(|choice| choice == value)
 }
 
 fn cmd_generate(opts: &Opts) -> CliResult {
@@ -482,7 +480,8 @@ fn cmd_workload(opts: &Opts) -> CliResult {
         "zz" => generate_type_a(&dataset, &TypeAConfig::zz(1.4).count(count).seed(seed)),
         "zu" => generate_type_a(&dataset, &TypeAConfig::zu(1.4).count(count).seed(seed)),
         "uu" => generate_type_a(&dataset, &TypeAConfig::uu().count(count).seed(seed)),
-        "b0" | "b20" | "b50" => {
+        // b0|b20|b50: parse_opts admits no other kind.
+        _ => {
             let p = match kind {
                 "b0" => 0.0,
                 "b20" => 0.2,
@@ -495,11 +494,6 @@ fn cmd_workload(opts: &Opts) -> CliResult {
                     .pools((count / 5).clamp(20, 400), (count / 15).clamp(5, 120))
                     .seed(seed),
             )
-        }
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown workload kind {other:?} (zz|zu|uu|b0|b20|b50)"
-            )))
         }
     };
     let as_dataset = GraphDataset::new(workload.graphs().cloned().collect());
@@ -543,7 +537,9 @@ fn builder_from_opts(opts: &Opts) -> Result<GraphCacheBuilder, CliError> {
         .background(opts.has("background"))
         .threads(opts.num("threads", 1)?)
         .shards(opts.num("shards", 0)?)
-        .fragments(fragments_enabled(opts)?);
+        // `--fragments on|off` takes a value, so `--fragments "$MODE"` stays
+        // scriptable where a bare flag could only ever turn the layer on.
+        .fragments(opts.get("fragments") == Some("on"));
     if let Some(spec) = opts.get("eviction") {
         registry::build_eviction(spec).map_err(usage)?;
         builder = builder.eviction(spec);
@@ -616,10 +612,10 @@ fn connect_target(target: &str, policy: &RetryPolicy) -> Result<Client, CliError
 }
 
 /// `--retries N [--retry-seed S]` → the bounded deterministic retry
-/// policy shared by connect and `BUSY` handling (default: no retries, the
-/// historical fail-fast behavior).
-fn retry_policy(opts: &Opts) -> Result<RetryPolicy, CliError> {
-    let attempts: u32 = opts.num("retries", 0)?;
+/// policy shared by connect and `BUSY` handling, `attempts` retries unless
+/// `--retries` says otherwise.
+fn retry_policy(opts: &Opts, attempts: u32) -> Result<RetryPolicy, CliError> {
+    let attempts = opts.num("retries", attempts)?;
     Ok(match opts.opt_num("retry-seed")? {
         Some(seed) => RetryPolicy::seeded(attempts, seed),
         None => RetryPolicy::with_attempts(attempts),
@@ -810,7 +806,7 @@ fn query_connect(opts: &Opts) -> CliResult {
     let kind = opts.kind();
     let verify_budget = opts.opt_num("verify-budget")?;
     let timeout_ms = opts.opt_num("timeout-ms")?;
-    let retry = retry_policy(opts)?;
+    let retry = retry_policy(opts, 0)?;
     let mut client = connect_target(target, &retry)?;
     let t0 = std::time::Instant::now();
     let mut tests = 0u64;
@@ -951,13 +947,10 @@ fn cmd_route(opts: &Opts) -> CliResult {
             "gc route needs --peers SOCK,SOCK,... (one socket per peer, in peer-id order)",
         ));
     }
-    let retry = match opts.get("retries") {
-        // The router's default retry budget differs from gc ctl's: it
-        // should ride out peer startup races and transient BUSY, so a
-        // bounded-but-generous budget is the default.
-        None => RetryPolicy::with_attempts(10),
-        Some(_) => retry_policy(opts)?,
-    };
+    // The router's default retry budget differs from gc ctl's: it should
+    // ride out peer startup races and transient BUSY, so a
+    // bounded-but-generous budget is the default.
+    let retry = retry_policy(opts, 10)?;
     let router = Router::bind(RouterConfig {
         unix: unix.clone(),
         peers: peers.clone(),
@@ -997,7 +990,7 @@ fn cmd_ctl(opts: &Opts) -> CliResult {
         Some(0) => return Err(CliError::usage("--timeout must be at least 1 second")),
         secs => secs.map(Duration::from_secs),
     };
-    let mut client = connect_target(&target, &retry_policy(opts)?)?;
+    let mut client = connect_target(&target, &retry_policy(opts, 0)?)?;
     if let Some(timeout) = timeout {
         client
             .set_timeout(Some(timeout))
