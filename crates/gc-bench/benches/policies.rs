@@ -1,9 +1,8 @@
 //! Microbenchmarks of replacement-policy victim selection at various cache
 //! sizes (the Window Manager invokes this once per full window).
 //!
-//! The candidate set comes from [`gc_core::registry`], so any policy
-//! registered there — including the post-paper built-ins and future
-//! additions — is benchmarked automatically, with no edit here.
+//! Every name in [`gc_core::registry::EVICTION_NAMES`] is benchmarked,
+//! the post-paper policies included.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use gc_core::policy::{PolicyRow, PolicyView};
@@ -25,8 +24,8 @@ fn bench_policies(c: &mut Criterion) {
     let mut group = c.benchmark_group("policy_select");
     for n in [100usize, 500, 5000] {
         let table = rows(n);
-        for name in registry::eviction_names() {
-            group.bench_with_input(BenchmarkId::new(&name, n), &table, |b, table| {
+        for &name in registry::EVICTION_NAMES {
+            group.bench_with_input(BenchmarkId::new(name, n), &table, |b, table| {
                 // Stateful policies mutate in select_victims (credits are
                 // consumed, inflation moves), so each sample gets a freshly
                 // built and warmed policy via the untimed setup closure —
@@ -35,7 +34,7 @@ fn bench_policies(c: &mut Criterion) {
                 b.iter_batched(
                     || {
                         let mut policy =
-                            registry::build_eviction(&name).expect("registry name builds");
+                            registry::build_eviction(name).expect("policy name builds");
                         for row in table {
                             policy.on_admit(row.serial, row.c_total);
                         }

@@ -16,12 +16,13 @@
 //! dropping the denominator keeps the ranking, and a work count makes every
 //! admission decision a pure function of the queries, on any machine.
 //!
-//! Three strategies ship built in, all registered in [`crate::registry`]:
-//! [`AdmitAll`] (`"none"`), the paper's calibrated-threshold
-//! [`AdmissionControl`] (`"threshold"`) and the greedy back-off
-//! [`AdaptiveAdmission`] (`"adaptive"`).
+//! The set is closed, and [`crate::registry::build_admission`] resolves
+//! its three names: [`AdmitAll`] (`"none"`), the paper's
+//! calibrated-threshold [`AdmissionControl`] (`"threshold"`) and the
+//! greedy back-off [`AdaptiveAdmission`] (`"adaptive"`). Each is used only
+//! through the [`AdmissionPolicy`] trait.
 
-/// A pluggable cache admission strategy.
+/// A cache admission strategy.
 ///
 /// The query path calls [`observe`](Self::observe) once per executed query,
 /// exact hits included; the Window Manager calls [`admits`](Self::admits)
@@ -29,7 +30,7 @@
 /// lives inside the implementor, behind the cache's shared admission lock —
 /// implementations need `Send` but no internal synchronisation.
 pub trait AdmissionPolicy: Send + std::fmt::Debug {
-    /// The policy's canonical registry name (e.g. `"adaptive"`).
+    /// The policy's canonical name (e.g. `"adaptive"`).
     fn name(&self) -> &str;
 
     /// Feeds one executed query: its expensiveness score and the *benefit*
@@ -107,18 +108,24 @@ impl AdmissionControl {
             threshold: None,
         }
     }
+}
 
-    /// Feeds one query's expensiveness score (called for every executed
-    /// query while calibrating).
-    pub fn observe(&mut self, expensiveness: f64) {
+/// The benefit signal is ignored: the calibrated threshold never moves
+/// after calibration.
+impl AdmissionPolicy for AdmissionControl {
+    fn name(&self) -> &str {
+        "threshold"
+    }
+
+    /// Collects the score while calibrating; non-finite scores are dropped.
+    fn observe(&mut self, expensiveness: f64, _benefit: f64) {
         if self.threshold.is_none() && expensiveness.is_finite() {
             self.observed.push(expensiveness);
         }
     }
 
-    /// Marks the end of a window; fixes the threshold once enough windows
-    /// have been observed.
-    pub fn end_window(&mut self) {
+    /// Fixes the threshold once enough windows have been observed.
+    fn end_window(&mut self) {
         if self.threshold.is_some() {
             return;
         }
@@ -133,44 +140,19 @@ impl AdmissionControl {
         }
     }
 
-    /// The calibrated threshold, once fixed.
-    pub fn threshold(&self) -> Option<f64> {
-        self.threshold
-    }
-
-    /// Whether a query with this expensiveness may enter the cache.
     /// A still-calibrating controller admits everything; a calibrated
     /// threshold of 0 also admits everything (paper: "a threshold value of
     /// 0 disables this component").
-    pub fn admits(&self, expensiveness: f64) -> bool {
+    fn admits(&self, expensiveness: f64) -> bool {
         match self.threshold {
             None => true,
             Some(t) => t == 0.0 || expensiveness >= t,
         }
     }
-}
 
-impl AdmissionPolicy for AdmissionControl {
-    /// Registered as `"threshold"`; the benefit signal is ignored (the
-    /// calibrated threshold never moves after calibration).
-    fn name(&self) -> &str {
-        "threshold"
-    }
-
-    fn observe(&mut self, expensiveness: f64, _benefit: f64) {
-        AdmissionControl::observe(self, expensiveness);
-    }
-
-    fn end_window(&mut self) {
-        AdmissionControl::end_window(self);
-    }
-
-    fn admits(&self, expensiveness: f64) -> bool {
-        AdmissionControl::admits(self, expensiveness)
-    }
-
+    /// The calibrated threshold, once fixed.
     fn threshold(&self) -> Option<f64> {
-        AdmissionControl::threshold(self)
+        self.threshold
     }
 }
 
@@ -208,24 +190,40 @@ impl AdaptiveAdmission {
         }
     }
 
-    /// Feeds one executed query: its expensiveness and the time saving the
-    /// cache delivered for it (0 for complete misses).
-    pub fn observe(&mut self, expensiveness: f64, benefit: f64) {
-        self.inner.observe(expensiveness);
+    fn window_rate(&self) -> f64 {
+        if self.window_queries == 0 {
+            0.0
+        } else {
+            self.window_benefit / self.window_queries as f64
+        }
+    }
+
+    fn reset_window(&mut self) {
+        self.window_benefit = 0.0;
+        self.window_queries = 0;
+    }
+}
+
+impl AdmissionPolicy for AdaptiveAdmission {
+    fn name(&self) -> &str {
+        "adaptive"
+    }
+
+    fn observe(&mut self, expensiveness: f64, benefit: f64) {
+        self.inner.observe(expensiveness, benefit);
         if benefit.is_finite() {
             self.window_benefit += benefit;
         }
         self.window_queries += 1;
     }
 
-    /// Ends a window: finishes calibration if still pending, otherwise
-    /// performs one greedy adaptation step.
-    pub fn end_window(&mut self) {
-        let calibrated_before = self.inner.threshold().is_some();
+    /// Finishes calibration if still pending, otherwise performs one
+    /// greedy adaptation step.
+    fn end_window(&mut self) {
+        let calibrated_before = self.inner.threshold.is_some();
         self.inner.end_window();
-        let Some(threshold) = self.inner.threshold() else {
-            self.window_benefit = 0.0;
-            self.window_queries = 0;
+        let Some(threshold) = self.inner.threshold else {
+            self.reset_window();
             return;
         };
         if !calibrated_before {
@@ -254,50 +252,13 @@ impl AdaptiveAdmission {
         self.reset_window();
     }
 
-    fn window_rate(&self) -> f64 {
-        if self.window_queries == 0 {
-            0.0
-        } else {
-            self.window_benefit / self.window_queries as f64
-        }
-    }
-
-    fn reset_window(&mut self) {
-        self.window_benefit = 0.0;
-        self.window_queries = 0;
-    }
-
-    /// Whether a query may enter the cache.
-    pub fn admits(&self, expensiveness: f64) -> bool {
+    fn admits(&self, expensiveness: f64) -> bool {
         self.inner.admits(expensiveness)
     }
 
     /// The current (possibly adapted) threshold.
-    pub fn threshold(&self) -> Option<f64> {
-        self.inner.threshold()
-    }
-}
-
-impl AdmissionPolicy for AdaptiveAdmission {
-    /// Registered as `"adaptive"`.
-    fn name(&self) -> &str {
-        "adaptive"
-    }
-
-    fn observe(&mut self, expensiveness: f64, benefit: f64) {
-        AdaptiveAdmission::observe(self, expensiveness, benefit);
-    }
-
-    fn end_window(&mut self) {
-        AdaptiveAdmission::end_window(self);
-    }
-
-    fn admits(&self, expensiveness: f64) -> bool {
-        AdaptiveAdmission::admits(self, expensiveness)
-    }
-
     fn threshold(&self) -> Option<f64> {
-        AdaptiveAdmission::threshold(self)
+        self.inner.threshold
     }
 }
 
@@ -308,7 +269,7 @@ mod tests {
     #[test]
     fn admits_all_during_calibration() {
         let mut ac = AdmissionControl::new(AdmissionConfig::default());
-        ac.observe(1.0);
+        ac.observe(1.0, 0.0);
         ac.end_window();
         assert!(ac.admits(0.0), "still calibrating");
     }
@@ -322,11 +283,11 @@ mod tests {
         let mut ac = AdmissionControl::new(cfg);
         // 8 observations: 1..=8. Top 25% = {7, 8}; threshold lands at 7.
         for v in 1..=4 {
-            ac.observe(v as f64);
+            ac.observe(v as f64, 0.0);
         }
         ac.end_window();
         for v in 5..=8 {
-            ac.observe(v as f64);
+            ac.observe(v as f64, 0.0);
         }
         ac.end_window();
         let t = ac.threshold().expect("calibrated");
@@ -343,8 +304,8 @@ mod tests {
             target_expensive_fraction: 0.5,
         };
         let mut ac = AdmissionControl::new(cfg);
-        ac.observe(0.0);
-        ac.observe(0.0);
+        ac.observe(0.0, 0.0);
+        ac.observe(0.0, 0.0);
         ac.end_window();
         assert_eq!(ac.threshold(), Some(0.0));
         assert!(ac.admits(0.0));
@@ -358,10 +319,10 @@ mod tests {
             target_expensive_fraction: 0.5,
         };
         let mut ac = AdmissionControl::new(cfg);
-        ac.observe(10.0);
+        ac.observe(10.0, 0.0);
         ac.end_window();
         let t = ac.threshold();
-        ac.observe(99999.0);
+        ac.observe(99999.0, 0.0);
         ac.end_window();
         assert_eq!(ac.threshold(), t, "threshold must not drift");
     }
@@ -373,9 +334,9 @@ mod tests {
             target_expensive_fraction: 0.5,
         };
         let mut ac = AdmissionControl::new(cfg);
-        ac.observe(f64::INFINITY);
-        ac.observe(f64::NAN);
-        ac.observe(2.0);
+        ac.observe(f64::INFINITY, 0.0);
+        ac.observe(f64::NAN, 0.0);
+        ac.observe(2.0, 0.0);
         ac.end_window();
         assert_eq!(ac.threshold(), Some(2.0));
     }
@@ -446,28 +407,5 @@ mod tests {
         assert!(p.admits(f64::INFINITY));
         assert_eq!(p.name(), "none");
         assert!(p.threshold().is_none());
-    }
-
-    #[test]
-    fn trait_dispatch_matches_inherent_api() {
-        let cfg = AdmissionConfig {
-            calibration_windows: 1,
-            target_expensive_fraction: 0.5,
-        };
-        let mut boxed: Box<dyn AdmissionPolicy> = Box::new(AdmissionControl::new(cfg));
-        for v in 1..=4 {
-            boxed.observe(v as f64, 0.0);
-        }
-        boxed.end_window();
-        let mut inherent = AdmissionControl::new(cfg);
-        for v in 1..=4 {
-            inherent.observe(v as f64);
-        }
-        inherent.end_window();
-        assert_eq!(boxed.threshold(), inherent.threshold());
-        assert_eq!(boxed.admits(3.0), inherent.admits(3.0));
-        assert_eq!(boxed.name(), "threshold");
-        let adaptive: &dyn AdmissionPolicy = &AdaptiveAdmission::new(cfg);
-        assert_eq!(adaptive.name(), "adaptive", "adaptive registry name");
     }
 }

@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 
 /// Tunable parameters of a [`GraphCache`] instance. Defaults mirror the
 /// paper's evaluation setup (§7.1): C = 100, W = 20. The replacement and
-/// admission policies are picked by registry name on the builder
+/// admission policies are picked by name on the builder
 /// ([`GraphCacheBuilder::eviction`], default `"hd"`;
 /// [`GraphCacheBuilder::admission`], default `"none"`).
 #[derive(Debug, Clone, Copy)]
@@ -109,13 +109,13 @@ impl Default for GcConfig {
 
 /// Builder for [`GraphCache`].
 ///
-/// Policies are picked by registry spec string
+/// Policies are picked by spec string
 /// ([`eviction`](Self::eviction), [`admission`](Self::admission),
-/// [`fragment_eviction`](Self::fragment_eviction)); a custom policy is
-/// registered first with [`registry::register_eviction`] or
-/// [`registry::register_admission`]. Name resolution happens at build
-/// time: [`try_build`](Self::try_build) surfaces unknown names as a
-/// [`PolicyError`], while [`build`](Self::build) panics on them.
+/// [`fragment_eviction`](Self::fragment_eviction)) from the closed set
+/// [`registry::build_eviction`] and [`registry::build_admission`] resolve.
+/// Resolution happens at build time: [`try_build`](Self::try_build)
+/// surfaces an unknown name or a refused parameter as a [`PolicyError`],
+/// while [`build`](Self::build) panics on it.
 ///
 /// ```
 /// use gc_core::GraphCache;
@@ -168,10 +168,10 @@ impl GraphCacheBuilder {
         self
     }
 
-    /// Replacement policy by registry name (default `"hd"`, the paper's
+    /// Replacement policy by spec (default `"hd"`, the paper's
     /// recommendation), e.g. `.eviction("gcr")`,
-    /// `.eviction("slru:protected=0.5")`. Any name in [`crate::registry`]
-    /// — built-in or registered by the application — is accepted; the name
+    /// `.eviction("slru:protected=0.5")`. Any name in
+    /// [`registry::EVICTION_NAMES`], or `gcr`, is accepted; the spec
     /// is resolved at build time ([`try_build`](Self::try_build) reports
     /// unknown names, [`build`](Self::build) panics on them).
     pub fn eviction(mut self, spec: impl Into<String>) -> Self {
@@ -179,7 +179,7 @@ impl GraphCacheBuilder {
         self
     }
 
-    /// Admission policy by registry name (default `"none"`: admit every
+    /// Admission policy by spec (default `"none"`: admit every
     /// miss), e.g. `.admission("adaptive")` or the paper's calibrated
     /// threshold, `.admission("threshold:windows=3,fraction=0.25")`.
     /// Resolved at build time like [`eviction`](Self::eviction).
@@ -244,7 +244,7 @@ impl GraphCacheBuilder {
         self
     }
 
-    /// Eviction policy for the *fragment* store by registry name (default
+    /// Eviction policy for the *fragment* store by spec (default
     /// `"lru"`), e.g. `.fragment_eviction("slru")` or
     /// `.fragment_eviction("greedy-dual")`. Resolved at build time like
     /// [`eviction`](Self::eviction); the spec is validated even when the
@@ -258,7 +258,7 @@ impl GraphCacheBuilder {
     /// Builds the cache in front of `method`.
     ///
     /// # Panics
-    /// If a registry spec passed to [`eviction`](Self::eviction) /
+    /// If a policy spec passed to [`eviction`](Self::eviction) /
     /// [`admission`](Self::admission) does not resolve — use
     /// [`try_build`](Self::try_build) to handle that as an error instead.
     pub fn build(self, method: Method) -> GraphCache {
@@ -268,7 +268,7 @@ impl GraphCacheBuilder {
 
     /// Builds the cache, reporting unresolvable policy specs as a
     /// [`PolicyError`] (whose message lists the available names). Unset
-    /// specs resolve to their defaults through the registry: `"hd"`,
+    /// specs resolve to their defaults the same way: `"hd"`,
     /// `"none"`, and `"lru"` for the fragment store.
     pub fn try_build(self, method: Method) -> Result<GraphCache, PolicyError> {
         let eviction = registry::build_eviction(self.eviction_spec.as_deref().unwrap_or("hd"))?;
@@ -637,12 +637,12 @@ impl GraphCache {
         &self.cfg
     }
 
-    /// The active eviction policy's registry name (e.g. `"hd"`, `"slru"`).
+    /// The active eviction policy's canonical name (e.g. `"hd"`, `"slru"`).
     pub fn eviction_name(&self) -> String {
         self.shared.eviction.lock().name().to_string()
     }
 
-    /// The active admission policy's registry name (e.g. `"none"`).
+    /// The active admission policy's canonical name (e.g. `"none"`).
     pub fn admission_name(&self) -> String {
         self.shared.admission.lock().name().to_string()
     }
@@ -2121,7 +2121,7 @@ mod tests {
         );
     }
 
-    /// The defaults resolve through the registry like any spec: HD
+    /// The defaults resolve like any spec: HD
     /// replacement, every miss admitted.
     #[test]
     fn default_policies_are_hd_and_admit_all() {

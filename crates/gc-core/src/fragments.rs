@@ -6,7 +6,8 @@
 //! The split of responsibilities: `gc-fragments` owns decomposition, keying
 //! and the bounded occurrence store; this module owns everything that needs
 //! the rest of the cache — the Method M handle that builds *exact*
-//! occurrence sets, the registry-built eviction policy that ranks fragment
+//! occurrence sets, the eviction policy (any spec
+//! [`crate::registry::build_eviction`] resolves) that ranks fragment
 //! rows, and the deterministic counters.
 
 use crate::policy::{EvictionPolicy, PolicyRow, PolicyView};

@@ -22,11 +22,11 @@
 //!   delta incrementally to just the touched shards (per-shard compaction
 //!   reclaims tombstones), so maintenance cost scales with the delta, not
 //!   the cache size.
-//! * **Policy engine** — replacement and admission are open trait APIs
-//!   ([`EvictionPolicy`] / [`AdmissionPolicy`]) constructed by name through
-//!   the string-keyed [`registry`]; the paper's strategies, the extra
-//!   built-ins in [`policies`], and user-registered implementations are
-//!   all selected the same way and only that way
+//! * **Policy engine** — replacement and admission are a closed set of
+//!   strategies behind two traits ([`EvictionPolicy`] /
+//!   [`AdmissionPolicy`]). [`registry`] builds one from a spec string with
+//!   one `match` per kind; the paper's strategies and the extra ones in
+//!   [`policies`] are selected that way and only that way
 //!   (`GraphCache::builder().eviction("gcr").admission("adaptive")`).
 //!
 //! [`GraphCache`] is a shared service: `run`, [`GraphCache::execute`] and
@@ -50,7 +50,7 @@
 //! let cache = GraphCache::builder()
 //!     .capacity(100)
 //!     .window(20)
-//!     .eviction("hd") // any registry name; "gcr" is the paper's alias for HD
+//!     .eviction("hd") // any policy name; "gcr" is the paper's alias for HD
 //!     .build(method);
 //!
 //! let query = LabeledGraph::from_parts(vec![0, 1], &[(0, 1)]);
@@ -111,7 +111,7 @@ pub use processors::{
     VerifyOptions,
 };
 pub use query_index::{Probe, QUERY_INDEX_SHAPE};
-pub use registry::{PolicyError, PolicyParams, PolicyRegistry};
+pub use registry::PolicyError;
 pub use staged::{FaultIo, FaultMode, Manifest, RealIo, SnapshotIo};
 pub use stats::{QuerySerial, StatsStore};
 pub use window::WindowEntry;

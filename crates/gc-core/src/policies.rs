@@ -1,5 +1,6 @@
 //! Replacement strategies beyond the paper's §6.3 set, implemented against
-//! the open [`EvictionPolicy`] API and registered in [`crate::registry`].
+//! the [`EvictionPolicy`] trait and resolved by name in
+//! [`crate::registry::build_eviction`].
 //!
 //! * [`SegmentedLru`] (`"slru"`) — the classic two-segment LRU used by web
 //!   and block caches: entries that have never expedited a query live in a

@@ -19,9 +19,9 @@
 //! Age `A` is the difference between the most recent serial number assigned
 //! to any query and the cached query's own serial (paper §6.3, POP).
 //!
-//! Strategies beyond the paper's (and user-defined ones) implement
-//! [`EvictionPolicy`] directly and are constructed by name through
-//! [`crate::registry`]; see [`crate::policies`] for the extra built-ins.
+//! Every replacement strategy implements [`EvictionPolicy`]: the five above
+//! through [`PolicyKind`], the two beyond the paper in [`crate::policies`].
+//! [`crate::registry`] builds one from its name.
 
 use crate::stats::QuerySerial;
 
@@ -70,7 +70,7 @@ impl<'a> PolicyView<'a> {
     }
 }
 
-/// A pluggable cache replacement strategy.
+/// A cache replacement strategy.
 ///
 /// The Window Manager calls [`select_victims`](Self::select_victims) once
 /// per maintenance round that needs room; the event hooks let stateful
@@ -79,12 +79,11 @@ impl<'a> PolicyView<'a> {
 /// implementor — the cache keeps it behind the shared eviction lock, so
 /// implementations need `Send` but no internal synchronisation.
 ///
-/// Implementations are registered by name in [`crate::registry`] and
-/// selected via [`GraphCacheBuilder::eviction`](crate::GraphCacheBuilder::eviction);
-/// see the repository README ("Writing a custom policy") for a worked
-/// example.
+/// The set is closed: [`crate::registry::build_eviction`] resolves each
+/// name, and [`GraphCacheBuilder::eviction`](crate::GraphCacheBuilder::eviction)
+/// selects one.
 pub trait EvictionPolicy: Send + std::fmt::Debug {
-    /// The policy's canonical registry name (e.g. `"hd"`). Recorded in
+    /// The policy's canonical name (e.g. `"hd"`). Recorded in
     /// persisted snapshots so a restore under a different policy can be
     /// detected.
     fn name(&self) -> &str;
@@ -161,59 +160,6 @@ impl PolicyKind {
         PolicyKind::Hd,
     ];
 
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::Lru => "LRU",
-            PolicyKind::Pop => "POP",
-            PolicyKind::Pin => "PIN",
-            PolicyKind::Pinc => "PINC",
-            PolicyKind::Hd => "HD",
-        }
-    }
-
-    /// The lowercase name this kind is registered under in
-    /// [`crate::registry`] (also the `--eviction` CLI spelling).
-    pub fn registry_name(self) -> &'static str {
-        match self {
-            PolicyKind::Lru => "lru",
-            PolicyKind::Pop => "pop",
-            PolicyKind::Pin => "pin",
-            PolicyKind::Pinc => "pinc",
-            PolicyKind::Hd => "hd",
-        }
-    }
-
-    /// Selects `evict` victims from `rows` at time `now` (the most recent
-    /// serial assigned to any query). Returns the victims' serials,
-    /// lowest-utility first. Ties break toward the older entry (smaller
-    /// serial), deterministically.
-    pub fn select_victims(
-        self,
-        rows: &[PolicyRow],
-        evict: usize,
-        now: QuerySerial,
-    ) -> Vec<QuerySerial> {
-        if evict == 0 || rows.is_empty() {
-            return Vec::new();
-        }
-        let scorer = self.effective(rows);
-        let mut scored: Vec<(f64, QuerySerial)> = rows
-            .iter()
-            .map(|r| (scorer.utility(r, now), r.serial))
-            .collect();
-        scored.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        scored
-            .into_iter()
-            .take(evict.min(rows.len()))
-            .map(|(_, s)| s)
-            .collect()
-    }
-
     /// Resolves HD to PIN or PINC based on the variability of `R`
     /// (squared coefficient of variation, sample variance as in §6.3).
     fn effective(self, rows: &[PolicyRow]) -> PolicyKind {
@@ -229,8 +175,7 @@ impl PolicyKind {
         }
     }
 
-    fn utility(self, r: &PolicyRow, now: QuerySerial) -> f64 {
-        let age = now.saturating_sub(r.serial).max(1) as f64;
+    fn utility(self, r: &PolicyRow, age: f64) -> f64 {
         match self {
             PolicyKind::Lru => r.last_hit as f64,
             PolicyKind::Pop => r.hits as f64 / age,
@@ -245,11 +190,37 @@ impl PolicyKind {
 /// [`PolicyView`] alone, so a [`PolicyKind`] is its own policy object.
 impl EvictionPolicy for PolicyKind {
     fn name(&self) -> &str {
-        self.registry_name()
+        match self {
+            PolicyKind::Lru => "lru",
+            PolicyKind::Pop => "pop",
+            PolicyKind::Pin => "pin",
+            PolicyKind::Pinc => "pinc",
+            PolicyKind::Hd => "hd",
+        }
     }
 
+    /// Lowest utility first; ties break toward the older entry (smaller
+    /// serial), deterministically.
     fn select_victims(&mut self, view: &PolicyView<'_>, evict: usize) -> Vec<QuerySerial> {
-        PolicyKind::select_victims(*self, view.rows(), evict, view.now())
+        if evict == 0 || view.is_empty() {
+            return Vec::new();
+        }
+        let scorer = self.effective(view.rows());
+        let mut scored: Vec<(f64, QuerySerial)> = view
+            .rows()
+            .iter()
+            .map(|r| (scorer.utility(r, view.age(r)), r.serial))
+            .collect();
+        scored.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        });
+        scored
+            .into_iter()
+            .take(evict.min(view.len()))
+            .map(|(_, s)| s)
+            .collect()
     }
 }
 
@@ -293,8 +264,18 @@ mod tests {
         ]
     }
 
+    /// `kind`'s victims among `rows` at time `now`.
+    fn select(
+        mut kind: PolicyKind,
+        rows: &[PolicyRow],
+        evict: usize,
+        now: u64,
+    ) -> Vec<QuerySerial> {
+        kind.select_victims(&PolicyView::new(rows, now), evict)
+    }
+
     fn victims(kind: PolicyKind) -> Vec<QuerySerial> {
-        let mut v = kind.select_victims(&table1(), 2, 100);
+        let mut v = select(kind, &table1(), 2, 100);
         v.sort_unstable();
         v
     }
@@ -338,16 +319,16 @@ mod tests {
         // One enormous R value makes CoV² > 1.
         let mut rows = table1();
         rows[0].r_total = 100_000;
-        let hd = PolicyKind::Hd.select_victims(&rows, 2, 100);
-        let pin = PolicyKind::Pin.select_victims(&rows, 2, 100);
+        let hd = select(PolicyKind::Hd, &rows, 2, 100);
+        let pin = select(PolicyKind::Pin, &rows, 2, 100);
         assert_eq!(hd, pin);
     }
 
     #[test]
     fn evict_count_clamped() {
-        assert_eq!(PolicyKind::Lru.select_victims(&table1(), 99, 100).len(), 6);
-        assert!(PolicyKind::Lru.select_victims(&table1(), 0, 100).is_empty());
-        assert!(PolicyKind::Lru.select_victims(&[], 2, 100).is_empty());
+        assert_eq!(select(PolicyKind::Lru, &table1(), 99, 100).len(), 6);
+        assert!(select(PolicyKind::Lru, &table1(), 0, 100).is_empty());
+        assert!(select(PolicyKind::Lru, &[], 2, 100).is_empty());
     }
 
     #[test]
@@ -369,7 +350,7 @@ mod tests {
             },
         ];
         // Equal POP utility (0): the older entry (serial 3) goes first.
-        assert_eq!(PolicyKind::Pop.select_victims(&rows, 1, 10), vec![3]);
+        assert_eq!(select(PolicyKind::Pop, &rows, 1, 10), vec![3]);
     }
 
     #[test]
@@ -382,7 +363,7 @@ mod tests {
             c_total: 1.0,
         }];
         // now == serial: age clamps to 1 instead of dividing by zero.
-        assert_eq!(PolicyKind::Pop.select_victims(&rows, 1, 10), vec![10]);
+        assert_eq!(select(PolicyKind::Pop, &rows, 1, 10), vec![10]);
     }
 
     #[test]
@@ -397,9 +378,8 @@ mod tests {
     #[test]
     fn names_and_all() {
         assert_eq!(PolicyKind::ALL.len(), 5);
-        assert_eq!(PolicyKind::Hd.name(), "HD");
-        assert_eq!(PolicyKind::Lru.name(), "LRU");
-        assert_eq!(PolicyKind::Hd.registry_name(), "hd");
+        let names: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names, ["lru", "pop", "pin", "pinc", "hd"]);
     }
 
     #[test]

@@ -1,78 +1,81 @@
-//! The policy registry: string-keyed construction of eviction and
-//! admission strategies.
+//! Policy construction: a spec string names one of a closed set of
+//! eviction and admission strategies.
 //!
-//! Every strategy — the paper's built-ins, the extra policies in
-//! [`crate::policies`], and any user-defined implementation — is reachable
-//! by name, so callers pick policies with
+//! Callers pick policies with
 //! [`GraphCacheBuilder::eviction`](crate::GraphCacheBuilder::eviction) /
 //! [`GraphCacheBuilder::admission`](crate::GraphCacheBuilder::admission)
-//! (or the CLI's `--eviction` / `--admission` flags) instead of touching
-//! cache internals. Registering a new strategy is one
-//! [`register_eviction`] call; nothing in `gc-core` needs to change.
+//! (or the CLI's `--eviction` / `--admission` flags), which resolve the
+//! spec through [`build_eviction`] / [`build_admission`] at build time.
+//! Each is one `match` over the names below; adding a policy is one arm
+//! there and its name in [`EVICTION_NAMES`] or [`ADMISSION_NAMES`].
 //!
 //! # Spec strings
 //!
-//! A *spec* is a registry name with optional `key=value` parameters:
+//! A *spec* is a policy name with optional `key=value` parameters:
 //! `"slru"`, `"slru:protected=0.5"`, `"threshold:windows=2,fraction=0.4"`.
-//! Unknown names fail with a [`PolicyError`] listing what is available;
-//! parameters a policy does not read are ignored.
+//! An unknown name fails with a [`PolicyError`] listing the available
+//! ones. So does a parameter the policy does not read, a key given twice,
+//! and a share (`protected`, `fraction`) that is not a number in `[0, 1]`:
+//! a typo never runs with the default.
 //!
-//! # Built-in eviction policies
+//! # Eviction policies
 //!
-//! | name | strategy |
-//! |------|----------|
-//! | `lru`, `pop`, `pin`, `pinc`, `hd` | the paper's §6.3 utility policies |
-//! | `gcr` | alias for `hd`, the paper's recommended GraphCache policy |
-//! | `slru` | segmented LRU (`protected=` share, default 0.8) |
-//! | `greedy-dual` (alias `gd`) | cost-aware Greedy-Dual |
+//! | name | strategy | parameters |
+//! |------|----------|------------|
+//! | `lru`, `pop`, `pin`, `pinc`, `hd` | the paper's §6.3 utility policies | — |
+//! | `gcr` | `hd`, the paper's recommended GraphCache policy | — |
+//! | `slru` | segmented LRU | `protected` share (default 0.8) |
+//! | `greedy-dual` | cost-aware Greedy-Dual | — |
 //!
-//! # Built-in admission policies
+//! # Admission policies
 //!
-//! | name | strategy |
-//! |------|----------|
-//! | `none` (aliases `off`, `always`) | admit everything |
-//! | `threshold` (alias `static`) | calibrated threshold (`windows=`, `fraction=`) |
-//! | `adaptive` | threshold with greedy back-off adaptation |
+//! | name | strategy | parameters |
+//! |------|----------|------------|
+//! | `none` | admit everything | — |
+//! | `threshold` | the paper's §6.2 calibrated threshold | `windows` (default 3), `fraction` (default 0.25) |
+//! | `adaptive` | threshold with greedy back-off adaptation | as `threshold` |
 
 use crate::admission::{
     AdaptiveAdmission, AdmissionConfig, AdmissionControl, AdmissionPolicy, AdmitAll,
 };
 use crate::policies::{GreedyDual, SegmentedLru};
 use crate::policy::{EvictionPolicy, PolicyKind};
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+
+/// The canonical eviction policy names, the paper's five first.
+pub const EVICTION_NAMES: &[&str] = &["lru", "pop", "pin", "pinc", "hd", "slru", "greedy-dual"];
+
+/// The canonical admission policy names.
+pub const ADMISSION_NAMES: &[&str] = &["none", "threshold", "adaptive"];
 
 /// Error raised when a policy spec cannot be resolved or its parameters
-/// cannot be parsed. The [`Display`](std::fmt::Display) form lists the
+/// are refused. The [`Display`](std::fmt::Display) form lists the
 /// available names, so surfacing it verbatim (as the CLI does) is enough
 /// for a user to self-correct.
 #[derive(Debug, Clone)]
 pub struct PolicyError {
     message: String,
-    available: Vec<String>,
+    available: &'static [&'static str],
 }
 
 impl PolicyError {
-    /// A spec/parameter error with no name listing.
-    pub fn new(message: impl Into<String>) -> Self {
+    fn new(message: String) -> Self {
         PolicyError {
-            message: message.into(),
-            available: Vec::new(),
+            message,
+            available: &[],
         }
     }
 
-    fn unknown(kind: &str, name: &str, available: Vec<String>) -> Self {
+    fn unknown(kind: &str, name: &str, available: &'static [&'static str]) -> Self {
         PolicyError {
             message: format!("unknown {kind} policy {name:?}"),
             available,
         }
     }
 
-    /// The registry names that were available when the error was raised
-    /// (empty for parameter errors).
-    pub fn available(&self) -> &[String] {
-        &self.available
+    /// The policy names of the kind that failed to resolve (empty for
+    /// parameter errors).
+    pub fn available(&self) -> &[&'static str] {
+        self.available
     }
 }
 
@@ -88,268 +91,126 @@ impl std::fmt::Display for PolicyError {
 
 impl std::error::Error for PolicyError {}
 
-/// Parsed `key=value` parameters of a policy spec (the part after `:`).
-#[derive(Debug, Clone, Default)]
-pub struct PolicyParams {
-    pairs: Vec<(String, String)>,
+/// Builds an eviction policy from a spec string (`name[:k=v,…]`).
+pub fn build_eviction(spec: &str) -> Result<Box<dyn EvictionPolicy>, PolicyError> {
+    let spec = Spec::parse(spec)?;
+    let (policy, reads): (Box<dyn EvictionPolicy>, &[&str]) = match spec.name {
+        "lru" => (Box::new(PolicyKind::Lru), &[]),
+        "pop" => (Box::new(PolicyKind::Pop), &[]),
+        "pin" => (Box::new(PolicyKind::Pin), &[]),
+        "pinc" => (Box::new(PolicyKind::Pinc), &[]),
+        // `gcr`: related work's name for the paper's recommended policy.
+        "hd" | "gcr" => (Box::new(PolicyKind::Hd), &[]),
+        "slru" => {
+            let share = spec.share("protected", SegmentedLru::DEFAULT_PROTECTED_SHARE)?;
+            (Box::new(SegmentedLru::new(share)), &["protected"])
+        }
+        "greedy-dual" => (Box::new(GreedyDual::new()), &[]),
+        name => return Err(PolicyError::unknown("eviction", name, EVICTION_NAMES)),
+    };
+    spec.only(reads)?;
+    Ok(policy)
 }
 
-impl PolicyParams {
-    /// Splits a spec string into `(name, params)`: `"slru:protected=0.5"`
-    /// becomes `("slru", {protected: 0.5})`. Bare names carry no params.
-    pub fn parse(spec: &str) -> Result<(&str, PolicyParams), PolicyError> {
+/// Builds an admission policy from a spec string (`name[:k=v,…]`).
+pub fn build_admission(spec: &str) -> Result<Box<dyn AdmissionPolicy>, PolicyError> {
+    let spec = Spec::parse(spec)?;
+    let config = || -> Result<AdmissionConfig, PolicyError> {
+        let defaults = AdmissionConfig::default();
+        Ok(AdmissionConfig {
+            calibration_windows: spec.number("windows", defaults.calibration_windows, "a count")?,
+            target_expensive_fraction: spec
+                .share("fraction", defaults.target_expensive_fraction)?,
+        })
+    };
+    let threshold: &[&str] = &["windows", "fraction"];
+    let (policy, reads): (Box<dyn AdmissionPolicy>, &[&str]) = match spec.name {
+        "none" => (Box::new(AdmitAll), &[]),
+        "threshold" => (Box::new(AdmissionControl::new(config()?)), threshold),
+        "adaptive" => (Box::new(AdaptiveAdmission::new(config()?)), threshold),
+        name => return Err(PolicyError::unknown("admission", name, ADMISSION_NAMES)),
+    };
+    spec.only(reads)?;
+    Ok(policy)
+}
+
+/// A parsed spec: the policy name and its `key=value` pairs as written.
+struct Spec<'a> {
+    name: &'a str,
+    params: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Spec<'a> {
+    /// Splits `"slru:protected=0.5"` into `slru` and `[(protected, 0.5)]`.
+    fn parse(spec: &'a str) -> Result<Self, PolicyError> {
         let spec = spec.trim();
-        let (name, rest) = match spec.split_once(':') {
-            None => (spec, ""),
-            Some((n, r)) => (n.trim(), r),
-        };
+        let (name, rest) = spec
+            .split_once(':')
+            .map_or((spec, ""), |(n, r)| (n.trim(), r));
         if name.is_empty() {
-            return Err(PolicyError::new("empty policy name"));
+            return Err(PolicyError::new("empty policy name".into()));
         }
-        let mut pairs = Vec::new();
+        let mut params = Vec::new();
         for kv in rest.split(',').filter(|s| !s.trim().is_empty()) {
             let (k, v) = kv.split_once('=').ok_or_else(|| {
                 PolicyError::new(format!("malformed parameter {kv:?} (expected key=value)"))
             })?;
-            pairs.push((k.trim().to_string(), v.trim().to_string()));
+            params.push((k.trim(), v.trim()));
         }
-        Ok((name, PolicyParams { pairs }))
+        Ok(Spec { name, params })
     }
 
-    /// Raw string lookup.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+    /// Refuses a key outside `reads` (the keys the policy reads) and a key
+    /// given twice, naming the key and `reads`.
+    fn only(&self, reads: &[&str]) -> Result<(), PolicyError> {
+        for (i, &(key, _)) in self.params.iter().enumerate() {
+            let refused = if !reads.contains(&key) {
+                "unknown"
+            } else if self.params[..i].iter().any(|&(k, _)| k == key) {
+                "repeated"
+            } else {
+                continue;
+            };
+            let reads = match reads {
+                [] => "it takes none".to_string(),
+                keys => format!("it reads {}", keys.join(", ")),
+            };
+            return Err(PolicyError::new(format!(
+                "policy {:?}: {refused} parameter {key:?} ({reads})",
+                self.name
+            )));
+        }
+        Ok(())
     }
 
-    /// A float parameter, `default` when absent.
-    pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, PolicyError> {
-        match self.get(key) {
+    /// The value of `key` parsed as `what`; `default` when absent.
+    fn number<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        what: &str,
+    ) -> Result<T, PolicyError> {
+        match self.params.iter().find(|&&(k, _)| k == key) {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| PolicyError::new(format!("parameter {key}={v:?} is not a number"))),
+            Some((_, v)) => v.parse().map_err(|_| {
+                PolicyError::new(format!("policy {:?}: {key}={v:?} is not {what}", self.name))
+            }),
         }
     }
 
-    /// An integer parameter, `default` when absent.
-    pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, PolicyError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| PolicyError::new(format!("parameter {key}={v:?} is not an integer"))),
+    /// A share in `[0, 1]`; `default` when absent.
+    fn share(&self, key: &str, default: f64) -> Result<f64, PolicyError> {
+        let what = "a number in [0, 1]";
+        let x = self.number(key, default, what)?;
+        if (0.0..=1.0).contains(&x) {
+            Ok(x)
+        } else {
+            Err(PolicyError::new(format!(
+                "policy {:?}: {key}={x} is not {what}",
+                self.name
+            )))
         }
     }
-
-    /// True when no parameters were given.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-}
-
-/// Factory for an [`EvictionPolicy`], stored in the registry.
-pub type EvictionFactory =
-    Arc<dyn Fn(&PolicyParams) -> Result<Box<dyn EvictionPolicy>, PolicyError> + Send + Sync>;
-
-/// Factory for an [`AdmissionPolicy`], stored in the registry.
-pub type AdmissionFactory =
-    Arc<dyn Fn(&PolicyParams) -> Result<Box<dyn AdmissionPolicy>, PolicyError> + Send + Sync>;
-
-/// The string-keyed policy registry. One process-wide instance (behind
-/// this module's free functions, e.g. [`build_eviction`] /
-/// [`register_eviction`]) is pre-seeded with every built-in; isolated
-/// instances can be built for tests via [`PolicyRegistry::with_builtins`].
-pub struct PolicyRegistry {
-    evictions: BTreeMap<String, EvictionFactory>,
-    admissions: BTreeMap<String, AdmissionFactory>,
-    eviction_aliases: BTreeMap<String, String>,
-    admission_aliases: BTreeMap<String, String>,
-}
-
-impl PolicyRegistry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        PolicyRegistry {
-            evictions: BTreeMap::new(),
-            admissions: BTreeMap::new(),
-            eviction_aliases: BTreeMap::new(),
-            admission_aliases: BTreeMap::new(),
-        }
-    }
-
-    /// A registry pre-seeded with every built-in policy and alias.
-    pub fn with_builtins() -> Self {
-        let mut reg = PolicyRegistry::empty();
-        for kind in PolicyKind::ALL {
-            reg.register_eviction(kind.registry_name(), move |_p| Ok(Box::new(kind)));
-        }
-        // The paper's recommended GraphCache replacement policy under the
-        // name related work refers to it by.
-        reg.alias_eviction("gcr", "hd");
-        reg.register_eviction("slru", |p| {
-            let share = p.get_f64("protected", SegmentedLru::DEFAULT_PROTECTED_SHARE)?;
-            Ok(Box::new(SegmentedLru::new(share)))
-        });
-        reg.alias_eviction("segmented-lru", "slru");
-        reg.register_eviction("greedy-dual", |_p| Ok(Box::new(GreedyDual::new())));
-        reg.alias_eviction("gd", "greedy-dual");
-
-        reg.register_admission("none", |_p| Ok(Box::new(AdmitAll)));
-        reg.alias_admission("off", "none");
-        reg.alias_admission("always", "none");
-        reg.register_admission("threshold", |p| {
-            Ok(Box::new(AdmissionControl::new(admission_cfg(p)?)))
-        });
-        reg.alias_admission("static", "threshold");
-        reg.register_admission("adaptive", |p| {
-            Ok(Box::new(AdaptiveAdmission::new(admission_cfg(p)?)))
-        });
-        reg
-    }
-
-    /// Registers (or replaces) an eviction policy factory under `name`.
-    pub fn register_eviction(
-        &mut self,
-        name: &str,
-        factory: impl Fn(&PolicyParams) -> Result<Box<dyn EvictionPolicy>, PolicyError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        self.evictions.insert(name.to_string(), Arc::new(factory));
-    }
-
-    /// Registers (or replaces) an admission policy factory under `name`.
-    pub fn register_admission(
-        &mut self,
-        name: &str,
-        factory: impl Fn(&PolicyParams) -> Result<Box<dyn AdmissionPolicy>, PolicyError>
-            + Send
-            + Sync
-            + 'static,
-    ) {
-        self.admissions.insert(name.to_string(), Arc::new(factory));
-    }
-
-    /// Makes `alias` resolve to the eviction policy registered as `target`.
-    pub fn alias_eviction(&mut self, alias: &str, target: &str) {
-        self.eviction_aliases
-            .insert(alias.to_string(), target.to_string());
-    }
-
-    /// Makes `alias` resolve to the admission policy registered as `target`.
-    pub fn alias_admission(&mut self, alias: &str, target: &str) {
-        self.admission_aliases
-            .insert(alias.to_string(), target.to_string());
-    }
-
-    /// Builds an eviction policy from a spec string (`name[:k=v,…]`).
-    pub fn build_eviction(&self, spec: &str) -> Result<Box<dyn EvictionPolicy>, PolicyError> {
-        let (name, params) = PolicyParams::parse(spec)?;
-        let key = self
-            .eviction_aliases
-            .get(name)
-            .map(String::as_str)
-            .unwrap_or(name);
-        let factory = self
-            .evictions
-            .get(key)
-            .ok_or_else(|| PolicyError::unknown("eviction", name, self.eviction_names()))?;
-        factory(&params)
-    }
-
-    /// Builds an admission policy from a spec string (`name[:k=v,…]`).
-    pub fn build_admission(&self, spec: &str) -> Result<Box<dyn AdmissionPolicy>, PolicyError> {
-        let (name, params) = PolicyParams::parse(spec)?;
-        let key = self
-            .admission_aliases
-            .get(name)
-            .map(String::as_str)
-            .unwrap_or(name);
-        let factory = self
-            .admissions
-            .get(key)
-            .ok_or_else(|| PolicyError::unknown("admission", name, self.admission_names()))?;
-        factory(&params)
-    }
-
-    /// The canonical (alias-free) eviction policy names, sorted.
-    pub fn eviction_names(&self) -> Vec<String> {
-        self.evictions.keys().cloned().collect()
-    }
-
-    /// The canonical (alias-free) admission policy names, sorted.
-    pub fn admission_names(&self) -> Vec<String> {
-        self.admissions.keys().cloned().collect()
-    }
-}
-
-impl Default for PolicyRegistry {
-    fn default() -> Self {
-        PolicyRegistry::with_builtins()
-    }
-}
-
-/// Shared `windows=` / `fraction=` parameters of the threshold-based
-/// admission policies.
-fn admission_cfg(p: &PolicyParams) -> Result<AdmissionConfig, PolicyError> {
-    let defaults = AdmissionConfig::default();
-    Ok(AdmissionConfig {
-        calibration_windows: p.get_usize("windows", defaults.calibration_windows)?,
-        target_expensive_fraction: p.get_f64("fraction", defaults.target_expensive_fraction)?,
-    })
-}
-
-fn global() -> &'static Mutex<PolicyRegistry> {
-    static GLOBAL: OnceLock<Mutex<PolicyRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(PolicyRegistry::with_builtins()))
-}
-
-/// Builds an eviction policy from the process-wide registry.
-pub fn build_eviction(spec: &str) -> Result<Box<dyn EvictionPolicy>, PolicyError> {
-    global().lock().build_eviction(spec)
-}
-
-/// Builds an admission policy from the process-wide registry.
-pub fn build_admission(spec: &str) -> Result<Box<dyn AdmissionPolicy>, PolicyError> {
-    global().lock().build_admission(spec)
-}
-
-/// Registers an eviction policy in the process-wide registry. Replaces any
-/// previous registration under the same name.
-pub fn register_eviction(
-    name: &str,
-    factory: impl Fn(&PolicyParams) -> Result<Box<dyn EvictionPolicy>, PolicyError>
-        + Send
-        + Sync
-        + 'static,
-) {
-    global().lock().register_eviction(name, factory);
-}
-
-/// Registers an admission policy in the process-wide registry. Replaces any
-/// previous registration under the same name.
-pub fn register_admission(
-    name: &str,
-    factory: impl Fn(&PolicyParams) -> Result<Box<dyn AdmissionPolicy>, PolicyError>
-        + Send
-        + Sync
-        + 'static,
-) {
-    global().lock().register_admission(name, factory);
-}
-
-/// The canonical eviction policy names in the process-wide registry.
-pub fn eviction_names() -> Vec<String> {
-    global().lock().eviction_names()
-}
-
-/// The canonical admission policy names in the process-wide registry.
-pub fn admission_names() -> Vec<String> {
-    global().lock().admission_names()
 }
 
 #[cfg(test)]
@@ -358,78 +219,105 @@ mod tests {
 
     #[test]
     fn builtins_resolve_by_name() {
-        let reg = PolicyRegistry::with_builtins();
-        for name in ["lru", "pop", "pin", "pinc", "hd", "slru", "greedy-dual"] {
-            let p = reg.build_eviction(name).unwrap();
+        for &name in EVICTION_NAMES {
+            let p = build_eviction(name).unwrap();
             assert_eq!(p.name(), name, "canonical names round-trip");
         }
-        for name in ["none", "threshold", "adaptive"] {
-            let p = reg.build_admission(name).unwrap();
+        for &name in ADMISSION_NAMES {
+            let p = build_admission(name).unwrap();
             assert_eq!(p.name(), name);
         }
     }
 
     #[test]
     fn aliases_resolve_to_canonical() {
-        let reg = PolicyRegistry::with_builtins();
-        assert_eq!(reg.build_eviction("gcr").unwrap().name(), "hd");
-        assert_eq!(reg.build_eviction("gd").unwrap().name(), "greedy-dual");
-        assert_eq!(reg.build_eviction("segmented-lru").unwrap().name(), "slru");
-        assert_eq!(reg.build_admission("off").unwrap().name(), "none");
-        assert_eq!(reg.build_admission("static").unwrap().name(), "threshold");
-        // Aliases are not listed among canonical names.
-        assert!(!reg.eviction_names().contains(&"gcr".to_string()));
+        // `gcr` is the one alias: the paper's recommended policy.
+        assert_eq!(build_eviction("gcr").unwrap().name(), "hd");
+        assert!(!EVICTION_NAMES.contains(&"gcr"));
+        for gone in ["segmented-lru", "gd"] {
+            assert!(build_eviction(gone).is_err(), "{gone}");
+        }
+        for gone in ["off", "always", "static"] {
+            assert!(build_admission(gone).is_err(), "{gone}");
+        }
     }
 
     #[test]
     fn unknown_names_list_available() {
-        let reg = PolicyRegistry::with_builtins();
-        let err = reg.build_eviction("belady").unwrap_err();
+        let err = build_eviction("belady").unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("belady"), "{msg}");
         assert!(msg.contains("hd") && msg.contains("slru"), "{msg}");
-        assert!(!err.available().is_empty());
-        let err = reg.build_admission("belady").unwrap_err();
+        assert_eq!(err.available(), EVICTION_NAMES);
+        let err = build_admission("belady").unwrap_err();
         assert!(err.to_string().contains("adaptive"));
+        assert_eq!(err.available(), ADMISSION_NAMES);
     }
 
     #[test]
     fn params_parse_and_apply() {
-        let (name, params) = PolicyParams::parse("slru:protected=0.5").unwrap();
-        assert_eq!(name, "slru");
-        assert_eq!(params.get_f64("protected", 0.8).unwrap(), 0.5);
-        assert_eq!(params.get_f64("missing", 0.8).unwrap(), 0.8);
-        assert!(params.get_usize("protected", 1).is_err(), "0.5 not usize");
+        let spec = Spec::parse("slru:protected=0.5").unwrap();
+        assert_eq!(spec.name, "slru");
+        assert_eq!(spec.share("protected", 0.8).unwrap(), 0.5);
+        assert_eq!(spec.share("missing", 0.8).unwrap(), 0.8);
+        assert!(spec.number::<usize>("protected", 1, "a count").is_err());
+        assert!(spec.only(&["protected", "x"]).is_ok());
 
-        let reg = PolicyRegistry::with_builtins();
-        assert!(reg.build_eviction("slru:protected=0.25").is_ok());
-        let ac = reg
-            .build_admission("threshold:windows=1,fraction=0.5")
-            .unwrap();
+        assert!(build_eviction("slru:protected=0.25").is_ok());
+        let ac = build_admission("threshold:windows=1,fraction=0.5").unwrap();
         assert_eq!(ac.name(), "threshold");
-        assert!(reg.build_eviction("slru:protected=abc").is_err());
-        assert!(PolicyParams::parse("slru:oops").is_err());
-        assert!(PolicyParams::parse("").is_err());
-        assert!(PolicyParams::parse(":k=v").is_err());
+        assert!(build_eviction("slru:protected=abc").is_err());
+        assert!(build_admission("threshold:windows=0.5").is_err());
+        assert!(Spec::parse("slru:oops").is_err());
+        assert!(Spec::parse("").is_err());
+        assert!(Spec::parse(":k=v").is_err());
     }
 
+    /// A misspelt, repeated or out-of-range parameter is refused, naming
+    /// the key and what the policy reads, instead of running the default.
     #[test]
-    fn custom_registration_and_replacement() {
-        let mut reg = PolicyRegistry::empty();
-        assert!(reg.build_eviction("lru").is_err(), "empty registry");
-        reg.register_eviction("fifo", |_p| Ok(Box::new(PolicyKind::Lru)));
-        assert_eq!(reg.eviction_names(), vec!["fifo".to_string()]);
-        assert!(reg.build_eviction("fifo").is_ok());
-    }
-
-    #[test]
-    fn global_registry_has_builtins() {
-        assert!(build_eviction("hd").is_ok());
-        assert!(build_admission("adaptive").is_ok());
-        assert!(eviction_names().contains(&"greedy-dual".to_string()));
-        assert!(admission_names().contains(&"none".to_string()));
-        // Global custom registration is visible to later builds.
-        register_eviction("global-test-policy", |_p| Ok(Box::new(PolicyKind::Pop)));
-        assert!(build_eviction("global-test-policy").is_ok());
+    fn bad_parameters_are_refused() {
+        let refused = |spec: &str, admission: bool| {
+            let err = if admission {
+                build_admission(spec).map(|_| ()).unwrap_err()
+            } else {
+                build_eviction(spec).map(|_| ()).unwrap_err()
+            };
+            assert!(err.available().is_empty(), "{spec}: a parameter error");
+            err.to_string()
+        };
+        let msg = refused("slru:protcted=0.5", false);
+        assert!(
+            msg.contains("\"protcted\"") && msg.contains("reads protected"),
+            "{msg}"
+        );
+        let msg = refused("slru:protected=0.5,protected=0.9", false);
+        assert!(
+            msg.contains("repeated") && msg.contains("reads protected"),
+            "{msg}"
+        );
+        let msg = refused("hd:x=1", false);
+        assert!(msg.contains("\"x\"") && msg.contains("takes none"), "{msg}");
+        for spec in ["gcr:x=1", "lru:protected=0.5", "greedy-dual:k=1"] {
+            refused(spec, false);
+        }
+        for v in ["NaN", "inf", "-inf", "-0.1", "1.5"] {
+            let msg = refused(&format!("slru:protected={v}"), false);
+            assert!(
+                msg.contains("protected=") && msg.contains("[0, 1]"),
+                "{msg}"
+            );
+            let msg = refused(&format!("threshold:fraction={v}"), true);
+            assert!(msg.contains("fraction=") && msg.contains("[0, 1]"), "{msg}");
+        }
+        let msg = refused("threshold:fractoin=0.5", true);
+        assert!(msg.contains("reads windows, fraction"), "{msg}");
+        refused("adaptive:windows=1,windows=2", true);
+        refused("none:fraction=0.5", true);
+        // The bounds themselves are shares.
+        for v in ["0", "1", "0.0", "1.0"] {
+            assert!(build_eviction(&format!("slru:protected={v}")).is_ok());
+            assert!(build_admission(&format!("adaptive:fraction={v}")).is_ok());
+        }
     }
 }

@@ -179,7 +179,8 @@ pub(crate) struct Shared {
     pub shards: Vec<RwLock<Arc<Shard>>>,
     /// Statistics of cached queries (GCstats).
     pub stats: Mutex<StatsStore>,
-    /// The admission policy (trait object — see [`crate::registry`]).
+    /// The admission policy, built from its spec by
+    /// [`crate::registry::build_admission`].
     pub admission: Mutex<Box<dyn AdmissionPolicy>>,
     /// The eviction policy. Per-policy private state lives inside the
     /// trait object, behind this lock, so the query path's event hooks

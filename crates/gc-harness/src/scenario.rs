@@ -623,6 +623,32 @@ mod tests {
         }
     }
 
+    /// Every policy spec a suite names resolves, so narrowing the policy
+    /// set can never orphan a suite. The smoke suite's `gcr` is HD.
+    #[test]
+    fn every_suite_policy_spec_resolves() {
+        use gc_core::registry::{build_admission, build_eviction};
+        let mut gcr = false;
+        for suite in Suite::ALL {
+            for s in suite.scenarios() {
+                let eviction = build_eviction(&s.eviction)
+                    .unwrap_or_else(|e| panic!("{}: eviction {e}", s.name));
+                if s.eviction == "gcr" {
+                    assert_eq!(eviction.name(), "hd", "{}", s.name);
+                    gcr = true;
+                }
+                if let Some(spec) = &s.admission {
+                    build_admission(spec).unwrap_or_else(|e| panic!("{}: admission {e}", s.name));
+                }
+                if let Some(spec) = &s.fragment_eviction {
+                    build_eviction(spec)
+                        .unwrap_or_else(|e| panic!("{}: fragment eviction {e}", s.name));
+                }
+            }
+        }
+        assert!(gcr, "a suite still runs the gcr alias");
+    }
+
     #[test]
     fn workload_generation_matches_spec() {
         let d = DatasetProfile::aids().scaled(0.02).generate(3);

@@ -105,15 +105,15 @@ type Opt = (&'static str, &'static str, &'static str);
 #[rustfmt::skip]
 const CACHE_OPTS: &[Opt] = &[
     ("method", "NAME", "Method M: ggsx|grapes1|grapes6|ct-index|vf2|vf2+|gql (default ggsx)"),
-    ("eviction", "NAME", "eviction policy: lru|pop|pin|pinc|hd|slru|greedy-dual… (default hd)"),
-    ("admission", "NAME", "admission policy: none|threshold|adaptive… (default none)"),
+    ("eviction", "SPEC", "eviction policy: lru|pop|pin|pinc|hd|gcr|slru|greedy-dual, slru:protected=0.5 (default hd)"),
+    ("admission", "SPEC", "admission policy: none|threshold|adaptive, threshold:windows=3,fraction=0.25 (default none)"),
     ("capacity", "N", "cache capacity C in entries (default 100)"),
     ("window", "N", "Window W: one maintenance round per N cache misses (default 20)"),
     ("threads", "N", "client threads through run_batch (default 1: sequential replay)"),
     ("shards", "N", "snapshot shards (default 0: one per client thread)"),
     ("fragments", "on|off", "the sub-query fragment cache (default off)"),
     ("fragment-budget", "BYTES", "byte budget of the fragment store (default 1 MiB)"),
-    ("fragment-eviction", "NAME", "replacement policy of the fragment store (default lru)"),
+    ("fragment-eviction", "SPEC", "eviction policy of the fragment store, any --eviction spec (default lru)"),
     ("background", "", "run the Window Manager on a background thread"),
     ("restore", "DIR", "preload the cache from a snapshot saved to DIR"),
 ];

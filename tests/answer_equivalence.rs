@@ -60,7 +60,7 @@ fn gc_matches_baseline_for_every_policy() {
         let cache = GraphCache::builder()
             .capacity(10)
             .window(3)
-            .eviction(policy.registry_name())
+            .eviction(policy.name())
             .build(method);
         check_equivalence(cache, &baseline, &workload);
     }

@@ -38,7 +38,7 @@ fn capacity_is_hard_bound_under_all_policies() {
         let gc = GraphCache::builder()
             .capacity(7)
             .window(3)
-            .eviction(policy.registry_name())
+            .eviction(policy.name())
             .build(MethodBuilder::ggsx().build(&d));
         for q in w.graphs() {
             gc.run(q);

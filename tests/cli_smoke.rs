@@ -5,6 +5,7 @@
 //! 4 daemon unreachable).
 
 use gc_harness::{Json, MatrixReport};
+use graphcache::core::registry::{ADMISSION_NAMES, EVICTION_NAMES};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -364,6 +365,31 @@ fn exit_codes_are_distinct() {
         ],
         2,
     );
+    // A misspelt policy parameter and a name outside the set are usage
+    // errors that say what is wrong; neither runs with a default.
+    for (flag, spec, named) in [
+        (
+            "--eviction",
+            "slru:protcted=0.5",
+            "\"protcted\" (it reads protected)",
+        ),
+        ("--admission", "gd", "available: none, threshold, adaptive"),
+    ] {
+        let out = assert_exit(
+            &[
+                "query",
+                "--dataset",
+                &dataset,
+                "--queries",
+                &queries,
+                flag,
+                spec,
+            ],
+            2,
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{flag} {spec}: {stderr}");
+    }
     assert_exit(
         &[
             "query",
@@ -699,6 +725,24 @@ fn help_lists_every_option_of_each_subcommand() {
                 stdout.contains(&format!("--{o} ")),
                 "gc {args:?} must list --{o}: {stdout}"
             );
+        }
+    }
+    // The policy help rows name the whole closed set, word by word.
+    for cmd in ["query", "serve"] {
+        let out = assert_exit(&[cmd, "--help"], 0);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for (opt, names) in [("eviction", EVICTION_NAMES), ("admission", ADMISSION_NAMES)] {
+            let row = stdout
+                .lines()
+                .find(|l| l.trim_start().starts_with(&format!("--{opt} ")))
+                .unwrap_or_else(|| panic!("gc {cmd} --help has no --{opt} row: {stdout}"));
+            let words: Vec<&str> = row
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .collect();
+            for name in names {
+                assert!(words.contains(name), "--{opt} row must name {name}: {row}");
+            }
+            assert!(!row.contains('…'), "{row}");
         }
     }
     let out = assert_exit(&["stats", "--help"], 0);

@@ -1,18 +1,16 @@
 //! Pluggable policy engine acceptance tests.
 //!
-//! * **Parity** — every built-in built by registry name must select
-//!   exactly the victims the `PolicyKind` utility functions select on a
-//!   recorded Zipf statistics trace.
-//! * **Registry** — names round-trip (`name → build → name()`), unknown
+//! * **Parity** — each of the paper's five policies, built by name, must
+//!   select exactly the victims the §6.3 utility formulas (restated here)
+//!   select on a recorded Zipf statistics trace.
+//! * **Names** — names round-trip (`name → build → name()`), unknown
 //!   names fail with the available-policy listing, and the two post-paper
 //!   policies are selectable end-to-end.
 //! * **Persistence** — snapshots record the eviction policy; restoring
 //!   under a different policy still loads.
 
 use graphcache::core::registry;
-use graphcache::core::{
-    EvictionPolicy, GraphCache, PolicyKind, PolicyRow, PolicyView, QuerySerial,
-};
+use graphcache::core::{policy::squared_cov, GraphCache, PolicyKind, PolicyRow, PolicyView};
 use graphcache::graph::zipf::ZipfSampler;
 use graphcache::prelude::*;
 use graphcache::workload::generate_type_a;
@@ -58,41 +56,146 @@ fn zipf_row_trace(entries: usize, events: usize, window: usize, seed: u64) -> Ve
     snapshots
 }
 
-/// Each trait-based built-in must pick exactly the victims the enum
-/// dispatch picks, at every point of the recorded trace and for several
-/// eviction batch sizes.
+/// The paper's §6.3 victims, restated independently of `gc-core`: the
+/// `evict` rows of lowest utility, ties to the smaller serial.
+fn paper_victims(name: &str, rows: &[PolicyRow], evict: usize, now: u64) -> Vec<u64> {
+    let name = match name {
+        "hd" if squared_cov(rows.iter().map(|r| r.r_total as f64)) > 1.0 => "pin",
+        "hd" => "pinc",
+        other => other,
+    };
+    let mut scored: Vec<(f64, u64)> = rows
+        .iter()
+        .map(|r| {
+            let age = now.saturating_sub(r.serial).max(1) as f64;
+            let utility = match name {
+                "lru" => r.last_hit as f64,
+                "pop" => r.hits as f64 / age,
+                "pin" => r.r_total as f64 / age,
+                "pinc" => r.c_total / age,
+                other => panic!("{other} is not a paper policy"),
+            };
+            (utility, r.serial)
+        })
+        .collect();
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    scored.into_iter().take(evict).map(|(_, s)| s).collect()
+}
+
+/// Each of the paper's policies, built by name, must pick exactly the
+/// victims its utility formula picks, at every point of the recorded
+/// trace and for several eviction batch sizes.
 #[test]
 fn trace_replay_parity_with_enum_dispatch() {
     let trace = zipf_row_trace(40, 400, 50, 9);
     assert_eq!(trace.len(), 8, "recorded trace has 8 windows");
-    for kind in PolicyKind::ALL {
-        let mut policy = registry::build_eviction(kind.registry_name()).unwrap();
+    for &name in &registry::EVICTION_NAMES[..PolicyKind::ALL.len()] {
+        let mut policy = registry::build_eviction(name).unwrap();
         for (w, rows) in trace.iter().enumerate() {
             let now = 40 + (w as u64 + 1) * 50;
             for evict in [1usize, 5, 17] {
-                let expected = kind.select_victims(rows, evict, now);
+                let expected = paper_victims(name, rows, evict, now);
                 let got = policy.select_victims(&PolicyView::new(rows, now), evict);
                 assert_eq!(
-                    got,
-                    expected,
-                    "policy {} diverged at window {w}, evict {evict}",
-                    kind.name()
+                    got, expected,
+                    "policy {name} diverged at window {w}, evict {evict}"
                 );
             }
         }
     }
 }
 
-/// `name → build → name()` for every canonical registry entry, plus alias
+/// A random statistics table of `len` rows with distinct, shuffled
+/// serials; small value ranges make utility ties common.
+fn random_rows(rng: &mut StdRng, len: usize) -> Vec<PolicyRow> {
+    let mut serials: Vec<u64> = (1..=len as u64 * 2).collect();
+    for i in (1..serials.len()).rev() {
+        serials.swap(i, rng.gen_range(0..i + 1));
+    }
+    serials
+        .into_iter()
+        .take(len)
+        .map(|serial| {
+            let hits = rng.gen_range(0..4u64);
+            PolicyRow {
+                serial,
+                last_hit: if hits == 0 {
+                    serial
+                } else {
+                    serial + rng.gen_range(0..5u64)
+                },
+                hits,
+                r_total: hits * rng.gen_range(0..3u64),
+                c_total: (hits * rng.gen_range(0..3u64)) as f64,
+            }
+        })
+        .collect()
+}
+
+/// The contract `window::maintain` relies on: every policy returns exactly
+/// `evict.min(len)` distinct serials, all from the view, whatever the
+/// table, its parameters and (for Greedy-Dual) its private credits.
+#[test]
+fn every_eviction_policy_returns_distinct_victims_from_the_view() {
+    let mut specs: Vec<String> = registry::EVICTION_NAMES
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    specs.extend(
+        [
+            "gcr",
+            "slru:protected=0",
+            "slru:protected=0.5",
+            "slru:protected=1",
+        ]
+        .map(String::from),
+    );
+    let mut rng = StdRng::seed_from_u64(37);
+    for round in 0..60 {
+        let rows = random_rows(&mut rng, round % 23);
+        let now = rows.iter().map(|r| r.last_hit).max().unwrap_or(0) + rng.gen_range(0..3u64);
+        let len = rows.len();
+        for spec in &specs {
+            for credited in [false, true] {
+                if credited && spec != "greedy-dual" {
+                    continue;
+                }
+                let mut policy = registry::build_eviction(spec).unwrap();
+                if credited {
+                    for r in rows.iter().step_by(2) {
+                        policy.on_admit(r.serial, rng.gen_range(0..4u64) as f64);
+                    }
+                    for r in rows.iter().filter(|r| r.hits > 0) {
+                        policy.on_hit(r.serial, r.last_hit, r.c_total);
+                    }
+                }
+                for evict in [0, 1, len / 2, len, len + 3] {
+                    let victims = policy.select_victims(&PolicyView::new(&rows, now), evict);
+                    let what = format!("{spec} (credited {credited}), {len} rows, evict {evict}");
+                    assert_eq!(victims.len(), evict.min(len), "{what}");
+                    let distinct: std::collections::HashSet<u64> =
+                        victims.iter().copied().collect();
+                    assert_eq!(distinct.len(), victims.len(), "{what}: repeated victim");
+                    assert!(
+                        victims.iter().all(|v| rows.iter().any(|r| r.serial == *v)),
+                        "{what}: victim outside the view"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `name → build → name()` for every canonical policy name, plus alias
 /// and error behaviour.
 #[test]
 fn registry_round_trips_names() {
-    for name in registry::eviction_names() {
-        let p = registry::build_eviction(&name).unwrap();
+    for &name in registry::EVICTION_NAMES {
+        let p = registry::build_eviction(name).unwrap();
         assert_eq!(p.name(), name);
     }
-    for name in registry::admission_names() {
-        let p = registry::build_admission(&name).unwrap();
+    for &name in registry::ADMISSION_NAMES {
+        let p = registry::build_admission(name).unwrap();
         assert_eq!(p.name(), name);
     }
     // The paper's recommended policy under its related-work name.
@@ -101,8 +204,8 @@ fn registry_round_trips_names() {
     let err = registry::build_eviction("not-a-policy").unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("not-a-policy"));
-    for name in registry::eviction_names() {
-        assert!(msg.contains(&name), "error must list {name}: {msg}");
+    for name in registry::EVICTION_NAMES {
+        assert!(msg.contains(name), "error must list {name}: {msg}");
     }
 }
 
@@ -152,7 +255,7 @@ fn new_policies_selectable_end_to_end() {
     }
 }
 
-/// Snapshots record the eviction policy by registry name, and restoring
+/// Snapshots record the eviction policy by name, and restoring
 /// under a different policy still loads (policy-private state is reset).
 #[test]
 fn restore_under_different_policy_loads() {
@@ -195,45 +298,4 @@ fn restore_under_different_policy_loads() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A user-defined policy registered at runtime is constructible by name
-/// and drives a cache end-to-end — the registry is open, not a closed
-/// enum. (The README walks through this pattern; `examples/custom_policy.rs`
-/// is the compilable version.)
-#[test]
-fn custom_policy_registers_and_runs() {
-    /// Evicts the oldest entries regardless of hits (FIFO).
-    #[derive(Debug, Default)]
-    struct Fifo;
-
-    impl EvictionPolicy for Fifo {
-        fn name(&self) -> &str {
-            "fifo-test"
-        }
-
-        fn select_victims(&mut self, view: &PolicyView<'_>, evict: usize) -> Vec<QuerySerial> {
-            let mut serials: Vec<QuerySerial> = view.rows().iter().map(|r| r.serial).collect();
-            serials.sort_unstable();
-            serials.truncate(evict.min(view.len()));
-            serials
-        }
-    }
-
-    registry::register_eviction("fifo-test", |_params| Ok(Box::new(Fifo)));
-    assert!(registry::eviction_names().contains(&"fifo-test".to_string()));
-
-    let d = dataset();
-    let workload = zipf_workload(&d, 60, 91);
-    let baseline = MethodBuilder::ggsx().build(&d);
-    let cache = GraphCache::builder()
-        .capacity(6)
-        .window(3)
-        .eviction("fifo-test")
-        .build(MethodBuilder::ggsx().build(&d));
-    for q in workload.graphs() {
-        assert_eq!(cache.run(q).answer, baseline.run(q).answer);
-    }
-    assert!(cache.cache_len() <= 6);
-    assert_eq!(cache.eviction_name(), "fifo-test");
 }
