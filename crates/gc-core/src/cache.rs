@@ -705,14 +705,6 @@ impl GraphCache {
         self.shared.maint_stats()
     }
 
-    /// Per-shard answer-arena utilization as `(bytes_live, bytes_reserved)`
-    /// — how much of each shard's answer arena holds live data versus
-    /// tombstoned ranges awaiting compaction (diagnostics; surfaced by
-    /// `gc query --maint-stats`).
-    pub fn arena_utilization(&self) -> Vec<(usize, usize)> {
-        self.shared.load_snapshot().arena_utilization()
-    }
-
     /// Approximate memory footprint of the cache stores (entries + query
     /// indexes + statistics + the pending Window buffer + the fragment
     /// store when enabled), for the §7.3 space-overhead comparison. The

@@ -3,7 +3,7 @@
 //! The cache contents are partitioned into `N` serial-hashed [`Shard`]s.
 //! A shard holds its entries in slots plus one packed column per value the
 //! query path reads before it touches an entry: kind, fingerprint, size,
-//! overflow flag, feature signature, answer range. The candidate pass over
+//! overflow flag, feature signature. The candidate pass over
 //! those columns is [`Shard::candidates`] (see [`crate::query_index`]). A
 //! maintenance round only touches the shards its victims/admissions hash
 //! into — tombstoning removals and appending insertions — and compacts a
@@ -12,7 +12,7 @@
 //! [`CacheSnapshot`] view from per-shard `Arc`s; the paper's "old index
 //! keeps serving reads" invariant holds per shard (see [`crate::window`]).
 
-use crate::invariants::{ensure, tiled_end, InvariantClause, InvariantViolation};
+use crate::invariants::{ensure, InvariantClause, InvariantViolation};
 use crate::query_index::{signature, HitCandidates, Probe, Signature, QUERY_INDEX_SHAPE};
 use crate::stats::QuerySerial;
 use gc_graph::{sizing, GraphId, LabeledGraph};
@@ -146,19 +146,6 @@ pub struct Shard {
     /// Per-slot feature signatures — the candidate pass's second test
     /// (see [`crate::query_index`]).
     signatures: Vec<Signature>,
-    /// Per-slot `(offset, len)` range into the shared [`answers`] arena.
-    /// Tombstoned slots keep their range; the ids behind it become
-    /// reserved-but-dead bytes until compaction reclaims them.
-    ///
-    /// [`answers`]: Shard::answers
-    answer_ranges: Vec<(u32, u32)>,
-    /// Shared answer arena: every slot's answer ids flattened contiguously
-    /// in admission order, so the verify stage walks packed ids instead of
-    /// per-entry `Vec` allocations scattered across the heap.
-    answers: Vec<GraphId>,
-    /// Answer ids belonging to live slots — the arena-utilization
-    /// numerator ([`arena_utilization`](Self::arena_utilization)).
-    answers_live: usize,
 }
 
 impl Shard {
@@ -229,10 +216,6 @@ impl Shard {
         self.sizes.push(entry_size(&entry));
         self.overflow.push(entry.profile.counts().is_none());
         self.signatures.push(signature(&entry.profile));
-        let offset = self.answers.len() as u32;
-        self.answers.extend_from_slice(&entry.answer);
-        self.answer_ranges.push((offset, entry.answer.len() as u32));
-        self.answers_live += entry.answer.len();
         self.entries.push(Some(entry));
     }
 
@@ -249,9 +232,6 @@ impl Shard {
                     self.exact.remove(&entry.fingerprint);
                 }
             }
-            // The range stays behind in `answer_ranges`/`answers` as
-            // reserved-dead bytes; only the live counter moves.
-            self.answers_live -= self.answer_ranges[slot as usize].1 as usize;
         }
         true
     }
@@ -311,30 +291,6 @@ impl Shard {
         self.distinct_labels[slot as usize]
     }
 
-    /// Answer-set length at a slot, from the packed range column — the
-    /// cost-estimation input the gather stage reads without dereferencing
-    /// the entry.
-    pub fn answer_len_at(&self, slot: u32) -> u32 {
-        self.answer_ranges[slot as usize].1
-    }
-
-    /// The answer ids at a slot, as a contiguous arena segment.
-    pub fn answer_at(&self, slot: u32) -> &[GraphId] {
-        let (offset, len) = self.answer_ranges[slot as usize];
-        &self.answers[offset as usize..(offset + len) as usize]
-    }
-
-    /// Answer-arena utilization of this shard as
-    /// `(bytes_live, bytes_reserved)`: bytes still referenced by live slots
-    /// versus total bytes held, so fragmentation left behind by tombstones
-    /// is observable before compaction reclaims it.
-    pub fn arena_utilization(&self) -> (usize, usize) {
-        (
-            sizing::slice_bytes::<GraphId>(self.answers_live),
-            sizing::slice_bytes::<GraphId>(self.answers.len()),
-        )
-    }
-
     /// Fraction of slots that are tombstones — the compaction-debt signal
     /// the Window Manager compares against its threshold.
     pub fn tombstone_debt(&self) -> f64 {
@@ -345,10 +301,11 @@ impl Shard {
         }
     }
 
-    /// A dense rebuild of this shard from its live entries (slot order
-    /// preserved), reclaiming tombstoned slots — the per-shard full-rebuild
-    /// fallback, O(|shard|). Non-mutating so the Window Manager can build it
-    /// off-lock and swap it in with a pointer store.
+    /// A dense rebuild of this shard from its live entries (slot order, and
+    /// so admission order, preserved), reclaiming tombstoned slots — the
+    /// per-shard full-rebuild fallback, O(|shard|). Non-mutating so the
+    /// Window Manager can build it off-lock and swap it in with a pointer
+    /// store.
     pub fn compacted(&self) -> Shard {
         Shard::build(self.live_entries().cloned().collect())
     }
@@ -358,29 +315,11 @@ impl Shard {
         *self = self.compacted();
     }
 
-    /// A dense rebuild with slots reordered by a maintenance rank: entries
-    /// with smaller keys pack into the lowest slots, so the policy-hot
-    /// entries a sweep visits most often share cache lines instead of being
-    /// scattered in admission order. The key must totally order the live
-    /// serials (callers tie-break on the serial itself) so the layout is
-    /// deterministic; candidate *sets* are unchanged by construction — only
-    /// slot numbering moves, and hit assembly is serial-ordered downstream.
-    pub fn compacted_ranked<K, F>(&self, rank: F) -> Shard
-    where
-        K: Ord,
-        F: Fn(QuerySerial) -> K,
-    {
-        let mut live: Vec<Arc<CacheEntry>> = self.live_entries().cloned().collect();
-        live.sort_by_cached_key(|e| (rank(e.serial), e.serial));
-        Shard::build(live)
-    }
-
     /// Checks this shard against the store invariant, as shard `home` of
     /// `shards`: packed columns aligned with the entries they mirror
     /// (signature and overflow flag recomputed from each live profile),
     /// `serial → slot` a bijection onto the live slots, every serial routed
-    /// here, the exact-match map listing exactly the live slots, the answer
-    /// ranges tiling their arena with `answers_live` equal to a recount, and
+    /// here, the exact-match map listing exactly the live slots, and
     /// `memory_bytes` equal to a recount from the live entries and
     /// allocated slots. Returns the first violated clause, tagged with
     /// `home`.
@@ -400,7 +339,6 @@ impl Shard {
             ("sizes", self.sizes.len()),
             ("overflow", self.overflow.len()),
             ("signatures", self.signatures.len()),
-            ("answer_ranges", self.answer_ranges.len()),
         ] {
             ensure(len == slots, InvariantClause::Columns, || {
                 format!("shard column {name} has {len} rows for {slots} slots")
@@ -433,8 +371,7 @@ impl Shard {
                 self.fingerprint_at(slot) == e.fingerprint
                     && self.kind_at(slot) == e.kind
                     && self.distinct_labels_at(slot) as usize == e.graph.distinct_label_count()
-                    && self.size_at(slot) == entry_size(e)
-                    && self.answer_at(slot) == e.answer.as_slice(),
+                    && self.size_at(slot) == entry_size(e),
                 InvariantClause::Columns,
                 || {
                     format!(
@@ -474,23 +411,6 @@ impl Shard {
             || format!("{listed} slots listed for {} live entries", self.len()),
         )?;
 
-        ensure(
-            tiled_end(self.answer_ranges.iter().copied()) == Some(self.answers.len()),
-            InvariantClause::Counters,
-            || format!("answer ranges do not tile {} arena ids", self.answers.len()),
-        )?;
-        let answers_live: usize = self.live_entries().map(|e| e.answer.len()).sum();
-        ensure(
-            self.answers_live == answers_live,
-            InvariantClause::Counters,
-            || {
-                format!(
-                    "answers_live: held {}, recounted {answers_live}",
-                    self.answers_live
-                )
-            },
-        )?;
-
         // One bucket per distinct live fingerprint, one u32 per live slot.
         let mut live_fps: Vec<u64> = self.live_entries().map(|e| e.fingerprint).collect();
         live_fps.sort_unstable();
@@ -500,14 +420,12 @@ impl Shard {
             + std::mem::size_of::<u32>()
             + std::mem::size_of::<(u32, u32)>()
             + std::mem::size_of::<bool>()
-            + std::mem::size_of::<Signature>()
-            + std::mem::size_of::<(u32, u32)>();
+            + std::mem::size_of::<Signature>();
         let recount = self.live_entries().map(|e| e.memory_bytes()).sum::<usize>()
             + self.len() * sizing::MAP_SLOT_BYTES
             + live_fps.len() * sizing::MAP_NODE_OVERHEAD
             + sizing::slice_bytes::<u32>(self.len())
-            + slots * per_slot
-            + sizing::slice_bytes::<GraphId>(self.answers.len());
+            + slots * per_slot;
         ensure(
             self.memory_bytes() == recount,
             InvariantClause::MemoryBytes,
@@ -528,9 +446,7 @@ impl Shard {
             + sizing::slice_bytes::<u32>(self.distinct_labels.len())
             + sizing::slice_bytes::<(u32, u32)>(self.sizes.len())
             + sizing::slice_bytes::<bool>(self.overflow.len())
-            + sizing::slice_bytes::<Signature>(self.signatures.len())
-            + sizing::slice_bytes::<(u32, u32)>(self.answer_ranges.len())
-            + sizing::slice_bytes::<GraphId>(self.answers.len());
+            + sizing::slice_bytes::<Signature>(self.signatures.len());
         self.live_entries().map(|e| e.memory_bytes()).sum::<usize>()
             + self.slot_of.len() * sizing::MAP_SLOT_BYTES
             + exact
@@ -674,12 +590,6 @@ impl CacheSnapshot {
     pub fn memory_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.memory_bytes()).sum()
     }
-
-    /// Per-shard arena utilization `(bytes_live, bytes_reserved)`, in
-    /// routing order (see [`Shard::arena_utilization`]).
-    pub fn arena_utilization(&self) -> Vec<(usize, usize)> {
-        self.shards.iter().map(|s| s.arena_utilization()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -776,57 +686,22 @@ mod tests {
     #[test]
     fn packed_columns_follow_insert_remove_compact() {
         let mut shard = Shard::build(vec![entry(1), entry(2), entry(3)]);
-        for slot in 0..3u32 {
-            let e = shard.entry_at(slot).unwrap();
-            assert_eq!(shard.fingerprint_at(slot), e.fingerprint);
-            assert_eq!(shard.kind_at(slot), e.kind);
-            assert_eq!(shard.answer_len_at(slot) as usize, e.answer.len());
-            assert_eq!(shard.answer_at(slot), e.answer.as_slice());
-        }
-
-        let (live_full, reserved_full) = shard.arena_utilization();
-        assert_eq!(live_full, reserved_full, "dense shard fully utilized");
-
-        shard.remove(2);
-        let (live, reserved) = shard.arena_utilization();
-        assert!(live < reserved, "tombstoned ranges become dead bytes");
-        assert_eq!(reserved, reserved_full, "reserved unchanged until compact");
-        // Surviving slots still read their own columns.
-        let slot3 = 2u32; // slot of serial 3 (admission order 1, 2, 3)
-        assert_eq!(
-            shard.answer_at(slot3),
-            shard.entry(3).unwrap().answer.as_slice()
-        );
-
-        shard.compact();
-        let (live, reserved) = shard.arena_utilization();
-        assert_eq!(live, reserved, "compaction reclaims dead arena bytes");
-    }
-
-    #[test]
-    fn ranked_compaction_reorders_but_preserves_contents() {
-        let mut shard = Shard::build(vec![entry(1), entry(2), entry(3), entry(4)]);
-        shard.remove(2);
-        // Hotter = smaller key; make serial 4 hottest, then 1, then 3.
-        let heat = |serial: QuerySerial| match serial {
-            4 => 0u64,
-            1 => 1,
-            _ => 2,
+        let columns_match = |shard: &Shard| {
+            for e in shard.live_entries() {
+                let slot = shard.slot_of(e.serial).unwrap();
+                assert_eq!(shard.fingerprint_at(slot), e.fingerprint);
+                assert_eq!(shard.kind_at(slot), e.kind);
+                assert_eq!(shard.size_at(slot), entry_size(e));
+            }
         };
-        let ranked = shard.compacted_ranked(heat);
-        let order: Vec<QuerySerial> = ranked.live_entries().map(|e| e.serial).collect();
-        assert_eq!(order, vec![4, 1, 3], "hot entries pack into low slots");
-        assert_eq!(ranked.tombstone_debt(), 0.0);
-        let (live, reserved) = ranked.arena_utilization();
-        assert_eq!(live, reserved);
-        // Same live serials, same per-serial answers, columns realigned.
-        for &serial in &[1u64, 3, 4] {
-            let e = ranked.entry(serial).unwrap();
-            let slot = ranked.slot_of(serial).unwrap();
-            assert_eq!(ranked.fingerprint_at(slot), e.fingerprint);
-            assert_eq!(ranked.answer_at(slot), e.answer.as_slice());
-        }
-        assert!(ranked.entry(2).is_none());
+        columns_match(&shard);
+        shard.remove(2);
+        // Surviving slots still read their own columns.
+        assert_eq!(shard.slot_of(3), Some(2));
+        columns_match(&shard);
+        shard.compact();
+        assert_eq!(shard.slot_of(3), Some(1), "dense slots after rebuild");
+        columns_match(&shard);
     }
 
     #[test]
@@ -846,11 +721,6 @@ mod tests {
             assert_eq!(v.shard, Some(0));
             v.clause
         };
-        assert_eq!(
-            broken(|s| s.answers_live += 1),
-            InvariantClause::Counters,
-            "drifted tally"
-        );
         assert_eq!(
             broken(|s| s.fingerprints[0] ^= 1),
             InvariantClause::Columns,

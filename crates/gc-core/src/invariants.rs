@@ -15,8 +15,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvariantClause {
     /// The per-slot columns of a shard all have one length, and every live
-    /// slot's packed values (fingerprint, kind, label count, size, answer
-    /// range, overflow flag, feature signature) equal its entry's.
+    /// slot's packed values (fingerprint, kind, label count, size, overflow
+    /// flag, feature signature) equal its entry's.
     Columns,
     /// `serial → slot` is a bijection between the live serials and the live
     /// slots, and every serial lives in the shard it routes to.
@@ -24,9 +24,6 @@ pub enum InvariantClause {
     /// `fingerprint → slots` lists exactly the live slots, each under its
     /// own fingerprint, with no empty bucket left behind.
     FingerprintMap,
-    /// The `answers_live` tally differs from a recount, or the answer
-    /// ranges do not tile their arena.
-    Counters,
     /// A shard's `memory_bytes` differs from a recount over its live
     /// entries and allocated slots.
     MemoryBytes,
@@ -63,15 +60,6 @@ pub(crate) fn ensure(
         shard: None,
         detail: detail(),
     })
-}
-
-/// The end of the arena that `(offset, len)` ranges, taken in order, tile
-/// from 0 without gap or overlap; `None` when they do not.
-pub(crate) fn tiled_end(ranges: impl IntoIterator<Item = (u32, u32)>) -> Option<usize> {
-    ranges
-        .into_iter()
-        .try_fold(0u32, |end, (off, len)| (off == end).then_some(off + len))
-        .map(|end| end as usize)
 }
 
 impl fmt::Display for InvariantViolation {

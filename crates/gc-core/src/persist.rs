@@ -3,7 +3,7 @@
 //! disk on shutdown"; the query index is rebuilt from the loaded entries.
 //!
 //! A save is one checksummed binary image, `snapshot.bin`, that mirrors
-//! the in-memory arena layout (byte-level specification in
+//! the shards' packed columns (byte-level specification in
 //! [`crate::snapshot_bin`]): entries, statistics rows, fragments and path
 //! profiles are all fixed-width columns and arenas, read by one decoder.
 //! It is written only through the crash-safe staged writer of

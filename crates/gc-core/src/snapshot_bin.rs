@@ -1,5 +1,5 @@
 //! The snapshot format: a length-prefixed little-endian binary image that
-//! mirrors the in-memory arena layout, so restore is a bulk read +
+//! mirrors the shards' packed columns, so restore is a bulk read +
 //! validate with no per-entry parsing. It is the only on-disk
 //! representation of a cache (see [`crate::persist`]).
 //!

@@ -33,7 +33,7 @@ pub mod paths;
 pub use ct_index::{CtConfig, CtIndex};
 pub use ggsx::{GgsxConfig, PathTrie};
 
-use gc_graph::{GraphDataset, GraphId, LabeledGraph};
+use gc_graph::{GraphId, LabeledGraph};
 use paths::{PathEnumeration, PathShape};
 
 /// A sorted, duplicate-free set of dataset graph ids — the "candidate set"
@@ -93,14 +93,4 @@ pub trait FilterIndex: Send + Sync {
     /// Approximate index memory footprint in bytes (space-overhead
     /// experiments, paper §7.3).
     fn memory_bytes(&self) -> usize;
-}
-
-/// Builds the given index over a dataset, timing the construction.
-pub fn build_timed<I, F: FnOnce(&GraphDataset) -> I>(
-    dataset: &GraphDataset,
-    build: F,
-) -> (I, std::time::Duration) {
-    let t0 = std::time::Instant::now();
-    let idx = build(dataset);
-    (idx, t0.elapsed())
 }

@@ -66,17 +66,16 @@ impl MethodKind {
         }
     }
 
-    /// Resolves a registry name (or one of its aliases: `ct` for
-    /// `ct-index`, `vf2plus` for `vf2+`, `graphql` for `gql`) to a kind.
+    /// Resolves a registry name to a kind.
     pub fn from_registry_name(name: &str) -> Option<MethodKind> {
         match name {
             "ggsx" => Some(MethodKind::Ggsx),
             "grapes1" => Some(MethodKind::Grapes1),
             "grapes6" => Some(MethodKind::Grapes6),
-            "ct" | "ct-index" => Some(MethodKind::CtIndex),
+            "ct-index" => Some(MethodKind::CtIndex),
             "vf2" => Some(MethodKind::SiVf2),
-            "vf2+" | "vf2plus" => Some(MethodKind::SiVf2Plus),
-            "gql" | "graphql" => Some(MethodKind::SiGraphQl),
+            "vf2+" => Some(MethodKind::SiVf2Plus),
+            "gql" => Some(MethodKind::SiGraphQl),
             _ => None,
         }
     }
@@ -178,16 +177,6 @@ impl MethodBuilder {
             verifier: MatcherKind::Vf2Plus,
             threads: 1,
             match_config: MatchConfig::UNBOUNDED,
-        }
-    }
-
-    /// CT-Index with an explicit configuration (the §7.3 ablation enlarges
-    /// features and bitmap width).
-    pub fn ct_index_with(cfg: CtConfig) -> Self {
-        MethodBuilder {
-            name: "CT-Index".into(),
-            filter: FilterSpec::Ct(cfg),
-            ..Self::ct_index()
         }
     }
 

@@ -229,11 +229,6 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects over TCP and consumes the `HELLO` greeting.
-    pub fn connect_tcp(addr: &str) -> Result<Client, ClientError> {
-        Client::greet(Conn::Tcp(TcpStream::connect(addr)?))
-    }
-
     /// Connects over a unix socket and consumes the `HELLO` greeting.
     pub fn connect_unix(path: impl AsRef<Path>) -> Result<Client, ClientError> {
         Client::greet(Conn::Unix(UnixStream::connect(path)?))

@@ -17,33 +17,18 @@ use crate::{MatchConfig, MatchOutcome, Matcher};
 use gc_graph::{LabeledGraph, NodeId};
 use std::ops::ControlFlow;
 
-/// The GraphQL matcher.
-#[derive(Debug, Clone, Copy)]
-pub struct GraphQl {
-    /// Number of pseudo-iso refinement sweeps (the paper's GraphQL defaults
-    /// to a small constant; 2 captures nearly all pruning in practice).
-    refinement_rounds: usize,
-}
+/// Number of pseudo-iso refinement sweeps (the paper's GraphQL defaults
+/// to a small constant; 2 captures nearly all pruning in practice).
+const REFINEMENT_ROUNDS: usize = 2;
 
-impl Default for GraphQl {
-    fn default() -> Self {
-        GraphQl {
-            refinement_rounds: 2,
-        }
-    }
-}
+/// The GraphQL matcher.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GraphQl;
 
 impl GraphQl {
-    /// Creates a GraphQL matcher with the default refinement depth.
+    /// Creates a GraphQL matcher.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a GraphQL matcher with a custom number of refinement sweeps.
-    pub fn with_refinement(rounds: usize) -> Self {
-        GraphQl {
-            refinement_rounds: rounds,
-        }
+        GraphQl
     }
 }
 
@@ -59,24 +44,23 @@ impl Matcher for GraphQl {
         cfg: &MatchConfig,
     ) -> MatchOutcome {
         let mut driver = Driver::decide();
-        run(self, pattern, target, cfg, &mut driver)
+        run(pattern, target, cfg, &mut driver)
     }
 
     fn find_embedding(&self, pattern: &LabeledGraph, target: &LabeledGraph) -> Option<Vec<NodeId>> {
         let mut driver = Driver::find();
-        run(self, pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
         driver.embedding
     }
 
     fn count_embeddings(&self, pattern: &LabeledGraph, target: &LabeledGraph, limit: u64) -> u64 {
         let mut driver = Driver::count(limit);
-        run(self, pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
+        run(pattern, target, &MatchConfig::UNBOUNDED, &mut driver);
         driver.count
     }
 }
 
 fn run(
-    gql: &GraphQl,
     pattern: &LabeledGraph,
     target: &LabeledGraph,
     cfg: &MatchConfig,
@@ -92,9 +76,7 @@ fn run(
     }
     let mut work = Work::new(cfg.budget);
     if !quick_reject(pattern, target) {
-        if let ControlFlow::Continue(Some(cands)) =
-            build_candidates(gql, pattern, target, &mut work)
-        {
+        if let ControlFlow::Continue(Some(cands)) = build_candidates(pattern, target, &mut work) {
             let order = search_order(pattern, &cands);
             let mut st = State {
                 p: pattern,
@@ -117,7 +99,6 @@ fn run(
 /// Builds and refines candidate lists. `Continue(None)` means some list
 /// emptied (definite non-match); `Break` means budget exhaustion.
 fn build_candidates(
-    gql: &GraphQl,
     p: &LabeledGraph,
     t: &LabeledGraph,
     work: &mut Work,
@@ -158,7 +139,7 @@ fn build_candidates(
             row
         })
         .collect();
-    for _round in 0..gql.refinement_rounds {
+    for _round in 0..REFINEMENT_ROUNDS {
         let mut changed = false;
         for u in p.nodes() {
             let mut kept = Vec::with_capacity(cands[u as usize].len());
@@ -397,13 +378,5 @@ mod tests {
         let t = LabeledGraph::from_parts(vec![0; 9], &te);
         let out = GraphQl::new().contains_with(&p, &t, &MatchConfig::bounded(1));
         assert!(!out.complete);
-    }
-
-    #[test]
-    fn refinement_rounds_configurable() {
-        let m = GraphQl::with_refinement(0);
-        let p = path(&[0, 1]);
-        let t = path(&[1, 0, 1]);
-        assert!(m.contains(&p, &t));
     }
 }

@@ -185,7 +185,7 @@ const COMMANDS: &[Command] = &[
             QUERY_OPTS,
             &[
                 ("no-cache", "", "replay through the bare Method M (the uncached baseline)"),
-                ("maint-stats", "", "print maintenance phases, answer-arena bytes and dead slots"),
+                ("maint-stats", "", "print maintenance phases and tombstoned slots"),
                 ("save", "DIR", "save the cache snapshot to DIR after the replay"),
             ],
         ],
@@ -771,18 +771,12 @@ fn cmd_query(opts: &Opts) -> CliResult {
                 .fragment_eviction_name()
                 .unwrap_or_else(|| "off".to_string()),
         );
-        // Answer-arena utilization per shard, and the tombstoned slots the
-        // 50% compaction threshold watches (the gauge keeps its old name,
-        // postings debt, in STATS and the bench counters).
-        let util = cache.arena_utilization();
-        let live: usize = util.iter().map(|(l, _)| l).sum();
-        let reserved: usize = util.iter().map(|(_, r)| r).sum();
-        let per_shard: Vec<String> = util.iter().map(|(l, r)| format!("{l}/{r}")).collect();
+        // The tombstoned slots the 50% compaction threshold watches (the
+        // gauge keeps its old name, postings debt, in STATS and the bench
+        // counters).
         println!(
-            "maintenance: arena utilization {live}/{reserved} bytes live/reserved \
-             (per shard: {}) | postings debt (tombstoned slots) {}",
-            per_shard.join(" "),
-            m.dead_postings,
+            "maintenance: postings debt (tombstoned slots) {}",
+            m.dead_postings
         );
     }
     if let Some(dir) = opts.get("save") {

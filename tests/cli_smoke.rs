@@ -353,6 +353,25 @@ fn exit_codes_are_distinct() {
         ],
         2,
     );
+    // Methods go by their canonical names only: an old alias is refused
+    // with the list of names that exist.
+    let out = assert_exit(
+        &[
+            "query",
+            "--dataset",
+            &dataset,
+            "--queries",
+            &queries,
+            "--method",
+            "graphql",
+        ],
+        2,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("available: ggsx, grapes1, grapes6, ct-index, vf2, vf2+, gql"),
+        "--method graphql: {stderr}"
+    );
     assert_exit(
         &[
             "query",

@@ -185,8 +185,8 @@ proptest! {
 
     /// The pipeline's gather (packed columns, cost order, fingerprint
     /// fast path) is an implementation detail: for any churned state —
-    /// tombstones included — and after hot-ranked compaction reorders the
-    /// slots, the query path's [`exact_probe`] handing its refutations to
+    /// tombstones included — and after compaction renumbers the slots
+    /// densely, the query path's [`exact_probe`] handing its refutations to
     /// [`sweep`] returns exactly the `HitSet` of the flat
     /// [`find_hits_naive`] sweep, which tests every candidate slot in slot
     /// order. Both read their candidates from the same
@@ -198,7 +198,6 @@ proptest! {
     fn arena_sweep_equals_pointer_sweep(
         seeds in pvec(0u64..1_000_000, 5..50usize),
         evicts in pvec(any::<bool>(), 5..50usize),
-        ranks in pvec(0u64..16, 5..50usize),
         shard_sel in 0usize..3,
     ) {
         let n_shards = [1usize, 4, 16][shard_sel];
@@ -257,16 +256,10 @@ proptest! {
         // Churned layout: live slots interleaved with tombstones.
         check(&CacheSnapshot::from_shards(shards.clone()));
 
-        // Hot-packed layout: every shard compacted with an arbitrary
-        // maintenance rank, reordering slots (and the columns and answer
-        // arena with them).
-        let ranked: Vec<Arc<Shard>> = shards
-            .iter()
-            .map(|s| {
-                Arc::new(s.compacted_ranked(|serial| ranks[serial as usize % ranks.len()]))
-            })
-            .collect();
-        check(&CacheSnapshot::from_shards(ranked));
+        // Compacted layout: every shard rebuilt densely, renumbering the
+        // slots (and the columns with them).
+        let compacted: Vec<Arc<Shard>> = shards.iter().map(|s| Arc::new(s.compacted())).collect();
+        check(&CacheSnapshot::from_shards(compacted));
     }
 }
 
@@ -314,14 +307,13 @@ proptest! {
     /// The candidate pass (size, signature, profile merge) returns, per
     /// shard and in both directions, exactly the serials of the
     /// definition-level reference: no true candidate dropped, no extra one
-    /// kept. Runs over 1/4/16 shards, tombstones, ranked compaction,
+    /// kept. Runs over 1/4/16 shards, tombstones, compaction,
     /// entries whose enumeration overflowed a small work cap, and an
     /// overflowed query.
     #[test]
     fn candidate_pass_equals_definition(
         seeds in pvec(0u64..1_000_000, 5..60usize),
         evicts in pvec(any::<bool>(), 5..60usize),
-        ranks in pvec(0u64..16, 5..60usize),
         shard_sel in 0usize..3,
     ) {
         let n_shards = [1usize, 4, 16][shard_sel];
@@ -348,10 +340,7 @@ proptest! {
                 Arc::make_mut(&mut shards[shard_for(serial, n_shards)]).remove(serial);
             }
         }
-        let ranked: Vec<Arc<Shard>> = shards
-            .iter()
-            .map(|s| Arc::new(s.compacted_ranked(|serial| ranks[serial as usize % ranks.len()])))
-            .collect();
+        let compacted: Vec<Arc<Shard>> = shards.iter().map(|s| Arc::new(s.compacted())).collect();
 
         let mut queries: Vec<(LabeledGraph, PathProfile)> = probes()
             .into_iter()
@@ -363,7 +352,7 @@ proptest! {
             .collect();
         queries.push((path_graph(&[0, 1, 2]), PathProfile::Overflow));
 
-        for (layout, set) in [("churned", &shards), ("ranked", &ranked)] {
+        for (layout, set) in [("churned", &shards), ("compacted", &compacted)] {
             for (i, shard) in set.iter().enumerate() {
                 prop_assert_eq!(shard.check_invariants(i, n_shards), Ok(()));
                 for (g, profile) in &queries {
