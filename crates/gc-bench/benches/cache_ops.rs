@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gc_core::pruner::{prune, HitAnswer};
 use gc_core::GraphCache;
+use gc_graph::idset::IdSet;
 use gc_graph::GraphId;
 use gc_methods::MethodBuilder;
 use gc_workload::{datasets, generate_type_a, TypeAConfig};
@@ -47,7 +48,7 @@ fn bench_query_path(c: &mut Criterion) {
 }
 
 fn bench_pruner(c: &mut Criterion) {
-    let cs: Vec<GraphId> = (0..2000).map(GraphId).collect();
+    let cs = IdSet::from_sorted((0..2000).map(GraphId).collect(), 2000);
     let a1: Vec<GraphId> = (0..2000).filter(|i| i % 3 == 0).map(GraphId).collect();
     let a2: Vec<GraphId> = (0..2000).filter(|i| i % 2 == 0).map(GraphId).collect();
     let a3: Vec<GraphId> = (500..1500).map(GraphId).collect();

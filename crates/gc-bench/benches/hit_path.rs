@@ -22,6 +22,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use gc_core::processors::{exact_probe, find_hits_naive, sweep, HitQuery, VerifyOptions};
 use gc_core::{CacheEntry, CacheSnapshot, QUERY_INDEX_SHAPE};
+use gc_graph::idset::{self, IdSet};
 use gc_graph::zipf::ZipfSampler;
 use gc_graph::{GraphId, LabeledGraph};
 use gc_index::paths::enumerate_paths;
@@ -124,10 +125,13 @@ fn run_opts(
     let hq = HitQuery::new(q, QueryKind::Subgraph, &profile);
     let vf2 = Vf2::new();
     let probe = exact_probe(snap, q, hq.kind, hq.fingerprint, &vf2, opts);
+    // Method M's candidates: every id an answer holds and more, so every
+    // candidate could prune and the sweep tests what the naive one does.
+    let cs_m = IdSet::from_sorted(idset::full(32), 32);
     let h = if probe.hits.exact.is_some() && !sweep_exact {
         probe.hits
     } else {
-        sweep(snap, &hq, probe, &vf2, opts)
+        sweep(snap, &hq, probe, &cs_m, &vf2, opts)
     };
     (h.tests, h.work, h.sub.len() + h.super_.len())
 }

@@ -19,7 +19,8 @@ use crate::registry::{self, PolicyError};
 use crate::stats::QuerySerial;
 use crate::window::{self, MaintMsg, Shared, WindowEntry};
 use gc_fragments::FragmentConfig;
-use gc_graph::{idset, GraphId, LabeledGraph};
+use gc_graph::idset::{self, IdSet};
+use gc_graph::{GraphId, LabeledGraph};
 use gc_index::fingerprint::iso_hash;
 use gc_index::paths::{PathEnumeration, PathProfile};
 use gc_methods::{Method, QueryKind};
@@ -471,12 +472,12 @@ fn enumerate_query(query: &LabeledGraph, work_cap: u64) -> PathEnumeration {
     PathEnumeration::new(query, QUERY_INDEX_SHAPE.max_len, work_cap)
 }
 
-/// A query's record as far as hit detection, which started at `t_gc`,
+/// A query's record as far as hit detection, which took `gc_filter`,
 /// fills it in.
-fn hit_record(serial: QuerySerial, t_gc: Instant, hits: &processors::HitSet) -> QueryRecord {
+fn hit_record(serial: QuerySerial, gc_filter: Duration, hits: &processors::HitSet) -> QueryRecord {
     QueryRecord {
         serial,
-        gc_filter: t_gc.elapsed(),
+        gc_filter,
         sub_hits: hits.sub.len(),
         super_hits: hits.super_.len(),
         gc_tests: hits.tests,
@@ -1180,12 +1181,11 @@ impl GraphCache {
         // thread. Held across it, every round of a one-client workload
         // deep-copied every shard it touched.
         let (mut record, read) = {
-            // (2)-(3): the GC processors run before Method M's filter, and
-            // the fingerprint probe runs before anything else, so an exact
-            // hit costs one hash, one map lookup per shard and one
+            // (2): the fingerprint probe runs before anything else, so an
+            // exact hit costs one hash, one map lookup per shard and one
             // confirmation — the paper's first special case "completely
             // avoid[s] any further processing": no path enumeration, no
-            // candidate sweep, no Mfilter.
+            // Mfilter, no candidate sweep.
             let t_gc = Instant::now();
             let snapshot = self.shared.load_snapshot();
             let fingerprint = iso_hash(query);
@@ -1199,7 +1199,7 @@ impl GraphCache {
                     answer: entry.answer.clone(),
                     saved_cost: self.exact_saving(entry),
                 };
-                (hit_record(serial, t_gc, &probe.hits), read)
+                (hit_record(serial, t_gc.elapsed(), &probe.hits), read)
             } else {
                 // Deadline checkpoint, here and after the sweep: hit
                 // detection itself timed out. Abort with an empty answer
@@ -1207,41 +1207,50 @@ impl GraphCache {
                 // no statistics credit) — an aborted query must leave the
                 // cache exactly as it found it.
                 if probe.hits.deadline_exceeded {
-                    return deadline_abort(serial, hit_record(serial, t_gc, &probe.hits));
+                    return deadline_abort(serial, hit_record(serial, t_gc.elapsed(), &probe.hits));
                 }
                 // The miss path: the query's path features are enumerated
-                // here, once, for the candidate sweep across every shard,
-                // for Method M's filter and for index patching if the
+                // here, once, for Method M's filter, for the candidate
+                // sweep across every shard and for index patching if the
                 // query is later admitted. Each reads the enumeration
                 // within its own work cap.
                 let features = enumerate_query(query, self.miss_work_cap());
+                let probe_time = t_gc.elapsed();
+
+                // (3): Method M's filter runs once the probe misses, and
+                // before the sweep, so the sweep tests only the hits that
+                // can prune its candidates (Fig. 2 runs the two side by
+                // side; `docs/architecture.md` says why they run in this
+                // order here).
+                let m_out = self.method.filter_with(query, kind, Some(&features));
+                // Deadline checkpoint after Method M's filter.
+                if deadline_past(ov.deadline) {
+                    let mut record = hit_record(serial, probe_time, &probe.hits);
+                    record.m_filter = m_out.duration;
+                    record.cs_m_size = m_out.candidates.len();
+                    return deadline_abort(serial, record);
+                }
+
+                // (4): the sweep; `gc_filter` times it and the probe, not
+                // Method M's filter in between.
+                let t_sweep = Instant::now();
+                let cs_m = IdSet::from_sorted(m_out.candidates, self.method.dataset().len());
                 let hit_query = processors::HitQuery {
                     query,
                     kind,
                     profile: features.within(QUERY_INDEX_SHAPE.work_cap),
                     fingerprint,
                 };
-                let hits = processors::sweep(&snapshot, &hit_query, probe, matcher, &opts);
-                let mut record = hit_record(serial, t_gc, &hits);
+                let hits = processors::sweep(&snapshot, &hit_query, probe, &cs_m, matcher, &opts);
+                let mut record = hit_record(serial, probe_time + t_sweep.elapsed(), &hits);
+                record.m_filter = m_out.duration;
+                record.cs_m_size = cs_m.len();
                 if hits.deadline_exceeded {
                     return deadline_abort(serial, record);
                 }
 
-                let m_out = self.method.filter_with(query, kind, Some(&features));
-                record.m_filter = m_out.duration;
-                record.cs_m_size = m_out.candidates.len();
-
-                // Deadline checkpoint after Method M's filter (the last
-                // phase before pruning touches statistics).
-                if deadline_past(ov.deadline) {
-                    return deadline_abort(serial, record);
-                }
-
-                // (4): candidate set pruning via equations (1) and (2).
-                let (expanding, restricting) = match kind {
-                    QueryKind::Subgraph => (&hits.sub, &hits.super_),
-                    QueryKind::Supergraph => (&hits.super_, &hits.sub),
-                };
+                // (5): candidate set pruning via equations (1) and (2).
+                let (expanding, restricting) = pruner::sides(kind, &hits);
                 let answers_of = |serials: &[QuerySerial]| -> Vec<HitAnswer<'_>> {
                     serials
                         .iter()
@@ -1253,11 +1262,7 @@ impl GraphCache {
                         })
                         .collect()
                 };
-                let pruned = pruner::prune(
-                    &m_out.candidates,
-                    &answers_of(expanding),
-                    &answers_of(restricting),
-                );
+                let pruned = pruner::prune(&cs_m, &answers_of(expanding), &answers_of(restricting));
                 let read = ReadOutcome::Miss {
                     pruned,
                     profile: features.into_profile(QUERY_INDEX_SHAPE.work_cap),
@@ -1297,7 +1302,7 @@ impl GraphCache {
         };
         record.cs_gc_size = pruned.remaining.len();
 
-        // (4b): fragment-layer pruning. The query's canonical fragments
+        // (5b): fragment-layer pruning. The query's canonical fragments
         // probe the fragment store; surviving candidates are intersected
         // with each hit fragment's *exact* occurrence set — sound because
         // every answer of the query contains every fragment of the query,
@@ -1348,7 +1353,7 @@ impl GraphCache {
             return deadline_abort(serial, record);
         }
 
-        // (5): verification of the reduced candidate set by Mverifier.
+        // (6): verification of the reduced candidate set by Mverifier.
         let (answer, verify_duration) = match pruned.outcome {
             PruneOutcome::EmptyShortcut(_) => {
                 record.empty_shortcut = true;
@@ -1368,7 +1373,7 @@ impl GraphCache {
         // Statistics Manager updates (hit credit per contribution).
         self.credit_contributions(serial, query, &pruned);
 
-        // (6)-(7): window admission and batched cache maintenance.
+        // (7)-(8): window admission and batched cache maintenance.
         self.observe_admission(&record);
         record.maintenance = self.push_window(query, kind, profile, fingerprint, &answer, &record);
 
@@ -1603,18 +1608,50 @@ mod tests {
 
     #[test]
     fn empty_shortcut_fires() {
-        let gc = cache();
-        // Query with empty answer: path 3-3-3 (dataset has only edge 3-3).
-        let empty_q = path_graph(&[3, 3, 3]);
-        let r1 = gc.run(&empty_q);
-        assert!(r1.answer.is_empty());
-        gc.run(&path_graph(&[0, 1])); // flush window → cache the empty query
-                                      // A superset query must terminate via the empty shortcut.
-        let superset = path_graph(&[3, 3, 3, 3]);
+        // A hexagon and a long path of one label hold every path feature
+        // of a triangle with a pendant node, but no triangle.
+        let ring = LabeledGraph::from_parts(
+            vec![0; 6],
+            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+        );
+        let d = GraphDataset::new(vec![ring, path_graph(&[0; 9])]);
+        let gc = GraphCache::builder()
+            .capacity(10)
+            .window(2)
+            .build(MethodBuilder::ggsx().build(&d));
+        let triangle = LabeledGraph::from_parts(vec![0; 3], &[(0, 1), (1, 2), (2, 0)]);
+        assert!(gc.run(&triangle).answer.is_empty());
+        // Flush the window: the empty query is cached. A superset query
+        // whose filter keeps candidates must terminate via the empty
+        // shortcut.
+        gc.run(&path_graph(&[0, 0]));
+        let superset = LabeledGraph::from_parts(vec![0; 4], &[(0, 1), (1, 2), (2, 0), (2, 3)]);
         let r2 = gc.run(&superset);
         assert!(r2.answer.is_empty());
+        assert!(
+            r2.record.cs_m_size > 0,
+            "Method M's filter keeps candidates"
+        );
         assert!(r2.record.empty_shortcut, "second special case must fire");
         assert_eq!(r2.record.subiso_tests, 0);
+    }
+
+    /// A query Method M's filter empties needs no hit: the sweep runs no
+    /// test, and the second special case has nothing left to shortcut.
+    #[test]
+    fn empty_cs_m_runs_no_gc_test() {
+        let gc = cache();
+        assert!(gc.run(&path_graph(&[3, 3, 3])).answer.is_empty());
+        gc.run(&path_graph(&[0, 1])); // round: the empty query is cached
+        let r = gc.run(&path_graph(&[3, 3, 3, 3]));
+        assert!(r.answer.is_empty());
+        assert_eq!(r.record.cs_m_size, 0);
+        assert_eq!(
+            (r.record.gc_tests, r.record.sub_hits, r.record.super_hits),
+            (0, 0, 0)
+        );
+        assert!(!r.record.empty_shortcut);
+        assert_eq!(stats_row(&gc, 1).map(|row| row.hits), Some(0));
     }
 
     #[test]
@@ -1662,10 +1699,12 @@ mod tests {
     }
 
     /// The credit rule PIN (`R`), PINC and HD (`C`) and LRU/POP (hits,
-    /// last hit) read, on concrete serials: a contribution that removed
-    /// no candidate earns a hit and a last-hit serial but no `R` and no
-    /// `C`; an exact hit adds its answer size floored at 1 to `R` and its
-    /// memoised saving, floored at 1.0, to `C`.
+    /// last hit) read, on concrete serials: a containment that could not
+    /// prune Method M's candidates is never tested, so it earns nothing
+    /// (a tested hit whose removals earlier hits already made earns a hit
+    /// and a last-hit serial but no `R` and no `C`); an exact hit adds its
+    /// answer size floored at 1 to `R` and its memoised saving, floored at
+    /// 1.0, to `C`.
     #[test]
     fn credit_rule_is_what_the_policies_see() {
         let gc = cache();
@@ -1683,16 +1722,16 @@ mod tests {
         };
         assert_eq!(gc.stats_rows(), vec![admitted(1), admitted(2)]);
 
-        // Serial 3 is contained in entry 1, whose empty answer removes
-        // nothing from Method M's candidates.
+        // Serial 3 is contained in entry 1, whose empty answer could
+        // remove nothing from Method M's candidates: the sweep does not
+        // test it, so it is no hit and earns neither a hit nor a last-hit
+        // serial.
         let r3 = gc.run(&path_graph(&[0, 1, 0]));
-        assert_eq!((r3.serial, r3.record.sub_hits), (3, 1));
-        let after_zero_removal = PolicyRow {
-            last_hit: 3,
-            hits: 1,
-            ..admitted(1)
-        };
-        assert_eq!(stats_row(&gc, 1), Some(after_zero_removal));
+        assert_eq!(
+            (r3.serial, r3.record.sub_hits, r3.record.gc_tests),
+            (3, 0, 0)
+        );
+        assert_eq!(stats_row(&gc, 1), Some(admitted(1)));
 
         // Serial 4 repeats entry 2: R += 1 answer, C += its saving.
         assert!(gc.run(&edge).record.exact_hit);
@@ -1715,7 +1754,7 @@ mod tests {
             stats_row(&gc, 1),
             Some(PolicyRow {
                 last_hit: 5,
-                hits: 2,
+                hits: 1,
                 r_total: 1,
                 c_total: 1.0,
                 ..admitted(1)

@@ -17,29 +17,38 @@
 //!    and its fingerprint only, so the query path calls it before it has
 //!    enumerated the query's path profile and, on a hit, never does.
 //! 2. **Cost-ordered, budget-arbitrated sweep** ([`sweep`]) — the miss
-//!    path. It continues the probe's budget pool and skips the serials
-//!    the probe already refuted. Sub/super candidates from
-//!    all shards merge into a single queue scored by
-//!    [`gc_subiso::cost::estimate`] and are verified cheapest-first. A
-//!    shared verification work pool ([`VerifyOptions::budget`]) deducts
-//!    every test's `nodes_expanded`; when it runs dry the sweep degrades
-//!    gracefully to a partial [`HitSet`] with
-//!    [`truncated`](HitSet::truncated) set. Same-size candidates are
-//!    prefiltered by fingerprint (equal-size containment is isomorphism, so
-//!    a fingerprint mismatch proves a non-hit without any search), and the
-//!    sweep stops early once the request's hit budget
+//!    path, run after Method M's filter so it knows `CS_M`. It continues
+//!    the probe's budget pool and skips the serials the probe already
+//!    refuted. Sub/super candidates from all shards merge into a single
+//!    queue scored by [`gc_subiso::cost::estimate`] and are verified
+//!    cheapest-first. A candidate enters the queue only if, as a hit, it
+//!    could remove something from `CS_M` ([`pruner::can_prune`], by its
+//!    [`pruner::role`]): an expanding candidate needs a non-empty answer
+//!    inside `CS_M`, a restricting one an answer that misses part of
+//!    `CS_M`, and an empty `CS_M` runs no sweep. Same-size candidates are
+//!    prefiltered by fingerprint (equal-size containment is isomorphism,
+//!    so a fingerprint mismatch proves a non-hit without any search) and
+//!    always tested, as they hit both ways. A shared verification work
+//!    pool ([`VerifyOptions::budget`]) deducts every test's
+//!    `nodes_expanded`; when it runs dry the sweep degrades gracefully to
+//!    a partial [`HitSet`] with [`truncated`](HitSet::truncated) set, and
+//!    the sweep stops early once the request's hit budget
 //!    ([`VerifyOptions::max_hits`]) is satisfied.
 //!
 //! The query path (`GraphCache::run_overridden`) calls [`exact_probe`]
-//! and, on a miss, hands its refutations to [`sweep`].
+//! and, on a miss, runs Method M's filter and hands its candidates and
+//! the probe's refutations to [`sweep`].
 //! [`HitSet`] serial lists are always sorted, making the output canonical
 //! across shard counts. [`find_hits_naive`] keeps
-//! the original flat per-shard sweep as the parity oracle
-//! (`tests/hit_path.rs`) and the baseline of `benches/hit_path.rs`.
+//! the original flat per-shard sweep, which tests every candidate, as the
+//! parity oracle (`tests/hit_path.rs`) and the baseline of
+//! `benches/hit_path.rs`.
 
 use crate::entry::CacheSnapshot;
+use crate::pruner::{self, can_prune};
 use crate::query_index::Probe;
 use crate::stats::QuerySerial;
+use gc_graph::idset::IdSet;
 use gc_graph::LabeledGraph;
 use gc_index::fingerprint::iso_hash;
 use gc_index::fx::{FxHashMap, FxHashSet};
@@ -278,18 +287,24 @@ pub fn exact_probe(
 }
 
 /// Stages (2)–(4), the miss path: gather sub/super candidates from every
-/// shard, order them by estimated cost and verify them under what is left
-/// of the budget pool after `probe`. Serials the probe refuted are not
-/// tested again; the one it confirmed counts as a hit in both directions
-/// without a test.
+/// shard, keep those that could prune `cs_m` (Method M's candidates for
+/// the query), order them by estimated cost and verify them under what is
+/// left of the budget pool after `probe`. Serials the probe refuted are
+/// not tested again; the one it confirmed counts as a hit in both
+/// directions without a test. An empty `cs_m` tests nothing.
 pub fn sweep(
     snapshot: &CacheSnapshot,
     hq: &HitQuery<'_>,
     probe: ExactProbe,
+    cs_m: &IdSet,
     matcher: &dyn Matcher,
     opts: &VerifyOptions,
 ) -> HitSet {
     let ExactProbe { mut hits, refuted } = probe;
+    if cs_m.is_empty() {
+        return finalize(hits); // no hit can remove a candidate
+    }
+    let (sub_role, super_role) = (pruner::role(hq.kind, true), pruner::role(hq.kind, false));
     let qn = hq.query.node_count();
     let qm = hq.query.edge_count();
     // Saturating deductions in sequence leave max(0, budget − Σ work).
@@ -302,11 +317,15 @@ pub fn sweep(
     // feature profiles, and overflow entries are conservative in both
     // directions), so the super list's same-size slots are skipped.
     //
+    // Strictly larger and strictly smaller candidates whose answer could
+    // not prune CS_M in their role are dropped before they are scored.
+    //
     // The candidate pass and the gather run on the shard's packed columns
     // (size, signature, kind, fingerprint, distinct-label count): a linear
     // pass over contiguous arrays. An entry is dereferenced only by a slot
     // whose size and signature survive (for the profile merge) and by a
-    // candidate that survives every prefilter (for its serial and graph).
+    // candidate that survives every prefilter (for its serial, answer and
+    // graph).
     let mut queue: Vec<Cand<'_>> = Vec::new();
     // Candidate restriction (routed mode): serials outside the allow set
     // never enter the queue (a sorted list and a binary search).
@@ -346,8 +365,10 @@ pub fn sweep(
                     continue; // probe already disproved this one
                 }
                 Dir::Iso
-            } else {
+            } else if can_prune(sub_role, cs_m, &entry.answer) {
                 Dir::Sub
+            } else {
+                continue;
             };
             queue.push(Cand { entry, dir, cost });
         }
@@ -356,7 +377,10 @@ pub fn sweep(
             if shard.kind_at(slot) != hq.kind || (cn, cm) == (qn as u32, qm as u32) {
                 continue; // same-size: handled through the sub list above
             }
-            let Some(entry) = shard.entry_at(slot).filter(|e| permitted(e.serial)) else {
+            let Some(entry) = shard
+                .entry_at(slot)
+                .filter(|e| permitted(e.serial) && can_prune(super_role, cs_m, &e.answer))
+            else {
                 continue;
             };
             queue.push(Cand {
@@ -583,6 +607,7 @@ pub fn find_hits_naive(
 mod tests {
     use super::*;
     use crate::entry::CacheEntry;
+    use crate::pruner::{prune, HitAnswer, Role};
     use gc_graph::GraphId;
     use gc_subiso::Vf2;
     use std::sync::Arc;
@@ -614,11 +639,176 @@ mod tests {
         snapshot_of_kind(graphs, QueryKind::Subgraph)
     }
 
+    /// Method M's candidates in the tests below that do not gate: every
+    /// id an entry's answer can hold and one more, so each expanding
+    /// answer lies inside and no one-id restricting answer covers it.
+    fn open_cs_m() -> IdSet {
+        IdSet::from_sorted(gc_graph::idset::full(8), 8)
+    }
+
     /// The fingerprint probe, then the sweep it hands its refutations to.
     fn pipeline(snap: &CacheSnapshot, hq: &HitQuery<'_>, opts: &VerifyOptions) -> HitSet {
+        gated(snap, hq, &open_cs_m(), opts)
+    }
+
+    /// [`pipeline`] with Method M's candidates `cs_m`.
+    fn gated(
+        snap: &CacheSnapshot,
+        hq: &HitQuery<'_>,
+        cs_m: &IdSet,
+        opts: &VerifyOptions,
+    ) -> HitSet {
         let vf2 = Vf2::new();
         let probe = exact_probe(snap, hq.query, hq.kind, hq.fingerprint, &vf2, opts);
-        sweep(snap, hq, probe, &vf2, opts)
+        sweep(snap, hq, probe, cs_m, &vf2, opts)
+    }
+
+    /// One entry of `kind` per `(graph, answer)`, serials 100, 200, ….
+    fn snapshot_with_answers(
+        entries: Vec<(LabeledGraph, &[u32])>,
+        kind: QueryKind,
+    ) -> CacheSnapshot {
+        let entries = entries
+            .into_iter()
+            .enumerate()
+            .map(|(i, (graph, answer))| {
+                let profile = gc_index::paths::enumerate_paths(&graph, 4, u64::MAX);
+                let answer = answer.iter().copied().map(GraphId).collect();
+                Arc::new(CacheEntry::new(
+                    (i as u64 + 1) * 100,
+                    Arc::new(graph),
+                    answer,
+                    kind,
+                    profile,
+                ))
+            })
+            .collect();
+        CacheSnapshot::build(entries)
+    }
+
+    fn id_set(ids: &[u32]) -> IdSet {
+        IdSet::from_sorted(ids.iter().copied().map(GraphId).collect(), 8)
+    }
+
+    /// What pruning `cs_m` with the one hit `serial` in `role` removes.
+    fn removed_by(
+        snap: &CacheSnapshot,
+        serial: QuerySerial,
+        role: Role,
+        cs_m: &IdSet,
+    ) -> Vec<GraphId> {
+        let hit = [HitAnswer {
+            serial,
+            answer: &snap.entry(serial).expect("cached").answer,
+        }];
+        let pruned = match role {
+            Role::Expanding => prune(cs_m, &hit, &[]),
+            Role::Restricting => prune(cs_m, &[], &hit),
+        };
+        pruned.contributions[0].removed.clone()
+    }
+
+    /// For both query kinds, the candidate that expands the query: one
+    /// with an empty answer and one whose answer leaves CS_M are not
+    /// tested, one whose answer lies inside it is tested and hits. Pruning
+    /// with the empty-answer hit removes nothing; the other skip cannot
+    /// be a hit when CS_M comes from a filter that keeps every answer
+    /// (its answer is forged here).
+    #[test]
+    fn sweep_tests_no_expanding_candidate_that_cannot_prune() {
+        let g = path_graph(&[0, 1, 0]);
+        for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
+            // The expanding side: containers of g for a subgraph query,
+            // graphs inside g for a supergraph query.
+            let expanding = match kind {
+                QueryKind::Subgraph => path_graph(&[0, 1, 0, 1]),
+                QueryKind::Supergraph => path_graph(&[0, 1]),
+            };
+            let cs_m = id_set(&[1, 2, 3]);
+            for (answer, tested) in [(&[][..], false), (&[2, 5][..], false), (&[2, 3][..], true)] {
+                let snap = snapshot_with_answers(vec![(expanding.clone(), answer)], kind);
+                let profile = snap.profile_of(&g);
+                let hq = HitQuery::new(&g, kind, &profile);
+                let hits = gated(&snap, &hq, &cs_m, &VerifyOptions::default());
+                assert_eq!(hits.tests, u64::from(tested), "{kind:?}, answer {answer:?}");
+                let found = !hits.sub.is_empty() || !hits.super_.is_empty();
+                assert_eq!(found, tested, "{kind:?}, answer {answer:?}");
+                // Tested, every one of them hits.
+                let naive = find_hits_naive(&snap, &g, kind, &Vf2::new());
+                assert_eq!((naive.tests, naive.sub.len() + naive.super_.len()), (1, 1));
+                if answer.is_empty() {
+                    assert!(removed_by(&snap, 100, Role::Expanding, &cs_m).is_empty());
+                }
+            }
+        }
+    }
+
+    /// For both query kinds, the candidate that restricts the query is not
+    /// tested when its answer covers CS_M — pruning with it removes
+    /// nothing — and is tested when it misses part of CS_M.
+    #[test]
+    fn sweep_tests_no_restricting_candidate_that_covers_cs_m() {
+        let g = path_graph(&[0, 1, 0]);
+        for kind in [QueryKind::Subgraph, QueryKind::Supergraph] {
+            let restricting = match kind {
+                QueryKind::Subgraph => path_graph(&[0, 1]),
+                QueryKind::Supergraph => path_graph(&[0, 1, 0, 1]),
+            };
+            for cs in [&[1, 2][..], &[0, 1, 2, 3, 4, 5]] {
+                let cs_m = id_set(cs);
+                for (answer, tested) in [
+                    (cs, false),
+                    (&[0, 1, 2, 3, 4, 5, 6][..], false),
+                    (&cs[1..], true),
+                ] {
+                    let snap = snapshot_with_answers(vec![(restricting.clone(), answer)], kind);
+                    let profile = snap.profile_of(&g);
+                    let hq = HitQuery::new(&g, kind, &profile);
+                    let hits = gated(&snap, &hq, &cs_m, &VerifyOptions::default());
+                    assert_eq!(
+                        hits.tests,
+                        u64::from(tested),
+                        "{kind:?}, CS_M {cs:?}, answer {answer:?}"
+                    );
+                    let removed = removed_by(&snap, 100, Role::Restricting, &cs_m);
+                    assert_eq!(removed.is_empty(), !tested, "{kind:?}, answer {answer:?}");
+                }
+            }
+        }
+    }
+
+    /// Same-size candidates hit both ways, so the gate keeps them: an
+    /// isomorphic copy the probe left unconfirmed is tested though its
+    /// empty answer could not expand anything.
+    #[test]
+    fn sweep_keeps_iso_candidates() {
+        let g = path_graph(&[0, 1, 0]);
+        let snap = snapshot_with_answers(
+            vec![(g.clone(), &[1]), (g.clone(), &[])],
+            QueryKind::Subgraph,
+        );
+        let profile = snap.profile_of(&g);
+        let hq = HitQuery::new(&g, QueryKind::Subgraph, &profile);
+        let hits = gated(&snap, &hq, &id_set(&[1, 2]), &VerifyOptions::default());
+        assert_eq!(hits.exact, Some(100));
+        assert_eq!(hits.tests, 1, "the second copy is tested");
+        assert_eq!(
+            (hits.sub.clone(), hits.super_.clone()),
+            (vec![100, 200], vec![100, 200])
+        );
+    }
+
+    /// An empty CS_M leaves nothing to prune: the sweep runs no test.
+    #[test]
+    fn empty_cs_m_runs_no_gc_test() {
+        let snap = snapshot(vec![path_graph(&[0, 1, 0, 1]), path_graph(&[0, 1])]);
+        let g = path_graph(&[0, 1, 0]);
+        let profile = snap.profile_of(&g);
+        let hq = HitQuery::new(&g, QueryKind::Subgraph, &profile);
+        let none = gated(&snap, &hq, &id_set(&[]), &VerifyOptions::default());
+        assert_eq!((none.tests, none.work), (0, 0));
+        assert!(none.sub.is_empty() && none.super_.is_empty() && !none.truncated);
+        assert_eq!(pipeline(&snap, &hq, &VerifyOptions::default()).tests, 2);
     }
 
     fn run_opts(snap: &CacheSnapshot, g: &LabeledGraph, opts: &VerifyOptions) -> HitSet {
@@ -843,7 +1033,7 @@ mod tests {
         assert_eq!(probe.hits.exact, None);
         assert!(probe.hits.work > 0, "one confirmation ran");
         let probe_work = probe.hits.work;
-        let hits = sweep(&snap, &hq, probe, &vf2, &opts);
+        let hits = sweep(&snap, &hq, probe, &open_cs_m(), &vf2, &opts);
         assert_eq!(hits.tests, 0, "the refuted collision is not tested again");
         assert_eq!(hits.work, probe_work);
         assert!(hits.sub.is_empty() && hits.super_.is_empty());

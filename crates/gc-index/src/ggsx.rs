@@ -20,7 +20,8 @@
 use crate::fx::FxHashMap;
 use crate::paths::{FeatureKey, PathEnumeration, PathProfile, PathShape};
 use crate::{CandidateSet, FilterIndex};
-use gc_graph::{idset, sizing, GraphDataset, GraphId, LabeledGraph};
+use gc_graph::idset::{self, mask, ones, word};
+use gc_graph::{sizing, GraphDataset, GraphId, LabeledGraph};
 
 /// Configuration for [`PathTrie`].
 #[derive(Debug, Clone, Copy)]
@@ -116,18 +117,6 @@ impl Slot {
     }
 }
 
-/// The indexes of the set bits of a dataset bitmap, ascending.
-fn ones(bitmap: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    bitmap.iter().enumerate().flat_map(|(w, &word)| {
-        let mut m = word;
-        std::iter::from_fn(move || {
-            let bit = m.trailing_zeros() as usize;
-            m &= m.wrapping_sub(1);
-            (bit < 64).then_some(w * 64 + bit)
-        })
-    })
-}
-
 impl CountPostings {
     /// Packs one profile per dataset graph, in id order: every posting
     /// becomes a `(key, graph, count)` triple, one sort groups them, and
@@ -155,7 +144,7 @@ impl CountPostings {
         );
         // Sorting by (key, graph) also keeps each group in id order.
         triples.sort_unstable_by_key(|&(key, id, _)| (key, id));
-        let words = distinct.len().div_ceil(64);
+        let words = idset::words(distinct.len());
         let mut directory = FxHashMap::default();
         let (mut pairs, mut planes) = (Vec::with_capacity(triples.len()), Vec::new());
         for group in triples.chunk_by(|a, b| a.0 == b.0) {
@@ -167,7 +156,7 @@ impl CountPostings {
                 let feature = &mut planes[slot.start as usize..];
                 for &(_, id, c) in group {
                     for (b, plane) in feature.chunks_exact_mut(words).enumerate() {
-                        plane[id.index() / 64] |= u64::from(c >> b & 1) << (id.index() % 64);
+                        plane[word(id.index())] |= mask(id.index()) * u64::from(c >> b & 1);
                     }
                 }
                 slot
@@ -268,7 +257,7 @@ impl CountPostings {
             } else {
                 scratch.fill(0);
                 for &(id, c) in self.pairs(slot) {
-                    scratch[id.index() / 64] |= u64::from(c >= need) << (id.index() % 64);
+                    scratch[word(id.index())] |= mask(id.index()) * u64::from(c >= need);
                 }
                 for (a, &m) in acc.iter_mut().zip(&scratch) {
                     *a &= m;
@@ -279,7 +268,7 @@ impl CountPostings {
             }
         }
         for id in &self.overflow {
-            acc[id.index() / 64] |= 1 << (id.index() % 64);
+            acc[word(id.index())] |= mask(id.index());
         }
         let mut out = Vec::with_capacity(acc.iter().map(|w| w.count_ones() as usize).sum());
         out.extend(ones(&acc).map(|i| GraphId(i as u32)));

@@ -304,6 +304,28 @@ fn overview() -> String {
     text
 }
 
+/// Writes to stdout as `print!` does, but ends the process quietly, with
+/// exit status 0, once stdout is closed (`gc bench --list | head`), where
+/// `print!` panics. SIGPIPE stays ignored, as Rust leaves it, so a closed
+/// client socket is an error `gc serve` handles, never a signal that ends
+/// it. `gc serve` and `gc route` print their few status lines with
+/// `println!`, unchanged: a daemon is not the head of a pipeline.
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::Write::write_fmt(&mut std::io::stdout(), args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+/// `println!` through [`emit`].
+macro_rules! say {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, result) = match args.split_first() {
@@ -314,7 +336,7 @@ fn main() -> ExitCode {
                 Err(CliError::usage(format!("unknown subcommand {name:?}"))),
             ),
             Some(cmd) if rest.iter().any(|a| a == "--help") => {
-                print!("{}", usage(cmd));
+                emit(format_args!("{}", usage(cmd)));
                 return ExitCode::SUCCESS;
             }
             Some(cmd) => (Some(cmd), parse_opts(cmd, rest).and_then(|o| (cmd.run)(&o))),
@@ -454,13 +476,13 @@ fn cmd_generate(opts: &Opts) -> CliResult {
     let dataset = profile.scaled(scale).generate(seed);
     io::save_dataset(out, &dataset)
         .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
-    println!("wrote {} ({})", out, dataset.stats());
+    say!("wrote {} ({})", out, dataset.stats());
     Ok(())
 }
 
 fn cmd_stats(opts: &Opts) -> CliResult {
     let dataset = load_dataset(opts.word())?;
-    println!("{}", dataset.stats());
+    say!("{}", dataset.stats());
     Ok(())
 }
 
@@ -499,7 +521,7 @@ fn cmd_workload(opts: &Opts) -> CliResult {
     let as_dataset = GraphDataset::new(workload.graphs().cloned().collect());
     io::save_dataset(out, &as_dataset)
         .map_err(|e| CliError::Runtime(format!("cannot write {out}: {e}")))?;
-    println!(
+    say!(
         "wrote {} ({} queries, {})",
         out,
         workload.len(),
@@ -577,11 +599,11 @@ fn build_cache(
             .restore(dir)
             .map_err(|e| CliError::Runtime(format!("cannot restore from {dir:?}: {e}")))?;
         match report.generation {
-            Some(generation) => println!(
+            Some(generation) => say!(
                 "restored {} cached queries from {dir} (generation {generation})",
                 report.entries
             ),
-            None => println!("restored {} cached queries from {dir}", report.entries),
+            None => say!("restored {} cached queries from {dir}", report.entries),
         }
     }
     Ok(cache)
@@ -660,20 +682,20 @@ fn cmd_query(opts: &Opts) -> CliResult {
             let r = method.run_directed(q, kind);
             total_us += r.total_time().as_secs_f64() * 1e6;
             tests += r.subiso_tests();
-            println!(
+            say!(
                 "query {i}: {} answers, {} tests",
                 r.answer.len(),
                 r.subiso_tests()
             );
         }
         let wall = t0.elapsed();
-        println!(
+        say!(
             "\n{} queries | avg {:.0} µs | {} sub-iso tests (no cache)",
             queries.len(),
             total_us / queries.len().max(1) as f64,
             tests
         );
-        println!(
+        say!(
             "wall clock {:.1} ms on 1 client thread(s) ({:.0} queries/s)",
             wall.as_secs_f64() * 1e3,
             queries.len() as f64 / wall.as_secs_f64().max(1e-9)
@@ -705,10 +727,10 @@ fn cmd_query(opts: &Opts) -> CliResult {
     let mut total_us = 0.0;
     for (i, r) in records.iter().enumerate() {
         total_us += r.query_time().as_secs_f64() * 1e6;
-        println!("{}", query_line(i, r));
+        say!("{}", query_line(i, r));
     }
     let counters = RunCounters::from_records(&records, 0);
-    println!(
+    say!(
         "\n{} queries | avg {:.0} µs | {} sub-iso tests | {} cache-assisted | {} cached entries | eviction {} | admission {}",
         queries.len(),
         total_us / queries.len().max(1) as f64,
@@ -718,22 +740,24 @@ fn cmd_query(opts: &Opts) -> CliResult {
         cache.eviction_name(),
         cache.admission_name()
     );
-    println!(
+    say!(
         "hit verification: {} work spent | {} exact via fingerprint | {} truncated queries",
-        counters.budget_spent, counters.exact_fp_hits, counters.truncated,
+        counters.budget_spent,
+        counters.exact_fp_hits,
+        counters.truncated,
     );
     if cache.fragment_eviction_name().is_some() {
         let probes: u64 = records.iter().map(|r| r.fragment_probes).sum();
         let fragment_hits: u64 = records.iter().map(|r| r.fragment_hits).sum();
         let pruned: u64 = records.iter().map(|r| r.fragment_pruned).sum();
-        println!(
+        say!(
             "fragment cache: {probes} probes | {fragment_hits} fragment hits | \
              {pruned} candidates pruned | {} fragments stored",
             cache.fragment_store_len(),
         );
     }
     // run_batch never uses more workers than there are requests.
-    println!(
+    say!(
         "wall clock {:.1} ms on {} client thread(s) ({:.0} queries/s)",
         wall.as_secs_f64() * 1e3,
         threads.min(records.len().max(1)),
@@ -742,7 +766,7 @@ fn cmd_query(opts: &Opts) -> CliResult {
     if opts.has("maint-stats") {
         cache.flush_pending();
         let m = cache.maint_stats();
-        println!(
+        say!(
             "maintenance: {} rounds | total {:.1} ms | victim select {:.1} ms | \
              index delta {:.1} ms | stats upkeep {:.1} ms | fragment upkeep {:.1} ms",
             m.rounds,
@@ -752,7 +776,7 @@ fn cmd_query(opts: &Opts) -> CliResult {
             m.stats_upkeep.as_secs_f64() * 1e3,
             m.fragment_upkeep.as_secs_f64() * 1e3,
         );
-        println!(
+        say!(
             "maintenance: {} admitted, {} evicted ({} entries touched) | \
              {} shard patches across {} shards | {} compactions",
             m.entries_admitted,
@@ -762,7 +786,7 @@ fn cmd_query(opts: &Opts) -> CliResult {
             cache.shard_count(),
             m.compactions,
         );
-        println!(
+        say!(
             "maintenance: {} fragments built, {} evicted ({} stored, eviction {})",
             m.fragments_built,
             m.fragments_evicted,
@@ -774,7 +798,7 @@ fn cmd_query(opts: &Opts) -> CliResult {
         // The tombstoned slots the 50% compaction threshold watches (the
         // gauge keeps its old name, postings debt, in STATS and the bench
         // counters).
-        println!(
+        say!(
             "maintenance: postings debt (tombstoned slots) {}",
             m.dead_postings
         );
@@ -783,7 +807,7 @@ fn cmd_query(opts: &Opts) -> CliResult {
         cache
             .save(dir)
             .map_err(|e| CliError::Runtime(format!("cannot save to {dir:?}: {e}")))?;
-        println!("saved cache state to {dir}");
+        say!("saved cache state to {dir}");
     }
     Ok(())
 }
@@ -823,7 +847,7 @@ fn query_connect(opts: &Opts) -> CliResult {
             QueryOutcome::Result(r) => {
                 tests += r.record.subiso_tests;
                 hits += r.record.any_hit() as usize;
-                println!("{}", query_line(i, &r.record));
+                say!("{}", query_line(i, &r.record));
             }
             QueryOutcome::Busy { inflight, max } => {
                 return Err(CliError::Runtime(format!(
@@ -839,7 +863,7 @@ fn query_connect(opts: &Opts) -> CliResult {
         }
     }
     let wall = t0.elapsed();
-    println!(
+    say!(
         "\n{} queries served by {} (session {}) | {} sub-iso tests | {} cache-assisted | wall {:.1} ms",
         queries.len(),
         target,
@@ -995,7 +1019,7 @@ fn cmd_ctl(opts: &Opts) -> CliResult {
             client
                 .ping(Some("ctl"))
                 .map_err(|e| CliError::Runtime(format!("ping failed: {e}")))?;
-            println!("pong (session {})", client.session());
+            say!("pong (session {})", client.session());
             let _ = client.quit();
         }
         "stats" => {
@@ -1003,7 +1027,7 @@ fn cmd_ctl(opts: &Opts) -> CliResult {
                 .stats(StatsScope::Global)
                 .map_err(|e| CliError::Runtime(format!("stats failed: {e}")))?;
             for (name, value) in counters {
-                println!("{name} {value}");
+                say!("{name} {value}");
             }
             let _ = client.quit();
         }
@@ -1011,7 +1035,7 @@ fn cmd_ctl(opts: &Opts) -> CliResult {
             client
                 .shutdown()
                 .map_err(|e| CliError::Runtime(format!("shutdown failed: {e}")))?;
-            println!("shutdown requested; daemon draining");
+            say!("shutdown requested; daemon draining");
         }
         _ => unreachable!("parse_opts admits ping|stats|shutdown only"),
     }
@@ -1037,7 +1061,7 @@ fn cmd_bench(opts: &Opts) -> CliResult {
     }
 
     if opts.has("list") {
-        println!(
+        say!(
             "suite {} ({} scenarios):",
             suite.name(),
             suite.scenarios().len()
@@ -1048,7 +1072,7 @@ fn cmd_bench(opts: &Opts) -> CliResult {
                 .into_iter()
                 .map(|(k, v)| format!("{k}={v}"))
                 .collect();
-            println!("  {}  [{}]", s.name, echo.join(" "));
+            say!("  {}  [{}]", s.name, echo.join(" "));
         }
         return Ok(());
     }
@@ -1076,12 +1100,12 @@ fn cmd_bench(opts: &Opts) -> CliResult {
         None => (Box::new(InProcess), String::new()),
     };
     let scenarios = suite.scenarios();
-    println!(
+    say!(
         "running suite {} ({} scenarios{via})...",
         suite.name(),
         scenarios.len(),
     );
-    println!(
+    say!(
         "{:<30} {:>7} {:>9} {:>9} {:>9} {:>7} {:>9} {:>8} {:>8}",
         "scenario",
         "queries",
@@ -1105,7 +1129,7 @@ fn cmd_bench(opts: &Opts) -> CliResult {
             Some((tests, work)) => (format!("{tests:.2}"), format!("{work:.2}")),
             None => ("-".to_string(), "-".to_string()),
         };
-        println!(
+        say!(
             "{:<30} {:>7} {:>9} {:>9} {:>9} {:>7} {:>9.1} {:>8} {:>8}",
             s.name,
             s.counter("queries").unwrap_or(0),
@@ -1124,7 +1148,7 @@ fn cmd_bench(opts: &Opts) -> CliResult {
         let text = report.to_json(opts.has("timings"));
         std::fs::write(path, &text)
             .map_err(|e| CliError::Runtime(format!("cannot write {path}: {e}")))?;
-        println!("wrote {path}");
+        say!("wrote {path}");
     }
 
     if let Some(baseline_path) = opts.get("check") {
@@ -1140,7 +1164,7 @@ fn cmd_bench(opts: &Opts) -> CliResult {
         }
         let drifts = MatrixReport::compare(&baseline, &report, tolerance);
         if drifts.is_empty() {
-            println!("check: all deterministic counters within {tolerance}% of {baseline_path}");
+            say!("check: all deterministic counters within {tolerance}% of {baseline_path}");
         } else {
             for d in &drifts {
                 eprintln!("drift: {d}");

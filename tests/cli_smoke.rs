@@ -699,6 +699,37 @@ fn every_subcommand_refuses_a_stray_positional() {
     }
 }
 
+/// A reader that stops early (`gc bench --list --suite paper | head -5`)
+/// ends `gc` quietly: exit 0, nothing on stderr. The read end is closed
+/// before `gc` writes, so every line it prints meets a closed pipe.
+#[test]
+fn closed_stdout_ends_gc_quietly() {
+    for args in [
+        &["bench", "--list", "--suite", "paper"][..],
+        &["query", "--help"],
+    ] {
+        let mut child = Command::new(gc_bin())
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn gc binary");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for gc");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "gc {args:?} with stdout closed\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            out.stderr.is_empty(),
+            "gc {args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
 /// `gc <cmd> --help` exits 0 and prints every option the subcommand reads
 /// (and, for `query --connect`, none of the cache options it does not).
 #[test]

@@ -18,6 +18,7 @@ use graphcache::core::{
     exact_probe, find_hits_naive, shard_for, sweep, CacheEntry, CacheSnapshot, GraphCache,
     HitQuery, Probe, QuerySerial, Shard, VerifyOptions, QUERY_INDEX_SHAPE,
 };
+use graphcache::graph::idset::{self, IdSet};
 use graphcache::index::fx::FxHashMap;
 use graphcache::index::paths::{enumerate_paths, FeatureKey, PathProfile};
 use graphcache::prelude::*;
@@ -246,7 +247,10 @@ proptest! {
                 let hq = HitQuery::new(&probe, QueryKind::Subgraph, &profile);
                 let (vf2, opts) = (Vf2::new(), VerifyOptions::default());
                 let exact = exact_probe(snap, &probe, hq.kind, hq.fingerprint, &vf2, &opts);
-                let swept = sweep(snap, &hq, exact, &vf2, &opts);
+                // Method M's candidates hold every answer id (0..3) and one
+                // more, so every hit could prune and the sweep tests all.
+                let cs_m = IdSet::from_sorted(idset::full(4), 4);
+                let swept = sweep(snap, &hq, exact, &cs_m, &vf2, &opts);
                 prop_assert_eq!(&swept.sub, &naive.sub, "sub hits, probe {:?}", &probe);
                 prop_assert_eq!(&swept.super_, &naive.super_, "super hits, probe {:?}", &probe);
                 prop_assert_eq!(swept.exact, naive.exact, "exact hit, probe {:?}", &probe);
