@@ -17,7 +17,7 @@ use crate::pruner::{self, HitAnswer, PruneOutcome};
 use crate::query_index::QUERY_INDEX_SHAPE;
 use crate::registry::{self, PolicyError};
 use crate::stats::QuerySerial;
-use crate::window::{self, MaintMsg, Shared, WindowEntry};
+use crate::window::{self, Shared, WindowEntry};
 use gc_fragments::FragmentConfig;
 use gc_graph::idset::{self, IdSet};
 use gc_graph::{GraphId, LabeledGraph};
@@ -26,7 +26,7 @@ use gc_index::paths::{PathEnumeration, PathProfile};
 use gc_methods::{Method, QueryKind};
 use gc_subiso::cost;
 use parking_lot::Mutex;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tunable parameters of a [`GraphCache`] instance. Defaults mirror the
@@ -64,9 +64,6 @@ pub struct GcConfig {
     /// `None` = unbounded. Individual requests may override this
     /// ([`QueryRequest::verify_budget`]).
     pub verify_budget: Option<u64>,
-    /// Run the Window Manager on a background thread (the paper's design);
-    /// `false` runs maintenance inline for deterministic tests.
-    pub background: bool,
     /// Client concurrency: worker threads used by
     /// [`GraphCache::run_batch`], and nothing else. The default `1` replays
     /// a batch in input order, which makes every counter a pure function
@@ -99,7 +96,6 @@ impl Default for GcConfig {
             window: 20,
             query_kind: QueryKind::Subgraph,
             verify_budget: None,
-            background: false,
             threads: 1,
             shards: 0,
             fragments: false,
@@ -199,12 +195,6 @@ impl GraphCacheBuilder {
     /// [`GcConfig::verify_budget`]).
     pub fn verify_budget(mut self, budget: u64) -> Self {
         self.cfg.verify_budget = Some(budget);
-        self
-    }
-
-    /// Background (true) vs inline (false) window maintenance.
-    pub fn background(mut self, bg: bool) -> Self {
-        self.cfg.background = bg;
         self
     }
 
@@ -531,29 +521,6 @@ pub struct RestoreReport {
     pub entries: usize,
 }
 
-/// Owns the background Window Manager thread. Held behind an `Arc` by
-/// every cache handle; when the last handle drops, the channel closes and
-/// the manager thread is joined.
-struct ManagerHandle {
-    tx: Option<mpsc::Sender<MaintMsg>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ManagerHandle {
-    fn sender(&self) -> &mpsc::Sender<MaintMsg> {
-        self.tx.as_ref().expect("manager alive until drop")
-    }
-}
-
-impl Drop for ManagerHandle {
-    fn drop(&mut self) {
-        drop(self.tx.take()); // close the channel so the thread exits
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 /// The GraphCache service: a semantic cache wrapped around a Method M,
 /// shared by any number of client threads.
 ///
@@ -570,18 +537,16 @@ pub struct GraphCache {
     method: Arc<Method>,
     cfg: GcConfig,
     shared: Arc<Shared>,
-    worker: Option<Arc<ManagerHandle>>,
 }
 
 impl Clone for GraphCache {
     /// Clones the handle, not the cache: both handles share the same
-    /// stores, statistics, Window and background manager.
+    /// stores, statistics and Window.
     fn clone(&self) -> Self {
         GraphCache {
             method: self.method.clone(),
             cfg: self.cfg,
             shared: self.shared.clone(),
-            worker: self.worker.clone(),
         }
     }
 }
@@ -613,18 +578,10 @@ impl GraphCache {
             fragments,
             method.matcher().clone(),
         ));
-        let worker = cfg.background.then(|| {
-            let (tx, handle) = window::spawn_manager(shared.clone(), cfg.capacity);
-            Arc::new(ManagerHandle {
-                tx: Some(tx),
-                handle: Some(handle),
-            })
-        });
         GraphCache {
             method,
             cfg,
             shared,
-            worker,
         }
     }
 
@@ -690,18 +647,10 @@ impl GraphCache {
         self.shared.window.lock().len()
     }
 
-    /// Total cache maintenance time so far (Fig. 10's overhead metric).
-    pub fn maintenance_total(&self) -> Duration {
-        Duration::from_micros(
-            self.shared
-                .maintenance_us
-                .load(std::sync::atomic::Ordering::Relaxed),
-        )
-    }
-
-    /// Cumulative per-phase maintenance breakdown: victim selection, index
-    /// delta and statistics-upkeep durations, plus entries touched, shards
-    /// patched and compactions (see [`MaintStats`]).
+    /// Cumulative maintenance: rounds and their total time (Fig. 10's
+    /// overhead metric), the victim selection, index delta and
+    /// statistics-upkeep durations, plus entries touched, shards patched
+    /// and compactions (see [`MaintStats`]).
     pub fn maint_stats(&self) -> MaintStats {
         self.shared.maint_stats()
     }
@@ -746,12 +695,10 @@ impl GraphCache {
     /// that no two live entries of one kind are isomorphic (fingerprint
     /// buckets, a size prefilter, one matcher confirmation per collision)
     /// and that the statistics rows and the live entries are the same
-    /// serial set. Queued background maintenance is flushed first and the
-    /// check runs under the maintenance lock, so it sees the state between
-    /// two rounds, never the middle of one. O(|cache|) — a test and
-    /// diagnostics tool, not a query-path call.
+    /// serial set. The check runs under the maintenance lock, so it sees
+    /// the state between two rounds, never the middle of one. O(|cache|) —
+    /// a test and diagnostics tool, not a query-path call.
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        self.flush_pending();
         let _round = self.shared.maint.lock();
         let snapshot = self.shared.load_snapshot();
         let shards = snapshot.shard_count();
@@ -794,9 +741,8 @@ impl GraphCache {
 
     /// Persists the cache contents and statistics to a directory (paper
     /// §6.1: stores are "written back to disk on shutdown of the Cache
-    /// Manager subsystem"). Pending background maintenance is flushed
-    /// first; the Window's not-yet-admitted queries are not persisted
-    /// (they never reached the cache stores).
+    /// Manager subsystem"). The Window's not-yet-admitted queries are not
+    /// persisted (they never reached the cache stores).
     ///
     /// The entry snapshot, statistics rows and serial counter are captured
     /// under the maintenance lock, so a maintenance round racing the save
@@ -809,7 +755,6 @@ impl GraphCache {
     /// index configuration skips path re-enumeration entirely, and the
     /// dataset's identity, so a restore over another dataset is refused.
     pub fn save(&self, dir: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        self.flush_pending();
         let dataset = crate::persist::DatasetIdentity::of(self.method.dataset());
         let persisted = {
             let _round = self.shared.maint.lock();
@@ -884,20 +829,20 @@ impl GraphCache {
     /// statistics rows (snapshots written while exact repeats were still
     /// re-admitted hold such copies).
     ///
-    /// Takes `&self` — restoring into a live service is safe: queued
-    /// background maintenance is flushed first, the restore serialises
-    /// with maintenance rounds, and each shard swaps atomically under its
-    /// own lock. A query racing the restore may assemble a view mixing
+    /// Takes `&self` — restoring into a live service is safe: the restore
+    /// serialises with maintenance rounds, and each shard swaps atomically
+    /// under its own lock. A query racing the restore may assemble a view mixing
     /// pre-restore and restored shards; since every serial routes to
     /// exactly one shard such a view is merely an intermediate cache
     /// state (answers are unaffected — the cache only removes work).
     /// Pre-restore queries still waiting in the Window
     /// are discarded (mirroring [`save`](Self::save), which never
-    /// persists them); a maintenance batch already in flight when the
-    /// restore lands races it — depending on which acquires the
-    /// maintenance lock first, the batch is either discarded with the
-    /// pre-restore state or applied on top of the restored snapshot (with
-    /// duplicate serials dropped in the restored entries' favour). A query
+    /// persists them); a batch another client has already taken from the
+    /// Window for its round races the restore — depending on which
+    /// acquires the maintenance lock first, the batch is either discarded
+    /// with the pre-restore state or applied on top of the restored
+    /// snapshot (with duplicate serials dropped in the restored entries'
+    /// favour). A query
     /// straddling the swap may briefly pair the new snapshot with
     /// pre-restore statistics, which only affects replacement-policy
     /// bookkeeping, never answers. The serial counter only moves forward
@@ -920,9 +865,6 @@ impl GraphCache {
         // The persisted format carries no shard layout: entries are
         // re-routed into this instance's shard count on load.
         let (snapshot, stats, next_serial) = loaded.into_snapshot_sharded(self.shared.shards.len());
-        // Drain queued background batches so none of them (built from the
-        // pre-restore snapshot) lands after our swap.
-        self.flush_pending();
         let _round = self.shared.maint.lock();
         // Pre-restore queries that never reached a maintenance round are
         // dropped, not merged: their serials could collide with restored
@@ -986,16 +928,11 @@ impl GraphCache {
         }
     }
 
-    /// Blocks until all queued background maintenance has been applied.
-    /// No-op in inline mode.
-    pub fn flush_pending(&self) {
-        if let Some(worker) = &self.worker {
-            let (rtx, rrx) = mpsc::channel();
-            if worker.sender().send(MaintMsg::Sync(rtx)).is_ok() {
-                let _ = rrx.recv();
-            }
-        }
-    }
+    /// Does nothing: every maintenance round runs on the thread of the
+    /// query that fills the Window, so none is ever pending. Its only
+    /// caller is the `perf/src/replay.rs` benchmark.
+    #[doc(hidden)]
+    pub fn flush_pending(&self) {}
 
     /// Executes one query with cache-wide defaults (Fig. 2's data flow)
     /// and returns the answer with full metrics.
@@ -1147,15 +1084,15 @@ impl GraphCache {
     }
 
     /// The work cap a miss enumerates its query under: the query index's,
-    /// raised to Method M's when its filter reads paths of the same length,
-    /// so the one enumeration serves both. With a different length (the
-    /// §7.3 ablation) Method M enumerates its own.
+    /// raised to Method M's when its filter reads paths (GGSX, Grapes, both
+    /// at the query index's path length), so the one enumeration serves
+    /// both. A filter that reads no paths (CT-Index, none for the SI
+    /// methods) leaves it at the query index's.
     fn miss_work_cap(&self) -> u64 {
-        let shape = QUERY_INDEX_SHAPE;
-        match self.method.path_shape() {
-            Some(m) if m.max_len == shape.max_len => shape.work_cap.max(m.work_cap),
-            _ => shape.work_cap,
-        }
+        let cap = QUERY_INDEX_SHAPE.work_cap;
+        self.method
+            .path_shape()
+            .map_or(cap, |m| cap.max(m.work_cap))
     }
 
     /// The cached query path with optional per-query overrides. The graph
@@ -1484,8 +1421,9 @@ impl GraphCache {
         self.shared.admission.lock().observe(expensiveness, benefit);
     }
 
-    /// Adds a missed query to the Window; flushes when full. Returns inline
-    /// maintenance time (zero in background mode).
+    /// Adds a missed query to the Window and, when that fills it, runs the
+    /// maintenance round on this thread. Returns the round's time (zero
+    /// when the Window is not full yet).
     fn push_window(
         &self,
         query: &Arc<LabeledGraph>,
@@ -1519,13 +1457,7 @@ impl GraphCache {
         // The batch is flushed outside the window lock so concurrent
         // queries keep accumulating while maintenance runs.
         let now = self.shared.current_serial();
-        match &self.worker {
-            Some(worker) => {
-                let _ = worker.sender().send(MaintMsg::Batch(batch, now));
-                Duration::ZERO
-            }
-            None => window::maintain(&self.shared, self.cfg.capacity, batch, now),
-        }
+        window::maintain(&self.shared, self.cfg.capacity, batch, now)
     }
 }
 
@@ -1761,36 +1693,6 @@ mod tests {
             })
         );
         assert_eq!(gc.check_invariants(), Ok(()));
-    }
-
-    #[test]
-    fn background_mode_matches_inline_answers() {
-        let d = dataset();
-        let queries: Vec<LabeledGraph> = (0..20)
-            .map(|i| match i % 4 {
-                0 => path_graph(&[0, 1]),
-                1 => path_graph(&[0, 1, 0]),
-                2 => path_graph(&[1, 2]),
-                _ => path_graph(&[0, 1, 2]),
-            })
-            .collect();
-        let inline = GraphCache::builder()
-            .capacity(5)
-            .window(2)
-            .build(MethodBuilder::ggsx().build(&d));
-        let bg = GraphCache::builder()
-            .capacity(5)
-            .window(2)
-            .background(true)
-            .build(MethodBuilder::ggsx().build(&d));
-        for q in &queries {
-            let a = inline.run(q).answer;
-            let b = bg.run(q).answer;
-            assert_eq!(a, b);
-        }
-        bg.flush_pending();
-        assert!(bg.cache_len() <= 5);
-        assert!(bg.maintenance_total() >= Duration::ZERO);
     }
 
     #[test]
@@ -2038,8 +1940,8 @@ mod tests {
         }
     }
 
-    /// A view held across a round — what a concurrent session or a query
-    /// overlapping background maintenance holds — forces copy-on-write of
+    /// A view held across a round — what another client's query in flight
+    /// holds — forces copy-on-write of
     /// exactly the patched shards, keeps serving its own epoch, and the
     /// live cache serves the new one (paper §6.2, per shard).
     #[test]
@@ -2283,59 +2185,50 @@ mod tests {
     /// larger of the query index's and GGSX's work caps, gives the GC sweep,
     /// Method M's filter and the Window entry exactly what enumerating
     /// under each one's own cap gives — for queries within both caps, past
-    /// GGSX's only, past the query index's only and past both, in both
-    /// directions. A Method M over a different path length enumerates its
-    /// own. The query index's cap is [`QUERY_INDEX_SHAPE`]'s, so the last
-    /// two classes need a query of more than 5 million enumeration steps:
-    /// a label-0 24-clique.
+    /// the query index's only and past both, in both directions. A Method M
+    /// with no path filter (an SI method) shares the query index's cap. The
+    /// query index's cap is [`QUERY_INDEX_SHAPE`]'s (5 million enumeration
+    /// steps) and GGSX's is its default (20 million), so the last two
+    /// classes are a label-0 24-clique and a label-0 31-clique.
     #[test]
     fn one_enumeration_per_miss_matches_separate_enumerations() {
         use crate::query_index::Probe;
         use gc_index::GgsxConfig;
-        let clique: Vec<(u32, u32)> = (0..24u32)
-            .flat_map(|i| (i + 1..24).map(move |j| (i, j)))
-            .collect();
+        let clique = |n: u32| {
+            let edges: Vec<(u32, u32)> = (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect();
+            LabeledGraph::from_parts(vec![0; n as usize], &edges)
+        };
         let queries = [
             path_graph(&[0, 1]),
             path_graph(&[0, 1, 0, 1]),
             path_graph(&[0, 1, 2, 1, 0]),
-            LabeledGraph::from_parts(vec![0; 24], &clique),
+            clique(24),
+            clique(31),
         ];
         let work: Vec<u64> = queries
             .iter()
             .map(|q| PathEnumeration::new(q, 4, u64::MAX).work)
             .collect();
         let index_cap = QUERY_INDEX_SHAPE.work_cap;
+        let ggsx_cap = GgsxConfig::default().work_cap;
         assert!(
-            work[0] < work[1] && work[1] < work[2] && work[2] < index_cap && index_cap < work[3],
+            work[0] < work[1]
+                && work[1] < work[2]
+                && work[2] < index_cap
+                && index_cap < work[3]
+                && work[3] < ggsx_cap
+                && ggsx_cap < work[4],
             "{work:?}"
         );
-        for (ggsx, expected_cap) in [
-            (
-                GgsxConfig {
-                    max_path_len: 4,
-                    work_cap: work[1],
-                },
-                index_cap,
-            ),
-            (
-                GgsxConfig {
-                    max_path_len: 4,
-                    work_cap: work[3],
-                },
-                work[3],
-            ),
-            (
-                GgsxConfig {
-                    max_path_len: 5,
-                    work_cap: work[1],
-                },
-                index_cap,
-            ),
+        for (builder, expected_cap) in [
+            (MethodBuilder::ggsx as fn() -> MethodBuilder, ggsx_cap),
+            (MethodBuilder::si_vf2, index_cap),
         ] {
             let d = dataset();
-            let method = MethodBuilder::ggsx_with(ggsx).build(&d);
-            let reference = MethodBuilder::ggsx_with(ggsx).build(&d);
+            let method = builder().build(&d);
+            let reference = builder().build(&d);
             let b = GraphCache::builder().capacity(10).window(1);
             let gc = b.build(method);
             let shared_cap = gc.miss_work_cap();
@@ -2364,7 +2257,8 @@ mod tests {
                     assert_eq!(
                         gc.method().filter_with(q, kind, Some(&shared)).candidates,
                         reference.filter_directed(q, kind).candidates,
-                        "CS_M of {q:?} ({kind:?}, {ggsx:?})"
+                        "CS_M of {q:?} ({kind:?}, {})",
+                        reference.name()
                     );
                 }
                 assert_eq!(shared.into_profile(index_cap), own);

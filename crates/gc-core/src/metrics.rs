@@ -15,8 +15,8 @@ pub struct QueryRecord {
     pub gc_filter: Duration,
     /// Verification time over the pruned candidate set.
     pub verify: Duration,
-    /// Cache maintenance time attributed to this query (window flush /
-    /// re-indexing executed inline; zero in background mode).
+    /// Cache maintenance time attributed to this query: the round it ran
+    /// because its miss filled the Window (zero for every other query).
     pub maintenance: Duration,
     /// Sub-iso tests executed against dataset graphs.
     pub subiso_tests: u64,
@@ -162,8 +162,7 @@ impl QueryRecord {
 pub struct MaintStats {
     /// Maintenance rounds executed.
     pub rounds: u64,
-    /// Total wall time across rounds (equals
-    /// [`GraphCache::maintenance_total`](crate::GraphCache::maintenance_total)).
+    /// Total wall time across rounds — Fig. 10's overhead metric.
     pub total: Duration,
     /// Time assembling policy rows and selecting victims.
     pub victim_select: Duration,

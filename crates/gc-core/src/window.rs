@@ -32,9 +32,9 @@
 //! (`GraphCache::run_overridden` scopes it to the read phase), so the
 //! inline round a query triggers on its own thread always patches in
 //! place. Copy-on-write is left for a view that really is concurrent with
-//! the round: another client's query in flight, or any query while the
-//! background manager runs. `cache.rs` pins both arms through the public
-//! path (`single_client_round_patches_shards_in_place`,
+//! the round: another client's query in flight. `cache.rs` pins both
+//! arms through the public path
+//! (`single_client_round_patches_shards_in_place`,
 //! `held_view_forces_copy_on_write_and_keeps_its_epoch`); the tests below
 //! call `maintain` directly and cannot see a view the caller holds.
 //!
@@ -71,7 +71,7 @@ use gc_methods::QueryKind;
 use gc_subiso::Matcher;
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The compaction threshold: a shard compacts once half its slots are
@@ -114,11 +114,14 @@ impl WindowEntry {
     }
 }
 
-/// Per-round maintenance breakdown counters (atomics: the query path reads
+/// Cumulative maintenance counters: rounds, their wall time (the Fig. 10
+/// overhead) and the per-phase breakdown (atomics: the query path reads
 /// them without taking the maintenance lock). Snapshotted into the public
 /// [`MaintStats`].
 #[derive(Debug, Default)]
 pub(crate) struct MaintCounters {
+    rounds: AtomicU64,
+    total_us: AtomicU64,
     victim_select_us: AtomicU64,
     index_delta_us: AtomicU64,
     stats_upkeep_us: AtomicU64,
@@ -158,6 +161,16 @@ impl MaintCounters {
         self.compactions.fetch_add(compactions, Ordering::Relaxed);
     }
 
+    /// Books one finished round, started at `t0`, and returns its wall
+    /// time.
+    fn record_round(&self, t0: Instant) -> Duration {
+        let elapsed = t0.elapsed();
+        self.total_us
+            .fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
+        self.rounds.fetch_add(1, Ordering::Relaxed);
+        elapsed
+    }
+
     fn record_fragments(&self, upkeep: Duration, built: u64, evicted: u64) {
         self.fragment_upkeep_us
             .fetch_add(upkeep.as_micros() as u64, Ordering::Relaxed);
@@ -166,8 +179,9 @@ impl MaintCounters {
     }
 }
 
-/// State shared between every [`GraphCache`](crate::GraphCache) handle on
-/// the query path and the (possibly background) maintenance path.
+/// State shared between every [`GraphCache`](crate::GraphCache) handle: the
+/// query path reads it, and the round a query runs when it fills the
+/// Window ([`maintain`]) changes it.
 ///
 /// All mutable state lives here behind fine-grained synchronisation so the
 /// query path only needs `&self`: each cache shard behind its own
@@ -193,9 +207,9 @@ pub(crate) struct Shared {
     pub window: Mutex<Vec<WindowEntry>>,
     /// Serialises snapshot read-modify-write cycles ([`maintain`] rounds
     /// and [`GraphCache::restore`](crate::GraphCache::restore)). Without
-    /// it, two concurrent inline rounds would interleave their per-shard
-    /// patches and the later round would select victims against a state
-    /// the earlier round is still changing.
+    /// it, two clients' rounds would interleave their per-shard patches
+    /// and the later round would select victims against a state the
+    /// earlier round is still changing.
     pub maint: Mutex<()>,
     /// Serial-number source; queries claim `fetch_add(1) + 1` on arrival.
     pub serial: AtomicU64,
@@ -204,19 +218,14 @@ pub(crate) struct Shared {
     /// pre-generation snapshot). A gauge, not a counter: each successful
     /// [`GraphCache::restore`](crate::GraphCache::restore) overwrites it.
     pub recovered_generation: AtomicU64,
-    /// Cumulative maintenance time (µs) and rounds — the Fig. 10 overhead.
-    pub maintenance_us: AtomicU64,
-    /// Number of maintenance rounds executed.
-    pub maintenance_rounds: AtomicU64,
-    /// Per-phase maintenance breakdown (see [`MaintStats`]).
+    /// Rounds, their time and the per-phase breakdown (see [`MaintStats`]).
     pub maint_counters: MaintCounters,
     /// The optional fragment layer (probe on the query path, population
     /// and budget eviction during maintenance). Carries its own `Method`
-    /// handle so the background manager can build exact occurrence sets.
+    /// handle so a round can build exact occurrence sets.
     pub fragments: Option<FragmentState>,
     /// Method M's matcher, for the isomorphism confirmations of the
-    /// round's dedup (see [`maintain`]) — inline and background rounds
-    /// alike reach it here.
+    /// round's dedup (see [`maintain`]).
     pub matcher: Arc<dyn Matcher>,
 }
 
@@ -239,8 +248,6 @@ impl Shared {
             maint: Mutex::new(()),
             serial: AtomicU64::new(0),
             recovered_generation: AtomicU64::new(0),
-            maintenance_us: AtomicU64::new(0),
-            maintenance_rounds: AtomicU64::new(0),
             maint_counters: MaintCounters::default(),
             fragments,
             matcher,
@@ -279,8 +286,8 @@ impl Shared {
     pub(crate) fn maint_stats(&self) -> MaintStats {
         let c = &self.maint_counters;
         MaintStats {
-            rounds: self.maintenance_rounds.load(Ordering::Relaxed),
-            total: Duration::from_micros(self.maintenance_us.load(Ordering::Relaxed)),
+            rounds: c.rounds.load(Ordering::Relaxed),
+            total: Duration::from_micros(c.total_us.load(Ordering::Relaxed)),
             victim_select: Duration::from_micros(c.victim_select_us.load(Ordering::Relaxed)),
             index_delta: Duration::from_micros(c.index_delta_us.load(Ordering::Relaxed)),
             stats_upkeep: Duration::from_micros(c.stats_upkeep_us.load(Ordering::Relaxed)),
@@ -314,8 +321,8 @@ pub(crate) fn maintain(
 
     // One round at a time: the round reads the shard states, selects
     // victims against them, and patches shard by shard — concurrent rounds
-    // (possible in inline mode, where any full window flushes on the
-    // flushing query's thread) must not interleave those steps.
+    // (each client whose miss fills the Window runs one on its own
+    // thread) must not interleave those steps.
     let _round = shared.maint.lock();
 
     // (0) Fragment-store upkeep runs over the *whole* answered batch, not
@@ -362,8 +369,8 @@ pub(crate) fn maintain(
     //   dropped in the snapshot's favour;
     // * a missed query can be isomorphic to an earlier entry of its own
     //   batch (two copies of a new query missed inside one window), or to
-    //   a resident one (admitted while it waited: a background or another
-    //   client's round, or its probe ran out of budget) — it is dropped in
+    //   a resident one (admitted while it waited by another client's
+    //   round, or its probe ran out of budget) — it is dropped in
     //   favour of the entry already there.
     //
     // Both isomorphism checks prefilter on kind, fingerprint and node/edge
@@ -402,7 +409,7 @@ pub(crate) fn maintain(
         .collect();
     if admitted.is_empty() {
         // Nothing to add; every shard stays as-is (no patch, no swap).
-        return record_round(shared, t0);
+        return shared.maint_counters.record_round(t0);
     }
 
     // (2) Select victims as needed. The candidate rows are assembled from
@@ -524,51 +531,7 @@ pub(crate) fn maintain(
         shards_patched,
         compactions,
     );
-    record_round(shared, t0)
-}
-
-/// Books one finished maintenance round into the overhead counters and
-/// returns its wall time (the Fig. 10 metric).
-fn record_round(shared: &Shared, t0: Instant) -> Duration {
-    let elapsed = t0.elapsed();
-    shared
-        .maintenance_us
-        .fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
-    shared.maintenance_rounds.fetch_add(1, Ordering::Relaxed);
-    elapsed
-}
-
-/// Message protocol of the background Window Manager thread.
-pub(crate) enum MaintMsg {
-    /// A full window to process.
-    Batch(Vec<WindowEntry>, QuerySerial),
-    /// Barrier: reply when all prior batches are done.
-    Sync(mpsc::Sender<()>),
-}
-
-/// Spawns the background Window Manager thread (paper §6.2: "implemented as
-/// a separate thread").
-pub(crate) fn spawn_manager(
-    shared: Arc<Shared>,
-    capacity: usize,
-) -> (mpsc::Sender<MaintMsg>, std::thread::JoinHandle<()>) {
-    let (tx, rx) = mpsc::channel::<MaintMsg>();
-    let handle = std::thread::Builder::new()
-        .name("gc-window-manager".into())
-        .spawn(move || {
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    MaintMsg::Batch(batch, now) => {
-                        maintain(&shared, capacity, batch, now);
-                    }
-                    MaintMsg::Sync(reply) => {
-                        let _ = reply.send(());
-                    }
-                }
-            }
-        })
-        .expect("spawn window manager");
-    (tx, handle)
+    shared.maint_counters.record_round(t0)
 }
 
 #[cfg(test)]
@@ -625,7 +588,6 @@ mod tests {
         assert_eq!(snap.len(), 2);
         assert!(snap.entry(1).is_some());
         assert!(s.stats.lock().contains_row(1));
-        assert_eq!(s.maintenance_rounds.load(Ordering::Relaxed), 1);
         let m = s.maint_stats();
         assert_eq!(m.rounds, 1);
         assert_eq!(m.entries_admitted, 2);
@@ -825,7 +787,7 @@ mod tests {
             assert!(snap.entry(t * 10 + 1).is_some());
             assert!(snap.entry(t * 10 + 2).is_some());
         }
-        assert_eq!(s.maintenance_rounds.load(Ordering::Relaxed), 4);
+        assert_eq!(s.maint_stats().rounds, 4);
     }
 
     /// A batch entry isomorphic to a live entry or to an earlier entry of
@@ -863,18 +825,5 @@ mod tests {
         maintain(&s, 2, vec![entry_with(6, path([5, 6, 7]), 1.0)], 6);
         assert_eq!(before, Arc::as_ptr(&s.load_snapshot().shards()[0]));
         assert_eq!(s.maint_stats().entries_admitted, 3);
-    }
-
-    #[test]
-    fn background_manager_processes_batches() {
-        let s = Arc::new(shared());
-        let (tx, handle) = spawn_manager(s.clone(), 10);
-        tx.send(MaintMsg::Batch(vec![entry(1, 1.0)], 1)).unwrap();
-        let (rtx, rrx) = mpsc::channel();
-        tx.send(MaintMsg::Sync(rtx)).unwrap();
-        rrx.recv().unwrap();
-        assert_eq!(s.load_snapshot().len(), 1);
-        drop(tx);
-        handle.join().unwrap();
     }
 }

@@ -44,8 +44,8 @@ pub trait Executor {
     /// Answers query `id` (its workload position) and returns its record.
     fn query(&mut self, id: usize, graph: &LabeledGraph) -> Result<QueryRecord, String>;
 
-    /// Folds pending maintenance in and returns the settled stats, named
-    /// as [`SETTLED_COUNTERS`] names them (extra keys are ignored).
+    /// Returns the stats after the last query, named as
+    /// [`SETTLED_COUNTERS`] names them (extra keys are ignored).
     fn settle(&mut self) -> Result<Vec<(String, u64)>, String>;
 }
 
@@ -84,7 +84,6 @@ impl Executor for GraphCache {
     }
 
     fn settle(&mut self) -> Result<Vec<(String, u64)>, String> {
-        self.flush_pending();
         Ok(settled_stats(self))
     }
 }

@@ -112,8 +112,8 @@ impl MethodKind {
 
 enum FilterSpec {
     None,
-    Ggsx(GgsxConfig),
-    Ct(CtConfig),
+    Ggsx,
+    Ct,
 }
 
 /// Fluent builder for [`Method`] instances.
@@ -139,20 +139,10 @@ impl MethodBuilder {
     pub fn ggsx() -> Self {
         MethodBuilder {
             name: "GGSX".into(),
-            filter: FilterSpec::Ggsx(GgsxConfig::default()),
+            filter: FilterSpec::Ggsx,
             verifier: MatcherKind::Vf2,
             threads: 1,
             match_config: MatchConfig::UNBOUNDED,
-        }
-    }
-
-    /// GraphGrepSX with an explicit index configuration (the §7.3 ablation
-    /// uses path length 5).
-    pub fn ggsx_with(cfg: GgsxConfig) -> Self {
-        MethodBuilder {
-            name: "GGSX".into(),
-            filter: FilterSpec::Ggsx(cfg),
-            ..Self::ggsx()
         }
     }
 
@@ -173,7 +163,7 @@ impl MethodBuilder {
     pub fn ct_index() -> Self {
         MethodBuilder {
             name: "CT-Index".into(),
-            filter: FilterSpec::Ct(CtConfig::default()),
+            filter: FilterSpec::Ct,
             verifier: MatcherKind::Vf2Plus,
             threads: 1,
             match_config: MatchConfig::UNBOUNDED,
@@ -206,12 +196,6 @@ impl MethodBuilder {
         }
     }
 
-    /// Overrides the verifier algorithm.
-    pub fn verifier(mut self, kind: MatcherKind) -> Self {
-        self.verifier = kind;
-        self
-    }
-
     /// Overrides the verification thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -221,12 +205,6 @@ impl MethodBuilder {
     /// Sets per-test search limits (used by benches as a hang guard).
     pub fn match_config(mut self, cfg: MatchConfig) -> Self {
         self.match_config = cfg;
-        self
-    }
-
-    /// Overrides the display name.
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
         self
     }
 
@@ -241,8 +219,8 @@ impl MethodBuilder {
     pub fn build_arc(self, dataset: Arc<GraphDataset>) -> Method {
         let filter: Option<Box<dyn FilterIndex>> = match self.filter {
             FilterSpec::None => None,
-            FilterSpec::Ggsx(cfg) => Some(Box::new(PathTrie::build(&dataset, cfg))),
-            FilterSpec::Ct(cfg) => Some(Box::new(CtIndex::build(&dataset, cfg))),
+            FilterSpec::Ggsx => Some(Box::new(PathTrie::build(&dataset, GgsxConfig::default()))),
+            FilterSpec::Ct => Some(Box::new(CtIndex::build(&dataset, CtConfig::default()))),
         };
         let matcher: Arc<dyn Matcher> = self.verifier.build().into();
         Method {
@@ -277,14 +255,8 @@ mod tests {
     #[test]
     fn builder_overrides() {
         let d = tiny();
-        let m = MethodBuilder::ggsx()
-            .verifier(MatcherKind::GraphQl)
-            .threads(3)
-            .name("custom")
-            .build(&d);
-        assert_eq!(m.name(), "custom");
+        let m = MethodBuilder::ggsx().threads(3).build(&d);
         assert_eq!(m.threads(), 3);
-        assert_eq!(m.matcher().name(), "GQL");
     }
 
     #[test]

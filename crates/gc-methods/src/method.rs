@@ -136,8 +136,8 @@ impl Method {
     /// The one filtering entry point, both directions. `features` is the
     /// query's path enumeration when the caller already holds one; the
     /// index reads it when it covers [`path_shape`](Self::path_shape) and
-    /// enumerates the query itself otherwise (a different path length, as
-    /// in the §7.3 ablation, or too small a work cap). Indexes that support
+    /// enumerates the query itself otherwise (an enumeration of shorter
+    /// paths, or under a smaller work cap). Indexes that support
     /// the supergraph direction (the path-based ones) prune it too;
     /// otherwise supergraph queries fall back to the full dataset, which
     /// stays sound.

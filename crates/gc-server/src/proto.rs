@@ -149,9 +149,10 @@ pub enum StatsScope {
     Global,
     /// The requesting session's own counters.
     Mine,
-    /// Global counters after folding pending maintenance into the cache
-    /// (`flush_pending`), so the maintenance/cache-shape counters describe
-    /// a settled store — what `gc bench --serve` compares.
+    /// The global counters, as [`Global`](Self::Global) returns them. A
+    /// maintenance round finishes before the query that ran it is
+    /// answered, so nothing is left to settle; the token stays because
+    /// `gc bench --serve` and the benchmark send it.
     Settle,
 }
 

@@ -281,10 +281,7 @@ impl Shared {
     /// The `STATS` payload: query counters first (harness naming), then
     /// maintenance + cache shape (the same extension order as the
     /// harness runner), then serve-level gauges.
-    fn global_stats(&self, settle: bool) -> Vec<(String, u64)> {
-        if settle {
-            self.cache.flush_pending();
-        }
+    fn global_stats(&self) -> Vec<(String, u64)> {
         let run = *self.global.lock().expect("stats lock");
         let mut out: Vec<(String, u64)> = run
             .deterministic_counters()
@@ -814,10 +811,10 @@ impl Session {
                     .collect();
                 send(conn, &Response::Stats(counters))
             }
-            Request::Stats(scope) => {
-                let settle = scope == StatsScope::Settle;
-                send(conn, &Response::Stats(self.shared.global_stats(settle)))
-            }
+            // `scope=settle` reads the global counters too: a round runs on
+            // the thread of the query that fills the Window, so once that
+            // query is answered there is no maintenance left to wait for.
+            Request::Stats(_) => send(conn, &Response::Stats(self.shared.global_stats())),
             Request::Hold => {
                 if self.holding {
                     return send(

@@ -43,7 +43,7 @@
 //! gc workload --dataset aids.txt --kind zz --count 200 --out queries.txt
 //! gc query --dataset aids.txt --queries queries.txt --method ggsx --eviction hd
 //! gc query --dataset aids.txt --queries queries.txt --eviction slru:protected=0.5 --admission adaptive
-//! gc query --dataset aids.txt --queries queries.txt --threads 8 --background
+//! gc query --dataset aids.txt --queries queries.txt --threads 8 --maint-stats
 //! ```
 
 use graphcache::core::{
@@ -114,7 +114,6 @@ const CACHE_OPTS: &[Opt] = &[
     ("fragments", "on|off", "the sub-query fragment cache (default off)"),
     ("fragment-budget", "BYTES", "byte budget of the fragment store (default 1 MiB)"),
     ("fragment-eviction", "SPEC", "eviction policy of the fragment store, any --eviction spec (default lru)"),
-    ("background", "", "run the Window Manager on a background thread"),
     ("restore", "DIR", "preload the cache from a snapshot saved to DIR"),
 ];
 
@@ -556,7 +555,6 @@ fn builder_from_opts(opts: &Opts) -> Result<GraphCacheBuilder, CliError> {
         .capacity(opts.num("capacity", 100)?)
         .window(opts.num("window", 20)?)
         .query_kind(opts.kind().unwrap_or_default())
-        .background(opts.has("background"))
         .threads(opts.num("threads", 1)?)
         .shards(opts.num("shards", 0)?)
         // `--fragments on|off` takes a value, so `--fragments "$MODE"` stays
@@ -764,7 +762,6 @@ fn cmd_query(opts: &Opts) -> CliResult {
         records.len() as f64 / wall.as_secs_f64().max(1e-9)
     );
     if opts.has("maint-stats") {
-        cache.flush_pending();
         let m = cache.maint_stats();
         say!(
             "maintenance: {} rounds | total {:.1} ms | victim select {:.1} ms | \

@@ -97,25 +97,6 @@ fn gc_matches_baseline_with_admission_control() {
 }
 
 #[test]
-fn gc_matches_baseline_in_background_mode() {
-    let d = small_dataset();
-    let workload = generate_type_a(&d, &TypeAConfig::zz(1.4).count(80).seed(7));
-    let method = MethodBuilder::ggsx().build(&d);
-    let baseline = MethodBuilder::ggsx().build(&d);
-    let cache = GraphCache::builder()
-        .capacity(12)
-        .window(4)
-        .background(true)
-        .build(method);
-    for q in workload.graphs() {
-        let expected = baseline.run(q).answer;
-        assert_eq!(cache.run(q).answer, expected);
-    }
-    cache.flush_pending();
-    assert!(cache.cache_len() <= 12);
-}
-
-#[test]
 fn exact_repeats_answered_identically_from_cache() {
     let d = small_dataset();
     let workload = generate_type_a(&d, &TypeAConfig::uu().count(10).seed(8));

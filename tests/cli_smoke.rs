@@ -439,6 +439,24 @@ fn exit_codes_are_distinct() {
         stderr.contains("available"),
         "unknown fragment policy lists the registry: {stderr}"
     );
+    // The Window Manager runs inline only: --background is an unknown
+    // option, refused by name, never silently ignored.
+    let out = assert_exit(
+        &[
+            "query",
+            "--dataset",
+            &dataset,
+            "--queries",
+            &queries,
+            "--background",
+        ],
+        2,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option --background"),
+        "--background: {stderr}"
+    );
     // --fragments only takes on|off.
     assert_exit(
         &[
@@ -735,7 +753,7 @@ fn closed_stdout_ends_gc_quietly() {
 #[test]
 fn help_lists_every_option_of_each_subcommand() {
     const CACHE: &str = "method eviction admission capacity window threads shards \
-        verify-budget fragments fragment-budget fragment-eviction supergraph background restore";
+        verify-budget fragments fragment-budget fragment-eviction supergraph restore";
     let rows: [(&[&str], String); 9] = [
         (&["generate"], "profile scale seed out".into()),
         (&["stats"], String::new()),

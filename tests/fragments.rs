@@ -105,7 +105,6 @@ fn overflow_disables_fragment_pruning() {
             assert_eq!(r.answer, baseline.run(&q).answer);
         }
     }
-    cache.flush_pending();
     assert_eq!(
         cache.fragment_store_len(),
         0,
@@ -128,7 +127,6 @@ fn save_restore_preserves_fragment_store() {
     for q in workload.graphs() {
         cache.run(q);
     }
-    cache.flush_pending();
     let stored = cache.fragment_store_len();
     assert!(stored > 0, "the workload must populate the fragment store");
     cache.save(&dir).expect("save");

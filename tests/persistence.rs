@@ -91,22 +91,81 @@ fn restored_serials_do_not_collide() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Saves race client-thread rounds, as `gc serve --snapshot-every` does:
+/// while four clients run queries (each running the maintenance round its
+/// own miss triggers), the main thread saves several generations into one
+/// directory. Every generation loads, holds entries and statistics rows of
+/// the same serial set, and restores into a fresh cache that passes
+/// `check_invariants`; every client answer equals uncached Method M's.
 #[test]
-fn save_flushes_background_maintenance() {
+fn save_races_client_thread_rounds() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const CLIENTS: usize = 4;
+    const SAVES: usize = 6;
     let d = datasets::aids_like(0.04, 323);
-    let workload = generate_type_a(&d, &TypeAConfig::zz(1.4).count(20).seed(5));
-    let dir = tmpdir("background");
-    let gc = GraphCache::builder()
-        .capacity(15)
-        .window(4)
-        .background(true)
-        .build(MethodBuilder::ggsx().build(&d));
-    for q in workload.graphs() {
-        gc.run(q);
-    }
-    gc.save(&dir).unwrap();
-    let persisted = PersistedCache::load_resilient(&dir).unwrap().state;
-    assert_eq!(persisted.entries.len(), gc.cache_len());
+    let workload = generate_type_a(&d, &TypeAConfig::uu().count(60).seed(5));
+    let baseline = MethodBuilder::ggsx().build(&d);
+    let expected: Vec<Vec<GraphId>> = workload.graphs().map(|q| baseline.run(q).answer).collect();
+    let queries: Vec<&LabeledGraph> = workload.graphs().collect();
+    let dir = tmpdir("racing-rounds");
+    let build = || {
+        GraphCache::builder()
+            .capacity(10)
+            .window(3)
+            .build(MethodBuilder::ggsx().build(&d))
+    };
+    let gc = build();
+    let stop = AtomicBool::new(false);
+    let next = AtomicUsize::new(0);
+    let mut generations = Vec::new();
+    std::thread::scope(|s| {
+        for _ in 0..CLIENTS {
+            let handle = gc.clone();
+            let (queries, expected, stop, next) = (&queries, &expected, &stop, &next);
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let i = next.fetch_add(1, Ordering::Relaxed) % queries.len();
+                    assert_eq!(handle.run(queries[i]).answer, expected[i], "query {i}");
+                }
+            });
+        }
+        // Stops the clients however the saves end, so a failed assertion
+        // below fails the test instead of leaving it waiting on them.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let _stop = StopOnDrop(&stop);
+        for _ in 0..SAVES {
+            // Each save follows at least one more round, so every
+            // generation is taken from a cache the clients are changing.
+            let rounds = gc.maint_stats().rounds;
+            let t0 = std::time::Instant::now();
+            while gc.maint_stats().rounds == rounds {
+                assert!(t0.elapsed().as_secs() < 60, "no round within 60 s");
+                std::thread::yield_now();
+            }
+            gc.save(&dir).unwrap();
+            let recovered = PersistedCache::load_resilient(&dir).unwrap();
+            generations.push(recovered.generation);
+            let state = recovered.state;
+            let mut entries: Vec<u64> = state.entries.iter().map(|e| e.0).collect();
+            entries.sort_unstable();
+            let rows: Vec<u64> = state.stats.rows().iter().map(|r| r.serial).collect();
+            assert_eq!(entries, rows, "generation {:?}", recovered.generation);
+            let fresh = build();
+            let report = fresh.restore(&dir).unwrap();
+            assert_eq!(report.entries, entries.len());
+            assert_eq!(fresh.check_invariants(), Ok(()));
+        }
+    });
+    assert!(
+        generations.windows(2).all(|w| w[0] < w[1]) && generations[0].is_some(),
+        "every save commits a new generation: {generations:?}"
+    );
+    assert_eq!(gc.check_invariants(), Ok(()));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -123,7 +182,6 @@ fn warmed_cache(seed: u64, count: usize, capacity: usize) -> (GraphCache, GraphD
     for q in workload.graphs() {
         gc.run(q);
     }
-    gc.flush_pending();
     (gc, d)
 }
 

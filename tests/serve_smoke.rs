@@ -91,7 +91,6 @@ fn served_counters_match_in_process_run_batch() {
         .into_iter()
         .map(|resp| resp.result.record)
         .collect();
-    reference.flush_pending();
 
     // Served replay of the same workload on an identical cache.
     let socket = socket_path("parity");
