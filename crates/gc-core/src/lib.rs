@@ -71,6 +71,7 @@
 
 pub mod admission;
 mod cache;
+mod config;
 pub mod entry;
 mod fragments;
 pub mod invariants;
@@ -80,8 +81,10 @@ pub mod policies;
 pub mod policy;
 pub mod processors;
 pub mod pruner;
+mod query;
 pub mod query_index;
 pub mod registry;
+mod request;
 pub mod snapshot_bin;
 pub mod staged;
 pub mod stats;
@@ -90,10 +93,8 @@ pub mod window;
 pub use admission::{
     AdaptiveAdmission, AdmissionConfig, AdmissionControl, AdmissionPolicy, AdmitAll,
 };
-pub use cache::{
-    GcConfig, GraphCache, GraphCacheBuilder, QueryRequest, QueryResponse, QueryResult,
-    RestoreReport,
-};
+pub use cache::GraphCache;
+pub use config::{GcConfig, GraphCacheBuilder};
 pub use entry::{shard_for, CacheEntry, CacheSnapshot, Shard};
 pub use gc_fragments::FragmentConfig;
 pub use gc_methods::QueryKind;
@@ -102,7 +103,8 @@ pub use metrics::{MaintStats, QueryRecord, RouteCounters, RunCounters};
 #[doc(hidden)]
 pub use persist::PersistFormat;
 pub use persist::{
-    DatasetIdentity, PersistedCache, PersistedEntry, RecoveredSnapshot, StoredProfiles,
+    DatasetIdentity, PersistedCache, PersistedEntry, RecoveredSnapshot, RestoreReport,
+    StoredProfiles,
 };
 pub use policies::{GreedyDual, SegmentedLru};
 pub use policy::{EvictionPolicy, PolicyKind, PolicyRow, PolicyView};
@@ -112,6 +114,7 @@ pub use processors::{
 };
 pub use query_index::{Probe, QUERY_INDEX_SHAPE};
 pub use registry::PolicyError;
+pub use request::{QueryRequest, QueryResponse, QueryResult};
 pub use staged::{FaultIo, FaultMode, Manifest, RealIo, SnapshotIo};
 pub use stats::{QuerySerial, StatsStore};
 pub use window::WindowEntry;

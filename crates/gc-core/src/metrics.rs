@@ -9,11 +9,14 @@ use std::time::Duration;
 pub struct QueryRecord {
     /// Query serial.
     pub serial: QuerySerial,
-    /// Method M filtering time.
+    /// Method M's own filter time (zero on an exact hit).
     pub m_filter: Duration,
-    /// GraphCache processor time (index probe + hit verification).
+    /// GraphCache's filter time: the exact probe and, on a miss, path
+    /// enumeration and the hit sweep, but not Method M's filter between
+    /// them. On an exact hit it also covers the answer copy and the §5.2
+    /// saving's memo.
     pub gc_filter: Duration,
-    /// Verification time over the pruned candidate set.
+    /// Method M's verification of the pruned candidate set.
     pub verify: Duration,
     /// Cache maintenance time attributed to this query: the round it ran
     /// because its miss filled the Window (zero for every other query).
@@ -57,21 +60,25 @@ pub struct QueryRecord {
     pub fragment_hits: u64,
     /// Candidates removed by intersecting fragment occurrence sets.
     pub fragment_pruned: u64,
-    /// The query's wall-clock deadline expired mid-execution: the sweep
-    /// was aborted and the answer discarded (the daemon maps this to
-    /// `ERR code=deadline`). Implies [`truncated`](Self::truncated).
+    /// The query's wall-clock deadline expired mid-execution: it was
+    /// aborted at the next stage boundary (or sweep test) with an empty
+    /// answer, and its durations cover only the stages that ran (the
+    /// daemon maps this to `ERR code=deadline`). Implies
+    /// [`truncated`](Self::truncated).
     pub deadline_exceeded: bool,
 }
 
 impl QueryRecord {
-    /// Total query latency: filtering (M + GC) + verification +
-    /// inline maintenance.
+    /// The four durations summed: filtering (M + GC), verification and
+    /// inline maintenance. Pruning, fragment narrowing, credit, the
+    /// admission observation and a Window push that runs no round fall in
+    /// none, so this is not all the latency.
     pub fn total(&self) -> Duration {
         self.m_filter + self.gc_filter + self.verify + self.maintenance
     }
 
-    /// Query time excluding maintenance (the per-query cost the paper plots
-    /// next to the overhead bars in Fig. 10).
+    /// [`total`](Self::total) without maintenance (the per-query cost the
+    /// paper plots next to the overhead bars in Fig. 10).
     pub fn query_time(&self) -> Duration {
         self.m_filter + self.gc_filter + self.verify
     }

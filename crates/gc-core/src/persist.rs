@@ -26,12 +26,14 @@ use crate::entry::{CacheEntry, CacheSnapshot};
 use crate::query_index::QUERY_INDEX_SHAPE;
 use crate::staged::{Generation, Manifest, SNAPSHOT_FILE};
 use crate::stats::{QuerySerial, StatsStore};
+use crate::GraphCache;
 use gc_graph::{GraphDataset, GraphError, GraphId};
 use gc_index::fingerprint::{fnv1a, fnv1a_continue};
 use gc_index::paths::{enumerate_paths, PathProfile, PathShape};
 use gc_methods::QueryKind;
 use gc_subiso::Matcher;
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// The on-disk representation: `snapshot.bin` is the only one. Exists
@@ -380,6 +382,199 @@ impl PersistedCache {
             self.stats,
             self.next_serial,
         )
+    }
+}
+
+/// What [`GraphCache::restore`] recovered: which snapshot generation it
+/// came from and how many entries landed in the cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RestoreReport {
+    /// Sequence number of the generation the state was loaded from, or
+    /// `None` for a manifest-less directory (its flat `snapshot.bin`).
+    pub generation: Option<u64>,
+    /// Number of entries in the cache after the restore.
+    pub entries: usize,
+}
+
+impl GraphCache {
+    /// Persists the cache contents and statistics to a directory (paper
+    /// §6.1: stores are "written back to disk on shutdown of the Cache
+    /// Manager subsystem"). The Window's not-yet-admitted queries are not
+    /// persisted (they never reached the cache stores).
+    ///
+    /// The entry snapshot, statistics rows and serial counter are captured
+    /// under the maintenance lock, so a maintenance round racing the save
+    /// cannot produce a file whose entries and statistics disagree (an
+    /// entry without its rows, or orphan rows for an unsaved entry).
+    ///
+    /// The save is one `snapshot.bin` generation committed through the
+    /// crash-safe staged writer (see the module docs). It also captures
+    /// every entry's path-feature profile, so a restore under the same
+    /// index configuration skips path re-enumeration entirely, and the
+    /// dataset's identity, so a restore over another dataset is refused.
+    pub fn save(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
+        let dataset = DatasetIdentity::of(self.method.dataset());
+        let persisted = {
+            let _round = self.shared.maint.lock();
+            let snapshot = self.shared.load_snapshot();
+            PersistedCache {
+                entries: snapshot
+                    .iter_entries()
+                    .map(|e| {
+                        (
+                            e.serial,
+                            e.graph.as_ref().clone(),
+                            e.answer.clone(),
+                            e.kind,
+                            e.fingerprint,
+                        )
+                    })
+                    .collect(),
+                stats: self.shared.stats.lock().clone(),
+                next_serial: self.shared.current_serial() + 1,
+                policy: Some(self.eviction_name()),
+                dataset,
+                fragments: self
+                    .shared
+                    .fragments
+                    .as_ref()
+                    .map(|f| {
+                        f.store
+                            .lock()
+                            .iter_sorted()
+                            .into_iter()
+                            .map(|sf| PersistedFragment {
+                                key: sf.key,
+                                graph: sf.graph.clone(),
+                                occs: sf.occs.clone(),
+                                hits: sf.hits,
+                                last_hit: sf.last_hit,
+                                r_total: sf.r_total,
+                                c_total: sf.c_total,
+                            })
+                            .collect()
+                    })
+                    .unwrap_or_default(),
+                profiles: Some(StoredProfiles {
+                    shape: QUERY_INDEX_SHAPE,
+                    profiles: snapshot.iter_entries().map(|e| e.profile.clone()).collect(),
+                }),
+            }
+        };
+        // File IO happens after the lock is released.
+        persisted.save(dir)
+    }
+
+    /// [`save`](Self::save) under its earlier name. Its only caller is the
+    /// `perf/src/replay.rs` benchmark, which a later change moves to
+    /// `save`, deleting this and [`PersistFormat`](PersistFormat).
+    #[doc(hidden)]
+    pub fn save_with_format(
+        &self,
+        dir: impl AsRef<Path>,
+        _format: PersistFormat,
+    ) -> std::io::Result<()> {
+        self.save(dir)
+    }
+
+    /// Restores a previously saved cache state into this instance (paper
+    /// §6.1: stores are "loaded from disk on startup"); the query index is
+    /// rebuilt from the loaded entries. A snapshot saved over another
+    /// dataset than this cache's method serves, or by an earlier release,
+    /// is refused with [`GraphError::Snapshot`](gc_graph::GraphError) and
+    /// leaves the cache as it was. Of isomorphic entries of one kind
+    /// only the smallest serial is kept; the others are dropped with their
+    /// statistics rows (snapshots written while exact repeats were still
+    /// re-admitted hold such copies).
+    ///
+    /// Takes `&self` — restoring into a live service is safe: the restore
+    /// serialises with maintenance rounds, and each shard swaps atomically
+    /// under its own lock. A query racing the restore may assemble a view mixing
+    /// pre-restore and restored shards; since every serial routes to
+    /// exactly one shard such a view is merely an intermediate cache
+    /// state (answers are unaffected — the cache only removes work).
+    /// Pre-restore queries still waiting in the Window
+    /// are discarded (mirroring [`save`](Self::save), which never
+    /// persists them); a batch another client has already taken from the
+    /// Window for its round races the restore — depending on which
+    /// acquires the maintenance lock first, the batch is either discarded
+    /// with the pre-restore state or applied on top of the restored
+    /// snapshot (with duplicate serials dropped in the restored entries'
+    /// favour). A query
+    /// straddling the swap may briefly pair the new snapshot with
+    /// pre-restore statistics, which only affects replacement-policy
+    /// bookkeeping, never answers. The serial counter only moves forward
+    /// (`max` with the restored value), so in-flight serials stay unique.
+    pub fn restore(&self, dir: impl AsRef<Path>) -> Result<RestoreReport, gc_graph::GraphError> {
+        // Generation-aware recovery: when a checksum-valid MANIFEST is
+        // present the newest intact generation wins (falling back to the
+        // previous one if the newest is damaged); manifest-less
+        // directories restore their flat `snapshot.bin`.
+        let recovered = PersistedCache::load_resilient(dir)?;
+        let generation = recovered.generation;
+        let mut loaded = recovered.state;
+        loaded.check_dataset(self.method.dataset())?;
+        loaded.drop_isomorphic_duplicates(self.method.matcher().as_ref());
+        let saved_policy = loaded.policy.clone();
+        let saved_fragments = std::mem::take(&mut loaded.fragments);
+        // The persisted format carries no shard layout: entries are
+        // re-routed into this instance's shard count on load.
+        let (snapshot, stats, next_serial) = loaded.into_snapshot_sharded(self.shared.shards.len());
+        let _round = self.shared.maint.lock();
+        // Pre-restore queries that never reached a maintenance round are
+        // dropped, not merged: their serials could collide with restored
+        // entries.
+        self.shared.window.lock().clear();
+        self.shared.install_snapshot(snapshot);
+        *self.shared.stats.lock() = stats;
+        self.shared
+            .serial
+            .fetch_max(next_serial.saturating_sub(1), Ordering::Relaxed);
+        // Policy-private state is never persisted, so whatever the policy
+        // accumulated in memory describes the *pre-restore* entries — and
+        // restored serials can collide with them (both counters start at
+        // 0). Reset unconditionally; the snapshot header only decides
+        // whether to warn: it records the eviction policy that accumulated
+        // the persisted statistics, and restoring those rows under a
+        // different policy is worth flagging even though the rows
+        // themselves are policy-agnostic. A snapshot that records no
+        // policy resets quietly.
+        {
+            let mut eviction = self.shared.eviction.lock();
+            if let Some(saved) = saved_policy.as_deref() {
+                if saved != eviction.name() {
+                    eprintln!(
+                        "gc-core: warning: snapshot was saved under eviction policy \
+                         {saved:?} but this cache runs {:?}; resetting policy-private state",
+                        eviction.name()
+                    );
+                }
+            }
+            eviction.reset();
+        }
+        // The fragment layer swaps to the persisted fragment set the same
+        // way. When this instance runs without the fragment layer,
+        // persisted fragments are dropped.
+        if let Some(frags) = &self.shared.fragments {
+            frags.install(saved_fragments);
+        }
+        self.shared
+            .recovered_generation
+            .store(generation.unwrap_or(0), Ordering::Relaxed);
+        Ok(RestoreReport {
+            generation,
+            entries: self.cache_len(),
+        })
+    }
+
+    /// The generation the cache was last [`restore`](Self::restore)d from,
+    /// or `None` when it never restored from a generational snapshot
+    /// (fresh cache, or a restore from a manifest-less directory).
+    pub fn recovered_generation(&self) -> Option<u64> {
+        match self.shared.recovered_generation.load(Ordering::Relaxed) {
+            0 => None,
+            g => Some(g),
+        }
     }
 }
 

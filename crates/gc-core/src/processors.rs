@@ -35,9 +35,9 @@
 //!    the sweep stops early once the request's hit budget
 //!    ([`VerifyOptions::max_hits`]) is satisfied.
 //!
-//! The query path (`GraphCache::run_overridden`) calls [`exact_probe`]
-//! and, on a miss, runs Method M's filter and hands its candidates and
-//! the probe's refutations to [`sweep`].
+//! The query pipeline (`query.rs`) calls [`exact_probe`] and, on a miss,
+//! runs Method M's filter and hands its candidates and the probe's
+//! refutations to [`sweep`].
 //! [`HitSet`] serial lists are always sorted, making the output canonical
 //! across shard counts. [`find_hits_naive`] keeps
 //! the original flat per-shard sweep, which tests every candidate, as the
@@ -483,8 +483,8 @@ fn hit_budget_met(hits: &HitSet, opts: &VerifyOptions) -> bool {
         .is_some_and(|m| hits.sub.len() + hits.super_.len() >= m)
 }
 
-/// True once the sweep's wall-clock deadline has passed.
-fn deadline_expired(opts: &VerifyOptions) -> bool {
+/// True once the request's wall-clock deadline has passed.
+pub(crate) fn deadline_expired(opts: &VerifyOptions) -> bool {
     opts.deadline
         .is_some_and(|d| std::time::Instant::now() >= d)
 }

@@ -28,12 +28,11 @@
 //! can hold a
 //! reference: a query's snapshot view (`Shared::load_snapshot`, one
 //! `Arc` per shard). The round's own view is dropped before the patch
-//! loop, and the query path drops its view before it pushes to the Window
-//! (`GraphCache::run_overridden` scopes it to the read phase), so the
-//! inline round a query triggers on its own thread always patches in
-//! place. Copy-on-write is left for a view that really is concurrent with
-//! the round: another client's query in flight. `cache.rs` pins both
-//! arms through the public path
+//! loop, and the query pipeline (`query.rs`) drops its view before the
+//! Window push, so the inline round a query triggers on its own thread
+//! always patches in place. Copy-on-write is left for a view that really
+//! is concurrent with the round: another client's query in flight.
+//! `cache.rs`'s tests pin both arms through the public path
 //! (`single_client_round_patches_shards_in_place`,
 //! `held_view_forces_copy_on_write_and_keeps_its_epoch`); the tests below
 //! call `maintain` directly and cannot see a view the caller holds.
