@@ -104,7 +104,6 @@ pub use metrics::{MaintStats, QueryRecord, RouteCounters, RunCounters};
 pub use persist::PersistFormat;
 pub use persist::{
     DatasetIdentity, PersistedCache, PersistedEntry, RecoveredSnapshot, RestoreReport,
-    StoredProfiles,
 };
 pub use policies::{GreedyDual, SegmentedLru};
 pub use policy::{EvictionPolicy, PolicyKind, PolicyRow, PolicyView};

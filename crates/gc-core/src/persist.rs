@@ -20,16 +20,18 @@
 //! Loading is strict: malformed input yields an error rather than a
 //! silently truncated cache. Saves of earlier releases are not read: a
 //! `GCSNAP01` image and an `entries.txt` text save both fail with a typed
-//! error that says to rebuild the cache.
+//! error that says to rebuild the cache, and so does a snapshot without
+//! path profiles or with profiles of another path shape than the query
+//! index's [`QUERY_INDEX_SHAPE`](crate::QUERY_INDEX_SHAPE): every entry's
+//! profile is restored as saved, never enumerated again.
 
 use crate::entry::{CacheEntry, CacheSnapshot};
-use crate::query_index::QUERY_INDEX_SHAPE;
 use crate::staged::{Generation, Manifest, SNAPSHOT_FILE};
 use crate::stats::{QuerySerial, StatsStore};
 use crate::GraphCache;
 use gc_graph::{GraphDataset, GraphError, GraphId};
 use gc_index::fingerprint::{fnv1a, fnv1a_continue};
-use gc_index::paths::{enumerate_paths, PathProfile, PathShape};
+use gc_index::paths::PathProfile;
 use gc_methods::QueryKind;
 use gc_subiso::Matcher;
 use std::path::Path;
@@ -46,35 +48,26 @@ pub enum PersistFormat {
     Binary,
 }
 
-/// Path-feature profiles captured at save time, so a restore can skip
-/// re-enumerating every entry graph's simple paths — the dominant cost of
-/// materialising a restored cache. The path shape they were enumerated
-/// under is recorded alongside; profiles are only reused when it is the
-/// query index's [`QUERY_INDEX_SHAPE`] (see
-/// [`PersistedCache::into_snapshot_sharded`]).
-#[derive(Debug, Clone)]
-pub struct StoredProfiles {
-    /// The path shape the profiles were enumerated under.
-    pub shape: PathShape,
-    /// One profile per entry, parallel to [`PersistedCache::entries`].
-    pub profiles: Vec<PathProfile>,
-}
-
 /// One persisted cache entry: serial, query graph, answer set, the query
-/// direction the answer was computed under, and the graph's iso
-/// fingerprint.
+/// direction the answer was computed under, the graph's iso fingerprint,
+/// and its path-feature profile under the query index's
+/// [`QUERY_INDEX_SHAPE`](crate::QUERY_INDEX_SHAPE). Storing the profile is
+/// what lets a restore skip re-enumerating every entry graph's simple
+/// paths, the dominant cost of standing a cache back up.
 pub type PersistedEntry = (
     QuerySerial,
     gc_graph::LabeledGraph,
     Vec<GraphId>,
     QueryKind,
     u64,
+    PathProfile,
 );
 
 /// Serialisable cache state: entries plus their statistics rows.
 #[derive(Debug, Default)]
 pub struct PersistedCache {
-    /// The cached queries with serials, answer sets and query kinds.
+    /// The cached queries with serials, answer sets, query kinds,
+    /// fingerprints and path profiles.
     pub entries: Vec<PersistedEntry>,
     /// The statistics rows.
     pub stats: StatsStore,
@@ -91,9 +84,6 @@ pub struct PersistedCache {
     /// The sub-query fragment store (empty for caches without the
     /// fragment layer).
     pub fragments: Vec<PersistedFragment>,
-    /// Path-feature profiles captured at save time, parallel to
-    /// `entries`; `None` when the state was saved without them.
-    pub profiles: Option<StoredProfiles>,
 }
 
 /// Which dataset a cache's graph ids index into: its graph count and an
@@ -297,16 +287,16 @@ impl PersistedCache {
     }
 
     /// Keeps one entry per isomorphism class and kind — the smallest
-    /// serial — and drops the others with their statistics rows (and
-    /// stored profiles). Snapshots written while exact repeats were still
-    /// re-admitted hold such copies, and a restored cache must satisfy the
-    /// same duplicates invariant as a live one.
+    /// serial — and drops the others with their statistics rows. Snapshots
+    /// written while exact repeats were still re-admitted hold such copies,
+    /// and a restored cache must satisfy the same duplicates invariant as a
+    /// live one.
     pub(crate) fn drop_isomorphic_duplicates(&mut self, matcher: &dyn Matcher) {
         let mut order: Vec<usize> = (0..self.entries.len()).collect();
         order.sort_unstable_by_key(|&i| self.entries[i].0);
         let repeats = crate::processors::isomorphic_repeats(
             order.iter().map(|&i| {
-                let (_, graph, _, kind, fingerprint) = &self.entries[i];
+                let (_, graph, _, kind, fingerprint, _) = &self.entries[i];
                 (*kind, *fingerprint, graph)
             }),
             matcher,
@@ -320,22 +310,8 @@ impl PersistedCache {
             keep[i] = false;
             self.stats.remove_row(self.entries[i].0);
         }
-        fn kept<T>(items: Vec<T>, keep: &[bool]) -> Vec<T> {
-            items
-                .into_iter()
-                .zip(keep)
-                .filter_map(|(item, &k)| k.then_some(item))
-                .collect()
-        }
-        self.entries = kept(std::mem::take(&mut self.entries), &keep);
-        // Profiles are parallel to the entries; a section that was not
-        // (and would be ignored on load) is dropped rather than realigned.
-        self.profiles = self.profiles.take().and_then(|mut stored| {
-            (stored.profiles.len() == keep.len()).then(|| {
-                stored.profiles = kept(std::mem::take(&mut stored.profiles), &keep);
-                stored
-            })
-        });
+        let mut keep = keep.into_iter();
+        self.entries.retain(|_| keep.next() == Some(true));
     }
 
     /// Materialises a [`CacheSnapshot`] with `shards` partitions from the
@@ -343,39 +319,24 @@ impl PersistedCache {
     /// startup path does). The on-disk format carries no shard layout —
     /// shard counts are runtime configuration, so a save taken under one
     /// count restores cleanly under any other; entries are re-routed by
-    /// serial hash on load.
+    /// serial hash on load. Each entry keeps its stored profile: the
+    /// decoder refuses a snapshot whose profiles were not enumerated under
+    /// [`QUERY_INDEX_SHAPE`](crate::QUERY_INDEX_SHAPE).
     pub fn into_snapshot_sharded(self, shards: usize) -> (CacheSnapshot, StatsStore, QuerySerial) {
-        // Stored profiles skip the per-entry path enumeration — but only
-        // when they were captured under the query index's path shape and
-        // cover every entry; anything else re-enumerates, so a stale or
-        // mismatched profile section can never poison the index.
-        let shape = QUERY_INDEX_SHAPE;
-        let stored = self
-            .profiles
-            .filter(|p| p.shape == shape && p.profiles.len() == self.entries.len());
-        let profiles: Vec<Option<PathProfile>> = match stored {
-            Some(p) => p.profiles.into_iter().map(Some).collect(),
-            None => vec![None; self.entries.len()],
-        };
         let entries: Vec<Arc<CacheEntry>> = self
             .entries
             .into_iter()
-            .zip(profiles)
-            .map(
-                |((serial, graph, answer, kind, fingerprint), stored_profile)| {
-                    let profile = stored_profile
-                        .unwrap_or_else(|| enumerate_paths(&graph, shape.max_len, shape.work_cap));
-                    Arc::new(CacheEntry {
-                        serial,
-                        graph: Arc::new(graph),
-                        answer,
-                        kind,
-                        profile,
-                        fingerprint,
-                        exact_saving: std::sync::OnceLock::new(),
-                    })
-                },
-            )
+            .map(|(serial, graph, answer, kind, fingerprint, profile)| {
+                Arc::new(CacheEntry {
+                    serial,
+                    graph: Arc::new(graph),
+                    answer,
+                    kind,
+                    profile,
+                    fingerprint,
+                    exact_saving: std::sync::OnceLock::new(),
+                })
+            })
             .collect();
         (
             CacheSnapshot::build_sharded(shards, entries),
@@ -409,9 +370,9 @@ impl GraphCache {
     ///
     /// The save is one `snapshot.bin` generation committed through the
     /// crash-safe staged writer (see the module docs). It also captures
-    /// every entry's path-feature profile, so a restore under the same
-    /// index configuration skips path re-enumeration entirely, and the
-    /// dataset's identity, so a restore over another dataset is refused.
+    /// every entry's path-feature profile, so a restore skips path
+    /// re-enumeration entirely, and the dataset's identity, so a restore
+    /// over another dataset is refused.
     pub fn save(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
         let dataset = DatasetIdentity::of(self.method.dataset());
         let persisted = {
@@ -427,6 +388,7 @@ impl GraphCache {
                             e.answer.clone(),
                             e.kind,
                             e.fingerprint,
+                            e.profile.clone(),
                         )
                     })
                     .collect(),
@@ -455,10 +417,6 @@ impl GraphCache {
                             .collect()
                     })
                     .unwrap_or_default(),
-                profiles: Some(StoredProfiles {
-                    shape: QUERY_INDEX_SHAPE,
-                    profiles: snapshot.iter_entries().map(|e| e.profile.clone()).collect(),
-                }),
             }
         };
         // File IO happens after the lock is released.
@@ -479,10 +437,12 @@ impl GraphCache {
 
     /// Restores a previously saved cache state into this instance (paper
     /// §6.1: stores are "loaded from disk on startup"); the query index is
-    /// rebuilt from the loaded entries. A snapshot saved over another
-    /// dataset than this cache's method serves, or by an earlier release,
-    /// is refused with [`GraphError::Snapshot`](gc_graph::GraphError) and
-    /// leaves the cache as it was. Of isomorphic entries of one kind
+    /// rebuilt from the loaded entries, each with the path profile the
+    /// snapshot stores. A snapshot saved over another dataset than this
+    /// cache's method serves, by an earlier release, or without profiles
+    /// under [`QUERY_INDEX_SHAPE`](crate::QUERY_INDEX_SHAPE), is refused
+    /// with [`GraphError::Snapshot`](gc_graph::GraphError) and leaves the
+    /// cache as it was. Of isomorphic entries of one kind
     /// only the smallest serial is kept; the others are dropped with their
     /// statistics rows (snapshots written while exact repeats were still
     /// re-admitted hold such copies).
@@ -582,8 +542,10 @@ impl GraphCache {
 mod tests {
     use super::*;
     use crate::policy::PolicyRow;
+    use crate::query_index::QUERY_INDEX_SHAPE;
     use gc_graph::LabeledGraph;
     use gc_index::fingerprint::iso_hash;
+    use gc_index::paths::enumerate_paths;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("gc-persist-{tag}-{}", std::process::id()));
@@ -604,8 +566,12 @@ mod tests {
         stats.admit(9);
         let g3 = LabeledGraph::from_parts(vec![0, 1, 0], &[(0, 1), (1, 2)]);
         let g9 = LabeledGraph::from_parts(vec![5], &[]);
-        let fp3 = iso_hash(&g3);
-        let fp9 = iso_hash(&g9);
+        let (fp3, fp9) = (iso_hash(&g3), iso_hash(&g9));
+        let shape = QUERY_INDEX_SHAPE;
+        let (p3, p9) = (
+            enumerate_paths(&g3, shape.max_len, shape.work_cap),
+            enumerate_paths(&g9, shape.max_len, shape.work_cap),
+        );
         PersistedCache {
             entries: vec![
                 (
@@ -614,8 +580,9 @@ mod tests {
                     vec![GraphId(0), GraphId(4)],
                     QueryKind::Subgraph,
                     fp3,
+                    p3,
                 ),
-                (9, g9, vec![], QueryKind::Supergraph, fp9),
+                (9, g9, vec![], QueryKind::Supergraph, fp9, p9),
             ],
             stats,
             next_serial: 42,
@@ -630,7 +597,6 @@ mod tests {
                 r_total: 9,
                 c_total: 2.25,
             }],
-            profiles: None,
         }
     }
 
@@ -675,37 +641,48 @@ mod tests {
         assert!(!sub.is_empty());
     }
 
-    /// Stored profiles are reused verbatim only when they were enumerated
-    /// under [`QUERY_INDEX_SHAPE`]; under any other shape every entry is
-    /// enumerated again.
+    /// Stored profiles are reused verbatim: a restored entry's profile is
+    /// the one the snapshot holds, never enumerated again.
     #[test]
     fn stored_profiles_are_reused_only_under_the_query_index_shape() {
-        let marked = vec![PathProfile::Overflow, PathProfile::Overflow];
-        for (shape, reused) in [
-            (QUERY_INDEX_SHAPE, true),
-            (
-                PathShape {
-                    max_len: 3,
-                    ..QUERY_INDEX_SHAPE
-                },
-                false,
-            ),
+        let mut state = sample();
+        for entry in &mut state.entries {
+            entry.5 = PathProfile::Overflow;
+        }
+        let (snap, _, _) = roundtripped("reused", &state).into_snapshot_sharded(2);
+        for (serial, ..) in &sample().entries {
+            assert_eq!(snap.entry(*serial).unwrap().profile, PathProfile::Overflow);
+        }
+    }
+
+    /// A snapshot whose header records no profiles (`u64::MAX`) or
+    /// profiles enumerated under another path shape than
+    /// [`QUERY_INDEX_SHAPE`] is refused with a typed error.
+    #[test]
+    fn profiles_under_another_shape_are_refused() {
+        let dir = tmpdir("other-shape");
+        let good = crate::snapshot_bin::encode(&sample());
+        let shape = QUERY_INDEX_SHAPE;
+        // The header's profile_max_len and profile_work_cap words.
+        for (at, word) in [
+            (24, u64::MAX),
+            (24, shape.max_len as u64 - 1),
+            (32, shape.work_cap + 1),
         ] {
-            let mut state = sample();
-            state.profiles = Some(StoredProfiles {
-                shape,
-                profiles: marked.clone(),
-            });
-            let (snap, _, _) = state.into_snapshot_sharded(2);
-            for (serial, graph, ..) in &sample().entries {
-                let expected = if reused {
-                    PathProfile::Overflow
-                } else {
-                    enumerate_paths(graph, QUERY_INDEX_SHAPE.max_len, QUERY_INDEX_SHAPE.work_cap)
-                };
-                assert_eq!(snap.entry(*serial).unwrap().profile, expected, "{shape:?}");
+            let mut image = good.clone();
+            image[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            let body_len = image.len() - 8;
+            let sum = fnv1a(&image[..body_len]);
+            image[body_len..].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(dir.join(SNAPSHOT_FILE), &image).unwrap();
+            match PersistedCache::load_resilient(&dir) {
+                Err(e @ GraphError::Snapshot { .. }) => {
+                    assert!(e.to_string().contains("profile"), "{e}")
+                }
+                other => panic!("header word {at} = {word} accepted: {other:?}"),
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

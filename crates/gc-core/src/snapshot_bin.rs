@@ -9,8 +9,8 @@
 //! magic            8 bytes   b"GCSNAP02"
 //! next_serial      u64 LE
 //! entry_count      u64 LE
-//! profile_max_len  u64 LE    u64::MAX when no profiles are stored
-//! profile_work_cap u64 LE    meaningful only when profiles are stored
+//! profile_max_len  u64 LE    path shape the profiles were enumerated
+//! profile_work_cap u64 LE    under: the query index's QUERY_INDEX_SHAPE
 //! section_count    u64 LE
 //! section table    section_count × (id u64, offset u64, len u64) LE;
 //!                  offsets are relative to the payload start
@@ -36,7 +36,7 @@
 //! | 10 | ANSWERS        | `u32` arena: all answer ids, entry-major        |
 //! | 12 | STATS          | `u64 × k` columns serial, hits, last_hit, r_total, c_total (`f64` bits), rows in ascending serial order; `k` = length / 40 |
 //! | 13 | FRAGMENTS      | `u64` count `m`; `u64 × m` columns key, hits, last_hit, r_total, c_total (`f64` bits); `u32 × m` columns occurrence lengths, node counts, edge counts; then the label, edge and occurrence arenas |
-//! | 14 | PROFILE_KEYS   | `u32` stream of keyed path profiles (optional)  |
+//! | 14 | PROFILE_KEYS   | `u32` stream of keyed path profiles             |
 //!
 //! Fragment graphs use the entry graphs' four columns (node counts, edge
 //! counts, label arena, edge arena), written and read by one helper. Id 11
@@ -55,22 +55,24 @@
 //! names that fold, so a future fold takes a new id and an old reader
 //! never misreads it. Storing profiles is what makes restore fast:
 //! materialisation reuses them instead of re-enumerating every graph's
-//! simple paths (the dominant cost of standing a cache back up), provided
-//! the restoring index configuration matches the one recorded in the
-//! header.
+//! simple paths (the dominant cost of standing a cache back up). Every
+//! image carries them, under the shape recorded in the header.
 //!
 //! Decoding is strict and never panics: truncation, a bad magic, a
 //! checksum mismatch or any malformed section yields
 //! [`GraphError::Snapshot`] with the offending byte offset. An image of
 //! the earlier format `GCSNAP01` is refused with a message that says to
-//! rebuild the cache.
+//! rebuild the cache, and so is one whose header records no profiles
+//! (`u64::MAX`, written by earlier releases for a state without them) or
+//! a shape other than [`QUERY_INDEX_SHAPE`].
 
-use crate::persist::{DatasetIdentity, PersistedCache, PersistedFragment, StoredProfiles};
+use crate::persist::{DatasetIdentity, PersistedCache, PersistedFragment};
 use crate::policy::PolicyRow;
+use crate::query_index::QUERY_INDEX_SHAPE;
 use crate::stats::StatsStore;
 use gc_graph::{GraphError, GraphId, LabeledGraph};
 use gc_index::fingerprint::fnv1a;
-use gc_index::paths::{PathProfile, PathShape};
+use gc_index::paths::PathProfile;
 use gc_methods::QueryKind;
 
 /// Format magic: "GC snapshot", format revision 02.
@@ -198,6 +200,24 @@ fn usage_columns(rows: &[Usage]) -> Vec<u8> {
         .collect()
 }
 
+/// The PROFILE_KEYS stream of `profiles` (see the module docs).
+fn profile_keys<'p>(profiles: impl Iterator<Item = &'p PathProfile>) -> Vec<u8> {
+    let mut out = Vec::new();
+    for profile in profiles {
+        match profile.counts() {
+            None => u32::MAX.put(&mut out),
+            Some(counts) => {
+                (counts.len() as u32).put(&mut out);
+                for &(key, count) in counts {
+                    key.put(&mut out);
+                    count.put(&mut out);
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Encodes the cache into the full `snapshot.bin` byte image.
 pub(crate) fn encode(cache: &PersistedCache) -> Vec<u8> {
     let entries = &cache.entries;
@@ -229,7 +249,7 @@ pub(crate) fn encode(cache: &PersistedCache) -> Vec<u8> {
         frags.iter().flat_map(|f| f.occs.iter().map(|id| id.0)),
     ));
 
-    let mut sections: Vec<(u64, Vec<u8>)> = vec![
+    let sections: Vec<(u64, Vec<u8>)> = vec![
         (SEC_META, meta),
         (SEC_SERIALS, bytes(entries.iter().map(|e| e.0))),
         (SEC_FINGERPRINTS, bytes(entries.iter().map(|e| e.4))),
@@ -248,32 +268,19 @@ pub(crate) fn encode(cache: &PersistedCache) -> Vec<u8> {
         ),
         (SEC_STATS, usage_columns(&stats)),
         (SEC_FRAGMENTS, fragments),
+        (SEC_PROFILE_KEYS, profile_keys(entries.iter().map(|e| &e.5))),
     ];
-    if let Some(stored) = &cache.profiles {
-        let mut out = Vec::new();
-        for profile in &stored.profiles {
-            match profile.counts() {
-                None => u32::MAX.put(&mut out),
-                Some(counts) => {
-                    (counts.len() as u32).put(&mut out);
-                    for &(key, count) in counts {
-                        key.put(&mut out);
-                        count.put(&mut out);
-                    }
-                }
-            }
-        }
-        sections.push((SEC_PROFILE_KEYS, out));
-    }
 
     // Assemble: header, section table, payload, checksum.
-    let (max_len, work_cap) = match &cache.profiles {
-        Some(stored) => (stored.shape.max_len as u64, stored.shape.work_cap),
-        None => (u64::MAX, 0),
-    };
+    let shape = QUERY_INDEX_SHAPE;
     let n = entries.len() as u64;
     let mut out = MAGIC.to_vec();
-    out.extend(bytes([cache.next_serial, n, max_len, work_cap]));
+    out.extend(bytes([
+        cache.next_serial,
+        n,
+        shape.max_len as u64,
+        shape.work_cap,
+    ]));
     out.extend(bytes([sections.len() as u64]));
     let mut offset = 0u64;
     for (id, section) in &sections {
@@ -490,7 +497,7 @@ pub(crate) fn decode(buf: &[u8]) -> Result<PersistedCache, GraphError> {
     let next_serial = cur.word("next_serial")?;
     let n = cur.word::<u64>("entry_count")? as usize;
     let profile_max_len: u64 = cur.word("profile_max_len")?;
-    let profile_work_cap = cur.word("profile_work_cap")?;
+    let profile_work_cap: u64 = cur.word("profile_work_cap")?;
     let section_count = cur.word::<u64>("section_count")? as usize;
 
     // The table is taken whole, so a section count past the bytes left is
@@ -504,6 +511,24 @@ pub(crate) fn decode(buf: &[u8]) -> Result<PersistedCache, GraphError> {
         payload: &body[cur.pos..],
         start: cur.pos,
     };
+
+    // Profiles are stored under the query index's path shape, or the
+    // image is refused.
+    let shape = QUERY_INDEX_SHAPE;
+    if profile_max_len == u64::MAX {
+        let why = "snapshot stores no path profiles, which this release requires — rebuild \
+                   the cache and save it again";
+        return Err(GraphError::snapshot(24, why));
+    }
+    if (profile_max_len, profile_work_cap) != (shape.max_len as u64, shape.work_cap) {
+        let why = format!(
+            "snapshot's path profiles were enumerated under max_len {profile_max_len}, \
+             work_cap {profile_work_cap}; this release's query index uses max_len {}, \
+             work_cap {} — rebuild the cache and save it again",
+            shape.max_len, shape.work_cap
+        );
+        return Err(GraphError::snapshot(24, why));
+    }
 
     // META: optional policy name, then the dataset identity.
     let (meta, meta_at) = s.get(SEC_META, "meta")?;
@@ -529,10 +554,13 @@ pub(crate) fn decode(buf: &[u8]) -> Result<PersistedCache, GraphError> {
     let answers: Vec<u32> = s.column(SEC_ANSWERS, "answers", total(&answer_lens))?;
     let edges_at = s.get(SEC_EDGES, "edges")?.1;
     let graphs = read_graphs([&label_counts, &edge_counts, &labels, &edges], edges_at)?;
+    // One profile per entry; the stream must end exactly at the section end.
+    let (b, at) = s.get(SEC_PROFILE_KEYS, "profile keys")?;
+    let profiles = read_profile_keys(b, at, n)?;
 
     let mut entries = Vec::with_capacity(n);
     let mut ao = 0usize;
-    for (i, graph) in graphs.into_iter().enumerate() {
+    for (i, (graph, profile)) in graphs.into_iter().zip(profiles).enumerate() {
         let kind = match kinds[i] {
             0 => QueryKind::Subgraph,
             1 => QueryKind::Supergraph,
@@ -545,24 +573,8 @@ pub(crate) fn decode(buf: &[u8]) -> Result<PersistedCache, GraphError> {
         let answer = answers[ao..ao + answer_lens[i] as usize].iter();
         ao += answer_lens[i] as usize;
         let answer = answer.map(|&id| GraphId(id)).collect();
-        entries.push((serials[i], graph, answer, kind, fingerprints[i]));
+        entries.push((serials[i], graph, answer, kind, fingerprints[i], profile));
     }
-
-    // Profiles (optional): one per entry, the stream must terminate exactly
-    // at the section end.
-    let profiles = match profile_max_len {
-        u64::MAX => None,
-        max_len => {
-            let (b, at) = s.get(SEC_PROFILE_KEYS, "profile keys")?;
-            Some(StoredProfiles {
-                shape: PathShape {
-                    max_len: max_len as usize,
-                    work_cap: profile_work_cap,
-                },
-                profiles: read_profile_keys(b, at, n)?,
-            })
-        }
-    };
 
     let mut stats = StatsStore::new();
     let (b, at) = s.get(SEC_STATS, "stats")?;
@@ -577,18 +589,16 @@ pub(crate) fn decode(buf: &[u8]) -> Result<PersistedCache, GraphError> {
         policy: (!policy.is_empty()).then(|| policy.to_string()),
         dataset,
         fragments: read_fragments(b, at)?,
-        profiles,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query_index::QUERY_INDEX_SHAPE;
     use gc_index::fingerprint::iso_hash;
     use gc_index::paths::enumerate_paths;
 
-    fn sample(with_profiles: bool) -> PersistedCache {
+    fn sample() -> PersistedCache {
         let mut stats = StatsStore::new();
         stats.insert(PolicyRow {
             serial: 3,
@@ -602,10 +612,7 @@ mod tests {
         let g9 = LabeledGraph::from_parts(vec![5], &[]);
         let fp3 = iso_hash(&g3);
         let fp9 = iso_hash(&g9);
-        let profiles = with_profiles.then(|| StoredProfiles {
-            shape: QUERY_INDEX_SHAPE,
-            profiles: vec![enumerate_paths(&g3, 4, 5_000_000), PathProfile::Overflow],
-        });
+        let p3 = enumerate_paths(&g3, 4, 5_000_000);
         PersistedCache {
             entries: vec![
                 (
@@ -614,8 +621,16 @@ mod tests {
                     vec![GraphId(0), GraphId(4)],
                     QueryKind::Subgraph,
                     fp3,
+                    p3,
                 ),
-                (9, g9, vec![], QueryKind::Supergraph, fp9),
+                (
+                    9,
+                    g9,
+                    vec![],
+                    QueryKind::Supergraph,
+                    fp9,
+                    PathProfile::Overflow,
+                ),
             ],
             stats,
             next_serial: 42,
@@ -644,7 +659,6 @@ mod tests {
                     c_total: 0.0,
                 },
             ],
-            profiles,
         }
     }
 
@@ -707,40 +721,58 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_everything() {
-        for with_profiles in [false, true] {
-            let orig = sample(with_profiles);
-            let bytes = encode(&orig);
-            let back = decode(&bytes).unwrap();
-            assert_eq!(back.next_serial, 42);
-            assert_eq!(back.policy.as_deref(), Some("hd"));
-            assert_eq!(back.dataset, orig.dataset);
-            assert_eq!(back.entries.len(), 2);
-            assert_eq!(back.entries[0].0, 3);
-            assert_eq!(back.entries[0].1.labels(), &[0, 1, 0]);
-            assert_eq!(
-                back.entries[0].1.edges().collect::<Vec<_>>(),
-                orig.entries[0].1.edges().collect::<Vec<_>>()
+        let orig = sample();
+        let bytes = encode(&orig);
+        let back = decode(&bytes).unwrap();
+        assert_eq!(back.next_serial, 42);
+        assert_eq!(back.policy.as_deref(), Some("hd"));
+        assert_eq!(back.dataset, orig.dataset);
+        assert_eq!(back.entries.len(), 2);
+        assert_eq!(back.entries[0].0, 3);
+        assert_eq!(back.entries[0].1.labels(), &[0, 1, 0]);
+        assert_eq!(
+            back.entries[0].1.edges().collect::<Vec<_>>(),
+            orig.entries[0].1.edges().collect::<Vec<_>>()
+        );
+        assert_eq!(back.entries[0].2, vec![GraphId(0), GraphId(4)]);
+        assert_eq!(back.entries[0].3, QueryKind::Subgraph);
+        assert_eq!(back.entries[0].4, orig.entries[0].4);
+        assert_eq!(back.entries[1].3, QueryKind::Supergraph);
+        assert_eq!(back.stats.rows(), orig.stats.rows());
+        assert_eq!(back.fragments, orig.fragments);
+        assert_eq!(back.entries[0].5.counts(), orig.entries[0].5.counts());
+        assert!(back.entries[1].5.counts().is_none(), "overflow survives");
+    }
+
+    /// An image without the PROFILE_KEYS section (header `u64::MAX`, as
+    /// earlier releases wrote for a state without profiles), or whose
+    /// profiles were enumerated under another path shape, is refused with
+    /// a typed error that says to rebuild the cache.
+    #[test]
+    fn snapshot_without_query_index_profiles_is_refused() {
+        let good = encode(&sample());
+        let without = with_sections(&with_word(&good, 24, u64::MAX), |s| {
+            s.retain(|(id, _)| *id != SEC_PROFILE_KEYS)
+        });
+        let err = err_text(&without);
+        assert!(
+            err.contains("no path profiles") && err.contains("rebuild"),
+            "{err}"
+        );
+        let shape = QUERY_INDEX_SHAPE;
+        for image in [
+            with_word(&good, 24, shape.max_len as u64 + 1),
+            with_word(&good, 32, shape.work_cap / 2),
+        ] {
+            let err = err_text(&image);
+            assert!(
+                err.contains("enumerated under") && err.contains("rebuild"),
+                "{err}"
             );
-            assert_eq!(back.entries[0].2, vec![GraphId(0), GraphId(4)]);
-            assert_eq!(back.entries[0].3, QueryKind::Subgraph);
-            assert_eq!(back.entries[0].4, orig.entries[0].4);
-            assert_eq!(back.entries[1].3, QueryKind::Supergraph);
-            assert_eq!(back.stats.rows(), orig.stats.rows());
-            assert_eq!(back.fragments, orig.fragments);
-            match (&back.profiles, with_profiles) {
-                (Some(p), true) => {
-                    assert_eq!(p.shape, QUERY_INDEX_SHAPE);
-                    assert_eq!(p.profiles.len(), 2);
-                    assert_eq!(
-                        p.profiles[0].counts(),
-                        orig.profiles.as_ref().unwrap().profiles[0].counts()
-                    );
-                    assert!(p.profiles[1].counts().is_none(), "overflow survives");
-                }
-                (None, false) => {}
-                other => panic!("profiles mismatch: {other:?}"),
-            }
         }
+        // A header that names the shape but a missing section.
+        let bad = with_sections(&good, |s| s.retain(|(id, _)| *id != SEC_PROFILE_KEYS));
+        assert!(err_text(&bad).contains("missing profile keys"));
     }
 
     #[test]
@@ -749,8 +781,8 @@ mod tests {
         // sorted profile features, canonical edge order) — the property
         // the byte-identical re-save test in tests/persistence.rs pins
         // end-to-end.
-        let a = encode(&sample(true));
-        let b = encode(&sample(true));
+        let a = encode(&sample());
+        let b = encode(&sample());
         assert_eq!(a, b);
         let back = decode(&a).unwrap();
         assert_eq!(encode(&back), a, "decode ∘ encode is the identity on bytes");
@@ -768,13 +800,12 @@ mod tests {
         assert!(back.stats.is_empty());
         assert!(back.policy.is_none());
         assert!(back.fragments.is_empty());
-        assert!(back.profiles.is_none());
         assert_eq!(back.dataset, DatasetIdentity::default());
     }
 
     #[test]
     fn corruption_yields_typed_errors_not_panics() {
-        let good = encode(&sample(true));
+        let good = encode(&sample());
 
         // Truncation at every prefix length must error, never panic.
         for len in 0..good.len().min(64) {
@@ -812,7 +843,7 @@ mod tests {
     fn malformed_sections_rejected_after_checksum_fixup() {
         // Deeper validation than the checksum: mutate the image, then
         // recompute the trailer so the section checks themselves fire.
-        let good = encode(&sample(true));
+        let good = encode(&sample());
 
         // Entry count inflated: column-length checks fire.
         assert!(err_text(&with_word(&good, 16, 999)).contains("expected 999"));
@@ -864,10 +895,8 @@ mod tests {
 
     #[test]
     fn profile_keys_must_ascend() {
-        let orig = sample(true);
-        let counts = orig.profiles.as_ref().unwrap().profiles[0]
-            .counts()
-            .unwrap();
+        let orig = sample();
+        let counts = orig.entries[0].5.counts().unwrap();
         assert!(counts.len() >= 2);
         let mut words = vec![counts.len() as u32];
         for &(key, count) in counts.iter().rev() {
@@ -905,11 +934,7 @@ mod tests {
             z ^ (z >> 31)
         };
         let empty = PersistedCache::default();
-        for image in [
-            encode(&sample(true)),
-            encode(&sample(false)),
-            encode(&empty),
-        ] {
+        for image in [encode(&sample()), encode(&empty)] {
             let count = u64::from_le_bytes(image[40..48].try_into().unwrap()) as usize;
             let words = 5 + 3 * count;
             for w in 0..words {

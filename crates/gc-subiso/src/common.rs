@@ -153,12 +153,15 @@ mod tests {
         let (triangle, hexagon) = (ring(3, 0), ring(6, 0));
         assert!(!counts_reject(&triangle, &hexagon));
         assert!(quick_reject(&triangle, &hexagon));
-        for kind in crate::MatcherKind::ALL {
-            let out =
-                kind.build()
-                    .contains_with(&triangle, &hexagon, &crate::MatchConfig::UNBOUNDED);
-            assert!(!out.found && out.complete, "{}", kind.name());
-            assert_eq!(out.nodes_expanded, 0, "{}", kind.name());
+        // The paper's three matchers and Ullmann, the referee.
+        let matchers = crate::MatcherKind::ALL
+            .map(|kind| kind.build())
+            .into_iter()
+            .chain([Box::new(crate::Ullmann::new()) as Box<dyn crate::Matcher>]);
+        for m in matchers {
+            let out = m.contains_with(&triangle, &hexagon, &crate::MatchConfig::UNBOUNDED);
+            assert!(!out.found && out.complete, "{}", m.name());
+            assert_eq!(out.nodes_expanded, 0, "{}", m.name());
         }
     }
 

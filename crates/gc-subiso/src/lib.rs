@@ -148,8 +148,9 @@ pub trait Matcher: Send + Sync {
     fn count_embeddings(&self, pattern: &LabeledGraph, target: &LabeledGraph, limit: u64) -> u64;
 }
 
-/// The matcher implementations shipped with GraphCache, as a plain enum for
-/// configuration plumbing.
+/// The paper's three matchers (§7.1), as a plain enum for configuration
+/// plumbing. [`Ullmann`] is not one of them: it stays a public type, the
+/// independent referee of the property tests, and no Method is built on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MatcherKind {
     /// VF2 (used by several FTV implementations; paper §7.1), matching the
@@ -160,8 +161,6 @@ pub enum MatcherKind {
     Vf2Plus,
     /// GraphQL-style matching (candidate refinement + backtracking).
     GraphQl,
-    /// Ullmann's algorithm (extra baseline / property-test referee).
-    Ullmann,
 }
 
 impl MatcherKind {
@@ -171,17 +170,12 @@ impl MatcherKind {
             MatcherKind::Vf2 => Box::new(Vf2::new()),
             MatcherKind::Vf2Plus => Box::new(Vf2Plus::new()),
             MatcherKind::GraphQl => Box::new(GraphQl::new()),
-            MatcherKind::Ullmann => Box::new(Ullmann::new()),
         }
     }
 
-    /// All shipped matchers (useful for agreement tests and benches).
-    pub const ALL: [MatcherKind; 4] = [
-        MatcherKind::Vf2,
-        MatcherKind::Vf2Plus,
-        MatcherKind::GraphQl,
-        MatcherKind::Ullmann,
-    ];
+    /// All three matchers (useful for agreement tests).
+    pub const ALL: [MatcherKind; 3] =
+        [MatcherKind::Vf2, MatcherKind::Vf2Plus, MatcherKind::GraphQl];
 
     /// Display name.
     pub fn name(self) -> &'static str {
@@ -189,7 +183,6 @@ impl MatcherKind {
             MatcherKind::Vf2 => "VF2",
             MatcherKind::Vf2Plus => "VF2+",
             MatcherKind::GraphQl => "GQL",
-            MatcherKind::Ullmann => "Ullmann",
         }
     }
 }

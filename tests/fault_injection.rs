@@ -5,7 +5,9 @@
 //! one (fault after) — and must never panic. This is the executable form
 //! of the durability contract in `crates/gc-core/src/staged.rs`.
 
-use graphcache::core::{FaultIo, FaultMode, Manifest, PersistedCache, QueryKind, RealIo};
+use graphcache::core::{
+    FaultIo, FaultMode, Manifest, PersistedCache, QueryKind, RealIo, QUERY_INDEX_SHAPE,
+};
 use graphcache::graph::{GraphId, LabeledGraph};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -42,12 +44,16 @@ fn state(tag: u64) -> PersistedCache {
             let graph =
                 LabeledGraph::from_parts(vec![0, 1, ((tag + i) % 3) as u32], &[(0, 1), (1, 2)]);
             let fingerprint = graphcache::index::fingerprint::iso_hash(&graph);
+            let shape = QUERY_INDEX_SHAPE;
+            let profile =
+                graphcache::index::paths::enumerate_paths(&graph, shape.max_len, shape.work_cap);
             (
                 tag + i,
                 graph,
                 vec![GraphId(i as u32), GraphId(i as u32 + 7)],
                 QueryKind::Subgraph,
                 fingerprint,
+                profile,
             )
         })
         .collect();

@@ -10,6 +10,8 @@
 //!   never be treated as complete.
 //! * **Persistence** — the fragment store survives a save/restore cycle
 //!   and keeps pruning soundly afterwards.
+//! * **Payoff** — on the `fragments` suite's regime the layer cuts matcher
+//!   tests and raises the assisted-query count.
 
 use graphcache::core::FragmentConfig;
 use graphcache::prelude::*;
@@ -144,4 +146,45 @@ fn save_restore_preserves_fragment_store() {
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The layer's payoff on the `fragments` suite's regime (a flat Zipf over
+/// the index-free `vf2` baseline, where whole-query caching has little to
+/// offer): with fragments on, the same scenario prunes candidates, spends
+/// strictly fewer matcher tests and assists strictly more queries than
+/// with the layer off. The scenarios are the ones `gc bench --suite
+/// fragments` runs and CI gates against `benches/baseline-fragments.json`.
+#[test]
+fn fragments_suite_pays_off_against_fragments_off() {
+    use graphcache::harness::{run_scenario, Suite};
+    let run = |name: &'static str| {
+        let scenario = Suite::from_name("fragments")
+            .expect("fragments suite exists")
+            .scenarios()
+            .into_iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("scenario {name:?} missing from the fragments suite"));
+        let report = run_scenario(&scenario).expect("scenario runs");
+        move |key: &str| {
+            report
+                .counter(key)
+                .unwrap_or_else(|| panic!("{name} is missing counter {key}"))
+        }
+    };
+    let on = run("fragments-aids-zz-on");
+    let off = run("fragments-aids-zz-off");
+    assert!(
+        on("fragment_pruned") > 0,
+        "the suite regime must actually prune candidates"
+    );
+    let (tests_on, tests_off) = (on("subiso_tests"), off("subiso_tests"));
+    assert!(
+        tests_on < tests_off,
+        "fragment pruning must cut matcher tests: {tests_on} vs {tests_off}"
+    );
+    let (assisted_on, assisted_off) = (on("cache_assisted"), off("cache_assisted"));
+    assert!(
+        assisted_on > assisted_off,
+        "fragment hits must raise the assisted-query count: {assisted_on} vs {assisted_off}"
+    );
 }

@@ -7,7 +7,9 @@
 //! releases and snapshots of another dataset fail with typed errors, never
 //! a panic or a wrong answer.
 
-use graphcache::core::{DatasetIdentity, GraphCache, PersistedCache, PolicyRow, StatsStore};
+use graphcache::core::{
+    DatasetIdentity, GraphCache, PersistedCache, PolicyRow, StatsStore, QUERY_INDEX_SHAPE,
+};
 use graphcache::graph::GraphError;
 use graphcache::prelude::*;
 use graphcache::workload::generate_type_a;
@@ -333,6 +335,68 @@ fn earlier_format_snapshot_fails_restore_typed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A snapshot whose header records no path profiles (`u64::MAX`, with its
+/// PROFILE_KEYS section left in place or gone) or profiles of another path
+/// shape than the query index's fails `restore` with a typed error that
+/// says to rebuild, and leaves the warmed cache it was restored into as it
+/// was: same entries and statistics rows, invariants intact, and a re-save
+/// byte-identical to the save before the attempt.
+#[test]
+fn snapshot_without_query_index_profiles_fails_restore_and_keeps_the_cache() {
+    let (gc, _d) = warmed_cache(11, 20, 12);
+    let root = tmpdir("no-profiles");
+    gc.save(root.join("before")).unwrap();
+    let good = read_file(&root.join("before"), "snapshot.bin");
+    let (len, rows) = (gc.cache_len(), gc.stats_rows());
+    assert!(len > 0);
+    let shape = QUERY_INDEX_SHAPE;
+    // Header words: profile_max_len at byte 24, profile_work_cap at 32.
+    let variants = [
+        (24, u64::MAX, true),
+        (24, u64::MAX, false),
+        (24, shape.max_len as u64 + 1, true),
+        (32, shape.work_cap * 2, true),
+    ];
+    for (at, word, keep_section) in variants {
+        let mut image = good.clone();
+        image[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        if !keep_section {
+            // PROFILE_KEYS is the last section: drop its table row and
+            // its bytes, which end the payload.
+            let count = u64::from_le_bytes(image[40..48].try_into().unwrap()) as usize;
+            let row = 48 + (count - 1) * 24;
+            let id = u64::from_le_bytes(image[row..row + 8].try_into().unwrap());
+            assert_eq!(id, 14, "PROFILE_KEYS is the last section");
+            let section_len = u64::from_le_bytes(image[row + 16..row + 24].try_into().unwrap());
+            image.truncate(image.len() - 8 - section_len as usize);
+            image.drain(row..row + 24);
+            image[40..48].copy_from_slice(&(count as u64 - 1).to_le_bytes());
+            image.extend_from_slice(&[0; 8]);
+        }
+        let body = image.len() - 8;
+        let sum = graphcache::index::fingerprint::fnv1a(&image[..body]);
+        image[body..].copy_from_slice(&sum.to_le_bytes());
+        let dir = root.join(format!("bad-{at}-{word}-{keep_section}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("snapshot.bin"), image).unwrap();
+        match gc.restore(&dir) {
+            Err(GraphError::Snapshot { message, .. }) => {
+                assert!(message.contains("profiles"), "{message}");
+                assert!(message.contains("rebuild the cache"), "{message}");
+            }
+            other => {
+                panic!("header word {at} = {word}: expected GraphError::Snapshot, got {other:?}")
+            }
+        }
+        assert_eq!(gc.cache_len(), len);
+        assert_eq!(gc.stats_rows(), rows);
+        assert_eq!(gc.check_invariants(), Ok(()));
+    }
+    gc.save(root.join("after")).unwrap();
+    assert_eq!(read_file(&root.join("after"), "snapshot.bin"), good);
+    std::fs::remove_dir_all(&root).ok();
+}
+
 /// Restores `saved_over`'s warmed cache into a cache over `restored_over`:
 /// the restore must fail typed, leave the cache empty, and the cache must
 /// then answer a workload exactly like uncached Method M.
@@ -410,12 +474,16 @@ fn restore_drops_isomorphic_copies_of_old_snapshots() {
     }
     let entry = |serial: u64, graph: LabeledGraph| {
         let fingerprint = graphcache::index::fingerprint::iso_hash(&graph);
+        let shape = QUERY_INDEX_SHAPE;
+        let profile =
+            graphcache::index::paths::enumerate_paths(&graph, shape.max_len, shape.work_cap);
         (
             serial,
             graph,
             vec![GraphId(0)],
             QueryKind::Subgraph,
             fingerprint,
+            profile,
         )
     };
     PersistedCache {
