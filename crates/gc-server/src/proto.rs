@@ -1148,6 +1148,347 @@ mod tests {
         }
     }
 
+    fn full_query(id: u64) -> QueryFrame {
+        QueryFrame {
+            id,
+            graph: sample_graph(),
+            kind: Some(QueryKind::Supergraph),
+            verify_budget: Some(500),
+            max_hits: Some(3),
+            bypass: true,
+            timeout_ms: Some(250),
+            allow: Some(vec![100, 200, u64::MAX]),
+        }
+    }
+
+    fn bare_query(id: u64) -> QueryFrame {
+        QueryFrame {
+            id,
+            graph: LabeledGraph::from_parts(vec![7], &[]),
+            kind: None,
+            verify_budget: None,
+            max_hits: None,
+            bypass: false,
+            timeout_ms: None,
+            allow: None,
+        }
+    }
+
+    /// Every field at its widest: `u64::MAX - i` for the i-th counter,
+    /// `1` for the flags.
+    fn large_record() -> QueryRecord {
+        QueryRecord {
+            serial: 12,
+            subiso_tests: u64::MAX,
+            verify_work: u64::MAX - 1,
+            gc_tests: u64::MAX - 2,
+            budget_spent: u64::MAX - 3,
+            truncated: true,
+            exact_via_fingerprint: true,
+            cs_m_size: usize::MAX - 6,
+            cs_gc_size: usize::MAX - 7,
+            sub_hits: usize::MAX - 8,
+            super_hits: usize::MAX - 9,
+            exact_hit: true,
+            empty_shortcut: true,
+            answer_size: usize::MAX - 12,
+            fragment_probes: u64::MAX - 13,
+            fragment_hits: u64::MAX - 14,
+            fragment_pruned: u64::MAX - 15,
+            deadline_exceeded: true,
+            ..Default::default()
+        }
+    }
+
+    const ZERO_FIELDS: &str = "subiso_tests=0 verify_work=0 gc_tests=0 budget_spent=0 \
+        truncated=0 exact_fp=0 cs_m=0 cs_gc=0 sub_hits=0 super_hits=0 exact=0 empty=0 \
+        answer_size=0 fragment_probes=0 fragment_hits=0 fragment_pruned=0 deadline=0";
+
+    fn assert_bad<T: std::fmt::Debug>(line: &str, parse: fn(&str) -> Result<T, ProtoError>) {
+        match parse(line) {
+            Err(e @ ProtoError::Malformed { .. }) => assert_eq!(e.code(), "bad-frame", "{line:?}"),
+            other => panic!("{line:?} gave {other:?}"),
+        }
+    }
+
+    /// The exact bytes of one frame per request variant, each optional
+    /// token set and unset, and that each golden line parses back.
+    #[test]
+    fn golden_request_frames() {
+        let cases = [
+            (Request::Ping(None), "PING"),
+            (Request::Ping(Some("abc123".into())), "PING token=abc123"),
+            (Request::Version { proto: 4 }, "VERSION proto=4"),
+            (
+                Request::Query(full_query(42)),
+                "QUERY id=42 graph=4:3,1,4,1:0-1,0-3,1-2,2-3 kind=super budget=500 \
+                 max_hits=3 bypass=1 timeout=250 allow=100,200,18446744073709551615",
+            ),
+            (Request::Query(bare_query(0)), "QUERY id=0 graph=1:7:"),
+            (
+                Request::Query(QueryFrame {
+                    kind: Some(QueryKind::Subgraph),
+                    allow: Some(Vec::new()),
+                    ..bare_query(u64::MAX)
+                }),
+                "QUERY id=18446744073709551615 graph=1:7: kind=sub allow=-",
+            ),
+            (
+                Request::Probe {
+                    id: 7,
+                    graph: sample_graph(),
+                    kind: Some(QueryKind::Subgraph),
+                },
+                "PROBE id=7 graph=4:3,1,4,1:0-1,0-3,1-2,2-3 kind=sub",
+            ),
+            (
+                Request::Probe {
+                    id: 8,
+                    graph: LabeledGraph::from_parts(vec![], &[]),
+                    kind: None,
+                },
+                "PROBE id=8 graph=0::",
+            ),
+            (
+                Request::Route(full_query(11)),
+                "ROUTE id=11 graph=4:3,1,4,1:0-1,0-3,1-2,2-3 kind=super budget=500 \
+                 max_hits=3 bypass=1 timeout=250 allow=100,200,18446744073709551615",
+            ),
+            (Request::Route(bare_query(12)), "ROUTE id=12 graph=1:7:"),
+            (Request::Stats(StatsScope::Global), "STATS"),
+            (Request::Stats(StatsScope::Mine), "STATS scope=mine"),
+            (Request::Stats(StatsScope::Settle), "STATS scope=settle"),
+            (Request::Hold, "HOLD"),
+            (Request::Release, "RELEASE"),
+            (Request::Shutdown, "SHUTDOWN"),
+            (Request::Quit, "QUIT"),
+        ];
+        for (req, line) in cases {
+            assert_eq!(encode_request(&req), line);
+            assert_eq!(parse_request(line).expect(line), req, "{line:?}");
+        }
+    }
+
+    /// The exact bytes of one frame per response variant, each optional
+    /// token set and unset, RESULT at zero and at its widest, and ERR with
+    /// every escape.
+    #[test]
+    fn golden_response_frames() {
+        let large = "subiso_tests=18446744073709551615 verify_work=18446744073709551614 \
+            gc_tests=18446744073709551613 budget_spent=18446744073709551612 truncated=1 \
+            exact_fp=1 cs_m=18446744073709551609 cs_gc=18446744073709551608 \
+            sub_hits=18446744073709551607 super_hits=18446744073709551606 exact=1 empty=1 \
+            answer_size=18446744073709551603 fragment_probes=18446744073709551602 \
+            fragment_hits=18446744073709551601 fragment_pruned=18446744073709551600 deadline=1";
+        let cases = [
+            (
+                Response::Hello {
+                    proto: PROTO_VERSION,
+                    session: 7,
+                    max_inflight: 4,
+                    peer: None,
+                },
+                "HELLO proto=4 session=7 max_inflight=4".to_string(),
+            ),
+            (
+                Response::Hello {
+                    proto: PROTO_VERSION,
+                    session: 8,
+                    max_inflight: 1,
+                    peer: Some((2, 3)),
+                },
+                "HELLO proto=4 session=8 max_inflight=1 peer=2/3".into(),
+            ),
+            (Response::Version { proto: 4 }, "VERSION proto=4".into()),
+            (Response::Pong(None), "PONG".into()),
+            (Response::Pong(Some("tok".into())), "PONG token=tok".into()),
+            (
+                Response::Result(ResultFrame {
+                    id: 1,
+                    serial: 2,
+                    answer: vec![],
+                    record: QueryRecord {
+                        serial: 2,
+                        ..Default::default()
+                    },
+                }),
+                format!("RESULT id=1 serial=2 answers=0 ids=- {ZERO_FIELDS}"),
+            ),
+            (
+                Response::Result(ResultFrame {
+                    id: u64::MAX,
+                    serial: 12,
+                    answer: vec![0, 4, u32::MAX],
+                    record: large_record(),
+                }),
+                format!(
+                    "RESULT id=18446744073709551615 serial=12 answers=3 ids=0,4,4294967295 {large}"
+                ),
+            ),
+            (
+                Response::Busy {
+                    id: 3,
+                    inflight: 4,
+                    max: 4,
+                },
+                "BUSY id=3 inflight=4 max=4".into(),
+            ),
+            (
+                Response::Cands {
+                    id: 5,
+                    cands: vec![100, 300, u64::MAX],
+                },
+                "CANDS id=5 cands=100,300,18446744073709551615".into(),
+            ),
+            (
+                Response::Cands {
+                    id: 6,
+                    cands: Vec::new(),
+                },
+                "CANDS id=6 cands=-".into(),
+            ),
+            (
+                Response::Routed { id: 7, serial: 99 },
+                "ROUTED id=7 serial=99".into(),
+            ),
+            (
+                Response::Stats(vec![("queries".into(), 10), ("busy".into(), u64::MAX)]),
+                "STATS queries=10 busy=18446744073709551615".into(),
+            ),
+            (Response::Stats(Vec::new()), "STATS".into()),
+            (Response::Held, "HELD".into()),
+            (Response::Released, "RELEASED".into()),
+            (
+                Response::Bye {
+                    reason: "draining".into(),
+                },
+                "BYE reason=draining".into(),
+            ),
+            (
+                Response::Err {
+                    code: "bad-frame".into(),
+                    msg: "q\"b\\s\nn\rr\tt end".into(),
+                },
+                r#"ERR code=bad-frame msg="q\"b\\s\nn\rr\tt end""#.into(),
+            ),
+            (
+                Response::Err {
+                    code: "deadline".into(),
+                    msg: String::new(),
+                },
+                r#"ERR code=deadline msg="""#.into(),
+            ),
+        ];
+        for (resp, line) in cases {
+            assert_eq!(encode_response(&resp), line);
+            assert_eq!(parse_response(&line).expect(&line), resp, "{line:?}");
+        }
+    }
+
+    /// Decisions a codec rewrite must keep: the first of two equal keys
+    /// wins, numbers follow `str::parse` (a leading `+` is accepted), bare
+    /// tokens and unknown keys are ignored, the quoted tail is one token,
+    /// and each rejection stays a `bad-frame`.
+    #[test]
+    fn golden_edge_cases() {
+        let query = |line: &str| match parse_request(line) {
+            Ok(Request::Query(q)) => q,
+            other => panic!("{line:?} gave {other:?}"),
+        };
+        // First occurrence wins; the later duplicate is not even checked.
+        let q = query("QUERY id=1 id=2 graph=1:7: graph=2:1,1: kind=sub kind=diagonal");
+        assert_eq!(
+            q,
+            QueryFrame {
+                kind: Some(QueryKind::Subgraph),
+                ..bare_query(1)
+            }
+        );
+        assert_eq!(
+            parse_request("PING token=a token=b").unwrap(),
+            Request::Ping(Some("a".into()))
+        );
+        assert_eq!(
+            parse_response("PONG token= token=b").unwrap(),
+            Response::Pong(Some(String::new()))
+        );
+        // `str::parse` grammar: a leading `+` is a number.
+        assert_eq!(query("QUERY id=+7 graph=+1:+7: budget=+3").id, 7);
+        assert_eq!(
+            query("QUERY id=+7 graph=+1:+7: budget=+3").verify_budget,
+            Some(3)
+        );
+        // Bare tokens and unknown keys are ignored; `idx=` is not `id=`.
+        assert_eq!(
+            query("QUERY idx=9 stray id=1 graph=1:7: color=blue ="),
+            bare_query(1)
+        );
+        // The value runs to the end of its token: `id==5` is `"=5"`.
+        assert_bad("QUERY id==5 graph=1:7:", parse_request);
+        // From the token holding the first `"`, the rest is one token.
+        assert_eq!(
+            parse_request(r#"PING token="x y" z=1"#).unwrap(),
+            Request::Ping(Some(r#""x y" z=1"#.into()))
+        );
+        assert_bad(r#"QUERY id=1 graph=1:7: kind="sub"#, parse_request);
+        for line in [
+            r#"ERR msg="a" code=x"#,
+            r#"ERR code=x msg=a"#,
+            r#"ERR code=x msg="a"b""#,
+        ] {
+            assert_bad(line, parse_response);
+        }
+        // STATS replies must be all `key=value`.
+        assert_bad("STATS a=1 bare", parse_response);
+
+        // RESULT: duplicates keep the first value, extra keys are ignored.
+        let zero = format!("RESULT id=1 serial=2 answers=0 ids=- {ZERO_FIELDS}");
+        let dup = format!("{zero} subiso_tests=9 id=5 extra=3 bare");
+        match parse_response(&dup).expect("duplicate keys") {
+            Response::Result(r) => {
+                assert_eq!((r.id, r.serial), (1, 2));
+                assert_eq!(r.record.subiso_tests, 0);
+            }
+            other => panic!("{other:?}"),
+        }
+        // Every field is required, the declared count must match, and a
+        // field value must be a number.
+        for name in [
+            "id",
+            "serial",
+            "answers",
+            "ids",
+            "subiso_tests",
+            "cs_m",
+            "deadline",
+        ] {
+            let missing: Vec<&str> = zero
+                .split(' ')
+                .filter(|t| !t.starts_with(&format!("{name}=")))
+                .collect();
+            let line = missing.join(" ");
+            assert_bad(&line, parse_response);
+        }
+        for line in [
+            zero.replace("answers=0", "answers=1"),
+            zero.replace("ids=-", "ids=3"),
+            zero.replace("cs_m=0", "cs_m=-1"),
+            zero.replace("deadline=0", "deadline=x"),
+        ] {
+            assert_bad(&line, parse_response);
+        }
+
+        // Graph sizes: over the cap is refused before anything else, and a
+        // count at the cap must still carry its labels.
+        for line in [
+            format!("QUERY id=1 graph={}::", MAX_GRAPH_ITEMS + 1),
+            format!("QUERY id=1 graph={MAX_GRAPH_ITEMS}::"),
+            format!("PROBE id=1 graph={}:1:", u64::MAX),
+        ] {
+            assert_bad(&line, parse_request);
+        }
+    }
+
     #[test]
     fn result_frame_declared_count_must_match() {
         let line = encode_response(&Response::Result(ResultFrame {
