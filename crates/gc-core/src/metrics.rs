@@ -95,61 +95,82 @@ impl QueryRecord {
             || self.fragment_hits > 0
     }
 
+    /// The wire names of [`deterministic_fields`](Self::deterministic_fields),
+    /// in order. Renaming or reordering entries is a protocol change.
+    pub const DETERMINISTIC_NAMES: [&'static str; 17] = [
+        "subiso_tests",
+        "verify_work",
+        "gc_tests",
+        "budget_spent",
+        "truncated",
+        "exact_fp",
+        "cs_m",
+        "cs_gc",
+        "sub_hits",
+        "super_hits",
+        "exact",
+        "empty",
+        "answer_size",
+        "fragment_probes",
+        "fragment_hits",
+        "fragment_pruned",
+        "deadline",
+    ];
+
     /// The record fields that are a pure function of the query sequence
-    /// (durations excluded), as a stable `(name, value)` list. This is the
+    /// (durations excluded), as a stable `(name, value)` array named by
+    /// [`DETERMINISTIC_NAMES`](Self::DETERMINISTIC_NAMES). This is the
     /// wire schema `gc serve` puts on every `RESULT` frame: a client that
-    /// replays these names through
-    /// [`QueryRecord::set_deterministic_field`] reconstructs a record whose
+    /// replays these values through
+    /// [`QueryRecord::set_deterministic_value`] reconstructs a record whose
     /// [`RunCounters`] contribution is identical to the server's, which is
     /// what makes served counters byte-comparable to in-process
-    /// [`RunCounters::from_records`]. Renaming or reordering entries is a
-    /// protocol change.
-    pub fn deterministic_fields(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("subiso_tests", self.subiso_tests),
-            ("verify_work", self.verify_work),
-            ("gc_tests", self.gc_tests),
-            ("budget_spent", self.budget_spent),
-            ("truncated", self.truncated as u64),
-            ("exact_fp", self.exact_via_fingerprint as u64),
-            ("cs_m", self.cs_m_size as u64),
-            ("cs_gc", self.cs_gc_size as u64),
-            ("sub_hits", self.sub_hits as u64),
-            ("super_hits", self.super_hits as u64),
-            ("exact", self.exact_hit as u64),
-            ("empty", self.empty_shortcut as u64),
-            ("answer_size", self.answer_size as u64),
-            ("fragment_probes", self.fragment_probes),
-            ("fragment_hits", self.fragment_hits),
-            ("fragment_pruned", self.fragment_pruned),
-            ("deadline", self.deadline_exceeded as u64),
-        ]
+    /// [`RunCounters::from_records`].
+    pub fn deterministic_fields(&self) -> [(&'static str, u64); 17] {
+        let values = [
+            self.subiso_tests,
+            self.verify_work,
+            self.gc_tests,
+            self.budget_spent,
+            self.truncated as u64,
+            self.exact_via_fingerprint as u64,
+            self.cs_m_size as u64,
+            self.cs_gc_size as u64,
+            self.sub_hits as u64,
+            self.super_hits as u64,
+            self.exact_hit as u64,
+            self.empty_shortcut as u64,
+            self.answer_size as u64,
+            self.fragment_probes,
+            self.fragment_hits,
+            self.fragment_pruned,
+            self.deadline_exceeded as u64,
+        ];
+        std::array::from_fn(|i| (Self::DETERMINISTIC_NAMES[i], values[i]))
     }
 
-    /// Sets one field by its [`deterministic_fields`] wire name. Returns
-    /// `false` for unknown names (the caller decides whether that is a
-    /// protocol error or a forward-compatible extra field).
-    ///
-    /// [`deterministic_fields`]: QueryRecord::deterministic_fields
-    pub fn set_deterministic_field(&mut self, name: &str, value: u64) -> bool {
-        match name {
-            "subiso_tests" => self.subiso_tests = value,
-            "verify_work" => self.verify_work = value,
-            "gc_tests" => self.gc_tests = value,
-            "budget_spent" => self.budget_spent = value,
-            "truncated" => self.truncated = value != 0,
-            "exact_fp" => self.exact_via_fingerprint = value != 0,
-            "cs_m" => self.cs_m_size = value as usize,
-            "cs_gc" => self.cs_gc_size = value as usize,
-            "sub_hits" => self.sub_hits = value as usize,
-            "super_hits" => self.super_hits = value as usize,
-            "exact" => self.exact_hit = value != 0,
-            "empty" => self.empty_shortcut = value != 0,
-            "answer_size" => self.answer_size = value as usize,
-            "fragment_probes" => self.fragment_probes = value,
-            "fragment_hits" => self.fragment_hits = value,
-            "fragment_pruned" => self.fragment_pruned = value,
-            "deadline" => self.deadline_exceeded = value != 0,
+    /// Sets the field at `index` of
+    /// [`deterministic_fields`](Self::deterministic_fields). Returns
+    /// `false` past the last field.
+    pub fn set_deterministic_value(&mut self, index: usize, value: u64) -> bool {
+        match index {
+            0 => self.subiso_tests = value,
+            1 => self.verify_work = value,
+            2 => self.gc_tests = value,
+            3 => self.budget_spent = value,
+            4 => self.truncated = value != 0,
+            5 => self.exact_via_fingerprint = value != 0,
+            6 => self.cs_m_size = value as usize,
+            7 => self.cs_gc_size = value as usize,
+            8 => self.sub_hits = value as usize,
+            9 => self.super_hits = value as usize,
+            10 => self.exact_hit = value != 0,
+            11 => self.empty_shortcut = value != 0,
+            12 => self.answer_size = value as usize,
+            13 => self.fragment_probes = value,
+            14 => self.fragment_hits = value,
+            15 => self.fragment_pruned = value,
+            16 => self.deadline_exceeded = value != 0,
             _ => return false,
         }
         true
@@ -531,8 +552,8 @@ mod tests {
             ..Default::default()
         };
         let mut rebuilt = QueryRecord::default();
-        for (name, value) in original.deterministic_fields() {
-            assert!(rebuilt.set_deterministic_field(name, value), "{name}");
+        for (i, (name, value)) in original.deterministic_fields().into_iter().enumerate() {
+            assert!(rebuilt.set_deterministic_value(i, value), "{name}");
         }
         // The rebuilt record contributes identical counters — the property
         // the wire protocol's RESULT frame relies on.
@@ -544,7 +565,11 @@ mod tests {
             rebuilt.deterministic_fields(),
             original.deterministic_fields()
         );
-        assert!(!rebuilt.set_deterministic_field("no_such_field", 1));
+        assert!(!rebuilt.set_deterministic_value(QueryRecord::DETERMINISTIC_NAMES.len(), 1));
+        let mut names = QueryRecord::DETERMINISTIC_NAMES.to_vec();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), QueryRecord::DETERMINISTIC_NAMES.len());
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! during drain, which surfaces as [`ClientError::SessionClosed`]).
 
 use crate::proto::{
-    encode_request, parse_response, FrameEvent, FrameReader, ProtoError, QueryFrame, Request,
+    parse_response, write_request, FrameEvent, FrameReader, ProtoError, QueryFrame, Request,
     Response, ResultFrame, StatsScope, PROTO_VERSION,
 };
 use crate::server::Conn;
 use gc_graph::LabeledGraph;
 use gc_methods::QueryKind;
-use std::io::Write;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
@@ -231,13 +230,13 @@ pub struct Client {
 impl Client {
     /// Connects over a unix socket and consumes the `HELLO` greeting.
     pub fn connect_unix(path: impl AsRef<Path>) -> Result<Client, ClientError> {
-        Client::greet(Conn::Unix(UnixStream::connect(path)?))
+        Client::greet(Conn::from(UnixStream::connect(path)?))
     }
 
     /// Connects over TCP, retrying transient failures (connection
     /// refused/reset) under the policy's deterministic backoff.
     pub fn connect_tcp_with_retry(addr: &str, policy: &RetryPolicy) -> Result<Client, ClientError> {
-        Client::connect_with_retry(policy, || TcpStream::connect(addr).map(Conn::Tcp))
+        Client::connect_with_retry(policy, || TcpStream::connect(addr).map(Conn::from))
     }
 
     /// Connects over a unix socket, retrying transient failures (socket
@@ -247,7 +246,7 @@ impl Client {
         policy: &RetryPolicy,
     ) -> Result<Client, ClientError> {
         let path = path.as_ref();
-        Client::connect_with_retry(policy, || UnixStream::connect(path).map(Conn::Unix))
+        Client::connect_with_retry(policy, || UnixStream::connect(path).map(Conn::from))
     }
 
     fn connect_with_retry(
@@ -340,10 +339,7 @@ impl Client {
     }
 
     fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let mut line = encode_request(req);
-        line.push('\n');
-        self.conn.write_all(line.as_bytes())?;
-        self.conn.flush()?;
+        self.conn.send_frame(|out| write_request(out, req))?;
         self.recv()
     }
 

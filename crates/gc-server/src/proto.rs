@@ -31,7 +31,7 @@
 //! * `ids=L` is the answer id list (`-` when empty);
 //! * the trailing tokens of a `RESULT` frame are the
 //!   [`QueryRecord::deterministic_fields`] names — replaying them through
-//!   [`QueryRecord::set_deterministic_field`] rebuilds a record whose
+//!   [`QueryRecord::set_deterministic_value`] rebuilds a record whose
 //!   [`gc_core::RunCounters`] contribution is byte-identical to the
 //!   server's, which is what makes served counters comparable to
 //!   in-process `run_batch` counters. Since proto 2 this includes the
@@ -56,7 +56,6 @@
 use gc_core::QueryRecord;
 use gc_graph::LabeledGraph;
 use gc_methods::QueryKind;
-use std::fmt::Write as _;
 use std::io::Read;
 
 /// Protocol version announced in the `HELLO` greeting. Bump on any change
@@ -327,133 +326,53 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Graph codec
+// Writers: every frame is written in one pass into a caller-owned buffer
 // ---------------------------------------------------------------------------
 
-/// Encodes a graph as `<nodes>:<labels>:<edges>`.
-pub fn encode_graph(g: &LabeledGraph) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{}:", g.node_count());
-    for (i, v) in g.nodes().enumerate() {
+/// Appends `value` in decimal.
+fn push_u64(out: &mut String, mut value: u64) {
+    // Most counters and flags of a frame are one digit.
+    if value < 10 {
+        out.push(char::from(b'0' + value as u8));
+        return;
+    }
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    while value > 0 {
+        start -= 1;
+        digits[start] = b'0' + (value % 10) as u8;
+        value /= 10;
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends ` key=value`.
+fn push_field(out: &mut String, key: &str, value: u64) {
+    out.push(' ');
+    out.push_str(key);
+    out.push('=');
+    push_u64(out, value);
+}
+
+/// Appends a comma-separated list (nothing when `items` is empty).
+fn push_joined<T: Copy + Into<u64>>(out: &mut String, items: &[T]) {
+    for (i, &item) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}", g.label(v));
+        push_u64(out, item.into());
     }
-    out.push(':');
-    for (i, (u, v)) in g.edges().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{u}-{v}");
-    }
-    out
 }
 
-/// Decodes [`encode_graph`]'s format back into a graph, validating label
-/// counts, edge endpoints, and the [`MAX_GRAPH_ITEMS`] sanity cap.
-pub fn parse_graph(text: &str) -> Result<LabeledGraph, ProtoError> {
-    let mut sections = text.splitn(3, ':');
-    let (n, labels, edges) = match (sections.next(), sections.next(), sections.next()) {
-        (Some(n), Some(l), Some(e)) => (n, l, e),
-        _ => return Err(ProtoError::malformed("graph needs <n>:<labels>:<edges>")),
-    };
-    let n: usize = n
-        .parse()
-        .map_err(|_| ProtoError::malformed(format!("invalid node count {n:?}")))?;
-    if n > MAX_GRAPH_ITEMS {
-        return Err(ProtoError::malformed(format!(
-            "graph node count {n} exceeds the {MAX_GRAPH_ITEMS} cap"
-        )));
+/// Appends an id or serial list: comma-separated, `-` when empty.
+fn push_list<T: Copy + Into<u64>>(out: &mut String, items: &[T]) {
+    if items.is_empty() {
+        out.push('-');
     }
-    let mut label_vec: Vec<u32> = Vec::with_capacity(n);
-    if !labels.is_empty() {
-        for tok in labels.split(',') {
-            let l: u32 = tok
-                .parse()
-                .map_err(|_| ProtoError::malformed(format!("invalid node label {tok:?}")))?;
-            label_vec.push(l);
-        }
-    }
-    if label_vec.len() != n {
-        return Err(ProtoError::malformed(format!(
-            "graph declares {n} nodes but carries {} labels",
-            label_vec.len()
-        )));
-    }
-    let mut edge_vec: Vec<(u32, u32)> = Vec::new();
-    if !edges.is_empty() {
-        for tok in edges.split(',') {
-            if edge_vec.len() >= MAX_GRAPH_ITEMS {
-                return Err(ProtoError::malformed(format!(
-                    "graph edge count exceeds the {MAX_GRAPH_ITEMS} cap"
-                )));
-            }
-            let (u, v) = tok
-                .split_once('-')
-                .ok_or_else(|| ProtoError::malformed(format!("invalid edge {tok:?}")))?;
-            let u: u32 = u
-                .parse()
-                .map_err(|_| ProtoError::malformed(format!("invalid edge endpoint {u:?}")))?;
-            let v: u32 = v
-                .parse()
-                .map_err(|_| ProtoError::malformed(format!("invalid edge endpoint {v:?}")))?;
-            if u as usize >= n || v as usize >= n {
-                return Err(ProtoError::malformed(format!(
-                    "edge ({u}, {v}) out of range for {n} nodes"
-                )));
-            }
-            edge_vec.push((u, v));
-        }
-    }
-    Ok(LabeledGraph::from_parts(label_vec, &edge_vec))
+    push_joined(out, items);
 }
 
-// ---------------------------------------------------------------------------
-// Token helpers
-// ---------------------------------------------------------------------------
-
-/// Splits a frame into whitespace-separated tokens, keeping a trailing
-/// `key="quoted value"` token intact (quotes only appear in the final
-/// `msg` token of `ERR` frames).
-fn split_tokens(line: &str) -> Vec<&str> {
-    let rest = line.trim();
-    let mut tokens = Vec::new();
-    if rest.is_empty() {
-        return tokens;
-    }
-    if let Some(q) = rest.find('"') {
-        // Everything from the token containing the opening quote to the
-        // end of the line is one token.
-        let start = rest[..q].rfind(' ').map(|i| i + 1).unwrap_or(0);
-        tokens.extend(rest[..start].split_whitespace());
-        tokens.push(rest[start..].trim_end());
-    } else {
-        tokens.extend(rest.split_whitespace());
-    }
-    tokens
-}
-
-/// Looks up `key=` in a token list, returning the raw value.
-fn find_value<'a>(tokens: &[&'a str], key: &str) -> Option<&'a str> {
-    tokens
-        .iter()
-        .find_map(|t| t.strip_prefix(key).and_then(|rest| rest.strip_prefix('=')))
-}
-
-fn require<'a>(tokens: &[&'a str], key: &str, frame: &str) -> Result<&'a str, ProtoError> {
-    find_value(tokens, key)
-        .ok_or_else(|| ProtoError::malformed(format!("{frame} frame is missing {key}=")))
-}
-
-fn parse_u64(value: &str, key: &str) -> Result<u64, ProtoError> {
-    value
-        .parse()
-        .map_err(|_| ProtoError::malformed(format!("invalid {key}= value {value:?}")))
-}
-
-fn quote(msg: &str) -> String {
-    let mut out = String::with_capacity(msg.len() + 2);
+fn push_quoted(out: &mut String, msg: &str) {
     out.push('"');
     for c in msg.chars() {
         match c {
@@ -466,7 +385,351 @@ fn quote(msg: &str) -> String {
         }
     }
     out.push('"');
+}
+
+fn push_graph(out: &mut String, g: &LabeledGraph) {
+    push_u64(out, g.node_count() as u64);
+    out.push(':');
+    push_joined(out, g.labels());
+    out.push(':');
+    for (i, (u, v)) in g.edges().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, u.into());
+        out.push('-');
+        push_u64(out, v.into());
+    }
+}
+
+fn push_kind(out: &mut String, kind: Option<QueryKind>) {
+    match kind {
+        None => {}
+        Some(QueryKind::Subgraph) => out.push_str(" kind=sub"),
+        Some(QueryKind::Supergraph) => out.push_str(" kind=super"),
+    }
+}
+
+/// The shared token tail of `QUERY` and `ROUTE` frames.
+fn push_query_tokens(out: &mut String, q: &QueryFrame) {
+    push_field(out, "id", q.id);
+    out.push_str(" graph=");
+    push_graph(out, &q.graph);
+    push_kind(out, q.kind);
+    if let Some(b) = q.verify_budget {
+        push_field(out, "budget", b);
+    }
+    if let Some(m) = q.max_hits {
+        push_field(out, "max_hits", m);
+    }
+    if q.bypass {
+        out.push_str(" bypass=1");
+    }
+    if let Some(t) = q.timeout_ms {
+        push_field(out, "timeout", t);
+    }
+    if let Some(allow) = &q.allow {
+        out.push_str(" allow=");
+        push_list(out, allow);
+    }
+}
+
+/// Encodes a graph as `<nodes>:<labels>:<edges>`.
+pub fn encode_graph(g: &LabeledGraph) -> String {
+    let mut out = String::new();
+    push_graph(&mut out, g);
     out
+}
+
+/// Appends a request's one-line frame (no trailing newline) to `out`.
+pub(crate) fn write_request(out: &mut String, req: &Request) {
+    match req {
+        Request::Ping(token) => {
+            out.push_str("PING");
+            if let Some(token) = token {
+                out.push_str(" token=");
+                out.push_str(token);
+            }
+        }
+        Request::Version { proto } => {
+            out.push_str("VERSION");
+            push_field(out, "proto", *proto);
+        }
+        Request::Query(q) => {
+            out.push_str("QUERY");
+            push_query_tokens(out, q);
+        }
+        Request::Route(q) => {
+            out.push_str("ROUTE");
+            push_query_tokens(out, q);
+        }
+        Request::Probe { id, graph, kind } => {
+            out.push_str("PROBE");
+            push_field(out, "id", *id);
+            out.push_str(" graph=");
+            push_graph(out, graph);
+            push_kind(out, *kind);
+        }
+        Request::Stats(scope) => {
+            out.push_str("STATS");
+            if let Some(name) = scope.name() {
+                out.push_str(" scope=");
+                out.push_str(name);
+            }
+        }
+        Request::Hold => out.push_str("HOLD"),
+        Request::Release => out.push_str("RELEASE"),
+        Request::Shutdown => out.push_str("SHUTDOWN"),
+        Request::Quit => out.push_str("QUIT"),
+    }
+}
+
+/// Appends a response's one-line frame (no trailing newline) to `out`.
+pub(crate) fn write_response(out: &mut String, resp: &Response) {
+    match resp {
+        Response::Hello {
+            proto,
+            session,
+            max_inflight,
+            peer,
+        } => {
+            out.push_str("HELLO");
+            push_field(out, "proto", *proto);
+            push_field(out, "session", *session);
+            push_field(out, "max_inflight", *max_inflight);
+            if let Some((index, total)) = peer {
+                push_field(out, "peer", *index);
+                out.push('/');
+                push_u64(out, *total);
+            }
+        }
+        Response::Version { proto } => {
+            out.push_str("VERSION");
+            push_field(out, "proto", *proto);
+        }
+        Response::Cands { id, cands } => {
+            out.push_str("CANDS");
+            push_field(out, "id", *id);
+            out.push_str(" cands=");
+            push_list(out, cands);
+        }
+        Response::Routed { id, serial } => {
+            out.push_str("ROUTED");
+            push_field(out, "id", *id);
+            push_field(out, "serial", *serial);
+        }
+        Response::Pong(token) => {
+            out.push_str("PONG");
+            if let Some(token) = token {
+                out.push_str(" token=");
+                out.push_str(token);
+            }
+        }
+        Response::Result(r) => {
+            out.push_str("RESULT");
+            push_field(out, "id", r.id);
+            push_field(out, "serial", r.serial);
+            push_field(out, "answers", r.answer.len() as u64);
+            out.push_str(" ids=");
+            push_list(out, &r.answer);
+            for (name, value) in r.record.deterministic_fields() {
+                push_field(out, name, value);
+            }
+        }
+        Response::Busy { id, inflight, max } => {
+            out.push_str("BUSY");
+            push_field(out, "id", *id);
+            push_field(out, "inflight", *inflight);
+            push_field(out, "max", *max);
+        }
+        Response::Stats(counters) => {
+            out.push_str("STATS");
+            for (name, value) in counters {
+                push_field(out, name, *value);
+            }
+        }
+        Response::Held => out.push_str("HELD"),
+        Response::Released => out.push_str("RELEASED"),
+        Response::Bye { reason } => {
+            out.push_str("BYE reason=");
+            out.push_str(reason);
+        }
+        Response::Err { code, msg } => {
+            out.push_str("ERR code=");
+            out.push_str(code);
+            out.push_str(" msg=");
+            push_quoted(out, msg);
+        }
+    }
+}
+
+/// The capacity [`encode_request`] and [`encode_response`] start from: a
+/// QUERY frame of the hot Zipf stream is about 120 bytes and its RESULT
+/// about 400, so most frames are written without growing the buffer.
+const FRAME_CAPACITY: usize = 512;
+
+/// Serializes a request to its one-line frame (no trailing newline).
+pub fn encode_request(req: &Request) -> String {
+    let mut out = String::with_capacity(FRAME_CAPACITY);
+    write_request(&mut out, req);
+    out
+}
+
+/// Serializes a response to its one-line frame (no trailing newline).
+pub fn encode_response(resp: &Response) -> String {
+    let mut out = String::with_capacity(FRAME_CAPACITY);
+    write_response(&mut out, resp);
+    out
+}
+
+// ---------------------------------------------------------------------------
+// Readers: one pass over a frame's tokens, then each value in a fixed order
+// ---------------------------------------------------------------------------
+
+/// A frame's whitespace-separated tokens, except that everything from the
+/// token holding the line's first `"` to its end is one token (quotes only
+/// appear in the final `msg` token of `ERR` frames).
+struct Tokens<'a> {
+    words: &'a str,
+    quoted: Option<&'a str>,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(line: &'a str) -> Tokens<'a> {
+        let rest = line.trim();
+        let (words, quoted) = match rest.find('"') {
+            Some(q) => {
+                let start = rest[..q].rfind(' ').map_or(0, |i| i + 1);
+                (&rest[..start], Some(&rest[start..]))
+            }
+            None => (rest, None),
+        };
+        Tokens { words, quoted }
+    }
+}
+
+/// The byte length of the char starting at `s[i]` and whether it is
+/// whitespace as [`char::is_whitespace`] defines it (ASCII decided from
+/// the byte alone).
+fn char_at(s: &str, i: usize) -> (usize, bool) {
+    let b = s.as_bytes()[i];
+    if b.is_ascii() {
+        return (1, matches!(b, b' ' | b'\t'..=b'\r'));
+    }
+    let c = s[i..].chars().next().expect("a char starts at i");
+    (c.len_utf8(), c.is_whitespace())
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let s = self.words;
+        let mut i = 0;
+        while i < s.len() {
+            let (width, space) = char_at(s, i);
+            if !space {
+                break;
+            }
+            i += width;
+        }
+        if i == s.len() {
+            self.words = "";
+            return self.quoted.take();
+        }
+        let start = i;
+        // Only a control byte, a space or a non-ASCII byte can begin
+        // whitespace, so the scan stops at those alone.
+        let end = loop {
+            match s.as_bytes()[i..]
+                .iter()
+                .position(|&b| b <= b' ' || !b.is_ascii())
+            {
+                None => break s.len(),
+                Some(off) => {
+                    let (width, space) = char_at(s, i + off);
+                    if space {
+                        break i + off;
+                    }
+                    i += off + width;
+                }
+            }
+        };
+        self.words = &s[end..];
+        Some(&s[start..end])
+    }
+}
+
+/// Splits `s` at its first `sep`, as `str::split_once` does. `sep` is an
+/// ASCII byte, so the scan needs no char searcher: the items of a frame
+/// are a few bytes long, and setting one up per item cost more than the
+/// scan.
+fn split_at_byte(s: &str, sep: u8) -> Option<(&str, &str)> {
+    let i = s.bytes().position(|b| b == sep)?;
+    Some((&s[..i], &s[i + 1..]))
+}
+
+/// The pieces of `s` between `sep` bytes, as `str::split` yields them.
+fn pieces(s: &str, sep: u8) -> impl Iterator<Item = &str> {
+    let mut rest = Some(s);
+    std::iter::from_fn(move || {
+        let r = rest?;
+        match split_at_byte(r, sep) {
+            Some((piece, tail)) => {
+                rest = Some(tail);
+                Some(piece)
+            }
+            None => rest.take(),
+        }
+    })
+}
+
+/// The first value of each of `keys` in one pass over `args`. Tokens
+/// without `=` and keys not in `keys` are ignored.
+fn first_values<'a, const N: usize>(args: Tokens<'a>, keys: &[&str; N]) -> [Option<&'a str>; N] {
+    let mut values = [None; N];
+    for tok in args {
+        if let Some((key, value)) = split_at_byte(tok, b'=') {
+            if let Some(i) = keys.iter().position(|k| *k == key) {
+                values[i].get_or_insert(value);
+            }
+        }
+    }
+    values
+}
+
+/// A `RESULT` frame's keys: its own four, then the record's fields.
+const RESULT_KEYS: [&str; 21] = {
+    let mut keys = [""; 21];
+    keys[0] = "id";
+    keys[1] = "serial";
+    keys[2] = "answers";
+    keys[3] = "ids";
+    let mut i = 0;
+    while i < QueryRecord::DETERMINISTIC_NAMES.len() {
+        keys[4 + i] = QueryRecord::DETERMINISTIC_NAMES[i];
+        i += 1;
+    }
+    keys
+};
+
+fn present<'a>(value: Option<&'a str>, key: &str, frame: &str) -> Result<&'a str, ProtoError> {
+    value.ok_or_else(|| ProtoError::malformed(format!("{frame} frame is missing {key}=")))
+}
+
+fn parse_u64(value: &str, key: &str) -> Result<u64, ProtoError> {
+    value
+        .parse()
+        .map_err(|_| ProtoError::malformed(format!("invalid {key}= value {value:?}")))
+}
+
+/// A required number: `key=` must be present and a decimal `u64`.
+fn number(value: Option<&str>, key: &str, frame: &str) -> Result<u64, ProtoError> {
+    parse_u64(present(value, key, frame)?, key)
+}
+
+fn optional_number(value: Option<&str>, key: &str) -> Result<Option<u64>, ProtoError> {
+    value.map(|v| parse_u64(v, key)).transpose()
 }
 
 fn unquote(raw: &str) -> Result<String, ProtoError> {
@@ -501,69 +764,23 @@ fn unquote(raw: &str) -> Result<String, ProtoError> {
     Ok(out)
 }
 
-fn encode_id_list(ids: &[u32]) -> String {
-    if ids.is_empty() {
-        return "-".into();
-    }
-    let mut out = String::new();
-    for (i, id) in ids.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{id}");
-    }
-    out
-}
-
-fn parse_id_list(raw: &str) -> Result<Vec<u32>, ProtoError> {
+/// A comma-separated list of `what`s (`-` when empty).
+fn parse_list<T: std::str::FromStr>(raw: &str, what: &str) -> Result<Vec<T>, ProtoError> {
     if raw == "-" {
         return Ok(Vec::new());
     }
-    raw.split(',')
-        .map(|t| {
+    let mut items = Vec::with_capacity(raw.bytes().filter(|&b| b == b',').count() + 1);
+    for t in pieces(raw, b',') {
+        items.push(
             t.parse()
-                .map_err(|_| ProtoError::malformed(format!("invalid id {t:?} in list")))
-        })
-        .collect()
+                .map_err(|_| ProtoError::malformed(format!("invalid {what} {t:?} in list")))?,
+        );
+    }
+    Ok(items)
 }
 
-/// Serial lists (`allow=`, `cands=`) carry 64-bit query serials; the same
-/// `-` convention marks an empty list.
-fn encode_serial_list(serials: &[u64]) -> String {
-    if serials.is_empty() {
-        return "-".into();
-    }
-    let mut out = String::new();
-    for (i, s) in serials.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{s}");
-    }
-    out
-}
-
-fn parse_serial_list(raw: &str) -> Result<Vec<u64>, ProtoError> {
-    if raw == "-" {
-        return Ok(Vec::new());
-    }
-    raw.split(',')
-        .map(|t| {
-            t.parse()
-                .map_err(|_| ProtoError::malformed(format!("invalid serial {t:?} in list")))
-        })
-        .collect()
-}
-
-fn kind_name(kind: QueryKind) -> &'static str {
-    match kind {
-        QueryKind::Subgraph => "sub",
-        QueryKind::Supergraph => "super",
-    }
-}
-
-fn parse_kind(args: &[&str]) -> Result<Option<QueryKind>, ProtoError> {
-    match find_value(args, "kind") {
+fn parse_kind(value: Option<&str>) -> Result<Option<QueryKind>, ProtoError> {
+    match value {
         None => Ok(None),
         Some("sub") => Ok(Some(QueryKind::Subgraph)),
         Some("super") => Ok(Some(QueryKind::Supergraph)),
@@ -573,123 +790,128 @@ fn parse_kind(args: &[&str]) -> Result<Option<QueryKind>, ProtoError> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Request codec
-// ---------------------------------------------------------------------------
-
-/// The shared token tail of `QUERY` and `ROUTE` frames.
-fn encode_query_tokens(q: &QueryFrame) -> String {
-    let mut out = format!("id={} graph={}", q.id, encode_graph(&q.graph));
-    if let Some(kind) = q.kind {
-        let _ = write!(out, " kind={}", kind_name(kind));
-    }
-    if let Some(b) = q.verify_budget {
-        let _ = write!(out, " budget={b}");
-    }
-    if let Some(m) = q.max_hits {
-        let _ = write!(out, " max_hits={m}");
-    }
-    if q.bypass {
-        out.push_str(" bypass=1");
-    }
-    if let Some(t) = q.timeout_ms {
-        let _ = write!(out, " timeout={t}");
-    }
-    if let Some(allow) = &q.allow {
-        let _ = write!(out, " allow={}", encode_serial_list(allow));
-    }
-    out
-}
-
-fn parse_query_frame(args: &[&str], frame: &str) -> Result<QueryFrame, ProtoError> {
-    let id = parse_u64(require(args, "id", frame)?, "id")?;
-    let graph = parse_graph(require(args, "graph", frame)?)?;
-    let kind = parse_kind(args)?;
-    let verify_budget = find_value(args, "budget")
-        .map(|v| parse_u64(v, "budget"))
-        .transpose()?;
-    let max_hits = find_value(args, "max_hits")
-        .map(|v| parse_u64(v, "max_hits"))
-        .transpose()?;
-    let bypass = match find_value(args, "bypass") {
-        None => false,
-        Some("1") => true,
-        Some("0") => false,
-        Some(other) => {
-            return Err(ProtoError::malformed(format!(
-                "invalid bypass= value {other:?} (0|1)"
-            )))
-        }
-    };
-    let timeout_ms = find_value(args, "timeout")
-        .map(|v| parse_u64(v, "timeout"))
-        .transpose()?;
-    let allow = find_value(args, "allow")
-        .map(parse_serial_list)
-        .transpose()?;
-    Ok(QueryFrame {
-        id,
-        graph,
-        kind,
-        verify_budget,
-        max_hits,
-        bypass,
-        timeout_ms,
-        allow,
-    })
-}
-
-/// Serializes a request to its one-line frame (no trailing newline).
-pub fn encode_request(req: &Request) -> String {
-    match req {
-        Request::Ping(None) => "PING".into(),
-        Request::Ping(Some(token)) => format!("PING token={token}"),
-        Request::Version { proto } => format!("VERSION proto={proto}"),
-        Request::Query(q) => format!("QUERY {}", encode_query_tokens(q)),
-        Request::Route(q) => format!("ROUTE {}", encode_query_tokens(q)),
-        Request::Probe { id, graph, kind } => {
-            let mut out = format!("PROBE id={id} graph={}", encode_graph(graph));
-            if let Some(kind) = kind {
-                let _ = write!(out, " kind={}", kind_name(*kind));
-            }
-            out
-        }
-        Request::Stats(scope) => match scope.name() {
-            None => "STATS".into(),
-            Some(name) => format!("STATS scope={name}"),
+/// Decodes [`encode_graph`]'s format back into a graph, validating label
+/// counts, edge endpoints, and the [`MAX_GRAPH_ITEMS`] sanity cap.
+/// Capacity is reserved from the bytes the frame carries, never from the
+/// node count it declares.
+pub fn parse_graph(text: &str) -> Result<LabeledGraph, ProtoError> {
+    let (n, labels, edges) = match split_at_byte(text, b':') {
+        Some((n, rest)) => match split_at_byte(rest, b':') {
+            Some((labels, edges)) => (n, labels, edges),
+            None => return Err(ProtoError::malformed("graph needs <n>:<labels>:<edges>")),
         },
-        Request::Hold => "HOLD".into(),
-        Request::Release => "RELEASE".into(),
-        Request::Shutdown => "SHUTDOWN".into(),
-        Request::Quit => "QUIT".into(),
+        None => return Err(ProtoError::malformed("graph needs <n>:<labels>:<edges>")),
+    };
+    let n: usize = n
+        .parse()
+        .map_err(|_| ProtoError::malformed(format!("invalid node count {n:?}")))?;
+    if n > MAX_GRAPH_ITEMS {
+        return Err(ProtoError::malformed(format!(
+            "graph node count {n} exceeds the {MAX_GRAPH_ITEMS} cap"
+        )));
     }
+    // `k` labels take at least `2k - 1` bytes, `k` edges `4k - 1`.
+    let mut label_vec: Vec<u32> = Vec::with_capacity(n.min(labels.len().div_ceil(2)));
+    if !labels.is_empty() {
+        for tok in pieces(labels, b',') {
+            let l: u32 = tok
+                .parse()
+                .map_err(|_| ProtoError::malformed(format!("invalid node label {tok:?}")))?;
+            label_vec.push(l);
+        }
+    }
+    if label_vec.len() != n {
+        return Err(ProtoError::malformed(format!(
+            "graph declares {n} nodes but carries {} labels",
+            label_vec.len()
+        )));
+    }
+    let mut edge_vec: Vec<(u32, u32)> = Vec::with_capacity((edges.len() + 1) / 4);
+    if !edges.is_empty() {
+        for tok in pieces(edges, b',') {
+            if edge_vec.len() >= MAX_GRAPH_ITEMS {
+                return Err(ProtoError::malformed(format!(
+                    "graph edge count exceeds the {MAX_GRAPH_ITEMS} cap"
+                )));
+            }
+            let (u, v) = split_at_byte(tok, b'-')
+                .ok_or_else(|| ProtoError::malformed(format!("invalid edge {tok:?}")))?;
+            let u: u32 = u
+                .parse()
+                .map_err(|_| ProtoError::malformed(format!("invalid edge endpoint {u:?}")))?;
+            let v: u32 = v
+                .parse()
+                .map_err(|_| ProtoError::malformed(format!("invalid edge endpoint {v:?}")))?;
+            if u as usize >= n || v as usize >= n {
+                return Err(ProtoError::malformed(format!(
+                    "edge ({u}, {v}) out of range for {n} nodes"
+                )));
+            }
+            edge_vec.push((u, v));
+        }
+    }
+    Ok(LabeledGraph::from_parts(label_vec, &edge_vec))
+}
+
+fn parse_query_frame(args: Tokens<'_>, frame: &str) -> Result<QueryFrame, ProtoError> {
+    let [id, graph, kind, budget, max_hits, bypass, timeout, allow] = first_values(
+        args,
+        &[
+            "id", "graph", "kind", "budget", "max_hits", "bypass", "timeout", "allow",
+        ],
+    );
+    Ok(QueryFrame {
+        id: number(id, "id", frame)?,
+        graph: parse_graph(present(graph, "graph", frame)?)?,
+        kind: parse_kind(kind)?,
+        verify_budget: optional_number(budget, "budget")?,
+        max_hits: optional_number(max_hits, "max_hits")?,
+        bypass: match bypass {
+            None | Some("0") => false,
+            Some("1") => true,
+            Some(other) => {
+                return Err(ProtoError::malformed(format!(
+                    "invalid bypass= value {other:?} (0|1)"
+                )))
+            }
+        },
+        timeout_ms: optional_number(timeout, "timeout")?,
+        allow: allow.map(|raw| parse_list(raw, "serial")).transpose()?,
+    })
 }
 
 /// Parses one client frame. Any failure is a typed error, never a panic.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    let tokens = split_tokens(line);
-    let (&keyword, args) = tokens
-        .split_first()
+    let mut args = Tokens::new(line);
+    let keyword = args
+        .next()
         .ok_or_else(|| ProtoError::malformed("empty frame"))?;
     match keyword {
-        "PING" => Ok(Request::Ping(
-            find_value(args, "token").map(|t| t.to_string()),
-        )),
-        "VERSION" => Ok(Request::Version {
-            proto: parse_u64(require(args, "proto", "VERSION")?, "proto")?,
-        }),
+        "PING" => {
+            let [token] = first_values(args, &["token"]);
+            Ok(Request::Ping(token.map(str::to_string)))
+        }
+        "VERSION" => {
+            let [proto] = first_values(args, &["proto"]);
+            Ok(Request::Version {
+                proto: number(proto, "proto", "VERSION")?,
+            })
+        }
         "QUERY" => Ok(Request::Query(parse_query_frame(args, "QUERY")?)),
         "ROUTE" => Ok(Request::Route(parse_query_frame(args, "ROUTE")?)),
-        "PROBE" => Ok(Request::Probe {
-            id: parse_u64(require(args, "id", "PROBE")?, "id")?,
-            graph: parse_graph(require(args, "graph", "PROBE")?)?,
-            kind: parse_kind(args)?,
-        }),
-        "STATS" => match find_value(args, "scope") {
-            None => Ok(Request::Stats(StatsScope::Global)),
-            Some("mine") => Ok(Request::Stats(StatsScope::Mine)),
-            Some("settle") => Ok(Request::Stats(StatsScope::Settle)),
-            Some(other) => Err(ProtoError::malformed(format!(
+        "PROBE" => {
+            let [id, graph, kind] = first_values(args, &["id", "graph", "kind"]);
+            Ok(Request::Probe {
+                id: number(id, "id", "PROBE")?,
+                graph: parse_graph(present(graph, "graph", "PROBE")?)?,
+                kind: parse_kind(kind)?,
+            })
+        }
+        "STATS" => match first_values(args, &["scope"]) {
+            [None] => Ok(Request::Stats(StatsScope::Global)),
+            [Some("mine")] => Ok(Request::Stats(StatsScope::Mine)),
+            [Some("settle")] => Ok(Request::Stats(StatsScope::Settle)),
+            [Some(other)] => Err(ProtoError::malformed(format!(
                 "invalid scope= value {other:?} (mine|settle)"
             ))),
         },
@@ -703,137 +925,101 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Response codec
-// ---------------------------------------------------------------------------
-
-/// Serializes a response to its one-line frame (no trailing newline).
-pub fn encode_response(resp: &Response) -> String {
-    match resp {
-        Response::Hello {
-            proto,
-            session,
-            max_inflight,
-            peer,
-        } => {
-            let mut out =
-                format!("HELLO proto={proto} session={session} max_inflight={max_inflight}");
-            if let Some((index, total)) = peer {
-                let _ = write!(out, " peer={index}/{total}");
-            }
-            out
-        }
-        Response::Version { proto } => format!("VERSION proto={proto}"),
-        Response::Cands { id, cands } => {
-            format!("CANDS id={id} cands={}", encode_serial_list(cands))
-        }
-        Response::Routed { id, serial } => format!("ROUTED id={id} serial={serial}"),
-        Response::Pong(None) => "PONG".into(),
-        Response::Pong(Some(token)) => format!("PONG token={token}"),
-        Response::Result(r) => {
-            let mut out = format!(
-                "RESULT id={} serial={} answers={} ids={}",
-                r.id,
-                r.serial,
-                r.answer.len(),
-                encode_id_list(&r.answer)
-            );
-            for (name, value) in r.record.deterministic_fields() {
-                let _ = write!(out, " {name}={value}");
-            }
-            out
-        }
-        Response::Busy { id, inflight, max } => {
-            format!("BUSY id={id} inflight={inflight} max={max}")
-        }
-        Response::Stats(counters) => {
-            let mut out = String::from("STATS");
-            for (name, value) in counters {
-                let _ = write!(out, " {name}={value}");
-            }
-            out
-        }
-        Response::Held => "HELD".into(),
-        Response::Released => "RELEASED".into(),
-        Response::Bye { reason } => format!("BYE reason={reason}"),
-        Response::Err { code, msg } => format!("ERR code={code} msg={}", quote(msg)),
+fn parse_result(args: Tokens<'_>) -> Result<ResultFrame, ProtoError> {
+    let [id, serial, answers, ids, fields @ ..] = first_values(args, &RESULT_KEYS);
+    let id = number(id, "id", "RESULT")?;
+    let serial = number(serial, "serial", "RESULT")?;
+    let answers = number(answers, "answers", "RESULT")?;
+    let answer: Vec<u32> = parse_list(present(ids, "ids", "RESULT")?, "id")?;
+    if answer.len() as u64 != answers {
+        return Err(ProtoError::malformed(format!(
+            "RESULT declares {answers} answers but ids= carries {}",
+            answer.len()
+        )));
     }
+    let mut record = QueryRecord {
+        serial,
+        ..Default::default()
+    };
+    // Every deterministic field must be present — a missing field would
+    // silently zero a counter and break served-counter parity.
+    for (i, (value, name)) in fields
+        .into_iter()
+        .zip(QueryRecord::DETERMINISTIC_NAMES)
+        .enumerate()
+    {
+        record.set_deterministic_value(i, number(value, name, "RESULT")?);
+    }
+    Ok(ResultFrame {
+        id,
+        serial,
+        answer,
+        record,
+    })
 }
 
 /// Parses one server frame. Any failure is a typed error, never a panic.
 pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
-    let tokens = split_tokens(line);
-    let (&keyword, args) = tokens
-        .split_first()
+    let mut args = Tokens::new(line);
+    let keyword = args
+        .next()
         .ok_or_else(|| ProtoError::malformed("empty frame"))?;
     match keyword {
-        "HELLO" => Ok(Response::Hello {
-            proto: parse_u64(require(args, "proto", "HELLO")?, "proto")?,
-            session: parse_u64(require(args, "session", "HELLO")?, "session")?,
-            max_inflight: parse_u64(require(args, "max_inflight", "HELLO")?, "max_inflight")?,
-            peer: match find_value(args, "peer") {
-                None => None,
-                Some(raw) => {
-                    let (index, total) = raw.split_once('/').ok_or_else(|| {
-                        ProtoError::malformed(format!("invalid peer= value {raw:?} (want I/N)"))
-                    })?;
-                    Some((parse_u64(index, "peer")?, parse_u64(total, "peer")?))
-                }
-            },
-        }),
-        "VERSION" => Ok(Response::Version {
-            proto: parse_u64(require(args, "proto", "VERSION")?, "proto")?,
-        }),
-        "CANDS" => Ok(Response::Cands {
-            id: parse_u64(require(args, "id", "CANDS")?, "id")?,
-            cands: parse_serial_list(require(args, "cands", "CANDS")?)?,
-        }),
-        "ROUTED" => Ok(Response::Routed {
-            id: parse_u64(require(args, "id", "ROUTED")?, "id")?,
-            serial: parse_u64(require(args, "serial", "ROUTED")?, "serial")?,
-        }),
-        "PONG" => Ok(Response::Pong(
-            find_value(args, "token").map(|t| t.to_string()),
-        )),
-        "RESULT" => {
-            let id = parse_u64(require(args, "id", "RESULT")?, "id")?;
-            let serial = parse_u64(require(args, "serial", "RESULT")?, "serial")?;
-            let answers = parse_u64(require(args, "answers", "RESULT")?, "answers")?;
-            let answer = parse_id_list(require(args, "ids", "RESULT")?)?;
-            if answer.len() as u64 != answers {
-                return Err(ProtoError::malformed(format!(
-                    "RESULT declares {answers} answers but ids= carries {}",
-                    answer.len()
-                )));
-            }
-            let mut record = QueryRecord {
-                serial,
-                ..Default::default()
-            };
-            // Every deterministic field must be present — a missing field
-            // would silently zero a counter and break served-counter
-            // parity. Unknown extra tokens are ignored (forward compat).
-            for (name, _) in QueryRecord::default().deterministic_fields() {
-                let raw = require(args, name, "RESULT")?;
-                let value = parse_u64(raw, name)?;
-                record.set_deterministic_field(name, value);
-            }
-            Ok(Response::Result(ResultFrame {
-                id,
-                serial,
-                answer,
-                record,
-            }))
+        "RESULT" => Ok(Response::Result(parse_result(args)?)),
+        "HELLO" => {
+            let [proto, session, max_inflight, peer] =
+                first_values(args, &["proto", "session", "max_inflight", "peer"]);
+            Ok(Response::Hello {
+                proto: number(proto, "proto", "HELLO")?,
+                session: number(session, "session", "HELLO")?,
+                max_inflight: number(max_inflight, "max_inflight", "HELLO")?,
+                peer: match peer {
+                    None => None,
+                    Some(raw) => {
+                        let (index, total) = split_at_byte(raw, b'/').ok_or_else(|| {
+                            ProtoError::malformed(format!("invalid peer= value {raw:?} (want I/N)"))
+                        })?;
+                        Some((parse_u64(index, "peer")?, parse_u64(total, "peer")?))
+                    }
+                },
+            })
         }
-        "BUSY" => Ok(Response::Busy {
-            id: parse_u64(require(args, "id", "BUSY")?, "id")?,
-            inflight: parse_u64(require(args, "inflight", "BUSY")?, "inflight")?,
-            max: parse_u64(require(args, "max", "BUSY")?, "max")?,
-        }),
+        "VERSION" => {
+            let [proto] = first_values(args, &["proto"]);
+            Ok(Response::Version {
+                proto: number(proto, "proto", "VERSION")?,
+            })
+        }
+        "CANDS" => {
+            let [id, cands] = first_values(args, &["id", "cands"]);
+            Ok(Response::Cands {
+                id: number(id, "id", "CANDS")?,
+                cands: parse_list(present(cands, "cands", "CANDS")?, "serial")?,
+            })
+        }
+        "ROUTED" => {
+            let [id, serial] = first_values(args, &["id", "serial"]);
+            Ok(Response::Routed {
+                id: number(id, "id", "ROUTED")?,
+                serial: number(serial, "serial", "ROUTED")?,
+            })
+        }
+        "PONG" => {
+            let [token] = first_values(args, &["token"]);
+            Ok(Response::Pong(token.map(str::to_string)))
+        }
+        "BUSY" => {
+            let [id, inflight, max] = first_values(args, &["id", "inflight", "max"]);
+            Ok(Response::Busy {
+                id: number(id, "id", "BUSY")?,
+                inflight: number(inflight, "inflight", "BUSY")?,
+                max: number(max, "max", "BUSY")?,
+            })
+        }
         "STATS" => {
-            let mut counters = Vec::with_capacity(args.len());
+            let mut counters = Vec::new();
             for tok in args {
-                let (name, value) = tok.split_once('=').ok_or_else(|| {
+                let (name, value) = split_at_byte(tok, b'=').ok_or_else(|| {
                     ProtoError::malformed(format!("STATS token {tok:?} is not key=value"))
                 })?;
                 counters.push((name.to_string(), parse_u64(value, name)?));
@@ -842,13 +1028,19 @@ pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
         }
         "HELD" => Ok(Response::Held),
         "RELEASED" => Ok(Response::Released),
-        "BYE" => Ok(Response::Bye {
-            reason: require(args, "reason", "BYE")?.to_string(),
-        }),
-        "ERR" => Ok(Response::Err {
-            code: require(args, "code", "ERR")?.to_string(),
-            msg: unquote(require(args, "msg", "ERR")?)?,
-        }),
+        "BYE" => {
+            let [reason] = first_values(args, &["reason"]);
+            Ok(Response::Bye {
+                reason: present(reason, "reason", "BYE")?.to_string(),
+            })
+        }
+        "ERR" => {
+            let [code, msg] = first_values(args, &["code", "msg"]);
+            Ok(Response::Err {
+                code: present(code, "code", "ERR")?.to_string(),
+                msg: unquote(present(msg, "msg", "ERR")?)?,
+            })
+        }
         other => Err(ProtoError::malformed(format!(
             "unknown frame keyword {other:?}"
         ))),
@@ -1068,12 +1260,8 @@ mod tests {
     #[test]
     fn response_round_trips() {
         let mut record = QueryRecord::default();
-        for (i, (name, _)) in QueryRecord::default()
-            .deterministic_fields()
-            .iter()
-            .enumerate()
-        {
-            record.set_deterministic_field(name, (i % 2) as u64 * (i as u64 + 1));
+        for i in 0..QueryRecord::DETERMINISTIC_NAMES.len() {
+            record.set_deterministic_value(i, (i % 2) as u64 * (i as u64 + 1));
         }
         let responses = vec![
             Response::Hello {
@@ -1668,5 +1856,87 @@ mod tests {
             let back = parse_request(&encode_request(&frame)).unwrap();
             prop_assert_eq!(back, frame);
         }
+
+        /// Random RESULT frames — every counter zero, small or `u64`-wide,
+        /// answer lists empty or not — encode, parse and encode again to
+        /// the same bytes.
+        #[test]
+        fn result_frames_round_trip(
+            (id, serial) in (counter(), counter()),
+            fields in proptest::collection::vec(counter(), QueryRecord::DETERMINISTIC_NAMES.len()),
+            answer in proptest::collection::vec(counter().prop_map(|v| v as u32), 0..12),
+        ) {
+            let mut record = QueryRecord::default();
+            for (i, value) in fields.into_iter().enumerate() {
+                record.set_deterministic_value(i, value);
+            }
+            let line = encode_response(&Response::Result(ResultFrame { id, serial, answer, record }));
+            let back = parse_response(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            prop_assert_eq!(encode_response(&back), line);
+        }
+
+        /// Deleting, inserting or replacing one byte anywhere in a valid
+        /// QUERY or RESULT frame never panics: every line the framer
+        /// yields parses to a frame or to a typed error.
+        #[test]
+        fn one_byte_edits_never_panic(
+            result in proptest::arbitrary::any::<bool>(),
+            edit in 0u8..3,
+            at in 0usize..512,
+            byte in 0u8..=254,
+        ) {
+            let frame = if result {
+                encode_response(&Response::Result(ResultFrame {
+                    id: 9,
+                    serial: 12,
+                    answer: vec![0, 4, u32::MAX],
+                    record: large_record(),
+                }))
+            } else {
+                encode_request(&Request::Query(full_query(42)))
+            };
+            let mut wire = frame.into_bytes();
+            let at = at % wire.len();
+            match edit {
+                0 => {
+                    wire.remove(at);
+                }
+                1 => wire.insert(at, byte),
+                _ => wire[at] = byte,
+            }
+            wire.push(b'\n');
+            let mut reader = FrameReader::new();
+            let mut src = &wire[..];
+            loop {
+                match reader.poll_frame(&mut src) {
+                    Ok(FrameEvent::Frame(line)) => {
+                        for outcome in [
+                            parse_request(&line).err(),
+                            parse_response(&line).err(),
+                        ] {
+                            prop_assert!(
+                                matches!(outcome, None | Some(ProtoError::Malformed { .. })),
+                                "{line:?}: {outcome:?}"
+                            );
+                        }
+                    }
+                    // Invalid UTF-8: the line is consumed, the stream goes on.
+                    Err(ProtoError::Malformed { .. }) => {}
+                    Ok(FrameEvent::Closed) => break,
+                    other => panic!("{wire:?}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// A counter drawn from zero, small values, the whole `u64` range and
+    /// `u64::MAX`.
+    fn counter() -> impl Strategy<Value = u64> {
+        (0u8..4, proptest::arbitrary::any::<u64>()).prop_map(|(pick, v)| match pick {
+            0 => 0,
+            1 => v % 100,
+            2 => v,
+            _ => u64::MAX,
+        })
     }
 }

@@ -48,14 +48,13 @@
 
 use crate::client::{Client, ClientError, QueryOutcome, RetryPolicy, RouteOutcome};
 use crate::proto::{
-    encode_response, parse_request, FrameEvent, FrameReader, QueryFrame, Request, Response,
-    StatsScope, PROTO_VERSION,
+    parse_request, FrameEvent, FrameReader, QueryFrame, Request, Response, StatsScope,
+    PROTO_VERSION,
 };
-use crate::server::{signal, Conn, ServeError, POLL_INTERVAL};
+use crate::server::{send, signal, Conn, ServeError, POLL_INTERVAL};
 use gc_core::RouteCounters;
 use gc_index::fingerprint::iso_hash;
 use std::collections::HashSet;
-use std::io::Write;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -577,7 +576,7 @@ impl Router {
                     let shared = Arc::clone(&self.shared);
                     let id = shared.next_session.fetch_add(1, Ordering::SeqCst);
                     workers.push(std::thread::spawn(move || {
-                        serve_session(shared, id, Conn::Unix(stream));
+                        serve_session(shared, id, Conn::from(stream));
                     }));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -594,13 +593,6 @@ impl Router {
         let _ = std::fs::remove_file(&self.unix_path);
         Ok(())
     }
-}
-
-fn send(conn: &mut Conn, resp: &Response) -> std::io::Result<()> {
-    let mut line = encode_response(resp);
-    line.push('\n');
-    conn.write_all(line.as_bytes())?;
-    conn.flush()
 }
 
 /// One client session on the router: greet, then answer frames until the

@@ -34,7 +34,7 @@
 //! drain interrupts the protocol between frames, never a running query.
 
 use crate::proto::{
-    encode_response, parse_request, FrameEvent, FrameReader, ProtoError, QueryFrame, Request,
+    parse_request, write_response, FrameEvent, FrameReader, ProtoError, QueryFrame, Request,
     Response, StatsScope, PROTO_VERSION,
 };
 use crate::router::{PeerIdentity, Ring};
@@ -181,45 +181,64 @@ impl Default for ServeConfig {
     }
 }
 
-/// A bidirectional connection over either transport.
+/// A bidirectional connection over either transport, with the buffer its
+/// outgoing frames are written into (one per session, reused).
 #[derive(Debug)]
-pub(crate) enum Conn {
-    /// TCP client connection.
+pub(crate) struct Conn {
+    stream: Stream,
+    out: String,
+}
+
+#[derive(Debug)]
+enum Stream {
     Tcp(TcpStream),
-    /// Unix-socket client connection.
     Unix(UnixStream),
+}
+
+impl From<TcpStream> for Conn {
+    fn from(s: TcpStream) -> Conn {
+        Conn {
+            stream: Stream::Tcp(s),
+            out: String::new(),
+        }
+    }
+}
+
+impl From<UnixStream> for Conn {
+    fn from(s: UnixStream) -> Conn {
+        Conn {
+            stream: Stream::Unix(s),
+            out: String::new(),
+        }
+    }
 }
 
 impl Conn {
     pub(crate) fn set_read_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(dur),
-            Conn::Unix(s) => s.set_read_timeout(dur),
+        match &self.stream {
+            Stream::Tcp(s) => s.set_read_timeout(dur),
+            Stream::Unix(s) => s.set_read_timeout(dur),
+        }
+    }
+
+    /// Writes one frame, as `write` appends it, and its `\n` in a single
+    /// `write_all`.
+    pub(crate) fn send_frame(&mut self, write: impl FnOnce(&mut String)) -> std::io::Result<()> {
+        self.out.clear();
+        write(&mut self.out);
+        self.out.push('\n');
+        match &mut self.stream {
+            Stream::Tcp(s) => s.write_all(self.out.as_bytes()),
+            Stream::Unix(s) => s.write_all(self.out.as_bytes()),
         }
     }
 }
 
 impl Read for Conn {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
+        match &mut self.stream {
+            Stream::Tcp(s) => s.read(buf),
+            Stream::Unix(s) => s.read(buf),
         }
     }
 }
@@ -343,12 +362,12 @@ impl Listener {
     fn try_accept(&self) -> std::io::Result<Option<Conn>> {
         let conn = match self {
             Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Some(Conn::Tcp(s)),
+                Ok((s, _)) => Some(Conn::from(s)),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
                 Err(e) => return Err(e),
             },
             Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => Some(Conn::Unix(s)),
+                Ok((s, _)) => Some(Conn::from(s)),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
                 Err(e) => return Err(e),
             },
@@ -589,11 +608,8 @@ impl ShutdownHandle {
     }
 }
 
-fn send(conn: &mut Conn, resp: &Response) -> std::io::Result<()> {
-    let mut line = encode_response(resp);
-    line.push('\n');
-    conn.write_all(line.as_bytes())?;
-    conn.flush()
+pub(crate) fn send(conn: &mut Conn, resp: &Response) -> std::io::Result<()> {
+    conn.send_frame(|out| write_response(out, resp))
 }
 
 /// Per-connection protocol state.
