@@ -94,87 +94,103 @@ impl QueryRecord {
             || self.super_hits > 0
             || self.fragment_hits > 0
     }
+}
 
-    /// The wire names of [`deterministic_fields`](Self::deterministic_fields),
-    /// in order. Renaming or reordering entries is a protocol change.
-    pub const DETERMINISTIC_NAMES: [&'static str; 17] = [
-        "subiso_tests",
-        "verify_work",
-        "gc_tests",
-        "budget_spent",
-        "truncated",
-        "exact_fp",
-        "cs_m",
-        "cs_gc",
-        "sub_hits",
-        "super_hits",
-        "exact",
-        "empty",
-        "answer_size",
-        "fragment_probes",
-        "fragment_hits",
-        "fragment_pruned",
-        "deadline",
-    ];
+/// A record field as the `u64` a `RESULT` frame carries (flags as 0/1).
+trait WireValue {
+    fn to_wire(&self) -> u64;
+    fn from_wire(value: u64) -> Self;
+}
 
-    /// The record fields that are a pure function of the query sequence
-    /// (durations excluded), as a stable `(name, value)` array named by
-    /// [`DETERMINISTIC_NAMES`](Self::DETERMINISTIC_NAMES). This is the
-    /// wire schema `gc serve` puts on every `RESULT` frame: a client that
-    /// replays these values through
-    /// [`QueryRecord::set_deterministic_value`] reconstructs a record whose
-    /// [`RunCounters`] contribution is identical to the server's, which is
-    /// what makes served counters byte-comparable to in-process
-    /// [`RunCounters::from_records`].
-    pub fn deterministic_fields(&self) -> [(&'static str, u64); 17] {
-        let values = [
-            self.subiso_tests,
-            self.verify_work,
-            self.gc_tests,
-            self.budget_spent,
-            self.truncated as u64,
-            self.exact_via_fingerprint as u64,
-            self.cs_m_size as u64,
-            self.cs_gc_size as u64,
-            self.sub_hits as u64,
-            self.super_hits as u64,
-            self.exact_hit as u64,
-            self.empty_shortcut as u64,
-            self.answer_size as u64,
-            self.fragment_probes,
-            self.fragment_hits,
-            self.fragment_pruned,
-            self.deadline_exceeded as u64,
-        ];
-        std::array::from_fn(|i| (Self::DETERMINISTIC_NAMES[i], values[i]))
+impl WireValue for u64 {
+    fn to_wire(&self) -> u64 {
+        *self
     }
+    fn from_wire(value: u64) -> Self {
+        value
+    }
+}
 
-    /// Sets the field at `index` of
-    /// [`deterministic_fields`](Self::deterministic_fields). Returns
-    /// `false` past the last field.
-    pub fn set_deterministic_value(&mut self, index: usize, value: u64) -> bool {
-        match index {
-            0 => self.subiso_tests = value,
-            1 => self.verify_work = value,
-            2 => self.gc_tests = value,
-            3 => self.budget_spent = value,
-            4 => self.truncated = value != 0,
-            5 => self.exact_via_fingerprint = value != 0,
-            6 => self.cs_m_size = value as usize,
-            7 => self.cs_gc_size = value as usize,
-            8 => self.sub_hits = value as usize,
-            9 => self.super_hits = value as usize,
-            10 => self.exact_hit = value != 0,
-            11 => self.empty_shortcut = value != 0,
-            12 => self.answer_size = value as usize,
-            13 => self.fragment_probes = value,
-            14 => self.fragment_hits = value,
-            15 => self.fragment_pruned = value,
-            16 => self.deadline_exceeded = value != 0,
-            _ => return false,
+impl WireValue for usize {
+    fn to_wire(&self) -> u64 {
+        *self as u64
+    }
+    fn from_wire(value: u64) -> Self {
+        value as usize
+    }
+}
+
+impl WireValue for bool {
+    fn to_wire(&self) -> u64 {
+        *self as u64
+    }
+    fn from_wire(value: u64) -> Self {
+        value != 0
+    }
+}
+
+/// Generates the wire-field accessors from one `name => field` table, so
+/// a field's name, its position and the field it reads and writes cannot
+/// drift apart.
+macro_rules! deterministic_fields {
+    ($($name:literal => $field:ident,)*) => {
+        impl QueryRecord {
+            /// The wire names of
+            /// [`deterministic_fields`](Self::deterministic_fields), in
+            /// order. Renaming or reordering entries is a protocol change.
+            pub const DETERMINISTIC_NAMES: [&'static str; 17] = [$($name),*];
+
+            /// The record fields that are a pure function of the query
+            /// sequence (durations excluded), as a stable `(name, value)`
+            /// array named by
+            /// [`DETERMINISTIC_NAMES`](Self::DETERMINISTIC_NAMES). This is
+            /// the wire schema `gc serve` puts on every `RESULT` frame: a
+            /// client that replays these values through
+            /// [`QueryRecord::set_deterministic_value`] reconstructs a
+            /// record whose [`RunCounters`] contribution is identical to
+            /// the server's, which is what makes served counters
+            /// byte-comparable to in-process [`RunCounters::from_records`].
+            pub fn deterministic_fields(&self) -> [(&'static str, u64); 17] {
+                [$(($name, self.$field.to_wire())),*]
+            }
+
+            /// Sets the field at `index` of
+            /// [`deterministic_fields`](Self::deterministic_fields).
+            /// Returns `false` past the last field.
+            pub fn set_deterministic_value(&mut self, index: usize, value: u64) -> bool {
+                let mut at = 0;
+                $(
+                    if index == at {
+                        self.$field = WireValue::from_wire(value);
+                        return true;
+                    }
+                    at += 1;
+                )*
+                let _ = at;
+                false
+            }
         }
-        true
-    }
+    };
+}
+
+deterministic_fields! {
+    "subiso_tests" => subiso_tests,
+    "verify_work" => verify_work,
+    "gc_tests" => gc_tests,
+    "budget_spent" => budget_spent,
+    "truncated" => truncated,
+    "exact_fp" => exact_via_fingerprint,
+    "cs_m" => cs_m_size,
+    "cs_gc" => cs_gc_size,
+    "sub_hits" => sub_hits,
+    "super_hits" => super_hits,
+    "exact" => exact_hit,
+    "empty" => empty_shortcut,
+    "answer_size" => answer_size,
+    "fragment_probes" => fragment_probes,
+    "fragment_hits" => fragment_hits,
+    "fragment_pruned" => fragment_pruned,
+    "deadline" => deadline_exceeded,
 }
 
 /// Cumulative per-phase breakdown of cache maintenance — what the Window
@@ -570,6 +586,50 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), QueryRecord::DETERMINISTIC_NAMES.len());
+    }
+
+    /// Each wire name reads and writes its own field: a record with one
+    /// field set shows a value under that name alone, and setting that
+    /// name's index on an empty record rebuilds it.
+    #[test]
+    fn each_wire_name_maps_to_its_field() {
+        let one = |f: fn(&mut QueryRecord)| {
+            let mut r = QueryRecord::default();
+            f(&mut r);
+            r
+        };
+        let cases: [(&str, u64, QueryRecord); 17] = [
+            ("subiso_tests", 11, one(|r| r.subiso_tests = 11)),
+            ("verify_work", 12, one(|r| r.verify_work = 12)),
+            ("gc_tests", 13, one(|r| r.gc_tests = 13)),
+            ("budget_spent", 14, one(|r| r.budget_spent = 14)),
+            ("truncated", 1, one(|r| r.truncated = true)),
+            ("exact_fp", 1, one(|r| r.exact_via_fingerprint = true)),
+            ("cs_m", 17, one(|r| r.cs_m_size = 17)),
+            ("cs_gc", 18, one(|r| r.cs_gc_size = 18)),
+            ("sub_hits", 19, one(|r| r.sub_hits = 19)),
+            ("super_hits", 20, one(|r| r.super_hits = 20)),
+            ("exact", 1, one(|r| r.exact_hit = true)),
+            ("empty", 1, one(|r| r.empty_shortcut = true)),
+            ("answer_size", 23, one(|r| r.answer_size = 23)),
+            ("fragment_probes", 24, one(|r| r.fragment_probes = 24)),
+            ("fragment_hits", 25, one(|r| r.fragment_hits = 25)),
+            ("fragment_pruned", 26, one(|r| r.fragment_pruned = 26)),
+            ("deadline", 1, one(|r| r.deadline_exceeded = true)),
+        ];
+        for (name, value, record) in cases {
+            let index = QueryRecord::DETERMINISTIC_NAMES
+                .iter()
+                .position(|n| *n == name)
+                .expect(name);
+            for (i, (n, v)) in record.deterministic_fields().into_iter().enumerate() {
+                let want = if i == index { value } else { 0 };
+                assert_eq!(v, want, "{name} set, {n} reads {v}");
+            }
+            let mut rebuilt = QueryRecord::default();
+            assert!(rebuilt.set_deterministic_value(index, value));
+            assert_eq!(rebuilt, record, "{name}");
+        }
     }
 
     #[test]

@@ -589,107 +589,27 @@ pub fn encode_response(resp: &Response) -> String {
 /// A frame's whitespace-separated tokens, except that everything from the
 /// token holding the line's first `"` to its end is one token (quotes only
 /// appear in the final `msg` token of `ERR` frames).
-struct Tokens<'a> {
-    words: &'a str,
-    quoted: Option<&'a str>,
-}
-
-impl<'a> Tokens<'a> {
-    fn new(line: &'a str) -> Tokens<'a> {
-        let rest = line.trim();
-        let (words, quoted) = match rest.find('"') {
-            Some(q) => {
-                let start = rest[..q].rfind(' ').map_or(0, |i| i + 1);
-                (&rest[..start], Some(&rest[start..]))
-            }
-            None => (rest, None),
-        };
-        Tokens { words, quoted }
-    }
-}
-
-/// The byte length of the char starting at `s[i]` and whether it is
-/// whitespace as [`char::is_whitespace`] defines it (ASCII decided from
-/// the byte alone).
-fn char_at(s: &str, i: usize) -> (usize, bool) {
-    let b = s.as_bytes()[i];
-    if b.is_ascii() {
-        return (1, matches!(b, b' ' | b'\t'..=b'\r'));
-    }
-    let c = s[i..].chars().next().expect("a char starts at i");
-    (c.len_utf8(), c.is_whitespace())
-}
-
-impl<'a> Iterator for Tokens<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        let s = self.words;
-        let mut i = 0;
-        while i < s.len() {
-            let (width, space) = char_at(s, i);
-            if !space {
-                break;
-            }
-            i += width;
+fn tokens(line: &str) -> impl Iterator<Item = &str> {
+    let rest = line.trim();
+    let (words, quoted) = match rest.find('"') {
+        Some(q) => {
+            let start = rest[..q].rfind(' ').map_or(0, |i| i + 1);
+            (&rest[..start], Some(&rest[start..]))
         }
-        if i == s.len() {
-            self.words = "";
-            return self.quoted.take();
-        }
-        let start = i;
-        // Only a control byte, a space or a non-ASCII byte can begin
-        // whitespace, so the scan stops at those alone.
-        let end = loop {
-            match s.as_bytes()[i..]
-                .iter()
-                .position(|&b| b <= b' ' || !b.is_ascii())
-            {
-                None => break s.len(),
-                Some(off) => {
-                    let (width, space) = char_at(s, i + off);
-                    if space {
-                        break i + off;
-                    }
-                    i += off + width;
-                }
-            }
-        };
-        self.words = &s[end..];
-        Some(&s[start..end])
-    }
-}
-
-/// Splits `s` at its first `sep`, as `str::split_once` does. `sep` is an
-/// ASCII byte, so the scan needs no char searcher: the items of a frame
-/// are a few bytes long, and setting one up per item cost more than the
-/// scan.
-fn split_at_byte(s: &str, sep: u8) -> Option<(&str, &str)> {
-    let i = s.bytes().position(|b| b == sep)?;
-    Some((&s[..i], &s[i + 1..]))
-}
-
-/// The pieces of `s` between `sep` bytes, as `str::split` yields them.
-fn pieces(s: &str, sep: u8) -> impl Iterator<Item = &str> {
-    let mut rest = Some(s);
-    std::iter::from_fn(move || {
-        let r = rest?;
-        match split_at_byte(r, sep) {
-            Some((piece, tail)) => {
-                rest = Some(tail);
-                Some(piece)
-            }
-            None => rest.take(),
-        }
-    })
+        None => (rest, None),
+    };
+    words.split_whitespace().chain(quoted)
 }
 
 /// The first value of each of `keys` in one pass over `args`. Tokens
 /// without `=` and keys not in `keys` are ignored.
-fn first_values<'a, const N: usize>(args: Tokens<'a>, keys: &[&str; N]) -> [Option<&'a str>; N] {
+fn first_values<'a, const N: usize>(
+    args: impl Iterator<Item = &'a str>,
+    keys: &[&str; N],
+) -> [Option<&'a str>; N] {
     let mut values = [None; N];
     for tok in args {
-        if let Some((key, value)) = split_at_byte(tok, b'=') {
+        if let Some((key, value)) = tok.split_once('=') {
             if let Some(i) = keys.iter().position(|k| *k == key) {
                 values[i].get_or_insert(value);
             }
@@ -770,7 +690,7 @@ fn parse_list<T: std::str::FromStr>(raw: &str, what: &str) -> Result<Vec<T>, Pro
         return Ok(Vec::new());
     }
     let mut items = Vec::with_capacity(raw.bytes().filter(|&b| b == b',').count() + 1);
-    for t in pieces(raw, b',') {
+    for t in raw.split(',') {
         items.push(
             t.parse()
                 .map_err(|_| ProtoError::malformed(format!("invalid {what} {t:?} in list")))?,
@@ -795,8 +715,8 @@ fn parse_kind(value: Option<&str>) -> Result<Option<QueryKind>, ProtoError> {
 /// Capacity is reserved from the bytes the frame carries, never from the
 /// node count it declares.
 pub fn parse_graph(text: &str) -> Result<LabeledGraph, ProtoError> {
-    let (n, labels, edges) = match split_at_byte(text, b':') {
-        Some((n, rest)) => match split_at_byte(rest, b':') {
+    let (n, labels, edges) = match text.split_once(':') {
+        Some((n, rest)) => match rest.split_once(':') {
             Some((labels, edges)) => (n, labels, edges),
             None => return Err(ProtoError::malformed("graph needs <n>:<labels>:<edges>")),
         },
@@ -813,7 +733,7 @@ pub fn parse_graph(text: &str) -> Result<LabeledGraph, ProtoError> {
     // `k` labels take at least `2k - 1` bytes, `k` edges `4k - 1`.
     let mut label_vec: Vec<u32> = Vec::with_capacity(n.min(labels.len().div_ceil(2)));
     if !labels.is_empty() {
-        for tok in pieces(labels, b',') {
+        for tok in labels.split(',') {
             let l: u32 = tok
                 .parse()
                 .map_err(|_| ProtoError::malformed(format!("invalid node label {tok:?}")))?;
@@ -828,13 +748,14 @@ pub fn parse_graph(text: &str) -> Result<LabeledGraph, ProtoError> {
     }
     let mut edge_vec: Vec<(u32, u32)> = Vec::with_capacity((edges.len() + 1) / 4);
     if !edges.is_empty() {
-        for tok in pieces(edges, b',') {
+        for tok in edges.split(',') {
             if edge_vec.len() >= MAX_GRAPH_ITEMS {
                 return Err(ProtoError::malformed(format!(
                     "graph edge count exceeds the {MAX_GRAPH_ITEMS} cap"
                 )));
             }
-            let (u, v) = split_at_byte(tok, b'-')
+            let (u, v) = tok
+                .split_once('-')
                 .ok_or_else(|| ProtoError::malformed(format!("invalid edge {tok:?}")))?;
             let u: u32 = u
                 .parse()
@@ -853,7 +774,10 @@ pub fn parse_graph(text: &str) -> Result<LabeledGraph, ProtoError> {
     Ok(LabeledGraph::from_parts(label_vec, &edge_vec))
 }
 
-fn parse_query_frame(args: Tokens<'_>, frame: &str) -> Result<QueryFrame, ProtoError> {
+fn parse_query_frame<'a>(
+    args: impl Iterator<Item = &'a str>,
+    frame: &str,
+) -> Result<QueryFrame, ProtoError> {
     let [id, graph, kind, budget, max_hits, bypass, timeout, allow] = first_values(
         args,
         &[
@@ -882,7 +806,7 @@ fn parse_query_frame(args: Tokens<'_>, frame: &str) -> Result<QueryFrame, ProtoE
 
 /// Parses one client frame. Any failure is a typed error, never a panic.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    let mut args = Tokens::new(line);
+    let mut args = tokens(line);
     let keyword = args
         .next()
         .ok_or_else(|| ProtoError::malformed("empty frame"))?;
@@ -925,7 +849,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     }
 }
 
-fn parse_result(args: Tokens<'_>) -> Result<ResultFrame, ProtoError> {
+fn parse_result<'a>(args: impl Iterator<Item = &'a str>) -> Result<ResultFrame, ProtoError> {
     let [id, serial, answers, ids, fields @ ..] = first_values(args, &RESULT_KEYS);
     let id = number(id, "id", "RESULT")?;
     let serial = number(serial, "serial", "RESULT")?;
@@ -960,7 +884,7 @@ fn parse_result(args: Tokens<'_>) -> Result<ResultFrame, ProtoError> {
 
 /// Parses one server frame. Any failure is a typed error, never a panic.
 pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
-    let mut args = Tokens::new(line);
+    let mut args = tokens(line);
     let keyword = args
         .next()
         .ok_or_else(|| ProtoError::malformed("empty frame"))?;
@@ -976,7 +900,7 @@ pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
                 peer: match peer {
                     None => None,
                     Some(raw) => {
-                        let (index, total) = split_at_byte(raw, b'/').ok_or_else(|| {
+                        let (index, total) = raw.split_once('/').ok_or_else(|| {
                             ProtoError::malformed(format!("invalid peer= value {raw:?} (want I/N)"))
                         })?;
                         Some((parse_u64(index, "peer")?, parse_u64(total, "peer")?))
@@ -1019,7 +943,7 @@ pub fn parse_response(line: &str) -> Result<Response, ProtoError> {
         "STATS" => {
             let mut counters = Vec::new();
             for tok in args {
-                let (name, value) = split_at_byte(tok, b'=').ok_or_else(|| {
+                let (name, value) = tok.split_once('=').ok_or_else(|| {
                     ProtoError::malformed(format!("STATS token {tok:?} is not key=value"))
                 })?;
                 counters.push((name.to_string(), parse_u64(value, name)?));
@@ -1687,6 +1611,16 @@ mod tests {
         }));
         let broken = line.replace("answers=2", "answers=3");
         assert!(parse_response(&broken).is_err());
+    }
+
+    /// A RESULT key that appeared twice in the table would read its first
+    /// occurrence into both slots.
+    #[test]
+    fn result_keys_are_distinct() {
+        let mut keys = RESULT_KEYS.to_vec();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), RESULT_KEYS.len(), "{RESULT_KEYS:?}");
     }
 
     #[test]
